@@ -29,14 +29,13 @@ from repro.analysis.compare import (
     ComparisonSeries,
     compare_algorithms,
     compare_named,
+    engine_runner,
     ga_runner,
     head_to_head_experiment,
     make_time_grid,
-    sa_runner,
     se_runner,
     se_vs_ga,
     series_from_trace,
-    tabu_runner,
 )
 from repro.analysis.pareto import (
     cheapest_within,
@@ -76,14 +75,13 @@ __all__ = [
     "ComparisonSeries",
     "compare_algorithms",
     "compare_named",
+    "engine_runner",
     "ga_runner",
     "head_to_head_experiment",
     "make_time_grid",
-    "sa_runner",
     "se_runner",
     "se_vs_ga",
     "series_from_trace",
-    "tabu_runner",
     "ExperimentRecord",
     "markdown_table",
     "render_report",

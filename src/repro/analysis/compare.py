@@ -10,13 +10,12 @@ any number of trace-producing runners.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional, Sequence
 
 from repro.analysis.trace import ConvergenceTrace
-from repro.baselines.ga import GAConfig, GeneticAlgorithm
+from repro.baselines.ga import GAConfig
 from repro.core.config import SEConfig
-from repro.core.engine import SimulatedEvolution
 from repro.model.workload import Workload
 from repro.schedule.backend import DEFAULT_NETWORK, DEFAULT_PLATFORM
 from repro.utils.rng import RandomSource
@@ -106,95 +105,45 @@ def make_time_grid(budget: float, points: int) -> tuple[float, ...]:
     return tuple(budget * (i + 1) / points for i in range(points))
 
 
+def engine_runner(
+    kind: str, base=None, seed: RandomSource = None
+) -> Runner:
+    """A :func:`compare_algorithms` runner for engine-table *kind*.
+
+    *base* is the engine's config (its defaults when omitted); the
+    runner lifts the iteration cap and applies the table's wall-clock
+    overrides, so the budget is the binding limit.  *seed*, when given,
+    replaces the base config's seed.
+    """
+    from repro.runner.registry import ENGINES
+
+    entry = ENGINES[kind]
+
+    def run(workload: Workload, time_limit: float) -> ConvergenceTrace:
+        cfg = base if base is not None else entry.build()
+        cfg = replace(
+            cfg,
+            **entry.limits(None, time_limit),
+            seed=seed if seed is not None else cfg.seed,
+        )
+        return entry.run(workload, cfg).trace
+
+    return run
+
+
 def se_runner(
     base: Optional[SEConfig] = None, seed: RandomSource = None
 ) -> Runner:
-    """Build an SE runner for :func:`compare_algorithms`.
-
-    The iteration cap is lifted so the wall clock is the binding limit.
-    """
-
-    def run(workload: Workload, time_limit: float) -> ConvergenceTrace:
-        cfg_base = base or SEConfig()
-        from dataclasses import replace
-
-        cfg = replace(
-            cfg_base,
-            time_limit=time_limit,
-            max_iterations=10**9,
-            seed=seed if seed is not None else cfg_base.seed,
-        )
-        return SimulatedEvolution(cfg).run(workload).trace
-
-    return run
+    """An SE runner for :func:`compare_algorithms` (see :func:`engine_runner`)."""
+    return engine_runner("se", base, seed)
 
 
 def ga_runner(
     base: Optional[GAConfig] = None, seed: RandomSource = None
 ) -> Runner:
-    """Build a GA runner for :func:`compare_algorithms`."""
-
-    def run(workload: Workload, time_limit: float) -> ConvergenceTrace:
-        from dataclasses import replace
-
-        cfg_base = base or GAConfig()
-        cfg = replace(
-            cfg_base,
-            time_limit=time_limit,
-            max_generations=10**9,
-            stall_generations=None,
-            seed=seed if seed is not None else cfg_base.seed,
-        )
-        return GeneticAlgorithm(cfg).run(workload).trace
-
-    return run
-
-
-def sa_runner(
-    base: Optional["SAConfig"] = None, seed: RandomSource = None
-) -> Runner:
-    """Build a simulated-annealing runner for :func:`compare_algorithms`."""
-
-    def run(workload: Workload, time_limit: float) -> ConvergenceTrace:
-        from dataclasses import replace
-
-        from repro.optim import SAConfig, SimulatedAnnealing
-
-        cfg_base = base or SAConfig()
-        cfg = replace(
-            cfg_base,
-            time_limit=time_limit,
-            max_iterations=10**9,
-            # a wall-clock budget can mean millions of ~25 µs proposals;
-            # record one per temperature level (plus every improvement)
-            record_every=max(cfg_base.record_every, cfg_base.steps_per_temp),
-            seed=seed if seed is not None else cfg_base.seed,
-        )
-        return SimulatedAnnealing(cfg).run(workload).trace
-
-    return run
-
-
-def tabu_runner(
-    base: Optional["TabuConfig"] = None, seed: RandomSource = None
-) -> Runner:
-    """Build a tabu-search runner for :func:`compare_algorithms`."""
-
-    def run(workload: Workload, time_limit: float) -> ConvergenceTrace:
-        from dataclasses import replace
-
-        from repro.optim import TabuConfig, TabuSearch
-
-        cfg_base = base or TabuConfig()
-        cfg = replace(
-            cfg_base,
-            time_limit=time_limit,
-            max_iterations=10**9,
-            seed=seed if seed is not None else cfg_base.seed,
-        )
-        return TabuSearch(cfg).run(workload).trace
-
-    return run
+    """A GA runner for :func:`compare_algorithms`; the runner also lifts
+    Wang's stall rule (see :func:`engine_runner`)."""
+    return engine_runner("ga", base, seed)
 
 
 def compare_algorithms(
@@ -211,25 +160,13 @@ def compare_algorithms(
     if not runners:
         raise ValueError("need at least one runner")
     grid = make_time_grid(time_budget, grid_points)
-    series = []
-    for name, runner in runners.items():
-        trace = runner(workload, time_budget)
-        best_at = tuple(trace.best_at_time(t) for t in grid)
-        series.append(
-            ComparisonSeries(
-                name=name,
-                time_grid=grid,
-                best_at=best_at,
-                final_best=(
-                    trace.final_best() if len(trace) else float("inf")
-                ),
-                iterations=len(trace),
-            )
-        )
     return ComparisonResult(
         workload_name=workload.name,
         time_budget=time_budget,
-        series=tuple(series),
+        series=tuple(
+            series_from_trace(name, runner(workload, time_budget), grid)
+            for name, runner in runners.items()
+        ),
     )
 
 
@@ -274,45 +211,9 @@ def se_vs_ga(
     )
 
 
-def _sa_base(network: str, platform: str):
-    from repro.optim import SAConfig  # deferred: repro.optim is a higher layer
-
-    return SAConfig(network=network, platform=platform)
-
-
-def _tabu_base(network: str, platform: str):
-    from repro.optim import TabuConfig  # deferred: see _sa_base
-
-    return TabuConfig(network=network, platform=platform)
-
-
-#: Runner factories for :func:`compare_named`, keyed by algorithm name.
-#: Each maps ``seed=`` to an independent RNG stream and ``network=`` to
-#: the simulator backend the engine optimises against; SE gets the
-#: calibrated :data:`COMPARISON_SE_BIAS` like :func:`se_vs_ga` does.
-#: The engines route batch scoring through their
-#: :class:`~repro.optim.evaluation.EvaluationService`, so every network
-#: with a registered batch kernel (both built-ins) accelerates here
-#: automatically — the runners never hard-code a scalar simulator.
-_NAMED_RUNNERS = {
-    "se": lambda seed, network, platform: se_runner(
-        SEConfig(
-            selection_bias=COMPARISON_SE_BIAS,
-            network=network,
-            platform=platform,
-        ),
-        seed=seed,
-    ),
-    "ga": lambda seed, network, platform: ga_runner(
-        GAConfig(network=network, platform=platform), seed=seed
-    ),
-    "sa": lambda seed, network, platform: sa_runner(
-        _sa_base(network, platform), seed=seed
-    ),
-    "tabu": lambda seed, network, platform: tabu_runner(
-        _tabu_base(network, platform), seed=seed
-    ),
-}
+#: Per-engine config overrides of every head-to-head: SE runs with the
+#: calibrated :data:`COMPARISON_SE_BIAS`, like :func:`se_vs_ga` does.
+HEAD_TO_HEAD_OVERRIDES = {"se": {"selection_bias": COMPARISON_SE_BIAS}}
 
 
 def compare_named(
@@ -339,22 +240,31 @@ def compare_named(
     machine catalog (speed-scaled matrix + boot state; the default
     ``"uniform"`` changes nothing).
     """
+    from repro.runner.registry import ENGINE_KINDS, ENGINES
     from repro.utils.rng import spawn_rngs
 
     names = [a.strip().lower() for a in algorithms if a.strip()]
     if not names:
         raise ValueError("need at least one algorithm name")
-    unknown = sorted(set(names) - set(_NAMED_RUNNERS))
+    unknown = sorted(set(names) - set(ENGINE_KINDS))
     if unknown:
         raise ValueError(
             f"unknown comparison algorithms {unknown}; available: "
-            f"{', '.join(sorted(_NAMED_RUNNERS))}"
+            f"{', '.join(sorted(ENGINE_KINDS))}"
         )
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate algorithm names in {names}")
     rngs = spawn_rngs(seed, len(names))
     runners = {
-        name.upper(): _NAMED_RUNNERS[name](rng, network, platform)
+        name.upper(): engine_runner(
+            name,
+            ENGINES[name].build(
+                network=network,
+                platform=platform,
+                **HEAD_TO_HEAD_OVERRIDES.get(name, {}),
+            ),
+            seed=rng,
+        )
         for name, rng in zip(names, rngs)
     }
     return compare_algorithms(
@@ -399,9 +309,9 @@ def head_to_head_experiment(
     algorithms:
         Display name → extra registry params; defaults to the paper's
         pairing ``{"SE": ..., "GA": ...}`` with the calibrated
-        ``COMPARISON_SE_BIAS``.  Every algorithm gets ``time_limit=
-        time_budget`` with iteration caps lifted, exactly like
-        :func:`se_runner` / :func:`ga_runner`.
+        ``COMPARISON_SE_BIAS``.  Every engine-table algorithm gets the
+        table's limits for ``time_budget`` with caps lifted, exactly
+        like :func:`engine_runner`.
     workers:
         With ``workers > 1`` the contenders run concurrently in separate
         processes.  RNG streams stay deterministic; note that for
@@ -423,6 +333,7 @@ def head_to_head_experiment(
         algorithm_parameters,
         run_experiment,
     )
+    from repro.runner.registry import ENGINES
 
     if algorithms is None:
         algorithms = {"SE": {}, "GA": {}}
@@ -430,32 +341,10 @@ def head_to_head_experiment(
     for name, extra in algorithms.items():
         params = dict(extra)
         kind = params.pop("kind", name.lower())
-        if kind == "se":
-            base = {
-                "time_limit": time_budget,
-                "max_iterations": 10**9,
-                "selection_bias": COMPARISON_SE_BIAS,
-            }
-        elif kind == "ga":
-            base = {
-                "time_limit": time_budget,
-                "max_generations": 10**9,
-                "stall_generations": None,
-            }
-        elif kind == "sa":
-            base = {
-                "time_limit": time_budget,
-                "max_iterations": 10**9,
-                # bound the per-proposal trace under a wall-clock budget
-                "record_every": 50,
-            }
-        elif kind == "tabu":
-            base = {
-                "time_limit": time_budget,
-                "max_iterations": 10**9,
-            }
-        else:
-            base = {}
+        entry = ENGINES.get(kind)
+        base = dict(HEAD_TO_HEAD_OVERRIDES.get(kind, {}))
+        if entry is not None:
+            base.update(entry.limits(None, time_budget))
         # only algorithms that declare the parameter get the selector —
         # custom-registered entries without one must keep working
         if "network" in algorithm_parameters(kind):

@@ -19,7 +19,11 @@ from repro.baselines.listsched import (
 )
 from repro.baselines.minmin import max_min, min_min
 from repro.baselines.olb import olb
-from repro.baselines.random_search import random_search
+from repro.baselines.random_search import (
+    RandomSearchConfig,
+    random_search,
+    run_random_search,
+)
 
 __all__ = [
     "BaselineResult",
@@ -36,5 +40,7 @@ __all__ = [
     "max_min",
     "min_min",
     "olb",
+    "RandomSearchConfig",
     "random_search",
+    "run_random_search",
 ]

@@ -14,19 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.optim.objective import resolve_objective
+from repro.optim.evaluation import EvaluationFields
 from repro.optim.stop import StopPolicy
-from repro.schedule.backend import (
-    DEFAULT_NETWORK,
-    DEFAULT_PLATFORM,
-    resolve_platform,
-)
-from repro.stochastic.distributions import validate_scenario_settings
 from repro.utils.rng import RandomSource
 
 
 @dataclass
-class GAConfig:
+class GAConfig(EvaluationFields):
     """Parameters of one :class:`~repro.baselines.ga.engine.GeneticAlgorithm` run.
 
     Attributes
@@ -71,25 +65,12 @@ class GAConfig:
         path reports exactly one call per chromosome, like the plain
         scalar loop).  When active it supersedes
         ``incremental_evaluation``.
-    network:
-        Simulator backend name the run optimises against (extension
-        beyond Wang et al.): ``"contention-free"`` (default) or
-        ``"nic"`` — see :mod:`repro.schedule.backend`.
-    platform:
-        Platform (machine catalog) name the run is costed against; the
-        default ``"uniform"`` reproduces the historical behaviour bit
-        for bit (see :mod:`repro.model.platform`).
-    objective:
-        ``"makespan"`` (default), ``"weighted:<w_m>:<w_c>"``, or a
-        scenario (risk) objective ``mean`` / ``quantile:<q>`` /
-        ``cvar:<q>`` / ``saa:<T>:<eps>`` — the fitness scalar (see
-        :mod:`repro.optim.objective`).
-    scenarios, distribution, scenario_seed:
-        Monte-Carlo axis of the scenario objectives (see
-        :mod:`repro.stochastic`); only valid together with a scenario
-        objective.
     seed:
         Seed / generator for all stochastic choices.
+
+    The evaluation settings (``network``, ``platform``, ``objective``,
+    ``scenarios``, ``distribution``, ``scenario_seed``) are inherited
+    from :class:`~repro.optim.evaluation.EvaluationFields`.
     """
 
     population_size: int = 50
@@ -101,12 +82,6 @@ class GAConfig:
     stall_generations: Optional[int] = 150
     incremental_evaluation: bool = True
     batch_fitness: bool = True
-    network: str = DEFAULT_NETWORK
-    platform: str = DEFAULT_PLATFORM
-    objective: str = "makespan"
-    scenarios: int = 0
-    distribution: str = "deterministic"
-    scenario_seed: int = 0
     seed: RandomSource = None
 
     def __post_init__(self) -> None:
@@ -137,15 +112,7 @@ class GAConfig:
             raise ValueError(
                 f"stall_generations must be >= 1, got {self.stall_generations}"
             )
-        if not isinstance(self.network, str) or not self.network:
-            raise ValueError(
-                f"network must be a backend name string, got {self.network!r}"
-            )
-        resolve_platform(self.platform)
-        resolve_objective(self.objective)
-        validate_scenario_settings(
-            self.objective, self.scenarios, self.distribution
-        )
+        super().__post_init__()
 
     def stop_policy(self) -> StopPolicy:
         """The run's stopping rules as a shared :class:`StopPolicy`.

@@ -32,12 +32,11 @@ the plain scalar loop:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.trace import ConvergenceTrace
 from repro.baselines.ga.chromosome import Chromosome, initial_population
 from repro.baselines.ga.config import GAConfig
 from repro.baselines.ga.operators import (
@@ -48,14 +47,12 @@ from repro.baselines.ga.operators import (
 )
 from repro.model.workload import Workload
 from repro.optim import (
-    EvaluationService,
     IncumbentSource,
     Observer,
     SearchLoop,
+    SearchResult,
     StepOutcome,
 )
-from repro.schedule.encoding import ScheduleString
-from repro.schedule.simulator import Schedule
 from repro.utils.rng import as_rng
 from repro.utils.timers import Stopwatch
 
@@ -90,8 +87,10 @@ def _first_divergence(
 
 
 @dataclass(frozen=True)
-class GAResult:
-    """Outcome of one GA run (mirror of :class:`repro.core.engine.SEResult`).
+class GAResult(SearchResult):
+    """Outcome of one GA run: the shared
+    :class:`~repro.optim.result.SearchResult` fields, with
+    ``generations`` naming the iteration count.
 
     ``stopped_by`` uses the unified :mod:`repro.optim.stop` reason
     strings — ``"iterations"`` (the generation cap; historically this
@@ -99,13 +98,9 @@ class GAResult:
     and GA runs report identically.
     """
 
-    best_string: ScheduleString
-    best_makespan: float
-    best_schedule: Schedule
-    trace: ConvergenceTrace
-    generations: int
-    evaluations: int
-    stopped_by: str
+    @property
+    def generations(self) -> int:
+        return self.iterations
 
 
 class GeneticAlgorithm:
@@ -151,15 +146,8 @@ class GeneticAlgorithm:
         # whole evolution optimise under NIC contention.  The service
         # routes batch scoring through the network's kernel; only a
         # genuinely vectorized kernel replaces the scalar paths.
-        service = EvaluationService(
-            workload,
-            cfg.network,
-            prefer_batch=cfg.batch_fitness,
-            platform=cfg.platform,
-            objective=cfg.objective,
-            scenarios=cfg.scenarios,
-            distribution=cfg.distribution,
-            scenario_seed=cfg.scenario_seed,
+        service = cfg.evaluation_service(
+            workload, prefer_batch=cfg.batch_fitness
         )
         use_batch = cfg.batch_fitness and service.is_vectorized
 
@@ -305,23 +293,11 @@ class GeneticAlgorithm:
         )
         out = loop.run(float(initial_best.cost), initial_best, step, watch=watch)
 
-        best_string = out.best.to_string(l)
-        best_schedule = service.schedule_of(best_string)
-        return GAResult(
-            best_string=best_string,
-            # under a weighted objective the chromosome cost is the
-            # scalar; report the schedule's real makespan in that mode
-            best_makespan=(
-                float(out.best.cost)
-                if service.objective.is_makespan
-                else best_schedule.makespan
-            ),
-            best_schedule=best_schedule,
-            trace=out.trace,
-            generations=out.iterations,
-            evaluations=service.evaluations,
-            stopped_by=out.stopped_by,
+        # the best chromosome as a schedule string and its scalar cost
+        best = replace(
+            out, best=out.best.to_string(l), best_cost=float(out.best.cost)
         )
+        return GAResult.from_loop(best, service)
 
 
 def run_ga(

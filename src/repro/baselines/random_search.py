@@ -21,88 +21,84 @@ reported ``evaluations``.
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Any, Optional
 
 from repro.analysis.trace import ConvergenceTrace, IterationRecord
 from repro.baselines.base import BaselineResult
 from repro.model.workload import Workload
-from repro.optim import BestTracker, EvaluationService, StopPolicy
-from repro.schedule.backend import DEFAULT_NETWORK, DEFAULT_PLATFORM
+from repro.optim import BestTracker, StopPolicy
+from repro.optim.evaluation import EvaluationFields
 from repro.schedule.operations import random_valid_string
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.timers import Stopwatch
 
 
-def random_search(
-    workload: Workload,
-    samples: int = 1000,
-    seed: RandomSource = None,
-    time_limit: Optional[float] = None,
-    trace: Optional[ConvergenceTrace] = None,
-    network: str = DEFAULT_NETWORK,
-    batch_size: int = 128,
-    platform=DEFAULT_PLATFORM,
-    objective: str = "makespan",
-    scenarios: int = 0,
-    distribution: str = "deterministic",
-    scenario_seed: int = 0,
-) -> BaselineResult:
-    """Best of *samples* uniformly random valid strings.
+@dataclass
+class RandomSearchConfig(EvaluationFields):
+    """Parameters of one random-search run.
 
-    Parameters
+    Attributes
     ----------
-    workload:
-        The MSHC problem instance.
     samples:
         Number of random strings to draw (>= 1).
-    seed:
-        Randomness source.
-    time_limit:
-        Optional wall-clock cap in seconds, checked between scoring
-        chunks (so a batched run can overshoot by at most one chunk;
-        at least one sample is always scored).
-    trace:
-        Optional :class:`ConvergenceTrace` to append best-so-far records
-        to (for time-vs-quality comparisons).
-    network:
-        Simulator backend scoring the samples (and the result).
     batch_size:
         Chunk size for vectorized scoring (>= 1).  Chunking applies on
         backends with a batch kernel; results are bit-identical to the
         scalar loop either way.
-    platform:
-        Platform (machine catalog) name samples are priced against; the
-        default ``"uniform"`` changes nothing (see
-        :mod:`repro.model.platform`).
-    objective:
-        ``"makespan"`` (default), ``"weighted:<w_m>:<w_c>"``, or a
-        scenario (risk) objective ``mean`` / ``quantile:<q>`` /
-        ``cvar:<q>`` / ``saa:<T>:<eps>`` — the scalar the best sample
-        minimises (see :mod:`repro.optim.objective`).
-    scenarios, distribution, scenario_seed:
-        Monte-Carlo axis of the scenario objectives (see
-        :mod:`repro.stochastic`); only valid together with a scenario
-        objective.
+    time_limit:
+        Optional wall-clock cap in seconds, checked between scoring
+        chunks (so a batched run can overshoot by at most one chunk;
+        at least one sample is always scored).
+    seed:
+        Randomness source.
+
+    The evaluation settings (``network``, ``platform``, ``objective``,
+    ``scenarios``, ``distribution``, ``scenario_seed``) are inherited
+    from :class:`~repro.optim.evaluation.EvaluationFields`.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    rng = as_rng(seed)
+
+    samples: int = 1000
+    batch_size: int = 128
+    time_limit: Optional[float] = None
+    seed: RandomSource = None
+
+    def __post_init__(self) -> None:
+        if self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if self.batch_size < 1:
+            raise ValueError(
+                f"batch_size must be >= 1, got {self.batch_size}"
+            )
+        super().__post_init__()
+
+
+def random_search(
+    workload: Workload, *, trace: Optional[ConvergenceTrace] = None, **params: Any
+) -> BaselineResult:
+    """Best of ``samples`` uniformly random valid strings.
+
+    *params* are the :class:`RandomSearchConfig` fields (``samples=``,
+    ``seed=``, ``time_limit=``, ``network=``, ...); *trace* is an
+    optional :class:`ConvergenceTrace` to append best-so-far records to
+    (for time-vs-quality comparisons).
+    """
+    return run_random_search(workload, RandomSearchConfig(**params), trace)
+
+
+def run_random_search(
+    workload: Workload,
+    config: RandomSearchConfig,
+    trace: Optional[ConvergenceTrace] = None,
+) -> BaselineResult:
+    """Run random search as configured by *config* (see module docstring)."""
+    samples, batch_size = config.samples, config.batch_size
+    rng = as_rng(config.seed)
     # only pay for kernel packing when chunked scoring is requested
     want_batch = batch_size > 1
-    service = EvaluationService(
-        workload,
-        network,
-        prefer_batch=want_batch,
-        platform=platform,
-        objective=objective,
-        scenarios=scenarios,
-        distribution=distribution,
-        scenario_seed=scenario_seed,
-    )
+    service = config.evaluation_service(workload, prefer_batch=want_batch)
     use_batch = want_batch and service.is_vectorized
-    policy = StopPolicy(max_iterations=samples, time_limit=time_limit)
+    policy = StopPolicy(max_iterations=samples, time_limit=config.time_limit)
     watch = Stopwatch()
 
     # strings are drawn fresh and never mutated — no copy on improvement
@@ -138,21 +134,15 @@ def random_search(
                 )
 
     best_string = tracker.best  # drawn >= 1 by construction
-    schedule = service.schedule_of(best_string)
+    schedule, makespan = service.best_of(best_string, tracker.best_cost)
     cm = service.cost_model
     return BaselineResult(
         name="random-search",
         string=best_string,
         schedule=schedule,
-        # under a weighted objective tracker.best_cost is the scalar;
-        # report the schedule's real makespan in that mode
-        makespan=(
-            tracker.best_cost
-            if service.objective.is_makespan
-            else schedule.makespan
-        ),
+        makespan=makespan,
         evaluations=drawn,
-        network=network,
+        network=config.network,
         platform=service.platform,
         cost=cm.cost(best_string.machines) if cm is not None else 0.0,
     )

@@ -43,23 +43,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from repro.analysis.ascii_plot import Series, line_plot
 from repro.analysis.compare import compare_named, se_vs_ga
-from repro.baselines import (
-    GAConfig,
-    heft,
-    max_min,
-    min_min,
-    olb,
-    random_search,
-    run_ga,
-)
+from repro.baselines import heft
 from repro.core import SEConfig, run_se
-from repro.optim import SAConfig, TabuConfig, run_sa, run_tabu
 from repro.model import Workload, paper_sample_workload
+from repro.runner.registry import (
+    ENGINES,
+    algorithm_parameters,
+    available_algorithms,
+    heuristic,
+)
 from repro.schedule import Timeline, compute_metrics
 from repro.workloads import (
     figure3_workload,
@@ -99,23 +97,6 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _platform_cost_model(w: Workload, platform: str):
-    """``(effective workload, CostModel | None)`` of *w* on *platform*.
-
-    ``None`` on the free uniform platform, where cost is identically 0
-    and the effective workload is *w* itself.
-    """
-    from repro.schedule.backend import resolve_platform
-    from repro.schedule.scoring import CostModel
-
-    spec = resolve_platform(platform)
-    if spec.is_uniform:
-        return w, None
-    bound = spec.bind(w.num_machines)
-    scaled = bound.apply(w)
-    return scaled, CostModel(scaled.exec_times.values, bound.prices)
-
-
 def _check_platform(command: str, platform: str) -> None:
     """Turn an unknown ``--platform`` into a clean CLI error."""
     from repro.schedule.backend import resolve_platform
@@ -126,9 +107,13 @@ def _check_platform(command: str, platform: str) -> None:
         raise SystemExit(f"{command}: {exc}")
 
 
-#: Registry algorithms that optimise a configurable objective — the only
-#: ones the risk flags (--objective/--scenarios/--distribution) apply to.
-_RISK_ALGOS = ("se", "hybrid", "ga", "sa", "tabu", "random")
+def _risk_algos() -> list[str]:
+    """Registry algorithms that optimise a configurable objective — the
+    only ones the risk flags (--objective/--scenarios/--distribution)
+    apply to."""
+    return [
+        a for a in available_algorithms() if "objective" in algorithm_parameters(a)
+    ]
 
 
 def _risk_requested(args: argparse.Namespace) -> bool:
@@ -149,43 +134,34 @@ def _risk_params(args: argparse.Namespace) -> dict:
     }
 
 
-def _check_risk_flags(command: str, args: argparse.Namespace) -> bool:
-    """Validate the risk-flag bundle; True when a scenario objective.
+def _evaluation_fields(command: str, args: argparse.Namespace):
+    """The evaluation settings the flags select, validated up front.
 
-    The flags only make sense together — a scenario objective needs
-    ``--scenarios``, and scenario sampling needs a scenario objective —
-    so the shared :func:`~repro.stochastic.distributions.
-    validate_scenario_settings` rule is applied up front for a clean
-    CLI error instead of a config-construction traceback.
+    The risk flags only make sense together — a scenario objective
+    needs ``--scenarios``, and scenario sampling needs a scenario
+    objective — so an invalid bundle (or platform) is a clean CLI error
+    instead of a config-construction traceback.
     """
-    from repro.stochastic.distributions import validate_scenario_settings
+    from repro.optim.evaluation import EvaluationFields
 
     try:
-        obj, _ = validate_scenario_settings(
-            args.objective, args.scenarios, args.distribution
+        return EvaluationFields(
+            network=args.network, platform=args.platform, **_risk_params(args)
         )
     except ValueError as exc:
         raise SystemExit(f"{command}: {exc}")
-    return bool(getattr(obj, "is_scenario", False))
 
 
-def _print_risk_profile(args: argparse.Namespace, w: Workload, best) -> None:
+def _print_risk_profile(fields, w: Workload, best) -> None:
     """Report the winner's makespan distribution over the scenario set."""
     from repro.analysis.robust import RiskSummary
-    from repro.optim import EvaluationService
 
-    svc = EvaluationService(
-        w,
-        args.network,
-        prefer_batch=True,
-        platform=args.platform,
-        **_risk_params(args),
-    )
+    svc = fields.evaluation_service(w, prefer_batch=True)
     samples = svc.scenario_evaluator.samples_string(best)
     obj = svc.objective
     print(
-        f"\n{obj.name} over {args.scenarios} x {args.distribution} "
-        f"scenarios (seed {args.scenario_seed}): {obj.reduce(samples):.2f}"
+        f"\n{obj.name} over {fields.scenarios} x {fields.distribution} "
+        f"scenarios (seed {fields.scenario_seed}): {obj.reduce(samples):.2f}"
     )
     if obj.kind == "saa":
         verdict = "satisfied" if obj.feasible(samples) else "VIOLATED"
@@ -195,130 +171,61 @@ def _print_risk_profile(args: argparse.Namespace, w: Workload, best) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    _check_platform("run", args.platform)
-    is_scenario = _check_risk_flags("run", args)
-    if _risk_requested(args) and args.algo not in _RISK_ALGOS:
+    from repro.schedule.backend import kernel_tier, make_simulator
+
+    fields = _evaluation_fields("run", args)
+    accepted = algorithm_parameters(args.algo)
+    if _risk_requested(args) and "objective" not in accepted:
         raise SystemExit(
             f"run: --objective/--scenarios/--distribution apply to "
-            f"{', '.join(_RISK_ALGOS)} only, not {args.algo!r} "
+            f"{', '.join(_risk_algos())} only, not {args.algo!r} "
             "(deterministic heuristics have no objective to swap)"
         )
     w = _load_workload(args.preset, args.seed)
-    algo = args.algo
-    risk = _risk_params(args)
-    if args.verbose:
-        # capability of the selected backend, not a per-run trace: only
-        # algorithms that batch-score (ga, tabu, random, se with
-        # probe_evaluation="batch") actually exercise the kernel
-        print(
-            f"network {args.network!r}: batch evaluation via "
-            f"{_batch_mode(args.network)} "
-            "(applies when the algorithm batch-scores)"
-        )
-        print("platform catalogs (--platform) and their cost paths:")
-        print(_platforms_listing())
-    if algo == "se":
-        res = run_se(
-            w,
-            SEConfig(
-                seed=args.seed,
-                max_iterations=args.iterations,
-                time_limit=args.budget,
-                y_candidates=args.y,
-                selection_bias=args.bias,
-                network=args.network,
-                platform=args.platform,
-                **risk,
-            ),
-        )
-        schedule, makespan = res.best_schedule, res.best_makespan
-        print(
-            f"SE finished: {res.iterations} iterations, "
-            f"{res.evaluations} evaluations, stopped by {res.stopped_by}"
-        )
-    elif algo == "ga":
-        res = run_ga(
-            w,
-            GAConfig(
-                seed=args.seed,
-                max_generations=args.iterations,
-                time_limit=args.budget,
-                network=args.network,
-                platform=args.platform,
-                **risk,
-            ),
-        )
-        schedule, makespan = res.best_schedule, res.best_makespan
-        print(
-            f"GA finished: {res.generations} generations, "
-            f"{res.evaluations} evaluations, stopped by {res.stopped_by}"
-        )
-    elif algo == "sa":
-        # one SA iteration = one move proposal, far cheaper than one
-        # SE/GA iteration — grant 50 proposals per requested iteration
-        res = run_sa(
-            w,
-            SAConfig(
-                seed=args.seed,
-                max_iterations=args.iterations * 50,
-                time_limit=args.budget,
-                network=args.network,
-                platform=args.platform,
-                **risk,
-            ),
-        )
-        schedule, makespan = res.best_schedule, res.best_makespan
-        print(
-            f"SA finished: {res.iterations} proposals, "
-            f"{res.evaluations} evaluations, stopped by {res.stopped_by}"
-        )
-    elif algo == "tabu":
-        res = run_tabu(
-            w,
-            TabuConfig(
-                seed=args.seed,
-                max_iterations=args.iterations,
-                time_limit=args.budget,
-                network=args.network,
-                platform=args.platform,
-                **risk,
-            ),
-        )
-        schedule, makespan = res.best_schedule, res.best_makespan
-        print(
-            f"tabu finished: {res.iterations} iterations, "
-            f"{res.evaluations} evaluations, stopped by {res.stopped_by}"
+    entry = ENGINES.get(args.algo)
+    if entry is None:  # a deterministic heuristic
+        res = heuristic(args.algo)(
+            w, network=args.network, platform=args.platform
         )
     else:
-        fns = {
-            "heft": heft,
-            "minmin": min_min,
-            "maxmin": max_min,
-            "olb": olb,
-            "random": lambda w, network, platform: random_search(
-                w,
-                samples=args.iterations,
-                seed=args.seed,
-                network=network,
-                platform=platform,
-                **risk,
-            ),
-        }
-        res = fns[algo](w, network=args.network, platform=args.platform)
-        schedule, makespan = res.schedule, res.makespan
+        flags = {"y_candidates": args.y, "selection_bias": args.bias}
+        config = entry.build(
+            seed=args.seed,
+            **asdict(fields),
+            **entry.limits(entry.scale * args.iterations, args.budget),
+            **{k: v for k, v in flags.items() if k in accepted},
+        )
+        res = entry.run(w, config)
+    if entry is None or entry.counts is None:
         print(f"{res.name} finished ({res.evaluations} evaluations)")
+        best, schedule, makespan = res.string, res.schedule, res.makespan
+    else:
+        print(
+            f"{entry.label} finished: {getattr(res, entry.counts)} "
+            f"{entry.unit}, {res.evaluations} evaluations, "
+            f"stopped by {res.stopped_by}"
+        )
+        best, schedule = res.best_string, res.best_schedule
+        makespan = res.best_makespan
+    if args.verbose:
+        # the tier that served the run's evaluation service; heuristics
+        # build no service, so they report what the network offers
+        tier = getattr(res, "kernel_tier", None) or kernel_tier(args.network)
+        print(f"network {args.network!r}: batch evaluation via {_TIERS[tier]}")
+        print("platform catalogs (--platform) and their cost paths:")
+        print(_platforms_listing())
 
-    best = res.string if hasattr(res, "string") else res.best_string
-    if is_scenario:
+    if fields.scenarios:  # validated: > 0 exactly for scenario objectives
         # engines report the winner's *nominal* makespan; the optimised
         # risk statistic follows in the profile block
         print(f"\nnominal makespan ({args.network}): {makespan:.2f}")
-        _print_risk_profile(args, w, best)
+        _print_risk_profile(fields, w, best)
     else:
         print(f"\nmakespan ({args.network}): {makespan:.2f}")
     # metrics (and billing) against the workload the run actually
     # scored: the platform's speed-scaled matrix, or w itself on uniform
-    eff, cost_model = _platform_cost_model(w, args.platform)
+    sim = make_simulator(w, args.network, platform=args.platform)
+    eff, cost_model = sim.workload, sim.cost_model
     if cost_model is not None:
         machines = best.machines
         print(
@@ -428,8 +335,6 @@ def _cmd_race(args: argparse.Namespace) -> int:
 
 def _algorithms_listing() -> str:
     """Every registry algorithm with its accepted parameter names."""
-    from repro.runner import algorithm_parameters, available_algorithms
-
     lines = []
     for name in available_algorithms():
         params = algorithm_parameters(name)
@@ -438,16 +343,12 @@ def _algorithms_listing() -> str:
     return "\n".join(lines)
 
 
-def _batch_mode(network: str) -> str:
-    """Human-readable batch-evaluation mode (active kernel tier)."""
-    from repro.schedule.backend import kernel_tier
-
-    tier = kernel_tier(network)
-    if tier == "jit":
-        return "jit kernel (numba-compiled)"
-    if tier == "vectorized":
-        return "vectorized kernel"
-    return "sequential scalar fallback"
+#: Human-readable batch-evaluation mode of each kernel tier.
+_TIERS = {
+    "jit": "jit kernel (numba-compiled)",
+    "vectorized": "vectorized kernel",
+    "sequential": "sequential scalar fallback",
+}
 
 
 def _platforms_listing() -> str:
@@ -484,10 +385,10 @@ def _networks_listing() -> str:
     it just loops the scalar simulator; listing the mode here keeps
     that fallback visible instead of silent.
     """
-    from repro.schedule.backend import available_networks
+    from repro.schedule.backend import available_networks, kernel_tier
 
     return "\n".join(
-        f"  {name:16s} batch evaluation: {_batch_mode(name)}"
+        f"  {name:16s} batch evaluation: {_TIERS[kernel_tier(name)]}"
         for name in available_networks()
     )
 
@@ -580,14 +481,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.runner import (
         AlgorithmSpec,
         ExperimentSpec,
-        available_algorithms,
         print_progress,
         run_experiment,
     )
     from repro.workloads import WorkloadSuite
 
-    _check_platform("sweep", args.platform)
-    _check_risk_flags("sweep", args)
+    _evaluation_fields("sweep", args)
     algos = [a.strip().lower() for a in args.algos.split(",") if a.strip()]
     unknown = sorted(set(algos) - set(available_algorithms()))
     if unknown:
@@ -596,76 +495,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"AlgorithmSpec parameters):\n{_algorithms_listing()}"
         )
     if _risk_requested(args):
-        bad = sorted(set(algos) - set(_RISK_ALGOS))
+        bad = sorted(set(algos) - set(_risk_algos()))
         if bad:
             raise SystemExit(
                 f"sweep: --objective/--scenarios/--distribution apply to "
-                f"{', '.join(_RISK_ALGOS)} only; drop {bad} from "
+                f"{', '.join(_risk_algos())} only; drop {bad} from "
                 "--algorithms"
             )
 
     def algo_spec(kind: str) -> AlgorithmSpec:
-        network = {"network": args.network, "platform": args.platform}
+        params = {"network": args.network, "platform": args.platform}
         # only annotate specs when risk flags were set: default params
         # keep historical cell fingerprints, so existing caches resume
-        if _risk_requested(args) and kind in _RISK_ALGOS:
-            network.update(_risk_params(args))
-        if kind in ("se", "hybrid", "tabu"):
-            params = {"max_iterations": args.iterations}
-            if args.budget is not None:
-                params = {
-                    "time_limit": args.budget,
-                    "max_iterations": 10**9,
-                }
-            return AlgorithmSpec.make(kind, **params, **network)
-        if kind == "sa":
-            # one SA iteration = one move proposal: grant 50 per
-            # requested iteration so budgets stay comparable
-            params = {"max_iterations": args.iterations * 50}
-            if args.budget is not None:
-                params = {
-                    "time_limit": args.budget,
-                    "max_iterations": 10**9,
-                    # bound the per-proposal trace under a time budget
-                    "record_every": 50,
-                }
-            return AlgorithmSpec.make("sa", **params, **network)
-        if kind == "ga":
-            params = {
-                "max_generations": args.iterations,
-                "stall_generations": None,
-            }
-            if args.budget is not None:
-                params = {
-                    "time_limit": args.budget,
-                    "max_generations": 10**9,
-                    "stall_generations": None,
-                }
-            return AlgorithmSpec.make("ga", **params, **network)
-        if kind == "random":
-            if args.budget is not None:
-                return AlgorithmSpec.make(
-                    "random",
-                    samples=10**9,
-                    time_limit=args.budget,
-                    **network,
-                )
-            return AlgorithmSpec.make(
-                "random", samples=args.iterations * 10, **network
-            )
-        if kind == "portfolio":
-            # iteration-capped sweeps stay worker-count invariant, so
-            # the race runs in deterministic lockstep; only an explicit
-            # --budget opts into the wall-clock deadline race
-            params = {
-                "deadline": None,
-                "max_iterations": args.iterations,
-                "sync_every": 5,
-            }
-            if args.budget is not None:
-                params = {"deadline": args.budget}
-            return AlgorithmSpec.make("portfolio", **params, **network)
-        return AlgorithmSpec.make(kind, **network)
+        if _risk_requested(args):
+            params.update(_risk_params(args))
+        entry = ENGINES.get(kind)
+        if entry is not None:
+            # --budget lifts the iteration cap; heuristics take neither
+            cap = None if args.budget is not None else entry.scale * args.iterations
+            params.update(entry.limits(cap, args.budget))
+        return AlgorithmSpec.make(kind, **params)
 
     suite = WorkloadSuite(
         num_tasks=args.tasks,
@@ -734,7 +583,6 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
     """
     from repro.analysis.pareto import cheapest_within, pareto_table
     from repro.optim import ParetoTracker
-    from repro.optim.evaluation import EvaluationService
 
     _check_platform("pareto", args.platform)
     w = _load_workload(args.preset, args.seed)
@@ -769,41 +617,18 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
             if wc == 0.0
             else f"weighted:{(1.0 - wc) * span_scale!r}:{wc * cost_scale!r}"
         )
-        service = EvaluationService(
-            w,
-            args.network,
-            prefer_batch=False,
+        entry = ENGINES[args.algo]
+        config = entry.build(
+            seed=args.seed + i,
+            network=args.network,
             platform=args.platform,
             objective=objective,
-            pareto=tracker,
+            **entry.limits(entry.scale * args.iterations, args.budget),
         )
-        if args.algo == "sa":
-            res = run_sa(
-                w,
-                SAConfig(
-                    seed=args.seed + i,
-                    max_iterations=args.iterations * 50,
-                    time_limit=args.budget,
-                    record_every=50,
-                    network=args.network,
-                    platform=args.platform,
-                    objective=objective,
-                ),
-                service=service,
-            )
-        else:
-            res = run_tabu(
-                w,
-                TabuConfig(
-                    seed=args.seed + i,
-                    max_iterations=args.iterations,
-                    time_limit=args.budget,
-                    network=args.network,
-                    platform=args.platform,
-                    objective=objective,
-                ),
-                service=service,
-            )
+        service = config.evaluation_service(
+            w, prefer_batch=False, pareto=tracker
+        )
+        res = entry.run(w, config, service=service)
         score = service.score_of(res.best_string)
         if wc == 0.0 and ref_point is None:
             ref_point = score
@@ -1002,6 +827,21 @@ def build_parser() -> argparse.ArgumentParser:
             help="seed of the scenario sample (independent of --seed)",
         )
 
+    def add_backend_flags(
+        p: argparse.ArgumentParser,
+        network_help: Optional[str],
+        platform_help: str,
+        platform: str = "uniform",
+    ) -> None:
+        """The --network / --platform pair of every engine command."""
+        p.add_argument(
+            "--network",
+            default="contention-free",
+            choices=["contention-free", "nic"],
+            help=network_help,
+        )
+        p.add_argument("--platform", default=platform, help=platform_help)
+
     p = sub.add_parser("describe", help="print a workload preset summary")
     p.add_argument("--preset", default="small", choices=sorted(PRESETS))
     p.add_argument("--seed", type=int, default=0)
@@ -1018,25 +858,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--preset", default="small", choices=sorted(PRESETS))
     p.add_argument("--seed", type=int, default=0)
+    scaled = ", ".join(
+        f"{kind} gets {e.scale} {e.unit} per unit"
+        for kind, e in ENGINES.items()
+        if e.scale != 1
+    )
     p.add_argument(
         "--iterations",
         type=int,
         default=200,
-        help="iteration cap (sa gets 50 move proposals per unit)",
+        help=f"iteration cap ({scaled})",
     )
     p.add_argument("--budget", type=float, default=None, help="seconds")
     p.add_argument("--y", type=int, default=None, help="SE Y parameter")
     p.add_argument("--bias", type=float, default=None, help="SE selection bias B")
-    p.add_argument(
-        "--network",
-        default="contention-free",
-        choices=["contention-free", "nic"],
-        help="simulator backend: paper model or NIC serialisation",
-    )
-    p.add_argument(
-        "--platform",
-        default="uniform",
-        help="machine catalog the run is costed against "
+    add_backend_flags(
+        p,
+        "simulator backend: paper model or NIC serialisation",
+        "machine catalog the run is costed against "
         "(see `repro algorithms`; default changes nothing)",
     )
     add_risk_flags(p)
@@ -1062,16 +901,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="se,ga",
         help="comma list of engines to race (se, ga, sa, tabu)",
     )
-    p.add_argument(
-        "--network",
-        default="contention-free",
-        choices=["contention-free", "nic"],
-        help="simulator backend every engine optimises against",
-    )
-    p.add_argument(
-        "--platform",
-        default="uniform",
-        help="machine catalog every engine races on",
+    add_backend_flags(
+        p,
+        "simulator backend every engine optimises against",
+        "machine catalog every engine races on",
     )
     p.set_defaults(func=_cmd_compare)
 
@@ -1129,16 +962,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="island execution: one process per island (default) or "
         "GIL-sharing threads",
     )
-    p.add_argument(
-        "--network",
-        default="contention-free",
-        choices=["contention-free", "nic"],
-        help="simulator backend every island optimises against",
-    )
-    p.add_argument(
-        "--platform",
-        default="uniform",
-        help="machine catalog every island is costed against",
+    add_backend_flags(
+        p,
+        "simulator backend every island optimises against",
+        "machine catalog every island is costed against",
     )
     p.add_argument(
         "--output",
@@ -1189,16 +1016,10 @@ def build_parser() -> argparse.ArgumentParser:
             "unaffected)"
         ),
     )
-    p.add_argument(
-        "--network",
-        default="contention-free",
-        choices=["contention-free", "nic"],
-        help="simulator backend every algorithm optimises against",
-    )
-    p.add_argument(
-        "--platform",
-        default="uniform",
-        help="machine catalog every algorithm is costed against "
+    add_backend_flags(
+        p,
+        "simulator backend every algorithm optimises against",
+        "machine catalog every algorithm is costed against "
         "(adds a cost column to the artifacts)",
     )
     add_risk_flags(p)
@@ -1234,14 +1055,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine run once per weight (sa and tabu accept a shared "
         "evaluation service)",
     )
-    p.add_argument(
-        "--platform",
-        default="spot",
-        help="priced machine catalog (uniform is rejected: cost is 0)",
-    )
-    p.add_argument(
-        "--network", default="contention-free",
-        choices=["contention-free", "nic"],
+    add_backend_flags(
+        p,
+        None,
+        "priced machine catalog (uniform is rejected: cost is 0)",
+        platform="spot",
     )
     p.add_argument(
         "--weights",

@@ -14,9 +14,9 @@ defaults and ranges:
   simulator calls); ``"all-positions"`` is the literal every-position
   enumeration kept for the ABL-SLOT ablation.
 
-Beyond the paper, ``network`` selects the simulator backend the run
-optimises against (see :mod:`repro.schedule.backend`): the paper's
-``"contention-free"`` model or the NIC-serialisation model ``"nic"``.
+Beyond the paper, the evaluation settings (``network``, ``platform``,
+the objective and its scenarios) come from the shared
+:class:`~repro.optim.evaluation.EvaluationFields` base.
 """
 
 from __future__ import annotations
@@ -24,14 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from repro.optim.objective import resolve_objective
-from repro.optim.stop import StopPolicy
-from repro.schedule.backend import (
-    DEFAULT_NETWORK,
-    DEFAULT_PLATFORM,
-    resolve_platform,
-)
-from repro.stochastic.distributions import validate_scenario_settings
+from repro.optim.evaluation import EvaluationFields
+from repro.optim.stop import IterationLimits
 from repro.utils.rng import RandomSource
 
 AllocationSlots = Literal["per-machine", "all-positions"]
@@ -51,7 +45,7 @@ def default_bias(num_tasks: int) -> float:
 
 
 @dataclass
-class SEConfig:
+class SEConfig(EvaluationFields, IterationLimits):
     """Parameters of one :class:`~repro.core.engine.SimulatedEvolution` run.
 
     Attributes
@@ -95,33 +89,12 @@ class SEConfig:
         equals this target (see
         :func:`repro.core.selection.bias_for_target_fraction`).  Keeps
         selection pressure constant even after goodness saturates.
-    network:
-        Simulator backend name the run optimises against (extension
-        beyond the paper): ``"contention-free"`` (paper model, default)
-        or ``"nic"`` (one outgoing link per machine; see
-        :mod:`repro.extensions.contention`).  Resolved through
-        :func:`repro.schedule.backend.make_simulator`, so downstream
-        models registered with ``register_network`` work too.
-    platform:
-        Platform (machine catalog) name the run is costed against; the
-        default ``"uniform"`` reproduces the historical behaviour bit
-        for bit (see :mod:`repro.model.platform`).
-    objective:
-        ``"makespan"`` (default), ``"weighted:<w_m>:<w_c>"``, or a
-        scenario (risk) objective ``mean`` / ``quantile:<q>`` /
-        ``cvar:<q>`` / ``saa:<T>:<eps>`` — the scalar
-        evaluation/allocation optimise (see
-        :mod:`repro.optim.objective`).
-    scenarios, distribution, scenario_seed:
-        Monte-Carlo axis of the scenario objectives: sample
-        ``scenarios`` perturbations of the matrices from
-        ``distribution`` (``"lognormal:0.25"``, ``"uniform:0.2"``,
-        ``"empirical:1,1,1,4"``, ...) under ``scenario_seed`` and
-        optimise the objective's reduction over them (see
-        :mod:`repro.stochastic`).  Only valid together with a scenario
-        objective.
     seed:
         Seed / generator for all stochastic choices of the run.
+
+    The evaluation settings (``network``, ``platform``, ``objective``,
+    ``scenarios``, ``distribution``, ``scenario_seed``) are inherited
+    from :class:`~repro.optim.evaluation.EvaluationFields`.
 
     To keep per-iteration copies of the working string, pass a
     :class:`repro.core.observers.StringSnapshots` observer to the engine
@@ -138,12 +111,6 @@ class SEConfig:
     initial_shuffle_range: tuple[float, float] = (1.0, 3.0)
     allocation_slots: AllocationSlots = "per-machine"
     probe_evaluation: ProbeEvaluation = "delta"
-    network: str = DEFAULT_NETWORK
-    platform: str = DEFAULT_PLATFORM
-    objective: str = "makespan"
-    scenarios: int = 0
-    distribution: str = "deterministic"
-    scenario_seed: int = 0
     seed: RandomSource = None
 
     def __post_init__(self) -> None:
@@ -159,16 +126,7 @@ class SEConfig:
             raise ValueError(
                 f"y_candidates must be >= 1, got {self.y_candidates}"
             )
-        if self.max_iterations < 0:
-            raise ValueError(
-                f"max_iterations must be >= 0, got {self.max_iterations}"
-            )
-        if self.time_limit is not None and self.time_limit < 0:
-            raise ValueError(f"time_limit must be >= 0, got {self.time_limit}")
-        if self.stall_iterations is not None and self.stall_iterations < 1:
-            raise ValueError(
-                f"stall_iterations must be >= 1, got {self.stall_iterations}"
-            )
+        self.stop_policy()  # validates the iteration/time/stall bounds
         lo, hi = self.initial_shuffle_range
         if lo < 0 or hi < lo:
             raise ValueError(
@@ -184,23 +142,7 @@ class SEConfig:
                 f"probe_evaluation must be 'delta' or 'batch', "
                 f"got {self.probe_evaluation!r}"
             )
-        if not isinstance(self.network, str) or not self.network:
-            raise ValueError(
-                f"network must be a backend name string, got {self.network!r}"
-            )
-        resolve_platform(self.platform)
-        resolve_objective(self.objective)
-        validate_scenario_settings(
-            self.objective, self.scenarios, self.distribution
-        )
-
-    def stop_policy(self) -> StopPolicy:
-        """The run's stopping rules as a shared :class:`StopPolicy`."""
-        return StopPolicy(
-            max_iterations=self.max_iterations,
-            time_limit=self.time_limit,
-            stall_iterations=self.stall_iterations,
-        )
+        super().__post_init__()
 
     def resolved_bias(self, num_tasks: int) -> float:
         """The bias actually used for a workload of *num_tasks* subtasks."""

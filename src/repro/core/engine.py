@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.trace import ConvergenceTrace
 from repro.core.allocation import Allocator
 from repro.core.config import SEConfig
 from repro.core.goodness import GoodnessEvaluator
@@ -35,49 +34,28 @@ from repro.core.initial import initial_solution
 from repro.core.observers import Observer
 from repro.core.selection import bias_for_target_fraction, select_subtasks
 from repro.model.workload import Workload
-from repro.optim import EvaluationService, IncumbentSource, SearchLoop, StepOutcome
+from repro.optim import IncumbentSource, SearchLoop, SearchResult, StepOutcome
 from repro.schedule.encoding import ScheduleString
-from repro.schedule.simulator import Schedule
 from repro.utils.rng import as_rng
 from repro.utils.timers import Stopwatch
 
 
 @dataclass(frozen=True)
-class SEResult:
-    """Outcome of one SE run.
+class SEResult(SearchResult):
+    """Outcome of one SE run: the shared
+    :class:`~repro.optim.result.SearchResult` fields (its ``trace``
+    feeds Figures 3-7) plus the resolved SE parameters.
 
     Attributes
     ----------
-    best_string:
-        The best solution found (a copy; safe to keep).
-    best_makespan:
-        Its schedule length — the paper's objective value, measured
-        under the configured ``network`` backend.
-    best_schedule:
-        The fully evaluated best schedule (start/finish times).
-    trace:
-        Per-iteration convergence records (feeds Figures 3-7).
-    iterations:
-        Number of iterations executed.
-    evaluations:
-        Total simulator calls (cost accounting).
     bias, y_candidates:
         The resolved parameter values actually used.  With the
         adaptive-bias extension enabled, ``bias`` is the value used in
         the *last* iteration (it changes every iteration).
-    stopped_by:
-        ``"iterations"``, ``"time"`` or ``"stall"``.
     """
 
-    best_string: ScheduleString
-    best_makespan: float
-    best_schedule: Schedule
-    trace: ConvergenceTrace
-    iterations: int
-    evaluations: int
     bias: float
     y_candidates: int
-    stopped_by: str
 
 
 class SimulatedEvolution:
@@ -120,15 +98,8 @@ class SimulatedEvolution:
         # platform/objective makes them cost-aware.  With
         # probe_evaluation="batch" the service routes candidate-set
         # scoring through the network's batch kernel.
-        service = EvaluationService(
-            workload,
-            cfg.network,
-            prefer_batch=cfg.probe_evaluation == "batch",
-            platform=cfg.platform,
-            objective=cfg.objective,
-            scenarios=cfg.scenarios,
-            distribution=cfg.distribution,
-            scenario_seed=cfg.scenario_seed,
+        service = cfg.evaluation_service(
+            workload, prefer_batch=cfg.probe_evaluation == "batch"
         )
         # Goodness and the allocator's machine ranking read the workload
         # the backend actually scores — the platform's speed-scaled
@@ -209,24 +180,7 @@ class SimulatedEvolution:
         )
         out = loop.run(current_cost, string, step, watch=watch)
 
-        best_schedule = service.schedule_of(out.best)
-        return SEResult(
-            best_string=out.best,
-            # under a weighted objective out.best_cost is the scalar;
-            # report the schedule's real makespan in that mode
-            best_makespan=(
-                out.best_cost
-                if service.objective.is_makespan
-                else best_schedule.makespan
-            ),
-            best_schedule=best_schedule,
-            trace=out.trace,
-            iterations=out.iterations,
-            evaluations=service.evaluations,
-            bias=bias,
-            y_candidates=y,
-            stopped_by=out.stopped_by,
-        )
+        return SEResult.from_loop(out, service, bias=bias, y_candidates=y)
 
 
 def run_se(

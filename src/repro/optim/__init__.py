@@ -42,7 +42,7 @@ components, bit-identically to their pre-refactor behaviour
 """
 
 from repro.optim.annealing import SAConfig, SimulatedAnnealing, run_sa
-from repro.optim.evaluation import EvaluationService
+from repro.optim.evaluation import EvaluationFields, EvaluationService
 from repro.optim.exchange import Incumbent, IncumbentSource
 from repro.optim.loop import LoopOutcome, SearchLoop, StepOutcome
 from repro.optim.neighborhood import (
@@ -83,6 +83,7 @@ __all__ = [
     "STOP_STALL",
     "STOP_TIME",
     "BestTracker",
+    "EvaluationFields",
     "EvaluationService",
     "Incumbent",
     "IncumbentSource",

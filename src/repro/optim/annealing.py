@@ -37,10 +37,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.model.workload import Workload
-from repro.optim.evaluation import EvaluationService
+from repro.optim.evaluation import EvaluationFields, EvaluationService
 from repro.optim.exchange import IncumbentSource
 from repro.optim.loop import SearchLoop, StepOutcome
-from repro.optim.objective import resolve_objective
 from repro.optim.neighborhood import (
     apply_move,
     first_changed_position,
@@ -49,21 +48,15 @@ from repro.optim.neighborhood import (
 )
 from repro.optim.observers import Observer
 from repro.optim.result import SearchResult
-from repro.optim.stop import StopPolicy
-from repro.schedule.backend import (
-    DEFAULT_NETWORK,
-    DEFAULT_PLATFORM,
-    resolve_platform,
-)
+from repro.optim.stop import IterationLimits
 from repro.schedule.encoding import ScheduleString
 from repro.schedule.operations import random_valid_string
-from repro.stochastic.distributions import validate_scenario_settings
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.timers import Stopwatch
 
 
 @dataclass
-class SAConfig:
+class SAConfig(EvaluationFields, IterationLimits):
     """Parameters of one :class:`SimulatedAnnealing` run.
 
     Attributes
@@ -92,7 +85,7 @@ class SAConfig:
         observers) only every Nth proposal — plus every proposal that
         improves the global best, so best-so-far curves stay exact.
         The default 1 records everything; wall-clock-budget harnesses
-        (``sa_runner``, ``repro sweep --budget``) use coarser strides
+        (``repro sweep --budget``, the race islands) use coarser strides
         because a multi-minute budget means millions of ~25 µs
         proposals, and a per-proposal trace would grow unbounded.
     time_limit:
@@ -100,23 +93,12 @@ class SAConfig:
     stall_iterations:
         Stop after this many consecutive proposals without a new global
         best (``None`` disables).
-    network:
-        Simulator backend the run optimises against.
-    platform:
-        Platform (machine catalog) name the run is costed against; the
-        default ``"uniform"`` reproduces the historical behaviour bit
-        for bit (see :mod:`repro.model.platform`).
-    objective:
-        ``"makespan"`` (default), ``"weighted:<w_m>:<w_c>"``, or a
-        scenario (risk) objective ``mean`` / ``quantile:<q>`` /
-        ``cvar:<q>`` / ``saa:<T>:<eps>`` — what the annealer's
-        acceptance rule compares (see :mod:`repro.optim.objective`).
-    scenarios, distribution, scenario_seed:
-        Monte-Carlo axis of the scenario objectives (see
-        :mod:`repro.stochastic`); only valid together with a scenario
-        objective.
     seed:
         Seed / generator for all stochastic choices.
+
+    The evaluation settings (``network``, ``platform``, ``objective``,
+    ``scenarios``, ``distribution``, ``scenario_seed``) are inherited
+    from :class:`~repro.optim.evaluation.EvaluationFields`.
     """
 
     initial_temp: Optional[float] = None
@@ -128,12 +110,6 @@ class SAConfig:
     record_every: int = 1
     time_limit: Optional[float] = None
     stall_iterations: Optional[int] = None
-    network: str = DEFAULT_NETWORK
-    platform: str = DEFAULT_PLATFORM
-    objective: str = "makespan"
-    scenarios: int = 0
-    distribution: str = "deterministic"
-    scenario_seed: int = 0
     seed: RandomSource = None
 
     def __post_init__(self) -> None:
@@ -159,24 +135,8 @@ class SAConfig:
             raise ValueError(
                 f"record_every must be >= 1, got {self.record_every}"
             )
-        if not isinstance(self.network, str) or not self.network:
-            raise ValueError(
-                f"network must be a backend name string, got {self.network!r}"
-            )
-        resolve_platform(self.platform)
-        resolve_objective(self.objective)
-        validate_scenario_settings(
-            self.objective, self.scenarios, self.distribution
-        )
-        # iteration/time/stall bounds are validated by the StopPolicy
-        StopPolicy(self.max_iterations, self.time_limit, self.stall_iterations)
-
-    def stop_policy(self) -> StopPolicy:
-        return StopPolicy(
-            max_iterations=self.max_iterations,
-            time_limit=self.time_limit,
-            stall_iterations=self.stall_iterations,
-        )
+        super().__post_init__()
+        self.stop_policy()  # validates the iteration/time/stall bounds
 
 
 class SimulatedAnnealing:
@@ -222,16 +182,7 @@ class SimulatedAnnealing:
         if service is None:
             # SA scores one proposal at a time: the incremental tier is
             # the hot path, so skip the batch kernel's packing entirely.
-            service = EvaluationService(
-                workload,
-                cfg.network,
-                prefer_batch=False,
-                platform=cfg.platform,
-                objective=cfg.objective,
-                scenarios=cfg.scenarios,
-                distribution=cfg.distribution,
-                scenario_seed=cfg.scenario_seed,
-            )
+            service = cfg.evaluation_service(workload, prefer_batch=False)
         watch = Stopwatch()
 
         if initial is None:
@@ -299,22 +250,7 @@ class SimulatedAnnealing:
         )
         out = loop.run(current_cost, string, step, watch=watch)
 
-        best_schedule = service.schedule_of(out.best)
-        return SearchResult(
-            best_string=out.best,
-            # under a weighted objective out.best_cost is the scalar;
-            # report the schedule's real makespan in that mode
-            best_makespan=(
-                out.best_cost
-                if service.objective.is_makespan
-                else best_schedule.makespan
-            ),
-            best_schedule=best_schedule,
-            trace=out.trace,
-            iterations=out.iterations,
-            evaluations=service.evaluations,
-            stopped_by=out.stopped_by,
-        )
+        return SearchResult.from_loop(out, service)
 
 
 def run_sa(

@@ -29,6 +29,7 @@ True
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from repro.model.workload import Workload
@@ -52,8 +53,6 @@ class EvaluationService:
     ----------
     workload:
         The MSHC problem instance.
-    network:
-        Simulator-backend name (see :mod:`repro.schedule.backend`).
     prefer_batch:
         When False the batch methods still *work* but loop the scalar
         backend, and :attr:`is_vectorized` reports False — engines with
@@ -67,37 +66,25 @@ class EvaluationService:
         engines handed such a service optimise a job's schedule *given*
         machines still occupied by earlier jobs.  Batch calls route
         through the sequential scalar path in this mode.
-    platform:
-        Platform name (or :class:`~repro.model.platform.PlatformSpec`):
-        the backend is built against the speed-scaled matrix, boot
-        state and billing table of that platform (see
-        :func:`~repro.schedule.backend.make_simulator`).  The default
-        ``"uniform"`` changes nothing, bit for bit.
-    objective:
-        What the scalar every engine optimises *is*: ``"makespan"``
-        (the default — the raw backend, no wrapping, bit-identical) or
-        a weighted sum (``"weighted:<w_m>:<w_c>"`` / an
-        :class:`~repro.optim.objective.WeightedObjective`), routed by
-        wrapping the backend in an
-        :class:`~repro.optim.objective.ObjectiveBackend` so SE, GA, SA
-        and tabu optimise cost-aware without engine changes.
     pareto:
         Optional :class:`~repro.optim.tracking.ParetoTracker`; every
         point scored through this service is offered to it, so a run
         accumulates the (makespan, cost) front as a side effect.
-    scenarios, distribution, scenario_seed:
-        The Monte-Carlo axis of the *scenario* objectives (``mean`` /
-        ``quantile:<q>`` / ``cvar:<q>`` / ``saa:<T>:<eps>`` — see
-        :mod:`repro.stochastic` and ``docs/risk_aware.md``): the
-        backend is wrapped in a :class:`~repro.stochastic.scenarios.
-        ScenarioBackend` scoring every engine-compared scalar as the
-        objective's reduction over ``scenarios`` sampled perturbations
-        of the (platform-scaled) matrices.  ``scenarios``/non-default
-        ``distribution`` without a scenario objective — or a scenario
-        objective without ``scenarios >= 1`` — raise immediately.
-        Scenario objectives cannot combine with residual initial state,
-        Pareto tracking, or platforms with boot delays (boot is initial
-        state).
+    network, platform, objective, scenarios, distribution, scenario_seed:
+        The evaluation settings of :class:`EvaluationFields` (whose
+        :meth:`~EvaluationFields.evaluation_service` builds services
+        from an engine config).  A non-default platform builds the
+        backend against its speed-scaled matrix, boot state and billing
+        table (see :func:`~repro.schedule.backend.make_simulator`); a
+        weighted objective wraps the backend in an
+        :class:`~repro.optim.objective.ObjectiveBackend` and a scenario
+        objective in a :class:`~repro.stochastic.scenarios.
+        ScenarioBackend` scoring the objective's reduction over the
+        sampled perturbations, so SE, GA, SA and tabu optimise them
+        without engine changes.  The default ``"makespan"`` uses the
+        raw backend, bit-identical.  Scenario objectives cannot combine
+        with residual initial state, Pareto tracking, or platforms with
+        boot delays (boot is initial state).
     """
 
     __slots__ = (
@@ -313,6 +300,20 @@ class EvaluationService:
         """
         return plain_schedule(self._raw.evaluate(string))
 
+    def best_of(
+        self, string: ScheduleString, cost: float
+    ) -> tuple[Schedule, float]:
+        """A run's best *string* as ``(schedule, makespan to report)``.
+
+        Under a weighted or scenario objective *cost* is the scalar the
+        engine compared, so the schedule's real makespan is reported in
+        that mode.  Not counted, like :meth:`schedule_of`.
+        """
+        schedule = self.schedule_of(string)
+        if self._objective.is_makespan:
+            return schedule, cost
+        return schedule, schedule.makespan
+
     def score_of(self, string: ScheduleString) -> ScheduleScore:
         """The ``(makespan, cost, busy)`` score of *string* — **not**
         counted, like :meth:`schedule_of`; real makespan, real dollars,
@@ -393,3 +394,78 @@ class EvaluationService:
             costs = [self._backend.string_makespan(s) for s in strings]
         self._calls += len(costs)
         return costs
+
+
+@dataclass(kw_only=True)
+class EvaluationFields:
+    """The evaluation settings every engine config shares.
+
+    :class:`~repro.core.config.SEConfig`, :class:`~repro.baselines.ga.
+    config.GAConfig`, :class:`~repro.optim.annealing.SAConfig`,
+    :class:`~repro.optim.tabu.TabuConfig` and random search's config
+    inherit these six keyword-only fields, so ``SEConfig(network="nic")``
+    and ``cfg.network`` work on every engine and
+    :func:`dataclasses.fields` lists them with the engine's own.
+
+    Attributes
+    ----------
+    network:
+        Simulator backend the run optimises against: ``"contention-free"``
+        (the paper's model, default) or ``"nic"`` (one outgoing link per
+        machine; see :mod:`repro.extensions.contention`).  Resolved
+        through :func:`repro.schedule.backend.make_simulator`, so models
+        registered with ``register_network`` work too.
+    platform:
+        Platform (machine catalog) name the run is costed against; the
+        default ``"uniform"`` reproduces the historical behaviour bit
+        for bit (see :mod:`repro.model.platform`).
+    objective:
+        ``"makespan"`` (default), ``"weighted:<w_m>:<w_c>"``, or a
+        scenario (risk) objective ``mean`` / ``quantile:<q>`` /
+        ``cvar:<q>`` / ``saa:<T>:<eps>`` — the scalar the engine
+        compares (see :mod:`repro.optim.objective`).
+    scenarios, distribution, scenario_seed:
+        Monte-Carlo axis of the scenario objectives: sample
+        ``scenarios`` perturbations of the matrices from
+        ``distribution`` (``"lognormal:0.25"``, ``"uniform:0.2"``,
+        ``"empirical:1,1,1,4"``, ...) under ``scenario_seed`` and
+        optimise the objective's reduction over them (see
+        :mod:`repro.stochastic`).  Only valid together with a scenario
+        objective.
+    """
+
+    network: str = DEFAULT_NETWORK
+    platform: str = DEFAULT_PLATFORM
+    objective: str = "makespan"
+    scenarios: int = 0
+    distribution: str = "deterministic"
+    scenario_seed: int = 0
+
+    def __post_init__(self) -> None:
+        from repro.stochastic.distributions import validate_scenario_settings
+
+        if not isinstance(self.network, str) or not self.network:
+            raise ValueError(
+                f"network must be a backend name string, got {self.network!r}"
+            )
+        resolve_platform(self.platform)
+        validate_scenario_settings(
+            self.objective, self.scenarios, self.distribution
+        )
+
+    def evaluation_service(
+        self, workload: Workload, prefer_batch: bool, **extra: Any
+    ) -> EvaluationService:
+        """The :class:`EvaluationService` scoring *workload* under these
+        settings; *extra* passes through (``pareto=``, initial state)."""
+        return EvaluationService(
+            workload,
+            self.network,
+            prefer_batch=prefer_batch,
+            platform=self.platform,
+            objective=self.objective,
+            scenarios=self.scenarios,
+            distribution=self.distribution,
+            scenario_seed=self.scenario_seed,
+            **extra,
+        )

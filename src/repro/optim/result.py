@@ -1,15 +1,16 @@
-"""The common result type of the optim-core engines (SA, tabu, ...).
+"""The common result type of the iterative engines.
 
-Mirrors :class:`repro.core.engine.SEResult` field-for-field where the
-concepts coincide, so downstream code (registry entries, the comparison
-harness, the figure benchmarks) treats every engine uniformly.  The SE
-and GA engines keep their historical result classes for compatibility;
-new engines built directly on :mod:`repro.optim` return this one.
+SA and tabu return a :class:`SearchResult`; SE's
+:class:`~repro.core.engine.SEResult` and the GA's
+:class:`~repro.baselines.ga.engine.GAResult` extend it, so downstream
+code (registry entries, the comparison harness, the figure benchmarks)
+treats every engine uniformly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.analysis.trace import ConvergenceTrace
 from repro.schedule.encoding import ScheduleString
@@ -18,7 +19,7 @@ from repro.schedule.simulator import Schedule
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of one optim-core engine run.
+    """Outcome of one iterative engine run.
 
     Attributes
     ----------
@@ -31,13 +32,16 @@ class SearchResult:
     trace:
         Per-iteration convergence records.
     iterations:
-        Iterations executed (engine-specific granularity: SA proposals,
-        tabu steps).
+        Iterations executed (engine-specific granularity: SE iterations,
+        GA generations, SA proposals, tabu steps).
     evaluations:
         Total simulator calls (cost accounting).
     stopped_by:
         ``"iterations"``, ``"time"`` or ``"stall"`` — the unified
         :mod:`repro.optim.stop` reason strings.
+    kernel_tier:
+        The batch tier of the evaluation service that served the run
+        (``jit`` / ``vectorized`` / ``sequential``).
     """
 
     best_string: ScheduleString
@@ -47,3 +51,22 @@ class SearchResult:
     iterations: int
     evaluations: int
     stopped_by: str
+    kernel_tier: str
+
+    @classmethod
+    def from_loop(cls, out: Any, service: Any, **extra: Any) -> "SearchResult":
+        """The result of a finished :class:`~repro.optim.loop.SearchLoop`
+        run (*out*) whose evaluations *service* served; *extra* fills a
+        subclass's own fields."""
+        schedule, makespan = service.best_of(out.best, out.best_cost)
+        return cls(
+            best_string=out.best,
+            best_makespan=makespan,
+            best_schedule=schedule,
+            trace=out.trace,
+            iterations=out.iterations,
+            evaluations=service.evaluations,
+            stopped_by=out.stopped_by,
+            kernel_tier=service.kernel_tier,
+            **extra,
+        )

@@ -90,3 +90,14 @@ class StopPolicy:
             self.stall_iterations is not None
             and stall_count >= self.stall_iterations
         )
+
+
+class IterationLimits:
+    """Mixin for configs with ``max_iterations`` / ``time_limit`` /
+    ``stall_iterations`` fields (SE, SA, tabu): their stop policy."""
+
+    def stop_policy(self) -> StopPolicy:
+        """The run's stopping rules as a shared :class:`StopPolicy`."""
+        return StopPolicy(
+            self.max_iterations, self.time_limit, self.stall_iterations
+        )

@@ -44,28 +44,21 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.model.workload import Workload
-from repro.optim.evaluation import EvaluationService
+from repro.optim.evaluation import EvaluationFields, EvaluationService
 from repro.optim.exchange import IncumbentSource
 from repro.optim.loop import SearchLoop, StepOutcome
 from repro.optim.neighborhood import applied_copy, random_move
-from repro.optim.objective import resolve_objective
 from repro.optim.observers import Observer
 from repro.optim.result import SearchResult
-from repro.optim.stop import StopPolicy
-from repro.schedule.backend import (
-    DEFAULT_NETWORK,
-    DEFAULT_PLATFORM,
-    resolve_platform,
-)
+from repro.optim.stop import IterationLimits
 from repro.schedule.encoding import ScheduleString
 from repro.schedule.operations import random_valid_string
-from repro.stochastic.distributions import validate_scenario_settings
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.timers import Stopwatch
 
 
 @dataclass
-class TabuConfig:
+class TabuConfig(EvaluationFields, IterationLimits):
     """Parameters of one :class:`TabuSearch` run.
 
     Attributes
@@ -85,23 +78,12 @@ class TabuConfig:
     stall_iterations:
         Stop after this many consecutive iterations without a new
         global best (``None`` disables).
-    network:
-        Simulator backend the run optimises against.
-    platform:
-        Platform (machine catalog) name the run is costed against; the
-        default ``"uniform"`` reproduces the historical behaviour bit
-        for bit (see :mod:`repro.model.platform`).
-    objective:
-        ``"makespan"`` (default), ``"weighted:<w_m>:<w_c>"``, or a
-        scenario (risk) objective ``mean`` / ``quantile:<q>`` /
-        ``cvar:<q>`` / ``saa:<T>:<eps>`` — the scalar the
-        admissibility rule compares (see :mod:`repro.optim.objective`).
-    scenarios, distribution, scenario_seed:
-        Monte-Carlo axis of the scenario objectives (see
-        :mod:`repro.stochastic`); only valid together with a scenario
-        objective.
     seed:
         Seed / generator for all stochastic choices.
+
+    The evaluation settings (``network``, ``platform``, ``objective``,
+    ``scenarios``, ``distribution``, ``scenario_seed``) are inherited
+    from :class:`~repro.optim.evaluation.EvaluationFields`.
     """
 
     neighborhood_size: int = 24
@@ -110,12 +92,6 @@ class TabuConfig:
     max_iterations: int = 300
     time_limit: Optional[float] = None
     stall_iterations: Optional[int] = None
-    network: str = DEFAULT_NETWORK
-    platform: str = DEFAULT_PLATFORM
-    objective: str = "makespan"
-    scenarios: int = 0
-    distribution: str = "deterministic"
-    scenario_seed: int = 0
     seed: RandomSource = None
 
     def __post_init__(self) -> None:
@@ -129,23 +105,8 @@ class TabuConfig:
             raise ValueError(
                 f"reassign_prob must be in [0, 1], got {self.reassign_prob}"
             )
-        if not isinstance(self.network, str) or not self.network:
-            raise ValueError(
-                f"network must be a backend name string, got {self.network!r}"
-            )
-        resolve_platform(self.platform)
-        resolve_objective(self.objective)
-        validate_scenario_settings(
-            self.objective, self.scenarios, self.distribution
-        )
-        StopPolicy(self.max_iterations, self.time_limit, self.stall_iterations)
-
-    def stop_policy(self) -> StopPolicy:
-        return StopPolicy(
-            max_iterations=self.max_iterations,
-            time_limit=self.time_limit,
-            stall_iterations=self.stall_iterations,
-        )
+        super().__post_init__()
+        self.stop_policy()  # validates the iteration/time/stall bounds
 
 
 class TabuSearch:
@@ -192,16 +153,7 @@ class TabuSearch:
         if service is None:
             # whole neighborhoods score per iteration: the batch tier is
             # the hot path, so ask for the vectorized kernel if available
-            service = EvaluationService(
-                workload,
-                cfg.network,
-                prefer_batch=True,
-                platform=cfg.platform,
-                objective=cfg.objective,
-                scenarios=cfg.scenarios,
-                distribution=cfg.distribution,
-                scenario_seed=cfg.scenario_seed,
-            )
+            service = cfg.evaluation_service(workload, prefer_batch=True)
         watch = Stopwatch()
 
         if initial is None:
@@ -270,22 +222,7 @@ class TabuSearch:
 
         out = loop.run(current_cost, string, step, watch=watch)
 
-        best_schedule = service.schedule_of(out.best)
-        return SearchResult(
-            best_string=out.best,
-            # under a weighted objective out.best_cost is the scalar;
-            # report the schedule's real makespan in that mode
-            best_makespan=(
-                out.best_cost
-                if service.objective.is_makespan
-                else best_schedule.makespan
-            ),
-            best_schedule=best_schedule,
-            trace=out.trace,
-            iterations=out.iterations,
-            evaluations=service.evaluations,
-            stopped_by=out.stopped_by,
-        )
+        return SearchResult.from_loop(out, service)
 
 
 def run_tabu(

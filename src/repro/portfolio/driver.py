@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
 from repro.model.workload import Workload
+from repro.optim.evaluation import EvaluationFields
 from repro.portfolio.islands import (
     ENGINE_KINDS,
     IslandOutcome,
@@ -47,11 +48,7 @@ from repro.portfolio.islands import (
     build_islands,
     run_island,
 )
-from repro.schedule.backend import (
-    DEFAULT_NETWORK,
-    DEFAULT_PLATFORM,
-    resolve_platform,
-)
+from repro.schedule.backend import DEFAULT_NETWORK, DEFAULT_PLATFORM
 from repro.workloads.presets import WorkloadSpec, build_workload
 
 #: Execution modes of :func:`run_race` (``sync_every`` forces lockstep).
@@ -153,11 +150,8 @@ class RaceConfig:
             raise ValueError(
                 f"exchange_interval must be >= 1, got {self.exchange_interval}"
             )
-        if not isinstance(self.network, str) or not self.network:
-            raise ValueError(
-                f"network must be a backend name string, got {self.network!r}"
-            )
-        resolve_platform(self.platform)
+        # the engines' shared network/platform validation
+        EvaluationFields(network=self.network, platform=self.platform)
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,12 @@ trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.model.workload import Workload
+from repro.runner.registry import ENGINE_KINDS, ENGINES, string_pairs
+from repro.runner.registry import UNBOUNDED  # noqa: F401  (re-export)
 from repro.runner.spec import derive_seed
-
-#: Engine kinds a portfolio can race, in default cycling order.
-ENGINE_KINDS: Tuple[str, ...] = ("se", "ga", "sa", "tabu")
 
 #: Default poll stride per engine kind, tuned to iteration granularity:
 #: an SA proposal is ~25 µs while a shared-channel poll is ~0.1 ms, so
@@ -33,8 +32,10 @@ ENGINE_KINDS: Tuple[str, ...] = ("se", "ga", "sa", "tabu")
 #: evaluations each, so a poll every 5-10 iterations is already <1%.
 DEFAULT_INTERVALS = {"se": 5, "ga": 5, "sa": 500, "tabu": 10}
 
-#: Effectively-unbounded iteration cap for deadline-only runs.
-UNBOUNDED = 10**9
+#: Island-only overrides: SA records every 100th proposal (plus every
+#: improvement), coarser than the table's wall-clock stride, so a
+#: multi-second race cannot grow an unbounded trace.
+ISLAND_OVERRIDES = {"sa": {"record_every": 100}}
 
 
 @dataclass(frozen=True)
@@ -78,32 +79,23 @@ def engine_defaults(
 ) -> dict:
     """The flat config-override dict for a race island of *kind*.
 
-    Deadline-driven islands get an unbounded iteration cap, no stall
-    rule (an island that stops early would idle its core), and — for
-    SA, whose proposals are ~25 µs — a coarse trace stride so a
-    multi-second budget cannot grow an unbounded trace.
+    Deadline-driven islands get an unbounded iteration cap and no stall
+    rule (an island that stops early would idle its core), on top of
+    the engine table's limits and :data:`ISLAND_OVERRIDES`.
     """
     if kind not in ENGINE_KINDS:
         raise ValueError(
             f"unknown engine kind {kind!r}; expected one of "
             f"{', '.join(ENGINE_KINDS)}"
         )
-    params: dict = {"network": network, "platform": platform}
-    cap = "max_generations" if kind == "ga" else "max_iterations"
-    if max_iterations is not None:
-        params[cap] = max_iterations
-    else:
-        params[cap] = UNBOUNDED
-    if deadline is not None:
-        params["time_limit"] = deadline
-    if kind == "ga":
-        params["stall_generations"] = None
-    elif kind != "sa":
-        params["stall_iterations"] = None
-    if kind == "sa":
-        params["stall_iterations"] = None
-        params["record_every"] = 100
-    return params
+    entry = ENGINES[kind]
+    return {
+        "network": network,
+        "platform": platform,
+        **entry.limits(max_iterations, deadline),
+        entry.stall: None,
+        **ISLAND_OVERRIDES.get(kind, {}),
+    }
 
 
 def build_islands(
@@ -188,7 +180,6 @@ def run_island(
     import time
 
     from repro.portfolio.exchange import IncumbentExchange
-    from repro.schedule.backend import kernel_tier
 
     exchange = None
     if channel is not None:
@@ -199,36 +190,13 @@ def run_island(
     offset = 0.0 if race_epoch is None else max(0.0, start - race_epoch)
     t0 = time.perf_counter()
     try:
-        if spec.kind == "se":
-            from repro.core import SEConfig, SimulatedEvolution
-
-            res = SimulatedEvolution(
-                SEConfig(seed=spec.seed, **spec.params)
-            ).run(workload, observers=observers, exchange=exchange)
-            iterations = res.iterations
-        elif spec.kind == "ga":
-            from repro.baselines import GAConfig, GeneticAlgorithm
-
-            res = GeneticAlgorithm(
-                GAConfig(seed=spec.seed, **spec.params)
-            ).run(workload, observers=observers, exchange=exchange)
-            iterations = res.generations
-        elif spec.kind == "sa":
-            from repro.optim import SAConfig, SimulatedAnnealing
-
-            res = SimulatedAnnealing(
-                SAConfig(seed=spec.seed, **spec.params)
-            ).run(workload, observers=observers, exchange=exchange)
-            iterations = res.iterations
-        elif spec.kind == "tabu":
-            from repro.optim import TabuConfig, TabuSearch
-
-            res = TabuSearch(
-                TabuConfig(seed=spec.seed, **spec.params)
-            ).run(workload, observers=observers, exchange=exchange)
-            iterations = res.iterations
-        else:  # pragma: no cover - guarded by engine_defaults
-            raise ValueError(f"unknown engine kind {spec.kind!r}")
+        entry = ENGINES[spec.kind]
+        res = entry.run(
+            workload,
+            entry.build(seed=spec.seed, **spec.params),
+            observers=observers,
+            exchange=exchange,
+        )
     finally:
         if exchange is not None:
             exchange.finish()
@@ -239,14 +207,11 @@ def run_island(
         kind=spec.kind,
         seed=spec.seed,
         best_makespan=float(res.best_makespan),
-        best_string={
-            "order": list(res.best_string.order),
-            "machines": list(res.best_string.machines),
-        },
-        iterations=iterations,
+        best_string=string_pairs(res.best_string),
+        iterations=getattr(res, entry.counts),
         evaluations=res.evaluations,
         stopped_by=res.stopped_by,
-        kernel_tier=kernel_tier(spec.params.get("network", "contention-free")),
+        kernel_tier=res.kernel_tier,
         published=exchange.published if exchange is not None else 0,
         received=exchange.received if exchange is not None else 0,
         start_offset=offset,

@@ -17,11 +17,11 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+import importlib
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.model.workload import Workload
-from repro.schedule.backend import DEFAULT_NETWORK
 
 
 @dataclass
@@ -101,53 +101,25 @@ def algorithm_parameters(name: str) -> tuple:
     return tuple(source() if callable(source) else source)
 
 
-def _config_fields(import_config: Callable[[], type]) -> Callable[[], tuple]:
-    """Lazy param source: the field names of a config dataclass."""
-
-    def read() -> tuple:
-        from dataclasses import fields
-
-        return tuple(f.name for f in fields(import_config()))
-
-    return read
-
-
-def _se_config() -> type:
-    from repro.core import SEConfig
-
-    return SEConfig
-
-
-def _ga_config() -> type:
-    from repro.baselines import GAConfig
-
-    return GAConfig
-
-
-def _sa_config() -> type:
-    from repro.optim import SAConfig
-
-    return SAConfig
-
-
-def _tabu_config() -> type:
-    from repro.optim import TabuConfig
-
-    return TabuConfig
-
-
-def _race_config() -> type:
-    from repro.portfolio import RaceConfig
-
-    return RaceConfig
-
-
 # ----------------------------------------------------------------------
-# built-in entries
+# the engine table
 # ----------------------------------------------------------------------
 
+#: Effectively-unbounded iteration cap for budget-only runs.
+UNBOUNDED = 10**9
 
-def _string_pairs(string) -> dict:
+#: The iterative engines of the head-to-head comparison and the
+#: portfolio race, in the race's default cycling order.
+ENGINE_KINDS: Tuple[str, ...] = ("se", "ga", "sa", "tabu")
+
+
+def _load(path: str) -> Any:
+    """The object named by ``"module:name"`` (imported on first use)."""
+    module, _, name = path.partition(":")
+    return getattr(importlib.import_module(module), name)
+
+
+def string_pairs(string) -> dict:
     """A ScheduleString as plain lists (JSON/pickle-safe extras payload).
 
     Rebuild with ``ScheduleString(doc["order"], doc["machines"], l)``.
@@ -155,215 +127,245 @@ def _string_pairs(string) -> dict:
     return {"order": list(string.order), "machines": list(string.machines)}
 
 
-def _seed_of(seed: int, params: dict) -> int:
-    """Explicit ``seed`` in params overrides the derived per-cell seed.
+def _baseline_outcome(res) -> CellOutcome:
+    """The outcome of a :class:`~repro.baselines.base.BaselineResult`."""
+    return CellOutcome(
+        makespan=res.makespan,
+        evaluations=res.evaluations,
+        extras={"best_string": string_pairs(res.string)},
+    )
 
-    The derived seed keeps cells statistically independent; pinning is
-    for benchmarks that must reproduce one specific published trajectory.
+
+@dataclass(frozen=True)
+class Engine:
+    """One row of :data:`ENGINES`: how to configure and run one engine.
+
+    Attributes
+    ----------
+    config / runner:
+        ``"module:name"`` of the config dataclass and of the functional
+        runner ``runner(workload, config, **hooks)``.  Both import on
+        first use, so reading the table loads no engine code.
+    label:
+        Display name in ``repro run``'s summary line.
+    cap:
+        Config field holding the iteration cap.
+    scale:
+        Cap units per ``--iterations`` unit.  An SA iteration is one
+        ~25 µs move proposal, far cheaper than an SE/GA iteration, so SA
+        gets 50 per unit; random search draws 10 samples per unit.
+    counts:
+        Result attribute counting the iterations run; ``None`` when the
+        runner returns a :class:`~repro.baselines.base.BaselineResult`.
+    unit:
+        What one counted iteration is called in ``repro run`` output.
+    stall:
+        Config field of the no-improvement stop rule (``None``: none).
+    lift_stall:
+        Whether capped and budgeted runs lift the stall rule: the GA's
+        default (Wang et al.'s 150 generations) would end them early.
+    clock:
+        The overrides a wall-clock budget needs.  A multi-second budget
+        means millions of SA proposals, so SA records its trace every
+        50th proposal (plus every improvement) instead of each one.
+    lenient:
+        Whether :meth:`build` drops params the config does not declare
+        (the random-search entry always ignored them) instead of
+        raising.
     """
-    return params.pop("seed", seed)
+
+    config: str
+    runner: str
+    label: str = ""
+    cap: str = "max_iterations"
+    scale: int = 1
+    counts: Optional[str] = "iterations"
+    unit: str = "iterations"
+    stall: Optional[str] = "stall_iterations"
+    lift_stall: bool = False
+    clock: Tuple[Tuple[str, Any], ...] = ()
+    lenient: bool = False
+
+    def config_class(self) -> type:
+        return _load(self.config)
+
+    def build(self, **params: Any) -> Any:
+        """The engine's config from flat *params* (config field names)."""
+        cls = self.config_class()
+        if self.lenient:
+            known = {f.name for f in fields(cls)}
+            params = {k: v for k, v in params.items() if k in known}
+        return cls(**params)
+
+    def limits(
+        self, cap: Optional[int] = None, time_limit: Optional[float] = None
+    ) -> dict:
+        """Config overrides for an iteration *cap* in the engine's own
+        unit (``None``: unbounded) and an optional wall-clock
+        *time_limit*; whichever limit hits first stops the run."""
+        params: dict = {self.cap: UNBOUNDED if cap is None else cap}
+        if self.lift_stall:
+            params[self.stall] = None
+        if time_limit is not None:
+            params["time_limit"] = time_limit
+            params.update(self.clock)
+        return params
+
+    def run(self, workload: Workload, config: Any, **hooks: Any) -> Any:
+        """Run the engine; *hooks* are ``observers=`` / ``exchange=``."""
+        return _load(self.runner)(workload, config, **hooks)
+
+    def outcome(self, res: Any) -> CellOutcome:
+        """The runner-facing :class:`CellOutcome` of a run's result."""
+        if self.counts is None:
+            return _baseline_outcome(res)
+        extras = {
+            name: getattr(res, name)
+            for name in ("bias", "y_candidates")
+            if hasattr(res, name)
+        }
+        extras["best_string"] = string_pairs(res.best_string)
+        return CellOutcome(
+            makespan=res.best_makespan,
+            evaluations=res.evaluations,
+            iterations=getattr(res, self.counts),
+            stopped_by=res.stopped_by,
+            trace_rows=res.trace.to_rows(),
+            extras=extras,
+        )
 
 
-@register_algorithm("se", params=_config_fields(_se_config))
-def _run_se(workload: Workload, seed: int, params: dict) -> CellOutcome:
-    from repro.core import SEConfig, SimulatedEvolution
+class _Race(Engine):
+    """The portfolio race as a table row.
 
-    params = dict(params)
-    seed = _seed_of(seed, params)
-    res = SimulatedEvolution(SEConfig(seed=seed, **params)).run(workload)
-    return CellOutcome(
-        makespan=res.best_makespan,
-        evaluations=res.evaluations,
-        iterations=res.iterations,
-        stopped_by=res.stopped_by,
-        trace_rows=res.trace.to_rows(),
-        extras={
-            "bias": res.bias,
-            "y_candidates": res.y_candidates,
-            "best_string": _string_pairs(res.best_string),
-        },
-    )
+    An iteration-capped race runs in deterministic lockstep, so capped
+    sweeps stay worker-count invariant; only a wall-clock budget opts
+    into the deadline race.  Runner cells already execute inside worker
+    processes, so islands default to the GIL-sharing ``thread`` mode
+    instead of nesting a second process pool per cell (a spec can still
+    pin ``mode="process"``).
+    """
 
+    def limits(
+        self, cap: Optional[int] = None, time_limit: Optional[float] = None
+    ) -> dict:
+        if time_limit is None:
+            return {"deadline": None, "max_iterations": cap, "sync_every": 5}
+        return {"deadline": time_limit}
 
-@register_algorithm("hybrid", params=_config_fields(_se_config))
-def _run_hybrid(workload: Workload, seed: int, params: dict) -> CellOutcome:
-    """HEFT-seeded SE (the EXT-HYBRID warm-start extension)."""
-    from repro.core import SEConfig
-    from repro.extensions.hybrid import heft_seeded_se
+    def build(self, **params: Any) -> Any:
+        params.setdefault("mode", "thread")
+        return super().build(**params)
 
-    params = dict(params)
-    seed = _seed_of(seed, params)
-    res = heft_seeded_se(workload, SEConfig(seed=seed, **params))
-    return CellOutcome(
-        makespan=res.best_makespan,
-        evaluations=res.evaluations,
-        iterations=res.iterations,
-        stopped_by=res.stopped_by,
-        trace_rows=res.trace.to_rows(),
-        extras={"best_string": _string_pairs(res.best_string)},
-    )
+    def outcome(self, res: Any) -> CellOutcome:
+        # the island rows of the race summary (``repro race --output``)
+        doc = res.to_dict()
+        return CellOutcome(
+            makespan=res.best_makespan,
+            evaluations=res.evaluations,
+            iterations=res.iterations,
+            stopped_by=res.islands[res.best_island].stopped_by,
+            extras={
+                key: doc[key]
+                for key in ("best_string", "best_island", "best_kind", "islands")
+            },
+        )
 
 
-@register_algorithm("ga", params=_config_fields(_ga_config))
-def _run_ga(workload: Workload, seed: int, params: dict) -> CellOutcome:
-    from repro.baselines import GAConfig, GeneticAlgorithm
+#: The engine table: every dispatcher (``repro run``, the sweep spec
+#: builder, :mod:`repro.analysis.compare`, the registry entries below and
+#: the portfolio islands) configures and runs engines through it.
+ENGINES: Dict[str, Engine] = {
+    "se": Engine("repro.core:SEConfig", "repro.core:run_se", "SE"),
+    "hybrid": Engine(
+        "repro.core:SEConfig", "repro.extensions.hybrid:heft_seeded_se"
+    ),
+    "ga": Engine(
+        "repro.baselines:GAConfig",
+        "repro.baselines:run_ga",
+        "GA",
+        cap="max_generations",
+        counts="generations",
+        unit="generations",
+        stall="stall_generations",
+        lift_stall=True,
+    ),
+    "sa": Engine(
+        "repro.optim:SAConfig",
+        "repro.optim:run_sa",
+        "SA",
+        scale=50,
+        unit="proposals",
+        clock=(("record_every", 50),),
+    ),
+    "tabu": Engine("repro.optim:TabuConfig", "repro.optim:run_tabu", "tabu"),
+    "random": Engine(
+        "repro.baselines:RandomSearchConfig",
+        "repro.baselines:run_random_search",
+        cap="samples",
+        scale=10,
+        counts=None,
+        unit="samples",
+        stall=None,
+        lenient=True,
+    ),
+    "portfolio": _Race(
+        "repro.portfolio:RaceConfig", "repro.portfolio:run_race", stall=None
+    ),
+}
 
-    params = dict(params)
-    seed = _seed_of(seed, params)
-    res = GeneticAlgorithm(GAConfig(seed=seed, **params)).run(workload)
-    return CellOutcome(
-        makespan=res.best_makespan,
-        evaluations=res.evaluations,
-        iterations=res.generations,
-        stopped_by=res.stopped_by,
-        trace_rows=res.trace.to_rows(),
-        extras={"best_string": _string_pairs(res.best_string)},
-    )
+#: The deterministic heuristics: registry name -> ``repro.baselines``
+#: function, each taking ``(workload, network=, platform=)``.
+HEURISTICS = {"heft": "heft", "minmin": "min_min", "maxmin": "max_min", "olb": "olb"}
 
 
-def _deterministic(fn_name: str):
+def heuristic(kind: str) -> Callable[..., Any]:
+    """The ``repro.baselines`` function behind heuristic *kind*."""
+    return _load(f"repro.baselines:{HEURISTICS[kind]}")
+
+
+# ----------------------------------------------------------------------
+# built-in entries
+# ----------------------------------------------------------------------
+
+
+def _engine_entry(kind: str) -> AlgorithmFn:
+    entry = ENGINES[kind]
+
     def run(workload: Workload, seed: int, params: dict) -> CellOutcome:
-        import repro.baselines as baselines
+        params = dict(params)
+        # An explicit ``seed`` in params overrides the derived per-cell
+        # seed: the derived seed keeps cells statistically independent;
+        # pinning is for benchmarks that must reproduce one specific
+        # published trajectory.
+        config = entry.build(seed=params.pop("seed", seed), **params)
+        return entry.outcome(entry.run(workload, config))
 
+    return run
+
+
+def _heuristic_entry(kind: str) -> AlgorithmFn:
+    def run(workload: Workload, seed: int, params: dict) -> CellOutcome:
         # Deterministic heuristics take no seed; a spec may still pin one
         # (e.g. a grid sharing params across algorithms) — strip it
         # instead of crashing the worker with an unexpected kwarg.
         params = dict(params)
         params.pop("seed", None)
-        res = getattr(baselines, fn_name)(workload, **params)
-        return CellOutcome(
-            makespan=res.makespan,
-            evaluations=res.evaluations,
-            extras={"best_string": _string_pairs(res.string)},
-        )
+        return _baseline_outcome(heuristic(kind)(workload, **params))
 
     return run
 
 
-register_algorithm("heft", params=("network", "platform"))(
-    _deterministic("heft")
-)
-register_algorithm("minmin", params=("network", "platform"))(
-    _deterministic("min_min")
-)
-register_algorithm("maxmin", params=("network", "platform"))(
-    _deterministic("max_min")
-)
-register_algorithm("olb", params=("network", "platform"))(
-    _deterministic("olb")
-)
+def _config_fields(kind: str) -> Callable[[], tuple]:
+    """Lazy param source: the field names of *kind*'s config dataclass."""
+    return lambda: tuple(f.name for f in fields(ENGINES[kind].config_class()))
 
 
-@register_algorithm("sa", params=_config_fields(_sa_config))
-def _run_sa(workload: Workload, seed: int, params: dict) -> CellOutcome:
-    from repro.optim import SAConfig, SimulatedAnnealing
-
-    params = dict(params)
-    seed = _seed_of(seed, params)
-    res = SimulatedAnnealing(SAConfig(seed=seed, **params)).run(workload)
-    return CellOutcome(
-        makespan=res.best_makespan,
-        evaluations=res.evaluations,
-        iterations=res.iterations,
-        stopped_by=res.stopped_by,
-        trace_rows=res.trace.to_rows(),
-        extras={"best_string": _string_pairs(res.best_string)},
+for _kind in ENGINES:
+    register_algorithm(_kind, params=_config_fields(_kind))(
+        _engine_entry(_kind)
     )
-
-
-@register_algorithm("tabu", params=_config_fields(_tabu_config))
-def _run_tabu(workload: Workload, seed: int, params: dict) -> CellOutcome:
-    from repro.optim import TabuConfig, TabuSearch
-
-    params = dict(params)
-    seed = _seed_of(seed, params)
-    res = TabuSearch(TabuConfig(seed=seed, **params)).run(workload)
-    return CellOutcome(
-        makespan=res.best_makespan,
-        evaluations=res.evaluations,
-        iterations=res.iterations,
-        stopped_by=res.stopped_by,
-        trace_rows=res.trace.to_rows(),
-        extras={"best_string": _string_pairs(res.best_string)},
-    )
-
-
-@register_algorithm("portfolio", params=_config_fields(_race_config))
-def _run_portfolio(workload: Workload, seed: int, params: dict) -> CellOutcome:
-    """The anytime portfolio race as a sweep-able algorithm entry.
-
-    Runner cells already execute inside worker processes, so the entry
-    defaults to the GIL-sharing ``thread`` mode instead of nesting a
-    second process pool per cell; a spec can still pin ``mode=
-    "process"`` explicitly.
-    """
-    from repro.portfolio import RaceConfig, run_race
-
-    params = dict(params)
-    seed = _seed_of(seed, params)
-    params.setdefault("mode", "thread")
-    res = run_race(workload, RaceConfig(seed=seed, **params))
-    winner = res.islands[res.best_island]
-    return CellOutcome(
-        makespan=res.best_makespan,
-        evaluations=res.evaluations,
-        iterations=res.iterations,
-        stopped_by=winner.stopped_by,
-        extras={
-            "best_string": dict(res.best_string),
-            "best_island": res.best_island,
-            "best_kind": winner.kind,
-            "islands": [
-                {
-                    "island": o.island,
-                    "kind": o.kind,
-                    "best_makespan": o.best_makespan,
-                    "published": o.published,
-                    "received": o.received,
-                    "kernel_tier": o.kernel_tier,
-                }
-                for o in res.islands
-            ],
-        },
-    )
-
-
-@register_algorithm(
-    "random",
-    params=(
-        "samples",
-        "batch_size",
-        "time_limit",
-        "network",
-        "platform",
-        "objective",
-        "scenarios",
-        "distribution",
-        "scenario_seed",
-        "seed",
-    ),
-)
-def _run_random(workload: Workload, seed: int, params: dict) -> CellOutcome:
-    from repro.baselines import random_search
-    from repro.schedule.backend import DEFAULT_PLATFORM
-
-    params = dict(params)
-    seed = _seed_of(seed, params)
-    res = random_search(
-        workload,
-        samples=params.get("samples", 1000),
-        seed=seed,
-        time_limit=params.get("time_limit"),
-        network=params.get("network", DEFAULT_NETWORK),
-        batch_size=params.get("batch_size", 128),
-        platform=params.get("platform", DEFAULT_PLATFORM),
-        objective=params.get("objective", "makespan"),
-        scenarios=int(params.get("scenarios", 0) or 0),
-        distribution=params.get("distribution", "deterministic"),
-        scenario_seed=int(params.get("scenario_seed", 0) or 0),
-    )
-    return CellOutcome(
-        makespan=res.makespan,
-        evaluations=res.evaluations,
-        extras={"best_string": _string_pairs(res.string)},
+for _kind in HEURISTICS:
+    register_algorithm(_kind, params=("network", "platform"))(
+        _heuristic_entry(_kind)
     )

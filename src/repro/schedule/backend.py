@@ -320,21 +320,6 @@ def available_networks() -> list[str]:
     return sorted(_NETWORKS)
 
 
-def has_batch_kernel(network: str) -> bool:
-    """Whether *network* registered a vectorized batch kernel.
-
-    False means ``make_simulator(..., batch=True)`` still works but
-    loops the scalar backend sequentially (and the resulting backend
-    reports ``is_vectorized == False``).  Surfaced by ``repro
-    algorithms`` / ``repro run --verbose`` so the fallback is visible.
-
-    >>> has_batch_kernel("contention-free"), has_batch_kernel("nic")
-    (True, True)
-    """
-    _ensure_builtins()
-    return network.lower() in _BATCH_NETWORKS
-
-
 def kernel_tier(network: str) -> str:
     """The batch tier ``make_simulator(..., batch=True)`` selects now.
 
@@ -344,8 +329,8 @@ def kernel_tier(network: str) -> str:
     for networks with neither.  Backends constructed with initial
     machine state always run ``"sequential"`` regardless of this answer
     (the kernels pack idle machines).  Surfaced by ``repro algorithms``
-    and ``repro run --verbose`` so the active tier is visible, not
-    guessed.
+    so the active tier is visible, not guessed; a run reports the tier
+    that actually served it (``EvaluationService.kernel_tier``).
 
     Raises
     ------
@@ -402,8 +387,8 @@ def make_simulator(
     for ``"contention-free"``,
     :class:`~repro.schedule.vectorized_contention.
     ContentionBatchSimulator` for ``"nic"``), else a sequential scalar
-    fallback for networks without one (see :func:`kernel_tier` /
-    :func:`has_batch_kernel`).  All tiers are bit-identical.
+    fallback for networks without one (see :func:`kernel_tier`).  All
+    tiers are bit-identical.
     Scalar-tier methods are forwarded without overhead either way, so a
     batch-wrapped backend is a drop-in :class:`SimulatorBackend`.
 
@@ -445,17 +430,15 @@ def make_simulator(
             f"{', '.join(available_networks())}"
         ) from None
     spec = resolve_platform(platform)
+    workload, initial_avail, initial_nic_free = platform_state(
+        workload, spec, key, initial_avail, initial_nic_free
+    )
     cost_model = None
     if not spec.is_uniform:
         from repro.schedule.scoring import CostModel
 
-        bound = spec.bind(workload.num_machines)
-        workload = bound.apply(workload)
-        cost_model = CostModel(workload.exec_times.values, bound.prices)
-        if bound.has_boot:
-            initial_avail = bound.combine_avail(initial_avail)
-            if key == NIC_NETWORK or initial_nic_free is not None:
-                initial_nic_free = bound.combine_avail(initial_nic_free)
+        prices = spec.bind(workload.num_machines).prices
+        cost_model = CostModel(workload.exec_times.values, prices)
     kwargs: Dict[str, Any] = {}
     if initial_avail is not None:
         kwargs["initial_avail"] = initial_avail

@@ -503,3 +503,33 @@ class TestSweepPlatform:
         with pytest.raises(SystemExit, match="unknown platform"):
             main(["sweep", "--name", "x", "--algorithms", "heft",
                   "--platform", "abacus"])
+
+
+class TestRunThroughEngineTable:
+    def test_random_honours_budget(self, capsys):
+        """``--budget`` stops random search like every other engine."""
+        rc = main(
+            ["run", "--algo", "random", "--preset", "small", "--seed", "1",
+             "--iterations", "100000", "--budget", "0.2"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        evaluations = int(
+            out.split("random-search finished (")[1].split(" ")[0]
+        )
+        # fewer evaluations than even one sample per --iterations unit
+        assert 0 < evaluations < 100000
+
+    def test_verbose_reports_the_served_tier(self, capsys, monkeypatch):
+        # SE's delta probes build no batch kernel, whatever the network
+        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+        rc = main(
+            ["run", "--algo", "se", "--preset", "small", "--seed", "1",
+             "--iterations", "2", "--verbose"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert (
+            "network 'contention-free': batch evaluation via sequential "
+            "scalar fallback" in out
+        )
