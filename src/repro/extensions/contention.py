@@ -221,7 +221,7 @@ class ContentionSimulator:
         "_l",
         "_p",
         "_E",
-        "_tr",
+        "_pair",
         "_in_edges",
         "_out_edges",
         "_avail0",
@@ -243,7 +243,7 @@ class ContentionSimulator:
         self._l = workload.num_machines
         self._p = graph.num_data_items
         self._E = workload.exec_times.values.tolist()
-        self._tr = workload.transfer_times.values.tolist()
+        self._pair = workload.transfer_times.pair_rows()
         # Per consumer: (producer, item) pairs — the data inputs.
         in_edges: list[list[tuple[int, int]]] = [[] for _ in range(self._k)]
         for d in graph.data_items:
@@ -280,8 +280,7 @@ class ContentionSimulator:
         order = string.order
         machine_of = string.machines
         E = self._E
-        tr = self._tr
-        l = self._l
+        pair = self._pair
         k = self._k
         in_edges = self._in_edges
         out_edges = self._out_edges
@@ -316,16 +315,13 @@ class ContentionSimulator:
             # eager push: send every cross-machine output item, in item
             # order, serialised on this machine's NIC
             nf = nic_free[m]
+            from_m = pair[m]
             for item, consumer in out_edges[task]:
                 dst = machine_of[consumer]
                 if dst == m:
                     continue
-                if dst < m:
-                    row = dst * l - dst * (dst + 1) // 2 + (m - dst - 1)
-                else:
-                    row = m * l - m * (m + 1) // 2 + (dst - m - 1)
                 t_start = fin if fin > nf else nf
-                nf = t_start + tr[row][item]
+                nf = t_start + from_m[dst][item]
                 arrival[item] = nf
                 transfers.append(
                     TransferRecord(
@@ -362,8 +358,7 @@ class ContentionSimulator:
             If *order* places a consumer before one of its producers.
         """
         E = self._E
-        tr = self._tr
-        l = self._l
+        pair = self._pair
         in_edges = self._in_edges
         out_edges = self._out_edges
         finish = [-1.0] * self._k
@@ -390,16 +385,13 @@ class ContentionSimulator:
             if fin > span:
                 span = fin
             nf = nic_free[m]
+            from_m = pair[m]
             for item, consumer in out_edges[task]:
                 dst = machine_of[consumer]
                 if dst == m:
                     continue
-                if dst < m:
-                    row = dst * l - dst * (dst + 1) // 2 + (m - dst - 1)
-                else:
-                    row = m * l - m * (m + 1) // 2 + (dst - m - 1)
                 t_start = fin if fin > nf else nf
-                nf = t_start + tr[row][item]
+                nf = t_start + from_m[dst][item]
                 arrival[item] = nf
             nic_free[m] = nf
         return span
@@ -451,8 +443,7 @@ class ContentionSimulator:
             If *order* places a consumer before one of its producers.
         """
         E = self._E
-        tr = self._tr
-        l = self._l
+        pair = self._pair
         k = self._k
         in_edges = self._in_edges
         out_edges = self._out_edges
@@ -486,16 +477,13 @@ class ContentionSimulator:
             if fin > span:
                 span = fin
             nf = nic_free[m]
+            from_m = pair[m]
             for item, consumer in out_edges[task]:
                 dst = machine_of[consumer]
                 if dst == m:
                     continue
-                if dst < m:
-                    row = dst * l - dst * (dst + 1) // 2 + (m - dst - 1)
-                else:
-                    row = m * l - m * (m + 1) // 2 + (dst - m - 1)
                 t_start = fin if fin > nf else nf
-                nf = t_start + tr[row][item]
+                nf = t_start + from_m[dst][item]
                 arrival[item] = nf
             nic_free[m] = nf
             avail_rows.append(machine_avail.copy())
@@ -591,8 +579,7 @@ class ContentionSimulator:
             return state.makespan if state.makespan < cutoff else float("inf")
 
         E = self._E
-        tr = self._tr
-        l = self._l
+        pair = self._pair
         in_edges = self._in_edges
         out_edges = self._out_edges
         finish = state.finish[:]
@@ -621,16 +608,13 @@ class ContentionSimulator:
                 if span >= cutoff:
                     return float("inf")
             nf = nic_free[m]
+            from_m = pair[m]
             for item, consumer in out_edges[task]:
                 dst = machine_of[consumer]
                 if dst == m:
                     continue
-                if dst < m:
-                    row = dst * l - dst * (dst + 1) // 2 + (m - dst - 1)
-                else:
-                    row = m * l - m * (m + 1) // 2 + (dst - m - 1)
                 t_start = fin if fin > nf else nf
-                nf = t_start + tr[row][item]
+                nf = t_start + from_m[dst][item]
                 arrival[item] = nf
             nic_free[m] = nf
         return span

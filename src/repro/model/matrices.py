@@ -13,9 +13,11 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TypeVar
 
 import numpy as np
+
+_T = TypeVar("_T")
 
 
 def pair_index(machine_a: int, machine_b: int, num_machines: int) -> int:
@@ -43,6 +45,24 @@ def pair_index(machine_a: int, machine_b: int, num_machines: int) -> int:
             f"l={num_machines}"
         )
     return i * num_machines - i * (i + 1) // 2 + (j - i - 1)
+
+
+def pair_table(rows: Sequence[_T], num_machines: int, diagonal: _T) -> list[list[_T]]:
+    """``(l, l)`` table of ``rows[pair_index(a, b, l)]`` per ordered pair.
+
+    ``table[a][b]`` and ``table[b][a]`` are the same object and every
+    diagonal entry is *diagonal*.  With the ``Tr`` rows and one zero row
+    (:meth:`TransferTimeMatrix.pair_rows`) a transfer time is a plain
+    ``table[a][b][item]`` lookup, 0.0 on the diagonal; with
+    ``rows = range(num_pairs(l))`` it is the batch kernels' row-index
+    table.
+    """
+    l = num_machines
+    table = [[diagonal] * l for _ in range(l)]
+    for a in range(l):
+        for b in range(a + 1, l):
+            table[a][b] = table[b][a] = rows[pair_index(a, b, l)]
+    return table
 
 
 def num_pairs(num_machines: int) -> int:
@@ -267,6 +287,11 @@ class TransferTimeMatrix:
         if machine_a == machine_b:
             return 0.0
         return float(self._tr[pair_index(machine_a, machine_b, self._l), item])
+
+    def pair_rows(self) -> list[list[list[float]]]:
+        """:func:`pair_table` of the ``Tr`` rows as lists, with one shared
+        all-zero diagonal row: ``pair_rows()[a][b][d] == time(a, b, d)``."""
+        return pair_table(self._tr.tolist(), self._l, [0.0] * self.num_items)
 
     def item_times(self, item: int) -> np.ndarray:
         """Column of transfer times of *item* over all machine pairs."""

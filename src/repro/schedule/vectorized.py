@@ -63,6 +63,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from repro.model.matrices import pair_table
 from repro.model.workload import Workload
 from repro.schedule.backend import register_batch_network
 from repro.schedule.encoding import ScheduleString
@@ -181,13 +182,9 @@ class WorkloadPack:
 
         # (l, l) lookup table: upper-triangular Tr row of a machine
         # pair; the diagonal points at the all-zero padding row.
-        pair_row = np.full((l, l), num_rows, dtype=np.intp)
-        for a in range(l):
-            for b in range(a + 1, l):
-                pair_row[a, b] = pair_row[b, a] = (
-                    a * l - a * (a + 1) // 2 + (b - a - 1)
-                )
-        self.pair_row = pair_row
+        pair_row = self.pair_row = np.array(
+            pair_table(range(num_rows), l, num_rows), dtype=np.intp
+        )
         # Fully tabulated transfer cost T[a, b, item] — collapses the
         # pair_row + Tr double gather into one — unless the table would
         # be unreasonably large (big machine counts / item counts).

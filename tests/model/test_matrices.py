@@ -8,6 +8,7 @@ from repro.model.matrices import (
     TransferTimeMatrix,
     num_pairs,
     pair_index,
+    pair_table,
 )
 
 
@@ -212,3 +213,43 @@ class TestTransferTimeMatrix:
         a = TransferTimeMatrix([[1.0]], num_machines=2)
         b = TransferTimeMatrix([[1.0]], num_machines=2)
         assert a == b
+
+
+class TestPairTable:
+    @pytest.mark.parametrize("l,p", [(1, 0), (1, 3), (2, 0), (4, 0), (5, 3)])
+    def test_entries_match_time(self, l, p):
+        rng = np.random.default_rng(l * 10 + p)
+        tr = TransferTimeMatrix(
+            rng.uniform(0.0, 9.0, size=(num_pairs(l), p)), num_machines=l
+        )
+        table = tr.pair_rows()
+        assert len(table) == l and all(len(row) == l for row in table)
+        for a in range(l):
+            for b in range(l):
+                assert len(table[a][b]) == p
+                for item in range(p):
+                    assert table[a][b][item] == tr.time(a, b, item)
+
+    @pytest.mark.parametrize("l,p", [(1, 0), (1, 2), (3, 0), (6, 4)])
+    def test_shared_rows(self, l, p):
+        table = TransferTimeMatrix(
+            np.ones((num_pairs(l), p)), num_machines=l
+        ).pair_rows()
+        zero = table[0][0]
+        assert zero == [0.0] * p
+        for a in range(l):
+            assert table[a][a] is zero  # one diagonal row object
+            for b in range(a + 1, l):
+                assert table[a][b] is table[b][a]
+                assert table[a][b] is not zero
+
+    def test_generic_rows_give_pair_index(self):
+        l = 5
+        table = pair_table(range(num_pairs(l)), l, -1)
+        for a in range(l):
+            for b in range(l):
+                want = -1 if a == b else pair_index(a, b, l)
+                assert table[a][b] == want
+
+    def test_single_machine(self):
+        assert pair_table([], 1, "diag") == [["diag"]]
