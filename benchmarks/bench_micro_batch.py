@@ -136,8 +136,7 @@ def test_micro_batch_ga_population(write_output, perf_log):
         f"({t_scalar / size * 1e6:.1f} us/eval)\n"
         f"batch  : {t_batch * 1e3:.2f} ms/generation "
         f"({t_batch / size * 1e6:.1f} us/eval)\n"
-        f"speedup: {speedup:.2f}x\n"
-        f"claim (>= 3x at population >= 64): {speedup >= 3.0}\n",
+        f"speedup: {speedup:.2f}x\n",
     )
     assert speedup >= 1.06  # loose floor; the perf gate holds the bar
 
@@ -165,9 +164,9 @@ def test_micro_batch_population_scaling(write_output, perf_log):
             "x",
         )
     write_output("micro_batch_scaling", "\n".join(lines) + "\n")
-    # loose floors; the perf gate holds the pop64/pop256 records
-    assert speedups[16] >= 0.39
-    assert speedups[256] >= 0.94
+    # batching must never lose badly
+    assert speedups[16] >= 0.7
+    assert speedups[256] >= 0.94  # loose floor; the perf gate holds the bar
 
 
 def test_micro_batch_random_search(write_output, perf_log):
@@ -355,8 +354,7 @@ def test_micro_batch_nic_kernel(write_output, perf_log):
         f"({t_scalar / size * 1e6:.1f} us/eval)\n"
         f"batch  : {t_batch * 1e3:.2f} ms/batch "
         f"({t_batch / size * 1e6:.1f} us/eval)\n"
-        f"speedup: {speedup:.2f}x\n"
-        f"claim (>= 2x at batch 128): {speedup >= 2.0}\n",
+        f"speedup: {speedup:.2f}x\n",
     )
     assert speedup >= 1.16  # loose floor; the perf gate holds the bar
 
