@@ -6,12 +6,15 @@ paper scale (100 tasks, 20 machines):
 
 * MICRO-SA   — the annealing proposal stream: one random pairwise move
   scored against the current solution.  Compares the engine's
-  incremental ``evaluate_delta`` path (anchored at the move's first
-  changed position) with naive full ``makespan`` calls.
+  incremental ``evaluate_delta`` path (anchored on the move's changed
+  region) with naive full ``makespan`` calls.
 * MICRO-TABU — the tabu neighborhood sweep: ``neighborhood_size``
-  candidate strings scored per iteration.  Compares the
-  ``EvaluationService`` batch route (vectorized kernel) with the
-  scalar per-candidate loop.
+  candidate strings scored per iteration.  ``batch_speedup`` measures
+  the kernel: the ``EvaluationService`` batch route (vectorized NumPy
+  kernel) against a scalar full walk per candidate.
+  ``delta_speedup`` measures the engine's path: cutoff-pruned deltas
+  against one incumbent snapshot, selected by the engine's own
+  :func:`~repro.optim.tabu.select_move`, against the batch route.
 
 Every case first asserts the two strategies agree bit-for-bit, then
 records best-of wall-clock ratios as :mod:`repro.perf` records in
@@ -28,9 +31,10 @@ import numpy as np
 from repro.optim import EvaluationService
 from repro.optim.neighborhood import (
     applied_copy,
-    first_changed_position,
+    changed_region,
     random_move,
 )
+from repro.optim.tabu import neighborhood_scores, select_move
 from repro.schedule.operations import random_valid_string
 from repro.schedule.simulator import Simulator
 from repro.utils.rng import as_rng
@@ -62,22 +66,22 @@ def test_micro_sa_proposal_stream(write_output, perf_log):
     rng = as_rng(3)
     n_proposals = 200
     # the exact probe set an SA run would score against one incumbent:
-    # a random move, its delta anchor, and the moved copy
+    # a random move, its changed region, and the moved copy
     probes = []
     for _ in range(n_proposals):
         mv = random_move(string, w.graph, rng, reassign_prob=0.5)
-        probes.append(
-            (first_changed_position(string, mv), applied_copy(string, mv))
-        )
+        probes.append((*changed_region(string, mv), applied_copy(string, mv)))
     state = sim.prepare(string.order, string.machines)
 
     def full_pass():
-        return [sim.makespan(c.order, c.machines) for _, c in probes]
+        return [sim.makespan(c.order, c.machines) for _, _, c in probes]
 
     def delta_pass():
         return [
-            sim.evaluate_delta(c.order, c.machines, first, state)
-            for first, c in probes
+            sim.evaluate_delta(
+                c.order, c.machines, first, state, region_end=last
+            )
+            for first, last, c in probes
         ]
 
     assert full_pass() == delta_pass()  # bit-identical proposal costs
@@ -162,6 +166,90 @@ def test_micro_tabu_neighborhood_sweep(write_output, perf_log):
         f"speedup: {speedup:.2f}x\n",
     )
     assert speedup >= 0.61  # loose floor; the perf gate holds the bar
+
+
+def test_micro_tabu_delta_route(write_output, perf_log):
+    """MICRO-TABU: the engine's delta route vs the batch route, both
+    feeding tabu's selection rule."""
+    from repro.optim import TabuConfig, run_tabu
+
+    w = paper_scale_workload()
+    service = EvaluationService(w)  # vectorized on contention-free
+    rng = as_rng(13)
+    neighborhood_size = 24
+    tenure = 8
+    # incumbents and best-so-far costs from a real tabu trajectory, so
+    # the cutoffs prune as they do mid-run
+    snaps = []
+    run_tabu(
+        w,
+        TabuConfig(seed=2, max_iterations=80, tenure=tenure),
+        observers=[
+            lambda rec, s: snaps.append((s.copy(), rec.best_makespan))
+        ],
+    )
+    hoods = []
+    for base, best in snaps[9::10]:
+        moves = [
+            random_move(base, w.graph, rng, avoid_noop=True)
+            for _ in range(neighborhood_size)
+        ]
+        tabu_tasks = set(rng.choice(w.num_tasks, tenure, replace=False))
+        tabu = [mv.task in tabu_tasks for mv in moves]
+        hoods.append((base, moves, tabu, best))
+
+    def delta_pass():
+        # one snapshot per neighborhood, as the engine takes per step
+        return [
+            select_move(
+                tabu,
+                best,
+                neighborhood_scores(
+                    service,
+                    base,
+                    moves,
+                    service.backend.prepare(base.order, base.machines),
+                ),
+            )
+            for base, moves, tabu, best in hoods
+        ]
+
+    def batch_pass():
+        return [
+            select_move(
+                tabu, best, neighborhood_scores(service, base, moves, None)
+            )
+            for base, moves, tabu, best in hoods
+        ]
+
+    assert delta_pass() == batch_pass()  # same move, cost, admissible
+
+    t_batch = best_of(batch_pass)
+    t_delta = best_of(delta_pass)
+    speedup = t_batch / t_delta
+    n_cand = len(hoods) * neighborhood_size
+
+    perf_log("MICRO-TABU", "delta_speedup", round(speedup, 3), "x")
+    perf_log(
+        "MICRO-TABU",
+        "delta_per_candidate",
+        round(t_delta / n_cand * 1e6, 2),
+        "us",
+    )
+    write_output(
+        "micro_tabu_delta_route",
+        "MICRO-TABU — tabu neighborhoods: batch route vs the engine's "
+        "cutoff-pruned delta route\n\n"
+        f"{len(hoods)} neighborhoods x {neighborhood_size} candidates "
+        f"around incumbents of a tabu run at paper scale\n"
+        f"({w.num_tasks} tasks, {w.num_machines} machines)\n"
+        f"batch : {t_batch * 1e3:.2f} ms/pass "
+        f"({t_batch / n_cand * 1e6:.1f} us/candidate)\n"
+        f"delta : {t_delta * 1e3:.2f} ms/pass "
+        f"({t_delta / n_cand * 1e6:.1f} us/candidate)\n"
+        f"speedup: {speedup:.2f}x\n",
+    )
+    assert speedup >= 1.0  # loose floor; the perf gate holds the bar
 
 
 def test_micro_engines_agree_across_backends():

@@ -84,7 +84,7 @@ class ReoptConfig:
     interval:
         Simulated-time gap between ticks.
     engine:
-        ``"tabu"`` (batch-scored neighborhoods) or ``"sa"``
+        ``"tabu"`` (neighborhoods of cutoff-pruned deltas) or ``"sa"``
         (delta-scored proposals).
     max_iterations:
         Engine iteration budget per job per window — the deterministic
@@ -141,7 +141,7 @@ def improve_residual(
     service = EvaluationService(
         workload,
         network,
-        prefer_batch=(config.engine == "tabu"),
+        prefer_batch=False,  # busy machines: no batch kernel applies
         initial_avail=initial_avail,
         initial_nic_free=initial_nic_free,
     )

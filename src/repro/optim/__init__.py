@@ -49,7 +49,7 @@ from repro.optim.neighborhood import (
     Move,
     applied_copy,
     apply_move,
-    first_changed_position,
+    changed_region,
     inverse_move,
     random_move,
 )
@@ -107,7 +107,7 @@ __all__ = [
     "TrajectoryRecorder",
     "applied_copy",
     "apply_move",
-    "first_changed_position",
+    "changed_region",
     "inverse_move",
     "random_move",
     "resolve_objective",

@@ -5,15 +5,16 @@ each iteration proposes one uniformly random valid move
 (:func:`~repro.optim.neighborhood.random_move`), scores it through the
 :class:`~repro.optim.evaluation.EvaluationService`'s incremental
 ``evaluate_delta`` tier (only the string suffix from the move's first
-changed position re-evaluates), and accepts it if it does not worsen
-the schedule — or, when it does, with the Metropolis probability
-``exp(-delta / T)``.  The temperature follows a **geometric cooling
-schedule**: it starts at ``initial_temp`` (auto-calibrated to 10% of
-the initial makespan by default), holds for ``steps_per_temp``
-proposals, then multiplies by ``cooling``, never dropping below
-``min_temp_factor`` times the start value (so late iterations keep a
-whisper of uphill mobility instead of freezing into pure hill
-climbing).
+changed position re-evaluates, and the walk may stop once it is past
+the move's changed region and has rejoined the incumbent's state), and
+accepts it if it does not worsen the schedule — or, when it does, with
+the Metropolis probability ``exp(-delta / T)``.  The temperature
+follows a **geometric cooling schedule**: it starts at ``initial_temp``
+(auto-calibrated to 10% of the initial makespan by default), holds for
+``steps_per_temp`` proposals, then multiplies by ``cooling``, never
+dropping below ``min_temp_factor`` times the start value (so late
+iterations keep a whisper of uphill mobility instead of freezing into
+pure hill climbing).
 
 Everything around that acceptance rule — stopping, best tracking,
 trace records, observers — is the shared
@@ -42,7 +43,7 @@ from repro.optim.exchange import IncumbentSource
 from repro.optim.loop import SearchLoop, StepOutcome
 from repro.optim.neighborhood import (
     apply_move,
-    first_changed_position,
+    changed_region,
     inverse_move,
     random_move,
 )
@@ -216,11 +217,11 @@ class SimulatedAnnealing:
             temp = max(t_floor, t0 * cfg.cooling**level)
 
             move = random_move(string, graph, rng, cfg.reassign_prob)
-            first = first_changed_position(string, move)
+            first, last = changed_region(string, move)
             undo = inverse_move(string, move)
             apply_move(string, move)
             cost = service.evaluate_delta(
-                string.order, string.machines, first, state
+                string.order, string.machines, first, state, region_end=last
             )
             delta = cost - current_cost
             if delta <= 0 or rng.random() < math.exp(-delta / temp):

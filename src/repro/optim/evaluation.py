@@ -18,6 +18,10 @@ Before this module every engine hand-wired the scoring stack itself —
   ``evaluations`` counter (full evaluation = 1, prepare = 1, delta = 1,
   batch = one per schedule — the same arithmetic the engines used to
   maintain by hand), read back for the per-iteration trace records.
+  Calls an engine makes on :attr:`backend` directly are not counted:
+  tabu re-anchors its delta snapshot that way on a candidate a delta
+  call already counted, and the SE allocator reports its probes with
+  :meth:`count`.
 
 >>> from repro.workloads import small_workload
 >>> svc = EvaluationService(small_workload(seed=1))
@@ -256,6 +260,24 @@ class EvaluationService:
         if tier is not None:
             return str(tier)
         return "vectorized" if self.is_vectorized else "sequential"
+
+    @property
+    def prefers_delta(self) -> bool:
+        """True when a neighbourhood of candidates is cheaper to score
+        one cutoff-pruned :meth:`evaluate_delta` at a time than in one
+        batch call.
+
+        False for a scenario objective (its delta re-scores all ``S``
+        scenarios without pruning, so one ``B x S`` sweep wins), with a
+        Pareto tracker attached (it must see every candidate, and a
+        pruned delta offers nothing), and on the ``jit`` tier, whose
+        compiled kernels keep the batch route.
+        """
+        return (
+            self._scenario is None
+            and self._pareto is None
+            and self.kernel_tier != "jit"
+        )
 
     # ------------------------------------------------------------------
     # cost accounting

@@ -7,9 +7,9 @@ random position inside its valid moving range (**reorder**, the paper's
 §4.2 perturbation) and reassigning a subtask to a uniformly random
 machine (**reassign**, the GA's matching mutation).  This module
 reifies a move as data — so an engine can score, revert, or tabu-list a
-move without committing it — and knows each move's *first changed
-string position*, which is what routes proposals through the backends'
-incremental ``evaluate_delta`` tier.
+move without committing it — and knows the span of string positions
+each move rewrites (:func:`changed_region`), which is what routes
+proposals through the backends' incremental ``evaluate_delta`` tier.
 """
 
 from __future__ import annotations
@@ -115,20 +115,23 @@ def inverse_move(string: ScheduleString, move: Move) -> Move:
     raise ValueError(f"unknown move kind {move.kind!r}")
 
 
-def first_changed_position(string: ScheduleString, move: Move) -> int:
-    """First string position whose evaluation *move* can change.
+def changed_region(string: ScheduleString, move: Move) -> tuple[int, int]:
+    """The span ``(first, last)`` of string positions *move* rewrites.
 
     Computed **before** applying the move.  A reassignment keeps the
-    order, so only the task's own position onward re-evaluates; a
-    relocation dirties everything from the leftmost of (old position,
-    insertion index).  This is the ``first_changed`` argument of the
-    backends' ``evaluate_delta``.
+    order and changes only the task's own segment, ``(pos, pos)``; a
+    relocation shifts every segment between the old position and the
+    insertion index, ``(min(pos, target), max(pos, target))``.  Every
+    position past ``last`` keeps its subtask and machine, so *first*
+    and *last* are the ``first_changed`` and ``region_end`` arguments
+    of the backends' ``evaluate_delta``.
     """
     pos = string.position_of(move.task)
     if move.kind == REASSIGN:
-        return pos
+        return pos, pos
     if move.kind == REORDER:
-        return min(pos, move.target)
+        target = move.target
+        return (pos, target) if pos <= target else (target, pos)
     raise ValueError(f"unknown move kind {move.kind!r}")
 
 

@@ -4,13 +4,9 @@ Each iteration samples a whole candidate neighborhood — ``neighborhood_
 size`` random valid *identity-free* moves against the current string
 (no-op candidates would tie the incumbent and outrank every worsening
 move at a local optimum, see :func:`~repro.optim.neighborhood.
-random_move`) — and scores *all* candidates in one
-:meth:`~repro.optim.evaluation.EvaluationService.
-batch_string_makespans` call, which routes through the network's
-vectorized batch kernel when one is registered (the contention-free
-model) and a scalar loop otherwise.  The best **admissible** candidate
-is then committed even if it worsens the schedule (that is what lets
-tabu search climb out of local optima):
+random_move`) — and scores every candidate.  The best **admissible**
+candidate is then committed even if it worsens the schedule (that is
+what lets tabu search climb out of local optima):
 
 * **move-attribute tabu list** — committing a move makes its subtask
   tabu for ``tenure`` iterations: no candidate relocating or
@@ -23,6 +19,20 @@ tabu search climb out of local optima):
 * **fallback** — if every candidate is tabu and none aspirates, the
   overall best candidate is committed regardless (the search must not
   deadlock).
+
+Candidates are scored one at a time against a ``prepare`` snapshot of
+the incumbent: each one is an
+:meth:`~repro.optim.evaluation.EvaluationService.evaluate_delta` call
+over its move's :func:`~repro.optim.neighborhood.changed_region`, cut
+off at the smallest bound that still decides its part in the rule
+above (see :func:`select_move`), so a losing candidate stops walking as
+soon as it is known to lose.  Services whose
+:attr:`~repro.optim.evaluation.EvaluationService.prefers_delta` is
+False (a scenario objective, an attached Pareto tracker, the ``jit``
+tier) score the whole neighborhood in one
+:meth:`~repro.optim.evaluation.EvaluationService.
+batch_string_makespans` call instead.  Both routes commit the same
+move at the same exact cost, with the same trace and evaluation count.
 
 Stopping, best tracking, trace records and observers are the shared
 :class:`~repro.optim.loop.SearchLoop` — the engine itself is the
@@ -41,13 +51,20 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.model.workload import Workload
 from repro.optim.evaluation import EvaluationFields, EvaluationService
 from repro.optim.exchange import IncumbentSource
 from repro.optim.loop import SearchLoop, StepOutcome
-from repro.optim.neighborhood import applied_copy, random_move
+from repro.optim.neighborhood import (
+    Move,
+    applied_copy,
+    apply_move,
+    changed_region,
+    inverse_move,
+    random_move,
+)
 from repro.optim.observers import Observer
 from repro.optim.result import SearchResult
 from repro.optim.stop import IterationLimits
@@ -64,7 +81,7 @@ class TabuConfig(EvaluationFields, IterationLimits):
     Attributes
     ----------
     neighborhood_size:
-        Candidate moves sampled (and batch-scored) per iteration.
+        Candidate moves sampled and scored per iteration.
     tenure:
         Iterations a committed move's subtask stays tabu.
     reassign_prob:
@@ -109,6 +126,94 @@ class TabuConfig(EvaluationFields, IterationLimits):
         self.stop_policy()  # validates the iteration/time/stall bounds
 
 
+def select_move(
+    tabu: Sequence[bool],
+    best_known: float,
+    score: Callable[[int, float], float],
+) -> tuple[float, int, int]:
+    """Tabu's selection rule over one neighborhood.
+
+    *tabu* flags each candidate; ``score(i, cutoff)`` returns candidate
+    *i*'s exact cost, or any value ``>= cutoff`` (a pruned delta's
+    ``inf``) once that cost is known to reach *cutoff*.  Each candidate
+    is scored under the smallest cutoff that still decides its part in
+    the rule:
+
+    * a non-tabu candidate only matters if it beats the best admissible
+      cost so far (``inf`` while there is none);
+    * a tabu candidate must be exact below *best_known*, so that the
+      aspiration check and the admissible count stay exact;
+    * when every candidate is tabu, the fallback needs the overall best
+      too: ``max(best_known, fallback so far)``.
+
+    A value at or above its cutoff never wins a strict ``<``, so the
+    outcome equals the rule applied to exact costs.  Returns ``(cost,
+    index, admissible)`` of the committed candidate.
+    """
+    inf = float("inf")
+    all_tabu = all(tabu)
+    chosen = None  # (cost, index) of the best admissible move
+    fallback = None  # best overall, in case everything is tabu
+    admissible = 0
+    for i, is_tabu in enumerate(tabu):
+        if not is_tabu:
+            cutoff = inf if chosen is None else chosen[0]
+        elif not all_tabu:
+            cutoff = best_known
+        elif fallback is None:
+            cutoff = inf
+        else:
+            cutoff = max(best_known, fallback[0])
+        cost = score(i, cutoff)
+        if fallback is None or cost < fallback[0]:
+            fallback = (cost, i)
+        if is_tabu and not cost < best_known:  # no aspiration
+            continue
+        admissible += 1
+        if chosen is None or cost < chosen[0]:
+            chosen = (cost, i)
+    if chosen is None:
+        chosen = fallback
+    return chosen[0], chosen[1], admissible
+
+
+def neighborhood_scores(
+    service: EvaluationService,
+    string: ScheduleString,
+    moves: Sequence[Move],
+    state: Any,
+) -> Callable[[int, float], float]:
+    """The ``score(i, cutoff)`` :func:`select_move` reads for *moves*
+    against *string*.
+
+    With *state*, a delta snapshot of *string*, each call is one
+    cutoff-pruned :meth:`~repro.optim.evaluation.EvaluationService.
+    evaluate_delta` over the move's changed region, applied to *string*
+    in place and undone again.  With ``state=None`` the whole
+    neighborhood is scored up front in one batch call and cutoffs are
+    ignored.
+    """
+    if state is None:
+        # candidates are valid by construction: skip re-validation
+        costs = service.batch_string_makespans(
+            [applied_copy(string, mv) for mv in moves], validate=False
+        )
+        return lambda i, _cutoff: costs[i]
+
+    def score(i: int, cutoff: float) -> float:
+        move = moves[i]
+        first, last = changed_region(string, move)
+        undo = inverse_move(string, move)
+        apply_move(string, move)
+        cost = service.evaluate_delta(
+            string.order, string.machines, first, state, cutoff, last
+        )
+        apply_move(string, undo)
+        return cost
+
+    return score
+
+
 class TabuSearch:
     """Move-attribute tabu search configured by a :class:`TabuConfig`."""
 
@@ -151,8 +256,8 @@ class TabuSearch:
         rng = as_rng(cfg.seed)
         graph = workload.graph
         if service is None:
-            # whole neighborhoods score per iteration: the batch tier is
-            # the hot path, so ask for the vectorized kernel if available
+            # with the batch wrapper, prefers_delta can see a jit tier,
+            # which keeps scoring whole neighborhoods in one batch call
             service = cfg.evaluation_service(workload, prefer_batch=True)
         watch = Stopwatch()
 
@@ -160,7 +265,18 @@ class TabuSearch:
             string = random_valid_string(graph, workload.num_machines, rng)
         else:
             string = initial.copy()
-        current_cost = service.string_makespan(string)
+        by_delta = service.prefers_delta
+        state = None  # the incumbent's delta snapshot; None: batch route
+
+        def rescore(incumbent: ScheduleString) -> float:
+            """Score a fresh incumbent: one counted evaluation."""
+            nonlocal state
+            if not by_delta:
+                return service.string_makespan(incumbent)
+            state = service.prepare(incumbent.order, incumbent.machines)
+            return state.makespan
+
+        current_cost = rescore(string)
 
         #: task id -> last iteration on which relocating it is tabu
         tabu_until: dict[int, int] = {}
@@ -172,7 +288,7 @@ class TabuSearch:
         )
 
         def step(iteration: int) -> StepOutcome[ScheduleString]:
-            nonlocal string, current_cost
+            nonlocal string, state, current_cost
             if exchange is not None:
                 inc = exchange.incoming(iteration, current_cost)
                 if inc is not None:
@@ -181,7 +297,7 @@ class TabuSearch:
                     string = ScheduleString(
                         inc.order, inc.machines, workload.num_machines
                     )
-                    current_cost = service.string_makespan(string)
+                    current_cost = rescore(string)
             # no-op candidates would cost exactly the incumbent and
             # outrank every worsening move at a local optimum, so the
             # neighborhood samples identity-free moves only
@@ -191,27 +307,19 @@ class TabuSearch:
                 )
                 for _ in range(cfg.neighborhood_size)
             ]
-            # candidates are valid by construction, so skip re-validation
-            candidates = [applied_copy(string, mv) for mv in moves]
-            costs = service.batch_string_makespans(candidates, validate=False)
-
-            best_known = loop.tracker.best_cost
-            chosen = None  # (cost, index) of the best admissible move
-            fallback = None  # best overall, in case everything is tabu
-            admissible = 0
-            for i, cost in enumerate(costs):
-                if fallback is None or cost < fallback[0]:
-                    fallback = (cost, i)
-                is_tabu = tabu_until.get(moves[i].task, -1) >= iteration
-                if is_tabu and not cost < best_known:  # no aspiration
-                    continue
-                admissible += 1
-                if chosen is None or cost < chosen[0]:
-                    chosen = (cost, i)
-            if chosen is None:
-                chosen = fallback
-            cost, i = chosen
-            string = candidates[i]
+            tabu = [tabu_until.get(mv.task, -1) >= iteration for mv in moves]
+            cost, i, admissible = select_move(
+                tabu,
+                loop.tracker.best_cost,
+                neighborhood_scores(service, string, moves, state),
+            )
+            string = applied_copy(string, moves[i])
+            if by_delta:
+                # re-anchor on the committed candidate; its delta above
+                # was its counted evaluation, so bypass the counter
+                state = service.backend.prepare(
+                    string.order, string.machines
+                )
             current_cost = cost
             tabu_until[moves[i].task] = iteration + cfg.tenure
             return StepOutcome(

@@ -62,8 +62,9 @@ Two exactness notes, both load-bearing for bit-identity:
 Registered via ``register_batch_network("nic")``, so
 ``make_simulator(w, "nic", batch=True)``, the
 :class:`~repro.optim.evaluation.EvaluationService`, GA population
-fitness, ``random_search(batch_size=...)`` and tabu's neighborhood
-scoring all pick it up with zero call-site changes.
+fitness, ``random_search(batch_size=...)`` and tabu's batch route
+(scenario objectives, Pareto tracking) all pick it up with zero
+call-site changes.
 
 >>> from repro.extensions.contention import ContentionSimulator
 >>> from repro.schedule.operations import random_valid_string

@@ -9,7 +9,7 @@ from repro.optim.neighborhood import (
     Move,
     applied_copy,
     apply_move,
-    first_changed_position,
+    changed_region,
     inverse_move,
     random_move,
 )
@@ -62,13 +62,14 @@ class TestFirstChanged:
     def test_delta_from_first_changed_matches_full(
         self, tiny_workload, string
     ):
-        """first_changed_position is a sound anchor for evaluate_delta."""
+        """changed_region's first position is a sound evaluate_delta
+        anchor."""
         sim = Simulator(tiny_workload)
         rng = np.random.default_rng(7)
         state = sim.prepare(string.order, string.machines)
         for _ in range(100):
             mv = random_move(string, tiny_workload.graph, rng)
-            first = first_changed_position(string, mv)
+            first, _last = changed_region(string, mv)
             probe = applied_copy(string, mv)
             got = sim.evaluate_delta(
                 probe.order, probe.machines, first, state
@@ -78,12 +79,12 @@ class TestFirstChanged:
     def test_reassign_anchor_is_task_position(self, string):
         task = string.task_at(2)
         mv = Move(REASSIGN, task, 0)
-        assert first_changed_position(string, mv) == 2
+        assert changed_region(string, mv) == (2, 2)
 
     def test_reorder_anchor_is_leftmost_end(self, string):
         task = string.task_at(3)
-        assert first_changed_position(string, Move(REORDER, task, 1)) == 1
-        assert first_changed_position(string, Move(REORDER, task, 5)) == 3
+        assert changed_region(string, Move(REORDER, task, 1)) == (1, 3)
+        assert changed_region(string, Move(REORDER, task, 5)) == (3, 5)
 
 
 class TestAppliedCopy:
@@ -101,7 +102,7 @@ class TestAppliedCopy:
         with pytest.raises(ValueError, match="unknown move kind"):
             inverse_move(string, bad)
         with pytest.raises(ValueError, match="unknown move kind"):
-            first_changed_position(string, bad)
+            changed_region(string, bad)
 
 
 class TestAvoidNoop:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.optim import TabuConfig, TabuSearch, run_tabu
 from repro.optim.evaluation import EvaluationService
+from repro.optim.tracking import ParetoTracker
 from repro.schedule import Simulator, is_valid_for, verify_schedule
 from repro.schedule.operations import random_valid_string
 
@@ -127,27 +128,87 @@ class TestTabuMechanics:
         res = run_tabu(tiny_workload, cfg)
         assert res.trace.selected_counts() == [6] * 12
 
-    def test_batch_path_goes_through_evaluation_service(
-        self, tiny_workload, monkeypatch
-    ):
-        """The acceptance criterion: neighborhoods are scored via
-        EvaluationService.batch_string_makespans, never by direct
-        BatchBackend calls."""
-        calls = {"n": 0, "sizes": []}
-        original = EvaluationService.batch_string_makespans
 
-        def spy(self, strings, validate=True):
-            calls["n"] += 1
-            calls["sizes"].append(len(strings))
-            return original(self, strings, validate=validate)
+def _count_scoring_calls(monkeypatch):
+    """Spy on the two neighborhood routes of EvaluationService."""
+    calls = {"delta": 0, "batch": 0}
+    delta = EvaluationService.evaluate_delta
+    batch = EvaluationService.batch_string_makespans
 
-        monkeypatch.setattr(
-            EvaluationService, "batch_string_makespans", spy
+    def spy_delta(self, *args, **kwargs):
+        calls["delta"] += 1
+        return delta(self, *args, **kwargs)
+
+    def spy_batch(self, strings, validate=True):
+        calls["batch"] += 1
+        return batch(self, strings, validate=validate)
+
+    monkeypatch.setattr(EvaluationService, "evaluate_delta", spy_delta)
+    monkeypatch.setattr(
+        EvaluationService, "batch_string_makespans", spy_batch
+    )
+    return calls
+
+
+class TestScoringRoute:
+    """Neighborhoods score one cutoff-pruned delta per candidate; the
+    services that gain nothing from that keep one batch call."""
+
+    ITERATIONS = 7
+
+    def run_counted(self, workload, service, monkeypatch):
+        calls = _count_scoring_calls(monkeypatch)
+        res = run_tabu(
+            workload,
+            TabuConfig(seed=1, max_iterations=self.ITERATIONS),
+            service=service,
         )
-        cfg = TabuConfig(seed=1, max_iterations=7, neighborhood_size=9)
-        run_tabu(tiny_workload, cfg)
-        assert calls["n"] == 7
-        assert calls["sizes"] == [9] * 7
+        assert res.evaluations == 1 + self.ITERATIONS * 24
+        return calls
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"network": "nic"},
+            {"initial_avail": [5.0, 0.0, 9.0, 1.0]},
+            {
+                "network": "nic",
+                "initial_avail": [5.0, 0.0, 9.0, 1.0],
+                "initial_nic_free": [2.0, 7.0, 0.0, 3.0],
+            },
+        ],
+        ids=["plain", "nic", "busy", "nic-busy"],
+    )
+    def test_delta_route(self, tiny_workload, monkeypatch, kwargs):
+        service = EvaluationService(tiny_workload, **kwargs)
+        assert service.prefers_delta
+        calls = self.run_counted(tiny_workload, service, monkeypatch)
+        assert calls == {"delta": self.ITERATIONS * 24, "batch": 0}
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {
+                "objective": "mean",
+                "scenarios": 4,
+                "distribution": "lognormal:0.25",
+            },
+            {"platform": "spot", "pareto": ParetoTracker()},
+        ],
+        ids=["scenario", "pareto"],
+    )
+    def test_batch_route(self, tiny_workload, monkeypatch, kwargs):
+        service = EvaluationService(tiny_workload, **kwargs)
+        assert not service.prefers_delta
+        calls = self.run_counted(tiny_workload, service, monkeypatch)
+        assert calls == {"delta": 0, "batch": self.ITERATIONS}
+
+    def test_jit_tier_keeps_the_batch_route(self, tiny_workload, monkeypatch):
+        monkeypatch.setattr(
+            EvaluationService, "kernel_tier", property(lambda self: "jit")
+        )
+        assert not EvaluationService(tiny_workload).prefers_delta
 
 
 class TestNicBackend:

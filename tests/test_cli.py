@@ -458,6 +458,37 @@ class TestParetoCommand:
         assert "cost (usd)" in out  # the front table
         assert "cheapest within 1.2x" in out
 
+    def test_pareto_tabu_front_is_pinned(self, capsys):
+        """Every candidate tabu scores reaches the tracker: a route that
+        pruned candidates before the tracker saw them shrank this front
+        (to 8 points from 340 offers)."""
+        rc = main(
+            ["pareto", "--algo", "tabu", "--platform", "spot",
+             "--iterations", "10", "--seed", "2"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        front = out[out.index("pareto front"):out.index("\n\ncheapest")]
+        assert front.splitlines() == [
+            "pareto front — 14 points from 1206 scored offers:",
+            "| makespan | cost (usd) | x best span | cost vs ref |",
+            "|---|---|---|---|",
+            "| 377.724 | 413.5377 | 1.000x | -16.3% |",
+            "| 543.875 | 355.7086 | 1.440x | +0.0% |",
+            "| 560.529 | 346.1121 | 1.484x | +2.7% |",
+            "| 564.123 | 298.7560 | 1.493x | +16.0% |",
+            "| 573.947 | 278.5637 | 1.519x | +21.7% |",
+            "| 601.413 | 240.9402 | 1.592x | +32.3% |",
+            "| 695.667 | 236.0722 | 1.842x | +33.6% |",
+            "| 807.568 | 215.0706 | 2.138x | +39.5% |",
+            "| 925.042 | 180.4223 | 2.449x | +49.3% |",
+            "| 1072.496 | 171.2007 | 2.839x | +51.9% |",
+            "| 1090.977 | 161.4591 | 2.888x | +54.6% |",
+            "| 1091.331 | 155.1193 | 2.889x | +56.4% |",
+            "| 1103.590 | 149.2956 | 2.922x | +58.0% |",
+            "| 1177.567 | 146.9623 | 3.118x | +58.7% |",
+        ]
+
     def test_pareto_rejects_uniform(self):
         with pytest.raises(SystemExit, match="billing table"):
             main(["pareto", "--preset", "small", "--platform", "uniform"])
