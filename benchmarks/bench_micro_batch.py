@@ -211,9 +211,9 @@ def test_micro_batch_se_probe_stream(write_output, perf_log):
     (b) the batch kernel per candidate set, and (c) the default
     incremental-delta path with its branch-and-bound cutoff, asserting
     identical greedy outcomes.  Records batch-vs-full and
-    delta-vs-full ratios; delta staying ahead of batch is the expected
-    outcome (and the reason ``SEConfig.probe_evaluation`` defaults to
-    ``"delta"``).
+    delta-vs-full ratios.  Delta staying ahead of batch is the evidence
+    for SE's single probe route: the allocator scores every probe with
+    a cutoff-pruned delta and has no batch mode.
     """
     w = paper_scale_workload()
     sim = Simulator(w)

@@ -32,6 +32,13 @@ setup(
             "pytest-cov>=4",
             "hypothesis>=6",
             "ruff>=0.4",
+            # tests/model/test_graph.py exercises the networkx interop
+            "networkx>=2.6",
+        ],
+        # TaskGraph.from_networkx / to_networkx interop — optional:
+        # `import repro` never needs it
+        "graph": [
+            "networkx>=2.6",
         ],
         # the compiled kernel tier (repro.schedule.jit) — optional:
         # without it the NumPy tier is auto-selected, bit-identically

@@ -7,6 +7,10 @@ preserving crossover/mutation, and a no-improvement stopping rule.  Their
 article fixes the *structure* but several rates are reported only as
 "tuned"; the defaults below are the common mid-range choices and are
 recorded as substitutions in EXPERIMENTS.md.
+
+How offspring are scored is not configured here: the engine asks its
+:class:`~repro.optim.evaluation.EvaluationService` (see
+:mod:`repro.baselines.ga.engine`).
 """
 
 from __future__ import annotations
@@ -43,28 +47,6 @@ class GAConfig(EvaluationFields):
     stall_generations:
         Stop after this many generations without improvement of the best
         makespan (Wang et al. used 150); ``None`` disables.
-    incremental_evaluation:
-        Score offspring with suffix-only re-evaluation against their
-        parent's :class:`~repro.schedule.simulator.DeltaState` whenever a
-        parent has enough unevaluated children to amortise one prepare
-        call.  Produces bit-identical costs, decisions and traces'
-        makespan columns; only the ``evaluations`` accounting differs
-        (the delta path also counts its prepare calls, so it reports
-        slightly more simulator calls).  The switch exists for
-        benchmarking and for the equivalence test in
-        ``tests/baselines/test_ga.py``.
-    batch_fitness:
-        Score each generation's unevaluated chromosomes in one
-        vectorized sweep through the network's batch kernel
-        (:class:`~repro.schedule.vectorized.BatchSimulator`) when the
-        backend has one registered; networks without a kernel (e.g.
-        ``"nic"``) silently keep the scalar/incremental path.  Costs are
-        bit-identical to the scalar loop, so results, traces and final
-        strings do not change — only wall-clock time and, versus the
-        incremental path, the ``evaluations`` accounting (the batch
-        path reports exactly one call per chromosome, like the plain
-        scalar loop).  When active it supersedes
-        ``incremental_evaluation``.
     seed:
         Seed / generator for all stochastic choices.
 
@@ -80,8 +62,6 @@ class GAConfig(EvaluationFields):
     max_generations: int = 1000
     time_limit: Optional[float] = None
     stall_generations: Optional[int] = 150
-    incremental_evaluation: bool = True
-    batch_fitness: bool = True
     seed: RandomSource = None
 
     def __post_init__(self) -> None:

@@ -10,24 +10,25 @@ The engine emits the same :class:`~repro.analysis.trace.ConvergenceTrace`
 records as the SE engine, so the comparison harness and the figure
 benchmarks treat both uniformly.
 
-Offspring evaluation has two accelerated paths, both bit-identical to
-the plain scalar loop:
+Offspring evaluation takes one of two routes, both bit-identical to a
+plain scalar loop, and the evaluation service decides which:
 
-* **batch** (default on backends with a vectorized kernel, i.e. the
-  contention-free model): every unevaluated chromosome of a generation
-  is scored in one :meth:`BatchBackend.batch_makespans
-  <repro.schedule.vectorized.BatchBackend.batch_makespans>` sweep — the
-  whole population advances through the NumPy kernel together (see
-  ``GAConfig.batch_fitness``);
-* **incremental** (the fallback, e.g. under the ``"nic"`` backend): a
-  child produced by crossover/mutation keeps its "first" parent's
-  string prefix up to the first divergence position, so children are
-  grouped by parent and scored with
+* **batch**, whenever :attr:`EvaluationService.is_vectorized
+  <repro.optim.evaluation.EvaluationService.is_vectorized>` is True
+  (both network models ship a batch kernel): every unevaluated
+  chromosome of a generation is scored in one
+  :meth:`~repro.optim.evaluation.EvaluationService.batch_makespans`
+  sweep, so the whole population advances through the kernel together;
+* **incremental** otherwise (e.g. a residual initial state or a
+  platform with boot delays, which no kernel accepts): a child produced
+  by crossover/mutation keeps its "first" parent's string prefix up to
+  the first divergence position, so children are grouped by parent and
+  scored with
   :meth:`~repro.schedule.simulator.Simulator.evaluate_delta` against
   one prepared parent state.  Since a prepare costs about one full
   evaluation and crossover children diverge near the middle of the
   string, the delta path is taken only for parents with three or more
-  unevaluated children (see ``GAConfig.incremental_evaluation``).
+  unevaluated children.
 """
 
 from __future__ import annotations
@@ -143,13 +144,10 @@ class GeneticAlgorithm:
         graph = workload.graph
         l = workload.num_machines
         # Fitness comes from the configured backend, so "nic" makes the
-        # whole evolution optimise under NIC contention.  The service
-        # routes batch scoring through the network's kernel; only a
+        # whole evolution optimise under NIC contention.  Only a
         # genuinely vectorized kernel replaces the scalar paths.
-        service = cfg.evaluation_service(
-            workload, prefer_batch=cfg.batch_fitness
-        )
-        use_batch = cfg.batch_fitness and service.is_vectorized
+        service = cfg.evaluation_service(workload, prefer_batch=True)
+        use_batch = service.is_vectorized
 
         population = [c.copy() for c in (initial or [])][: cfg.population_size]
         if len(population) < cfg.population_size:
@@ -190,11 +188,7 @@ class GeneticAlgorithm:
                 if c.cost is not None:
                     continue
                 par = parents[i] if parents is not None else None
-                if (
-                    cfg.incremental_evaluation
-                    and par is not None
-                    and par.cost is not None
-                ):
+                if par is not None and par.cost is not None:
                     groups.setdefault(id(par), []).append(c)
                     by_parent[id(par)] = par
                 else:

@@ -16,20 +16,17 @@ between the same two same-machine neighbours produce identical schedules,
 so enumerating them all (``"all-positions"``, kept for the ABL-SLOT
 ablation) wastes simulator calls without reaching any extra schedule.
 
-Probe evaluation is **incremental** by default: relocating a subtask
-from position ``p`` to insertion index ``i`` leaves the string prefix
-before ``min(p, i)`` untouched, so each probe is scored with
+Every probe is scored **incrementally**: relocating a subtask from
+position ``p`` to insertion index ``i`` leaves the string prefix before
+``min(p, i)`` untouched, so each probe is one
 :meth:`~repro.schedule.simulator.Simulator.evaluate_delta` against a
 :class:`~repro.schedule.simulator.DeltaState` prepared once per selected
-subtask.  The running best cost doubles as a branch-and-bound cutoff.
-With ``probes="batch"`` the whole candidate set of a selected subtask is
-scored instead in one vectorized sweep through the backend's batch
-kernel (:class:`~repro.schedule.vectorized.BatchSimulator`); the
-first-strict-improvement scan over the returned costs reproduces the
-sequential tie-breaks exactly.  Probe outcomes — and therefore the whole
-SE trajectory — are bit-identical across all three evaluation strategies
-(see ``tests/properties/test_delta_properties.py`` and
-``tests/properties/test_batch_properties.py``).
+subtask, with ``region_end = max(p, i)`` enabling its rejoin exit.
+The running best cost doubles as a branch-and-bound cutoff, which prunes
+most of each probe's walk — the reason a batch sweep over the candidate
+set loses here (MICRO-BATCH-SE).  Probe outcomes, and therefore the
+whole SE trajectory, are bit-identical to full re-evaluation (see
+``tests/properties/test_delta_properties.py``).
 """
 
 from __future__ import annotations
@@ -86,10 +83,6 @@ class Allocator:
         The resolved ``Y`` (1..l).
     slots:
         ``"per-machine"`` or ``"all-positions"`` (see module docstring).
-    probes:
-        ``"delta"`` (incremental + cutoff, default) or ``"batch"``
-        (vectorized candidate sweeps; requires a backend created with
-        ``make_simulator(..., batch=True)``).
     """
 
     __slots__ = (
@@ -98,7 +91,6 @@ class Allocator:
         "_graph",
         "_y",
         "_slots",
-        "_probes",
         "_candidates",
     )
 
@@ -108,7 +100,6 @@ class Allocator:
         simulator: SimulatorBackend,
         y_candidates: int,
         slots: str = "per-machine",
-        probes: str = "delta",
     ):
         if not 1 <= y_candidates <= workload.num_machines:
             raise ValueError(
@@ -117,19 +108,11 @@ class Allocator:
             )
         if slots not in ("per-machine", "all-positions"):
             raise ValueError(f"unknown slot strategy {slots!r}")
-        if probes not in ("delta", "batch"):
-            raise ValueError(f"unknown probe strategy {probes!r}")
-        if probes == "batch" and not hasattr(simulator, "batch_makespans"):
-            raise ValueError(
-                "probes='batch' needs a batch-capable backend; build it "
-                "with make_simulator(workload, network, batch=True)"
-            )
         self._workload = workload
         self._sim = simulator
         self._graph = workload.graph
         self._y = y_candidates
         self._slots = slots
-        self._probes = probes
         # Top-Y machines per subtask, fastest first (precomputed ranking).
         e = workload.exec_times
         self._candidates = tuple(
@@ -160,17 +143,12 @@ class Allocator:
         state = sim.prepare(order, machines)
         trials += 1
 
-        batch_probes = self._probes == "batch"
         for task in selected:
             orig_pos = string.position_of(task)
             orig_machine = string.machine_of(task)
             best_cost = float("inf")
             best_machine = orig_machine
             best_index = orig_pos
-
-            candidates: list[tuple[int, int]] = []
-            probe_orders: list[list[int]] = []
-            probe_machines: list[list[int]] = []
             for machine in self._candidates[task]:
                 if self._slots == "per-machine":
                     indices = machine_slot_indices(
@@ -181,42 +159,20 @@ class Allocator:
                     indices = list(range(lo, hi + 1))
                 for idx in indices:
                     string.relocate(task, idx, machine)
-                    if batch_probes:
-                        # snapshot the probe; the whole candidate set is
-                        # scored in one vectorized sweep below
-                        candidates.append((machine, idx))
-                        probe_orders.append(order.copy())
-                        probe_machines.append(machines.copy())
+                    if orig_pos < idx:
+                        first, last = orig_pos, idx
                     else:
-                        if orig_pos < idx:
-                            first, last = orig_pos, idx
-                        else:
-                            first, last = idx, orig_pos
-                        cost = sim.evaluate_delta(
-                            order, machines, first, state, best_cost, last
-                        )
-                        trials += 1
-                        if cost < best_cost:
-                            best_cost = cost
-                            best_machine = machine
-                            best_index = idx
-                    # revert before the next probe
-                    string.relocate(task, orig_pos, orig_machine)
-
-            if batch_probes and candidates:
-                # relocations within the valid range are valid by
-                # construction, so validation is skipped; the
-                # first-strict-improvement scan reproduces the
-                # sequential probe order's tie-breaks exactly
-                costs = sim.batch_makespans(
-                    probe_orders, probe_machines, validate=False
-                )
-                trials += len(candidates)
-                for (machine, idx), cost in zip(candidates, costs.tolist()):
+                        first, last = idx, orig_pos
+                    cost = sim.evaluate_delta(
+                        order, machines, first, state, best_cost, last
+                    )
+                    trials += 1
                     if cost < best_cost:
                         best_cost = cost
                         best_machine = machine
                         best_index = idx
+                    # revert before the next probe
+                    string.relocate(task, orig_pos, orig_machine)
 
             string.relocate(task, best_index, best_machine)
             if best_index != orig_pos or best_machine != orig_machine:

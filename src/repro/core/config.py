@@ -29,7 +29,6 @@ from repro.optim.stop import IterationLimits
 from repro.utils.rng import RandomSource
 
 AllocationSlots = Literal["per-machine", "all-positions"]
-ProbeEvaluation = Literal["delta", "batch"]
 
 #: Heuristic from §4.4 for picking a default bias from problem size.
 SMALL_PROBLEM_TASKS = 50
@@ -70,18 +69,6 @@ class SEConfig(EvaluationFields, IterationLimits):
         scaled by ``k`` (paper §4.2 "modified a random number of times").
     allocation_slots:
         Slot-enumeration strategy, see module docstring.
-    probe_evaluation:
-        How allocation scores a selected subtask's (machine, slot)
-        candidates: ``"delta"`` (default) probes one at a time through
-        the backend's incremental ``evaluate_delta`` with
-        branch-and-bound pruning; ``"batch"`` scores each subtask's
-        whole candidate set in one vectorized
-        :class:`~repro.schedule.vectorized.BatchSimulator` sweep (on
-        backends without a batch kernel it degrades to a scalar loop).
-        Both pick bit-identical moves, so the SE trajectory does not
-        change.  Delta usually wins here — the running-best cutoff
-        prunes most of each probe's walk, which a batch cannot exploit —
-        but the switch makes the trade measurable (MICRO-BATCH-SE).
     adaptive_target:
         Extension beyond the paper: when set (a fraction in (0, 1]),
         the engine ignores ``selection_bias`` and re-solves, every
@@ -110,7 +97,6 @@ class SEConfig(EvaluationFields, IterationLimits):
     stall_iterations: Optional[int] = None
     initial_shuffle_range: tuple[float, float] = (1.0, 3.0)
     allocation_slots: AllocationSlots = "per-machine"
-    probe_evaluation: ProbeEvaluation = "delta"
     seed: RandomSource = None
 
     def __post_init__(self) -> None:
@@ -136,11 +122,6 @@ class SEConfig(EvaluationFields, IterationLimits):
             raise ValueError(
                 f"allocation_slots must be 'per-machine' or 'all-positions', "
                 f"got {self.allocation_slots!r}"
-            )
-        if self.probe_evaluation not in ("delta", "batch"):
-            raise ValueError(
-                f"probe_evaluation must be 'delta' or 'batch', "
-                f"got {self.probe_evaluation!r}"
             )
         super().__post_init__()
 

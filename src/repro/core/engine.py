@@ -95,12 +95,10 @@ class SimulatedEvolution:
         graph = workload.graph
         # The backend is the objective: "nic" makes every probe, commit
         # and best-makespan account for NIC serialisation; a non-default
-        # platform/objective makes them cost-aware.  With
-        # probe_evaluation="batch" the service routes candidate-set
-        # scoring through the network's batch kernel.
-        service = cfg.evaluation_service(
-            workload, prefer_batch=cfg.probe_evaluation == "batch"
-        )
+        # platform/objective makes them cost-aware.  Allocation scores
+        # every probe with a cutoff-pruned delta, so no batch kernel
+        # (or its pack) is built.
+        service = cfg.evaluation_service(workload, prefer_batch=False)
         # Goodness and the allocator's machine ranking read the workload
         # the backend actually scores — the platform's speed-scaled
         # matrix (the original object on "uniform", so nothing moves).
@@ -113,7 +111,6 @@ class SimulatedEvolution:
             service.backend,
             y_candidates=y,
             slots=cfg.allocation_slots,
-            probes=cfg.probe_evaluation,
         )
 
         if initial is None:

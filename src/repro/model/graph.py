@@ -3,17 +3,20 @@
 ``TaskGraph`` is the immutable structural backbone of the library.  It is
 built once per workload and then queried millions of times from the SE /
 GA inner loops, so all adjacency is precomputed into tuples of dense ints
-at construction time; :mod:`networkx` is used only for construction-time
-validation and interop, never in hot paths.
+at construction time.  :mod:`networkx` (the optional ``graph`` extra) is
+used only by the :meth:`TaskGraph.from_networkx` /
+:meth:`TaskGraph.to_networkx` interop methods, and the latter imports it
+on call, so ``import repro`` does not need it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.model.task import DataItem, Subtask
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class TaskGraph:
@@ -159,6 +162,8 @@ class TaskGraph:
         Parallel data items are merged into a single edge whose ``items``
         attribute lists their indices and whose ``size`` sums their sizes.
         """
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(range(self.num_tasks))
         for d in self._items:

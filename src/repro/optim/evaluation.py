@@ -58,11 +58,15 @@ class EvaluationService:
     workload:
         The MSHC problem instance.
     prefer_batch:
-        When False the batch methods still *work* but loop the scalar
-        backend, and :attr:`is_vectorized` reports False — engines with
-        a user-facing batch switch (``GAConfig.batch_fitness``) map it
-        here, so turning the switch off really disables the kernel
-        (including its packing cost) rather than merely hiding it.
+        Whether to build the network's batch kernel (and its workload
+        pack).  When False the batch methods still *work* but loop the
+        scalar backend, and :attr:`is_vectorized` reports False.
+        Engines that never batch-score pass False so they skip the
+        kernel's construction cost: SA, and SE, whose allocator scores
+        every probe with a cutoff-pruned :meth:`evaluate_delta`.  GA
+        and tabu pass True and pick their route from :attr:`is_vectorized`
+        / :attr:`prefers_delta`, so the service, not a config field,
+        decides how a candidate set is scored.
     initial_avail, initial_nic_free:
         Optional per-machine busy state the backend is constructed
         against (see :func:`repro.schedule.backend.make_simulator`) —

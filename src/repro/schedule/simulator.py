@@ -271,45 +271,13 @@ class Simulator:
         return span
 
     def evaluate(self, string: ScheduleString) -> Schedule:
-        """Full evaluation of *string* with per-task start/finish times."""
-        order = string.order
-        machine_of = string.machines
-        E = self._E
-        pair = self._pair
-        in_edges = self._in_edges
-        k = self._k
-        start = [0.0] * k
-        finish = [-1.0] * k
-        machine_avail = self._avail0[:]
-        span = 0.0
+        """Full evaluation of *string* with per-task start/finish times.
 
-        for task in order:
-            m = machine_of[task]
-            ready = machine_avail[m]
-            to_m = pair[m]
-            for prod, item in in_edges[task]:
-                pf = finish[prod]
-                if pf < 0.0:
-                    raise InvalidScheduleError(
-                        f"subtask {task} scheduled before its producer {prod}"
-                    )
-                pf += to_m[machine_of[prod]][item]
-                if pf > ready:
-                    ready = pf
-            start[task] = ready
-            fin = ready + E[m][task]
-            finish[task] = fin
-            machine_avail[m] = fin
-            if fin > span:
-                span = fin
-
-        return Schedule(
-            order=tuple(order),
-            machine_of=tuple(machine_of),
-            start=tuple(start),
-            finish=tuple(finish),
-            makespan=span,
-        )
+        The schedule of one :meth:`prepare` walk; callers evaluate a
+        string once per run (result assembly, baselines), so the extra
+        snapshot rows cost nothing that matters.
+        """
+        return self.prepare(string.order, string.machines).as_schedule()
 
     # ------------------------------------------------------------------
     # multi-metric tier

@@ -56,7 +56,6 @@ True
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from collections import OrderedDict
 from typing import Any, Optional, Sequence
@@ -310,9 +309,6 @@ class WorkloadPack:
 # their own entry.  Packs are immutable after construction (kernels
 # keep their scratch per-instance), so sharing cannot change results.
 
-#: Environment kill-switch: ``REPRO_PACK_CACHE=0`` disables reuse.
-PACK_CACHE_ENV_VAR = "REPRO_PACK_CACHE"
-
 #: Upper bound on cached packs per process (LRU eviction beyond it).
 PACK_CACHE_CAPACITY = 32
 
@@ -347,11 +343,6 @@ def workload_fingerprint(workload: Workload) -> str:
     return h.hexdigest()
 
 
-def pack_cache_enabled() -> bool:
-    """Whether pack reuse is on (default; ``REPRO_PACK_CACHE=0`` off)."""
-    return os.environ.get(PACK_CACHE_ENV_VAR, "").strip() != "0"
-
-
 def get_workload_pack(workload: Workload) -> WorkloadPack:
     """The (per-process, LRU-bounded) shared pack of *workload*.
 
@@ -360,8 +351,6 @@ def get_workload_pack(workload: Workload) -> WorkloadPack:
     services and kernels evaluating the same workload in one process
     share a single set of tensors instead of re-deriving them.
     """
-    if not pack_cache_enabled():
-        return WorkloadPack(workload)
     key = workload_fingerprint(workload)
     with _pack_cache_lock:
         pack = _pack_cache.get(key)

@@ -1,5 +1,7 @@
 """Unit tests for the GA baseline (Wang et al. 1997)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from repro.baselines.ga import (
     scheduling_crossover,
     scheduling_mutation,
 )
+from repro.optim import EvaluationService
 from repro.schedule import Simulator, is_valid_for, verify_schedule
+from tests.routes import no_batch_kernel
 
 
 class TestGAConfig:
@@ -222,43 +226,46 @@ class TestGAEngine:
 
 
 class TestIncrementalEvaluation:
-    """The delta-evaluation path must be invisible in results: identical
-    traces, best makespans and final strings for any seed."""
+    """The delta route (taken when no batch kernel applies) must be
+    invisible in results: identical traces, best makespans and final
+    strings for any seed."""
 
     @pytest.mark.parametrize("seed", [1, 7, 42])
     def test_delta_path_equals_full_path(self, tiny_workload, seed):
-        cfg = dict(max_generations=25, stall_generations=None, seed=seed)
-        delta = run_ga(
-            tiny_workload, GAConfig(incremental_evaluation=True, **cfg)
-        )
-        full = run_ga(
-            tiny_workload, GAConfig(incremental_evaluation=False, **cfg)
-        )
+        cfg = GAConfig(max_generations=25, stall_generations=None, seed=seed)
+        with no_batch_kernel():
+            delta = run_ga(tiny_workload, cfg)
+        full = run_ga(tiny_workload, cfg)
         assert delta.best_makespan == full.best_makespan  # bit-identical
         assert delta.trace.best_makespans() == full.trace.best_makespans()
         assert (
             delta.trace.current_makespans() == full.trace.current_makespans()
         )
         assert delta.best_string == full.best_string
+        # the delta route also counts one prepare per parent group
+        assert delta.evaluations >= full.evaluations
 
-    def test_delta_path_is_default(self):
-        assert GAConfig().incremental_evaluation is True
+    def test_delta_path_is_default(self, tiny_workload, monkeypatch):
+        """Without a vectorized kernel the GA scores one schedule at a
+        time: no batch call, deltas for parent groups."""
+        calls = _spy_service(monkeypatch)
+        cfg = GAConfig(population_size=30, max_generations=5, seed=3)
+        with no_batch_kernel():
+            run_ga(tiny_workload, cfg)
+        assert calls["batch_makespans"] == 0
+        assert calls["evaluate_delta"] > 0
 
 
 class TestBatchFitness:
-    """The vectorized population-fitness path must be invisible in
+    """The vectorized population-fitness route must be invisible in
     results: identical traces, best makespans and final strings."""
 
     @pytest.mark.parametrize("seed", [1, 7, 42])
     def test_batch_path_equals_scalar_path(self, tiny_workload, seed):
-        cfg = dict(max_generations=25, stall_generations=None, seed=seed)
-        batch = run_ga(tiny_workload, GAConfig(batch_fitness=True, **cfg))
-        scalar = run_ga(
-            tiny_workload,
-            GAConfig(
-                batch_fitness=False, incremental_evaluation=False, **cfg
-            ),
-        )
+        cfg = GAConfig(max_generations=25, stall_generations=None, seed=seed)
+        batch = run_ga(tiny_workload, cfg)
+        with no_batch_kernel():
+            scalar = run_ga(tiny_workload, cfg)
         assert batch.best_makespan == scalar.best_makespan  # bit-identical
         assert batch.trace.best_makespans() == scalar.trace.best_makespans()
         assert (
@@ -266,20 +273,41 @@ class TestBatchFitness:
             == scalar.trace.current_makespans()
         )
         assert batch.best_string == scalar.best_string
-        # the batch path counts exactly one simulator call per chromosome
-        assert batch.evaluations == scalar.evaluations
+        # the batch route counts exactly one call per chromosome
+        assert scalar.evaluations >= batch.evaluations
 
-    def test_batch_path_is_default(self):
-        assert GAConfig().batch_fitness is True
+    def test_batch_path_is_default(self, tiny_workload, monkeypatch):
+        """A vectorized service scores each generation in one batch
+        call (plus one for the initial population) and makes no delta."""
+        calls = _spy_service(monkeypatch)
+        cfg = GAConfig(population_size=30, max_generations=5, seed=3)
+        run_ga(tiny_workload, cfg)
+        assert calls["batch_makespans"] == 1 + 5
+        assert calls["evaluate_delta"] == 0
 
     def test_batch_fitness_under_nic_keeps_results(self, tiny_workload):
-        cfg = dict(
+        cfg = GAConfig(
             max_generations=10, stall_generations=None, seed=3, network="nic"
         )
-        batch = run_ga(tiny_workload, GAConfig(batch_fitness=True, **cfg))
-        scalar = run_ga(tiny_workload, GAConfig(batch_fitness=False, **cfg))
+        batch = run_ga(tiny_workload, cfg)
+        with no_batch_kernel("nic"):
+            scalar = run_ga(tiny_workload, cfg)
         assert batch.best_makespan == scalar.best_makespan
         assert batch.best_string == scalar.best_string
+
+
+def _spy_service(monkeypatch) -> Counter:
+    """Count ``EvaluationService`` batch and delta calls."""
+    calls: Counter = Counter()
+    for name in ("batch_makespans", "evaluate_delta"):
+        orig = getattr(EvaluationService, name)
+
+        def spy(self, *args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(EvaluationService, name, spy)
+    return calls
 
 
 class TestObservers:

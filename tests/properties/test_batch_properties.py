@@ -3,8 +3,8 @@
 The contract the whole PR rests on: for any workload and any set of
 valid strings, ``BatchSimulator.makespans`` returns *the same floats,
 bit for bit* as sequential ``Simulator.makespan`` calls — so wiring
-batch scoring into the GA, random search, and SE allocation cannot
-change a single decision, trace, or result.
+batch scoring into the GA and random search cannot change a single
+decision, trace, or result.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 
 from repro.baselines import GAConfig, run_ga
 from repro.baselines.random_search import random_search
-from repro.core import SEConfig, run_se
 from repro.schedule import (
     BatchSimulator,
     Simulator,
     make_simulator,
     random_valid_string,
 )
+from tests.routes import no_batch_kernel
 from tests.strategies import workloads
 
 
@@ -89,22 +89,6 @@ class TestEnginesUnchangedByBatching:
         st.integers(0, 2**16),
     )
     @settings(max_examples=25, deadline=None)
-    def test_se_trajectory_identical(self, w, seed):
-        base = dict(seed=seed, max_iterations=4)
-        delta = run_se(w, SEConfig(probe_evaluation="delta", **base))
-        batch = run_se(w, SEConfig(probe_evaluation="batch", **base))
-        assert delta.best_makespan == batch.best_makespan
-        assert delta.best_string == batch.best_string
-        assert (
-            delta.trace.current_makespans() == batch.trace.current_makespans()
-        )
-        assert delta.evaluations == batch.evaluations
-
-    @given(
-        workloads(min_tasks=2, max_tasks=7, max_machines=3),
-        st.integers(0, 2**16),
-    )
-    @settings(max_examples=25, deadline=None)
     def test_ga_results_identical(self, w, seed):
         base = dict(
             seed=seed,
@@ -112,13 +96,9 @@ class TestEnginesUnchangedByBatching:
             population_size=8,
             stall_generations=None,
         )
-        batch = run_ga(w, GAConfig(batch_fitness=True, **base))
-        scalar = run_ga(
-            w,
-            GAConfig(
-                batch_fitness=False, incremental_evaluation=False, **base
-            ),
-        )
+        batch = run_ga(w, GAConfig(**base))
+        with no_batch_kernel():
+            scalar = run_ga(w, GAConfig(**base))
         assert batch.best_makespan == scalar.best_makespan
         assert batch.best_string == scalar.best_string
         assert (

@@ -76,10 +76,13 @@ class TestWorkerCountInvariance:
         assert self._flat(serial) == self._flat(parallel)
 
     def test_results_identical_with_cache_disabled(self, monkeypatch):
+        from repro.schedule import vectorized as vec
+
         spec = sweep_spec()
         cached = run_experiment(spec, workers=1)
         clear_pack_cache()
-        monkeypatch.setenv("REPRO_PACK_CACHE", "0")
+        # every kernel packs its own copy, as with no cache at all
+        monkeypatch.setattr(vec, "get_workload_pack", vec.WorkloadPack)
         uncached = run_experiment(spec, workers=1)
         assert self._flat(cached) == self._flat(uncached)
         assert pack_cache_stats()["size"] == 0

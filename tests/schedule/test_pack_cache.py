@@ -4,8 +4,8 @@ The cache (``repro.schedule.vectorized``) memoises packed tensors per
 process keyed by a content fingerprint, so independently-rebuilt equal
 workloads (the runner's worker processes rebuild from declarative
 specs) share one pack.  These tests pin the fingerprint semantics, the
-LRU bound, the kill-switch, and the ``_bind_pack`` hook that routes
-every kernel construction through the cache.
+LRU bound, and the ``_bind_pack`` hook that routes every kernel
+construction through the cache.
 """
 
 import numpy as np
@@ -17,7 +17,6 @@ from repro.schedule.vectorized import (
     WorkloadPack,
     clear_pack_cache,
     get_workload_pack,
-    pack_cache_enabled,
     pack_cache_stats,
     workload_fingerprint,
 )
@@ -89,16 +88,13 @@ class TestCacheBehaviour:
         assert pack_cache_stats()["size"] == 2
         assert get_workload_pack(w1) is not p1  # re-packed after eviction
 
-    def test_kill_switch_disables_reuse(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PACK_CACHE", "0")
-        assert not pack_cache_enabled()
-        w = small_workload(seed=1)
-        assert get_workload_pack(w) is not get_workload_pack(w)
-        assert pack_cache_stats() == {"hits": 0, "misses": 0, "size": 0}
-
     def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PACK_CACHE", raising=False)
-        assert pack_cache_enabled()
+        # reuse is unconditional: the retired REPRO_PACK_CACHE=0 switch
+        # no longer turns it off
+        monkeypatch.setenv("REPRO_PACK_CACHE", "0")
+        w = small_workload(seed=1)
+        assert get_workload_pack(w) is get_workload_pack(w)
+        assert pack_cache_stats() == {"hits": 1, "misses": 1, "size": 1}
 
 
 class TestKernelIntegration:
@@ -116,7 +112,7 @@ class TestKernelIntegration:
         BatchSimulator(w, pack=WorkloadPack(w))
         assert pack_cache_stats() == {"hits": 0, "misses": 0, "size": 0}
 
-    def test_cached_and_fresh_packs_score_identically(self, monkeypatch):
+    def test_cached_and_fresh_packs_score_identically(self):
         from repro.schedule import random_valid_string
 
         w = small_workload(seed=4)
@@ -124,6 +120,5 @@ class TestKernelIntegration:
             random_valid_string(w.graph, w.num_machines, s) for s in range(5)
         ]
         cached = BatchSimulator(w).string_makespans(strings)
-        monkeypatch.setenv("REPRO_PACK_CACHE", "0")
-        fresh = BatchSimulator(w).string_makespans(strings)
+        fresh = BatchSimulator(w, pack=WorkloadPack(w)).string_makespans(strings)
         assert cached.tolist() == fresh.tolist()

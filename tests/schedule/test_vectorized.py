@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.allocation import Allocator
 from repro.extensions.contention import ContentionSimulator
 from repro.model import (
     ExecutionTimeMatrix,
@@ -211,13 +210,6 @@ class TestBatchBackendPlumbing:
         with pytest.raises(ValueError, match="already registered"):
             register_batch_network("contention-free")(BatchSimulator)
 
-    def test_allocator_batch_requires_capable_backend(self):
-        w = diamond_workload()
-        with pytest.raises(ValueError, match="batch-capable"):
-            Allocator(w, Simulator(w), y_candidates=2, probes="batch")
-        with pytest.raises(ValueError, match="probe strategy"):
-            Allocator(w, Simulator(w), y_candidates=2, probes="bogus")
-
     def test_kernel_properties(self):
         w = diamond_workload()
         kern = BatchSimulator(w)
@@ -242,18 +234,23 @@ class TestBatchBackendPlumbing:
 
 class TestConfigValidation:
     def test_se_probe_evaluation_validated(self):
+        # SE scores every probe by delta; it has no route field
         from repro.core import SEConfig
 
-        assert SEConfig().probe_evaluation == "delta"
-        assert SEConfig(probe_evaluation="batch").probe_evaluation == "batch"
-        with pytest.raises(ValueError, match="probe_evaluation"):
-            SEConfig(probe_evaluation="vector")
+        with pytest.raises(TypeError, match="probe_evaluation"):
+            SEConfig(probe_evaluation="batch")
 
     def test_ga_batch_fitness_default_on(self):
+        # the service, not a config field, picks the GA's batch route
         from repro.baselines import GAConfig
 
-        assert GAConfig().batch_fitness is True
-        assert GAConfig(batch_fitness=False).batch_fitness is False
+        for knob in ("batch_fitness", "incremental_evaluation"):
+            with pytest.raises(TypeError, match=knob):
+                GAConfig(**{knob: False})
+        service = GAConfig().evaluation_service(
+            diamond_workload(), prefer_batch=True
+        )
+        assert service.is_vectorized
 
     def test_random_search_batch_size_validated(self):
         from repro.baselines.random_search import random_search

@@ -152,18 +152,13 @@ def _risk_of(svc, string):
         lambda w: SimulatedEvolution(
             SEConfig(seed=3, max_iterations=10, **RISK)
         ).run(w),
-        lambda w: SimulatedEvolution(
-            SEConfig(
-                seed=3, max_iterations=10, probe_evaluation="batch", **RISK
-            )
-        ).run(w),
         lambda w: run_sa(w, SAConfig(seed=3, max_iterations=150, **RISK)),
         lambda w: run_tabu(w, TabuConfig(seed=3, max_iterations=10, **RISK)),
         lambda w: GeneticAlgorithm(
             GAConfig(seed=3, max_generations=8, **RISK)
         ).run(w),
     ],
-    ids=["se-delta", "se-batch", "sa", "tabu", "ga"],
+    ids=["se-delta", "sa", "tabu", "ga"],
 )
 def test_engine_winners_report_nominal_makespan(run):
     w = small_workload(seed=1)

@@ -39,6 +39,7 @@ from repro.baselines import GAConfig, GeneticAlgorithm, random_search
 from repro.core import SEConfig, SimulatedEvolution
 from repro.optim import TabuConfig, TabuSearch
 from repro.workloads import WorkloadSpec, build_workload, small_workload
+from tests.routes import no_batch_kernel
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_engines.json"
 
@@ -131,11 +132,11 @@ class TestGoldenBitIdentity:
 class TestGoldenBothBackends:
     """The NIC kernel and the scalar fallback agree on whole runs.
 
-    These runs force the *scalar* batch path (by disabling the batch
-    preference where an engine exposes it) and compare against the same
-    goldens' search results — so the goldens pin the vectorized path
-    and these pins the sequential one, proving bit-identical results on
-    both backends.
+    These runs force the *scalar* batch path (by unregistering the
+    network's batch kernels) and compare against the same goldens'
+    search results — so the goldens pin the vectorized path and these
+    pin the sequential one, proving bit-identical results on both
+    backends.
     """
 
     @pytest.mark.parametrize(
@@ -144,16 +145,16 @@ class TestGoldenBothBackends:
     )
     def test_ga_scalar_path_same_results(self, key, expected):
         w, network, seed = parse_key(key)
-        res = GeneticAlgorithm(
-            GAConfig(
-                seed=seed,
-                population_size=8,
-                max_generations=6,
-                stall_generations=None,
-                network=network,
-                batch_fitness=False,
-            )
-        ).run(w)
+        with no_batch_kernel(network):
+            res = GeneticAlgorithm(
+                GAConfig(
+                    seed=seed,
+                    population_size=8,
+                    max_generations=6,
+                    stall_generations=None,
+                    network=network,
+                )
+            ).run(w)
         g = expected["ga"]
         assert res.best_makespan == g["best_makespan"]
         assert list(res.best_string.order) == g["best_string"]["order"]
