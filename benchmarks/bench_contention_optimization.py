@@ -24,7 +24,8 @@ from repro.runner import (
     run_experiment,
     workers_from_env,
 )
-from repro.schedule import ScheduleString, make_simulator
+from repro.schedule import ScheduleString
+from repro.schedule.backend import batch_kernel_factory
 from repro.workloads import WorkloadSpec, build_workload
 
 CCRS = (0.1, 0.5, 1.0)
@@ -65,14 +66,13 @@ def run_optimization_gap_study():
     rows = []
     for spec in workloads:
         w = build_workload(spec)
-        # the canonical backend path, batch-wrapped: the re-evaluations
-        # inherit the vectorized NIC kernel instead of hard-coding the
-        # scalar ContentionSimulator (bit-identical either way)
-        nic = make_simulator(w, "nic", batch=True)
-        assert nic.is_vectorized
+        # the "nic" kernel from the network table: the re-evaluations
+        # ride the batch tier instead of hard-coding the scalar
+        # ContentionSimulator (bit-identical either way)
+        nic = batch_kernel_factory("nic")(w)
         free_cell = result.cell("SE free", spec.name)
         nic_cell = result.cell("SE nic", spec.name)
-        se_free_under_nic, heft_free_under_nic = nic.batch_string_makespans(
+        se_free_under_nic, heft_free_under_nic = nic.string_makespans(
             [
                 _best_string(free_cell, w.num_machines),
                 _best_string(

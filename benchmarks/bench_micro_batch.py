@@ -37,7 +37,7 @@ import numpy as np
 from repro.baselines.ga.chromosome import initial_population
 from repro.baselines.random_search import random_search
 from repro.extensions.contention import ContentionSimulator
-from repro.schedule.backend import make_simulator
+from repro.schedule.backend import batch_kernel_factory
 from repro.schedule.operations import random_valid_string
 from repro.schedule.simulator import Simulator
 from repro.schedule.valid_range import machine_slot_indices
@@ -307,14 +307,13 @@ def test_micro_batch_nic_kernel(write_output, perf_log):
     """MICRO-BATCH-NIC: batch-vs-scalar makespan throughput under "nic".
 
     The acceptance number of the vectorized-contention tentpole: 128
-    schedules scored through the NIC kernel vs the scalar
-    ``ContentionSimulator`` loop (which is all ``batch=True`` under
-    "nic" used to give you).  Bit-identity is asserted before timing.
+    schedules scored through the "nic" row's kernel in the network
+    table vs the scalar ``ContentionSimulator`` loop (all a "nic" batch
+    used to get).  Bit-identity is asserted before timing.
     """
     w = paper_scale_workload()
     size = 128
-    wrapped = make_simulator(w, "nic", batch=True)
-    assert wrapped.is_vectorized  # the silent fallback era is over
+    kernel = batch_kernel_factory("nic")(w)
     scalar = ContentionSimulator(w)
     strings = [
         random_valid_string(w.graph, w.num_machines, seed)
@@ -325,7 +324,7 @@ def test_micro_batch_nic_kernel(write_output, perf_log):
         return [scalar.string_makespan(s) for s in strings]
 
     def batch():
-        return wrapped.batch_string_makespans(strings)
+        return kernel.string_makespans(strings)
 
     assert scalar_loop() == batch().tolist()  # bit-identical makespans
     t_scalar, t_batch = best_of(scalar_loop), best_of(batch)

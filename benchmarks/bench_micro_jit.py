@@ -34,7 +34,7 @@ import pytest
 numba = pytest.importorskip("numba")
 
 from repro.extensions.contention import ContentionSimulator  # noqa: E402
-from repro.schedule.backend import make_simulator  # noqa: E402
+from repro.schedule.backend import kernel_tier  # noqa: E402
 from repro.schedule.jit import (  # noqa: E402
     JitBatchSimulator,
     JitContentionBatchSimulator,
@@ -133,8 +133,7 @@ def test_micro_jit_plain(write_output, perf_log):
     """MICRO-JIT: compiled contention-free walk vs the scalar loop."""
     w = paper_scale_workload()
     warmup(w)
-    backend = make_simulator(w, batch=True)
-    assert backend.kernel_tier == "jit"  # auto-selection, not hand-wiring
+    assert kernel_tier("contention-free") == "jit"  # auto-selection
     _jit_vs_scalar(
         write_output,
         perf_log,
@@ -153,8 +152,7 @@ def test_micro_jit_nic(write_output, perf_log):
     """MICRO-JIT-NIC: compiled NIC-contention walk vs the scalar loop."""
     w = paper_scale_workload()
     warmup(w)
-    backend = make_simulator(w, "nic", batch=True)
-    assert backend.kernel_tier == "jit"
+    assert kernel_tier("nic") == "jit"
     _jit_vs_scalar(
         write_output,
         perf_log,

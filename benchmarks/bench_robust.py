@@ -148,7 +148,7 @@ def test_micro_scenario_batch_vs_scalar_loop(write_output, perf_log):
     w = figure5_workload(seed=1)
     S, B = 16, 64
     scen = sample_scenarios(w, "lognormal:0.25", scenarios=S, seed=3)
-    fast = ScenarioEvaluator(scen, prefer_batch=True)
+    fast = ScenarioEvaluator(scen)
     slow = ScenarioEvaluator(scen, prefer_batch=False)
     assert fast.is_vectorized and not slow.is_vectorized
     strings = [

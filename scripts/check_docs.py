@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation integrity checker (the CI ``docs`` job).
 
-Two classes of rot this catches:
+Three classes of rot this catches:
 
 1. **Dead intra-repo links** — every relative markdown link or image in
    the checked documents must point at a file (or ``file#anchor``) that
@@ -15,6 +15,12 @@ Two classes of rot this catches:
    (:func:`repro.cli.build_parser`), including nested subparsers like
    ``repro perf check``.  Docs that advertise flags the CLI no longer
    accepts fail the build, not the reader.
+
+3. **Phantom classes** — in README.md and ``docs/*.md``, every
+   inline-code span that starts with a CamelCase name (followed by the
+   end of the span, ``.`` or ``(``) must name a ``class`` defined under
+   ``src/repro``, apart from the few names in :data:`NOT_CLASSES`.  A
+   doc that still names a deleted class fails the build.
 
 Run from the repo root (CI does):  ``python scripts/check_docs.py``.
 Exits non-zero listing every violation.  ``--self-test`` runs the
@@ -38,9 +44,22 @@ DOCUMENTS = (
     "docs/risk_aware.md",
 )
 
+#: The documents whose inline code may name only real classes; the
+#: roadmap is exempt, since it names planned and deleted code.
+CLASS_DOCUMENTS = ("README.md",) + tuple(
+    f"docs/{p.name}" for p in sorted((REPO / "docs").glob("*.md"))
+)
+
+#: CamelCase spans that are not classes of this package: the paper's
+#: transfer-time matrix symbol and numpy's seed sequence.
+NOT_CLASSES = frozenset({"Tr", "SeedSequence"})
+
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 _FENCE = re.compile(r"```(?:\w*)\n(.*?)```", re.DOTALL)
 _INLINE = re.compile(r"`(repro [^`]+)`")
+_SPAN = re.compile(r"`([^`\n]+)`")
+_CAMEL = re.compile(r"([A-Z][a-z0-9]\w*)(?:[.(]|$)")
+_CLASS_DEF = re.compile(r"^\s*class\s+(\w+)", re.MULTILINE)
 
 
 # ----------------------------------------------------------------------
@@ -162,12 +181,39 @@ def check_cli_references(doc: Path, text: str, surface) -> list[str]:
 
 
 # ----------------------------------------------------------------------
+# class cross-checking
+# ----------------------------------------------------------------------
+
+
+def _package_classes() -> set[str]:
+    """Every class name defined under ``src/repro``."""
+    names: set[str] = set()
+    for path in (REPO / "src" / "repro").rglob("*.py"):
+        names.update(_CLASS_DEF.findall(path.read_text()))
+    return names
+
+
+def check_class_references(doc: Path, text: str, classes) -> list[str]:
+    """Inline-code spans in *text* naming a class the package lacks."""
+    errors = []
+    for span in _SPAN.findall(_FENCE.sub("", text)):
+        m = _CAMEL.match(span)
+        if m and m.group(1) not in classes | NOT_CLASSES:
+            errors.append(
+                f"{doc.relative_to(REPO)}: no class {m.group(1)} under "
+                f"src/repro (in `{span}`)"
+            )
+    return errors
+
+
+# ----------------------------------------------------------------------
 # driver
 # ----------------------------------------------------------------------
 
 
 def run(documents=DOCUMENTS) -> list[str]:
     surface = _parser_surface()
+    classes = _package_classes()
     errors = []
     for name in documents:
         doc = REPO / name
@@ -177,6 +223,8 @@ def run(documents=DOCUMENTS) -> list[str]:
         text = doc.read_text()
         errors += check_links(doc, text)
         errors += check_cli_references(doc, text, surface)
+        if name in CLASS_DOCUMENTS:
+            errors += check_class_references(doc, text, classes)
     return errors
 
 
@@ -199,6 +247,15 @@ def self_test() -> None:
     # fenced blocks are scanned too
     fenced = "```bash\n$ repro sweep --no-such-flag\n```\n"
     assert check_cli_references(doc, fenced, surface)
+    # inline code may name real classes and the allowlisted symbols ...
+    classes = _package_classes()
+    real = "`EvaluationService.kernel_tier`, `CostModel(E, p)`, `Tr`"
+    assert check_class_references(doc, real, classes) == []
+    # ... but not a class the package does not define
+    assert check_class_references(doc, "`BatchBackend.is_vectorized`", classes)
+    assert check_class_references(doc, "`NoSuchKernel`", classes)
+    # and docs/*.md files are covered
+    assert "docs/architecture.md" in CLASS_DOCUMENTS
 
 
 def main(argv) -> int:

@@ -288,7 +288,7 @@ class IncrementalScheduleBuilder:
                     f"builder makespan {expected} disagrees with simulator "
                     f"{schedule.makespan}; cost models diverged"
                 )
-        cm = getattr(sim, "cost_model", None)
+        cm = sim.cost_model
         return BaselineResult(
             name=self._name,
             string=string,

@@ -146,7 +146,7 @@ class GeneticAlgorithm:
         # Fitness comes from the configured backend, so "nic" makes the
         # whole evolution optimise under NIC contention.  Only a
         # genuinely vectorized kernel replaces the scalar paths.
-        service = cfg.evaluation_service(workload, prefer_batch=True)
+        service = cfg.evaluation_service(workload)
         use_batch = service.is_vectorized
 
         population = [c.copy() for c in (initial or [])][: cfg.population_size]

@@ -156,7 +156,7 @@ def _print_risk_profile(fields, w: Workload, best) -> None:
     """Report the winner's makespan distribution over the scenario set."""
     from repro.analysis.robust import RiskSummary
 
-    svc = fields.evaluation_service(w, prefer_batch=True)
+    svc = fields.evaluation_service(w)
     samples = svc.scenario_evaluator.samples_string(best)
     obj = svc.objective
     print(

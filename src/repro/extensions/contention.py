@@ -24,7 +24,7 @@ Full backend parity
 -------------------
 
 ``ContentionSimulator`` implements the whole
-:class:`~repro.schedule.backend.SimulatorBackend` protocol, registered
+:class:`~repro.schedule.backend.SimulatorBackend` protocol, listed
 under the network name ``"nic"`` — so SE, the GA and the baselines can
 *optimise under* contention, not merely measure it after the fact.  The
 incremental tier mirrors :meth:`repro.schedule.simulator.Simulator.
@@ -51,7 +51,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.model.workload import Workload
-from repro.schedule.backend import register_network
 from repro.schedule.encoding import ScheduleString
 from repro.schedule.scoring import CostModel, ScheduleScore
 from repro.schedule.simulator import InvalidScheduleError, Schedule
@@ -211,7 +210,7 @@ class ContentionSimulator:
 
     Full :class:`~repro.schedule.backend.SimulatorBackend`: the same
     ``makespan`` / ``evaluate`` / ``prepare`` / ``evaluate_delta``
-    surface as :class:`repro.schedule.simulator.Simulator`, registered
+    surface as :class:`repro.schedule.simulator.Simulator`, listed
     as the ``"nic"`` network model.
     """
 
@@ -618,9 +617,6 @@ class ContentionSimulator:
                 arrival[item] = nf
             nic_free[m] = nf
         return span
-
-
-register_network("nic")(ContentionSimulator)
 
 
 def contention_penalty(workload: Workload, string: ScheduleString) -> float:

@@ -1,19 +1,20 @@
 """The evaluation service: one object owning backend selection and cost.
 
-Before this module every engine hand-wired the scoring stack itself —
-``make_simulator(..., batch=...)``, an ``is_vectorized`` sniff, direct
-``BatchBackend`` calls, its own ``evaluations`` arithmetic.
-:class:`EvaluationService` centralises all of it:
+:class:`EvaluationService` is the only code that decides how a schedule
+is scored:
 
 * **backend selection** — the ``network`` name resolves through
-  :func:`repro.schedule.backend.make_simulator` exactly once (with the
-  batch wrapper when ``prefer_batch`` is set), so single, delta and
-  batch scoring share one backend instance;
-* **transparent routing** — :meth:`batch_makespans` /
-  :meth:`batch_string_makespans` run the network's vectorized kernel
-  when one is registered and a sequential scalar loop otherwise;
+  :func:`repro.schedule.backend.make_simulator` exactly once, so
+  single, delta and batch scoring share one scalar backend;
+* **batch routing** — :meth:`batch_makespans` /
+  :meth:`batch_string_makespans` run the network's batch kernel (jit
+  or NumPy, see :func:`repro.schedule.backend.batch_kernel_factory`)
+  when ``prefer_batch`` is set and the backend starts from idle
+  machines, and loop the scalar backend otherwise; a weighted
+  objective's cost column, a scenario objective's reduction and the
+  Pareto offers are applied here, once per batch.
   :meth:`prepare` / :meth:`evaluate_delta` expose the incremental tier;
-  engines never touch ``BatchBackend`` or kernel classes directly;
+  engines never touch kernel classes directly;
 * **cost accounting** — every scoring call increments one
   ``evaluations`` counter (full evaluation = 1, prepare = 1, delta = 1,
   batch = one per schedule — the same arithmetic the engines used to
@@ -34,13 +35,17 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
+
+import numpy as np
 
 from repro.model.workload import Workload
-from repro.optim.objective import ObjectiveBackend, resolve_objective
+from repro.optim.objective import ObjectiveBackend
 from repro.schedule.backend import (
     DEFAULT_NETWORK,
     DEFAULT_PLATFORM,
+    batch_kernel_factory,
+    check_network,
     make_simulator,
     plain_schedule,
     resolve_platform,
@@ -64,16 +69,16 @@ class EvaluationService:
         Engines that never batch-score pass False so they skip the
         kernel's construction cost: SA, and SE, whose allocator scores
         every probe with a cutoff-pruned :meth:`evaluate_delta`.  GA
-        and tabu pass True and pick their route from :attr:`is_vectorized`
-        / :attr:`prefers_delta`, so the service, not a config field,
-        decides how a candidate set is scored.
+        and tabu keep the default True and pick their route from
+        :attr:`is_vectorized` / :attr:`prefers_delta`, so the service,
+        not a config field, decides how a candidate set is scored.
     initial_avail, initial_nic_free:
         Optional per-machine busy state the backend is constructed
         against (see :func:`repro.schedule.backend.make_simulator`) —
         the residual-schedule evaluation mode of the online service:
         engines handed such a service optimise a job's schedule *given*
-        machines still occupied by earlier jobs.  Batch calls route
-        through the sequential scalar path in this mode.
+        machines still occupied by earlier jobs.  Batch calls loop the
+        scalar backend in this mode (the kernels pack idle machines).
     pareto:
         Optional :class:`~repro.optim.tracking.ParetoTracker`; every
         point scored through this service is offered to it, so a run
@@ -88,11 +93,12 @@ class EvaluationService:
         :class:`~repro.optim.objective.ObjectiveBackend` and a scenario
         objective in a :class:`~repro.stochastic.scenarios.
         ScenarioBackend` scoring the objective's reduction over the
-        sampled perturbations, so SE, GA, SA and tabu optimise them
-        without engine changes.  The default ``"makespan"`` uses the
-        raw backend, bit-identical.  Scenario objectives cannot combine
-        with residual initial state, Pareto tracking, or platforms with
-        boot delays (boot is initial state).
+        sampled perturbations (batches skip both wrappers: the batch
+        methods apply the objective to whole columns), so SE, GA, SA
+        and tabu optimise them without engine changes.  The default
+        ``"makespan"`` uses the raw backend, bit-identical.  Scenario
+        objectives cannot combine with residual initial state, Pareto
+        tracking, or platforms with boot delays (boot is initial state).
     """
 
     __slots__ = (
@@ -106,6 +112,7 @@ class EvaluationService:
         "_pareto",
         "_cost_model",
         "_scenario",
+        "_kernel",
     )
 
     def __init__(
@@ -128,7 +135,6 @@ class EvaluationService:
         self._raw = make_simulator(
             workload,
             network,
-            batch=prefer_batch,
             initial_avail=initial_avail,
             initial_nic_free=initial_nic_free,
             platform=platform,
@@ -139,9 +145,10 @@ class EvaluationService:
             objective, scenarios, distribution
         )
         self._pareto = pareto
-        self._cost_model = getattr(self._raw, "cost_model", None)
+        self._cost_model = self._raw.cost_model
         self._scenario = None
-        if getattr(self._objective, "is_scenario", False):
+        self._kernel = None
+        if self._objective.is_scenario:
             if pareto is not None:
                 raise ValueError(
                     "Pareto tracking is not supported with scenario "
@@ -173,18 +180,31 @@ class EvaluationService:
             self._backend = ScenarioBackend(
                 self._raw, self._scenario, self._objective
             )
-        elif self._objective.is_makespan and pareto is None:
-            # the default: the unwrapped backend, bit-identical
-            self._backend = self._raw
         else:
-            cm = self._cost_model
-            if cm is None:
-                cm = self._cost_model = CostModel.zero(
-                    self.effective_workload.exec_times.values
+            # the kernels pack idle machines, so residual state and boot
+            # delays (initial state too) keep batches on the scalar loop
+            if (
+                prefer_batch
+                and initial_avail is None
+                and initial_nic_free is None
+                and not resolve_platform(platform)
+                .bind(workload.num_machines)
+                .has_boot
+            ):
+                factory = batch_kernel_factory(network)
+                if factory is not None:
+                    self._kernel = factory(self.effective_workload)
+            if self._objective.is_makespan and pareto is None:
+                # the default: the unwrapped backend, bit-identical
+                self._backend = self._raw
+            else:
+                if self._cost_model is None:
+                    self._cost_model = CostModel.zero(
+                        self.effective_workload.exec_times.values
+                    )
+                self._backend = ObjectiveBackend(
+                    self._raw, self._objective, self._cost_model, pareto
                 )
-            self._backend = ObjectiveBackend(
-                self._raw, self._objective, cm, pareto
-            )
         self._calls = 0
 
     # ------------------------------------------------------------------
@@ -248,8 +268,8 @@ class EvaluationService:
 
     @property
     def is_vectorized(self) -> bool:
-        """True when batch calls run a genuinely vectorized kernel."""
-        return bool(getattr(self._backend, "is_vectorized", False))
+        """True when batch calls run a kernel rather than a scalar loop."""
+        return self.kernel_tier != "sequential"
 
     @property
     def kernel_tier(self) -> str:
@@ -257,13 +277,15 @@ class EvaluationService:
 
         ``jit`` means batch calls run the compiled (numba) kernels of
         :mod:`repro.schedule.jit`; ``vectorized`` the NumPy kernels;
-        ``sequential`` the scalar fallback loop (no kernel registered,
-        ``prefer_batch=False``, or a busy-state backend).
+        ``sequential`` the scalar loop (``prefer_batch=False``, a
+        busy-state backend, or a network without a kernel).  Under a
+        scenario objective it is the tier of the per-scenario kernels.
         """
-        tier = getattr(self._backend, "kernel_tier", None)
-        if tier is not None:
-            return str(tier)
-        return "vectorized" if self.is_vectorized else "sequential"
+        if self._scenario is not None:
+            return self._scenario.kernel_tier
+        if self._kernel is None:
+            return "sequential"
+        return self._kernel.kernel_tier
 
     @property
     def prefers_delta(self) -> bool:
@@ -344,15 +366,7 @@ class EvaluationService:
         """The ``(makespan, cost, busy)`` score of *string* — **not**
         counted, like :meth:`schedule_of`; real makespan, real dollars,
         whatever the objective."""
-        string_score = getattr(self._raw, "string_score", None)
-        if string_score is not None:
-            return string_score(string)
-        cm = self._cost_model
-        if cm is None:
-            cm = self._cost_model = CostModel.zero(
-                self.effective_workload.exec_times.values
-            )
-        return cm.score(string.machines, self._raw.string_makespan(string))
+        return self._raw.string_score(string)
 
     def scalarize(self, makespan: float, cost: float) -> float:
         """The configured objective's scalar for one scored point."""
@@ -391,20 +405,27 @@ class EvaluationService:
     def batch_makespans(
         self, orders: Any, machines: Any, validate: bool = True
     ) -> list[float]:
-        """One makespan per ``(orders[i], machines[i])`` schedule.
+        """One scalar per ``(orders[i], machines[i])`` schedule.
 
-        Routed through the network's vectorized kernel when available,
-        a sequential scalar loop otherwise — bit-identical either way.
+        Routed through the network's batch kernel when one serves this
+        service (see :attr:`kernel_tier`), a scalar loop otherwise —
+        bit-identical either way.
         """
-        if hasattr(self._backend, "batch_makespans"):
-            costs = self._backend.batch_makespans(
-                orders, machines, validate=validate
+        if self._scenario is not None:
+            costs = self._objective.reduce_matrix(
+                self._scenario.matrix(orders, machines, validate=validate)
             ).tolist()
-        else:  # prefer_batch=False: plain scalar backend
+        elif self._kernel is None:
             costs = [
                 self._backend.makespan(list(o), list(m))
                 for o, m in zip(orders, machines)
             ]
+        else:
+            costs = self._scalarized(
+                self._kernel.makespans(orders, machines, validate=validate),
+                machines,
+                zip(orders, machines),
+            )
         self._calls += len(costs)
         return costs
 
@@ -412,14 +433,42 @@ class EvaluationService:
         self, strings: Sequence[ScheduleString], validate: bool = True
     ) -> list[float]:
         """:meth:`batch_makespans` over :class:`ScheduleString` objects."""
-        if hasattr(self._backend, "batch_string_makespans"):
-            costs = self._backend.batch_string_makespans(
-                strings, validate=validate
+        if self._scenario is not None:
+            costs = self._objective.reduce_matrix(
+                self._scenario.string_matrix(strings, validate=validate)
             ).tolist()
-        else:
+        elif self._kernel is None:
             costs = [self._backend.string_makespan(s) for s in strings]
+        else:
+            costs = self._scalarized(
+                self._kernel.string_makespans(strings, validate=validate),
+                [s.machines for s in strings],
+                strings,
+            )
         self._calls += len(costs)
         return costs
+
+    def _scalarized(
+        self, spans: np.ndarray, machines: Any, candidates: Iterable
+    ) -> list[float]:
+        """The objective's scalars for a kernel's makespan column.
+
+        The default objective takes the column as it is.  Otherwise the
+        cost column is one gather into the billing table, every point
+        is offered to the Pareto tracker, and the objective scalarizes
+        both columns at once.
+        """
+        if self._backend is self._raw or not len(spans):
+            return spans.tolist()
+        costs = self._cost_model.batch_costs(
+            np.asarray(machines, dtype=np.intp)
+        )
+        if self._pareto is not None:
+            for span, cost, candidate in zip(
+                spans.tolist(), costs.tolist(), candidates
+            ):
+                self._pareto.offer(span, cost, candidate)
+        return self._objective.scalarize_arrays(spans, costs).tolist()
 
 
 @dataclass(kw_only=True)
@@ -438,9 +487,9 @@ class EvaluationFields:
     network:
         Simulator backend the run optimises against: ``"contention-free"``
         (the paper's model, default) or ``"nic"`` (one outgoing link per
-        machine; see :mod:`repro.extensions.contention`).  Resolved
-        through :func:`repro.schedule.backend.make_simulator`, so models
-        registered with ``register_network`` work too.
+        machine; see :mod:`repro.extensions.contention`).  Checked
+        against :func:`repro.schedule.backend.available_networks` (case
+        does not matter) when the config is built.
     platform:
         Platform (machine catalog) name the run is costed against; the
         default ``"uniform"`` reproduces the historical behaviour bit
@@ -474,13 +523,14 @@ class EvaluationFields:
             raise ValueError(
                 f"network must be a backend name string, got {self.network!r}"
             )
+        check_network(self.network)
         resolve_platform(self.platform)
         validate_scenario_settings(
             self.objective, self.scenarios, self.distribution
         )
 
     def evaluation_service(
-        self, workload: Workload, prefer_batch: bool, **extra: Any
+        self, workload: Workload, prefer_batch: bool = True, **extra: Any
     ) -> EvaluationService:
         """The :class:`EvaluationService` scoring *workload* under these
         settings; *extra* passes through (``pareto=``, initial state)."""

@@ -28,11 +28,12 @@ optimise cost-aware without a single engine change.
   :class:`~repro.schedule.backend.SimulatorBackend` wrapper.  It keeps
   the delta tier's branch-and-bound exact by transforming the caller's
   scalarized cutoff into a *span* cutoff (cost is known before the
-  walk, since billing is per-task), and the batch tier vectorized by
-  scalarizing whole ``(makespans, costs)`` columns at once.  When a
-  :class:`~repro.optim.tracking.ParetoTracker` is attached, every
-  scored point is offered to it — one weighted run accumulates a whole
-  front as a side effect.
+  walk, since billing is per-task).  When a :class:`~repro.optim.
+  tracking.ParetoTracker` is attached, every scored point is offered to
+  it — one weighted run accumulates a whole front as a side effect.
+  Batches do not pass through it: the service scalarizes a kernel's
+  whole ``(makespans, costs)`` columns at once with
+  :meth:`WeightedObjective.scalarize_arrays`.
 
 >>> obj = resolve_objective("weighted:0.7:0.3")
 >>> obj.scalarize(100.0, 10.0)
@@ -52,11 +53,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Optional, Union
 
 import numpy as np
 
-from repro.schedule.scoring import CostModel, ScheduleScore
+from repro.schedule.scoring import CostModel
 
 __all__ = [
     "MAKESPAN",
@@ -421,8 +422,8 @@ class ObjectiveBackend:
 
     ``evaluate`` still returns the inner backend's real result (result
     assembly wants true makespans); everything an engine *compares* —
-    ``makespan``, ``string_makespan``, delta scalars, batch columns,
-    prepared-state ``makespan`` — is scalarized.
+    ``makespan``, ``string_makespan``, delta scalars, prepared-state
+    ``makespan`` — is scalarized.
     """
 
     def __init__(
@@ -436,11 +437,6 @@ class ObjectiveBackend:
         self._objective = objective
         self._cm = cost_model
         self._pareto = pareto
-        # batch methods exist exactly when the inner backend has them,
-        # so the service's hasattr routing keeps working unchanged
-        if hasattr(inner, "batch_makespans"):
-            self.batch_makespans = self._batch_makespans
-            self.batch_string_makespans = self._batch_string_makespans
 
     # ------------------------------------------------------------------
     # identity / passthrough
@@ -463,17 +459,6 @@ class ObjectiveBackend:
     def workload(self):
         return self._inner.workload
 
-    @property
-    def is_vectorized(self) -> bool:
-        return bool(getattr(self._inner, "is_vectorized", False))
-
-    @property
-    def kernel_tier(self) -> str:
-        tier = getattr(self._inner, "kernel_tier", None)
-        if tier is not None:
-            return str(tier)
-        return "vectorized" if self.is_vectorized else "sequential"
-
     def finish_times(self, string) -> list[float]:
         return self._inner.finish_times(string)
 
@@ -481,20 +466,6 @@ class ObjectiveBackend:
         result = self._inner.evaluate(string)
         self._offer(result.makespan, self._cm.cost(string.machines), string)
         return result
-
-    def score(self, order, machine_of) -> ScheduleScore:
-        inner_score = getattr(self._inner, "score", None)
-        if inner_score is not None:
-            s = inner_score(order, machine_of)
-        else:
-            s = self._cm.score(
-                machine_of, self._inner.makespan(order, machine_of)
-            )
-        self._offer(s.makespan, s.cost, (order, machine_of))
-        return s
-
-    def string_score(self, string) -> ScheduleScore:
-        return self.score(string.order, string.machines)
 
     # ------------------------------------------------------------------
     # scalarized scoring
@@ -546,49 +517,3 @@ class ObjectiveBackend:
             return _INF
         self._offer(span, cost, (order, machine_of))
         return self._objective.scalarize(span, cost)
-
-    # bound as instance attributes iff the inner backend is batch-capable
-
-    def _batch_makespans(
-        self, orders, machines, validate: bool = True
-    ) -> np.ndarray:
-        if hasattr(self._inner, "batch_scores"):
-            scores = self._inner.batch_scores(
-                orders, machines, validate=validate
-            )
-            spans, costs = scores.makespans, scores.costs
-        else:
-            spans = self._inner.batch_makespans(
-                orders, machines, validate=validate
-            )
-            costs = self._cm.batch_costs(
-                np.asarray(machines, dtype=np.intp)
-            )
-        if self._pareto is not None:
-            for i in range(len(spans)):
-                self._pareto.offer(
-                    float(spans[i]),
-                    float(costs[i]),
-                    (orders[i], machines[i]),
-                )
-        return self._objective.scalarize_arrays(spans, costs)
-
-    def _batch_string_makespans(
-        self, strings: Sequence[Any], validate: bool = True
-    ) -> np.ndarray:
-        if hasattr(self._inner, "batch_string_scores"):
-            scores = self._inner.batch_string_scores(
-                strings, validate=validate
-            )
-            spans, costs = scores.makespans, scores.costs
-        else:
-            spans = self._inner.batch_string_makespans(
-                strings, validate=validate
-            )
-            costs = self._cm.batch_costs(
-                np.array([s.machines for s in strings], dtype=np.intp)
-            )
-        if self._pareto is not None:
-            for i, s in enumerate(strings):
-                self._pareto.offer(float(spans[i]), float(costs[i]), s)
-        return self._objective.scalarize_arrays(spans, costs)

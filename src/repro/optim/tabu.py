@@ -256,9 +256,9 @@ class TabuSearch:
         rng = as_rng(cfg.seed)
         graph = workload.graph
         if service is None:
-            # with the batch wrapper, prefers_delta can see a jit tier,
+            # a batching service lets prefers_delta see a jit tier,
             # which keeps scoring whole neighborhoods in one batch call
-            service = cfg.evaluation_service(workload, prefer_batch=True)
+            service = cfg.evaluation_service(workload)
         watch = Stopwatch()
 
         if initial is None:

@@ -4,10 +4,11 @@
   string (§4.1);
 * :mod:`~repro.schedule.valid_range` — dependency-safe moving windows;
 * :class:`Simulator` — the deterministic cost model (string → makespan);
-* :mod:`~repro.schedule.backend` — pluggable simulator backends keyed
-  by network-model name (``"contention-free"`` | ``"nic"`` | custom);
-* :class:`BatchSimulator` / :class:`BatchBackend` — the vectorized
-  batch-evaluation tier (``make_simulator(..., batch=True)``);
+* :mod:`~repro.schedule.backend` — simulator backends keyed by
+  network-model name (``"contention-free"`` | ``"nic"``), one table row
+  per network naming its scalar backend and batch kernels;
+* :class:`BatchSimulator` — the vectorized batch-evaluation kernel
+  (the evaluation service decides when it runs);
 * :class:`Timeline` / :func:`verify_schedule` — Gantt views and full
   constraint checking;
 * :mod:`~repro.schedule.metrics` — SLR, speedup, utilisation, comm volume;
@@ -25,8 +26,6 @@ from repro.schedule.backend import (
     plain_schedule,
     platform_cost_vectorized,
     platform_state,
-    register_batch_network,
-    register_network,
     register_platform,
     resolve_platform,
 )
@@ -52,7 +51,7 @@ from repro.schedule.operations import (
     random_valid_string,
     shuffle_string,
 )
-from repro.schedule.scoring import BatchScores, CostModel, ScheduleScore
+from repro.schedule.scoring import CostModel, ScheduleScore
 from repro.schedule.simulator import (
     DeltaState,
     InvalidScheduleError,
@@ -61,11 +60,7 @@ from repro.schedule.simulator import (
     evaluate_schedule,
 )
 from repro.schedule.timeline import MachineSpan, Timeline, verify_schedule
-from repro.schedule.vectorized import (
-    BatchBackend,
-    BatchSimulator,
-    SequentialBatchKernel,
-)
+from repro.schedule.vectorized import BatchSimulator
 from repro.schedule.valid_range import (
     assert_in_valid_range,
     machine_slot_indices,
@@ -84,16 +79,11 @@ __all__ = [
     "plain_schedule",
     "platform_cost_vectorized",
     "platform_state",
-    "register_batch_network",
-    "register_network",
     "register_platform",
     "resolve_platform",
-    "BatchScores",
     "CostModel",
     "ScheduleScore",
-    "BatchBackend",
     "BatchSimulator",
-    "SequentialBatchKernel",
     "ScheduleString",
     "is_valid_for",
     "topological_string",

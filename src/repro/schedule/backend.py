@@ -1,4 +1,4 @@
-"""Pluggable simulator backends: one cost model per network assumption.
+"""Simulator backends: one cost model per network assumption.
 
 The paper's model (and :class:`~repro.schedule.simulator.Simulator`)
 assumes a fully connected, contention-free network.  Realistic models —
@@ -12,10 +12,15 @@ string-keyed parameter:
   implements: ``makespan`` / ``evaluate`` plus the incremental tier
   (``prepare`` → delta state → ``evaluate_delta``) that the SE allocator
   and the GA offspring loop run on;
-* :func:`make_simulator` — ``(workload, network)`` → backend instance;
-* :func:`register_network` — downstream code can plug in its own model
-  (registration must happen at import time of a module the runner's
-  worker processes also import, exactly like algorithm registration).
+* :func:`make_simulator` — ``(workload, network)`` → scalar backend;
+* :func:`batch_kernel_factory` / :func:`kernel_tier` — the network's
+  batch kernel (compiled or NumPy) and the tier it runs on.
+
+One table names every network: its scalar backend, its NumPy batch
+kernel and its compiled (jit) kernel.  The table is resolved on first
+use, so importing :mod:`repro.schedule` does not import the extension
+layer that holds the NIC backend.  Which kernel, if any, scores a batch
+is decided by :class:`~repro.optim.evaluation.EvaluationService` alone.
 
 Because the selector is a plain string, it travels everywhere the
 algorithms do: ``SEConfig(network="nic")``, ``GAConfig(network="nic")``,
@@ -28,10 +33,10 @@ speed factors, $/hour prices and boot delays) registered under a string
 name.  ``make_simulator(w, network, platform="cloud")`` scales the
 execution-time matrix by instance speed, folds boot delays into the
 initial availability, and attaches the billing table so the backend's
-``score`` / ``batch_scores`` report dollar cost next to makespan.  The
-default ``"uniform"`` platform changes *nothing* — same workload
-object, no extra keyword reaches the backend factory — so it is
-bit-identical to the historical ETC path (golden-pinned).
+``score`` reports dollar cost next to makespan.  The default
+``"uniform"`` platform changes *nothing* — same workload object, no
+billing table — so it is bit-identical to the historical ETC path
+(golden-pinned).
 
 >>> from repro.schedule.backend import available_networks, make_simulator
 >>> available_networks()
@@ -52,11 +57,12 @@ True
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Protocol, Sequence, runtime_checkable
+import importlib
+from typing import Any, Dict, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.model.workload import Workload
 from repro.schedule.encoding import ScheduleString
-from repro.schedule.simulator import Schedule, Simulator
+from repro.schedule.simulator import Schedule
 
 #: The paper's model; the default everywhere a ``network`` is accepted.
 DEFAULT_NETWORK = "contention-free"
@@ -119,74 +125,46 @@ class SimulatorBackend(Protocol):
     def finish_times(self, string: ScheduleString) -> list[float]: ...
 
 
-#: A backend factory: workload -> backend instance.
-BackendFactory = Callable[[Workload], SimulatorBackend]
-
-_NETWORKS: Dict[str, BackendFactory] = {DEFAULT_NETWORK: Simulator}
-
-#: Batch-kernel factories keyed by network name (see ``vectorized.py``).
-_BATCH_NETWORKS: Dict[str, Callable[[Workload], Any]] = {}
-
-#: Compiled-kernel factories keyed by network name (see ``jit.py``).
-_JIT_NETWORKS: Dict[str, Callable[[Workload], Any]] = {}
-
-
-def register_network(name: str):
-    """Decorator registering a backend factory under *name* (unique)."""
-
-    def deco(factory: BackendFactory) -> BackendFactory:
-        key = name.lower()
-        if key in _NETWORKS:
-            raise ValueError(f"network model {key!r} already registered")
-        _NETWORKS[key] = factory
-        return factory
-
-    return deco
+#: Every network model: name -> (scalar backend, NumPy batch kernel,
+#: compiled batch kernel), as ``module:attribute`` paths resolved on
+#: first use.  A ``None`` kernel slot means the network has no such tier.
+_NETWORK_TABLE: Dict[str, tuple] = {
+    DEFAULT_NETWORK: (
+        "repro.schedule.simulator:Simulator",
+        "repro.schedule.vectorized:BatchSimulator",
+        "repro.schedule.jit:JitBatchSimulator",
+    ),
+    NIC_NETWORK: (
+        "repro.extensions.contention:ContentionSimulator",
+        "repro.schedule.vectorized_contention:ContentionBatchSimulator",
+        "repro.schedule.jit:JitContentionBatchSimulator",
+    ),
+}
 
 
-def register_batch_network(name: str):
-    """Decorator registering a *batch kernel* factory under *name*.
+def check_network(network: str) -> str:
+    """*network*'s table key (names are case-insensitive).
 
-    A batch kernel offers ``makespans(orders, machines)`` /
-    ``string_makespans(strings)`` returning one float per schedule,
-    bit-identical to the network's scalar backend, plus an
-    ``is_vectorized`` flag.  Networks without a registered kernel fall
-    back to a sequential loop over their scalar backend when callers
-    request ``make_simulator(..., batch=True)``.
+    Raises
+    ------
+    ValueError
+        If *network* names no network model.
     """
-
-    def deco(factory):
-        key = name.lower()
-        if key in _BATCH_NETWORKS:
-            raise ValueError(
-                f"batch kernel for network {key!r} already registered"
-            )
-        _BATCH_NETWORKS[key] = factory
-        return factory
-
-    return deco
+    key = network.lower()
+    if key not in _NETWORK_TABLE:
+        raise ValueError(
+            f"unknown network model {network!r}; available: "
+            f"{', '.join(available_networks())}"
+        )
+    return key
 
 
-def register_jit_network(name: str):
-    """Decorator registering a *compiled* (JIT) kernel factory.
-
-    A JIT kernel is a drop-in for the network's NumPy batch kernel
-    (same batch API, bit-identical results) that additionally reports
-    ``kernel_tier == "jit"``.  Selection order is jit > vectorized >
-    sequential (see :func:`kernel_tier`); a network registering only a
-    NumPy kernel keeps working exactly as before.
-    """
-
-    def deco(factory):
-        key = name.lower()
-        if key in _JIT_NETWORKS:
-            raise ValueError(
-                f"jit kernel for network {key!r} already registered"
-            )
-        _JIT_NETWORKS[key] = factory
-        return factory
-
-    return deco
+def _load(path: Optional[str]):
+    """The class a ``module:attribute`` table entry names (``None`` stays)."""
+    if path is None:
+        return None
+    module, _, name = path.partition(":")
+    return getattr(importlib.import_module(module), name)
 
 
 #: Platform specs keyed by name (see ``repro.model.platform``).
@@ -197,9 +175,9 @@ def register_platform(spec) -> Any:
     """Register a :class:`~repro.model.platform.PlatformSpec` under its
     own (unique, lower-cased) name; returns the spec for chaining.
 
-    Like network registration, this must happen at import time of a
-    module the runner's worker processes also import, so ``platform=``
-    strings resolve in every process.
+    Registration must happen at import time of a module the runner's
+    worker processes also import, so ``platform=`` strings resolve in
+    every process.
     """
     key = spec.name.lower()
     if key in _PLATFORMS:
@@ -251,8 +229,8 @@ def resolve_platform(platform) -> Any:
 def platform_cost_vectorized(platform) -> bool:
     """Whether *platform*'s cost path stays vectorized in the batch tier.
 
-    Boot delays become initial machine state, and initial state always
-    routes batch evaluation through the sequential scalar fallback (the
+    Boot delays become initial machine state, and the evaluation service
+    loops the scalar backend for a backend with initial state (the
     kernels pack idle machines) — so only zero-boot platforms keep the
     one-gather vectorized cost column.  Surfaced by ``repro algorithms``
     / ``repro run --verbose`` next to the per-network batch modes.
@@ -296,168 +274,98 @@ def platform_state(
     return workload, initial_avail, initial_nic_free
 
 
-def _ensure_builtins() -> None:
-    # The NIC backend lives one layer up (repro.extensions.contention) and
-    # registers itself at import; import it lazily so repro.schedule keeps
-    # no import-time dependency on the extension layer.  The vectorized
-    # batch kernels register the "contention-free" and "nic" fast paths
-    # the same way.
-    if NIC_NETWORK not in _NETWORKS:
-        import repro.extensions.contention  # noqa: F401  (registers "nic")
-    if DEFAULT_NETWORK not in _BATCH_NETWORKS:
-        import repro.schedule.vectorized  # noqa: F401
-    if NIC_NETWORK not in _BATCH_NETWORKS:
-        import repro.schedule.vectorized_contention  # noqa: F401
-    if DEFAULT_NETWORK not in _JIT_NETWORKS:
-        # always importable: the module keeps a plain-Python fallback
-        # and only *selects* itself when numba (or an override) says so
-        import repro.schedule.jit  # noqa: F401
-
-
 def available_networks() -> list[str]:
-    """All registered network-model names, sorted."""
-    _ensure_builtins()
-    return sorted(_NETWORKS)
+    """All network-model names, sorted."""
+    return sorted(_NETWORK_TABLE)
 
 
 def kernel_tier(network: str) -> str:
-    """The batch tier ``make_simulator(..., batch=True)`` selects now.
+    """The batch tier *network*'s kernel runs on.
 
-    ``"jit"`` when the network registered a compiled kernel and the
-    compiled tier is selected (numba importable, or ``REPRO_KERNEL=jit``
-    forcing it), ``"vectorized"`` for a NumPy kernel, ``"sequential"``
-    for networks with neither.  Backends constructed with initial
-    machine state always run ``"sequential"`` regardless of this answer
-    (the kernels pack idle machines).  Surfaced by ``repro algorithms``
-    so the active tier is visible, not guessed; a run reports the tier
-    that actually served it (``EvaluationService.kernel_tier``).
+    ``"jit"`` when the network has a compiled kernel and the compiled
+    tier is selected (numba importable, or ``REPRO_KERNEL=jit`` forcing
+    it), ``"vectorized"`` for a NumPy kernel, ``"sequential"`` for a
+    network with neither.  An evaluation service built with initial
+    machine state, or with ``prefer_batch=False``, runs
+    ``"sequential"`` regardless of this answer (the kernels pack idle
+    machines).  Surfaced by ``repro algorithms`` so the active tier is
+    visible, not guessed; a run reports the tier that actually served
+    it (``EvaluationService.kernel_tier``).
 
     Raises
     ------
     ValueError
-        If ``REPRO_KERNEL`` is set to an unknown mode, or demands
-        ``jit`` on an installation without numba.
+        If *network* is unknown, ``REPRO_KERNEL`` is set to an unknown
+        mode, or it demands ``jit`` on an installation without numba.
     """
-    _ensure_builtins()
-    from repro.schedule import jit as jit_mod
+    _, numpy_kernel, jit_kernel = _NETWORK_TABLE[check_network(network)]
+    from repro.schedule.jit import jit_selected
 
-    key = network.lower()
-    if key in _JIT_NETWORKS and jit_mod.jit_selected():
+    if jit_kernel is not None and jit_selected():
         return "jit"
-    if key in _BATCH_NETWORKS:
-        return "vectorized"
-    return "sequential"
+    return "sequential" if numpy_kernel is None else "vectorized"
 
 
 def batch_kernel_factory(network: str):
-    """The batch-kernel factory of *network*'s active tier, or ``None``.
+    """The kernel class of *network*'s :func:`kernel_tier`, or ``None``.
 
-    For callers that build kernels directly against pre-packed tensors
-    (the scenario tier constructs one kernel per sampled scenario,
-    sharing DAG-structure tables across them); everyone else should go
-    through :func:`make_simulator` with ``batch=True``.  Honors the
-    same jit > vectorized selection (and ``REPRO_KERNEL`` override) as
-    :func:`make_simulator`, so every batch-scoring path rides the
-    compiled tier when it is available.
+    Called as ``factory(workload)`` or ``factory(workload, pack=pack)``
+    (the scenario tier builds one kernel per sampled scenario, sharing
+    DAG-structure tables across them).  Honors the jit > vectorized
+    selection and the ``REPRO_KERNEL`` override, so every batch-scoring
+    path rides the compiled tier when it is available.
     """
-    _ensure_builtins()
-    key = network.lower()
-    if kernel_tier(key) == "jit":
-        return _JIT_NETWORKS[key]
-    return _BATCH_NETWORKS.get(key)
+    _, numpy_kernel, jit_kernel = _NETWORK_TABLE[check_network(network)]
+    return _load(jit_kernel if kernel_tier(network) == "jit" else numpy_kernel)
 
 
 def make_simulator(
     workload: Workload,
     network: str = DEFAULT_NETWORK,
-    batch: bool = False,
     initial_avail: Optional[Sequence[float]] = None,
     initial_nic_free: Optional[Sequence[float]] = None,
     platform=DEFAULT_PLATFORM,
 ) -> SimulatorBackend:
-    """A simulator backend for *workload* under the *network* model.
+    """The scalar simulator backend for *workload* under *network*.
 
-    With ``batch=True`` the scalar backend is wrapped in a
-    :class:`~repro.schedule.vectorized.BatchBackend` that additionally
-    offers ``batch_makespans(orders, machines)`` /
-    ``batch_string_makespans(strings)``: the network's best registered
-    kernel tier — compiled :mod:`~repro.schedule.jit` kernels when
-    numba imports (override with ``REPRO_KERNEL=numpy|jit``), else the
-    NumPy kernel (:class:`~repro.schedule.vectorized.BatchSimulator`
-    for ``"contention-free"``,
-    :class:`~repro.schedule.vectorized_contention.
-    ContentionBatchSimulator` for ``"nic"``), else a sequential scalar
-    fallback for networks without one (see :func:`kernel_tier`).  All
-    tiers are bit-identical.
-    Scalar-tier methods are forwarded without overhead either way, so a
-    batch-wrapped backend is a drop-in :class:`SimulatorBackend`.
-
-    ``initial_avail`` (and, for NIC-style models, ``initial_nic_free``)
+    ``initial_avail`` (and, for the ``"nic"`` model, ``initial_nic_free``)
     construct the backend against machines that are already busy with
     earlier work — the substrate of the online scheduling service
-    (:mod:`repro.online`).  The built-in backends accept both; a custom
-    registered network must accept the corresponding keyword to be used
-    with a non-``None`` value.  Because the vectorized batch kernels pack
-    idle-machine state, a batch request with initial state always routes
-    through the sequential scalar fallback (``is_vectorized`` reports
-    ``False``), keeping results exact.
+    (:mod:`repro.online`).
 
     ``platform`` selects a registered
     :class:`~repro.model.platform.PlatformSpec` (or takes one directly):
     the backend is built against the speed-scaled execution matrix, with
-    boot delays as initial state (so platforms with boot also take the
-    sequential batch fallback) and the billing table attached — its
-    ``score`` / ``string_score`` and, under ``batch=True``,
-    ``batch_scores`` then report dollar cost next to makespan.  The
-    default ``"uniform"`` platform adds *nothing* to this call — same
-    workload object, no extra keyword — and is therefore bit-identical
-    to the historical path.  A custom registered network must accept a
-    ``cost_model`` keyword to be used with a non-uniform platform.
+    boot delays as initial state and the billing table attached — its
+    ``score`` / ``string_score`` then report dollar cost next to
+    makespan.  The default ``"uniform"`` platform leaves the workload
+    object and the initial state untouched and attaches no billing
+    table, so it is bit-identical to the historical path.
+
+    Batch scoring is not a backend concern: the
+    :class:`~repro.optim.evaluation.EvaluationService` pairs this backend
+    with the network's kernel (see :func:`batch_kernel_factory`).
 
     Raises
     ------
     ValueError
-        If *network* names no registered backend, or *platform* no
+        If *network* names no network model, or *platform* no
         registered platform.
     """
-    _ensure_builtins()
-    key = network.lower()
-    try:
-        factory = _NETWORKS[key]
-    except KeyError:
-        raise ValueError(
-            f"unknown network model {network!r}; available: "
-            f"{', '.join(available_networks())}"
-        ) from None
+    scalar_cls = _load(_NETWORK_TABLE[check_network(network)][0])
     spec = resolve_platform(platform)
     workload, initial_avail, initial_nic_free = platform_state(
-        workload, spec, key, initial_avail, initial_nic_free
+        workload, spec, network, initial_avail, initial_nic_free
     )
-    cost_model = None
+    kwargs: Dict[str, Any] = {"initial_avail": initial_avail}
+    if initial_nic_free is not None:
+        kwargs["initial_nic_free"] = initial_nic_free
     if not spec.is_uniform:
         from repro.schedule.scoring import CostModel
 
         prices = spec.bind(workload.num_machines).prices
-        cost_model = CostModel(workload.exec_times.values, prices)
-    kwargs: Dict[str, Any] = {}
-    if initial_avail is not None:
-        kwargs["initial_avail"] = initial_avail
-    if initial_nic_free is not None:
-        kwargs["initial_nic_free"] = initial_nic_free
-    if cost_model is not None:
-        scalar = factory(workload, cost_model=cost_model, **kwargs)
-    else:
-        scalar = factory(workload, **kwargs)
-    if not batch:
-        return scalar
-    from repro.schedule.vectorized import BatchBackend, SequentialBatchKernel
-
-    kernel_factory = batch_kernel_factory(key)
-    if kernel_factory is None or kwargs:
-        kernel = SequentialBatchKernel(scalar)
-    else:
-        kernel = kernel_factory(workload)
-    return BatchBackend(scalar, kernel, cost_model=cost_model)
+        kwargs["cost_model"] = CostModel(workload.exec_times.values, prices)
+    return scalar_cls(workload, **kwargs)
 
 
 def plain_schedule(evaluated: Any) -> Schedule:

@@ -13,15 +13,18 @@ in a batch is independent, so rows shard perfectly across cores).
 Kernel tiers and selection
 --------------------------
 
-``make_simulator(w, network, batch=True)`` picks the best available
-tier per network:
+Each row of the network table in :mod:`repro.schedule.backend` names
+a NumPy kernel and one of this module's compiled kernels, and
+:func:`~repro.schedule.backend.batch_kernel_factory` picks between them.
+The :class:`~repro.optim.evaluation.EvaluationService` then runs one of
+three tiers:
 
-1. ``jit``        — this module's compiled kernels (both built-in
-   networks), auto-selected when :mod:`numba` imports;
+1. ``jit``        — this module's compiled kernels (both networks),
+   auto-selected when :mod:`numba` imports;
 2. ``vectorized`` — the NumPy kernels, the fallback when numba is
    absent (this repo never *requires* numba — it is an extra);
-3. ``sequential`` — a scalar loop, for networks without any kernel or
-   for backends carrying initial machine state.
+3. ``sequential`` — the service's scalar loop, when batching is not
+   preferred or the backend carries initial machine state.
 
 The environment variable ``REPRO_KERNEL`` overrides the choice for
 debugging and CI: ``REPRO_KERNEL=numpy`` pins the NumPy tier even with
@@ -70,7 +73,6 @@ from typing import Optional
 import numpy as np
 
 from repro.model.workload import Workload
-from repro.schedule.backend import register_jit_network
 from repro.schedule.vectorized import BatchSimulator, WorkloadPack
 from repro.schedule.vectorized_contention import ContentionBatchSimulator
 
@@ -269,7 +271,6 @@ def _walk_nic(
 # ----------------------------------------------------------------------
 
 
-@register_jit_network("contention-free")
 class JitBatchSimulator(BatchSimulator):
     """Compiled batch kernel for the contention-free model.
 
@@ -306,7 +307,6 @@ class JitBatchSimulator(BatchSimulator):
         return out
 
 
-@register_jit_network("nic")
 class JitContentionBatchSimulator(ContentionBatchSimulator):
     """Compiled batch kernel for the ``"nic"`` network model.
 

@@ -7,15 +7,13 @@ second objective, dollar cost, and this module owns its arithmetic:
 * :class:`ScheduleScore` — one schedule's ``(makespan, cost, busy)``
   triple, returned by ``score`` / ``string_score`` on the scalar
   simulators;
-* :class:`BatchScores` — the batch tier's column-wise equivalent: one
-  makespan array and one cost array per batch;
 * :class:`CostModel` — the per-task billing table.  Cost is per-task:
   ``sum over tasks of price[machine_of[task]] * E[machine_of[task]][task]``
   — you pay for the busy time your tasks occupy, not for the makespan.
   That makes cost a function of the *matching string alone* (it does
   not depend on the order or on communication waits), which is what
-  lets the batch tier compute a whole batch's costs in a single fancy
-  gather + row sum instead of walking schedules.
+  lets the evaluation service compute a whole batch's costs in a single
+  fancy gather + row sum instead of walking schedules.
 
 The zero model (all prices 0) is what uniform-platform simulators carry
 implicitly: ``score`` degrades to ``(makespan, 0.0, busy)``.
@@ -38,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["ScheduleScore", "BatchScores", "CostModel"]
+__all__ = ["ScheduleScore", "CostModel"]
 
 
 @dataclass(frozen=True)
@@ -65,20 +63,6 @@ class ScheduleScore:
     def point(self) -> tuple[float, float]:
         """The ``(makespan, cost)`` objective point, for Pareto fronts."""
         return (self.makespan, self.cost)
-
-
-@dataclass(frozen=True)
-class BatchScores:
-    """Column-wise scores of one schedule batch (the batch tier's
-    :class:`ScheduleScore`): ``makespans[i]`` / ``costs[i]`` belong to
-    schedule ``i``.  Busy time stays per-schedule on demand — batches
-    exist for objective scans, not utilisation reports."""
-
-    makespans: np.ndarray
-    costs: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.makespans)
 
 
 class CostModel:

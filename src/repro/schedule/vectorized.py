@@ -64,9 +64,7 @@ import numpy as np
 
 from repro.model.matrices import pair_table
 from repro.model.workload import Workload
-from repro.schedule.backend import register_batch_network
 from repro.schedule.encoding import ScheduleString
-from repro.schedule.scoring import BatchScores, CostModel
 from repro.schedule.simulator import InvalidScheduleError
 
 
@@ -402,12 +400,9 @@ class BatchKernel:
     the packing side.
     """
 
-    #: True for a real vectorized kernel; the scalar fallback says False.
-    is_vectorized = True
-
     #: The tier name surfaced by ``repro algorithms`` / ``repro run
     #: --verbose``: "vectorized" here, "jit" for the compiled subclasses
-    #: in :mod:`repro.schedule.jit`, "sequential" for the scalar loop.
+    #: in :mod:`repro.schedule.jit`.
     kernel_tier = "vectorized"
 
     #: Rows scored per internal chunk: large enough to amortize NumPy
@@ -431,7 +426,6 @@ class BatchKernel:
         "_pad_item",
         "_max_deg",
         "_scratch",
-        "_cost_model",
     )
 
     def _bind_pack(
@@ -466,18 +460,7 @@ class BatchKernel:
         # reused across calls (fresh multi-MB allocations would pay page
         # faults every batch); makes instances NOT thread-safe
         self._scratch: Optional[dict] = None
-        self._cost_model: Optional[CostModel] = None
         return pack
-
-    @property
-    def cost_model(self) -> Optional[CostModel]:
-        """The platform billing table :meth:`scores` charges against
-        (``None`` → the zero model of the uniform platform)."""
-        return self._cost_model
-
-    @cost_model.setter
-    def cost_model(self, model: Optional[CostModel]) -> None:
-        self._cost_model = model
 
     @property
     def workload(self) -> Workload:
@@ -560,39 +543,7 @@ class BatchKernel:
         machines = np.array([s.machines for s in strings], dtype=np.intp)
         return self.makespans(orders, machines, validate=validate)
 
-    def scores(
-        self, orders: Any, machines: Any, validate: bool = True
-    ) -> BatchScores:
-        """Makespans *and* dollar costs of the batch, both vectorized.
 
-        The makespans are the usual :meth:`makespans` walk; the costs
-        are one fancy gather into the attached :class:`CostModel`'s
-        per-task billing table (see :meth:`CostModel.batch_costs`) —
-        no per-schedule Python loop on either column.
-        """
-        k = self._k
-        orders = _as_index_matrix(orders, k, "orders")
-        machines = _as_index_matrix(machines, k, "machines")
-        spans = self.makespans(orders, machines, validate=validate)
-        cm = self._cost_model
-        if cm is None:
-            cm = self._cost_model = CostModel.zero(self._E)
-        return BatchScores(spans, cm.batch_costs(machines))
-
-    def string_scores(
-        self, strings: Sequence[ScheduleString], validate: bool = True
-    ) -> BatchScores:
-        """:meth:`scores` over :class:`ScheduleString` objects."""
-        if not strings:
-            return BatchScores(
-                np.empty(0, dtype=float), np.empty(0, dtype=float)
-            )
-        orders = np.array([s.order for s in strings], dtype=np.intp)
-        machines = np.array([s.machines for s in strings], dtype=np.intp)
-        return self.scores(orders, machines, validate=validate)
-
-
-@register_batch_network("contention-free")
 class BatchSimulator(BatchKernel):
     """NumPy batch-evaluation kernel for the contention-free model.
 
@@ -609,10 +560,8 @@ class BatchSimulator(BatchKernel):
         self,
         workload: Workload,
         pack: Optional[WorkloadPack] = None,
-        cost_model: Optional[CostModel] = None,
     ):
         self._bind_pack(workload, pack)
-        self._cost_model = cost_model
 
     def _score_chunk(
         self, orders: np.ndarray, machines: np.ndarray
@@ -734,209 +683,3 @@ class BatchSimulator(BatchKernel):
             "arrive": np.empty(C),
         }
         return sc
-
-
-class SequentialBatchKernel:
-    """Scalar fallback: a batch API looping over any scalar backend.
-
-    Used when a network model (e.g. ``"nic"``) has no vectorized kernel
-    registered, so batch-aware callers can stay on one code path.  The
-    scalar backend performs its own precedence checks, hence *validate*
-    is accepted for signature parity but has no extra work to do.
-    """
-
-    is_vectorized = False
-
-    kernel_tier = "sequential"
-
-    __slots__ = ("_backend",)
-
-    def __init__(self, backend: Any):
-        self._backend = backend
-
-    @property
-    def workload(self) -> Workload:
-        return self._backend.workload
-
-    def makespans(
-        self, orders: Any, machines: Any, validate: bool = True
-    ) -> np.ndarray:
-        out = [
-            self._backend.makespan(list(o), list(m))
-            for o, m in zip(orders, machines)
-        ]
-        return np.array(out, dtype=float)
-
-    def string_makespans(
-        self, strings: Sequence[ScheduleString], validate: bool = True
-    ) -> np.ndarray:
-        return np.array(
-            [self._backend.string_makespan(s) for s in strings],
-            dtype=float,
-        )
-
-    def scores(
-        self, orders: Any, machines: Any, validate: bool = True
-    ) -> BatchScores:
-        """Sequential ``(makespans, costs)`` via the backend's ``score``
-        (zero costs for scalar backends without a multi-metric tier)."""
-        score = getattr(self._backend, "score", None)
-        if score is None:
-            spans = self.makespans(orders, machines, validate=validate)
-            return BatchScores(spans, np.zeros(len(spans)))
-        triples = [
-            score(list(o), list(m)) for o, m in zip(orders, machines)
-        ]
-        return BatchScores(
-            np.array([s.makespan for s in triples], dtype=float),
-            np.array([s.cost for s in triples], dtype=float),
-        )
-
-    def string_scores(
-        self, strings: Sequence[ScheduleString], validate: bool = True
-    ) -> BatchScores:
-        score = getattr(self._backend, "string_score", None)
-        if score is None:
-            spans = self.string_makespans(strings, validate=validate)
-            return BatchScores(spans, np.zeros(len(spans)))
-        triples = [score(s) for s in strings]
-        return BatchScores(
-            np.array([s.makespan for s in triples], dtype=float),
-            np.array([s.cost for s in triples], dtype=float),
-        )
-
-
-class BatchBackend:
-    """A scalar :class:`SimulatorBackend` extended with batch scoring.
-
-    Produced by ``make_simulator(workload, network, batch=True)``.
-    Scalar-tier methods (``makespan``, ``prepare``, ``evaluate_delta``,
-    ...) are bound straight from the wrapped backend, so the incremental
-    hot path pays zero delegation overhead; :meth:`batch_makespans` and
-    :meth:`batch_string_makespans` go through the vectorized kernel (or
-    the scalar fallback when the network has none).
-    """
-
-    _FORWARDED = (
-        "makespan",
-        "string_makespan",
-        "evaluate",
-        "prepare",
-        "prepare_string",
-        "evaluate_delta",
-        "finish_times",
-        "score",
-        "string_score",
-    )
-
-    def __init__(
-        self,
-        scalar: Any,
-        kernel: Any,
-        cost_model: Optional[CostModel] = None,
-    ):
-        self._scalar = scalar
-        self._kernel = kernel
-        self._cost_model = cost_model
-        if cost_model is not None:
-            try:
-                kernel.cost_model = cost_model
-            except AttributeError:
-                pass  # custom kernel without a cost tier; see batch_scores
-        for name in self._FORWARDED:
-            method = getattr(scalar, name, None)
-            if method is not None:
-                setattr(self, name, method)
-
-    @property
-    def workload(self) -> Workload:
-        return self._scalar.workload
-
-    @property
-    def is_vectorized(self) -> bool:
-        """True when batch calls run a genuinely vectorized kernel.
-
-        Read-only: the answer is a fact about the wrapped kernel, not a
-        switch.  Surfaced by ``repro algorithms`` and ``repro run
-        --verbose`` so a sequential fallback is visible instead of
-        silent.
-        """
-        return bool(self._kernel.is_vectorized)
-
-    @property
-    def kernel_tier(self) -> str:
-        """The wrapped kernel's tier: ``"jit"``, ``"vectorized"`` or
-        ``"sequential"`` (custom kernels without the attribute report
-        by their ``is_vectorized`` flag).  Like :attr:`is_vectorized`,
-        a fact about the kernel, surfaced so the CLI can report the
-        tier a run actually executes on."""
-        tier = getattr(self._kernel, "kernel_tier", None)
-        if tier is not None:
-            return str(tier)
-        return "vectorized" if self.is_vectorized else "sequential"
-
-    @property
-    def scalar_backend(self) -> Any:
-        """The wrapped scalar backend (for tests and introspection)."""
-        return self._scalar
-
-    @property
-    def kernel(self) -> Any:
-        """The batch kernel (``BatchSimulator`` or the scalar fallback)."""
-        return self._kernel
-
-    def batch_makespans(
-        self, orders: Any, machines: Any, validate: bool = True
-    ) -> np.ndarray:
-        """Batch of makespans; see :meth:`BatchSimulator.makespans`."""
-        return self._kernel.makespans(orders, machines, validate=validate)
-
-    def batch_string_makespans(
-        self, strings: Sequence[ScheduleString], validate: bool = True
-    ) -> np.ndarray:
-        """Batch of makespans over :class:`ScheduleString` objects."""
-        return self._kernel.string_makespans(strings, validate=validate)
-
-    @property
-    def cost_model(self) -> Optional[CostModel]:
-        """The platform billing table the batch cost column charges
-        against (``None`` → the zero model of the uniform platform)."""
-        return self._cost_model
-
-    def batch_scores(
-        self, orders: Any, machines: Any, validate: bool = True
-    ) -> BatchScores:
-        """Batch ``(makespans, costs)``; cost stays vectorized whenever
-        the kernel does (one gather + row sum per batch)."""
-        kern = self._kernel
-        if hasattr(kern, "scores"):
-            return kern.scores(orders, machines, validate=validate)
-        # custom kernel without a cost tier: makespans from the kernel,
-        # costs from the billing table directly
-        spans = kern.makespans(orders, machines, validate=validate)
-        cm = self._cost_model
-        if cm is None:
-            return BatchScores(spans, np.zeros(len(spans)))
-        return BatchScores(
-            spans, cm.batch_costs(np.asarray(machines, dtype=np.intp))
-        )
-
-    def batch_string_scores(
-        self, strings: Sequence[ScheduleString], validate: bool = True
-    ) -> BatchScores:
-        """:meth:`batch_scores` over :class:`ScheduleString` objects."""
-        kern = self._kernel
-        if hasattr(kern, "string_scores"):
-            return kern.string_scores(strings, validate=validate)
-        spans = kern.string_makespans(strings, validate=validate)
-        cm = self._cost_model
-        if cm is None:
-            return BatchScores(spans, np.zeros(len(spans)))
-        machines = np.array([s.machines for s in strings], dtype=np.intp)
-        return BatchScores(spans, cm.batch_costs(machines))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"BatchBackend({type(self._scalar).__name__}, "
-            f"{self.kernel_tier} batch)"
-        )

@@ -2,13 +2,10 @@
 
 The paper's headline extension result — optimising *under* the
 realistic one-NIC-per-machine model beats optimising contention-free
-and re-evaluating — is exactly the configuration the batch tier used to
-abandon: only the contention-free model registered a vectorized kernel,
-so ``make_simulator(w, "nic", batch=True)`` silently degraded to a
-sequential scalar loop.  :class:`ContentionBatchSimulator` closes that
-gap: whole schedule batches are scored under NIC serialisation in NumPy
-sweeps, bit-identical to
-:meth:`~repro.extensions.contention.ContentionSimulator.makespan`.
+and re-evaluating — needs the ``"nic"`` model to batch-score as fast as
+the contention-free one.  :class:`ContentionBatchSimulator` scores whole
+schedule batches under NIC serialisation in NumPy sweeps, bit-identical
+to :meth:`~repro.extensions.contention.ContentionSimulator.makespan`.
 
 Kernel layout
 -------------
@@ -59,12 +56,12 @@ Two exactness notes, both load-bearing for bit-identity:
   same-machine mask), never the arrival slot, mirroring the scalar
   reads exactly.
 
-Registered via ``register_batch_network("nic")``, so
-``make_simulator(w, "nic", batch=True)``, the
-:class:`~repro.optim.evaluation.EvaluationService`, GA population
-fitness, ``random_search(batch_size=...)`` and tabu's batch route
-(scenario objectives, Pareto tracking) all pick it up with zero
-call-site changes.
+It is the ``"nic"`` row's NumPy kernel in the network table of
+:mod:`repro.schedule.backend`, so the
+:class:`~repro.optim.evaluation.EvaluationService` — and through it GA
+population fitness, ``random_search(batch_size=...)`` and tabu's batch
+route (scenario objectives, Pareto tracking) — scores ``"nic"`` batches
+with it.
 
 >>> from repro.extensions.contention import ContentionSimulator
 >>> from repro.schedule.operations import random_valid_string
@@ -86,11 +83,9 @@ from typing import Optional
 import numpy as np
 
 from repro.model.workload import Workload
-from repro.schedule.backend import register_batch_network
 from repro.schedule.vectorized import BatchKernel, WorkloadPack
 
 
-@register_batch_network("nic")
 class ContentionBatchSimulator(BatchKernel):
     """NumPy batch-evaluation kernel for the ``"nic"`` network model.
 
@@ -117,10 +112,8 @@ class ContentionBatchSimulator(BatchKernel):
         self,
         workload: Workload,
         pack: Optional[WorkloadPack] = None,
-        cost_model=None,
     ):
         pack = self._bind_pack(workload, pack)
-        self._cost_model = cost_model
         self._p = pack.num_items
         (
             self._pad_out_item,

@@ -373,7 +373,7 @@ def validate_scenario_settings(objective, scenarios: int, distribution):
     spec = resolve_distribution(distribution)
     if scenarios < 0:
         raise ValueError(f"scenarios must be >= 0, got {scenarios}")
-    if getattr(obj, "is_scenario", False):
+    if obj.is_scenario:
         if scenarios < 1:
             raise ValueError(
                 f"objective {obj.name!r} reduces over Monte-Carlo "

@@ -6,9 +6,8 @@ engine for that: scoring B schedules under scenario ``s`` is one
 ``batch_string_makespans`` call against a kernel built from scenario
 ``s``'s matrices, so the full ``(S, B)`` matrix is ``S`` kernel sweeps —
 no new walk code, and both network models (``"contention-free"`` and
-``"nic"``) come for free.  Networks without a registered kernel (or
-callers that disable batching) fall back to an ``S × B`` sequential
-scalar loop, bit-identical.
+``"nic"``) come for free.  Callers that disable batching get an
+``S × B`` sequential scalar loop, bit-identical.
 
 Two classes:
 
@@ -20,7 +19,7 @@ Two classes:
   :class:`~repro.schedule.backend.SimulatorBackend`-shaped wrapper the
   :class:`~repro.optim.evaluation.EvaluationService` installs for
   scenario objectives: every scalar an engine compares (``makespan``,
-  delta scalars, batch columns) is the *reduced risk statistic*, while
+  delta scalars) is the *reduced risk statistic*, while
   ``evaluate`` / ``finish_times`` still report the nominal schedule
   (result assembly and SE's goodness phase run on nominal durations).
   The incremental tier is exact but unaccelerated: ``evaluate_delta``
@@ -75,13 +74,13 @@ class ScenarioEvaluator:
         Simulator-backend name; scenario walks run under this network
         model, exactly like deterministic scoring.
     prefer_batch:
-        When True (default) and the network registered a batch kernel,
-        one kernel per scenario scores whole batches in NumPy sweeps;
+        When True (default) and the network has a batch kernel, one
+        kernel per scenario scores whole batches in NumPy sweeps;
         otherwise an ``S × B`` sequential scalar loop is used
         (bit-identical, just slower — surfaced by :attr:`is_vectorized`).
     """
 
-    __slots__ = ("_set", "_network", "_kernels", "_backends", "_vectorized")
+    __slots__ = ("_set", "_network", "_kernels", "_backends")
 
     def __init__(
         self,
@@ -94,22 +93,16 @@ class ScenarioEvaluator:
         self._kernels: Optional[list] = None
         self._backends: Optional[list] = None
         factory = batch_kernel_factory(network) if prefer_batch else None
-        self._vectorized = factory is not None
         S = scenario_set.scenarios
         if factory is not None:
             kernels = []
             base_pack: Optional[WorkloadPack] = None
             for s in range(S):
                 w_s = scenario_set.workload_for(s)
-                try:
-                    pack = WorkloadPack(w_s, like=base_pack)
-                    kernel = factory(w_s, pack=pack)
-                except TypeError:
-                    # custom kernel factory without a pack= keyword
-                    pack, kernel = None, factory(w_s)
+                pack = WorkloadPack(w_s, like=base_pack)
                 if base_pack is None:
                     base_pack = pack
-                kernels.append(kernel)
+                kernels.append(factory(w_s, pack=pack))
             self._kernels = kernels
         else:
             self._backends = [
@@ -142,17 +135,15 @@ class ScenarioEvaluator:
     @property
     def is_vectorized(self) -> bool:
         """True when scenario sweeps run the network's batch kernel."""
-        return self._vectorized
+        return self._kernels is not None
 
     @property
     def kernel_tier(self) -> str:
         """The tier of the per-scenario kernels (``jit``/``vectorized``)
         or ``sequential`` when scoring loops the scalar backends."""
-        if self._kernels:
-            tier = getattr(self._kernels[0], "kernel_tier", None)
-            if tier is not None:
-                return str(tier)
-        return "vectorized" if self._vectorized else "sequential"
+        if self._kernels is None:
+            return "sequential"
+        return self._kernels[0].kernel_tier
 
     # ------------------------------------------------------------------
     # scoring
@@ -220,7 +211,9 @@ class ScenarioBackend:
     schedule's scenario makespans.  ``evaluate`` / ``finish_times`` /
     the decoded schedules stay *nominal* — reported makespans in
     result assembly are real nominal makespans, and SE's goodness
-    phase ranks subtasks by nominal finish times.
+    phase ranks subtasks by nominal finish times.  Batches skip this
+    wrapper: the service reduces the evaluator's ``(S, B)`` matrix
+    column-wise in one :meth:`ScenarioObjective.reduce_matrix` call.
     """
 
     def __init__(
@@ -253,14 +246,6 @@ class ScenarioBackend:
     @property
     def workload(self):
         return self._nominal.workload
-
-    @property
-    def is_vectorized(self) -> bool:
-        return self._evaluator.is_vectorized
-
-    @property
-    def kernel_tier(self) -> str:
-        return self._evaluator.kernel_tier
 
     def evaluate(self, string: ScheduleString) -> Any:
         """The nominal backend's full result (real schedule/makespan)."""
@@ -308,20 +293,6 @@ class ScenarioBackend:
         spurious ``inf``, just without branch-and-bound savings.
         """
         return self.makespan(order, machine_of)
-
-    def batch_makespans(
-        self, orders: Any, machines: Any, validate: bool = True
-    ) -> np.ndarray:
-        return self._objective.reduce_matrix(
-            self._evaluator.matrix(orders, machines, validate=validate)
-        )
-
-    def batch_string_makespans(
-        self, strings: Sequence[ScheduleString], validate: bool = True
-    ) -> np.ndarray:
-        return self._objective.reduce_matrix(
-            self._evaluator.string_matrix(strings, validate=validate)
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -7,6 +7,7 @@ from repro.optim import EvaluationService
 from repro.schedule import Simulator
 from repro.schedule.operations import random_valid_string
 from repro.workloads import small_workload
+from tests.routes import no_batch_kernel
 
 
 @pytest.fixture(scope="module")
@@ -27,19 +28,14 @@ class TestRouting:
         assert EvaluationService(workload).is_vectorized is True
 
     def test_nic_batch_is_vectorized(self, workload):
-        # since the NIC kernel registered, "nic" batches are vectorized
+        # the "nic" row of the network table carries a NumPy kernel too
         assert EvaluationService(workload, "nic").is_vectorized is True
 
-    def test_unkernelled_network_falls_back_sequential(
-        self, workload, monkeypatch
-    ):
-        # a network without a registered kernel loops the scalar backend
-        # and *visibly* reports so — the fallback must never be silent
-        from repro.schedule import backend as backend_mod
-
-        backend_mod._ensure_builtins()
-        monkeypatch.delitem(backend_mod._BATCH_NETWORKS, "nic")
-        svc = EvaluationService(workload, "nic")
+    def test_unkernelled_network_falls_back_sequential(self, workload):
+        # a network without a kernel loops the scalar backend and
+        # *visibly* reports so — the fallback must never be silent
+        with no_batch_kernel("nic"):
+            svc = EvaluationService(workload, "nic")
         assert svc.is_vectorized is False
         ref = ContentionSimulator(workload)
         strings = [
@@ -50,6 +46,31 @@ class TestRouting:
             ref.string_makespan(s) for s in strings
         ]
         assert svc.evaluations == len(strings)
+
+    @pytest.mark.parametrize("initial", [None, "busy"])
+    @pytest.mark.parametrize("prefer_batch", [True, False])
+    @pytest.mark.parametrize("platform", ["uniform", "spot", "cloud"])
+    @pytest.mark.parametrize("network", ["contention-free", "nic"])
+    def test_route_pin_table(
+        self, workload, network, platform, prefer_batch, initial, monkeypatch
+    ):
+        # numba absent: a kernel serves the service iff batching is
+        # preferred and the backend starts idle (cloud boots are state)
+        from repro.schedule import jit as jit_mod
+
+        monkeypatch.setattr(jit_mod, "_NUMBA_OK", False)
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        busy = [1.0] * workload.num_machines if initial == "busy" else None
+        svc = EvaluationService(
+            workload,
+            network,
+            prefer_batch=prefer_batch,
+            platform=platform,
+            initial_avail=busy,
+        )
+        served = prefer_batch and initial is None and platform != "cloud"
+        assert svc.kernel_tier == ("vectorized" if served else "sequential")
+        assert svc.is_vectorized is served
 
     def test_prefer_batch_false_disables_kernel(self, workload):
         assert (

@@ -159,23 +159,42 @@ class TestObjectiveBackend:
             else:
                 assert got == float("inf")  # the rest are pruned
 
-    def test_batch_columns_scalarized(self, workload):
-        svc = self.service(workload, prefer_batch=True)
-        assert svc.is_vectorized  # spot has no boot: kernel stays on
+    # spot has no boot, so a kernel scores its batches; cloud's boot
+    # delays are initial state, so the service loops the scalar backend
+    ROUTES = pytest.mark.parametrize(
+        "network,platform",
+        [
+            (network, platform)
+            for network in ("contention-free", "nic")
+            for platform in ("spot", "cloud")
+        ],
+    )
+
+    @ROUTES
+    def test_batch_columns_scalarized(self, workload, network, platform):
+        svc = self.service(workload, network=network, platform=platform)
+        assert svc.is_vectorized is (platform == "spot")
         ss = strings(workload, 8, seed=5)
-        batch = svc.batch_string_makespans(ss)
-        assert batch == [
+        want = [
             svc.scalarize(sc.makespan, sc.cost)
             for sc in map(svc.score_of, ss)
         ]
+        assert svc.batch_string_makespans(ss) == want
+        orders = [list(s.order) for s in ss]
+        machines = [list(s.machines) for s in ss]
+        assert svc.batch_makespans(orders, machines) == want
 
-    def test_every_scored_point_offered_to_pareto(self, workload):
+    @ROUTES
+    def test_every_scored_point_offered_to_pareto(
+        self, workload, network, platform
+    ):
         tracker = ParetoTracker()
-        svc = self.service(workload, pareto=tracker)
+        svc = self.service(
+            workload, network=network, platform=platform, pareto=tracker
+        )
         ss = strings(workload, 6, seed=6)
-        for s in ss:
-            svc.string_makespan(s)
-        svc.batch_string_makespans(ss)
+        singles = [svc.string_makespan(s) for s in ss]
+        assert svc.batch_string_makespans(ss) == singles
         assert tracker.offers == 12
         assert all(
             not tracker.dominated(p.makespan - 1e-9, p.cost - 1e-9)

@@ -64,6 +64,7 @@ class TestRaceConfig:
             (dict(exchange_interval=0, max_iterations=2), "exchange_interval"),
             (dict(network=""), "network"),
             (dict(platform="no-such-platform"), "platform"),
+            (dict(network="warp-drive"), "network"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, match):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import GAConfig, run_ga
 from repro.baselines.random_search import random_search
+from repro.optim.evaluation import EvaluationService
 from repro.schedule import (
     BatchSimulator,
     Simulator,
@@ -75,12 +76,12 @@ class TestBatchKernelBitIdentical:
     @given(workloads(max_tasks=6, max_machines=3), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_nic_fallback_matches_contention_scalar(self, w, seed):
-        wrapped = make_simulator(w, "nic", batch=True)
+        svc = EvaluationService(w, "nic")
         scalar = make_simulator(w, "nic")
         s = random_valid_string(w.graph, w.num_machines, seed)
-        got = wrapped.batch_string_makespans([s, s])
+        got = svc.batch_string_makespans([s, s])
         want = scalar.string_makespan(s)
-        assert got.tolist() == [want, want]
+        assert got == [want, want]
 
 
 class TestEnginesUnchangedByBatching:

@@ -32,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.model import TransferTimeMatrix, Workload, num_pairs
+from repro.optim.evaluation import EvaluationService
 from repro.schedule import (
     BatchSimulator,
     Simulator,
@@ -154,11 +155,11 @@ class TestForcedFallback:
                 ("contention-free", JitBatchSimulator),
                 ("nic", JitContentionBatchSimulator),
             ):
-                backend = make_simulator(w, network, batch=True)
-                assert backend.kernel_tier == "vectorized"
-                got = backend.batch_string_makespans(strings)
+                svc = EvaluationService(w, network)
+                assert svc.kernel_tier == "vectorized"
+                got = svc.batch_string_makespans(strings)
                 want = jit_cls(w).string_makespans(strings)
-                assert got.tolist() == want.tolist()
+                assert got == want.tolist()
         finally:
             if saved is None:
                 del os.environ["REPRO_KERNEL"]

@@ -35,9 +35,9 @@ def test_single_deterministic_scenario_is_bit_identical(w, seed, data):
     ev = ScenarioEvaluator(
         sample_scenarios(w, "deterministic", scenarios=1), network=network
     )
-    plain = EvaluationService(
-        w, network, prefer_batch=True
-    ).batch_string_makespans(strings)
+    plain = EvaluationService(w, network).batch_string_makespans(
+        strings
+    )
     assert ev.string_matrix(strings)[0].tolist() == list(plain)
 
 

@@ -53,9 +53,7 @@ def run_both(workload, config, service_kwargs=None, exchange_string=None):
     for by_delta in (True, False):
         service = None
         if service_kwargs is not None:
-            service = config.evaluation_service(
-                workload, prefer_batch=True, **service_kwargs
-            )
+            service = config.evaluation_service(workload, **service_kwargs)
         exchange = None
         if exchange_string is not None:
             exchange = DeliverAt(3, exchange_string)

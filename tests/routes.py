@@ -2,9 +2,10 @@
 
 Engines carry no batch switch: the
 :class:`~repro.optim.evaluation.EvaluationService` picks the route from
-the kernels registered for the network.  Tests that pin the sequential
-route therefore unregister those kernels for the duration of a block,
-so every service built inside reports ``is_vectorized`` False.
+the kernels the network table lists for the network.  Tests that pin
+the sequential route therefore drop those kernels from the table for
+the duration of a block, so every service built inside reports
+``is_vectorized`` False.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from repro.schedule import backend as backend_mod
 
 @contextmanager
 def no_batch_kernel(network: str = backend_mod.DEFAULT_NETWORK) -> Iterator[None]:
-    """Unregister *network*'s NumPy and (if present) jit batch kernels."""
-    backend_mod._ensure_builtins()
+    """Drop *network*'s NumPy and jit batch kernels from the table."""
+    scalar = backend_mod._NETWORK_TABLE[network][0]
     with pytest.MonkeyPatch.context() as mp:
-        mp.delitem(backend_mod._BATCH_NETWORKS, network)
-        mp.delitem(backend_mod._JIT_NETWORKS, network, raising=False)
+        mp.setitem(backend_mod._NETWORK_TABLE, network, (scalar, None, None))
         yield

@@ -1,4 +1,4 @@
-"""Unit tests for the pluggable simulator-backend registry."""
+"""Unit tests for the simulator-backend network table."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.schedule import (
     available_networks,
     make_simulator,
     plain_schedule,
-    register_network,
 )
 from repro.workloads import WorkloadSpec, build_workload
 
@@ -40,10 +39,6 @@ class TestRegistry:
     def test_unknown_network_lists_choices(self, workload):
         with pytest.raises(ValueError, match="available"):
             make_simulator(workload, "infiniband")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_network("nic")(ContentionSimulator)
 
     def test_backends_satisfy_protocol(self, workload):
         for name in available_networks():
@@ -93,7 +88,7 @@ class TestConfigsCarryNetwork:
         with pytest.raises(ValueError, match="network"):
             GAConfig(network="")
 
-    def test_unknown_network_surfaces_at_run_time(self, workload):
+    def test_unknown_network_rejected_at_construction(self, workload):
         from repro.core import SEConfig, run_se
 
         with pytest.raises(ValueError, match="unknown network"):

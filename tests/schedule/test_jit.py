@@ -1,5 +1,5 @@
 """Unit tests for the compiled kernel tier: selection, override
-validation, registration, warmup, and tier reporting end to end.
+validation, the network table, warmup, and tier reporting end to end.
 
 Everything here runs on numba-free installations: the selection logic
 reads ``repro.schedule.jit._NUMBA_OK`` at decision time (not import
@@ -12,10 +12,13 @@ works (slowly) on tiny workloads.
 import pytest
 
 from repro.optim.evaluation import EvaluationService
-from repro.schedule import backend as backend_mod
 from repro.schedule import jit as jit_mod
 from repro.schedule import make_simulator, random_valid_string
-from repro.schedule.backend import batch_kernel_factory, kernel_tier
+from repro.schedule.backend import (
+    available_networks,
+    batch_kernel_factory,
+    kernel_tier,
+)
 from repro.schedule.jit import (
     JitBatchSimulator,
     JitContentionBatchSimulator,
@@ -25,6 +28,7 @@ from repro.schedule.jit import (
     warmup,
 )
 from repro.workloads import small_workload
+from tests.routes import no_batch_kernel
 
 
 @pytest.fixture
@@ -86,10 +90,10 @@ class TestTierSelection:
         assert kernel_tier(network) == "vectorized"
 
     def test_no_kernels_at_all_is_sequential(self, monkeypatch):
-        backend_mod._ensure_builtins()
-        monkeypatch.delitem(backend_mod._BATCH_NETWORKS, "nic")
-        monkeypatch.delitem(backend_mod._JIT_NETWORKS, "nic")
-        assert kernel_tier("nic") == "sequential"
+        monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
+        with no_batch_kernel("nic"):
+            assert kernel_tier("nic") == "sequential"
+            assert batch_kernel_factory("nic") is None
 
     def test_factory_returns_jit_classes_when_selected(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
@@ -108,36 +112,30 @@ class TestTierSelection:
         assert batch_kernel_factory("nic") is ContentionBatchSimulator
 
     @pytest.mark.parametrize("network", ["contention-free", "nic"])
-    def test_make_simulator_builds_jit_backend(self, network, w, monkeypatch):
+    def test_service_builds_jit_kernel(self, network, w, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
-        backend = make_simulator(w, network, batch=True)
-        assert backend.kernel_tier == "jit"
-        assert backend.is_vectorized
+        svc = EvaluationService(w, network)
+        assert svc.kernel_tier == "jit"
+        assert svc.is_vectorized
         s = random_valid_string(w.graph, w.num_machines, 0)
         scalar = make_simulator(w, network)
-        got = backend.batch_string_makespans([s])
-        assert got.tolist() == [scalar.string_makespan(s)]
+        assert svc.batch_string_makespans([s]) == [scalar.string_makespan(s)]
 
     def test_initial_state_still_routes_sequential(self, w, monkeypatch):
         """Busy-machine backends never ride a kernel, jit or numpy."""
         monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
-        backend = make_simulator(
-            w, batch=True, initial_avail=[1.0] * w.num_machines
-        )
-        assert backend.kernel_tier == "sequential"
-        assert not backend.is_vectorized
+        svc = EvaluationService(w, initial_avail=[1.0] * w.num_machines)
+        assert svc.kernel_tier == "sequential"
+        assert not svc.is_vectorized
 
 
 class TestRegistration:
-    def test_duplicate_jit_registration_rejected(self):
-        backend_mod._ensure_builtins()
-        with pytest.raises(ValueError, match="already registered"):
-            backend_mod.register_jit_network("nic")(object)
-
-    def test_builtin_networks_have_jit_kernels(self):
-        backend_mod._ensure_builtins()
-        assert set(backend_mod._JIT_NETWORKS) == {"contention-free", "nic"}
+    def test_builtin_networks_have_jit_kernels(self, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
+        for network in available_networks():
+            assert batch_kernel_factory(network).kernel_tier == "jit"
 
     def test_kernel_tier_attribute(self):
         assert JitBatchSimulator.kernel_tier == "jit"

@@ -17,6 +17,7 @@ from repro.model.platform import (
     InstanceType,
     PlatformSpec,
 )
+from repro.optim.evaluation import EvaluationService
 from repro.schedule import make_simulator
 from repro.schedule.backend import (
     available_platforms,
@@ -163,13 +164,9 @@ class TestBootSemantics:
         assert booted.string_makespan(s) >= plain.string_makespan(s)
 
     def test_boot_routes_batch_to_sequential_fallback(self, workload):
-        assert make_simulator(workload, batch=True).is_vectorized
-        assert make_simulator(
-            workload, batch=True, platform="spot"
-        ).is_vectorized
-        assert not make_simulator(
-            workload, batch=True, platform="cloud"
-        ).is_vectorized
+        assert EvaluationService(workload).is_vectorized
+        assert EvaluationService(workload, platform="spot").is_vectorized
+        assert not EvaluationService(workload, platform="cloud").is_vectorized
 
 
 class TestUniformBitIdentity:
@@ -198,15 +195,11 @@ class TestUniformBitIdentity:
     @pytest.mark.parametrize("network", ["contention-free", "nic"])
     def test_batch_kernels_bit_identical(self, workload, network):
         strings = [self._string(workload, seed) for seed in range(20)]
-        plain = make_simulator(workload, network, batch=True)
-        uniform = make_simulator(
-            workload, network, batch=True, platform="uniform"
-        )
+        plain = EvaluationService(workload, network)
+        uniform = EvaluationService(workload, network, platform="uniform")
         assert uniform.is_vectorized  # uniform never forces the fallback
-        assert (
-            uniform.batch_string_makespans(strings).tolist()
-            == plain.batch_string_makespans(strings).tolist()
-        )
+        got = uniform.batch_string_makespans(strings)
+        assert got == plain.batch_string_makespans(strings)
 
     def test_uniform_score_is_free(self, workload):
         s = self._string(workload)

@@ -1,4 +1,4 @@
-"""CostModel / ScheduleScore / BatchScores — the billing arithmetic.
+"""CostModel / ScheduleScore — the billing arithmetic.
 
 Cost is per-task (``price[machine] * scaled exec time``, summed), so it
 depends on the matching string alone; the batch tier's ``batch_costs``
@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from repro.schedule import make_simulator
+from repro.schedule.backend import batch_kernel_factory
 from repro.schedule.operations import random_valid_string
-from repro.schedule.scoring import BatchScores, CostModel, ScheduleScore
+from repro.schedule.scoring import CostModel, ScheduleScore
 from repro.workloads import WorkloadSpec, build_workload
 
 E = np.array([[2.0, 4.0, 1.0], [1.0, 1.0, 5.0]])
@@ -84,12 +85,6 @@ class TestBatchTier:
         with pytest.raises(ValueError, match="machines"):
             cm.batch_costs(np.zeros(3, dtype=int))
 
-    def test_batch_scores_container(self):
-        bs = BatchScores(
-            makespans=np.array([1.0, 2.0]), costs=np.array([0.1, 0.2])
-        )
-        assert len(bs) == 2
-
 
 class TestBackendIntegration:
     """The priced backend's scores agree with a hand-built CostModel."""
@@ -102,16 +97,22 @@ class TestBackendIntegration:
 
     @pytest.mark.parametrize("network", ["contention-free", "nic"])
     def test_batch_scores_agree_with_scalar_scores(self, workload, network):
-        sim = make_simulator(workload, network, batch=True, platform="spot")
+        # the evaluation service's kernel route: makespans from the
+        # network's kernel, costs from one gather into the billing table
+        sim = make_simulator(workload, network, platform="spot")
+        kernel = batch_kernel_factory(network)(sim.workload)
         rng = np.random.default_rng(9)
         strings = [
             random_valid_string(workload.graph, workload.num_machines, rng)
             for _ in range(16)
         ]
-        scores = sim.batch_string_scores(strings)
+        spans = kernel.string_makespans(strings)
+        costs = sim.cost_model.batch_costs(
+            np.array([s.machines for s in strings])
+        )
         singles = [sim.string_score(s) for s in strings]
-        assert scores.makespans.tolist() == [s.makespan for s in singles]
-        assert scores.costs.tolist() == [s.cost for s in singles]
+        assert spans.tolist() == [s.makespan for s in singles]
+        assert costs.tolist() == [s.cost for s in singles]
 
     def test_backend_cost_matches_hand_model(self, workload):
         sim = make_simulator(workload, platform="spot")

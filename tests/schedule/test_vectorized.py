@@ -2,8 +2,8 @@
 
 Covers the edge cases the property tests are unlikely to pin exactly:
 empty batches, single-task graphs, duplicate-cost ties, zero-cost
-transfers, validation errors, and the ``BatchBackend`` /
-``make_simulator(..., batch=True)`` plumbing.
+transfers, validation errors, and the kernel plumbing behind the
+evaluation service's batch route.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.extensions.contention import ContentionSimulator
 from repro.model import (
     ExecutionTimeMatrix,
     HCSystem,
@@ -19,15 +18,13 @@ from repro.model import (
     TransferTimeMatrix,
     Workload,
 )
+from repro.optim.evaluation import EvaluationService
 from repro.schedule import (
-    BatchBackend,
     BatchSimulator,
     InvalidScheduleError,
-    SequentialBatchKernel,
     Simulator,
     make_simulator,
     random_valid_string,
-    register_batch_network,
 )
 
 
@@ -134,81 +131,22 @@ class TestBatchValidation:
         assert out.shape == (1,)
 
 
-class TestBatchBackendPlumbing:
+class TestKernelPlumbing:
     def test_make_simulator_plain_is_unwrapped(self):
         w = diamond_workload()
         assert isinstance(make_simulator(w), Simulator)
 
-    def test_make_simulator_batch_contention_free(self):
-        w = diamond_workload()
-        sim = make_simulator(w, batch=True)
-        assert isinstance(sim, BatchBackend)
-        assert sim.is_vectorized
-        assert isinstance(sim.kernel, BatchSimulator)
-        assert isinstance(sim.scalar_backend, Simulator)
-
-    def test_make_simulator_batch_nic_is_vectorized(self):
-        from repro.schedule.vectorized_contention import (
-            ContentionBatchSimulator,
-        )
-
-        w = diamond_workload()
-        sim = make_simulator(w, "nic", batch=True)
-        assert isinstance(sim, BatchBackend)
-        assert sim.is_vectorized
-        assert isinstance(sim.kernel, ContentionBatchSimulator)
-        assert isinstance(sim.scalar_backend, ContentionSimulator)
-        assert sim.kernel.workload is w
-
-    def test_make_simulator_unkernelled_network_falls_back(
-        self, monkeypatch
-    ):
-        # without a registered kernel the wrapper still works — via the
-        # sequential scalar loop — and says so via is_vectorized
-        from repro.schedule import backend as backend_mod
-
-        backend_mod._ensure_builtins()
-        monkeypatch.delitem(backend_mod._BATCH_NETWORKS, "nic")
-        w = diamond_workload()
-        sim = make_simulator(w, "nic", batch=True)
-        assert isinstance(sim, BatchBackend)
-        assert not sim.is_vectorized
-        assert isinstance(sim.kernel, SequentialBatchKernel)
-        assert isinstance(sim.scalar_backend, ContentionSimulator)
-        assert sim.kernel.workload is w
-        assert "sequential" in repr(sim)
-
     def test_is_vectorized_is_read_only(self):
-        w = diamond_workload()
-        sim = make_simulator(w, batch=True)
+        svc = EvaluationService(diamond_workload())
         with pytest.raises(AttributeError):
-            sim.is_vectorized = False
-
-    def test_batch_backend_forwards_scalar_tier(self):
-        w = diamond_workload()
-        plain = Simulator(w)
-        sim = make_simulator(w, batch=True)
-        s = random_valid_string(w.graph, 3, 3)
-        assert sim.workload is w
-        assert sim.string_makespan(s) == plain.string_makespan(s)
-        state = sim.prepare(s.order, s.machines)
-        assert (
-            sim.evaluate_delta(s.order, s.machines, 0, state)
-            == state.makespan
-        )
-        assert sim.finish_times(s) == plain.finish_times(s)
-        assert "vectorized" in repr(sim)
+            svc.is_vectorized = False
 
     def test_batch_makespans_matches_scalar(self):
         w = diamond_workload()
-        sim = make_simulator(w, batch=True)
+        svc = EvaluationService(w)
         strings = [random_valid_string(w.graph, 3, s) for s in range(7)]
-        got = sim.batch_string_makespans(strings)
-        assert got.tolist() == [sim.string_makespan(x) for x in strings]
-
-    def test_register_batch_network_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_batch_network("contention-free")(BatchSimulator)
+        got = svc.batch_string_makespans(strings)
+        assert got == [svc.string_makespan(x) for x in strings]
 
     def test_kernel_properties(self):
         w = diamond_workload()
@@ -247,9 +185,7 @@ class TestConfigValidation:
         for knob in ("batch_fitness", "incremental_evaluation"):
             with pytest.raises(TypeError, match=knob):
                 GAConfig(**{knob: False})
-        service = GAConfig().evaluation_service(
-            diamond_workload(), prefer_batch=True
-        )
+        service = GAConfig().evaluation_service(diamond_workload())
         assert service.is_vectorized
 
     def test_random_search_batch_size_validated(self):

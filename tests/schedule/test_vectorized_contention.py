@@ -29,6 +29,7 @@ from repro.schedule import (
 )
 from repro.schedule.vectorized import WorkloadPack
 from repro.schedule.vectorized_contention import ContentionBatchSimulator
+from tests.routes import no_batch_kernel
 
 
 def diamond_workload(transfer: float = 4.0, num_machines: int = 3):
@@ -249,18 +250,15 @@ class TestServiceAccountingUnderNic:
         ref = ContentionSimulator(w)
         assert costs == [ref.string_makespan(s) for s in strings]
 
-    def test_accounting_identical_to_scalar_fallback(self, monkeypatch):
-        # the regression the ISSUE asks for: flipping the kernel on must
-        # not change what runners record in their `evaluations` columns
-        from repro.schedule import backend as backend_mod
-
+    def test_accounting_identical_to_scalar_fallback(self):
+        # flipping the kernel on must not change what runners record in
+        # their `evaluations` columns
         w = diamond_workload()
         strings = [random_valid_string(w.graph, 3, s) for s in range(7)]
         fast = EvaluationService(w, "nic")
         fast_costs = fast.batch_string_makespans(strings)
-        backend_mod._ensure_builtins()
-        monkeypatch.delitem(backend_mod._BATCH_NETWORKS, "nic")
-        slow = EvaluationService(w, "nic")
+        with no_batch_kernel("nic"):
+            slow = EvaluationService(w, "nic")
         assert not slow.is_vectorized
         slow_costs = slow.batch_string_makespans(strings)
         assert fast_costs == slow_costs

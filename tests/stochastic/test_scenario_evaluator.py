@@ -35,9 +35,9 @@ def test_single_deterministic_scenario_is_bit_identical(network):
     strings = _strings(w, 8)
     got = ev.string_matrix(strings)
     assert got.shape == (1, 8)
-    expected = EvaluationService(
-        w, network, prefer_batch=True
-    ).batch_string_makespans(strings)
+    expected = EvaluationService(w, network).batch_string_makespans(
+        strings
+    )
     assert got[0].tolist() == list(expected)  # ==, not approx
 
 
@@ -46,7 +46,7 @@ def test_vectorized_matches_sequential_fallback(network):
     """Kernel-built scenario rows == scalar simulator per scenario."""
     w = small_workload(seed=2)
     scen = sample_scenarios(w, "lognormal:0.3", scenarios=4, seed=5)
-    fast = ScenarioEvaluator(scen, network=network, prefer_batch=True)
+    fast = ScenarioEvaluator(scen, network=network)
     slow = ScenarioEvaluator(scen, network=network, prefer_batch=False)
     assert fast.is_vectorized and not slow.is_vectorized
     strings = _strings(w, 5)
@@ -104,10 +104,10 @@ def test_backend_scalars_are_the_objectives_reduction():
     expected = backend.objective.reduce(ev.samples_string(s))
     assert backend.string_makespan(s) == expected
     assert backend.makespan(list(s.order), list(s.machines)) == expected
-    batch = backend.batch_string_makespans(_strings(w, 4))
+    singles = [backend.string_makespan(x) for x in _strings(w, 4)]
     matrix = ev.string_matrix(_strings(w, 4))
     np.testing.assert_allclose(
-        batch, backend.objective.reduce_matrix(matrix)
+        singles, backend.objective.reduce_matrix(matrix)
     )
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import PRESETS, build_parser, main
+from tests.routes import no_batch_kernel
 
 
 class TestParser:
@@ -249,15 +250,9 @@ class TestAlgorithmsCommand:
         # row legitimately mentions its own (boot delays) fallback
         assert "batch evaluation: sequential scalar fallback" not in out
 
-    def test_lists_sequential_fallback_when_no_kernel(
-        self, capsys, monkeypatch
-    ):
-        from repro.schedule import backend as backend_mod
-
-        backend_mod._ensure_builtins()
-        monkeypatch.delitem(backend_mod._BATCH_NETWORKS, "nic")
-        monkeypatch.delitem(backend_mod._JIT_NETWORKS, "nic", raising=False)
-        main(["algorithms"])
+    def test_lists_sequential_fallback_when_no_kernel(self, capsys):
+        with no_batch_kernel("nic"):
+            main(["algorithms"])
         out = capsys.readouterr().out
         assert "sequential scalar fallback" in out
 
@@ -314,16 +309,12 @@ class TestRunVerbose:
             "(numba-compiled)" in out
         )
 
-    def test_verbose_reports_sequential_fallback(self, capsys, monkeypatch):
-        from repro.schedule import backend as backend_mod
-
-        backend_mod._ensure_builtins()
-        monkeypatch.delitem(backend_mod._BATCH_NETWORKS, "nic")
-        monkeypatch.delitem(backend_mod._JIT_NETWORKS, "nic", raising=False)
-        rc = main(
-            ["run", "--algo", "heft", "--preset", "small", "--seed", "1",
-             "--network", "nic", "--verbose"]
-        )
+    def test_verbose_reports_sequential_fallback(self, capsys):
+        with no_batch_kernel("nic"):
+            rc = main(
+                ["run", "--algo", "heft", "--preset", "small", "--seed", "1",
+                 "--network", "nic", "--verbose"]
+            )
         assert rc == 0
         out = capsys.readouterr().out
         assert (
