@@ -10,6 +10,12 @@ Micro-benchmarks additionally serialize their headline numbers through
 the ``perf_log`` fixture into ``benchmarks/output/BENCH_micro.json``
 (schema: :mod:`repro.perf`), the artifact CI's ``perf`` job gates
 against the committed ``benchmarks/baseline/BENCH_micro.json``.
+
+Every bench runs its scalar simulators on the Python walker
+(``REPRO_WALKER=python``, see :mod:`repro.schedule.walker`): the
+committed ratio records were measured against that denominator.  A
+bench module that measures the compiled walker itself opts out with a
+module-level ``WALKER = "compiled"``.
 """
 
 from __future__ import annotations
@@ -20,6 +26,17 @@ import pytest
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 BENCH_MICRO_JSON = OUTPUT_DIR / "BENCH_micro.json"
+
+
+@pytest.fixture(autouse=True)
+def _pinned_walker(request, monkeypatch):
+    """Pin the scalar walker tier (Python unless the module says not)."""
+    from repro.schedule.walker import ENV
+
+    if getattr(request.module, "WALKER", "python") == "python":
+        monkeypatch.setenv(ENV, "python")
+    else:
+        monkeypatch.delenv(ENV, raising=False)
 
 
 @pytest.fixture(scope="session")

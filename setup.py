@@ -21,6 +21,9 @@ setup(
     license="MIT",
     package_dir={"": "src"},
     packages=find_packages("src"),
+    # the compiled walker's C source, built on first use (no build step
+    # at install time; see repro.schedule.walker)
+    package_data={"repro.schedule": ["_walk.c"]},
     python_requires=">=3.10",
     install_requires=[
         "numpy>=1.22",

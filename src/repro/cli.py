@@ -207,11 +207,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         best, schedule = res.best_string, res.best_schedule
         makespan = res.best_makespan
+    # metrics (and billing) against the workload the run actually
+    # scored: the platform's speed-scaled matrix, or w itself on uniform
+    sim = make_simulator(w, args.network, platform=args.platform)
     if args.verbose:
         # the tier that served the run's evaluation service; heuristics
         # build no service, so they report what the network offers
         tier = getattr(res, "kernel_tier", None) or kernel_tier(args.network)
         print(f"network {args.network!r}: batch evaluation via {_TIERS[tier]}")
+        walker = sim.walker_tier
+        if sim.walker_reason is not None:
+            walker += f" ({sim.walker_reason})"
+        print(f"scalar walker: {walker}")
         print("platform catalogs (--platform) and their cost paths:")
         print(_platforms_listing())
 
@@ -222,9 +229,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _print_risk_profile(fields, w, best)
     else:
         print(f"\nmakespan ({args.network}): {makespan:.2f}")
-    # metrics (and billing) against the workload the run actually
-    # scored: the platform's speed-scaled matrix, or w itself on uniform
-    sim = make_simulator(w, args.network, platform=args.platform)
     eff, cost_model = sim.workload, sim.cost_model
     if cost_model is not None:
         machines = best.machines

@@ -53,20 +53,12 @@ from typing import Optional, Sequence
 from repro.model.workload import Workload
 from repro.schedule.encoding import ScheduleString
 from repro.schedule.scoring import CostModel, ScheduleScore
-from repro.schedule.simulator import InvalidScheduleError, Schedule
-
-
-def _state_vector(
-    values: Optional[Sequence[float]], l: int, label: str
-) -> list[float]:
-    """Normalise an optional per-machine time vector (default all zero)."""
-    if values is None:
-        return [0.0] * l
-    if len(values) != l:
-        raise ValueError(
-            f"{label} has {len(values)} entries for {l} machines"
-        )
-    return [float(v) for v in values]
+from repro.schedule.simulator import (
+    InvalidScheduleError,
+    Schedule,
+    _state_vector,
+    _WalkerTier,
+)
 
 
 @dataclass(frozen=True)
@@ -205,13 +197,15 @@ class ContentionDeltaState:
         )
 
 
-class ContentionSimulator:
+class ContentionSimulator(_WalkerTier):
     """Schedule evaluation with per-machine outgoing-link serialisation.
 
     Full :class:`~repro.schedule.backend.SimulatorBackend`: the same
     ``makespan`` / ``evaluate`` / ``prepare`` / ``evaluate_delta``
     surface as :class:`repro.schedule.simulator.Simulator`, listed
-    as the ``"nic"`` network model.
+    as the ``"nic"`` network model.  ``makespan`` / ``prepare`` /
+    ``evaluate_delta`` run in the compiled walker when it loads
+    (:attr:`walker_tier`); the Python bodies are the fallback.
     """
 
     __slots__ = (
@@ -226,6 +220,8 @@ class ContentionSimulator:
         "_avail0",
         "_nic0",
         "_cost_model",
+        "_c",
+        "_why",
     )
 
     def __init__(
@@ -241,8 +237,6 @@ class ContentionSimulator:
         self._k = graph.num_tasks
         self._l = workload.num_machines
         self._p = graph.num_data_items
-        self._E = workload.exec_times.values.tolist()
-        self._pair = workload.transfer_times.pair_rows()
         # Per consumer: (producer, item) pairs — the data inputs.
         in_edges: list[list[tuple[int, int]]] = [[] for _ in range(self._k)]
         for d in graph.data_items:
@@ -265,6 +259,15 @@ class ContentionSimulator:
         self._nic0 = _state_vector(
             initial_nic_free, self._l, "initial_nic_free"
         )
+        self._build_walker(
+            self._in_edges, self._avail0, self._out_edges, self._nic0
+        )
+
+    def __getstate__(self):
+        return self._workload, self._avail0, self._nic0, self._cost_model
+
+    def __setstate__(self, state) -> None:
+        self.__init__(*state)
 
     @property
     def workload(self) -> Workload:
@@ -275,11 +278,27 @@ class ContentionSimulator:
     # ------------------------------------------------------------------
 
     def evaluate(self, string: ScheduleString) -> ContentionSchedule:
-        """Full evaluation of *string* under NIC contention."""
+        """Full evaluation of *string* under NIC contention.
+
+        Records every transfer, so it stays a Python walk on both walker
+        tiers.  The Python tier reads its nested-list tables; the compiled
+        tier, which never builds them, reads the matrices' accessors (the
+        same float64 values).
+        """
         order = string.order
         machine_of = string.machines
-        E = self._E
-        pair = self._pair
+        if self._E is None:
+            exec_time = self._workload.exec_times.time
+            transfer = self._workload.transfer_times.time
+        else:
+            E, pair = self._E, self._pair
+
+            def exec_time(m: int, task: int) -> float:
+                return E[m][task]
+
+            def transfer(src: int, dst: int, item: int) -> float:
+                return pair[src][dst][item]
+
         k = self._k
         in_edges = self._in_edges
         out_edges = self._out_edges
@@ -304,7 +323,7 @@ class ContentionSimulator:
                 t_arr = finish[prod] if pm == m else arrival[item]
                 if t_arr > ready:
                     ready = t_arr
-            fin = ready + E[m][task]
+            fin = ready + exec_time(m, task)
             start[task] = ready
             finish[task] = fin
             machine_avail[m] = fin
@@ -314,13 +333,12 @@ class ContentionSimulator:
             # eager push: send every cross-machine output item, in item
             # order, serialised on this machine's NIC
             nf = nic_free[m]
-            from_m = pair[m]
             for item, consumer in out_edges[task]:
                 dst = machine_of[consumer]
                 if dst == m:
                     continue
                 t_start = fin if fin > nf else nf
-                nf = t_start + from_m[dst][item]
+                nf = t_start + transfer(m, dst, item)
                 arrival[item] = nf
                 transfers.append(
                     TransferRecord(
@@ -356,6 +374,8 @@ class ContentionSimulator:
         InvalidScheduleError
             If *order* places a consumer before one of its producers.
         """
+        if self._c is not None:
+            return self._c.makespan(order, machine_of)
         E = self._E
         pair = self._pair
         in_edges = self._in_edges
@@ -441,6 +461,8 @@ class ContentionSimulator:
         InvalidScheduleError
             If *order* places a consumer before one of its producers.
         """
+        if self._c is not None:
+            return self._c.prepare(order, machine_of)
         E = self._E
         pair = self._pair
         k = self._k
@@ -558,6 +580,10 @@ class ContentionSimulator:
         unsound here because equal machine-availability and NIC vectors
         do not imply equal in-flight arrival times.
         """
+        if self._c is not None:
+            return self._c.evaluate_delta(
+                order, machine_of, first_changed, state, cutoff, region_end
+            )
         k = self._k
         f = first_changed
         if f < 0:

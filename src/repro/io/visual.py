@@ -14,11 +14,18 @@ Both return plain strings; ``save_svg`` / ``save_dot`` write them out.
 from __future__ import annotations
 
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from repro.model.graph import TaskGraph
 from repro.model.workload import Workload
 from repro.schedule.simulator import Schedule
+
+
+def escape(text: str) -> str:
+    """XML-escape ``&``, ``>`` and ``<`` (what ``xml.sax.saxutils.escape``
+    does by default, without importing ``xml.sax``, which pulls the
+    ``urllib``/``http``/``ssl`` stack into every ``import repro``)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
 
 #: Fill colours rotated across subtasks (okabe-ito palette, colour-blind safe).
 PALETTE = (

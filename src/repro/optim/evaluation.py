@@ -288,6 +288,19 @@ class EvaluationService:
         return self._kernel.kernel_tier
 
     @property
+    def walker_tier(self) -> str:
+        """The scalar walker serving single, prepare and delta calls:
+        ``compiled`` (the C extension of :mod:`repro.schedule.walker`)
+        or ``python``."""
+        return self._raw.walker_tier
+
+    @property
+    def walker_reason(self) -> Optional[str]:
+        """Why the Python walker serves (``None`` on the compiled tier):
+        ``REPRO_WALKER=python``, no compiler, or the failed compile."""
+        return self._raw.walker_reason
+
+    @property
     def prefers_delta(self) -> bool:
         """True when a neighbourhood of candidates is cheaper to score
         one cutoff-pruned :meth:`evaluate_delta` at a time than in one

@@ -1,0 +1,1358 @@
+/*
+ * Compiled scalar walkers: the hot methods of the two scalar backends.
+ *
+ * `Walker` runs `makespan`, `prepare` and `evaluate_delta` for one
+ * workload under the contention-free network (repro.schedule.simulator.
+ * Simulator) or the one-NIC-per-machine network (repro.extensions.
+ * contention.ContentionSimulator).  The Python methods of those classes
+ * are the specification: every loop below performs the same float
+ * operations in the same order, so results are bit-identical (`==`).
+ * Built with -O2 -ffp-contract=off and without fast-math, so no
+ * operation is fused or reordered.
+ *
+ * `E` and `Tr` are read in place from the workload's float64 arrays
+ * through the buffer protocol.  A table of l*l row pointers maps an
+ * ordered machine pair to its `Tr` row, with one shared zero row on the
+ * diagonal, exactly like the Python walkers' `pair` table.
+ *
+ * Memory safety: every task, machine, producer and item index is
+ * bounds-checked, either once at construction (the DAG tables) or per
+ * call (the caller's `order` / `machine_of`).  Inputs are copied into
+ * per-call buffers before the walk starts, and no Python code runs
+ * between that copy and the end of the walk, so threads sharing a
+ * walker cannot interleave in its scratch space.
+ *
+ * Loaded and built by repro.schedule.walker; `bind` must be called once
+ * with the Schedule class, InvalidScheduleError and the state-restore
+ * function used for pickling.
+ */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <math.h>
+#include <string.h>
+
+static PyObject *schedule_cls = NULL;
+static PyObject *invalid_error = NULL;
+static PyObject *restore_fn = NULL;
+
+/* Inputs of up to this many tasks are copied onto the stack. */
+#define STACK_TASKS 512
+
+/* ------------------------------------------------------------------ */
+/* helpers                                                            */
+/* ------------------------------------------------------------------ */
+
+static void *
+zalloc(Py_ssize_t n, size_t size)
+{
+    void *p = PyMem_Calloc(n > 0 ? (size_t)n : 1, size);
+    if (p == NULL) {
+        PyErr_NoMemory();
+    }
+    return p;
+}
+
+/* One index in [0, bound); any Python code (__index__) runs here, before
+ * a walk starts. */
+static int
+read_index(PyObject *item, Py_ssize_t bound, long *out, const char *what,
+           Py_ssize_t pos)
+{
+    long v;
+    if (PyLong_CheckExact(item)) {
+        v = PyLong_AsLong(item);
+    }
+    else {
+        Py_ssize_t s;
+        Py_INCREF(item);
+        s = PyNumber_AsSsize_t(item, PyExc_OverflowError);
+        Py_DECREF(item);
+        v = (long)s;
+    }
+    if (v == -1 && PyErr_Occurred()) {
+        return -1;
+    }
+    if (v < 0 || v >= bound) {
+        PyErr_Format(PyExc_ValueError,
+                     "%s[%zd] = %ld is out of range [0, %zd)",
+                     what, pos, v, bound);
+        return -1;
+    }
+    *out = v;
+    return 0;
+}
+
+/* Copy a length-n sequence of ids in [0, bound) into out[]. */
+static int
+read_ids(PyObject *seq, int *out, Py_ssize_t n, Py_ssize_t bound,
+         const char *what)
+{
+    PyObject *fast = PySequence_Fast(seq, "expected a sequence of ints");
+    Py_ssize_t i;
+    if (fast == NULL) {
+        return -1;
+    }
+    if (PySequence_Fast_GET_SIZE(fast) != n) {
+        PyErr_Format(PyExc_ValueError, "%s has %zd entries, expected %zd",
+                     what, PySequence_Fast_GET_SIZE(fast), n);
+        goto fail;
+    }
+    for (i = 0; i < n; i++) {
+        long v;
+        /* a non-int item's __index__ may have resized the list */
+        if (i >= PySequence_Fast_GET_SIZE(fast)) {
+            PyErr_Format(PyExc_ValueError, "%s changed size while read",
+                         what);
+            goto fail;
+        }
+        if (read_index(PySequence_Fast_GET_ITEM(fast, i), bound, &v, what,
+                       i) < 0) {
+            goto fail;
+        }
+        out[i] = (int)v;
+    }
+    Py_DECREF(fast);
+    return 0;
+fail:
+    Py_DECREF(fast);
+    return -1;
+}
+
+/* Copy a length-n sequence of floats into out[] (construction only: the
+ * tuple copy keeps every item alive whatever __float__ does). */
+static int
+read_floats(PyObject *seq, double *out, Py_ssize_t n, const char *what)
+{
+    PyObject *tup = PySequence_Tuple(seq);
+    Py_ssize_t i;
+    if (tup == NULL) {
+        return -1;
+    }
+    if (PyTuple_GET_SIZE(tup) != n) {
+        PyErr_Format(PyExc_ValueError, "%s has %zd entries, expected %zd",
+                     what, PyTuple_GET_SIZE(tup), n);
+        Py_DECREF(tup);
+        return -1;
+    }
+    for (i = 0; i < n; i++) {
+        double v = PyFloat_AsDouble(PyTuple_GET_ITEM(tup, i));
+        if (v == -1.0 && PyErr_Occurred()) {
+            Py_DECREF(tup);
+            return -1;
+        }
+        out[i] = v;
+    }
+    Py_DECREF(tup);
+    return 0;
+}
+
+static PyObject *
+int_list(const int *v, Py_ssize_t n)
+{
+    PyObject *out = PyList_New(n);
+    Py_ssize_t i;
+    if (out == NULL) {
+        return NULL;
+    }
+    for (i = 0; i < n; i++) {
+        PyObject *x = PyLong_FromLong(v[i]);
+        if (x == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyList_SET_ITEM(out, i, x);
+    }
+    return out;
+}
+
+static PyObject *
+float_list(const double *v, Py_ssize_t n)
+{
+    PyObject *out = PyList_New(n);
+    Py_ssize_t i;
+    if (out == NULL) {
+        return NULL;
+    }
+    for (i = 0; i < n; i++) {
+        PyObject *x = PyFloat_FromDouble(v[i]);
+        if (x == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyList_SET_ITEM(out, i, x);
+    }
+    return out;
+}
+
+/* Per-call copies of order / machine_of (stack for small strings). */
+typedef struct {
+    int stack[2 * STACK_TASKS];
+    int *heap;
+    int *order;
+    int *mach;
+} Inputs;
+
+static int
+read_inputs(Inputs *in, PyObject *order, PyObject *machine_of,
+            Py_ssize_t k, Py_ssize_t l)
+{
+    int *buf = in->stack;
+    in->heap = NULL;
+    if (k > STACK_TASKS) {
+        buf = in->heap = zalloc(2 * k, sizeof(int));
+        if (buf == NULL) {
+            return -1;
+        }
+    }
+    in->order = buf;
+    in->mach = buf + k;
+    if (read_ids(order, in->order, k, k, "order") < 0
+        || read_ids(machine_of, in->mach, k, l, "machine_of") < 0) {
+        PyMem_Free(in->heap);
+        return -1;
+    }
+    return 0;
+}
+
+static void
+free_inputs(Inputs *in)
+{
+    PyMem_Free(in->heap);
+}
+
+static void
+raise_invalid(int task, int prod)
+{
+    PyErr_Format(invalid_error != NULL ? invalid_error : PyExc_ValueError,
+                 "subtask %d scheduled before its producer %d", task, prod);
+}
+
+/* ------------------------------------------------------------------ */
+/* State: the per-position snapshot of one prepare walk               */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    PyObject_HEAD
+    int nic;
+    Py_ssize_t k, l, p;
+    double makespan;
+    int *ints;
+    double *dbl;
+    Py_ssize_t n_ints, n_dbl;
+    /* views into ints */
+    int *order, *mach, *pos_of;
+    int *last_consumer;   /* plain: last base position reading t's data */
+    int *producer_floor;  /* nic: earliest base position of t's producers */
+    /* views into dbl */
+    double *start, *finish, *span_prefix, *avail_rows;
+    double *suffix_max, *avail_at;  /* plain */
+    double *nic_rows, *arrival;     /* nic */
+} State;
+
+static PyTypeObject StateType;
+
+static void
+state_sizes(int nic, Py_ssize_t k, Py_ssize_t l, Py_ssize_t p,
+            Py_ssize_t *n_ints, Py_ssize_t *n_dbl)
+{
+    *n_ints = 4 * k;
+    if (nic) {
+        *n_dbl = 2 * k + (k + 1) + 2 * (k + 1) * l + p;
+    }
+    else {
+        *n_dbl = 2 * k + (k + 1) + (k + 1) * l + (k + 1) + k;
+    }
+}
+
+static State *
+state_new(int nic, Py_ssize_t k, Py_ssize_t l, Py_ssize_t p)
+{
+    State *s = PyObject_New(State, &StateType);
+    double *d;
+    if (s == NULL) {
+        return NULL;
+    }
+    s->nic = nic;
+    s->k = k;
+    s->l = l;
+    s->p = p;
+    s->makespan = 0.0;
+    state_sizes(nic, k, l, p, &s->n_ints, &s->n_dbl);
+    s->ints = zalloc(s->n_ints, sizeof(int));
+    s->dbl = zalloc(s->n_dbl, sizeof(double));
+    if (s->ints == NULL || s->dbl == NULL) {
+        Py_DECREF(s);
+        return NULL;
+    }
+    s->order = s->ints;
+    s->mach = s->ints + k;
+    s->pos_of = s->ints + 2 * k;
+    s->last_consumer = nic ? NULL : s->ints + 3 * k;
+    s->producer_floor = nic ? s->ints + 3 * k : NULL;
+    d = s->dbl;
+    s->start = d;
+    d += k;
+    s->finish = d;
+    d += k;
+    s->span_prefix = d;
+    d += k + 1;
+    s->avail_rows = d;
+    d += (k + 1) * l;
+    if (nic) {
+        s->nic_rows = d;
+        d += (k + 1) * l;
+        s->arrival = d;
+        s->suffix_max = s->avail_at = NULL;
+    }
+    else {
+        s->suffix_max = d;
+        d += k + 1;
+        s->avail_at = d;
+        s->nic_rows = s->arrival = NULL;
+    }
+    return s;
+}
+
+static void
+state_dealloc(State *s)
+{
+    PyMem_Free(s->ints);
+    PyMem_Free(s->dbl);
+    PyObject_Free(s);
+}
+
+static PyObject *
+state_makespan(State *s, void *closure)
+{
+    return PyFloat_FromDouble(s->makespan);
+}
+
+static PyObject *
+state_order(State *s, void *closure)
+{
+    return int_list(s->order, s->k);
+}
+
+static PyObject *
+state_machine_of(State *s, void *closure)
+{
+    return int_list(s->mach, s->k);
+}
+
+static PyObject *
+state_pos_of(State *s, void *closure)
+{
+    return int_list(s->pos_of, s->k);
+}
+
+static PyObject *
+state_start(State *s, void *closure)
+{
+    return float_list(s->start, s->k);
+}
+
+static PyObject *
+state_finish(State *s, void *closure)
+{
+    return float_list(s->finish, s->k);
+}
+
+static PyObject *
+state_span_prefix(State *s, void *closure)
+{
+    return float_list(s->span_prefix, s->k + 1);
+}
+
+static PyObject *
+int_tuple(const int *v, Py_ssize_t n)
+{
+    PyObject *lst = int_list(v, n), *out;
+    if (lst == NULL) {
+        return NULL;
+    }
+    out = PyList_AsTuple(lst);
+    Py_DECREF(lst);
+    return out;
+}
+
+static PyObject *
+float_tuple(const double *v, Py_ssize_t n)
+{
+    PyObject *lst = float_list(v, n), *out;
+    if (lst == NULL) {
+        return NULL;
+    }
+    out = PyList_AsTuple(lst);
+    Py_DECREF(lst);
+    return out;
+}
+
+static PyObject *
+state_as_schedule(State *s, PyObject *unused)
+{
+    PyObject *kw, *args, *out = NULL;
+    if (schedule_cls == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "walker module is not bound");
+        return NULL;
+    }
+    kw = Py_BuildValue(
+        "{s:N,s:N,s:N,s:N,s:d}",
+        "order", int_tuple(s->order, s->k),
+        "machine_of", int_tuple(s->mach, s->k),
+        "start", float_tuple(s->start, s->k),
+        "finish", float_tuple(s->finish, s->k),
+        "makespan", s->makespan);
+    if (kw == NULL) {
+        return NULL;
+    }
+    args = PyTuple_New(0);
+    if (args != NULL) {
+        out = PyObject_Call(schedule_cls, args, kw);
+        Py_DECREF(args);
+    }
+    Py_DECREF(kw);
+    return out;
+}
+
+static PyObject *
+state_reduce(State *s, PyObject *unused)
+{
+    if (restore_fn == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "walker module is not bound");
+        return NULL;
+    }
+    return Py_BuildValue(
+        "O(innndy#y#)", restore_fn, s->nic, s->k, s->l, s->p, s->makespan,
+        (const char *)s->ints, (Py_ssize_t)(s->n_ints * sizeof(int)),
+        (const char *)s->dbl, (Py_ssize_t)(s->n_dbl * sizeof(double)));
+}
+
+static PyGetSetDef state_getset[] = {
+    {"makespan", (getter)state_makespan, NULL, "makespan of the base string",
+     NULL},
+    {"order", (getter)state_order, NULL, "base string order (a copy)", NULL},
+    {"machine_of", (getter)state_machine_of, NULL,
+     "base machine assignment (a copy)", NULL},
+    {"pos_of", (getter)state_pos_of, NULL, "base position per task", NULL},
+    {"start", (getter)state_start, NULL, "start time per task", NULL},
+    {"finish", (getter)state_finish, NULL, "finish time per task", NULL},
+    {"span_prefix", (getter)state_span_prefix, NULL,
+     "makespan of each prefix [0, p), p = 0..k", NULL},
+    {NULL}
+};
+
+static PyMethodDef state_methods[] = {
+    {"as_schedule", (PyCFunction)state_as_schedule, METH_NOARGS,
+     "The fully evaluated base schedule (no re-walk needed)."},
+    {"__reduce__", (PyCFunction)state_reduce, METH_NOARGS, NULL},
+    {NULL}
+};
+
+static PyTypeObject StateType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.schedule._walk.State",
+    .tp_doc = "Per-position snapshot of one compiled prepare walk.",
+    .tp_basicsize = sizeof(State),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_dealloc = (destructor)state_dealloc,
+    .tp_getset = state_getset,
+    .tp_methods = state_methods,
+};
+
+static int
+check_range(const int *v, Py_ssize_t n, long lo, long hi, const char *what)
+{
+    Py_ssize_t i;
+    for (i = 0; i < n; i++) {
+        if (v[i] < lo || v[i] > hi) {
+            PyErr_Format(PyExc_ValueError, "corrupt state: %s[%zd] = %d",
+                         what, i, v[i]);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* restore(nic, k, l, p, makespan, ints, dbl): the inverse of __reduce__. */
+static PyObject *
+walk_restore(PyObject *module, PyObject *args)
+{
+    int nic;
+    Py_ssize_t k, l, p, n_ints, n_dbl, ni, nd;
+    double makespan;
+    const char *ints, *dbl;
+    State *s;
+    if (!PyArg_ParseTuple(args, "innndy#y#", &nic, &k, &l, &p, &makespan,
+                          &ints, &ni, &dbl, &nd)) {
+        return NULL;
+    }
+    if (k < 0 || l < 1 || p < 0 || k > INT_MAX || l > INT_MAX) {
+        PyErr_SetString(PyExc_ValueError, "corrupt state: bad dimensions");
+        return NULL;
+    }
+    state_sizes(nic != 0, k, l, p, &n_ints, &n_dbl);
+    if (ni != (Py_ssize_t)(n_ints * sizeof(int))
+        || nd != (Py_ssize_t)(n_dbl * sizeof(double))) {
+        PyErr_SetString(PyExc_ValueError, "corrupt state: bad buffer sizes");
+        return NULL;
+    }
+    s = state_new(nic != 0, k, l, p);
+    if (s == NULL) {
+        return NULL;
+    }
+    memcpy(s->ints, ints, ni);
+    memcpy(s->dbl, dbl, nd);
+    s->makespan = makespan;
+    if (check_range(s->order, k, 0, (long)k - 1, "order") < 0
+        || check_range(s->mach, k, 0, (long)l - 1, "machine_of") < 0
+        || check_range(s->pos_of, k, 0, (long)k - 1, "pos_of") < 0
+        || (nic ? check_range(s->producer_floor, k, 0, (long)k,
+                              "producer_floor")
+                : check_range(s->last_consumer, k, -1, (long)k - 1,
+                              "last_consumer_pos")) < 0) {
+        Py_DECREF(s);
+        return NULL;
+    }
+    return (PyObject *)s;
+}
+
+/* ------------------------------------------------------------------ */
+/* Walker                                                             */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    PyObject_HEAD
+    int nic;
+    Py_ssize_t k, l, p;
+    Py_buffer e_view, tr_view;
+    int have_e, have_tr;
+    const double *E;        /* (l, k), row-major */
+    const double **pair;    /* l*l Tr rows; shared zero row on diagonal */
+    double *zero_row;
+    int *in_ptr, *in_prod, *in_item;    /* CSR per consumer */
+    int *out_ptr, *out_item, *out_cons; /* CSR per producer (nic) */
+    double *avail0, *nic0;
+    /* scratch, used only while no Python code can run */
+    double *finish, *avail, *nicf, *arrival;
+    unsigned int *dirty;
+    unsigned int epoch;
+} Walker;
+
+static void
+walker_dealloc(Walker *w)
+{
+    if (w->have_e) {
+        PyBuffer_Release(&w->e_view);
+    }
+    if (w->have_tr) {
+        PyBuffer_Release(&w->tr_view);
+    }
+    PyMem_Free(w->pair);
+    PyMem_Free(w->zero_row);
+    PyMem_Free(w->in_ptr);
+    PyMem_Free(w->in_prod);
+    PyMem_Free(w->in_item);
+    PyMem_Free(w->out_ptr);
+    PyMem_Free(w->out_item);
+    PyMem_Free(w->out_cons);
+    PyMem_Free(w->avail0);
+    PyMem_Free(w->nic0);
+    PyMem_Free(w->finish);
+    PyMem_Free(w->avail);
+    PyMem_Free(w->nicf);
+    PyMem_Free(w->arrival);
+    PyMem_Free(w->dirty);
+    Py_TYPE(w)->tp_free((PyObject *)w);
+}
+
+static int
+get_matrix(PyObject *obj, Py_buffer *view, const char *what)
+{
+    const char *f;
+    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT)
+        < 0) {
+        return -1;
+    }
+    f = view->format;
+    if (view->ndim != 2 || view->itemsize != sizeof(double) || f == NULL
+        || !(strcmp(f, "d") == 0 || strcmp(f, "<d") == 0
+             || strcmp(f, "=d") == 0 || strcmp(f, "@d") == 0)) {
+        PyErr_Format(PyExc_TypeError,
+                     "%s must be a C-contiguous 2-D float64 array", what);
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return 0;
+}
+
+/* Parse per-task edge lists: seq[t] is a sequence of (a, b) pairs with a
+ * in [0, a_bound) and b in [0, b_bound); fills a CSR table.  Every level
+ * is copied to a tuple (a no-op for tuples), so no __index__ call can
+ * resize what is being read. */
+static int
+read_edges(PyObject *seq, Py_ssize_t k, Py_ssize_t a_bound,
+           Py_ssize_t b_bound, int **ptr, int **a_out, int **b_out,
+           const char *what)
+{
+    PyObject *outer = PySequence_Tuple(seq), *rows = NULL;
+    Py_ssize_t t, total = 0, e = 0;
+    int rc = -1;
+    if (outer == NULL) {
+        return -1;
+    }
+    if (PyTuple_GET_SIZE(outer) != k) {
+        PyErr_Format(PyExc_ValueError, "%s has %zd rows, expected %zd",
+                     what, PyTuple_GET_SIZE(outer), k);
+        goto done;
+    }
+    rows = PyTuple_New(k);
+    if (rows == NULL) {
+        goto done;
+    }
+    for (t = 0; t < k; t++) {
+        PyObject *row = PySequence_Tuple(PyTuple_GET_ITEM(outer, t));
+        if (row == NULL) {
+            goto done;
+        }
+        PyTuple_SET_ITEM(rows, t, row);
+        total += PyTuple_GET_SIZE(row);
+    }
+    if (total > INT_MAX) {
+        PyErr_Format(PyExc_ValueError, "%s is too large", what);
+        goto done;
+    }
+    *ptr = zalloc(k + 1, sizeof(int));
+    *a_out = zalloc(total, sizeof(int));
+    *b_out = zalloc(total, sizeof(int));
+    if (*ptr == NULL || *a_out == NULL || *b_out == NULL) {
+        goto done;
+    }
+    for (t = 0; t < k; t++) {
+        PyObject *row = PyTuple_GET_ITEM(rows, t);
+        Py_ssize_t j;
+        (*ptr)[t] = (int)e;
+        for (j = 0; j < PyTuple_GET_SIZE(row); j++) {
+            PyObject *pair = PySequence_Tuple(PyTuple_GET_ITEM(row, j));
+            long a, b;
+            int bad;
+            if (pair == NULL) {
+                goto done;
+            }
+            bad = PyTuple_GET_SIZE(pair) != 2;
+            if (bad) {
+                PyErr_Format(PyExc_ValueError, "%s entries must be pairs",
+                             what);
+            }
+            else {
+                bad = read_index(PyTuple_GET_ITEM(pair, 0), a_bound, &a,
+                                 what, t) < 0
+                      || read_index(PyTuple_GET_ITEM(pair, 1), b_bound, &b,
+                                    what, t) < 0;
+            }
+            Py_DECREF(pair);
+            if (bad) {
+                goto done;
+            }
+            (*a_out)[e] = (int)a;
+            (*b_out)[e] = (int)b;
+            e++;
+        }
+    }
+    (*ptr)[k] = (int)e;
+    rc = 0;
+done:
+    Py_XDECREF(rows);
+    Py_DECREF(outer);
+    return rc;
+}
+
+/* Walker(E, Tr, in_edges, out_edges, avail0, nic0)
+ *
+ * E: (l, k) float64; Tr: (l(l-1)/2, p) float64; in_edges[t]: (producer,
+ * item) pairs; out_edges[t]: (item, consumer) pairs in push order, or
+ * None for the contention-free network (nic0 is then None too). */
+static int
+walker_init(Walker *w, PyObject *args, PyObject *kwds)
+{
+    PyObject *E, *Tr, *in_edges, *out_edges, *avail0, *nic0;
+    Py_ssize_t k, l, p, a, b;
+    static char *kwlist[] = {"E", "Tr", "in_edges", "out_edges", "avail0",
+                             "nic0", NULL};
+    if (w->have_e || w->have_tr) {
+        PyErr_SetString(PyExc_RuntimeError, "Walker is already initialised");
+        return -1;
+    }
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOOOO", kwlist, &E, &Tr,
+                                     &in_edges, &out_edges, &avail0, &nic0)) {
+        return -1;
+    }
+    w->nic = out_edges != Py_None;
+    if (w->nic != (nic0 != Py_None)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "out_edges and nic0 must both be given or both None");
+        return -1;
+    }
+    if (get_matrix(E, &w->e_view, "E") < 0) {
+        return -1;
+    }
+    w->have_e = 1;
+    if (get_matrix(Tr, &w->tr_view, "Tr") < 0) {
+        return -1;
+    }
+    w->have_tr = 1;
+    l = w->e_view.shape[0];
+    k = w->e_view.shape[1];
+    p = w->tr_view.shape[1];
+    if (l < 1 || l > 65535 || k > INT_MAX || p > INT_MAX) {
+        PyErr_SetString(PyExc_ValueError, "unsupported workload dimensions");
+        return -1;
+    }
+    if (w->tr_view.shape[0] != l * (l - 1) / 2) {
+        PyErr_Format(PyExc_ValueError,
+                     "Tr has %zd rows, expected %zd for %zd machines",
+                     w->tr_view.shape[0], l * (l - 1) / 2, l);
+        return -1;
+    }
+    w->k = k;
+    w->l = l;
+    w->p = p;
+    w->E = (const double *)w->e_view.buf;
+    w->zero_row = zalloc(p, sizeof(double));
+    w->pair = zalloc(l * l, sizeof(double *));
+    if (w->zero_row == NULL || w->pair == NULL) {
+        return -1;
+    }
+    for (a = 0; a < l; a++) {
+        w->pair[a * l + a] = w->zero_row;
+        for (b = a + 1; b < l; b++) {
+            Py_ssize_t row = a * l - a * (a + 1) / 2 + (b - a - 1);
+            const double *r = (const double *)w->tr_view.buf + row * p;
+            w->pair[a * l + b] = w->pair[b * l + a] = r;
+        }
+    }
+    if (read_edges(in_edges, k, k, p, &w->in_ptr, &w->in_prod, &w->in_item,
+                   "in_edges") < 0) {
+        return -1;
+    }
+    w->avail0 = zalloc(l, sizeof(double));
+    w->finish = zalloc(k, sizeof(double));
+    w->avail = zalloc(l, sizeof(double));
+    w->dirty = zalloc(k, sizeof(unsigned int));
+    if (w->avail0 == NULL || w->finish == NULL || w->avail == NULL
+        || w->dirty == NULL) {
+        return -1;
+    }
+    if (read_floats(avail0, w->avail0, l, "avail0") < 0) {
+        return -1;
+    }
+    if (w->nic) {
+        if (read_edges(out_edges, k, p, k, &w->out_ptr, &w->out_item,
+                       &w->out_cons, "out_edges") < 0) {
+            return -1;
+        }
+        w->nic0 = zalloc(l, sizeof(double));
+        w->nicf = zalloc(l, sizeof(double));
+        w->arrival = zalloc(p, sizeof(double));
+        if (w->nic0 == NULL || w->nicf == NULL || w->arrival == NULL) {
+            return -1;
+        }
+        if (read_floats(nic0, w->nic0, l, "nic0") < 0) {
+            return -1;
+        }
+    }
+    return 0;
+}
+
+static int
+walker_ready(Walker *w)
+{
+    if (w->E == NULL || w->dirty == NULL
+        || (w->nic && w->arrival == NULL)) {
+        PyErr_SetString(PyExc_RuntimeError, "Walker is not initialised");
+        return 0;
+    }
+    return 1;
+}
+
+/* ---- contention-free walks ---------------------------------------- */
+
+/* Full walk; with st != NULL, snapshot every position into it. */
+static int
+plain_walk(Walker *w, const int *order, const int *mach, State *st,
+           double *span_out)
+{
+    const Py_ssize_t k = w->k, l = w->l;
+    const double *E = w->E;
+    const double **pair = w->pair;
+    double *finish = st ? st->finish : w->finish;
+    double *avail = w->avail;
+    double span = 0.0;
+    Py_ssize_t q, i;
+
+    for (i = 0; i < k; i++) {
+        finish[i] = -1.0;
+    }
+    memcpy(avail, w->avail0, l * sizeof(double));
+    if (st) {
+        memcpy(st->avail_rows, avail, l * sizeof(double));
+        st->span_prefix[0] = 0.0;
+    }
+    for (q = 0; q < k; q++) {
+        const int task = order[q];
+        const int m = mach[task];
+        const double **to_m = pair + (Py_ssize_t)m * l;
+        double ready = avail[m], fin;
+        int e;
+        for (e = w->in_ptr[task]; e < w->in_ptr[task + 1]; e++) {
+            const int prod = w->in_prod[e];
+            double pf = finish[prod];
+            if (pf < 0.0) {
+                raise_invalid(task, prod);
+                return -1;
+            }
+            pf += to_m[mach[prod]][w->in_item[e]];
+            if (pf > ready) {
+                ready = pf;
+            }
+        }
+        fin = ready + E[(Py_ssize_t)m * k + task];
+        finish[task] = fin;
+        avail[m] = fin;
+        if (fin > span) {
+            span = fin;
+        }
+        if (st) {
+            st->start[task] = ready;
+            memcpy(st->avail_rows + (q + 1) * l, avail, l * sizeof(double));
+            st->span_prefix[q + 1] = span;
+        }
+    }
+    *span_out = span;
+    return 0;
+}
+
+static void
+plain_snapshot_tail(Walker *w, State *st)
+{
+    const Py_ssize_t k = w->k, l = w->l;
+    double running = 0.0;
+    Py_ssize_t q, t;
+    int e;
+    st->suffix_max[k] = 0.0;
+    for (q = k - 1; q >= 0; q--) {
+        const double fv = st->finish[st->order[q]];
+        if (fv > running) {
+            running = fv;
+        }
+        st->suffix_max[q] = running;
+    }
+    for (t = 0; t < k; t++) {
+        st->last_consumer[t] = -1;
+    }
+    for (q = 0; q < k; q++) {
+        const int task = st->order[q];
+        for (e = w->in_ptr[task]; e < w->in_ptr[task + 1]; e++) {
+            const int prod = w->in_prod[e];
+            if (q > st->last_consumer[prod]) {
+                st->last_consumer[prod] = (int)q;
+            }
+        }
+    }
+    for (t = 0; t < k; t++) {
+        st->avail_at[t] = st->avail_rows[st->pos_of[t] * l + st->mach[t]];
+    }
+}
+
+static double
+plain_delta(Walker *w, const int *order, const int *mach, Py_ssize_t f,
+            State *st, double cutoff, Py_ssize_t frontier)
+{
+    const Py_ssize_t k = w->k, l = w->l;
+    const double *E = w->E;
+    const double **pair = w->pair;
+    const double *base_finish = st->finish;
+    const int *base_mach = st->mach;
+    const double *base_avail_at = st->avail_at;
+    const double *avail_rows = st->avail_rows;
+    const double *suffix_max = st->suffix_max;
+    const int *last_consumer = st->last_consumer;
+    double *finish = w->finish, *avail = w->avail;
+    unsigned int *dirty = w->dirty;
+    unsigned int epoch;
+    double span;
+    Py_ssize_t q, i;
+
+    memcpy(finish, base_finish, k * sizeof(double));
+    memcpy(avail, avail_rows + f * l, l * sizeof(double));
+    span = st->span_prefix[f];
+    if (span >= cutoff) {
+        return INFINITY;
+    }
+    if (++w->epoch == 0) {  /* wrapped: clear every stale flag */
+        memset(dirty, 0, k * sizeof(unsigned int));
+        w->epoch = 1;
+    }
+    epoch = w->epoch;
+
+    for (q = f; q < k; q++) {
+        int task, m, e;
+        double ready, fin;
+        if (q > frontier) {
+            const double *row = avail_rows + q * l;
+            for (i = 0; i < l && avail[i] == row[i]; i++) {
+            }
+            if (i == l) {
+                const double rest = suffix_max[q];
+                const double total = span > rest ? span : rest;
+                return total < cutoff ? total : INFINITY;
+            }
+        }
+        task = order[q];
+        m = mach[task];
+        if (m == base_mach[task] && avail[m] == base_avail_at[task]) {
+            for (e = w->in_ptr[task]; e < w->in_ptr[task + 1]; e++) {
+                if (dirty[w->in_prod[e]] == epoch) {
+                    break;
+                }
+            }
+            if (e == w->in_ptr[task + 1]) {
+                fin = base_finish[task];
+                avail[m] = fin;
+                if (fin > span) {
+                    span = fin;
+                    if (span >= cutoff) {
+                        return INFINITY;
+                    }
+                }
+                continue;
+            }
+        }
+        {
+            const double **to_m = pair + (Py_ssize_t)m * l;
+            ready = avail[m];
+            for (e = w->in_ptr[task]; e < w->in_ptr[task + 1]; e++) {
+                const int prod = w->in_prod[e];
+                const double pf =
+                    finish[prod] + to_m[mach[prod]][w->in_item[e]];
+                if (pf > ready) {
+                    ready = pf;
+                }
+            }
+        }
+        fin = ready + E[(Py_ssize_t)m * k + task];
+        finish[task] = fin;
+        avail[m] = fin;
+        if (fin > span) {
+            span = fin;
+            if (span >= cutoff) {
+                return INFINITY;
+            }
+        }
+        if (fin != base_finish[task] || m != base_mach[task]) {
+            const Py_ssize_t bound = (Py_ssize_t)last_consumer[task] + 1;
+            dirty[task] = epoch;
+            if (bound > frontier) {
+                frontier = bound;
+            }
+        }
+    }
+    return span;
+}
+
+/* ---- NIC walks ----------------------------------------------------- */
+
+static int
+nic_walk(Walker *w, const int *order, const int *mach, State *st,
+         double *span_out)
+{
+    const Py_ssize_t k = w->k, l = w->l, p = w->p;
+    const double *E = w->E;
+    const double **pair = w->pair;
+    double *finish = st ? st->finish : w->finish;
+    double *arrival = st ? st->arrival : w->arrival;
+    double *avail = w->avail, *nicf = w->nicf;
+    double span = 0.0;
+    Py_ssize_t q, i;
+
+    for (i = 0; i < k; i++) {
+        finish[i] = -1.0;
+    }
+    for (i = 0; i < p; i++) {
+        arrival[i] = 0.0;
+    }
+    memcpy(avail, w->avail0, l * sizeof(double));
+    memcpy(nicf, w->nic0, l * sizeof(double));
+    if (st) {
+        memcpy(st->avail_rows, avail, l * sizeof(double));
+        memcpy(st->nic_rows, nicf, l * sizeof(double));
+        st->span_prefix[0] = 0.0;
+    }
+    for (q = 0; q < k; q++) {
+        const int task = order[q];
+        const int m = mach[task];
+        const double **from_m = pair + (Py_ssize_t)m * l;
+        double ready = avail[m], fin, nf;
+        int e;
+        for (e = w->in_ptr[task]; e < w->in_ptr[task + 1]; e++) {
+            const int prod = w->in_prod[e];
+            const double pf = finish[prod];
+            double t_arr;
+            if (pf < 0.0) {
+                raise_invalid(task, prod);
+                return -1;
+            }
+            t_arr = mach[prod] == m ? pf : arrival[w->in_item[e]];
+            if (t_arr > ready) {
+                ready = t_arr;
+            }
+        }
+        fin = ready + E[(Py_ssize_t)m * k + task];
+        finish[task] = fin;
+        avail[m] = fin;
+        if (fin > span) {
+            span = fin;
+        }
+        nf = nicf[m];
+        for (e = w->out_ptr[task]; e < w->out_ptr[task + 1]; e++) {
+            const int item = w->out_item[e];
+            const int dst = mach[w->out_cons[e]];
+            double t_start;
+            if (dst == m) {
+                continue;
+            }
+            t_start = fin > nf ? fin : nf;
+            nf = t_start + from_m[dst][item];
+            arrival[item] = nf;
+        }
+        nicf[m] = nf;
+        if (st) {
+            st->start[task] = ready;
+            memcpy(st->avail_rows + (q + 1) * l, avail, l * sizeof(double));
+            memcpy(st->nic_rows + (q + 1) * l, nicf, l * sizeof(double));
+            st->span_prefix[q + 1] = span;
+        }
+    }
+    *span_out = span;
+    return 0;
+}
+
+static void
+nic_snapshot_tail(Walker *w, State *st)
+{
+    const Py_ssize_t k = w->k;
+    Py_ssize_t t;
+    int e;
+    for (t = 0; t < k; t++) {
+        int floor = (int)k;
+        for (e = w->in_ptr[t]; e < w->in_ptr[t + 1]; e++) {
+            const int q = st->pos_of[w->in_prod[e]];
+            if (q < floor) {
+                floor = q;
+            }
+        }
+        st->producer_floor[t] = floor;
+    }
+}
+
+static double
+nic_delta(Walker *w, const int *order, const int *mach, Py_ssize_t f,
+          State *st, double cutoff)
+{
+    const Py_ssize_t k = w->k, l = w->l, p = w->p;
+    const double *E = w->E;
+    const double **pair = w->pair;
+    double *finish = w->finish, *arrival = w->arrival;
+    double *avail = w->avail, *nicf = w->nicf;
+    Py_ssize_t q, t, eff = f;
+    double span;
+
+    /* machine reassignments can dirty prefix producers' NICs; restart
+     * early enough to replay every affected push */
+    for (t = 0; t < k; t++) {
+        if (mach[t] != st->mach[t] && st->producer_floor[t] < eff) {
+            eff = st->producer_floor[t];
+        }
+    }
+    f = eff;
+    memcpy(finish, st->finish, k * sizeof(double));
+    memcpy(arrival, st->arrival, p * sizeof(double));
+    memcpy(avail, st->avail_rows + f * l, l * sizeof(double));
+    memcpy(nicf, st->nic_rows + f * l, l * sizeof(double));
+    span = st->span_prefix[f];
+    if (span >= cutoff) {
+        return INFINITY;
+    }
+    for (q = f; q < k; q++) {
+        const int task = order[q];
+        const int m = mach[task];
+        const double **from_m = pair + (Py_ssize_t)m * l;
+        double ready = avail[m], fin, nf;
+        int e;
+        for (e = w->in_ptr[task]; e < w->in_ptr[task + 1]; e++) {
+            const int prod = w->in_prod[e];
+            const double t_arr =
+                mach[prod] == m ? finish[prod] : arrival[w->in_item[e]];
+            if (t_arr > ready) {
+                ready = t_arr;
+            }
+        }
+        fin = ready + E[(Py_ssize_t)m * k + task];
+        finish[task] = fin;
+        avail[m] = fin;
+        if (fin > span) {
+            span = fin;
+            if (span >= cutoff) {
+                return INFINITY;
+            }
+        }
+        nf = nicf[m];
+        for (e = w->out_ptr[task]; e < w->out_ptr[task + 1]; e++) {
+            const int item = w->out_item[e];
+            const int dst = mach[w->out_cons[e]];
+            double t_start;
+            if (dst == m) {
+                continue;
+            }
+            t_start = fin > nf ? fin : nf;
+            nf = t_start + from_m[dst][item];
+            arrival[item] = nf;
+        }
+        nicf[m] = nf;
+    }
+    return span;
+}
+
+/* ---- Python entry points ------------------------------------------- */
+
+static PyObject *
+walker_makespan(Walker *w, PyObject *const *args, Py_ssize_t nargs)
+{
+    Inputs in;
+    double span;
+    int rc;
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "makespan(order, machine_of) takes 2 arguments");
+        return NULL;
+    }
+    if (!walker_ready(w) || read_inputs(&in, args[0], args[1], w->k, w->l)
+                                < 0) {
+        return NULL;
+    }
+    rc = w->nic ? nic_walk(w, in.order, in.mach, NULL, &span)
+                : plain_walk(w, in.order, in.mach, NULL, &span);
+    free_inputs(&in);
+    return rc < 0 ? NULL : PyFloat_FromDouble(span);
+}
+
+static PyObject *
+walker_prepare(Walker *w, PyObject *const *args, Py_ssize_t nargs)
+{
+    Inputs in;
+    State *st;
+    Py_ssize_t q;
+    int rc;
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "prepare(order, machine_of) takes 2 arguments");
+        return NULL;
+    }
+    if (!walker_ready(w) || read_inputs(&in, args[0], args[1], w->k, w->l)
+                                < 0) {
+        return NULL;
+    }
+    st = state_new(w->nic, w->k, w->l, w->p);
+    if (st == NULL) {
+        free_inputs(&in);
+        return NULL;
+    }
+    memcpy(st->order, in.order, w->k * sizeof(int));
+    memcpy(st->mach, in.mach, w->k * sizeof(int));
+    free_inputs(&in);
+    rc = w->nic ? nic_walk(w, st->order, st->mach, st, &st->makespan)
+                : plain_walk(w, st->order, st->mach, st, &st->makespan);
+    if (rc < 0) {
+        Py_DECREF(st);
+        return NULL;
+    }
+    for (q = 0; q < w->k; q++) {
+        st->pos_of[st->order[q]] = (int)q;
+    }
+    if (w->nic) {
+        nic_snapshot_tail(w, st);
+    }
+    else {
+        plain_snapshot_tail(w, st);
+    }
+    return (PyObject *)st;
+}
+
+/* evaluate_delta(order, machine_of, first_changed, state, cutoff,
+ *                region_end) -- all six positional */
+static PyObject *
+walker_evaluate_delta(Walker *w, PyObject *const *args, Py_ssize_t nargs)
+{
+    Inputs in;
+    State *st;
+    Py_ssize_t f, frontier;
+    double cutoff, span;
+    if (nargs != 6) {
+        PyErr_SetString(PyExc_TypeError,
+                        "evaluate_delta(order, machine_of, first_changed, "
+                        "state, cutoff, region_end) takes 6 arguments");
+        return NULL;
+    }
+    if (!walker_ready(w)) {
+        return NULL;
+    }
+    if (Py_TYPE(args[3]) != &StateType) {
+        PyErr_Format(PyExc_TypeError,
+                     "state must come from a compiled prepare, got %s",
+                     Py_TYPE(args[3])->tp_name);
+        return NULL;
+    }
+    st = (State *)args[3];
+    if (st->nic != w->nic || st->k != w->k || st->l != w->l
+        || st->p != w->p) {
+        PyErr_SetString(PyExc_ValueError,
+                        "state was prepared for another network or "
+                        "workload shape");
+        return NULL;
+    }
+    f = PyNumber_AsSsize_t(args[2], NULL);  /* clamps huge values */
+    if (f == -1 && PyErr_Occurred()) {
+        return NULL;
+    }
+    cutoff = PyFloat_AsDouble(args[4]);
+    if (cutoff == -1.0 && PyErr_Occurred()) {
+        return NULL;
+    }
+    if (args[5] == Py_None) {
+        frontier = w->k;
+    }
+    else {
+        frontier = PyNumber_AsSsize_t(args[5], NULL);
+        if (frontier == -1 && PyErr_Occurred()) {
+            return NULL;
+        }
+    }
+    if (read_inputs(&in, args[0], args[1], w->k, w->l) < 0) {
+        return NULL;
+    }
+    if (f < 0) {
+        f = 0;
+    }
+    if (f >= w->k) {
+        span = st->makespan < cutoff ? st->makespan : INFINITY;
+    }
+    else if (w->nic) {
+        span = nic_delta(w, in.order, in.mach, f, st, cutoff);
+    }
+    else {
+        span = plain_delta(w, in.order, in.mach, f, st, cutoff, frontier);
+    }
+    free_inputs(&in);
+    return PyFloat_FromDouble(span);
+}
+
+static PyObject *
+walker_get_nic(Walker *w, void *closure)
+{
+    return PyBool_FromLong(w->nic);
+}
+
+static PyGetSetDef walker_getset[] = {
+    {"nic", (getter)walker_get_nic, NULL,
+     "True for the NIC-serialisation network", NULL},
+    {NULL}
+};
+
+static PyMethodDef walker_methods[] = {
+    {"makespan", (PyCFunction)(void (*)(void))walker_makespan,
+     METH_FASTCALL, "makespan(order, machine_of) -> float"},
+    {"prepare", (PyCFunction)(void (*)(void))walker_prepare, METH_FASTCALL,
+     "prepare(order, machine_of) -> State"},
+    {"evaluate_delta", (PyCFunction)(void (*)(void))walker_evaluate_delta,
+     METH_FASTCALL,
+     "evaluate_delta(order, machine_of, first_changed, state, cutoff, "
+     "region_end) -> float"},
+    {NULL}
+};
+
+static PyTypeObject WalkerType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.schedule._walk.Walker",
+    .tp_doc = "Compiled makespan / prepare / evaluate_delta for one "
+              "workload and network.",
+    .tp_basicsize = sizeof(Walker),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_new = PyType_GenericNew,
+    .tp_init = (initproc)walker_init,
+    .tp_dealloc = (destructor)walker_dealloc,
+    .tp_methods = walker_methods,
+    .tp_getset = walker_getset,
+};
+
+/* ------------------------------------------------------------------ */
+/* module                                                             */
+/* ------------------------------------------------------------------ */
+
+static PyObject *
+walk_bind(PyObject *module, PyObject *args)
+{
+    PyObject *sched, *err, *restore;
+    if (!PyArg_ParseTuple(args, "OOO", &sched, &err, &restore)) {
+        return NULL;
+    }
+    Py_INCREF(sched);
+    Py_XSETREF(schedule_cls, sched);
+    Py_INCREF(err);
+    Py_XSETREF(invalid_error, err);
+    Py_INCREF(restore);
+    Py_XSETREF(restore_fn, restore);
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef walk_functions[] = {
+    {"bind", walk_bind, METH_VARARGS,
+     "bind(Schedule, InvalidScheduleError, restore): set the Python types "
+     "the walkers build and raise, and the state-restore function"},
+    {"restore", walk_restore, METH_VARARGS,
+     "restore(nic, k, l, p, makespan, ints, dbl) -> State (unpickling)"},
+    {NULL}
+};
+
+static struct PyModuleDef walk_module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_walk",
+    .m_doc = "Compiled scalar schedule walkers (see repro.schedule.walker).",
+    .m_size = -1,
+    .m_methods = walk_functions,
+};
+
+PyMODINIT_FUNC
+PyInit__walk(void)
+{
+    PyObject *m;
+    if (PyType_Ready(&WalkerType) < 0 || PyType_Ready(&StateType) < 0) {
+        return NULL;
+    }
+    m = PyModule_Create(&walk_module);
+    if (m == NULL) {
+        return NULL;
+    }
+    Py_INCREF(&WalkerType);
+    if (PyModule_AddObject(m, "Walker", (PyObject *)&WalkerType) < 0) {
+        Py_DECREF(&WalkerType);
+        Py_DECREF(m);
+        return NULL;
+    }
+    Py_INCREF(&StateType);
+    if (PyModule_AddObject(m, "State", (PyObject *)&StateType) < 0) {
+        Py_DECREF(&StateType);
+        Py_DECREF(m);
+        return NULL;
+    }
+    return m;
+}

@@ -5,15 +5,20 @@ the GA's fitness, every baseline's makespan), called hundreds of thousands
 of times per experiment, so it is written for speed per the profiling
 guidance in the HPC coding guides:
 
-* all matrix data is converted to nested Python lists once at construction
-  (scalar indexing into small numpy arrays costs ~10x a list index),
-* the evaluation loop binds every attribute to a local,
+* ``makespan``, ``prepare`` and ``evaluate_delta`` run in the compiled
+  walker of :mod:`repro.schedule.walker` when it loads (a C extension
+  built on first use; a fig5 ``makespan`` costs ~3 µs there); the Python
+  bodies below are its specification and the fallback, ``==`` on every
+  result;
+* the Python tier converts the matrix data to nested lists (scalar
+  indexing into small numpy arrays costs ~10x a list index), built only
+  when that tier serves, and binds every attribute to a local;
 * an in-edge reads its ``Tr`` row from one ``(l, l)`` machine-pair table
   (:meth:`~repro.model.matrices.TransferTimeMatrix.pair_rows`) whose
   diagonal is a zero row, so there is no same-machine branch and no row
   arithmetic (``+ 0.0`` is exact for finish times >= 0).  On fig5
-  (100 tasks, 20 machines, 2-vCPU x86 host) a full walk costs ~50 µs
-  and a mid-string delta ~26 µs.
+  (100 tasks, 20 machines, 2-vCPU x86 host) a full Python walk costs
+  ~50 µs and a mid-string delta ~26 µs.
 
 Semantics (paper §2 + §4.1, matching Wang et al.'s model):
 
@@ -42,16 +47,74 @@ cycles per iteration) and of the GA's mutation-only offspring.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.model.workload import Workload
+from repro.schedule import walker
 from repro.schedule.encoding import ScheduleString
 from repro.schedule.scoring import CostModel, ScheduleScore
 
 
 class InvalidScheduleError(ValueError):
     """Raised when a string violates the DAG's precedence constraints."""
+
+
+def _state_vector(
+    values: Optional[Sequence[float]], l: int, label: str
+) -> list[float]:
+    """Normalise an optional per-machine time vector (default all zero).
+
+    Raises
+    ------
+    ValueError
+        On a wrong length, or a time that is negative or not finite (a
+        walk reads a negative finish time as "not yet scheduled").
+    """
+    if values is None:
+        return [0.0] * l
+    if len(values) != l:
+        raise ValueError(
+            f"{label} has {len(values)} entries for {l} machines"
+        )
+    out = [float(v) for v in values]
+    for m, v in enumerate(out):
+        if not (math.isfinite(v) and v >= 0.0):
+            raise ValueError(
+                f"{label}[{m}] = {v!r}: machine times must be finite "
+                "and >= 0"
+            )
+    return out
+
+
+class _WalkerTier:
+    """What both scalar backends share about their walker tier."""
+
+    __slots__ = ()
+
+    def _build_walker(self, *tables) -> None:
+        """Take the compiled walker over *tables* (see
+        :func:`repro.schedule.walker.make_walker`) as ``_c``, or, when it
+        does not serve, build the Python walker's nested-list ``E`` and
+        ``Tr`` pair tables (the compiled walker reads the arrays)."""
+        self._c, self._why = walker.make_walker(self._workload, *tables)
+        self._E = self._pair = None
+        if self._c is None:
+            self._E = self._workload.exec_times.values.tolist()
+            self._pair = self._workload.transfer_times.pair_rows()
+
+    @property
+    def walker_tier(self) -> str:
+        """``"compiled"`` when the C walker serves ``makespan`` /
+        ``prepare`` / ``evaluate_delta``, ``"python"`` otherwise (see
+        :mod:`repro.schedule.walker`)."""
+        return "python" if self._c is None else "compiled"
+
+    @property
+    def walker_reason(self) -> Optional[str]:
+        """Why the Python walker serves (``None`` on the compiled tier)."""
+        return self._why
 
 
 @dataclass(frozen=True)
@@ -170,7 +233,7 @@ class DeltaState:
         )
 
 
-class Simulator:
+class Simulator(_WalkerTier):
     """Reusable evaluation context for one :class:`Workload`.
 
     Build once per workload, then call :meth:`makespan` /
@@ -184,6 +247,10 @@ class Simulator:
     are still busy with earlier jobs; all reported start/finish times are
     then absolute service times, and with an all-zero vector every float
     operation is identical to the historical idle-machine walk.
+
+    The hot methods run in the compiled walker when it loads
+    (:attr:`walker_tier`); the Python bodies are the fallback.
+    Simulators pickle and deep-copy; the walker is rebuilt on load.
     """
 
     __slots__ = (
@@ -195,6 +262,8 @@ class Simulator:
         "_in_edges",
         "_avail0",
         "_cost_model",
+        "_c",
+        "_why",
     )
 
     def __init__(
@@ -208,22 +277,19 @@ class Simulator:
         graph = workload.graph
         self._k = graph.num_tasks
         self._l = workload.num_machines
-        self._E = workload.exec_times.values.tolist()
-        self._pair = workload.transfer_times.pair_rows()
-        if initial_avail is None:
-            self._avail0 = [0.0] * self._l
-        else:
-            if len(initial_avail) != self._l:
-                raise ValueError(
-                    f"initial_avail has {len(initial_avail)} entries for "
-                    f"{self._l} machines"
-                )
-            self._avail0 = [float(a) for a in initial_avail]
+        self._avail0 = _state_vector(initial_avail, self._l, "initial_avail")
         # Per consumer: tuple of (producer, item) pairs, the data inputs.
         in_edges: list[list[tuple[int, int]]] = [[] for _ in range(self._k)]
         for d in graph.data_items:
             in_edges[d.consumer].append((d.producer, d.index))
         self._in_edges = [tuple(es) for es in in_edges]
+        self._build_walker(self._in_edges, self._avail0)
+
+    def __getstate__(self):
+        return self._workload, self._avail0, self._cost_model
+
+    def __setstate__(self, state) -> None:
+        self.__init__(*state)
 
     @property
     def workload(self) -> Workload:
@@ -243,6 +309,8 @@ class Simulator:
         InvalidScheduleError
             If *order* places a consumer before one of its producers.
         """
+        if self._c is not None:
+            return self._c.makespan(order, machine_of)
         E = self._E
         pair = self._pair
         in_edges = self._in_edges
@@ -318,7 +386,11 @@ class Simulator:
     ) -> DeltaState:
         """Fully evaluate a valid string and snapshot per-position state.
 
-        The returned :class:`DeltaState` lets :meth:`evaluate_delta`
+        On the compiled tier the snapshot is the walker's own state
+        object, with the same ``makespan`` / ``pos_of`` /
+        ``as_schedule()`` and read-only ``order`` / ``machine_of`` /
+        ``start`` / ``finish`` / ``span_prefix``.  The returned
+        :class:`DeltaState` lets :meth:`evaluate_delta`
         re-score any string sharing a prefix with this one without
         re-walking that prefix.
 
@@ -327,6 +399,8 @@ class Simulator:
         InvalidScheduleError
             If *order* places a consumer before one of its producers.
         """
+        if self._c is not None:
+            return self._c.prepare(order, machine_of)
         E = self._E
         pair = self._pair
         in_edges = self._in_edges
@@ -430,6 +504,10 @@ class Simulator:
         base run verbatim, so the result is ``max(span so far,
         max base finish of the remaining positions)`` — no further walk.
         """
+        if self._c is not None:
+            return self._c.evaluate_delta(
+                order, machine_of, first_changed, state, cutoff, region_end
+            )
         k = self._k
         f = first_changed
         if f < 0:

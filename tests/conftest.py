@@ -16,6 +16,19 @@ from repro.model import (
 from repro.workloads import build_workload, WorkloadSpec
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _compiled_walker() -> None:
+    """Build (or load) the compiled walker once, before any test runs.
+
+    A first build takes about a second; inside whichever Hypothesis test
+    happened to construct the first simulator it would trip the
+    per-example deadline.
+    """
+    from repro.schedule import walker
+
+    walker.load()
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

@@ -91,3 +91,30 @@ class TestGraphToDot:
         g = paper_sample_graph()
         path = save_dot(g, tmp_path / "g.dot")
         assert path.read_text().startswith("digraph")
+
+
+class TestEscape:
+    @pytest.mark.parametrize(
+        "text", ["", "plain", "a & b", "<tag>", "&amp;<&>>", "x<y&&z>w"]
+    )
+    def test_matches_saxutils(self, text):
+        from xml.sax.saxutils import escape as sax_escape
+
+        from repro.io.visual import escape
+
+        assert escape(text) == sax_escape(text)
+
+    def test_cli_import_skips_network_stack(self):
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in ('ssl', 'http.client', "
+            "'urllib.request') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"

@@ -8,7 +8,8 @@ the string position by position, takes every transfer time from
 and keeps its own machine-free, NIC-free and arrival bookkeeping.
 Results must match exactly (``==``) for ``makespan``, ``evaluate``,
 ``prepare`` and ``evaluate_delta`` (with cutoff and ``region_end``),
-from random busy initial machine and NIC states.
+from random busy initial machine and NIC states, on both walker tiers
+(the compiled C walker and the Python bodies it is specified by).
 """
 
 import math
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from repro.extensions.contention import ContentionSimulator
 from repro.schedule.simulator import Simulator
 from repro.schedule.valid_range import valid_insertion_range
+from tests.routes import walker
 from tests.strategies import workload_strings
 
 
@@ -72,12 +74,17 @@ _busy = st.lists(st.floats(0.0, 100.0), min_size=8, max_size=8)
 
 
 def _simulators(w, avail, nic):
-    """The plain and the nic simulator with their reference arguments."""
+    """The plain and the nic simulator on each walker tier, with their
+    reference arguments."""
     l = w.num_machines
-    yield Simulator(w, initial_avail=avail[:l]), None
-    yield ContentionSimulator(
-        w, initial_avail=avail[:l], initial_nic_free=nic[:l]
-    ), nic[:l]
+    for tier in ("compiled", "python"):
+        with walker(tier):
+            plain = Simulator(w, initial_avail=avail[:l])
+            contended = ContentionSimulator(
+                w, initial_avail=avail[:l], initial_nic_free=nic[:l]
+            )
+        yield plain, None
+        yield contended, nic[:l]
 
 
 @given(workload_strings(max_machines=6), _busy, _busy)

@@ -1,4 +1,5 @@
-"""Force an engine off its vectorized scoring route.
+"""Force an engine off its vectorized scoring route, or a simulator
+onto one walker tier.
 
 Engines carry no batch switch: the
 :class:`~repro.optim.evaluation.EvaluationService` picks the route from
@@ -24,4 +25,23 @@ def no_batch_kernel(network: str = backend_mod.DEFAULT_NETWORK) -> Iterator[None
     scalar = backend_mod._NETWORK_TABLE[network][0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(backend_mod._NETWORK_TABLE, network, (scalar, None, None))
+        yield
+
+
+@contextmanager
+def walker(mode: str) -> Iterator[None]:
+    """Build simulators on the *mode* walker tier inside the block.
+
+    ``"python"`` forces the Python walker; ``"compiled"`` unsets the
+    switch, so the C walker serves when it loads (on a host without a
+    compiler the block gets the Python tier, so tier comparisons stay
+    meaningful).
+    """
+    from repro.schedule.walker import ENV
+
+    with pytest.MonkeyPatch.context() as mp:
+        if mode == "python":
+            mp.setenv(ENV, "python")
+        else:
+            mp.delenv(ENV, raising=False)
         yield

@@ -329,6 +329,27 @@ class TestRunVerbose:
         )
         assert "batch evaluation" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_verbose_reports_the_scalar_walker(self, capsys, monkeypatch,
+                                               forced):
+        from repro.schedule import walker
+
+        if forced:
+            monkeypatch.setenv(walker.ENV, "python")
+            want = "scalar walker: python (REPRO_WALKER=python)"
+        else:
+            monkeypatch.delenv(walker.ENV, raising=False)
+            module, reason = walker.load()
+            want = "scalar walker: " + (
+                "compiled" if module is not None else f"python ({reason})"
+            )
+        rc = main(
+            ["run", "--algo", "se", "--preset", "small", "--seed", "1",
+             "--iterations", "2", "--network", "nic", "--verbose"]
+        )
+        assert rc == 0
+        assert want in capsys.readouterr().out.splitlines()
+
 
 class TestCompareNetwork:
     def test_compare_under_nic(self, capsys):
