@@ -1,70 +1,79 @@
-"""MICRO-BATCH — microbenchmarks of the vectorized batch-evaluation kernel.
+"""MICRO-BATCH — microbenchmarks of the evaluation service's batch route.
 
-The :class:`~repro.schedule.vectorized.BatchSimulator` kernel scores a
-whole batch of schedules in NumPy sweeps instead of per-schedule Python
-loops.  These benches measure, at paper scale (100 tasks, 20 machines),
-exactly the call patterns the engines use:
+GA populations, random-search chunks and tabu neighbourhoods are scored
+through :meth:`~repro.optim.evaluation.EvaluationService.batch_makespans`.
+Without numba the service runs a batch as a loop over its scalar
+backend, on the compiled C walker (:mod:`repro.schedule.walker`); with
+numba it runs the network's ``jit`` kernel.  These benches time that
+default route, on the compiled walker, against the historical
+denominator — a loop of Python-walker ``makespan`` calls — at paper
+scale (100 tasks, 20 machines), in exactly the call patterns the
+engines use:
 
 * MICRO-BATCH-GA     — one GA generation's population fitness (the
-  headline number: batch vs the scalar loop, population 128);
+  headline number, population 128);
 * MICRO-BATCH-SCALE  — the same at population 16 / 64 / 256;
-* MICRO-BATCH-RAND   — random search with chunked batch scoring;
-* MICRO-BATCH-SE     — the SE allocation probe stream, batch vs the
-  scalar full loop and vs the default incremental-delta path (delta's
-  branch-and-bound cutoff usually keeps it ahead — which is why it
-  stays the SE default; this bench keeps the trade-off measured);
-* MICRO-BATCH-NIC    — the same question under NIC contention: a batch
-  of 128 schedules through the vectorized
-  :class:`~repro.schedule.vectorized_contention.
-  ContentionBatchSimulator` vs the scalar ``ContentionSimulator`` loop
-  (the configuration that used to silently fall back to the loop);
+* MICRO-BATCH-RAND   — random search end to end, chunked default
+  against ``batch_size=1`` on the Python walker;
+* MICRO-BATCH-SE     — the SE allocation probe stream: the batch route
+  and the incremental-delta path against Python full makespans;
+* MICRO-BATCH-NIC    — 128 schedules under NIC contention against the
+  Python ``ContentionSimulator`` loop;
 * MICRO-BATCH-NIC-GA — one GA generation's population fitness under
-  ``network="nic"``, exactly the call the GA engine now routes through
-  the NIC kernel.
+  ``network="nic"``.
 
-Every case first asserts the two strategies agree bit-for-bit, then
-records best-of wall-clock ratios both as human-readable artifacts and
-as :mod:`repro.perf` records in ``benchmarks/output/BENCH_micro.json``
-for the CI perf gate.  Assertion floors are deliberately far below the
-expected ratios so a loaded CI machine cannot flake the tier-1 suite;
-the *gate* lives in ``repro perf check`` against the committed baseline.
+Every case first asserts the two sides agree bit-for-bit, then times
+them interleaved and records the ratios both as human-readable
+artifacts and as :mod:`repro.perf` records in
+``benchmarks/output/BENCH_micro.json`` for the CI perf gate.  Assertion
+floors are deliberately far below the expected ratios so a loaded CI
+machine cannot flake the suite; the *gate* lives in ``repro perf
+check`` against the committed baseline.
 """
 
-import time
-
 import numpy as np
+import pytest
 
 from repro.baselines.ga.chromosome import initial_population
 from repro.baselines.random_search import random_search
 from repro.extensions.contention import ContentionSimulator
-from repro.schedule.backend import batch_kernel_factory
+from repro.optim.evaluation import EvaluationService
 from repro.schedule.operations import random_valid_string
 from repro.schedule.simulator import Simulator
 from repro.schedule.valid_range import machine_slot_indices
-from repro.schedule.vectorized import BatchSimulator
-from repro.schedule.vectorized_contention import ContentionBatchSimulator
+from repro.schedule.walker import load
 from repro.utils.rng import as_rng
 from repro.workloads import figure5_workload
+from walkers import best_of_interleaved, python_walker
+
+#: The batch route runs on the compiled walker (opting out of the
+#: Python-walker pin in ``conftest.py``), the denominators on the
+#: Python one.
+pytestmark = [
+    pytest.mark.walker("compiled"),
+    pytest.mark.skipif(
+        load()[0] is None, reason=f"compiled walker unavailable: {load()[1]}"
+    ),
+]
 
 
 def paper_scale_workload():
     return figure5_workload(seed=1)
 
 
-def best_of(fn, budget: float = 1.0):
-    """Minimum wall-clock time of *fn* over repeated runs in *budget* s.
+def _python_tier(cls, workload):
+    """A *cls* simulator of *workload* on the Python walker."""
+    with python_walker():
+        sim = cls(workload)
+    assert sim.walker_tier == "python"
+    return sim
 
-    The minimum is the least noise-contaminated observation on a shared
-    machine (pytest-benchmark uses the same estimator).
-    """
-    fn()  # warm-up (also faults in any lazily allocated scratch)
-    best = float("inf")
-    start = time.perf_counter()
-    while time.perf_counter() - start < budget:
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+
+def _service(workload, network="contention-free"):
+    """The default evaluation service, on the compiled walker."""
+    svc = EvaluationService(workload, network)
+    assert svc.walker_tier == "compiled"
+    return svc
 
 
 def _population(workload, size, seed=7):
@@ -74,34 +83,32 @@ def _population(workload, size, seed=7):
     )
 
 
-def _population_eval_times(sim, kernel, population):
+def _population_eval_times(sim, service, population):
     """(scalar, batch) best-of times for one population evaluation.
 
     Both callables are exactly what the GA engine runs per generation:
     the scalar loop calls the simulator's ``makespan`` per chromosome;
-    the batch path hands the raw chromosome lists to the kernel (list
-    -> array conversion and validation are part of the measured cost).
-    Works for any (scalar backend, batch kernel) pair whose results are
+    the batch route hands the raw chromosome lists to the service.
+    Works for any (scalar backend, service) pair whose results are
     bit-identical — asserted before timing.
     """
+    orders = [c.scheduling for c in population]
+    machines = [c.matching for c in population]
 
     def scalar():
-        return [sim.makespan(c.scheduling, c.matching) for c in population]
+        return [sim.makespan(o, m) for o, m in zip(orders, machines)]
 
     def batch():
-        return kernel.makespans(
-            [c.scheduling for c in population],
-            [c.matching for c in population],
-        )
+        return service.batch_makespans(orders, machines)
 
-    assert scalar() == batch().tolist()  # bit-identical fitness
-    return best_of(scalar), best_of(batch)
+    assert scalar() == batch()  # bit-identical fitness
+    return best_of_interleaved(scalar, batch, budget=1.0)
 
 
 def _ga_eval_times(workload, population):
     """Contention-free (scalar, batch) times for one population eval."""
     return _population_eval_times(
-        Simulator(workload), BatchSimulator(workload), population
+        _python_tier(Simulator, workload), _service(workload), population
     )
 
 
@@ -128,8 +135,8 @@ def test_micro_batch_ga_population(write_output, perf_log):
     )
     write_output(
         "micro_batch_ga_population",
-        "MICRO-BATCH-GA — GA population fitness: scalar loop vs batch "
-        "kernel\n\n"
+        "MICRO-BATCH-GA — GA population fitness: Python-walker loop vs "
+        "the service's batch route\n\n"
         f"population {size} at paper scale ({w.num_tasks} tasks, "
         f"{w.num_machines} machines)\n"
         f"scalar : {t_scalar * 1e3:.2f} ms/generation "
@@ -145,7 +152,7 @@ def test_micro_batch_population_scaling(write_output, perf_log):
     """MICRO-BATCH-SCALE: speedup across population sizes."""
     w = paper_scale_workload()
     lines = [
-        "MICRO-BATCH-SCALE — batch kernel speedup vs population size\n"
+        "MICRO-BATCH-SCALE — batch route speedup vs population size\n"
     ]
     speedups = {}
     for size in (16, 64, 256):
@@ -178,12 +185,13 @@ def test_micro_batch_random_search(write_output, perf_log):
         return random_search(w, samples=samples, seed=11)
 
     def scalar():
-        return random_search(w, samples=samples, seed=11, batch_size=1)
+        with python_walker():
+            return random_search(w, samples=samples, seed=11, batch_size=1)
 
     res_b, res_s = batched(), scalar()
     assert res_b.makespan == res_s.makespan  # bit-identical search
     assert res_b.string == res_s.string
-    t_scalar, t_batch = best_of(scalar), best_of(batched)
+    t_scalar, t_batch = best_of_interleaved(scalar, batched, budget=1.0)
     speedup = t_scalar / t_batch
 
     perf_log(
@@ -191,12 +199,11 @@ def test_micro_batch_random_search(write_output, perf_log):
     )
     write_output(
         "micro_batch_random_search",
-        "MICRO-BATCH-RAND — random search: scalar loop vs chunked "
-        "batch scoring\n\n"
+        "MICRO-BATCH-RAND — random search: batch_size=1 on the Python "
+        "walker vs the chunked default route\n\n"
         f"{samples} samples at paper scale, end to end (drawing the\n"
-        "random strings dominates the run and is identical in both\n"
-        "modes, so Amdahl caps this ratio well below the raw kernel\n"
-        "speedup of MICRO-BATCH-SCALE)\n"
+        "random strings is identical in both modes, so Amdahl caps this\n"
+        "ratio well below the raw speedup of MICRO-BATCH-SCALE)\n"
         f"scalar : {t_scalar * 1e3:.2f} ms/run\n"
         f"batched: {t_batch * 1e3:.2f} ms/run\n"
         f"speedup: {speedup:.2f}x\n",
@@ -207,17 +214,17 @@ def test_micro_batch_random_search(write_output, perf_log):
 def test_micro_batch_se_probe_stream(write_output, perf_log):
     """MICRO-BATCH-SE: the SE allocation probe stream, three ways.
 
-    Replays identical probe streams through (a) scalar full makespans,
-    (b) the batch kernel per candidate set, and (c) the default
-    incremental-delta path with its branch-and-bound cutoff, asserting
-    identical greedy outcomes.  Records batch-vs-full and
-    delta-vs-full ratios.  Delta staying ahead of batch is the evidence
-    for SE's single probe route: the allocator scores every probe with
-    a cutoff-pruned delta and has no batch mode.
+    Replays identical probe streams through (a) Python-walker full
+    makespans, (b) the service's batch route per candidate set, and (c)
+    the incremental-delta path with its branch-and-bound cutoff, on the
+    Python walker like (a), asserting identical greedy outcomes.
+    Records the batch-vs-full ratio.  SE's allocator scores every probe
+    with a cutoff-pruned delta and has no batch mode; MICRO-COMPILED
+    times those deltas on the compiled walker.
     """
     w = paper_scale_workload()
-    sim = Simulator(w)
-    kernel = BatchSimulator(w)
+    sim = _python_tier(Simulator, w)
+    service = _service(w)
     s = random_valid_string(w.graph, w.num_machines, 7)
     rng = np.random.default_rng(3)
     groups = []
@@ -253,9 +260,9 @@ def test_micro_batch_se_probe_stream(write_output, perf_log):
                 orders.append(s.order.copy())
                 machines.append(s.machines.copy())
                 s.relocate(t, orig, om)
-            costs = kernel.makespans(orders, machines, validate=False)
+            costs = service.batch_makespans(orders, machines, validate=False)
             best = float("inf")
-            for cost in costs.tolist():
+            for cost in costs:
                 if cost < best:
                     best = cost
             bests.append(best)
@@ -279,9 +286,9 @@ def test_micro_batch_se_probe_stream(write_output, perf_log):
 
     assert full_pass() == batch_pass() == delta_pass()
 
-    t_full = best_of(full_pass)
-    t_batch = best_of(batch_pass)
-    t_delta = best_of(delta_pass)
+    t_full, t_batch, t_delta = best_of_interleaved(
+        full_pass, batch_pass, delta_pass
+    )
     batch_speedup = t_full / t_batch
     delta_speedup = t_full / t_delta
 
@@ -290,14 +297,14 @@ def test_micro_batch_se_probe_stream(write_output, perf_log):
     )
     write_output(
         "micro_batch_se_probes",
-        "MICRO-BATCH-SE — SE probe stream: full vs batch vs "
-        "incremental delta\n\n"
+        "MICRO-BATCH-SE — SE probe stream: Python full vs the batch "
+        "route vs Python incremental delta\n\n"
         f"probe stream: {n_probes} probes over {len(groups)} selected "
         f"subtasks at paper scale\n"
         f"full  : {t_full * 1e3:.2f} ms/pass\n"
         f"batch : {t_batch * 1e3:.2f} ms/pass ({batch_speedup:.2f}x)\n"
         f"delta : {t_delta * 1e3:.2f} ms/pass ({delta_speedup:.2f}x)\n"
-        "delta keeps the SE default: its cutoff prunes most of each "
+        "SE scores probes by delta: its cutoff prunes most of each "
         "probe's walk,\nwhich a batch cannot exploit\n",
     )
     assert batch_speedup >= 0.66  # loose floor; measured value recorded
@@ -306,15 +313,14 @@ def test_micro_batch_se_probe_stream(write_output, perf_log):
 def test_micro_batch_nic_kernel(write_output, perf_log):
     """MICRO-BATCH-NIC: batch-vs-scalar makespan throughput under "nic".
 
-    The acceptance number of the vectorized-contention tentpole: 128
-    schedules scored through the "nic" row's kernel in the network
-    table vs the scalar ``ContentionSimulator`` loop (all a "nic" batch
-    used to get).  Bit-identity is asserted before timing.
+    128 schedules scored through the service's "nic" batch route vs the
+    Python-walker ``ContentionSimulator`` loop.  Bit-identity is
+    asserted before timing.
     """
     w = paper_scale_workload()
     size = 128
-    kernel = batch_kernel_factory("nic")(w)
-    scalar = ContentionSimulator(w)
+    service = _service(w, "nic")
+    scalar = _python_tier(ContentionSimulator, w)
     strings = [
         random_valid_string(w.graph, w.num_machines, seed)
         for seed in range(size)
@@ -324,10 +330,10 @@ def test_micro_batch_nic_kernel(write_output, perf_log):
         return [scalar.string_makespan(s) for s in strings]
 
     def batch():
-        return kernel.string_makespans(strings)
+        return service.batch_string_makespans(strings)
 
-    assert scalar_loop() == batch().tolist()  # bit-identical makespans
-    t_scalar, t_batch = best_of(scalar_loop), best_of(batch)
+    assert scalar_loop() == batch()  # bit-identical makespans
+    t_scalar, t_batch = best_of_interleaved(scalar_loop, batch, budget=1.0)
     speedup = t_scalar / t_batch
 
     perf_log("MICRO-BATCH-NIC", "speedup", round(speedup, 3), "x")
@@ -345,8 +351,8 @@ def test_micro_batch_nic_kernel(write_output, perf_log):
     )
     write_output(
         "micro_batch_nic_kernel",
-        "MICRO-BATCH-NIC — NIC-contention makespans: scalar loop vs "
-        "batch kernel\n\n"
+        "MICRO-BATCH-NIC — NIC-contention makespans: Python-walker loop "
+        "vs the service's batch route\n\n"
         f"batch of {size} schedules at paper scale ({w.num_tasks} tasks, "
         f"{w.num_machines} machines)\n"
         f"scalar : {t_scalar * 1e3:.2f} ms/batch "
@@ -362,14 +368,14 @@ def test_micro_batch_nic_ga_population(write_output, perf_log):
     """MICRO-BATCH-NIC-GA: GA population fitness under NIC contention.
 
     The exact call the GA engine makes per generation with
-    ``GAConfig(network="nic")`` now that the kernel registered —
-    chromosome lists in, one fitness sweep out.
+    ``GAConfig(network="nic")`` — chromosome lists in, one batch call
+    out.
     """
     w = paper_scale_workload()
     size = 128
     pop = _population(w, size)
     t_scalar, t_batch = _population_eval_times(
-        ContentionSimulator(w), ContentionBatchSimulator(w), pop
+        _python_tier(ContentionSimulator, w), _service(w, "nic"), pop
     )
     speedup = t_scalar / t_batch
 
@@ -377,7 +383,7 @@ def test_micro_batch_nic_ga_population(write_output, perf_log):
     write_output(
         "micro_batch_nic_ga_population",
         "MICRO-BATCH-NIC-GA — GA population fitness under NIC "
-        "contention: scalar loop vs batch kernel\n\n"
+        "contention: Python-walker loop vs the service's batch route\n\n"
         f"population {size} at paper scale ({w.num_tasks} tasks, "
         f"{w.num_machines} machines)\n"
         f"scalar : {t_scalar * 1e3:.2f} ms/generation "

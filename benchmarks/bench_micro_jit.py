@@ -1,20 +1,25 @@
 """MICRO-JIT — microbenchmarks of the compiled (numba) kernel tier.
 
-The :mod:`repro.schedule.jit` kernels compile the whole position-major
-schedule walk into one parallel loop nest over the ``WorkloadPack``
-tables.  These benches measure, at paper scale (100 tasks, 20
-machines), the compiled tier against the *scalar* walk — the same
-batch-vs-scalar question as MICRO-BATCH-*, one tier up:
+The batch kernels (:class:`~repro.schedule.vectorized.BatchSimulator`,
+:class:`~repro.schedule.vectorized.ContentionBatchSimulator`) run the
+:mod:`repro.schedule.jit` walks: the whole schedule walk compiled into
+one parallel loop nest over the ``WorkloadPack`` tables.  These benches
+measure, at paper scale (100 tasks, 20 machines):
 
 * MICRO-JIT       — 128 schedules through the compiled contention-free
-  kernel vs the scalar ``Simulator`` loop (target: >= 10x);
+  kernel vs the Python-walker ``Simulator`` loop (target: >= 10x);
 * MICRO-JIT-NIC   — the same under NIC contention (target: >= 10x);
 * MICRO-JIT-SCALE — thread scaling of one compiled batch sweep:
   ``numba.set_num_threads(1)`` vs 4 threads, recorded as
   per-core parallel efficiency (target: >= 0.7);
+* MICRO-JIT ``vs_compiled_loop_pop{16,64,256}`` (and ``nic_...``) —
+  the jit kernel against the evaluation service's loop over the
+  compiled C walker (the batch route without numba); above 1 the
+  kernel wins.  Logged with no floor and no baseline: this is the
+  measurement that decides whether numba stays.
 
-Bit-identity against both the NumPy kernels and the scalar simulators
-is asserted before any timing.  **Warm-compile timing only**: every
+Bit-identity against the scalar simulators is asserted before any
+timing.  **Warm-compile timing only**: every
 case calls :func:`repro.schedule.jit.warmup` first and then asserts
 that a single post-warmup call lands within a small factor of the
 best-of time — a compile inside the measured region would blow that
@@ -33,20 +38,21 @@ import pytest
 
 numba = pytest.importorskip("numba")
 
+from repro.baselines.ga.chromosome import initial_population  # noqa: E402
 from repro.extensions.contention import ContentionSimulator  # noqa: E402
+from repro.optim.evaluation import EvaluationService  # noqa: E402
 from repro.schedule.backend import kernel_tier  # noqa: E402
-from repro.schedule.jit import (  # noqa: E402
-    JitBatchSimulator,
-    JitContentionBatchSimulator,
-    warmup,
-)
+from repro.schedule.jit import warmup  # noqa: E402
 from repro.schedule.operations import random_valid_string  # noqa: E402
 from repro.schedule.simulator import Simulator  # noqa: E402
-from repro.schedule.vectorized import BatchSimulator  # noqa: E402
-from repro.schedule.vectorized_contention import (  # noqa: E402
+from repro.schedule.vectorized import (  # noqa: E402
+    BatchSimulator,
     ContentionBatchSimulator,
 )
+from repro.schedule.walker import load  # noqa: E402
+from repro.utils.rng import as_rng  # noqa: E402
 from repro.workloads import figure5_workload  # noqa: E402
+from walkers import best_of_interleaved  # noqa: E402
 
 #: A single warm call may exceed the best-of observation by scheduler
 #: noise, but never by a compile (3-4 orders of magnitude).
@@ -83,7 +89,7 @@ def _timed_single(fn):
 
 
 def _jit_vs_scalar(write_output, perf_log, bench, slug, scalar, jit_kernel,
-                   numpy_kernel, w, strings, floor):
+                   w, strings, floor):
     """Shared driver: bit-identity, warm-compile proof, timing, records."""
     size = len(strings)
 
@@ -93,10 +99,8 @@ def _jit_vs_scalar(write_output, perf_log, bench, slug, scalar, jit_kernel,
     def jit_batch():
         return jit_kernel.string_makespans(strings)
 
-    # bit-identity across all three tiers before any timing
-    want = scalar_loop()
-    assert jit_batch().tolist() == want
-    assert numpy_kernel.string_makespans(strings).tolist() == want
+    # bit-identity with the scalar walk before any timing
+    assert jit_batch().tolist() == scalar_loop()
 
     # warm-compile proof: one un-averaged call right after warmup must
     # land near the best-of floor — a compile here would be ~1000x off
@@ -140,7 +144,6 @@ def test_micro_jit_plain(write_output, perf_log):
         "MICRO-JIT",
         "micro_jit_plain",
         Simulator(w),
-        JitBatchSimulator(w),
         BatchSimulator(w),
         w,
         _strings(w, 128),
@@ -159,7 +162,6 @@ def test_micro_jit_nic(write_output, perf_log):
         "MICRO-JIT-NIC",
         "micro_jit_nic",
         ContentionSimulator(w),
-        JitContentionBatchSimulator(w),
         ContentionBatchSimulator(w),
         w,
         _strings(w, 128),
@@ -176,7 +178,7 @@ def test_micro_jit_thread_scaling(write_output, perf_log):
     """
     w = paper_scale_workload()
     warmup(w)
-    kernel = JitBatchSimulator(w)
+    kernel = BatchSimulator(w)
     strings = _strings(w, 512)
     threads = min(4, numba.config.NUMBA_NUM_THREADS)
     if threads < 2:
@@ -211,3 +213,50 @@ def test_micro_jit_thread_scaling(write_output, perf_log):
         f"claim (>= 0.7 per-core efficiency): {efficiency >= 0.7}\n",
     )
     assert efficiency >= 0.35  # loose floor; the perf gate holds the bar
+
+
+@pytest.mark.walker("compiled")
+@pytest.mark.parametrize("network", ["contention-free", "nic"])
+def test_micro_jit_vs_compiled_loop(network, write_output, perf_log):
+    """MICRO-JIT vs_compiled_loop_*: the jit kernel against the
+    service's loop over the compiled C walker, on GA populations of 16,
+    64 and 256."""
+    if load()[0] is None:
+        pytest.skip(f"compiled walker unavailable: {load()[1]}")
+    w = paper_scale_workload()
+    warmup(w)
+    kernel = EvaluationService(w, network=network)
+    loop = EvaluationService(w, network=network, prefer_batch=False)
+    assert kernel.kernel_tier == "jit"
+    assert (loop.kernel_tier, loop.walker_tier) == ("sequential", "compiled")
+    prefix = "" if network == "contention-free" else "nic_"
+    lines = [
+        f"MICRO-JIT — {network}: jit kernel vs the compiled scalar loop "
+        "(above 1: the kernel wins)\n"
+    ]
+    for size in (16, 64, 256):
+        pop = initial_population(w.graph, w.num_machines, size, as_rng(size))
+        orders = [c.scheduling for c in pop]
+        machines = [c.matching for c in pop]
+        assert kernel.batch_makespans(orders, machines) == loop.batch_makespans(
+            orders, machines
+        )
+        t_kernel, t_loop = best_of_interleaved(
+            lambda: kernel.batch_makespans(orders, machines),
+            lambda: loop.batch_makespans(orders, machines),
+            budget=1.0,
+        )
+        ratio = t_loop / t_kernel
+        perf_log(
+            "MICRO-JIT",
+            f"{prefix}vs_compiled_loop_pop{size}",
+            round(ratio, 3),
+            "x",
+        )
+        lines.append(
+            f"population {size:4d}: jit {t_kernel / size * 1e6:7.2f} us/row, "
+            f"loop {t_loop / size * 1e6:7.2f} us/row -> {ratio:.2f}x"
+        )
+    write_output(
+        f"micro_jit_{prefix}vs_compiled_loop", "\n".join(lines) + "\n"
+    )

@@ -10,11 +10,12 @@ paper scale (100 tasks, 20 machines):
   region) with naive full ``makespan`` calls.
 * MICRO-TABU — the tabu neighborhood sweep: ``neighborhood_size``
   candidate strings scored per iteration.  ``batch_speedup`` measures
-  the kernel: the ``EvaluationService`` batch route (vectorized NumPy
-  kernel) against a scalar full walk per candidate.
-  ``delta_speedup`` measures the engine's path: cutoff-pruned deltas
-  against one incumbent snapshot, selected by the engine's own
-  :func:`~repro.optim.tabu.select_move`, against the batch route.
+  the ``EvaluationService`` batch route (its default: a loop on the
+  compiled walker without numba) against a Python-walker full walk per
+  candidate.  ``delta_speedup`` measures the engine's path:
+  cutoff-pruned deltas against one incumbent snapshot, selected by the
+  engine's own :func:`~repro.optim.tabu.select_move`, against the batch
+  route, both on the Python walker.
 
 Every case first asserts the two strategies agree bit-for-bit, then
 records best-of wall-clock ratios as :mod:`repro.perf` records in
@@ -27,6 +28,7 @@ loaded CI machine cannot flake the tier-1 suite; the *gate* lives in
 import time
 
 import numpy as np
+import pytest
 
 from repro.optim import EvaluationService
 from repro.optim.neighborhood import (
@@ -39,6 +41,7 @@ from repro.schedule.operations import random_valid_string
 from repro.schedule.simulator import Simulator
 from repro.utils.rng import as_rng
 from repro.workloads import figure5_workload
+from walkers import best_of_interleaved, python_walker
 
 
 def paper_scale_workload():
@@ -113,11 +116,14 @@ def test_micro_sa_proposal_stream(write_output, perf_log):
     assert speedup >= 1.0  # loose floor; the perf gate holds the bar
 
 
+@pytest.mark.walker("compiled")
 def test_micro_tabu_neighborhood_sweep(write_output, perf_log):
     """MICRO-TABU: batch-scored neighborhoods vs the scalar loop."""
     w = paper_scale_workload()
-    service = EvaluationService(w)  # vectorized on contention-free
-    scalar = Simulator(w)
+    service = EvaluationService(w)  # the default route, compiled walker
+    with python_walker():
+        scalar = Simulator(w)
+    assert (service.walker_tier, scalar.walker_tier) == ("compiled", "python")
     rng = as_rng(11)
     neighborhood_size = 24
     n_sweeps = 8
@@ -146,8 +152,7 @@ def test_micro_tabu_neighborhood_sweep(write_output, perf_log):
 
     assert scalar_pass() == batch_pass()  # bit-identical neighborhoods
 
-    t_scalar = best_of(scalar_pass)
-    t_batch = best_of(batch_pass)
+    t_scalar, t_batch = best_of_interleaved(scalar_pass, batch_pass, budget=1.0)
     speedup = t_scalar / t_batch
 
     per_cand = t_batch / (n_sweeps * neighborhood_size)
@@ -157,8 +162,8 @@ def test_micro_tabu_neighborhood_sweep(write_output, perf_log):
     )
     write_output(
         "micro_tabu_neighborhoods",
-        "MICRO-TABU — tabu candidate neighborhoods: scalar loop vs "
-        "EvaluationService batch route\n\n"
+        "MICRO-TABU — tabu candidate neighborhoods: Python-walker loop "
+        "vs the EvaluationService batch route\n\n"
         f"{n_sweeps} neighborhoods x {neighborhood_size} candidates at "
         f"paper scale ({w.num_tasks} tasks, {w.num_machines} machines)\n"
         f"scalar : {t_scalar * 1e3:.2f} ms/pass\n"
@@ -174,7 +179,7 @@ def test_micro_tabu_delta_route(write_output, perf_log):
     from repro.optim import TabuConfig, run_tabu
 
     w = paper_scale_workload()
-    service = EvaluationService(w)  # vectorized on contention-free
+    service = EvaluationService(w)
     rng = as_rng(13)
     neighborhood_size = 24
     tenure = 8

@@ -17,9 +17,10 @@ Two questions, one file:
   nominal plan.
 
 * **MICRO-SCENARIO** — what does scenario scoring cost?  A B x S
-  scoring sweep at paper scale through the vectorized per-scenario
-  batch kernels vs the sequential per-scenario scalar loop (what
-  ``prefer_batch=False`` gives you), equal results asserted first.
+  scoring sweep at paper scale through the default scenario route (a
+  loop over per-scenario simulators on the compiled walker, without
+  numba) vs the same loop on the Python walker, equal results asserted
+  first.
 
 Both record :mod:`repro.perf` records into
 ``benchmarks/output/BENCH_micro.json`` for the CI perf gate.  The
@@ -30,9 +31,8 @@ against ``benchmarks/baseline/BENCH_micro.json`` holds the real bar.
 """
 
 import math
-import time
 
-import numpy as np
+import pytest
 
 from repro.analysis import compare_risk, risk_profile
 from repro.core import SEConfig, SimulatedEvolution
@@ -40,24 +40,13 @@ from repro.optim import EvaluationService
 from repro.schedule.operations import random_valid_string
 from repro.stochastic import ScenarioEvaluator, sample_scenarios
 from repro.workloads import figure5_workload, small_workload
+from walkers import best_of_interleaved, python_walker
 
 # the straggler model: each subtask has a 10% chance of running 4x slow
 STRAGGLER = "empirical:1,1,1,1,1,1,1,1,1,4"
 TRAIN_SCENARIOS, TRAIN_SEED = 96, 0
 EVAL_SCENARIOS, EVAL_SEED = 512, 17
 SEEDS = (1, 2, 3, 4, 5)
-
-
-def best_of(fn, budget: float = 1.0):
-    """Minimum wall-clock time of *fn* over repeated runs in *budget* s."""
-    fn()  # warm-up
-    best = float("inf")
-    start = time.perf_counter()
-    while time.perf_counter() - start < budget:
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def _geomean(xs):
@@ -143,24 +132,30 @@ def test_robust_study(write_output, perf_log):
     assert wins * 2 > len(SEEDS)
 
 
+@pytest.mark.walker("compiled")
 def test_micro_scenario_batch_vs_scalar_loop(write_output, perf_log):
-    """MICRO-SCENARIO: B x S scoring, batch kernels vs the scalar loop."""
+    """MICRO-SCENARIO: B x S scoring, the default route vs the
+    Python-walker loop."""
     w = figure5_workload(seed=1)
     S, B = 16, 64
     scen = sample_scenarios(w, "lognormal:0.25", scenarios=S, seed=3)
     fast = ScenarioEvaluator(scen)
-    slow = ScenarioEvaluator(scen, prefer_batch=False)
-    assert fast.is_vectorized and not slow.is_vectorized
+    with python_walker():
+        slow = ScenarioEvaluator(scen, prefer_batch=False)
     strings = [
         random_valid_string(w.graph, w.num_machines, seed)
         for seed in range(B)
     ]
-    np.testing.assert_allclose(
-        fast.string_matrix(strings), slow.string_matrix(strings)
+    assert (
+        fast.string_matrix(strings).tolist()
+        == slow.string_matrix(strings).tolist()
     )
 
-    t_batch = best_of(lambda: fast.string_matrix(strings))
-    t_scalar = best_of(lambda: slow.string_matrix(strings))
+    t_scalar, t_batch = best_of_interleaved(
+        lambda: slow.string_matrix(strings),
+        lambda: fast.string_matrix(strings),
+        budget=1.0,
+    )
     speedup = t_scalar / t_batch
     per_eval = t_batch / (S * B) * 1e6
 
@@ -168,12 +163,12 @@ def test_micro_scenario_batch_vs_scalar_loop(write_output, perf_log):
     perf_log("MICRO-SCENARIO", "batch_per_eval", round(per_eval, 2), "us")
     write_output(
         "micro_scenario_batch",
-        "MICRO-SCENARIO — B x S scenario scoring: per-scenario batch "
-        "kernels vs scalar loop\n\n"
+        "MICRO-SCENARIO — B x S scenario scoring: the default route vs "
+        "the Python-walker loop\n\n"
         f"{B} schedules x {S} scenarios at paper scale ({w.num_tasks} "
         f"tasks, {w.num_machines} machines)\n"
-        f"scalar loop : {t_scalar * 1e3:.2f} ms/sweep\n"
-        f"batch kernel: {t_batch * 1e3:.2f} ms/sweep "
+        f"python loop  : {t_scalar * 1e3:.2f} ms/sweep\n"
+        f"default route: {t_batch * 1e3:.2f} ms/sweep "
         f"({per_eval:.1f} us per schedule-scenario)\n"
         f"speedup: {speedup:.2f}x\n",
     )

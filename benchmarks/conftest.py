@@ -14,8 +14,10 @@ against the committed ``benchmarks/baseline/BENCH_micro.json``.
 Every bench runs its scalar simulators on the Python walker
 (``REPRO_WALKER=python``, see :mod:`repro.schedule.walker`): the
 committed ratio records were measured against that denominator.  A
-bench module that measures the compiled walker itself opts out with a
-module-level ``WALKER = "compiled"``.
+bench that times the compiled walker opts out with
+``@pytest.mark.walker("compiled")`` (a whole module through its
+``pytestmark``); it builds its Python-walker denominators inside
+``walkers.python_walker``.
 """
 
 from __future__ import annotations
@@ -28,12 +30,19 @@ OUTPUT_DIR = Path(__file__).parent / "output"
 BENCH_MICRO_JSON = OUTPUT_DIR / "BENCH_micro.json"
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "walker(tier): run this bench on the given walker tier"
+    )
+
+
 @pytest.fixture(autouse=True)
 def _pinned_walker(request, monkeypatch):
-    """Pin the scalar walker tier (Python unless the module says not)."""
+    """Pin the scalar walker tier (Python unless the test says not)."""
     from repro.schedule.walker import ENV
 
-    if getattr(request.module, "WALKER", "python") == "python":
+    marker = request.node.get_closest_marker("walker")
+    if marker is None or marker.args[0] == "python":
         monkeypatch.setenv(ENV, "python")
     else:
         monkeypatch.delenv(ENV, raising=False)

@@ -236,7 +236,7 @@ def compare_named(
     *network* selects the simulator backend every engine optimises
     against (``repro compare --network nic`` races the engines under
     NIC contention; batch-scoring engines pick up the network's
-    vectorized kernel automatically).  *platform* races them on one
+    batch route automatically).  *platform* races them on one
     machine catalog (speed-scaled matrix + boot state; the default
     ``"uniform"`` changes nothing).
     """
@@ -323,8 +323,8 @@ def head_to_head_experiment(
         per-algorithm ``network`` entries in *algorithms* win; entries
         whose registry declaration does not accept a ``network``
         parameter are left untouched).  The engines' evaluation
-        services route batch scoring through the network's vectorized
-        kernel where one is registered, so ``network="nic"`` stays
+        services route batch scoring through the network's batch route
+        (its jit kernel when numba imports), so ``network="nic"`` stays
         accelerated.
     """
     from repro.runner import (

@@ -10,25 +10,11 @@ The engine emits the same :class:`~repro.analysis.trace.ConvergenceTrace`
 records as the SE engine, so the comparison harness and the figure
 benchmarks treat both uniformly.
 
-Offspring evaluation takes one of two routes, both bit-identical to a
-plain scalar loop, and the evaluation service decides which:
-
-* **batch**, whenever :attr:`EvaluationService.is_vectorized
-  <repro.optim.evaluation.EvaluationService.is_vectorized>` is True
-  (both network models ship a batch kernel): every unevaluated
-  chromosome of a generation is scored in one
-  :meth:`~repro.optim.evaluation.EvaluationService.batch_makespans`
-  sweep, so the whole population advances through the kernel together;
-* **incremental** otherwise (e.g. a residual initial state or a
-  platform with boot delays, which no kernel accepts): a child produced
-  by crossover/mutation keeps its "first" parent's string prefix up to
-  the first divergence position, so children are grouped by parent and
-  scored with
-  :meth:`~repro.schedule.simulator.Simulator.evaluate_delta` against
-  one prepared parent state.  Since a prepare costs about one full
-  evaluation and crossover children diverge near the middle of the
-  string, the delta path is taken only for parents with three or more
-  unevaluated children.
+Every unevaluated chromosome of a generation is scored in one
+:meth:`~repro.optim.evaluation.EvaluationService.batch_makespans` call,
+which counts one evaluation per chromosome; the evaluation service
+decides how the batch runs (the compiled kernel, or a loop over the
+scalar backend), bit-identically either way.
 """
 
 from __future__ import annotations
@@ -56,35 +42,6 @@ from repro.optim import (
 )
 from repro.utils.rng import as_rng
 from repro.utils.timers import Stopwatch
-
-
-def _first_divergence(
-    parent: Chromosome, child: Chromosome, parent_pos: Sequence[int]
-) -> int:
-    """First string position where *child* stops sharing *parent*'s prefix.
-
-    Considers both the scheduling permutation (first index where the
-    orders differ) and the matching string (a changed machine dirties the
-    task's position in the parent order; positions below the scheduling
-    divergence are shared, so the parent position is the child position
-    there).  Returns ``k`` for an identical child.
-    """
-    k = len(parent.scheduling)
-    f = k
-    ps = parent.scheduling
-    cs = child.scheduling
-    for p in range(k):
-        if ps[p] != cs[p]:
-            f = p
-            break
-    pm = parent.matching
-    cm = child.matching
-    for t in range(k):
-        if pm[t] != cm[t]:
-            p = parent_pos[t]
-            if p < f:
-                f = p
-    return f
 
 
 @dataclass(frozen=True)
@@ -144,10 +101,8 @@ class GeneticAlgorithm:
         graph = workload.graph
         l = workload.num_machines
         # Fitness comes from the configured backend, so "nic" makes the
-        # whole evolution optimise under NIC contention.  Only a
-        # genuinely vectorized kernel replaces the scalar paths.
+        # whole evolution optimise under NIC contention.
         service = cfg.evaluation_service(workload)
-        use_batch = service.is_vectorized
 
         population = [c.copy() for c in (initial or [])][: cfg.population_size]
         if len(population) < cfg.population_size:
@@ -157,59 +112,18 @@ class GeneticAlgorithm:
                 )
             )
 
-        def evaluate(
-            pop: list[Chromosome],
-            parents: Optional[list[Optional[Chromosome]]] = None,
-        ) -> None:
-            """Fill every missing ``cost`` (the service counts the calls).
-
-            ``parents[i]``, when given, is a chromosome whose string
-            shares a prefix with ``pop[i]`` (its crossover/copy source).
-            On a vectorized backend all pending chromosomes are scored
-            in one batch sweep.  Otherwise children are grouped by
-            parent; a parent with >= 3 pending children is prepared
-            once and its children scored by suffix-only re-evaluation.
-            Both paths are bit-identical to the plain scalar loop.
-            """
-            if use_batch:
-                pending = [c for c in pop if c.cost is None]
-                if not pending:
-                    return
-                costs = service.batch_makespans(
-                    [c.scheduling for c in pending],
-                    [c.matching for c in pending],
-                )
-                for c, cost in zip(pending, costs):
-                    c.cost = cost
+        def evaluate(pop: list[Chromosome]) -> None:
+            """Score every chromosome without a ``cost`` in one batch
+            (the service counts one evaluation per chromosome)."""
+            pending = [c for c in pop if c.cost is None]
+            if not pending:
                 return
-            groups: dict[int, list[Chromosome]] = {}
-            by_parent: dict[int, Chromosome] = {}
-            for i, c in enumerate(pop):
-                if c.cost is not None:
-                    continue
-                par = parents[i] if parents is not None else None
-                if par is not None and par.cost is not None:
-                    groups.setdefault(id(par), []).append(c)
-                    by_parent[id(par)] = par
-                else:
-                    c.cost = service.makespan(c.scheduling, c.matching)
-            for key, children in groups.items():
-                par = by_parent[key]
-                if len(children) < 3:
-                    # a prepare costs about one full evaluation and a
-                    # crossover child diverges at the cut (~k/2 on
-                    # average), so fewer than three children per parent
-                    # cannot amortise the snapshot
-                    for c in children:
-                        c.cost = service.makespan(c.scheduling, c.matching)
-                    continue
-                state = service.prepare(par.scheduling, par.matching)
-                parent_pos = state.pos_of
-                for c in children:
-                    f = _first_divergence(par, c, parent_pos)
-                    c.cost = service.evaluate_delta(
-                        c.scheduling, c.matching, f, state
-                    )
+            costs = service.batch_makespans(
+                [c.scheduling for c in pending],
+                [c.matching for c in pending],
+            )
+            for c, cost in zip(pending, costs):
+                c.cost = cost
 
         watch = Stopwatch()
         evaluate(population)
@@ -237,13 +151,11 @@ class GeneticAlgorithm:
                     if imm.cost < population[worst].cost:
                         population[worst] = imm
             nxt: list[Chromosome] = []
-            nxt_parents: list[Optional[Chromosome]] = []
             if cfg.elite_count:
                 for c in sorted(population, key=lambda c: c.cost)[
                     : cfg.elite_count
                 ]:
-                    nxt.append(c.copy())
-                    nxt_parents.append(None)  # cost survives the copy
+                    nxt.append(c.copy())  # the cost survives the copy
 
             costs = np.array([c.cost for c in population])
             # cost -> fitness flip; +eps keeps the worst individual alive
@@ -263,15 +175,12 @@ class GeneticAlgorithm:
                         matching_mutation(child, l, rng)
                     if rng.random() < cfg.mutation_prob:
                         scheduling_mutation(child, graph, l, rng)
-                # each child keeps a prefix of its "own" parent's strings
                 nxt.append(ca)
-                nxt_parents.append(pa)
                 if len(nxt) < cfg.population_size:
                     nxt.append(cb)
-                    nxt_parents.append(pb)
 
             population = nxt
-            evaluate(population, nxt_parents)
+            evaluate(population)
             gen_best = min(population, key=lambda c: c.cost)
             return StepOutcome(
                 cost=float(gen_best.cost),

@@ -4,19 +4,17 @@ Samples independent uniformly random valid strings and keeps the best.
 Any metaheuristic worth publishing must beat this at equal evaluation
 budget; the baseline-grid benchmark includes it for exactly that check.
 
-Scoring runs on the shared optim core: an
-:class:`~repro.optim.evaluation.EvaluationService` owns the backend and
-routes chunks of samples through the network's batch kernel
-(:class:`~repro.schedule.vectorized.BatchSimulator`) where one is
-registered — several times faster than the scalar loop on the
-contention-free model and bit-identical to it.  Samples are drawn in
-the usual RNG order either way, so chunking never changes the result.
+Scoring runs on the shared optim core: samples are drawn in chunks of
+``batch_size`` and each chunk is scored in one
+:meth:`~repro.optim.evaluation.EvaluationService.batch_string_makespans`
+call, which the service runs on the network's compiled kernel or as a
+loop over its scalar backend, bit-identically.  Samples are drawn in
+the usual RNG order whatever the chunk size, so chunking never changes
+the result.
 
-A ``time_limit`` no longer disables the batch kernel (historically it
-did, silently costing the whole speedup): the deadline is simply
-checked **between chunks**, so a run overshoots by at most one chunk of
-``batch_size`` samples and every drawn sample still counts toward the
-reported ``evaluations``.
+A ``time_limit`` is checked **between chunks**, so a run overshoots by
+at most one chunk of ``batch_size`` samples and every drawn sample
+still counts toward the reported ``evaluations``.
 """
 
 from __future__ import annotations
@@ -43,9 +41,8 @@ class RandomSearchConfig(EvaluationFields):
     samples:
         Number of random strings to draw (>= 1).
     batch_size:
-        Chunk size for vectorized scoring (>= 1).  Chunking applies on
-        backends with a batch kernel; results are bit-identical to the
-        scalar loop either way.
+        Samples drawn and scored per batch call (>= 1); results are
+        bit-identical whatever the size.
     time_limit:
         Optional wall-clock cap in seconds, checked between scoring
         chunks (so a batched run can overshoot by at most one chunk;
@@ -95,9 +92,9 @@ def run_random_search(
     samples, batch_size = config.samples, config.batch_size
     rng = as_rng(config.seed)
     # only pay for kernel packing when chunked scoring is requested
-    want_batch = batch_size > 1
-    service = config.evaluation_service(workload, prefer_batch=want_batch)
-    use_batch = want_batch and service.is_vectorized
+    service = config.evaluation_service(
+        workload, prefer_batch=batch_size > 1
+    )
     policy = StopPolicy(max_iterations=samples, time_limit=config.time_limit)
     watch = Stopwatch()
 
@@ -107,18 +104,11 @@ def run_random_search(
     while not policy.exhausted(drawn):
         if policy.out_of_time(watch.elapsed()) and drawn:
             break
-        if use_batch:
-            # same RNG draw order as the scalar loop, scored chunk-wise
-            chunk = [
-                random_valid_string(workload.graph, workload.num_machines, rng)
-                for _ in range(min(batch_size, samples - drawn))
-            ]
-            costs = service.batch_string_makespans(chunk, validate=False)
-        else:
-            chunk = [
-                random_valid_string(workload.graph, workload.num_machines, rng)
-            ]
-            costs = [service.string_makespan(chunk[0])]
+        chunk = [
+            random_valid_string(workload.graph, workload.num_machines, rng)
+            for _ in range(min(batch_size, samples - drawn))
+        ]
+        costs = service.batch_string_makespans(chunk, validate=False)
         for s, cost in zip(chunk, costs):
             drawn += 1
             tracker.update(cost, s)

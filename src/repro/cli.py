@@ -350,8 +350,7 @@ def _algorithms_listing() -> str:
 #: Human-readable batch-evaluation mode of each kernel tier.
 _TIERS = {
     "jit": "jit kernel (numba-compiled)",
-    "vectorized": "vectorized kernel",
-    "sequential": "sequential scalar fallback",
+    "sequential": "sequential loop over the scalar walker",
 }
 
 
@@ -359,9 +358,9 @@ def _platforms_listing() -> str:
     """Every registered platform with its cost-scoring path.
 
     A platform with boot delays carries per-machine initial state, which
-    routes batch scoring through the sequential scalar fallback; the
-    zero-boot catalogs keep the vectorized kernel (and its vectorized
-    cost gather).  Listing the mode keeps that routing visible.
+    keeps batch scoring on the scalar loop; the zero-boot catalogs may
+    use the jit kernel (and its one-gather cost column).  Listing the
+    mode keeps that routing visible.
     """
     from repro.schedule.backend import (
         available_platforms,
@@ -373,9 +372,9 @@ def _platforms_listing() -> str:
     for name in available_platforms():
         spec = resolve_platform(name)
         mode = (
-            "vectorized"
+            "batch kernel when jit serves"
             if platform_cost_vectorized(name)
-            else "sequential scalar fallback (boot delays)"
+            else "scalar loop (boot delays)"
         )
         detail = spec.description or f"{len(spec.instances)} instance types"
         lines.append(f"  {name:10s} cost scoring: {mode:40s} {detail}")
@@ -385,9 +384,9 @@ def _platforms_listing() -> str:
 def _networks_listing() -> str:
     """Every network model with its batch-evaluation mode.
 
-    A network without a vectorized kernel still accepts batch scoring —
-    it just loops the scalar simulator; listing the mode here keeps
-    that fallback visible instead of silent.
+    Without the jit kernel a network still accepts batch scoring — it
+    just loops the scalar simulator; listing the mode here keeps that
+    route visible instead of silent.
     """
     from repro.schedule.backend import available_networks, kernel_tier
 

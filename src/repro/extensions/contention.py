@@ -222,6 +222,7 @@ class ContentionSimulator(_WalkerTier):
         "_cost_model",
         "_c",
         "_why",
+        "_ids",
     )
 
     def __init__(
@@ -287,6 +288,7 @@ class ContentionSimulator(_WalkerTier):
         """
         order = string.order
         machine_of = string.machines
+        self._check_string(order, machine_of)
         if self._E is None:
             exec_time = self._workload.exec_times.time
             transfer = self._workload.transfer_times.time
@@ -376,6 +378,7 @@ class ContentionSimulator(_WalkerTier):
         """
         if self._c is not None:
             return self._c.makespan(order, machine_of)
+        self._check_string(order, machine_of)
         E = self._E
         pair = self._pair
         in_edges = self._in_edges
@@ -463,6 +466,7 @@ class ContentionSimulator(_WalkerTier):
         """
         if self._c is not None:
             return self._c.prepare(order, machine_of)
+        self._check_string(order, machine_of)
         E = self._E
         pair = self._pair
         k = self._k
@@ -549,9 +553,12 @@ class ContentionSimulator(_WalkerTier):
     ) -> float:
         """Makespan of a perturbed string, recomputed suffix-only.
 
-        Preconditions (NOT checked — this is the innermost hot path):
+        The suffix from ``first_changed`` must hold the base string's
+        subtasks, on in-range machines (checked in time linear in the
+        suffix: :class:`InvalidScheduleError` / ``ValueError``).
+        Preconditions NOT checked (this is the innermost hot path):
 
-        * ``order`` is a valid (dependency-respecting) permutation;
+        * ``order`` respects every dependency;
         * positions ``0..first_changed-1`` hold the same subtasks as
           ``state``'s base string, and those subtasks keep the machine
           assignments they had when :meth:`prepare` ran.
@@ -588,6 +595,7 @@ class ContentionSimulator(_WalkerTier):
         f = first_changed
         if f < 0:
             f = 0
+        self._check_window(order, machine_of, state.order, f, k)
         base_machines = state.machine_of
         if f < k:
             # Machine reassignments can dirty prefix producers' NICs;

@@ -28,8 +28,8 @@ Semantics, precisely:
   ``sum over tasks of price[machine] * scaled_exec_time`` — you pay for
   the time your tasks occupy the instance, not for the makespan
   (per-task billing, the serverless model; it makes cost a function of
-  the matching string alone, which is what lets the batch tier compute
-  it in one vectorized gather);
+  the matching string alone, which is what lets the batch kernel
+  compute it in one gather);
 * **boot** delays the machine's first availability: machine ``m``
   cannot start work before ``boot[m]`` (folded into the simulator's
   ``initial_avail`` — and ``initial_nic_free`` under NIC models, since
@@ -266,7 +266,7 @@ CLOUD_PLATFORM = PlatformSpec(
 
 #: A zero-boot heterogeneous market: price-per-unit-of-work varies a lot
 #: between tiers, so (makespan, cost) has a real Pareto front; no boot
-#: delay keeps the batch cost path fully vectorized.
+#: delay keeps its batches eligible for the batch kernel.
 SPOT_PLATFORM = PlatformSpec(
     "spot",
     instances=(

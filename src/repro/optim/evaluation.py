@@ -7,12 +7,13 @@ is scored:
   :func:`repro.schedule.backend.make_simulator` exactly once, so
   single, delta and batch scoring share one scalar backend;
 * **batch routing** — :meth:`batch_makespans` /
-  :meth:`batch_string_makespans` run the network's batch kernel (jit
-  or NumPy, see :func:`repro.schedule.backend.batch_kernel_factory`)
-  when ``prefer_batch`` is set and the backend starts from idle
-  machines, and loop the scalar backend otherwise; a weighted
-  objective's cost column, a scenario objective's reduction and the
-  Pareto offers are applied here, once per batch.
+  :meth:`batch_string_makespans` run the network's compiled kernel (the
+  ``jit`` tier, see :func:`repro.schedule.backend.batch_kernel_factory`)
+  when numba imports, ``prefer_batch`` is set and the backend starts
+  from idle machines, and loop the scalar backend otherwise (the
+  ``sequential`` tier, on the compiled C walker wherever a compiler
+  is); a weighted objective's cost column, a scenario objective's
+  reduction and the Pareto offers are applied here, once per batch.
   :meth:`prepare` / :meth:`evaluate_delta` expose the incremental tier;
   engines never touch kernel classes directly;
 * **cost accounting** — every scoring call increments one
@@ -26,7 +27,7 @@ is scored:
 
 >>> from repro.workloads import small_workload
 >>> svc = EvaluationService(small_workload(seed=1))
->>> svc.is_vectorized  # the contention-free model ships a batch kernel
+>>> svc.kernel_tier in ("jit", "sequential")
 True
 >>> svc.evaluations
 0
@@ -64,14 +65,15 @@ class EvaluationService:
         The MSHC problem instance.
     prefer_batch:
         Whether to build the network's batch kernel (and its workload
-        pack).  When False the batch methods still *work* but loop the
-        scalar backend, and :attr:`is_vectorized` reports False.
-        Engines that never batch-score pass False so they skip the
-        kernel's construction cost: SA, and SE, whose allocator scores
-        every probe with a cutoff-pruned :meth:`evaluate_delta`.  GA
-        and tabu keep the default True and pick their route from
-        :attr:`is_vectorized` / :attr:`prefers_delta`, so the service,
-        not a config field, decides how a candidate set is scored.
+        pack) on the ``jit`` tier.  When False the batch methods still
+        *work* but loop the scalar backend, and :attr:`kernel_tier`
+        reports ``sequential``.  Engines that never batch-score pass
+        False so they skip the kernel's construction cost: SA, and SE,
+        whose allocator scores every probe with a cutoff-pruned
+        :meth:`evaluate_delta`.  GA, random search and tabu keep it
+        True; tabu picks its route from :attr:`prefers_delta`, so the
+        service, not a config field, decides how a candidate set is
+        scored.
     initial_avail, initial_nic_free:
         Optional per-machine busy state the backend is constructed
         against (see :func:`repro.schedule.backend.make_simulator`) —
@@ -267,19 +269,14 @@ class EvaluationService:
         return self._backend
 
     @property
-    def is_vectorized(self) -> bool:
-        """True when batch calls run a kernel rather than a scalar loop."""
-        return self.kernel_tier != "sequential"
-
-    @property
     def kernel_tier(self) -> str:
-        """The active batch-kernel tier: ``jit``/``vectorized``/``sequential``.
+        """The active batch tier: ``jit`` or ``sequential``.
 
-        ``jit`` means batch calls run the compiled (numba) kernels of
-        :mod:`repro.schedule.jit`; ``vectorized`` the NumPy kernels;
-        ``sequential`` the scalar loop (``prefer_batch=False``, a
-        busy-state backend, or a network without a kernel).  Under a
-        scenario objective it is the tier of the per-scenario kernels.
+        ``jit`` means batch calls run the network's compiled (numba)
+        kernel; ``sequential`` the scalar loop (numba absent,
+        ``prefer_batch=False``, a busy-state backend, or a network
+        without a kernel).  Under a scenario objective it is the tier
+        of the per-scenario scoring.
         """
         if self._scenario is not None:
             return self._scenario.kernel_tier
@@ -429,10 +426,8 @@ class EvaluationService:
                 self._scenario.matrix(orders, machines, validate=validate)
             ).tolist()
         elif self._kernel is None:
-            costs = [
-                self._backend.makespan(list(o), list(m))
-                for o, m in zip(orders, machines)
-            ]
+            makespan = self._backend.makespan
+            costs = [makespan(o, m) for o, m in row_pairs(orders, machines)]
         else:
             costs = self._scalarized(
                 self._kernel.makespans(orders, machines, validate=validate),
@@ -482,6 +477,24 @@ class EvaluationService:
             ):
                 self._pareto.offer(span, cost, candidate)
         return self._objective.scalarize_arrays(spans, costs).tolist()
+
+
+def row_pairs(orders: Any, machines: Any) -> list:
+    """The ``(order, machines)`` rows of a batch for a scalar walker.
+
+    A NumPy matrix becomes lists of Python ints, the rows a scalar
+    walker reads fastest; other sequences pass as given.  Raises the
+    batch kernel's ``ValueError`` when the row counts differ.
+    """
+    if isinstance(orders, np.ndarray):
+        orders = orders.tolist()
+    if isinstance(machines, np.ndarray):
+        machines = machines.tolist()
+    if len(orders) != len(machines):
+        raise ValueError(
+            f"orders has {len(orders)} rows but machines has {len(machines)}"
+        )
+    return list(zip(orders, machines))
 
 
 @dataclass(kw_only=True)

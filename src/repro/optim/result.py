@@ -41,7 +41,7 @@ class SearchResult:
         :mod:`repro.optim.stop` reason strings.
     kernel_tier:
         The batch tier of the evaluation service that served the run
-        (``jit`` / ``vectorized`` / ``sequential``).
+        (``jit`` / ``sequential``).
     """
 
     best_string: ScheduleString

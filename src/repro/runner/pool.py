@@ -193,22 +193,12 @@ def warmup_worker() -> bool:
     workers pays it once *per worker*, and a deadline-bound portfolio
     race would burn its budget compiling.  Calling
     :func:`repro.schedule.jit.warmup` in the pool initializer moves that
-    cost before any cell/island work starts.  On the NumPy/sequential
-    tiers (numba absent or ``REPRO_KERNEL=numpy``) this is a cheap
-    no-op returning False; an explicit-but-impossible ``REPRO_KERNEL=
-    jit`` without numba is left for the worker's first real evaluation
-    to report (an initializer exception would kill the whole pool with
-    a far worse message).
+    cost before any cell/island work starts.  Without numba (the
+    ``sequential`` tier) this is a cheap no-op returning False.
     """
     from repro.schedule import jit
 
-    try:
-        active = jit.jit_selected()
-    except ValueError:
-        return False
-    if not active:
-        return False
-    return jit.warmup()
+    return jit.numba_available() and jit.warmup()
 
 
 def _tmp_path(path: Path) -> Path:

@@ -6,9 +6,10 @@
 * :class:`Simulator` — the deterministic cost model (string → makespan);
 * :mod:`~repro.schedule.backend` — simulator backends keyed by
   network-model name (``"contention-free"`` | ``"nic"``), one table row
-  per network naming its scalar backend and batch kernels;
-* :class:`BatchSimulator` — the vectorized batch-evaluation kernel
-  (the evaluation service decides when it runs);
+  per network naming its scalar backend and batch kernel;
+* :class:`BatchSimulator` — the contention-free batch kernel, compiled
+  by numba when it imports (the evaluation service decides when it
+  runs);
 * :class:`Timeline` / :func:`verify_schedule` — Gantt views and full
   constraint checking;
 * :mod:`~repro.schedule.metrics` — SLR, speedup, utilisation, comm volume;

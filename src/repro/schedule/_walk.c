@@ -17,7 +17,8 @@
  *
  * Memory safety: every task, machine, producer and item index is
  * bounds-checked, either once at construction (the DAG tables) or per
- * call (the caller's `order` / `machine_of`).  Inputs are copied into
+ * call (the caller's `order` / `machine_of`; the same pass rejects an
+ * `order` that is not a permutation, like the Python walkers).  Inputs are copied into
  * per-call buffers before the walk starts, and no Python code runs
  * between that copy and the end of the walk, so threads sharing a
  * walker cannot interleave in its scratch space.
@@ -36,6 +37,9 @@ static PyObject *schedule_cls = NULL;
 static PyObject *invalid_error = NULL;
 static PyObject *restore_fn = NULL;
 
+/* InvalidScheduleError once bound, ValueError before. */
+#define INVALID_ERROR (invalid_error != NULL ? invalid_error : PyExc_ValueError)
+
 /* Inputs of up to this many tasks are copied onto the stack. */
 #define STACK_TASKS 512
 
@@ -53,11 +57,11 @@ zalloc(Py_ssize_t n, size_t size)
     return p;
 }
 
-/* One index in [0, bound); any Python code (__index__) runs here, before
- * a walk starts. */
+/* One index in [0, bound), else `exc`; any Python code (__index__) runs
+ * here, before a walk starts. */
 static int
 read_index(PyObject *item, Py_ssize_t bound, long *out, const char *what,
-           Py_ssize_t pos)
+           Py_ssize_t pos, PyObject *exc)
 {
     long v;
     if (PyLong_CheckExact(item)) {
@@ -74,8 +78,7 @@ read_index(PyObject *item, Py_ssize_t bound, long *out, const char *what,
         return -1;
     }
     if (v < 0 || v >= bound) {
-        PyErr_Format(PyExc_ValueError,
-                     "%s[%zd] = %ld is out of range [0, %zd)",
+        PyErr_Format(exc, "%s[%zd] = %ld is out of range [0, %zd)",
                      what, pos, v, bound);
         return -1;
     }
@@ -83,11 +86,15 @@ read_index(PyObject *item, Py_ssize_t bound, long *out, const char *what,
     return 0;
 }
 
-/* Copy a length-n sequence of ids in [0, bound) into out[]. */
+/* Copy a length-n sequence of ids in [0, bound) into out[].  With
+ * `seen` (bound zeroed flags) the ids must also be distinct, so the
+ * sequence is a permutation: a range error or a repeat then raises
+ * InvalidScheduleError. */
 static int
 read_ids(PyObject *seq, int *out, Py_ssize_t n, Py_ssize_t bound,
-         const char *what)
+         const char *what, unsigned char *seen)
 {
+    PyObject *exc = seen != NULL ? INVALID_ERROR : PyExc_ValueError;
     PyObject *fast = PySequence_Fast(seq, "expected a sequence of ints");
     Py_ssize_t i;
     if (fast == NULL) {
@@ -107,8 +114,17 @@ read_ids(PyObject *seq, int *out, Py_ssize_t n, Py_ssize_t bound,
             goto fail;
         }
         if (read_index(PySequence_Fast_GET_ITEM(fast, i), bound, &v, what,
-                       i) < 0) {
+                       i, exc) < 0) {
             goto fail;
+        }
+        if (seen != NULL) {
+            if (seen[v]) {
+                PyErr_Format(exc,
+                             "%s[%zd] = %ld repeats a subtask: not a "
+                             "permutation of 0..%zd", what, i, v, n - 1);
+                goto fail;
+            }
+            seen[v] = 1;
         }
         out[i] = (int)v;
     }
@@ -185,9 +201,11 @@ float_list(const double *v, Py_ssize_t n)
     return out;
 }
 
-/* Per-call copies of order / machine_of (stack for small strings). */
+/* Per-call copies of order / machine_of and the permutation check's
+ * flags (stack for small strings). */
 typedef struct {
     int stack[2 * STACK_TASKS];
+    unsigned char seen[STACK_TASKS];
     int *heap;
     int *order;
     int *mach;
@@ -198,17 +216,23 @@ read_inputs(Inputs *in, PyObject *order, PyObject *machine_of,
             Py_ssize_t k, Py_ssize_t l)
 {
     int *buf = in->stack;
+    unsigned char *seen = in->seen;
     in->heap = NULL;
     if (k > STACK_TASKS) {
-        buf = in->heap = zalloc(2 * k, sizeof(int));
+        /* 2k ints, then k zeroed flags */
+        buf = in->heap = zalloc(3 * k, sizeof(int));
         if (buf == NULL) {
             return -1;
         }
+        seen = (unsigned char *)(buf + 2 * k);
+    }
+    else {
+        memset(seen, 0, (size_t)k);
     }
     in->order = buf;
     in->mach = buf + k;
-    if (read_ids(order, in->order, k, k, "order") < 0
-        || read_ids(machine_of, in->mach, k, l, "machine_of") < 0) {
+    if (read_ids(order, in->order, k, k, "order", seen) < 0
+        || read_ids(machine_of, in->mach, k, l, "machine_of", NULL) < 0) {
         PyMem_Free(in->heap);
         return -1;
     }
@@ -224,7 +248,7 @@ free_inputs(Inputs *in)
 static void
 raise_invalid(int task, int prod)
 {
-    PyErr_Format(invalid_error != NULL ? invalid_error : PyExc_ValueError,
+    PyErr_Format(INVALID_ERROR,
                  "subtask %d scheduled before its producer %d", task, prod);
 }
 
@@ -646,9 +670,9 @@ read_edges(PyObject *seq, Py_ssize_t k, Py_ssize_t a_bound,
             }
             else {
                 bad = read_index(PyTuple_GET_ITEM(pair, 0), a_bound, &a,
-                                 what, t) < 0
+                                 what, t, PyExc_ValueError) < 0
                       || read_index(PyTuple_GET_ITEM(pair, 1), b_bound, &b,
-                                    what, t) < 0;
+                                    what, t, PyExc_ValueError) < 0;
             }
             Py_DECREF(pair);
             if (bad) {

@@ -14,13 +14,13 @@ string-keyed parameter:
   and the GA offspring loop run on;
 * :func:`make_simulator` — ``(workload, network)`` → scalar backend;
 * :func:`batch_kernel_factory` / :func:`kernel_tier` — the network's
-  batch kernel (compiled or NumPy) and the tier it runs on.
+  compiled batch kernel and the tier a batch runs on.
 
-One table names every network: its scalar backend, its NumPy batch
-kernel and its compiled (jit) kernel.  The table is resolved on first
-use, so importing :mod:`repro.schedule` does not import the extension
-layer that holds the NIC backend.  Which kernel, if any, scores a batch
-is decided by :class:`~repro.optim.evaluation.EvaluationService` alone.
+One table names every network: its scalar backend and its batch kernel.
+The table is resolved on first use, so importing :mod:`repro.schedule`
+does not import the extension layer that holds the NIC backend.
+Whether the kernel scores a batch is decided by
+:class:`~repro.optim.evaluation.EvaluationService` alone.
 
 Because the selector is a plain string, it travels everywhere the
 algorithms do: ``SEConfig(network="nic")``, ``GAConfig(network="nic")``,
@@ -125,19 +125,17 @@ class SimulatorBackend(Protocol):
     def finish_times(self, string: ScheduleString) -> list[float]: ...
 
 
-#: Every network model: name -> (scalar backend, NumPy batch kernel,
-#: compiled batch kernel), as ``module:attribute`` paths resolved on
-#: first use.  A ``None`` kernel slot means the network has no such tier.
+#: Every network model: name -> (scalar backend, batch kernel), as
+#: ``module:attribute`` paths resolved on first use.  A ``None`` kernel
+#: slot means the network has no kernel.
 _NETWORK_TABLE: Dict[str, tuple] = {
     DEFAULT_NETWORK: (
         "repro.schedule.simulator:Simulator",
         "repro.schedule.vectorized:BatchSimulator",
-        "repro.schedule.jit:JitBatchSimulator",
     ),
     NIC_NETWORK: (
         "repro.extensions.contention:ContentionSimulator",
-        "repro.schedule.vectorized_contention:ContentionBatchSimulator",
-        "repro.schedule.jit:JitContentionBatchSimulator",
+        "repro.schedule.vectorized:ContentionBatchSimulator",
     ),
 }
 
@@ -227,13 +225,14 @@ def resolve_platform(platform) -> Any:
 
 
 def platform_cost_vectorized(platform) -> bool:
-    """Whether *platform*'s cost path stays vectorized in the batch tier.
+    """Whether *platform*'s batches may run on the jit kernel.
 
     Boot delays become initial machine state, and the evaluation service
     loops the scalar backend for a backend with initial state (the
-    kernels pack idle machines) — so only zero-boot platforms keep the
-    one-gather vectorized cost column.  Surfaced by ``repro algorithms``
-    / ``repro run --verbose`` next to the per-network batch modes.
+    kernel packs idle machines) — so only zero-boot platforms keep the
+    kernel and its one-gather cost column.  Surfaced by ``repro
+    algorithms`` / ``repro run --verbose`` next to the per-network batch
+    modes.
 
     >>> platform_cost_vectorized("uniform"), platform_cost_vectorized("spot")
     (True, True)
@@ -280,43 +279,41 @@ def available_networks() -> list[str]:
 
 
 def kernel_tier(network: str) -> str:
-    """The batch tier *network*'s kernel runs on.
+    """The batch tier *network*'s batches run on: ``"jit"`` or
+    ``"sequential"``.
 
-    ``"jit"`` when the network has a compiled kernel and the compiled
-    tier is selected (numba importable, or ``REPRO_KERNEL=jit`` forcing
-    it), ``"vectorized"`` for a NumPy kernel, ``"sequential"`` for a
-    network with neither.  An evaluation service built with initial
-    machine state, or with ``prefer_batch=False``, runs
-    ``"sequential"`` regardless of this answer (the kernels pack idle
-    machines).  Surfaced by ``repro algorithms`` so the active tier is
-    visible, not guessed; a run reports the tier that actually served
-    it (``EvaluationService.kernel_tier``).
+    ``"jit"`` when the network has a kernel and numba imports (see
+    :mod:`repro.schedule.jit`); ``"sequential"`` otherwise, where a
+    batch loops the scalar backend (its compiled C walker on any host
+    with a compiler).  An evaluation service built with initial machine
+    state, or with ``prefer_batch=False``, runs ``"sequential"``
+    regardless of this answer (the kernels pack idle machines).
+    Surfaced by ``repro algorithms`` so the active tier is visible, not
+    guessed; a run reports the tier that actually served it
+    (``EvaluationService.kernel_tier``).
 
     Raises
     ------
     ValueError
-        If *network* is unknown, ``REPRO_KERNEL`` is set to an unknown
-        mode, or it demands ``jit`` on an installation without numba.
+        If *network* is unknown.
     """
-    _, numpy_kernel, jit_kernel = _NETWORK_TABLE[check_network(network)]
-    from repro.schedule.jit import jit_selected
+    kernel = _NETWORK_TABLE[check_network(network)][1]
+    from repro.schedule.jit import numba_available
 
-    if jit_kernel is not None and jit_selected():
-        return "jit"
-    return "sequential" if numpy_kernel is None else "vectorized"
+    return "jit" if kernel is not None and numba_available() else "sequential"
 
 
 def batch_kernel_factory(network: str):
-    """The kernel class of *network*'s :func:`kernel_tier`, or ``None``.
+    """The kernel class serving *network*'s :func:`kernel_tier`, or
+    ``None`` on the ``sequential`` tier.
 
     Called as ``factory(workload)`` or ``factory(workload, pack=pack)``
     (the scenario tier builds one kernel per sampled scenario, sharing
-    DAG-structure tables across them).  Honors the jit > vectorized
-    selection and the ``REPRO_KERNEL`` override, so every batch-scoring
-    path rides the compiled tier when it is available.
+    DAG-structure tables across them).
     """
-    _, numpy_kernel, jit_kernel = _NETWORK_TABLE[check_network(network)]
-    return _load(jit_kernel if kernel_tier(network) == "jit" else numpy_kernel)
+    if kernel_tier(network) != "jit":
+        return None
+    return _load(_NETWORK_TABLE[check_network(network)][1])
 
 
 def make_simulator(

@@ -1,51 +1,41 @@
-"""Compiled (Numba JIT) batch-evaluation kernels — the fastest tier.
+"""Compiled (Numba JIT) batch walks: the ``jit`` kernel tier.
 
-The NumPy batch kernels (:mod:`repro.schedule.vectorized`,
-:mod:`repro.schedule.vectorized_contention`) top out around 2.5-3.5x
-over the scalar walk because each position-major sweep is many small
-NumPy operations whose dispatch overhead dominates at paper scale.
-This module compiles the *whole* schedule walk — all ``k`` positions,
-all batch rows — into one machine-code loop nest over the exact same
-:class:`~repro.schedule.vectorized.WorkloadPack` gather tables, and
-parallelises it across batch rows with ``numba.prange`` (every schedule
-in a batch is independent, so rows shard perfectly across cores).
+The batch kernel classes of :mod:`repro.schedule.vectorized`
+(:class:`~repro.schedule.vectorized.BatchSimulator` and
+:class:`~repro.schedule.vectorized.ContentionBatchSimulator`) run the
+two walks below: the *whole* schedule walk — all ``k`` positions, all
+batch rows — as one machine-code loop nest over the
+:class:`~repro.schedule.vectorized.WorkloadPack` gather tables,
+parallelised across batch rows with ``numba.prange`` (every schedule in
+a batch is independent, so rows shard perfectly across cores).
 
 Kernel tiers and selection
 --------------------------
 
-Each row of the network table in :mod:`repro.schedule.backend` names
-a NumPy kernel and one of this module's compiled kernels, and
-:func:`~repro.schedule.backend.batch_kernel_factory` picks between them.
-The :class:`~repro.optim.evaluation.EvaluationService` then runs one of
-three tiers:
+The :class:`~repro.optim.evaluation.EvaluationService` scores a batch
+on one of two tiers (:func:`repro.schedule.backend.kernel_tier`):
 
-1. ``jit``        — this module's compiled kernels (both networks),
-   auto-selected when :mod:`numba` imports;
-2. ``vectorized`` — the NumPy kernels, the fallback when numba is
-   absent (this repo never *requires* numba — it is an extra);
-3. ``sequential`` — the service's scalar loop, when batching is not
-   preferred or the backend carries initial machine state.
-
-The environment variable ``REPRO_KERNEL`` overrides the choice for
-debugging and CI: ``REPRO_KERNEL=numpy`` pins the NumPy tier even with
-numba installed; ``REPRO_KERNEL=jit`` demands the compiled tier and
-fails loudly (instead of silently running 100x slower) when numba is
-missing.  Unset (or ``auto``) means "best available".
+1. ``jit``        — the network's kernel class, auto-selected when
+   :mod:`numba` imports (this repo never *requires* numba — it is the
+   ``jit`` extra);
+2. ``sequential`` — the service's loop over its scalar backend, whose
+   compiled C walker (:mod:`repro.schedule.walker`) serves on any host
+   with a C compiler.  Also the tier when batching is not preferred or
+   the backend carries initial machine state.
 
 Exactness
 ---------
 
 The compiled walks perform the **same arithmetic with the same
-operands** as the NumPy kernels (one addition per crossing transfer,
-one addition per execution time, maxima elsewhere; NIC pushes chained
-in ascending item order), so results are bit-identical to
-:class:`~repro.schedule.vectorized.BatchSimulator` /
-:class:`~repro.schedule.vectorized_contention.ContentionBatchSimulator`
-— and transitively to the scalar simulators.  Floating-point ``max``
-returns one of its operands exactly, and each transfer/execution cost
-enters through a single addition in the same order in every tier, so
-no tolerance is needed anywhere: the property suite
-(``tests/properties/test_jit_properties.py``) asserts ``==``.
+operands** as the scalar simulators (one addition per crossing
+transfer, one addition per execution time, maxima elsewhere; NIC pushes
+chained in ascending item order), so results are bit-identical to
+:meth:`~repro.schedule.simulator.Simulator.makespan` /
+:meth:`~repro.extensions.contention.ContentionSimulator.makespan`.
+Floating-point ``max`` returns one of its operands exactly, and each
+transfer/execution cost enters through a single addition in the same
+order in every tier, so no tolerance is needed anywhere: the property
+suite (``tests/properties/test_jit_properties.py``) asserts ``==``.
 
 The kernel bodies are written in *nopython-compatible plain Python*:
 with numba installed they are ``@njit(parallel=True, cache=True)``
@@ -67,14 +57,11 @@ region and asserts the measured calls are compile-free.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 import numpy as np
 
 from repro.model.workload import Workload
-from repro.schedule.vectorized import BatchSimulator, WorkloadPack
-from repro.schedule.vectorized_contention import ContentionBatchSimulator
 
 try:  # pragma: no cover - exercised only on numba-enabled installs
     from numba import njit, prange
@@ -93,14 +80,9 @@ except ImportError:
         return deco
 
 
-#: Environment override: "auto" (default), "jit" or "numpy".
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-_KERNEL_MODES = ("auto", "jit", "numpy")
-
-
 def numba_available() -> bool:
-    """Whether the compiled tier can actually compile.
+    """Whether the compiled tier can actually compile, i.e. whether
+    tier selection picks the ``jit`` kernels.
 
     A plain module-level flag read at *selection* time (not import
     time), so tests can monkeypatch ``repro.schedule.jit._NUMBA_OK`` to
@@ -109,53 +91,11 @@ def numba_available() -> bool:
     return _NUMBA_OK
 
 
-def requested_kernel() -> str:
-    """The ``REPRO_KERNEL`` override, validated: auto | jit | numpy.
-
-    Raises
-    ------
-    ValueError
-        If the variable holds anything else — a typo'd override must
-        not silently degrade to auto-selection.
-    """
-    raw = os.environ.get(KERNEL_ENV_VAR, "").strip().lower() or "auto"
-    if raw not in _KERNEL_MODES:
-        raise ValueError(
-            f"{KERNEL_ENV_VAR}={raw!r} is not a valid kernel override; "
-            f"expected one of {', '.join(_KERNEL_MODES)}"
-        )
-    return raw
-
-
-def jit_selected() -> bool:
-    """Whether tier selection should pick the compiled kernels now.
-
-    Raises
-    ------
-    ValueError
-        If ``REPRO_KERNEL=jit`` demands compilation but numba is not
-        installed — failing loudly beats silently running the plain
-        Python loop nest ~100x slower than the NumPy tier.
-    """
-    mode = requested_kernel()
-    if mode == "numpy":
-        return False
-    if mode == "jit":
-        if not numba_available():
-            raise ValueError(
-                f"{KERNEL_ENV_VAR}=jit but numba is not installed; "
-                "install the extra (pip install repro-mshc[jit]) or "
-                f"unset {KERNEL_ENV_VAR}"
-            )
-        return True
-    return numba_available()
-
-
 # ----------------------------------------------------------------------
 # the compiled walks
 # ----------------------------------------------------------------------
 #
-# Layout notes (shared with the NumPy kernels via WorkloadPack):
+# Layout notes (the WorkloadPack tables):
 #   E        (l, k)  execution times
 #   tr       (rows+1, p+1) zero-padded transfer matrix
 #   pair_row (l, l)  machine pair -> tr row; diagonal -> the zero row
@@ -246,7 +186,8 @@ def _walk_nic(
                 # eager pushes serialised on the producer's NIC in item
                 # order; same-machine pushes run as zero-duration
                 # transfers (their lifted nf is absorbed bit-for-bit by
-                # the next max — see vectorized_contention.py), and
+                # the next max: every later push from machine m starts
+                # at a finish time >= this one), and
                 # their arrival slots are junk by design: the consumer
                 # reads finish[prod] instead
                 nf = nic[m]
@@ -266,84 +207,6 @@ def _walk_nic(
         out[b] = best
 
 
-# ----------------------------------------------------------------------
-# kernel classes
-# ----------------------------------------------------------------------
-
-
-class JitBatchSimulator(BatchSimulator):
-    """Compiled batch kernel for the contention-free model.
-
-    Drop-in for :class:`~repro.schedule.vectorized.BatchSimulator`
-    (same constructor, same batch API, bit-identical results); the walk
-    runs as one ``@njit(parallel=True)`` loop nest with batch rows
-    sharded across threads by ``prange``.
-    """
-
-    __slots__ = ()
-
-    kernel_tier = "jit"
-
-    #: One compiled call per batch whenever possible: the JIT walk
-    #: carries only per-row O(k + l) state (no multi-MB scratch), so
-    #: cache-residency chunking would just amputate prange's row range.
-    chunk_size = 65536
-
-    def _score_chunk(
-        self, orders: np.ndarray, machines: np.ndarray
-    ) -> np.ndarray:
-        out = np.empty(orders.shape[0])
-        _walk_plain(
-            orders,
-            machines,
-            self._E,
-            self._tr,
-            self._pair_row,
-            self._deg,
-            self._pad_prod,
-            self._pad_item,
-            out,
-        )
-        return out
-
-
-class JitContentionBatchSimulator(ContentionBatchSimulator):
-    """Compiled batch kernel for the ``"nic"`` network model.
-
-    Drop-in for :class:`~repro.schedule.vectorized_contention.
-    ContentionBatchSimulator` (same constructor, same batch API,
-    bit-identical results), compiled and row-parallel like
-    :class:`JitBatchSimulator`.
-    """
-
-    __slots__ = ()
-
-    kernel_tier = "jit"
-
-    chunk_size = 65536
-
-    def _score_chunk(
-        self, orders: np.ndarray, machines: np.ndarray
-    ) -> np.ndarray:
-        out = np.empty(orders.shape[0])
-        _walk_nic(
-            orders,
-            machines,
-            self._E,
-            self._tr,
-            self._pair_row,
-            self._deg,
-            self._pad_prod,
-            self._pad_item,
-            self._out_deg,
-            self._pad_out_item,
-            self._pad_out_cons,
-            self._p,
-            out,
-        )
-        return out
-
-
 def warmup(workload: Optional[Workload] = None) -> bool:
     """Compile both kernels now (idempotent); True when numba compiled.
 
@@ -357,8 +220,13 @@ def warmup(workload: Optional[Workload] = None) -> bool:
 
         workload = small_workload(seed=0)
     from repro.schedule.operations import random_valid_string
+    from repro.schedule.vectorized import (
+        BatchSimulator,
+        ContentionBatchSimulator,
+        WorkloadPack,
+    )
 
     s = random_valid_string(workload.graph, workload.num_machines, 0)
-    for cls in (JitBatchSimulator, JitContentionBatchSimulator):
+    for cls in (BatchSimulator, ContentionBatchSimulator):
         cls(workload, pack=WorkloadPack(workload)).string_makespans([s])
     return numba_available()

@@ -58,7 +58,8 @@ from repro.schedule.scoring import CostModel, ScheduleScore
 
 
 class InvalidScheduleError(ValueError):
-    """Raised when a string violates the DAG's precedence constraints."""
+    """Raised when a string violates the DAG's precedence constraints,
+    or its order is not a permutation of the subtasks."""
 
 
 def _state_vector(
@@ -99,10 +100,70 @@ class _WalkerTier:
         does not serve, build the Python walker's nested-list ``E`` and
         ``Tr`` pair tables (the compiled walker reads the arrays)."""
         self._c, self._why = walker.make_walker(self._workload, *tables)
+        self._ids = (frozenset(range(self._k)), frozenset(range(self._l)))
         self._E = self._pair = None
         if self._c is None:
             self._E = self._workload.exec_times.values.tolist()
             self._pair = self._workload.transfer_times.pair_rows()
+
+    def _check_string(
+        self, order: Sequence[int], machine_of: Sequence[int]
+    ) -> None:
+        """Raise on a malformed string, as the compiled walker does.
+
+        ``ValueError`` for a wrong length or a machine id outside
+        ``[0, l)``; :class:`InvalidScheduleError` for an order that is
+        not a permutation of ``0..k-1``.
+        """
+        tasks, machines = self._ids
+        k = self._k
+        if (
+            len(order) == k
+            and len(machine_of) == k
+            and set(order) == tasks
+            and machines.issuperset(machine_of)
+        ):
+            return
+        for name, seq in (("order", order), ("machine_of", machine_of)):
+            if len(seq) != k:
+                raise ValueError(
+                    f"{name} has {len(seq)} entries, expected {k}"
+                )
+        if set(order) != tasks:
+            raise InvalidScheduleError(
+                f"order is not a permutation of 0..{k - 1}"
+            )
+        i = next(i for i, m in enumerate(machine_of) if m not in machines)
+        raise ValueError(
+            f"machine_of[{i}] = {machine_of[i]} is out of range "
+            f"[0, {self._l})"
+        )
+
+    def _check_window(
+        self,
+        order: Sequence[int],
+        machine_of: Sequence[int],
+        base_order: Sequence[int],
+        start: int,
+        stop: int,
+    ) -> None:
+        """:meth:`_check_string` for a delta call, in ``O(stop - start)``.
+
+        Positions outside ``[start, stop)`` are asserted (not checked) to
+        match the prepared string, which :meth:`prepare` checked, so the
+        string is well formed when the window holds the base window's
+        subtasks on in-range machines.  Anything else gets the full
+        check, which raises on a malformed string.
+        """
+        k = self._k
+        if len(order) == k and len(machine_of) == k:
+            window = order[start:stop]
+            machines = self._ids[1]
+            if set(window) == set(base_order[start:stop]) and (
+                machines.issuperset(map(machine_of.__getitem__, window))
+            ):
+                return
+        self._check_string(order, machine_of)
 
     @property
     def walker_tier(self) -> str:
@@ -264,6 +325,7 @@ class Simulator(_WalkerTier):
         "_cost_model",
         "_c",
         "_why",
+        "_ids",
     )
 
     def __init__(
@@ -311,6 +373,7 @@ class Simulator(_WalkerTier):
         """
         if self._c is not None:
             return self._c.makespan(order, machine_of)
+        self._check_string(order, machine_of)
         E = self._E
         pair = self._pair
         in_edges = self._in_edges
@@ -401,6 +464,7 @@ class Simulator(_WalkerTier):
         """
         if self._c is not None:
             return self._c.prepare(order, machine_of)
+        self._check_string(order, machine_of)
         E = self._E
         pair = self._pair
         in_edges = self._in_edges
@@ -474,9 +538,14 @@ class Simulator(_WalkerTier):
     ) -> float:
         """Makespan of a perturbed string, recomputed from *first_changed*.
 
-        Preconditions (NOT checked — this is the innermost hot path):
+        The positions the call may change — ``first_changed`` to
+        ``region_end`` (to the end without it) — must hold the base
+        string's subtasks there, on in-range machines (checked in time
+        linear in that window: :class:`InvalidScheduleError` /
+        ``ValueError``).  Preconditions NOT checked (this is the
+        innermost hot path):
 
-        * ``order`` is a valid (dependency-respecting) permutation;
+        * ``order`` respects every dependency;
         * positions ``0..first_changed-1`` hold the same subtasks as
           ``state``'s base string, and those subtasks keep the machine
           assignments they had when :meth:`prepare` ran.
@@ -512,7 +581,14 @@ class Simulator(_WalkerTier):
         f = first_changed
         if f < 0:
             f = 0
-        elif f >= k:
+        self._check_window(
+            order,
+            machine_of,
+            state.order,
+            f,
+            k if region_end is None else region_end + 1,
+        )
+        if f >= k:
             return state.makespan if state.makespan < cutoff else float("inf")
         E = self._E
         pair = self._pair

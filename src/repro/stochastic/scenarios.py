@@ -1,13 +1,13 @@
 """Scenario scoring: B schedules × S scenarios through the batch tier.
 
 A risk objective needs the makespan of every candidate schedule under
-every sampled scenario.  The batch kernels of PR 3/5 are the natural
-engine for that: scoring B schedules under scenario ``s`` is one
-``batch_string_makespans`` call against a kernel built from scenario
-``s``'s matrices, so the full ``(S, B)`` matrix is ``S`` kernel sweeps —
-no new walk code, and both network models (``"contention-free"`` and
-``"nic"``) come for free.  Callers that disable batching get an
-``S × B`` sequential scalar loop, bit-identical.
+every sampled scenario.  Scoring B schedules under scenario ``s`` is one
+batch call against a kernel built from scenario ``s``'s matrices, so the
+full ``(S, B)`` matrix is ``S`` kernel sweeps — no new walk code, and
+both network models (``"contention-free"`` and ``"nic"``) come for
+free.  Without a kernel (numba absent, or batching disabled) the matrix
+is an ``S × B`` loop over one scalar backend per scenario,
+bit-identical.
 
 Two classes:
 
@@ -46,6 +46,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from repro.optim.evaluation import row_pairs
 from repro.optim.objective import ScenarioObjective, _ScalarizedState
 from repro.schedule.backend import (
     DEFAULT_NETWORK,
@@ -74,10 +75,10 @@ class ScenarioEvaluator:
         Simulator-backend name; scenario walks run under this network
         model, exactly like deterministic scoring.
     prefer_batch:
-        When True (default) and the network has a batch kernel, one
-        kernel per scenario scores whole batches in NumPy sweeps;
-        otherwise an ``S × B`` sequential scalar loop is used
-        (bit-identical, just slower — surfaced by :attr:`is_vectorized`).
+        When True (default) and the network's kernel serves (the
+        ``jit`` tier), one kernel per scenario scores whole batches;
+        otherwise an ``S × B`` loop over the scalar backends is used
+        (bit-identical; surfaced by :attr:`kernel_tier`).
     """
 
     __slots__ = ("_set", "_network", "_kernels", "_backends")
@@ -133,14 +134,9 @@ class ScenarioEvaluator:
         return self._set.workload
 
     @property
-    def is_vectorized(self) -> bool:
-        """True when scenario sweeps run the network's batch kernel."""
-        return self._kernels is not None
-
-    @property
     def kernel_tier(self) -> str:
-        """The tier of the per-scenario kernels (``jit``/``vectorized``)
-        or ``sequential`` when scoring loops the scalar backends."""
+        """``jit`` when per-scenario kernels score the batches,
+        ``sequential`` when scoring loops the scalar backends."""
         if self._kernels is None:
             return "sequential"
         return self._kernels[0].kernel_tier
@@ -169,15 +165,16 @@ class ScenarioEvaluator:
                     )
                 )
             return np.stack(rows)
-        out = []
-        for backend in self._backends:
-            out.append(
-                [
-                    backend.makespan(list(o), list(m))
-                    for o, m in zip(orders, machines)
-                ]
-            )
-        return np.asarray(out, dtype=float)
+        return self._loop(row_pairs(orders, machines))
+
+    def _loop(self, rows: list) -> np.ndarray:
+        """The ``(S, B)`` matrix of ``(order, machines)`` *rows* from the
+        scalar backends (rows converted once, read by every scenario)."""
+        out = [
+            [backend.makespan(o, m) for o, m in rows]
+            for backend in self._backends
+        ]
+        return np.array(out, dtype=float).reshape(self.scenarios, len(rows))
 
     def string_matrix(
         self, strings: Sequence[ScheduleString], validate: bool = True
@@ -185,6 +182,8 @@ class ScenarioEvaluator:
         """:meth:`matrix` over :class:`ScheduleString` objects."""
         if not strings:
             return np.empty((self.scenarios, 0))
+        if self._kernels is None:
+            return self._loop([(s.order, s.machines) for s in strings])
         orders = np.array([s.order for s in strings], dtype=np.intp)
         machines = np.array([s.machines for s in strings], dtype=np.intp)
         return self.matrix(orders, machines, validate=validate)

@@ -20,7 +20,7 @@ from repro.baselines.ga import (
 )
 from repro.optim import EvaluationService
 from repro.schedule import Simulator, is_valid_for, verify_schedule
-from tests.routes import no_batch_kernel
+from tests.routes import jit_kernel, no_batch_kernel, walker
 
 
 class TestGAConfig:
@@ -225,45 +225,57 @@ class TestGAEngine:
         assert is_valid_for(res.best_string, tiny_workload.graph)
 
 
-class TestIncrementalEvaluation:
-    """The delta route (taken when no batch kernel applies) must be
-    invisible in results: identical traces, best makespans and final
-    strings for any seed."""
+class TestUnkernelledSettings:
+    """Boot delays (the ``cloud`` platform) and residual machine state
+    keep every batch on the service's scalar loop, with or without
+    numba.  There the GA's results are the same on both walker tiers,
+    and it counts one evaluation per chromosome it scores."""
 
-    @pytest.mark.parametrize("seed", [1, 7, 42])
-    def test_delta_path_equals_full_path(self, tiny_workload, seed):
-        cfg = GAConfig(max_generations=25, stall_generations=None, seed=seed)
-        with no_batch_kernel():
-            delta = run_ga(tiny_workload, cfg)
-        full = run_ga(tiny_workload, cfg)
-        assert delta.best_makespan == full.best_makespan  # bit-identical
-        assert delta.trace.best_makespans() == full.trace.best_makespans()
-        assert (
-            delta.trace.current_makespans() == full.trace.current_makespans()
+    @pytest.mark.parametrize("setting", ["cloud", "residual"])
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_identical_across_walker_tiers(
+        self, tiny_workload, setting, seed, monkeypatch
+    ):
+        cfg = GAConfig(
+            max_generations=15,
+            stall_generations=None,
+            seed=seed,
+            platform="cloud" if setting == "cloud" else "uniform",
         )
-        assert delta.best_string == full.best_string
-        # the delta route also counts one prepare per parent group
-        assert delta.evaluations >= full.evaluations
-
-    def test_delta_path_is_default(self, tiny_workload, monkeypatch):
-        """Without a vectorized kernel the GA scores one schedule at a
-        time: no batch call, deltas for parent groups."""
+        if setting == "residual":
+            busy = [0.5 * m for m in range(tiny_workload.num_machines)]
+            build = GAConfig.evaluation_service
+            monkeypatch.setattr(
+                GAConfig,
+                "evaluation_service",
+                lambda self, w, **kw: build(self, w, initial_avail=busy, **kw),
+            )
         calls = _spy_service(monkeypatch)
-        cfg = GAConfig(population_size=30, max_generations=5, seed=3)
-        with no_batch_kernel():
-            run_ga(tiny_workload, cfg)
-        assert calls["batch_makespans"] == 0
-        assert calls["evaluate_delta"] > 0
+        runs = {}
+        for tier in ("compiled", "python"):
+            with walker(tier), jit_kernel():
+                calls.clear()
+                runs[tier] = run_ga(tiny_workload, cfg)
+            assert runs[tier].kernel_tier == "sequential"
+            assert runs[tier].evaluations == calls["rows"]
+            assert calls["evaluate_delta"] == 0
+        fast, slow = runs["compiled"], runs["python"]
+        assert fast.best_makespan == slow.best_makespan
+        assert fast.best_string == slow.best_string
+        assert fast.trace.current_makespans() == slow.trace.current_makespans()
+        assert fast.evaluations == slow.evaluations
 
 
 class TestBatchFitness:
-    """The vectorized population-fitness route must be invisible in
-    results: identical traces, best makespans and final strings."""
+    """The batch population-fitness route must be invisible in results:
+    identical traces, best makespans and final strings on the kernel
+    and on the scalar loop."""
 
     @pytest.mark.parametrize("seed", [1, 7, 42])
     def test_batch_path_equals_scalar_path(self, tiny_workload, seed):
         cfg = GAConfig(max_generations=25, stall_generations=None, seed=seed)
-        batch = run_ga(tiny_workload, cfg)
+        with jit_kernel():
+            batch = run_ga(tiny_workload, cfg)
         with no_batch_kernel():
             scalar = run_ga(tiny_workload, cfg)
         assert batch.best_makespan == scalar.best_makespan  # bit-identical
@@ -273,37 +285,47 @@ class TestBatchFitness:
             == scalar.trace.current_makespans()
         )
         assert batch.best_string == scalar.best_string
-        # the batch route counts exactly one call per chromosome
-        assert scalar.evaluations >= batch.evaluations
+        # both routes count exactly one call per chromosome
+        assert scalar.evaluations == batch.evaluations
 
     def test_batch_path_is_default(self, tiny_workload, monkeypatch):
-        """A vectorized service scores each generation in one batch
-        call (plus one for the initial population) and makes no delta."""
+        """Each generation is one batch call (plus one for the initial
+        population) and no delta, whichever route serves the batch."""
         calls = _spy_service(monkeypatch)
         cfg = GAConfig(population_size=30, max_generations=5, seed=3)
-        run_ga(tiny_workload, cfg)
-        assert calls["batch_makespans"] == 1 + 5
-        assert calls["evaluate_delta"] == 0
+        for route in ("jit", "sequential"):
+            calls.clear()
+            with jit_kernel() if route == "jit" else no_batch_kernel():
+                res = run_ga(tiny_workload, cfg)
+            assert res.kernel_tier == route
+            assert calls["batch_makespans"] == 1 + 5
+            assert calls["evaluate_delta"] == 0
+            assert res.evaluations == calls["rows"]
 
     def test_batch_fitness_under_nic_keeps_results(self, tiny_workload):
         cfg = GAConfig(
             max_generations=10, stall_generations=None, seed=3, network="nic"
         )
-        batch = run_ga(tiny_workload, cfg)
+        with jit_kernel():
+            batch = run_ga(tiny_workload, cfg)
         with no_batch_kernel("nic"):
             scalar = run_ga(tiny_workload, cfg)
         assert batch.best_makespan == scalar.best_makespan
         assert batch.best_string == scalar.best_string
+        assert batch.evaluations == scalar.evaluations
 
 
 def _spy_service(monkeypatch) -> Counter:
-    """Count ``EvaluationService`` batch and delta calls."""
+    """Count ``EvaluationService`` batch and delta calls, and the rows
+    the batch calls score (``"rows"``)."""
     calls: Counter = Counter()
     for name in ("batch_makespans", "evaluate_delta"):
         orig = getattr(EvaluationService, name)
 
         def spy(self, *args, _orig=orig, _name=name, **kwargs):
             calls[_name] += 1
+            if _name == "batch_makespans":
+                calls["rows"] += len(args[0])
             return _orig(self, *args, **kwargs)
 
         monkeypatch.setattr(EvaluationService, name, spy)

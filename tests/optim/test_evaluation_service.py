@@ -7,7 +7,7 @@ from repro.optim import EvaluationService
 from repro.schedule import Simulator
 from repro.schedule.operations import random_valid_string
 from repro.workloads import small_workload
-from tests.routes import no_batch_kernel
+from tests.routes import jit_kernel, no_batch_kernel
 
 
 @pytest.fixture(scope="module")
@@ -24,19 +24,18 @@ def strings(workload):
 
 
 class TestRouting:
-    def test_contention_free_batch_is_vectorized(self, workload):
-        assert EvaluationService(workload).is_vectorized is True
-
-    def test_nic_batch_is_vectorized(self, workload):
-        # the "nic" row of the network table carries a NumPy kernel too
-        assert EvaluationService(workload, "nic").is_vectorized is True
+    @pytest.mark.parametrize("network", ["contention-free", "nic"])
+    def test_batch_runs_jit_kernel_when_numba_imports(self, workload, network):
+        with jit_kernel():
+            svc = EvaluationService(workload, network)
+        assert svc.kernel_tier == "jit"
 
     def test_unkernelled_network_falls_back_sequential(self, workload):
         # a network without a kernel loops the scalar backend and
         # *visibly* reports so — the fallback must never be silent
-        with no_batch_kernel("nic"):
+        with jit_kernel(), no_batch_kernel("nic"):
             svc = EvaluationService(workload, "nic")
-        assert svc.is_vectorized is False
+        assert svc.kernel_tier == "sequential"
         ref = ContentionSimulator(workload)
         strings = [
             random_valid_string(workload.graph, workload.num_machines, s)
@@ -52,31 +51,35 @@ class TestRouting:
     @pytest.mark.parametrize("platform", ["uniform", "spot", "cloud"])
     @pytest.mark.parametrize("network", ["contention-free", "nic"])
     def test_route_pin_table(
-        self, workload, network, platform, prefer_batch, initial, monkeypatch
+        self, workload, network, platform, prefer_batch, initial
     ):
-        # numba absent: a kernel serves the service iff batching is
+        # numba present: the kernel serves the service iff batching is
         # preferred and the backend starts idle (cloud boots are state)
+        busy = [1.0] * workload.num_machines if initial == "busy" else None
+        with jit_kernel():
+            svc = EvaluationService(
+                workload,
+                network,
+                prefer_batch=prefer_batch,
+                platform=platform,
+                initial_avail=busy,
+            )
+        served = prefer_batch and initial is None and platform != "cloud"
+        assert svc.kernel_tier == ("jit" if served else "sequential")
+
+    def test_prefer_batch_false_disables_kernel(self, workload):
+        with jit_kernel():
+            svc = EvaluationService(workload, prefer_batch=False)
+        assert svc.kernel_tier == "sequential"
+
+    def test_no_numba_loops_the_scalar_walker(self, workload, monkeypatch):
         from repro.schedule import jit as jit_mod
 
         monkeypatch.setattr(jit_mod, "_NUMBA_OK", False)
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        busy = [1.0] * workload.num_machines if initial == "busy" else None
-        svc = EvaluationService(
-            workload,
-            network,
-            prefer_batch=prefer_batch,
-            platform=platform,
-            initial_avail=busy,
-        )
-        served = prefer_batch and initial is None and platform != "cloud"
-        assert svc.kernel_tier == ("vectorized" if served else "sequential")
-        assert svc.is_vectorized is served
-
-    def test_prefer_batch_false_disables_kernel(self, workload):
-        assert (
-            EvaluationService(workload, prefer_batch=False).is_vectorized
-            is False
-        )
+        for network in ("contention-free", "nic"):
+            assert EvaluationService(workload, network).kernel_tier == (
+                "sequential"
+            )
 
     def test_unknown_network_rejected(self, workload):
         with pytest.raises(ValueError, match="unknown network"):

@@ -12,6 +12,7 @@ from repro.portfolio import (
 from repro.portfolio.islands import UNBOUNDED, engine_defaults
 from repro.runner.spec import derive_seed
 from repro.workloads import small_workload
+from tests.routes import jit_kernel
 
 
 class TestEngineDefaults:
@@ -105,13 +106,15 @@ class TestRunIsland:
         (spec,) = build_islands(
             (kind,), 1, 3, None, iters, "contention-free", "uniform"
         )
-        out = run_island(spec, small_workload(seed=3))
+        with jit_kernel():
+            out = run_island(spec, small_workload(seed=3))
         assert out.kind == kind
         assert out.best_makespan > 0
         assert out.evaluations > 0
         assert out.published == out.received == 0  # no channel attached
-        # the tier that served the run: SE's delta probes and SA's
-        # single proposals ask their service for no batch kernel
+        # the tier that served the run (numba marked available): SE's
+        # delta probes and SA's single proposals ask their service for
+        # no batch kernel
         batched = kind in ("ga", "tabu")
         assert (out.kernel_tier != "sequential") == batched
         # the anytime list is the strict best-so-far staircase

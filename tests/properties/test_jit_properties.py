@@ -1,31 +1,30 @@
-"""Property tests: the JIT kernel tier is bit-identical to the NumPy tier.
+"""Property tests: the batch kernels are bit-identical to the scalar walks.
 
-The contract the compiled-tier tentpole rests on: for any workload and
-any batch of valid strings, the :mod:`repro.schedule.jit` walks return
-*the same floats, bit for bit*, as the NumPy kernels
-(``BatchSimulator`` / ``ContentionBatchSimulator``) — and transitively
-(via ``test_batch_properties.py`` / ``test_contention_batch_properties
-.py``) as the scalar simulators.  On numba-free installations the walks
-run as plain Python; numba compiles *the same bodies* without
-``fastmath``, so no reassociation can diverge the compiled results from
-what is pinned here.
+The contract the kernel tier rests on: for any workload and any batch of
+valid strings, :class:`~repro.schedule.vectorized.BatchSimulator` and
+:class:`~repro.schedule.vectorized.ContentionBatchSimulator` return *the
+same floats, bit for bit*, as sequential ``Simulator.makespan`` /
+``ContentionSimulator.makespan`` calls — so scoring a GA population or a
+random-search chunk on the kernel cannot change a single decision,
+trace, or result.  On numba-free installations the walks of
+:mod:`repro.schedule.jit` run as plain Python; numba compiles *the same
+bodies* without ``fastmath``, so no reassociation can diverge the
+compiled results from what is pinned here.
 
 Also pinned:
 
-* **degradation** — with every transfer time zero the JIT NIC walk
-  collapses exactly to the JIT plain walk (and both to the scalar
-  ``Simulator``), mirroring the NumPy-tier property;
-* **chunking** — any ``chunk_size`` partitions a batch into the same
-  per-row results (the JIT classes default to one huge chunk);
+* **degradation** — with every transfer time zero the NIC kernel
+  collapses exactly to the plain kernel (and both to the scalar
+  ``Simulator``), mirroring the scalar-model property in
+  ``test_contention_backend_properties.py``;
+* **chunking** — rows are independent: scoring a batch in pieces of
+  any size gives the same per-row results as one call;
 * **edges** — empty batches and single-task workloads;
-* **forced fallback** — under ``REPRO_KERNEL=numpy`` the selected
-  backend reports the ``vectorized`` tier and scores batches
-  bit-identically to the JIT classes invoked directly.
+* **service routes** — an evaluation service on the ``jit`` tier scores
+  batches bit-identically to one looping its scalar backend.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 from hypothesis import given, settings
@@ -39,9 +38,11 @@ from repro.schedule import (
     make_simulator,
     random_valid_string,
 )
-from repro.schedule.jit import JitBatchSimulator, JitContentionBatchSimulator
-from repro.schedule.vectorized_contention import ContentionBatchSimulator
+from repro.schedule.vectorized import ContentionBatchSimulator
+from tests.routes import jit_kernel, no_batch_kernel
 from tests.strategies import workloads
+
+KERNELS = (BatchSimulator, ContentionBatchSimulator)
 
 
 @st.composite
@@ -64,30 +65,22 @@ def _zero_transfers(w: Workload) -> Workload:
     return Workload(w.graph, w.system, w.exec_times, tr)
 
 
-class TestJitBitIdenticalToNumPy:
+class TestJitBitIdenticalToScalar:
     @given(workload_batches())
     @settings(max_examples=120, deadline=None)
-    def test_plain_matches_numpy_kernel(self, case):
+    def test_plain_matches_scalar_simulator(self, case):
         w, strings = case
-        got = JitBatchSimulator(w).string_makespans(strings)
-        want = BatchSimulator(w).string_makespans(strings)
-        assert got.tolist() == want.tolist()  # bit-identical, no tolerance
+        got = BatchSimulator(w).string_makespans(strings)
+        scalar = Simulator(w)
+        want = [scalar.string_makespan(s) for s in strings]
+        assert got.tolist() == want  # bit-identical, no tolerance
 
     @given(workload_batches())
     @settings(max_examples=120, deadline=None)
-    def test_nic_matches_numpy_kernel(self, case):
-        w, strings = case
-        got = JitContentionBatchSimulator(w).string_makespans(strings)
-        want = ContentionBatchSimulator(w).string_makespans(strings)
-        assert got.tolist() == want.tolist()
-
-    @given(workload_batches())
-    @settings(max_examples=40, deadline=None)
     def test_nic_matches_scalar_simulator(self, case):
-        """Directly against the scalar walk, skipping the NumPy hop."""
         w, strings = case
         scalar = make_simulator(w, "nic")
-        got = JitContentionBatchSimulator(w).string_makespans(strings)
+        got = ContentionBatchSimulator(w).string_makespans(strings)
         assert got.tolist() == [
             scalar.string_makespan(s) for s in strings
         ]
@@ -100,8 +93,8 @@ class TestJitDegradation:
         """With nothing to serialise the NIC walk equals the plain one."""
         w, strings = case
         wz = _zero_transfers(w)
-        nic = JitContentionBatchSimulator(wz).string_makespans(strings)
-        plain = JitBatchSimulator(wz).string_makespans(strings)
+        nic = ContentionBatchSimulator(wz).string_makespans(strings)
+        plain = BatchSimulator(wz).string_makespans(strings)
         scalar = Simulator(wz)
         assert nic.tolist() == plain.tolist()
         assert nic.tolist() == [scalar.string_makespan(s) for s in strings]
@@ -112,19 +105,22 @@ class TestJitChunkingAndEdges:
     @settings(max_examples=40, deadline=None)
     def test_chunking_is_invisible(self, case, chunk):
         w, strings = case
-        full = JitBatchSimulator(w).string_makespans(strings)
-        saved = JitBatchSimulator.chunk_size
-        try:
-            JitBatchSimulator.chunk_size = chunk
-            chunked = JitBatchSimulator(w).string_makespans(strings)
-        finally:
-            JitBatchSimulator.chunk_size = saved
-        assert chunked.tolist() == full.tolist()
+        for cls in KERNELS:
+            kernel = cls(w)
+            full = kernel.string_makespans(strings)
+            chunked = [
+                span
+                for start in range(0, len(strings), chunk)
+                for span in kernel.string_makespans(
+                    strings[start : start + chunk]
+                ).tolist()
+            ]
+            assert chunked == full.tolist()
 
     @given(workloads(max_tasks=6, max_machines=3))
     @settings(max_examples=20, deadline=None)
     def test_empty_batch(self, w):
-        for cls in (JitBatchSimulator, JitContentionBatchSimulator):
+        for cls in KERNELS:
             out = cls(w).string_makespans([])
             assert out.shape == (0,)
 
@@ -136,32 +132,27 @@ class TestJitChunkingAndEdges:
     def test_single_task_workload(self, w, seed):
         s = random_valid_string(w.graph, w.num_machines, seed)
         scalar = Simulator(w)
-        for cls in (JitBatchSimulator, JitContentionBatchSimulator):
+        for cls in KERNELS:
             got = cls(w).string_makespans([s])
             assert got.tolist() == [scalar.string_makespan(s)]
 
 
-class TestForcedFallback:
+class TestServiceRoutes:
     @given(workload_batches())
     @settings(max_examples=25, deadline=None)
-    def test_numpy_pin_is_equivalent(self, case):
-        """``REPRO_KERNEL=numpy`` selects the NumPy tier and scores
-        batches bit-identically to the JIT classes run directly."""
+    def test_kernel_route_matches_scalar_loop(self, case):
+        """The ``jit`` service route scores batches bit-identically to
+        the service's loop over its scalar backend, on both networks."""
         w, strings = case
-        saved = os.environ.get("REPRO_KERNEL")
-        os.environ["REPRO_KERNEL"] = "numpy"
-        try:
-            for network, jit_cls in (
-                ("contention-free", JitBatchSimulator),
-                ("nic", JitContentionBatchSimulator),
-            ):
-                svc = EvaluationService(w, network)
-                assert svc.kernel_tier == "vectorized"
-                got = svc.batch_string_makespans(strings)
-                want = jit_cls(w).string_makespans(strings)
-                assert got == want.tolist()
-        finally:
-            if saved is None:
-                del os.environ["REPRO_KERNEL"]
-            else:
-                os.environ["REPRO_KERNEL"] = saved
+        for network in ("contention-free", "nic"):
+            with jit_kernel():
+                fast = EvaluationService(w, network)
+            with no_batch_kernel(network):
+                slow = EvaluationService(w, network)
+            assert (fast.kernel_tier, slow.kernel_tier) == (
+                "jit",
+                "sequential",
+            )
+            got = fast.batch_string_makespans(strings)
+            assert got == slow.batch_string_makespans(strings)
+            assert fast.evaluations == slow.evaluations == len(strings)

@@ -1,12 +1,12 @@
-"""Force an engine off its vectorized scoring route, or a simulator
-onto one walker tier.
+"""Force an engine onto one batch route, or a simulator onto one
+walker tier.
 
 Engines carry no batch switch: the
 :class:`~repro.optim.evaluation.EvaluationService` picks the route from
-the kernels the network table lists for the network.  Tests that pin
-the sequential route therefore drop those kernels from the table for
-the duration of a block, so every service built inside reports
-``is_vectorized`` False.
+the kernel the network table lists and from whether numba imports.
+Tests that pin the sequential route drop the kernel from the table for
+the duration of a block; tests that pin the kernel route mark numba
+available, so the kernel runs (as plain Python where numba is absent).
 """
 
 from __future__ import annotations
@@ -21,10 +21,20 @@ from repro.schedule import backend as backend_mod
 
 @contextmanager
 def no_batch_kernel(network: str = backend_mod.DEFAULT_NETWORK) -> Iterator[None]:
-    """Drop *network*'s NumPy and jit batch kernels from the table."""
+    """Drop *network*'s batch kernel from the table."""
     scalar = backend_mod._NETWORK_TABLE[network][0]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(backend_mod._NETWORK_TABLE, network, (scalar, None, None))
+        mp.setitem(backend_mod._NETWORK_TABLE, network, (scalar, None))
+        yield
+
+
+@contextmanager
+def jit_kernel() -> Iterator[None]:
+    """Select the ``jit`` tier inside the block, numba or not."""
+    from repro.schedule import jit
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jit, "_NUMBA_OK", True)
         yield
 
 

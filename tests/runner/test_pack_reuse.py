@@ -12,6 +12,7 @@ import pytest
 from repro.runner import AlgorithmSpec, ExperimentSpec, run_experiment
 from repro.schedule.vectorized import clear_pack_cache, pack_cache_stats
 from repro.workloads import WorkloadSpec
+from tests.routes import jit_kernel
 
 
 def sweep_spec(networks=("contention-free",), seeds=(0, 1)):
@@ -40,7 +41,8 @@ def fresh_cache():
 
 class TestPackReuseAcrossCells:
     def test_multi_cell_sweep_packs_once_per_process(self):
-        result = run_experiment(sweep_spec(), workers=1)
+        with jit_kernel():  # packs are built for the jit kernel only
+            result = run_experiment(sweep_spec(), workers=1)
         assert len(result.cells) == 4  # 2 algos x 2 seeds, one workload
         stats = pack_cache_stats()
         assert stats["misses"] == 1  # one distinct workload -> one pack
@@ -59,7 +61,8 @@ class TestPackReuseAcrossCells:
             ],
             seeds=(0, 1),
         )
-        run_experiment(spec, workers=1)
+        with jit_kernel():
+            run_experiment(spec, workers=1)
         stats = pack_cache_stats()
         assert stats["misses"] == 2
         assert stats["hits"] >= 2

@@ -13,23 +13,14 @@ from repro.workloads import WorkloadSpec
 
 
 class TestWarmupWorker:
-    def test_noop_on_numpy_tier(self, monkeypatch):
-        monkeypatch.setattr(jit, "jit_selected", lambda: False)
-        assert warmup_worker() is False
-
-    def test_swallows_impossible_jit_request(self, monkeypatch):
-        # REPRO_KERNEL=jit without numba raises in jit_selected; the
-        # initializer must not re-raise (it would kill the whole pool
-        # with a far worse message than the first real evaluation's)
-        def boom():
-            raise ValueError("REPRO_KERNEL=jit but numba is not importable")
-
-        monkeypatch.setattr(jit, "jit_selected", boom)
+    def test_noop_on_sequential_tier(self, monkeypatch):
+        monkeypatch.setattr(jit, "_NUMBA_OK", False)
+        monkeypatch.setattr(jit, "warmup", lambda workload=None: 1 / 0)
         assert warmup_worker() is False
 
     def test_warms_when_compiled_tier_selected(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(jit, "jit_selected", lambda: True)
+        monkeypatch.setattr(jit, "_NUMBA_OK", True)
         monkeypatch.setattr(
             jit, "warmup", lambda workload=None: calls.append(1) or True
         )

@@ -1,11 +1,11 @@
-"""Unit tests for the compiled kernel tier: selection, override
-validation, the network table, warmup, and tier reporting end to end.
+"""Unit tests for the compiled kernel tier: selection, the network
+table, warmup, and tier reporting end to end.
 
 Everything here runs on numba-free installations: the selection logic
 reads ``repro.schedule.jit._NUMBA_OK`` at decision time (not import
 time), so monkeypatching the flag exercises both the numba-present and
 numba-absent paths honestly — and the kernel bodies are plain Python
-when numba is absent, so scoring through a "selected" JIT kernel still
+when numba is absent, so scoring through a "selected" kernel still
 works (slowly) on tiny workloads.
 """
 
@@ -19,14 +19,8 @@ from repro.schedule.backend import (
     batch_kernel_factory,
     kernel_tier,
 )
-from repro.schedule.jit import (
-    JitBatchSimulator,
-    JitContentionBatchSimulator,
-    jit_selected,
-    numba_available,
-    requested_kernel,
-    warmup,
-)
+from repro.schedule.jit import numba_available, warmup
+from repro.schedule.vectorized import BatchSimulator, ContentionBatchSimulator
 from repro.workloads import small_workload
 from tests.routes import no_batch_kernel
 
@@ -37,57 +31,32 @@ def w():
 
 
 class TestOverrideValidation:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert requested_kernel() == "auto"
-
-    @pytest.mark.parametrize("raw", ["auto", "JIT", " numpy "])
-    def test_known_modes_normalised(self, raw, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", raw)
-        assert requested_kernel() == raw.strip().lower()
-
-    def test_typo_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "numba")
-        with pytest.raises(ValueError, match="REPRO_KERNEL"):
-            requested_kernel()
-
-    def test_jit_demand_without_numba_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "jit")
-        monkeypatch.setattr(jit_mod, "_NUMBA_OK", False)
-        with pytest.raises(ValueError, match="numba is not installed"):
-            jit_selected()
-
-    def test_jit_demand_with_numba_selects(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "jit")
-        monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
-        assert jit_selected() is True
-
-    def test_numpy_pin_never_selects_jit(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
-        assert jit_selected() is False
-
     def test_auto_follows_availability(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
-        assert jit_selected() is True
+        assert kernel_tier("contention-free") == "jit"
         monkeypatch.setattr(jit_mod, "_NUMBA_OK", False)
-        assert jit_selected() is False
+        assert kernel_tier("contention-free") == "sequential"
         assert numba_available() is False
+
+    def test_old_kernel_variable_is_not_read(self, monkeypatch):
+        """The retired ``REPRO_KERNEL`` switch pins nothing any more."""
+        monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
+        for value in ("numpy", "jit", "bogus"):
+            monkeypatch.setenv("REPRO_KERNEL", value)
+            assert kernel_tier("nic") == "jit"
 
 
 class TestTierSelection:
     @pytest.mark.parametrize("network", ["contention-free", "nic"])
     def test_numba_present_selects_jit(self, network, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
         assert kernel_tier(network) == "jit"
 
     @pytest.mark.parametrize("network", ["contention-free", "nic"])
-    def test_numba_absent_selects_numpy(self, network, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def test_numba_absent_selects_sequential(self, network, monkeypatch):
         monkeypatch.setattr(jit_mod, "_NUMBA_OK", False)
-        assert kernel_tier(network) == "vectorized"
+        assert kernel_tier(network) == "sequential"
+        assert batch_kernel_factory(network) is None
 
     def test_no_kernels_at_all_is_sequential(self, monkeypatch):
         monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
@@ -96,67 +65,49 @@ class TestTierSelection:
             assert batch_kernel_factory("nic") is None
 
     def test_factory_returns_jit_classes_when_selected(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
-        assert batch_kernel_factory("contention-free") is JitBatchSimulator
-        assert batch_kernel_factory("nic") is JitContentionBatchSimulator
-
-    def test_factory_returns_numpy_classes_otherwise(self, monkeypatch):
-        from repro.schedule.vectorized import BatchSimulator
-        from repro.schedule.vectorized_contention import (
-            ContentionBatchSimulator,
-        )
-
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
         assert batch_kernel_factory("contention-free") is BatchSimulator
         assert batch_kernel_factory("nic") is ContentionBatchSimulator
 
     @pytest.mark.parametrize("network", ["contention-free", "nic"])
     def test_service_builds_jit_kernel(self, network, w, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
         svc = EvaluationService(w, network)
         assert svc.kernel_tier == "jit"
-        assert svc.is_vectorized
         s = random_valid_string(w.graph, w.num_machines, 0)
         scalar = make_simulator(w, network)
         assert svc.batch_string_makespans([s]) == [scalar.string_makespan(s)]
 
     def test_initial_state_still_routes_sequential(self, w, monkeypatch):
-        """Busy-machine backends never ride a kernel, jit or numpy."""
+        """Busy-machine backends never ride the kernel."""
         monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
         svc = EvaluationService(w, initial_avail=[1.0] * w.num_machines)
         assert svc.kernel_tier == "sequential"
-        assert not svc.is_vectorized
 
 
 class TestRegistration:
     def test_builtin_networks_have_jit_kernels(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
         for network in available_networks():
             assert batch_kernel_factory(network).kernel_tier == "jit"
 
     def test_kernel_tier_attribute(self):
-        assert JitBatchSimulator.kernel_tier == "jit"
-        assert JitContentionBatchSimulator.kernel_tier == "jit"
+        assert BatchSimulator.kernel_tier == "jit"
+        assert ContentionBatchSimulator.kernel_tier == "jit"
 
 
 class TestServiceReporting:
     def test_service_reports_tier(self, w, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         monkeypatch.setattr(jit_mod, "_NUMBA_OK", False)
-        assert EvaluationService(w).kernel_tier == "vectorized"
+        assert EvaluationService(w).kernel_tier == "sequential"
         monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
         assert EvaluationService(w).kernel_tier == "jit"
 
     def test_service_sequential_when_batch_disabled(self, w):
         svc = EvaluationService(w, prefer_batch=False)
         assert svc.kernel_tier == "sequential"
-        assert not svc.is_vectorized
 
     def test_objective_backend_forwards_tier(self, w, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
         svc = EvaluationService(
             w, objective="weighted:0.7:0.3", platform="uniform"
@@ -164,7 +115,6 @@ class TestServiceReporting:
         assert svc.kernel_tier == "jit"
 
     def test_scenario_backend_forwards_tier(self, w, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
         svc = EvaluationService(
             w,

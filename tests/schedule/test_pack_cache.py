@@ -14,13 +14,13 @@ import pytest
 from repro.model import TransferTimeMatrix, Workload, num_pairs
 from repro.schedule.vectorized import (
     BatchSimulator,
+    ContentionBatchSimulator,
     WorkloadPack,
     clear_pack_cache,
     get_workload_pack,
     pack_cache_stats,
     workload_fingerprint,
 )
-from repro.schedule.vectorized_contention import ContentionBatchSimulator
 from repro.workloads import WorkloadSpec, small_workload
 from repro.workloads.presets import build_workload
 

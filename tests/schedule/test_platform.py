@@ -28,6 +28,7 @@ from repro.schedule.backend import (
 )
 from repro.schedule.operations import random_valid_string
 from repro.workloads import WorkloadSpec, build_workload
+from tests.routes import jit_kernel
 
 
 @pytest.fixture
@@ -164,9 +165,12 @@ class TestBootSemantics:
         assert booted.string_makespan(s) >= plain.string_makespan(s)
 
     def test_boot_routes_batch_to_sequential_fallback(self, workload):
-        assert EvaluationService(workload).is_vectorized
-        assert EvaluationService(workload, platform="spot").is_vectorized
-        assert not EvaluationService(workload, platform="cloud").is_vectorized
+        with jit_kernel():
+            tiers = [
+                EvaluationService(workload, platform=p).kernel_tier
+                for p in ("uniform", "spot", "cloud")
+            ]
+        assert tiers == ["jit", "jit", "sequential"]
 
 
 class TestUniformBitIdentity:
@@ -196,8 +200,9 @@ class TestUniformBitIdentity:
     def test_batch_kernels_bit_identical(self, workload, network):
         strings = [self._string(workload, seed) for seed in range(20)]
         plain = EvaluationService(workload, network)
-        uniform = EvaluationService(workload, network, platform="uniform")
-        assert uniform.is_vectorized  # uniform never forces the fallback
+        with jit_kernel():
+            uniform = EvaluationService(workload, network, platform="uniform")
+        assert uniform.kernel_tier == "jit"  # uniform never forces the loop
         got = uniform.batch_string_makespans(strings)
         assert got == plain.batch_string_makespans(strings)
 

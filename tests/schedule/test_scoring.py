@@ -14,6 +14,7 @@ from repro.schedule.backend import batch_kernel_factory
 from repro.schedule.operations import random_valid_string
 from repro.schedule.scoring import CostModel, ScheduleScore
 from repro.workloads import WorkloadSpec, build_workload
+from tests.routes import jit_kernel
 
 E = np.array([[2.0, 4.0, 1.0], [1.0, 1.0, 5.0]])
 PRICES = [0.1, 1.0]
@@ -100,7 +101,8 @@ class TestBackendIntegration:
         # the evaluation service's kernel route: makespans from the
         # network's kernel, costs from one gather into the billing table
         sim = make_simulator(workload, network, platform="spot")
-        kernel = batch_kernel_factory(network)(sim.workload)
+        with jit_kernel():
+            kernel = batch_kernel_factory(network)(sim.workload)
         rng = np.random.default_rng(9)
         strings = [
             random_valid_string(workload.graph, workload.num_machines, rng)

@@ -1,4 +1,4 @@
-"""Unit tests of the vectorized NIC-contention batch kernel.
+"""Unit tests of the NIC-contention batch kernel.
 
 Covers the edge cases the property tests are unlikely to pin exactly:
 empty batches, single-task graphs, duplicate-cost ties against the
@@ -27,8 +27,8 @@ from repro.schedule import (
     InvalidScheduleError,
     random_valid_string,
 )
-from repro.schedule.vectorized import WorkloadPack
-from repro.schedule.vectorized_contention import ContentionBatchSimulator
+from repro.schedule import jit as jit_mod
+from repro.schedule.vectorized import ContentionBatchSimulator, WorkloadPack
 from tests.routes import no_batch_kernel
 
 
@@ -134,30 +134,6 @@ class TestContentionKernelEdges:
         assert rep[0] == rep[1] == rep[2]
         assert int(np.argmin(rep)) == 0  # first occurrence wins
 
-    def test_chunk_size_invariance(self):
-        w = diamond_workload()
-        strings = [random_valid_string(w.graph, 3, s) for s in range(10)]
-        full = ContentionBatchSimulator(w).string_makespans(strings)
-        saved = ContentionBatchSimulator.chunk_size
-        try:
-            for chunk in (1, 2, 3, 7):
-                ContentionBatchSimulator.chunk_size = chunk
-                part = ContentionBatchSimulator(w).string_makespans(strings)
-                assert part.tolist() == full.tolist()
-        finally:
-            ContentionBatchSimulator.chunk_size = saved
-
-    def test_scratch_reused_across_calls(self):
-        w = diamond_workload()
-        kern = ContentionBatchSimulator(w)
-        s = random_valid_string(w.graph, 3, 1)
-        first = kern.string_makespans([s])
-        scratch = kern._scratch
-        assert scratch is not None
-        again = kern.string_makespans([s, s])
-        assert kern._scratch is scratch  # same buffers, no realloc
-        assert again.tolist() == [first[0], first[0]]
-
     def test_accepts_arrays_and_lists(self):
         w = diamond_workload()
         kern = ContentionBatchSimulator(w)
@@ -218,48 +194,34 @@ class TestSharedWorkloadPack:
     def test_out_tables_item_order_is_ascending(self):
         # the NIC push order contract: per task, ascending item index
         pack = WorkloadPack(fan_out_workload())
-        pad_out_item, _, _, out_deg, _ = pack.out_tables()
+        pad_out_item, _, out_deg = pack.out_tables()
         d = int(out_deg[0])
         lanes = pad_out_item[0, :d].tolist()
         assert lanes == sorted(lanes)
-
-    def test_sentinel_slots_distinct(self):
-        # in-edge sentinels read slot p (pinned 0.0); out-edge sentinels
-        # write slot p+1 — they must never collide, or a padded push
-        # would corrupt the pinned zero that padded reads depend on
-        pack = WorkloadPack(diamond_workload())
-        pad_out_item, pad_out_slot, pad_out_cons, out_deg, Do = (
-            pack.out_tables()
-        )
-        p = pack.num_items
-        for t in range(pack.k):
-            for j in range(int(out_deg[t]), Do):
-                assert pad_out_item[t, j] == p
-                assert pad_out_slot[t, j] == p + 1
-                assert pad_out_cons[t, j] == pack.k
 
 
 class TestServiceAccountingUnderNic:
     def test_batch_counts_one_per_schedule(self):
         w = diamond_workload()
         svc = EvaluationService(w, "nic")
-        assert svc.is_vectorized
         strings = [random_valid_string(w.graph, 3, s) for s in range(5)]
         costs = svc.batch_string_makespans(strings)
         assert svc.evaluations == len(strings)
         ref = ContentionSimulator(w)
         assert costs == [ref.string_makespan(s) for s in strings]
 
-    def test_accounting_identical_to_scalar_fallback(self):
+    def test_accounting_identical_to_scalar_fallback(self, monkeypatch):
         # flipping the kernel on must not change what runners record in
         # their `evaluations` columns
+        monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
         w = diamond_workload()
         strings = [random_valid_string(w.graph, 3, s) for s in range(7)]
         fast = EvaluationService(w, "nic")
+        assert fast.kernel_tier == "jit"
         fast_costs = fast.batch_string_makespans(strings)
         with no_batch_kernel("nic"):
             slow = EvaluationService(w, "nic")
-        assert not slow.is_vectorized
+        assert slow.kernel_tier == "sequential"
         slow_costs = slow.batch_string_makespans(strings)
         assert fast_costs == slow_costs
         assert fast.evaluations == slow.evaluations == len(strings)

@@ -279,6 +279,88 @@ class TestFaults:
         assert state.finish[0] != -5.0
 
 
+def _malformed(w, fault):
+    """A string with one fault, valid everywhere else."""
+    s = _string(w)
+    order, machines = list(s.order), list(s.machines)
+    if fault == "repeat":
+        # the last task is a sink, so repeating its predecessor in its
+        # place breaks no precedence: only the permutation is wrong
+        order[-1] = order[-2]
+    else:
+        machines[order[-1]] = -1 if fault == "machine=-1" else w.num_machines
+    return s, order, machines
+
+
+@pytest.mark.parametrize("fault", ["repeat", "machine=-1", "machine=l"])
+@pytest.mark.parametrize(
+    "method",
+    [
+        "makespan",
+        "prepare",
+        "evaluate_delta",
+        "evaluate_delta window",
+        "service batch",
+    ],
+)
+@pytest.mark.parametrize("network", ["contention-free", "nic"])
+@pytest.mark.parametrize("tier", ["compiled", "python"])
+def test_malformed_strings_raise_on_every_tier(tier, network, method, fault):
+    """Every walker tier and the service's batch route raise what the
+    batch validation raises: ``InvalidScheduleError`` for an order that
+    is not a permutation, a plain ``ValueError`` for a machine id
+    outside ``[0, l)``."""
+    w = small_workload(seed=1)
+    s, order, machines = _malformed(w, fault)
+    with walker(tier):
+        svc = EvaluationService(w, network)
+    sim = svc.backend
+    calls = {
+        "makespan": lambda: sim.makespan(order, machines),
+        "prepare": lambda: sim.prepare(order, machines),
+        "evaluate_delta": lambda: sim.evaluate_delta(
+            order, machines, 0, sim.prepare(s.order, s.machines)
+        ),
+        # the fault sits in the last two positions, the only ones the
+        # call says it changed
+        "evaluate_delta window": lambda: sim.evaluate_delta(
+            order,
+            machines,
+            len(order) - 2,
+            sim.prepare(s.order, s.machines),
+            region_end=len(order) - 1,
+        ),
+        "service batch": lambda: svc.batch_makespans([order], [machines]),
+    }
+    with pytest.raises(ValueError) as err:
+        calls[method]()
+    want = InvalidScheduleError if fault == "repeat" else ValueError
+    assert type(err.value) is want
+
+
+@pytest.mark.parametrize("scenarios", [0, 2])
+@pytest.mark.parametrize("network", ["contention-free", "nic"])
+@pytest.mark.parametrize("tier", ["compiled", "python"])
+def test_batch_rows_must_pair_up(tier, network, scenarios):
+    """The service's scalar batch loop (plain and scenario) raises the
+    batch kernel's ``ValueError`` when ``orders`` and ``machines`` have
+    different row counts, instead of dropping the extra rows."""
+    w = small_workload(seed=1)
+    s = _string(w)
+    risk = {"objective": "mean", "distribution": "lognormal:0.25"}
+    with walker(tier):
+        svc = EvaluationService(
+            w, network, scenarios=scenarios, **(risk if scenarios else {})
+        )
+    for orders, machines in (
+        ([s.order] * 2, [s.machines]),
+        (np.array([s.order]), np.array([s.machines] * 3)),
+    ):
+        with pytest.raises(ValueError, match="rows but machines has"):
+            svc.batch_makespans(orders, machines)
+    assert svc.evaluations == 0
+
+
 @pytest.mark.parametrize("cls", SIMULATORS)
 @pytest.mark.parametrize("tier", ["compiled", "python"])
 class TestCopies:

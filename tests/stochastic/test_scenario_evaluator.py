@@ -14,6 +14,7 @@ from repro.stochastic import (
     sample_scenarios,
 )
 from repro.workloads import small_workload
+from tests.routes import jit_kernel
 
 NETWORKS = ("contention-free", "nic")
 
@@ -46,12 +47,14 @@ def test_vectorized_matches_sequential_fallback(network):
     """Kernel-built scenario rows == scalar simulator per scenario."""
     w = small_workload(seed=2)
     scen = sample_scenarios(w, "lognormal:0.3", scenarios=4, seed=5)
-    fast = ScenarioEvaluator(scen, network=network)
+    with jit_kernel():
+        fast = ScenarioEvaluator(scen, network=network)
     slow = ScenarioEvaluator(scen, network=network, prefer_batch=False)
-    assert fast.is_vectorized and not slow.is_vectorized
+    assert (fast.kernel_tier, slow.kernel_tier) == ("jit", "sequential")
     strings = _strings(w, 5)
-    np.testing.assert_allclose(
-        fast.string_matrix(strings), slow.string_matrix(strings)
+    assert (
+        fast.string_matrix(strings).tolist()
+        == slow.string_matrix(strings).tolist()
     )
 
 

@@ -236,25 +236,28 @@ class TestAlgorithmsCommand:
         assert "tabu" in msg and "neighborhood_size" in msg
 
     def test_lists_network_batch_modes(self, capsys, monkeypatch):
-        # both built-in networks ship vectorized batch kernels; the
-        # listing is what makes a sequential fallback visible.  Pin the
-        # NumPy tier so the assertion holds on numba installs too.
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+        # without numba both built-in networks batch on the scalar
+        # loop; the listing is what makes the route visible
+        from repro.schedule import jit as jit_mod
+
+        monkeypatch.setattr(jit_mod, "_NUMBA_OK", False)
         main(["algorithms"])
         out = capsys.readouterr().out
         assert "network models" in out
         assert "contention-free" in out
         assert "nic" in out
-        assert out.count("vectorized kernel") == 2
-        # the *network* fallback phrase; the platform listing's cloud
-        # row legitimately mentions its own (boot delays) fallback
-        assert "batch evaluation: sequential scalar fallback" not in out
+        assert out.count("batch evaluation: sequential loop") == 2
+        assert "vectorized" not in out
 
-    def test_lists_sequential_fallback_when_no_kernel(self, capsys):
+    def test_lists_sequential_fallback_when_no_kernel(self, capsys, monkeypatch):
+        from repro.schedule import jit as jit_mod
+
+        monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
         with no_batch_kernel("nic"):
             main(["algorithms"])
         out = capsys.readouterr().out
-        assert "sequential scalar fallback" in out
+        assert out.count("batch evaluation: sequential loop") == 1
+        assert out.count("jit kernel (numba-compiled)") == 1
 
     def test_lists_jit_tier_when_numba_selected(self, capsys, monkeypatch):
         # numba-present path without requiring numba: selection reads
@@ -263,33 +266,27 @@ class TestAlgorithmsCommand:
         from repro.schedule import jit as jit_mod
 
         monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         main(["algorithms"])
         out = capsys.readouterr().out
         assert out.count("jit kernel (numba-compiled)") == 2
-        assert "batch evaluation: vectorized kernel" not in out
-
-    def test_lists_numpy_tier_when_numba_absent(self, capsys, monkeypatch):
-        from repro.schedule import jit as jit_mod
-
-        monkeypatch.setattr(jit_mod, "_NUMBA_OK", False)
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        main(["algorithms"])
-        out = capsys.readouterr().out
-        assert out.count("vectorized kernel") == 2
-        assert "jit kernel" not in out
+        assert "batch evaluation: sequential" not in out
 
 
 class TestRunVerbose:
-    def test_verbose_reports_vectorized_nic(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+    def test_verbose_reports_sequential_nic(self, capsys, monkeypatch):
+        from repro.schedule import jit as jit_mod
+
+        monkeypatch.setattr(jit_mod, "_NUMBA_OK", False)
         rc = main(
             ["run", "--algo", "heft", "--preset", "small", "--seed", "1",
              "--network", "nic", "--verbose"]
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "network 'nic': batch evaluation via vectorized kernel" in out
+        assert (
+            "network 'nic': batch evaluation via sequential loop over the "
+            "scalar walker" in out
+        )
 
     def test_verbose_reports_jit_tier(self, capsys, monkeypatch):
         # heft never batch-scores, so the run completes regardless of
@@ -297,7 +294,6 @@ class TestRunVerbose:
         from repro.schedule import jit as jit_mod
 
         monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         rc = main(
             ["run", "--algo", "heft", "--preset", "small", "--seed", "1",
              "--network", "nic", "--verbose"]
@@ -318,8 +314,8 @@ class TestRunVerbose:
         assert rc == 0
         out = capsys.readouterr().out
         assert (
-            "network 'nic': batch evaluation via sequential scalar "
-            "fallback" in out
+            "network 'nic': batch evaluation via sequential loop over the "
+            "scalar walker" in out
         )
 
     def test_quiet_by_default(self, capsys):
@@ -437,10 +433,10 @@ class TestPlatformFlag:
         )
         out = capsys.readouterr().out
         assert "platform catalogs (--platform)" in out
-        # spot + uniform keep the vectorized cost column; cloud's boot
-        # delays force the sequential fallback
-        assert out.count("cost scoring: vectorized") == 2
-        assert "sequential scalar fallback (boot delays)" in out
+        # spot + uniform may use the kernel's cost column; cloud's boot
+        # delays keep batches on the scalar loop
+        assert out.count("cost scoring: batch kernel when jit serves") == 2
+        assert "scalar loop (boot delays)" in out
 
     def test_algorithms_lists_platforms(self, capsys):
         main(["algorithms"])
@@ -564,8 +560,10 @@ class TestRunThroughEngineTable:
         assert 0 < evaluations < 100000
 
     def test_verbose_reports_the_served_tier(self, capsys, monkeypatch):
-        # SE's delta probes build no batch kernel, whatever the network
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+        # SE's delta probes build no batch kernel, even on the jit tier
+        from repro.schedule import jit as jit_mod
+
+        monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
         rc = main(
             ["run", "--algo", "se", "--preset", "small", "--seed", "1",
              "--iterations", "2", "--verbose"]
@@ -574,5 +572,5 @@ class TestRunThroughEngineTable:
         out = capsys.readouterr().out
         assert (
             "network 'contention-free': batch evaluation via sequential "
-            "scalar fallback" in out
+            "loop over the scalar walker" in out
         )

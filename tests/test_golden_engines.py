@@ -22,11 +22,10 @@ Two later additions ride on the same goldens:
 * the GA ``"nic"`` cells were regenerated when the NIC kernel landed:
   best strings / makespans / generations are **unchanged** (asserted
   during regeneration), but ``evaluations`` shrank because batch
-  scoring supersedes the incremental path, which paid one extra
-  ``prepare`` per parent group — the same accounting the
-  contention-free cells have always had.  ``TestGoldenBothBackends``
-  pins that the vectorized kernel and the forced-scalar path still
-  produce bit-identical *search results* under ``"nic"``.
+  scoring counts one evaluation per chromosome — the accounting of the
+  contention-free cells too, and of the GA's only route today.
+  ``TestGoldenBothBackends`` pins that the kernel and the forced-scalar
+  path produce bit-identical *search results* under ``"nic"``.
 """
 
 import json
@@ -160,9 +159,9 @@ class TestGoldenBothBackends:
         assert list(res.best_string.order) == g["best_string"]["order"]
         assert list(res.best_string.machines) == g["best_string"]["machines"]
         assert res.generations == g["generations"]
-        # the incremental fallback pays one prepare per parent group, so
-        # only the *count* may exceed the batch path's — never the search
-        assert res.evaluations >= g["evaluations"]
+        # the scalar loop counts one evaluation per chromosome, exactly
+        # like the kernel route
+        assert res.evaluations == g["evaluations"]
         rows = strip_time(res.trace.to_rows())
         want = strip_time(g["trace"])
         for got_row, want_row in zip(rows, want):
