@@ -11,9 +11,12 @@ These benches measure it at paper scale (fig5: 100 tasks, 20 machines):
   step's relocate / score / revert cycle with the best-so-far cutoff),
   compiled vs Python.
 
-The evaluation service's batch route on the compiled walker is timed
-by MICRO-BATCH-* (against the Python walker) and MICRO-JIT
-(``vs_compiled_loop_*``, against the numba kernel).
+``makespan_speedup`` / ``nic_makespan_speedup`` are the only gate on
+the walker ratio: without numba the evaluation service's batch route
+is a loop of these walks, so a batch bench would re-time it.  The batch
+route is timed only where its call shape adds cost (MICRO-BATCH-RAND,
+MICRO-SCENARIO) and, with numba, against the jit kernel (MICRO-JIT
+``vs_compiled_loop_*``).
 
 Each case asserts the two sides agree bit-for-bit before timing.  This
 module runs on the compiled walker (its ``pytestmark`` carries
@@ -24,13 +27,12 @@ sides are built with ``REPRO_WALKER=python`` explicitly.
 import numpy as np
 import pytest
 
-from bench_micro_simulator import _se_probe_groups
 from repro.extensions.contention import ContentionSimulator
 from repro.schedule.operations import random_valid_string
 from repro.schedule.simulator import Simulator
 from repro.schedule.walker import ENV, load
 from repro.workloads import figure5_workload
-from walkers import best_of_interleaved as best_of
+from walkers import best_of_interleaved, replay_probe_stream, se_probe_groups
 
 pytestmark = [
     pytest.mark.walker("compiled"),
@@ -67,7 +69,7 @@ def test_micro_compiled_makespan(cls, metric, monkeypatch, write_output,
         return [sim.makespan(s.order, s.machines) for s in strings]
 
     assert run(fast) == run(slow)
-    t_fast, t_slow = best_of(lambda: run(fast), lambda: run(slow))
+    t_fast, t_slow = best_of_interleaved(lambda: run(fast), lambda: run(slow))
     speedup = t_slow / t_fast
     per = {name: t / len(strings) * 1e6 for name, t in
            (("compiled", t_fast), ("python", t_slow))}
@@ -95,28 +97,17 @@ def test_micro_compiled_delta_stream(cls, metric, monkeypatch, write_output,
     w = figure5_workload(seed=1)
     fast, slow = _tiers(cls, w, monkeypatch)
     s = random_valid_string(w.graph, w.num_machines, 7)
-    groups = _se_probe_groups(w, s, np.random.default_rng(3))
+    groups = se_probe_groups(w, s, np.random.default_rng(3))
     n_probes = sum(len(p) for _, _, _, p in groups)
 
     def delta_pass(sim):
         state = sim.prepare(s.order, s.machines)
-        bests = []
-        for t, orig, om, probes in groups:
-            best = float("inf")
-            for idx, m in probes:
-                s.relocate(t, idx, m)
-                first, last = (orig, idx) if orig < idx else (idx, orig)
-                cost = sim.evaluate_delta(
-                    s.order, s.machines, first, state, best, last
-                )
-                if cost < best:
-                    best = cost
-                s.relocate(t, orig, om)
-            bests.append(best)
-        return bests
+        return replay_probe_stream(sim, s, groups, state)
 
     assert delta_pass(fast) == delta_pass(slow)  # identical greedy outcomes
-    t_fast, t_slow = best_of(lambda: delta_pass(fast), lambda: delta_pass(slow))
+    t_fast, t_slow = best_of_interleaved(
+        lambda: delta_pass(fast), lambda: delta_pass(slow)
+    )
     speedup = t_slow / t_fast
     perf_log("MICRO-COMPILED", metric, round(speedup, 3), "x")
     perf_log(

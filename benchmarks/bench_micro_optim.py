@@ -9,26 +9,22 @@ paper scale (100 tasks, 20 machines):
   incremental ``evaluate_delta`` path (anchored on the move's changed
   region) with naive full ``makespan`` calls.
 * MICRO-TABU — the tabu neighborhood sweep: ``neighborhood_size``
-  candidate strings scored per iteration.  ``batch_speedup`` measures
-  the ``EvaluationService`` batch route (its default: a loop on the
-  compiled walker without numba) against a Python-walker full walk per
-  candidate.  ``delta_speedup`` measures the engine's path:
-  cutoff-pruned deltas against one incumbent snapshot, selected by the
-  engine's own :func:`~repro.optim.tabu.select_move`, against the batch
-  route, both on the Python walker.
+  candidate strings scored per iteration.  ``delta_speedup`` measures
+  the engine's path: cutoff-pruned deltas against one incumbent
+  snapshot, selected by the engine's own
+  :func:`~repro.optim.tabu.select_move`, against the batch route, both
+  on the Python walker.
 
 Every case first asserts the two strategies agree bit-for-bit, then
-records best-of wall-clock ratios as :mod:`repro.perf` records in
+times them interleaved (``walkers.best_of_interleaved``) and records
+the wall-clock ratios as :mod:`repro.perf` records in
 ``benchmarks/output/BENCH_micro.json`` for the CI perf gate.
 Assertion floors are deliberately far below the expected ratios so a
 loaded CI machine cannot flake the tier-1 suite; the *gate* lives in
 ``repro perf check`` against the committed baseline.
 """
 
-import time
-
 import numpy as np
-import pytest
 
 from repro.optim import EvaluationService
 from repro.optim.neighborhood import (
@@ -41,24 +37,11 @@ from repro.schedule.operations import random_valid_string
 from repro.schedule.simulator import Simulator
 from repro.utils.rng import as_rng
 from repro.workloads import figure5_workload
-from walkers import best_of_interleaved, python_walker
+from walkers import best_of_interleaved
 
 
 def paper_scale_workload():
     return figure5_workload(seed=1)
-
-
-def best_of(fn, budget: float = 1.0):
-    """Minimum wall-clock time of *fn* over repeated runs in *budget* s
-    (the same estimator as the other MICRO-* benches)."""
-    fn()  # warm-up
-    best = float("inf")
-    start = time.perf_counter()
-    while time.perf_counter() - start < budget:
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def test_micro_sa_proposal_stream(write_output, perf_log):
@@ -89,8 +72,7 @@ def test_micro_sa_proposal_stream(write_output, perf_log):
 
     assert full_pass() == delta_pass()  # bit-identical proposal costs
 
-    t_full = best_of(full_pass)
-    t_delta = best_of(delta_pass)
+    t_full, t_delta = best_of_interleaved(full_pass, delta_pass)
     speedup = t_full / t_delta
 
     perf_log("MICRO-SA", "delta_speedup", round(speedup, 3), "x")
@@ -114,63 +96,6 @@ def test_micro_sa_proposal_stream(write_output, perf_log):
         f"speedup: {speedup:.2f}x\n",
     )
     assert speedup >= 1.0  # loose floor; the perf gate holds the bar
-
-
-@pytest.mark.walker("compiled")
-def test_micro_tabu_neighborhood_sweep(write_output, perf_log):
-    """MICRO-TABU: batch-scored neighborhoods vs the scalar loop."""
-    w = paper_scale_workload()
-    service = EvaluationService(w)  # the default route, compiled walker
-    with python_walker():
-        scalar = Simulator(w)
-    assert (service.walker_tier, scalar.walker_tier) == ("compiled", "python")
-    rng = as_rng(11)
-    neighborhood_size = 24
-    n_sweeps = 8
-    base = random_valid_string(w.graph, w.num_machines, 5)
-    neighborhoods = [
-        [
-            applied_copy(
-                base, random_move(base, w.graph, rng, avoid_noop=True)
-            )
-            for _ in range(neighborhood_size)
-        ]
-        for _ in range(n_sweeps)
-    ]
-
-    def scalar_pass():
-        return [
-            [scalar.string_makespan(c) for c in hood]
-            for hood in neighborhoods
-        ]
-
-    def batch_pass():
-        return [
-            service.batch_string_makespans(hood, validate=False)
-            for hood in neighborhoods
-        ]
-
-    assert scalar_pass() == batch_pass()  # bit-identical neighborhoods
-
-    t_scalar, t_batch = best_of_interleaved(scalar_pass, batch_pass, budget=1.0)
-    speedup = t_scalar / t_batch
-
-    per_cand = t_batch / (n_sweeps * neighborhood_size)
-    perf_log("MICRO-TABU", "batch_speedup", round(speedup, 3), "x")
-    perf_log(
-        "MICRO-TABU", "batch_per_candidate", round(per_cand * 1e6, 2), "us"
-    )
-    write_output(
-        "micro_tabu_neighborhoods",
-        "MICRO-TABU — tabu candidate neighborhoods: Python-walker loop "
-        "vs the EvaluationService batch route\n\n"
-        f"{n_sweeps} neighborhoods x {neighborhood_size} candidates at "
-        f"paper scale ({w.num_tasks} tasks, {w.num_machines} machines)\n"
-        f"scalar : {t_scalar * 1e3:.2f} ms/pass\n"
-        f"batch  : {t_batch * 1e3:.2f} ms/pass\n"
-        f"speedup: {speedup:.2f}x\n",
-    )
-    assert speedup >= 0.61  # loose floor; the perf gate holds the bar
 
 
 def test_micro_tabu_delta_route(write_output, perf_log):
@@ -229,8 +154,7 @@ def test_micro_tabu_delta_route(write_output, perf_log):
 
     assert delta_pass() == batch_pass()  # same move, cost, admissible
 
-    t_batch = best_of(batch_pass)
-    t_delta = best_of(delta_pass)
+    t_batch, t_delta = best_of_interleaved(batch_pass, delta_pass)
     speedup = t_batch / t_delta
     n_cand = len(hoods) * neighborhood_size
 

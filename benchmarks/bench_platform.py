@@ -3,10 +3,11 @@
 Two measurements of the platform/multi-objective refactor at paper
 scale (100 tasks, 20 machines, the "spot" catalog):
 
-* MICRO-PLATFORM  — batch cost scoring: the vectorized
-  :meth:`~repro.schedule.scoring.CostModel.batch_costs` gather vs the
-  per-schedule scalar loop, plus the deterministic HEFT schedule cost
-  (a usd-unit record exercising the perf gate's cost-direction rule);
+* MICRO-PLATFORM  — batch cost scoring: the one NumPy gather of
+  :meth:`~repro.schedule.scoring.CostModel.batch_costs` (the jit
+  route's cost column) vs the per-schedule scalar loop, timed
+  interleaved, plus the deterministic HEFT schedule cost (a usd-unit
+  record exercising the perf gate's cost-direction rule);
 * PLATFORM-STUDY  — the headline study: trace the (makespan, cost)
   Pareto front with one SA run per scalarization weight, every run
   sharing one :class:`~repro.optim.tracking.ParetoTracker`, and find
@@ -20,8 +21,6 @@ clock ratios land in ``BENCH_micro.json`` for the CI perf gate and the
 study writes its front table as a human-readable artifact.
 """
 
-import time
-
 import numpy as np
 
 from repro.analysis.pareto import pareto_table
@@ -31,24 +30,13 @@ from repro.optim.evaluation import EvaluationService
 from repro.schedule.backend import platform_cost_vectorized, resolve_platform
 from repro.schedule.scoring import CostModel
 from repro.workloads import figure5_workload
+from walkers import best_of_interleaved
 
-PLATFORM = "spot"  # zero-boot: keeps the vectorized batch kernel
+PLATFORM = "spot"  # zero-boot: the jit route may price its batches
 
 
 def paper_scale_workload():
     return figure5_workload(seed=1)
-
-
-def best_of(fn, budget: float = 1.0):
-    """Minimum wall-clock time of *fn* over repeated runs in *budget* s."""
-    fn()  # warm-up
-    best = float("inf")
-    start = time.perf_counter()
-    while time.perf_counter() - start < budget:
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def _spot_cost_model(w):
@@ -58,9 +46,9 @@ def _spot_cost_model(w):
 
 
 def test_micro_platform_batch_cost_scoring(write_output, perf_log):
-    """MICRO-PLATFORM: vectorized batch cost gather vs the scalar loop."""
+    """MICRO-PLATFORM: the batch cost gather vs the scalar loop."""
     w = paper_scale_workload()
-    assert platform_cost_vectorized(PLATFORM)  # zero boot -> batch tier
+    assert platform_cost_vectorized(PLATFORM)  # zero boot -> gather route
     cm = _spot_cost_model(w)
     size = 512
     rng = np.random.default_rng(3)
@@ -73,7 +61,7 @@ def test_micro_platform_batch_cost_scoring(write_output, perf_log):
         return cm.batch_costs(machines)
 
     assert scalar_loop() == batch().tolist()  # bit-identical dollars
-    t_scalar, t_batch = best_of(scalar_loop), best_of(batch)
+    t_scalar, t_batch = best_of_interleaved(scalar_loop, batch)
     speedup = t_scalar / t_batch
 
     # the deterministic anchor: HEFT's schedule cost on this catalog is
@@ -90,7 +78,7 @@ def test_micro_platform_batch_cost_scoring(write_output, perf_log):
     )
     write_output(
         "micro_platform_batch_cost",
-        "MICRO-PLATFORM — batch cost scoring: scalar loop vs vectorized "
+        "MICRO-PLATFORM — batch cost scoring: scalar loop vs one "
         "gather\n\n"
         f"batch of {size} machine assignments at paper scale "
         f"({w.num_tasks} tasks, {w.num_machines} machines, "

@@ -12,21 +12,21 @@
 * MICRO-PORTFOLIO — the exchange machinery must be ~free: a
   fixed-iteration tabu island with a live channel (publishing every
   improvement, polling every ``DEFAULT_INTERVALS['tabu']``-th
-  iteration) vs the identical run with no channel at all.  The
-  measured overhead stays within ~5%; the committed baseline gates the
-  ratio in CI.
+  iteration) vs the identical run with no channel at all, timed
+  interleaved.  The measured overhead stays within ~5%; CI gates its
+  inverse, ``bare_over_exchange`` (higher is better, like every ``x``
+  record), against the committed baseline.
 
 Assertion floors are deliberately loose — single-seed wall-clock runs
 on a loaded CI box must not flake the job; the strict bar lives in
 ``repro perf check`` against ``benchmarks/baseline/BENCH_micro.json``.
 """
 
-import time
-
 from repro.analysis import geometric_mean
 from repro.portfolio import LocalChannel, RaceConfig, build_islands, run_island, run_race
 from repro.runner.registry import resolve_algorithm
 from repro.workloads import figure5_workload
+from walkers import best_of_interleaved
 
 DEADLINE = 0.5
 ISLANDS = 4
@@ -109,43 +109,37 @@ def test_micro_portfolio_exchange_overhead(write_output, perf_log):
     w = paper_scale_workload()
     iterations = 60
 
-    def build():
-        (spec,) = build_islands(
-            ("tabu",), 1, 5, None, iterations, "contention-free", "uniform"
-        )
-        return spec
-
-    def timed(channel_factory):
-        spec = build()
-        best = float("inf")
-        t_start = time.perf_counter()
-        while time.perf_counter() - t_start < 1.5:
-            t0 = time.perf_counter()
-            out = run_island(spec, w, channel_factory())
-            best = min(best, time.perf_counter() - t0)
-        return best, out
-
-    t_bare, out_bare = timed(lambda: None)
-    t_exchange, out_exchange = timed(LocalChannel)
+    (spec,) = build_islands(
+        ("tabu",), 1, 5, None, iterations, "contention-free", "uniform"
+    )
+    out_bare = run_island(spec, w, None)
+    out_exchange = run_island(spec, w, LocalChannel())
 
     # identical searches: the channel must not perturb the trajectory
     assert out_exchange.best_makespan == out_bare.best_makespan
     assert out_exchange.evaluations == out_bare.evaluations
     assert out_exchange.published >= 1  # the channel really was live
 
+    t_bare, t_exchange = best_of_interleaved(
+        lambda: run_island(spec, w, None),
+        lambda: run_island(spec, w, LocalChannel()),
+        budget=3.0,
+    )
     overhead = t_exchange / t_bare
-    perf_log("MICRO-PORTFOLIO", "exchange_overhead", round(overhead, 3), "x")
+    perf_log(
+        "MICRO-PORTFOLIO", "bare_over_exchange", round(1.0 / overhead, 3), "x"
+    )
     write_output(
         "micro_portfolio_overhead",
         "MICRO-PORTFOLIO — incumbent-exchange overhead on a solo tabu "
         "island\n\n"
         f"{iterations} iterations on figure5_workload(seed=1), "
-        f"poll interval {build().interval}\n"
+        f"poll interval {spec.interval}\n"
         f"bare     : {t_bare * 1e3:.1f} ms/run\n"
         f"exchange : {t_exchange * 1e3:.1f} ms/run "
         f"({out_exchange.published} published)\n"
-        f"overhead : {overhead:.3f}x (claim: <= 1.05x; CI gates the "
-        "committed baseline)\n",
+        f"overhead : {overhead:.3f}x (claim: <= 1.05x; CI gates its "
+        "inverse against the committed baseline)\n",
     )
     # loose floor for a loaded CI box; the 5% claim is perf-gated
     assert overhead <= 1.25

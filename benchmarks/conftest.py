@@ -68,7 +68,7 @@ def write_output(output_dir):
 
 @pytest.fixture
 def perf_log(output_dir):
-    """Recorder fixture: ``perf_log("MICRO-BATCH-GA", "speedup", 3.4, "x")``.
+    """Recorder fixture: ``perf_log("MICRO-DELTA", "speedup", 2.2, "x")``.
 
     Merge-writes one record into ``BENCH_micro.json`` (replacing any
     previous value of the same (bench, metric) pair), so each

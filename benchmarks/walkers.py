@@ -1,14 +1,18 @@
-"""Walker-tier helpers for the benches that time the compiled walker.
+"""Shared helpers of the MICRO benches: walker tiers, timing, probe streams.
 
-Such a bench opts out of the Python-walker pin in ``conftest.py`` and
-builds its Python-walker denominators inside :func:`python_walker`;
-:func:`best_of_interleaved` times both sides of a ratio in alternation.
+A bench that times the compiled walker opts out of the Python-walker
+pin in ``conftest.py`` and builds its Python-walker denominators inside
+:func:`python_walker`.  :func:`best_of_interleaved` is the one timer of
+every two-sided MICRO ratio.  :func:`se_probe_groups` and
+:func:`replay_probe_stream` are the SE allocation step's probe stream,
+shared by MICRO-DELTA, MICRO-CONT-DELTA and MICRO-COMPILED.
 """
 
 import os
 import time
 from contextlib import contextmanager
 
+from repro.schedule.valid_range import machine_slot_indices
 from repro.schedule.walker import ENV
 
 
@@ -43,3 +47,48 @@ def best_of_interleaved(*fns, budget: float = 2.0) -> list[float]:
             fn()
             best[i] = min(best[i], time.perf_counter() - t0)
     return best
+
+
+def se_probe_groups(workload, string, rng, tasks=30, y=12):
+    """The allocator's probe stream: per selected task, every
+    (machine, slot) candidate within the valid range."""
+    groups = []
+    for _ in range(tasks):
+        t = int(rng.integers(workload.num_tasks))
+        probes = []
+        for m in rng.choice(workload.num_machines, size=y, replace=False):
+            for idx in machine_slot_indices(
+                string, workload.graph, t, int(m)
+            ):
+                probes.append((idx, int(m)))
+        groups.append(
+            (t, string.position_of(t), string.machine_of(t), probes)
+        )
+    return groups
+
+
+def replay_probe_stream(sim, string, groups, state=None):
+    """Best cost per group of *groups*, probing *string* in place.
+
+    Each probe is the allocator's relocate / score / revert cycle.  It
+    is scored by a full ``sim.makespan``, or, given the ``DeltaState``
+    *state* of *string*, by ``sim.evaluate_delta`` with the group's
+    best-so-far cost as cutoff.  Both routes pick the same bests.
+    """
+    bests = []
+    for t, orig, om, probes in groups:
+        best = float("inf")
+        for idx, m in probes:
+            string.relocate(t, idx, m)
+            if state is None:
+                cost = sim.makespan(string.order, string.machines)
+            else:
+                first, last = (orig, idx) if orig < idx else (idx, orig)
+                cost = sim.evaluate_delta(
+                    string.order, string.machines, first, state, best, last
+                )
+            if cost < best:
+                best = cost
+            string.relocate(t, orig, om)
+        bests.append(best)
+    return bests

@@ -24,8 +24,9 @@ position ``p`` to insertion index ``i`` leaves the string prefix before
 subtask, with ``region_end = max(p, i)`` enabling its rejoin exit.
 The running best cost doubles as a branch-and-bound cutoff, which prunes
 most of each probe's walk — the reason a batch sweep over the candidate
-set loses here (MICRO-BATCH-SE).  Probe outcomes, and therefore the
-whole SE trajectory, are bit-identical to full re-evaluation (see
+set, which walks every probe in full, loses here (MICRO-DELTA).  Probe
+outcomes, and therefore the whole SE trajectory, are bit-identical to
+full re-evaluation (see
 ``tests/properties/test_delta_properties.py``).
 """
 

@@ -5,14 +5,15 @@ serializes its headline numbers through this module into
 ``benchmarks/output/BENCH_micro.json`` — a flat JSON list of records in
 the stable schema::
 
-    {"bench": "MICRO-BATCH-GA", "metric": "speedup", "value": 4.2,
-     "unit": "x", "commit": "4538d5e", "python": "3.11.7"}
+    {"bench": "MICRO-COMPILED", "metric": "makespan_speedup",
+     "value": 13.47, "unit": "x", "commit": "4538d5e", "python": "3.11.7"}
 
 ``bench``/``metric`` identify a measurement, ``value``/``unit`` carry
 it, and ``commit``/``python`` record provenance.  The **unit encodes
 the regression direction**: time units (``s``, ``ms``, ``us``, ``ns``)
 and cost units (``usd``) regress when the value *rises*; every other
-unit (ratios ``x``, throughputs) regresses when the value *falls*.
+unit (ratios ``x``, throughputs) regresses when the value *falls*, so
+a ratio where lower is better (an overhead) is recorded inverted.
 Records whose metric name mentions ``cost`` must carry a cost unit —
 an unadorned number is ambiguous about direction, so the schema
 rejects it at load time (``repro perf check`` included).

@@ -9,11 +9,14 @@ relies on to catch real ones.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import perf
 from repro.cli import main
+
+BASELINE_DIR = Path(__file__).parent.parent / "benchmarks" / "baseline"
 
 
 def rec(bench, metric, value, unit="x"):
@@ -206,15 +209,7 @@ class TestPerfCheckCli:
         latencies ("s"), and MICRO-PLATFORM's deterministic schedule
         costs ("usd") — all exactly reproducible in the pinned seeds;
         wall-clock measurements must never be baselined."""
-        from pathlib import Path
-
-        baseline = (
-            Path(__file__).parent.parent
-            / "benchmarks"
-            / "baseline"
-            / "BENCH_micro.json"
-        )
-        records = perf.load_records(baseline)
+        records = perf.load_records(BASELINE_DIR / "BENCH_micro.json")
         assert records, "committed baseline must not be empty"
         assert {r.unit for r in records} <= {"x", "s", "usd"}
         for r in records:
@@ -230,10 +225,28 @@ class TestPerfCheckCli:
                     "committed baseline"
                 )
         keys = {r.key for r in records}
-        assert ("MICRO-BATCH-GA", "speedup") in keys
+        assert ("MICRO-COMPILED", "makespan_speedup") in keys
         assert ("MICRO-DELTA", "speedup") in keys
         assert ("MICRO-ONLINE", "mean_flow") in keys
         assert ("MICRO-PLATFORM", "speedup") in keys
+
+    def test_committed_ratios_regress_downward(self):
+        """An ``x`` record is gated as higher-is-better, so no committed
+        ratio may be one where lower is better, such as an overhead; the
+        portfolio's exchange is baselined as ``t_bare / t_exchange``, and
+        a slower exchange must fail the gate."""
+        records = perf.load_records(BASELINE_DIR / "BENCH_micro.json")
+        overheads = [
+            r.key for r in records if r.unit == "x" and "overhead" in r.metric
+        ]
+        assert not overheads, f"lower-is-better ratios gated upward: {overheads}"
+        (base,) = [r for r in records if r.bench == "MICRO-PORTFOLIO"]
+        t_bare, t_exchange = 1.0, 2.0  # the exchange run got 2x slower
+        slowed = perf.make_record(
+            base.bench, base.metric, t_bare / t_exchange, base.unit
+        )
+        (entry,) = perf.compare_records([slowed], [base]).entries
+        assert entry.status == "regression"
 
     def test_committed_jit_baseline_is_ratio_only(self):
         """The JIT-tier baseline lives in its own file (gated only on
@@ -241,15 +254,7 @@ class TestPerfCheckCli:
         the no-numba perf job fail on "missing" jit metrics) and must
         pin only dimensionless ratios: speedups and per-core parallel
         efficiency, both machine-portable by construction."""
-        from pathlib import Path
-
-        baseline = (
-            Path(__file__).parent.parent
-            / "benchmarks"
-            / "baseline"
-            / "BENCH_micro_jit.json"
-        )
-        records = perf.load_records(baseline)
+        records = perf.load_records(BASELINE_DIR / "BENCH_micro_jit.json")
         assert records, "committed jit baseline must not be empty"
         assert {r.unit for r in records} == {"x"}
         keys = {r.key for r in records}
