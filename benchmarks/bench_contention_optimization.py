@@ -25,7 +25,7 @@ from repro.runner import (
     workers_from_env,
 )
 from repro.schedule import ScheduleString
-from repro.schedule.backend import batch_kernel_factory
+from repro.optim.evaluation import EvaluationService
 from repro.workloads import WorkloadSpec, build_workload
 
 CCRS = (0.1, 0.5, 1.0)
@@ -66,20 +66,17 @@ def run_optimization_gap_study():
     rows = []
     for spec in workloads:
         w = build_workload(spec)
-        # the "nic" kernel from the network table: the re-evaluations
-        # ride the batch tier instead of hard-coding the scalar
-        # ContentionSimulator (bit-identical either way)
-        nic = batch_kernel_factory("nic")(w)
+        nic = EvaluationService(w, "nic")
         free_cell = result.cell("SE free", spec.name)
         nic_cell = result.cell("SE nic", spec.name)
-        se_free_under_nic, heft_free_under_nic = nic.string_makespans(
+        se_free_under_nic, heft_free_under_nic = nic.batch_string_makespans(
             [
                 _best_string(free_cell, w.num_machines),
                 _best_string(
                     result.cell("HEFT free", spec.name), w.num_machines
                 ),
             ]
-        ).tolist()
+        )
         se_nic_direct = nic_cell.makespan
         heft_nic_direct = result.cell("HEFT nic", spec.name).makespan
         rows.append(

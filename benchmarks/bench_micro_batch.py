@@ -2,9 +2,8 @@
 
 Random search scores its samples in chunks through
 :meth:`~repro.optim.evaluation.EvaluationService.batch_makespans`.
-Without numba the service runs a batch as a loop over its scalar
-backend, on the compiled C walker (:mod:`repro.schedule.walker`); with
-numba it runs the network's ``jit`` kernel.  This bench times
+The service runs a batch as a loop over its scalar backend, on the
+compiled C walker (:mod:`repro.schedule.walker`).  This bench times
 ``random_search`` with its chunked default route against
 ``batch_size=1`` on the Python walker, at paper scale (100 tasks, 20
 machines), so the ratio carries everything the batch call shape adds

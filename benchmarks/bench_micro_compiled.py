@@ -12,11 +12,10 @@ These benches measure it at paper scale (fig5: 100 tasks, 20 machines):
   compiled vs Python.
 
 ``makespan_speedup`` / ``nic_makespan_speedup`` are the only gate on
-the walker ratio: without numba the evaluation service's batch route
-is a loop of these walks, so a batch bench would re-time it.  The batch
-route is timed only where its call shape adds cost (MICRO-BATCH-RAND,
-MICRO-SCENARIO) and, with numba, against the jit kernel (MICRO-JIT
-``vs_compiled_loop_*``).
+the walker ratio: the evaluation service's batch route is a loop of
+these walks, so a batch bench would re-time it.  The batch route is
+timed only where its call shape adds cost (MICRO-BATCH-RAND,
+MICRO-SCENARIO).
 
 Each case asserts the two sides agree bit-for-bit before timing.  This
 module runs on the compiled walker (its ``pytestmark`` carries

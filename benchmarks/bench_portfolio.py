@@ -9,13 +9,15 @@
   budget.  Recorded per engine as the geometric-mean ratio
   ``solo_best / portfolio_best`` across seeds (>= 1 means the
   portfolio won or tied).
-* MICRO-PORTFOLIO — the exchange machinery must be ~free: a
+* MICRO-PORTFOLIO — what the exchange machinery costs: a
   fixed-iteration tabu island with a live channel (publishing every
   improvement, polling every ``DEFAULT_INTERVALS['tabu']``-th
   iteration) vs the identical run with no channel at all, timed
-  interleaved.  The measured overhead stays within ~5%; CI gates its
-  inverse, ``bare_over_exchange`` (higher is better, like every ``x``
-  record), against the committed baseline.
+  interleaved.  CI gates the inverse ratio, ``bare_over_exchange``
+  (higher is better, like every ``x`` record), against a committed
+  baseline of 1.0 with ±30% tolerance, and the test asserts an overhead
+  of at most 1.25x.  Run to run the ratio spreads by more than 5%, so
+  neither bound resolves a few-percent overhead.
 
 Assertion floors are deliberately loose — single-seed wall-clock runs
 on a loaded CI box must not flake the job; the strict bar lives in
@@ -105,7 +107,7 @@ def test_anytime_portfolio_vs_solo_engines(write_output, perf_log):
 
 
 def test_micro_portfolio_exchange_overhead(write_output, perf_log):
-    """MICRO-PORTFOLIO: a live channel costs ~nothing per iteration."""
+    """MICRO-PORTFOLIO: the cost of a live channel on a solo island."""
     w = paper_scale_workload()
     iterations = 60
 
@@ -138,8 +140,8 @@ def test_micro_portfolio_exchange_overhead(write_output, perf_log):
         f"bare     : {t_bare * 1e3:.1f} ms/run\n"
         f"exchange : {t_exchange * 1e3:.1f} ms/run "
         f"({out_exchange.published} published)\n"
-        f"overhead : {overhead:.3f}x (claim: <= 1.05x; CI gates its "
-        "inverse against the committed baseline)\n",
+        f"overhead : {overhead:.3f}x (floor: <= 1.25x; CI gates its "
+        "inverse against a baseline of 1.0, ±30%)\n",
     )
-    # loose floor for a loaded CI box; the 5% claim is perf-gated
+    # loose floor for a loaded CI box; the baseline gate is the other bound
     assert overhead <= 1.25

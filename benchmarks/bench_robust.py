@@ -17,10 +17,9 @@ Two questions, one file:
   nominal plan.
 
 * **MICRO-SCENARIO** — what does scenario scoring cost?  A B x S
-  scoring sweep at paper scale through the default scenario route (a
-  loop over per-scenario simulators on the compiled walker, without
-  numba) vs the same loop on the Python walker, equal results asserted
-  first.
+  scoring sweep at paper scale through the scenario route (a loop over
+  per-scenario simulators on the compiled walker) vs the same loop on
+  the Python walker, equal results asserted first.
 
 Both record :mod:`repro.perf` records into
 ``benchmarks/output/BENCH_micro.json`` for the CI perf gate.  The
@@ -141,7 +140,7 @@ def test_micro_scenario_batch_vs_scalar_loop(write_output, perf_log):
     scen = sample_scenarios(w, "lognormal:0.25", scenarios=S, seed=3)
     fast = ScenarioEvaluator(scen)
     with python_walker():
-        slow = ScenarioEvaluator(scen, prefer_batch=False)
+        slow = ScenarioEvaluator(scen)
     strings = [
         random_valid_string(w.graph, w.num_machines, seed)
         for seed in range(B)

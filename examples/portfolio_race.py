@@ -30,9 +30,8 @@ def main() -> None:
     )
 
     # 1. The anytime question: best schedule within a 1-second deadline
-    #    per island.  Process mode gives each island its own core (and
-    #    its own warmed-up kernel tier); islands=0 means one island per
-    #    engine kind.
+    #    per island.  Process mode gives each island its own core;
+    #    islands=0 means one island per engine kind.
     config = RaceConfig(
         engines=("se", "ga", "sa", "tabu"),
         deadline=1.0,

@@ -249,7 +249,7 @@ def self_test() -> None:
     assert check_cli_references(doc, fenced, surface)
     # inline code may name real classes and the allowlisted symbols ...
     classes = _package_classes()
-    real = "`EvaluationService.kernel_tier`, `CostModel(E, p)`, `Tr`"
+    real = "`EvaluationService.walker_tier`, `CostModel(E, p)`, `Tr`"
     assert check_class_references(doc, real, classes) == []
     # ... but not a class the package does not define
     assert check_class_references(doc, "`BatchBackend.is_vectorized`", classes)

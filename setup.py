@@ -43,11 +43,6 @@ setup(
         "graph": [
             "networkx>=2.6",
         ],
-        # the compiled kernel tier (repro.schedule.jit) — optional:
-        # without it the NumPy tier is auto-selected, bit-identically
-        "jit": [
-            "numba>=0.59",
-        ],
     },
     entry_points={
         "console_scripts": [

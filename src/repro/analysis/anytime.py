@@ -94,7 +94,7 @@ def anytime_table(race) -> str:
     """
     header = (
         f"{'island':>6}  {'engine':<6} {'best':>10}  {'iters':>8} "
-        f"{'evals':>9}  {'pub':>4} {'recv':>4}  {'tier':<10} stopped"
+        f"{'evals':>9}  {'pub':>4} {'recv':>4}  stopped"
     )
     lines = [header, "-" * len(header)]
     for o in race.islands:
@@ -102,7 +102,7 @@ def anytime_table(race) -> str:
         lines.append(
             f"{o.island:>6}  {o.kind:<6} {o.best_makespan:>10.2f}  "
             f"{o.iterations:>8} {o.evaluations:>9}  {o.published:>4} "
-            f"{o.received:>4}  {o.kernel_tier:<10} {o.stopped_by}{mark}"
+            f"{o.received:>4}  {o.stopped_by}{mark}"
         )
     curve = race.combined_anytime()
     lines.append("-" * len(header))

@@ -322,10 +322,7 @@ def head_to_head_experiment(
         Simulator backend every contender optimises against (explicit
         per-algorithm ``network`` entries in *algorithms* win; entries
         whose registry declaration does not accept a ``network``
-        parameter are left untouched).  The engines' evaluation
-        services route batch scoring through the network's batch route
-        (its jit kernel when numba imports), so ``network="nic"`` stays
-        accelerated.
+        parameter are left untouched).
     """
     from repro.runner import (
         AlgorithmSpec,

@@ -13,8 +13,7 @@ benchmarks treat both uniformly.
 Every unevaluated chromosome of a generation is scored in one
 :meth:`~repro.optim.evaluation.EvaluationService.batch_makespans` call,
 which counts one evaluation per chromosome; the evaluation service
-decides how the batch runs (the compiled kernel, or a loop over the
-scalar backend), bit-identically either way.
+runs it as a loop over its scalar backend.
 """
 
 from __future__ import annotations

@@ -7,8 +7,7 @@ budget; the baseline-grid benchmark includes it for exactly that check.
 Scoring runs on the shared optim core: samples are drawn in chunks of
 ``batch_size`` and each chunk is scored in one
 :meth:`~repro.optim.evaluation.EvaluationService.batch_string_makespans`
-call, which the service runs on the network's compiled kernel or as a
-loop over its scalar backend, bit-identically.  Samples are drawn in
+call, a loop over the service's scalar backend.  Samples are drawn in
 the usual RNG order whatever the chunk size, so chunking never changes
 the result.
 
@@ -91,10 +90,7 @@ def run_random_search(
     """Run random search as configured by *config* (see module docstring)."""
     samples, batch_size = config.samples, config.batch_size
     rng = as_rng(config.seed)
-    # only pay for kernel packing when chunked scoring is requested
-    service = config.evaluation_service(
-        workload, prefer_batch=batch_size > 1
-    )
+    service = config.evaluation_service(workload)
     policy = StopPolicy(max_iterations=samples, time_limit=config.time_limit)
     watch = Stopwatch()
 
@@ -108,7 +104,7 @@ def run_random_search(
             random_valid_string(workload.graph, workload.num_machines, rng)
             for _ in range(min(batch_size, samples - drawn))
         ]
-        costs = service.batch_string_makespans(chunk, validate=False)
+        costs = service.batch_string_makespans(chunk)
         for s, cost in zip(chunk, costs):
             drawn += 1
             tracker.update(cost, s)

@@ -171,7 +171,7 @@ def _print_risk_profile(fields, w: Workload, best) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.schedule.backend import kernel_tier, make_simulator
+    from repro.schedule.backend import make_simulator
 
     fields = _evaluation_fields("run", args)
     accepted = algorithm_parameters(args.algo)
@@ -211,15 +211,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # scored: the platform's speed-scaled matrix, or w itself on uniform
     sim = make_simulator(w, args.network, platform=args.platform)
     if args.verbose:
-        # the tier that served the run's evaluation service; heuristics
-        # build no service, so they report what the network offers
-        tier = getattr(res, "kernel_tier", None) or kernel_tier(args.network)
-        print(f"network {args.network!r}: batch evaluation via {_TIERS[tier]}")
         walker = sim.walker_tier
         if sim.walker_reason is not None:
             walker += f" ({sim.walker_reason})"
         print(f"scalar walker: {walker}")
-        print("platform catalogs (--platform) and their cost paths:")
+        print("platform catalogs (--platform):")
         print(_platforms_listing())
 
     if fields.scenarios:  # validated: > 0 exactly for scenario objectives
@@ -321,7 +317,7 @@ def _cmd_race(args: argparse.Namespace) -> int:
         for o in res.islands:
             print(
                 f"island {o.island} ({o.kind}, seed {o.seed}): "
-                f"kernel tier {o.kernel_tier}, started +{o.start_offset:.2f}s"
+                f"started +{o.start_offset:.2f}s"
             )
     print(anytime_table(res))
     if args.verbose:
@@ -347,53 +343,23 @@ def _algorithms_listing() -> str:
     return "\n".join(lines)
 
 
-#: Human-readable batch-evaluation mode of each kernel tier.
-_TIERS = {
-    "jit": "jit kernel (numba-compiled)",
-    "sequential": "sequential loop over the scalar walker",
-}
-
-
 def _platforms_listing() -> str:
-    """Every registered platform with its cost-scoring path.
-
-    A platform with boot delays carries per-machine initial state, which
-    keeps batch scoring on the scalar loop; the zero-boot catalogs may
-    use the jit kernel (and its one-gather cost column).  Listing the
-    mode keeps that routing visible.
-    """
-    from repro.schedule.backend import (
-        available_platforms,
-        platform_cost_vectorized,
-        resolve_platform,
-    )
+    """Every registered platform with its description."""
+    from repro.schedule.backend import available_platforms, resolve_platform
 
     lines = []
     for name in available_platforms():
         spec = resolve_platform(name)
-        mode = (
-            "batch kernel when jit serves"
-            if platform_cost_vectorized(name)
-            else "scalar loop (boot delays)"
-        )
         detail = spec.description or f"{len(spec.instances)} instance types"
-        lines.append(f"  {name:10s} cost scoring: {mode:40s} {detail}")
+        lines.append(f"  {name:10s} {detail}")
     return "\n".join(lines)
 
 
 def _networks_listing() -> str:
-    """Every network model with its batch-evaluation mode.
+    """Every network model name."""
+    from repro.schedule.backend import available_networks
 
-    Without the jit kernel a network still accepts batch scoring — it
-    just loops the scalar simulator; listing the mode here keeps that
-    route visible instead of silent.
-    """
-    from repro.schedule.backend import available_networks, kernel_tier
-
-    return "\n".join(
-        f"  {name:16s} batch evaluation: {_TIERS[kernel_tier(name)]}"
-        for name in available_networks()
-    )
+    return "\n".join(f"  {name}" for name in available_networks())
 
 
 def _objectives_listing() -> str:
@@ -419,9 +385,9 @@ def _distributions_listing() -> str:
 def _cmd_algorithms(args: argparse.Namespace) -> int:
     print("registry algorithms and their AlgorithmSpec parameters:")
     print(_algorithms_listing())
-    print("\nnetwork models (--network) and their batch kernels:")
+    print("\nnetwork models (--network):")
     print(_networks_listing())
-    print("\nplatform catalogs (--platform) and their cost paths:")
+    print("\nplatform catalogs (--platform):")
     print(_platforms_listing())
     print("\nobjectives (--objective; scenario forms need --scenarios):")
     print(_objectives_listing())
@@ -628,9 +594,7 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
             objective=objective,
             **entry.limits(entry.scale * args.iterations, args.budget),
         )
-        service = config.evaluation_service(
-            w, prefer_batch=False, pareto=tracker
-        )
+        service = config.evaluation_service(w, pareto=tracker)
         res = entry.run(w, config, service=service)
         score = service.score_of(res.best_string)
         if wc == 0.0 and ref_point is None:
@@ -886,8 +850,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verbose",
         action="store_true",
-        help="also print backend details (batch kernel vs scalar "
-        "fallback, platform cost paths)",
+        help="also print backend details (scalar walker tier, "
+        "platform catalogs)",
     )
     p.set_defaults(func=_cmd_run)
 
@@ -978,8 +942,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verbose",
         action="store_true",
-        help="also print each island's kernel tier, start offset and "
-        "the combined anytime curve",
+        help="also print each island's start offset and the combined "
+        "anytime curve",
     )
     p.set_defaults(func=_cmd_race)
 

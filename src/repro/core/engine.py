@@ -95,10 +95,8 @@ class SimulatedEvolution:
         graph = workload.graph
         # The backend is the objective: "nic" makes every probe, commit
         # and best-makespan account for NIC serialisation; a non-default
-        # platform/objective makes them cost-aware.  Allocation scores
-        # every probe with a cutoff-pruned delta, so no batch kernel
-        # (or its pack) is built.
-        service = cfg.evaluation_service(workload, prefer_batch=False)
+        # platform/objective makes them cost-aware.
+        service = cfg.evaluation_service(workload)
         # Goodness and the allocator's machine ranking read the workload
         # the backend actually scores — the platform's speed-scaled
         # matrix (the original object on "uniform", so nothing moves).

@@ -53,9 +53,7 @@ def pair_table(rows: Sequence[_T], num_machines: int, diagonal: _T) -> list[list
     ``table[a][b]`` and ``table[b][a]`` are the same object and every
     diagonal entry is *diagonal*.  With the ``Tr`` rows and one zero row
     (:meth:`TransferTimeMatrix.pair_rows`) a transfer time is a plain
-    ``table[a][b][item]`` lookup, 0.0 on the diagonal; with
-    ``rows = range(num_pairs(l))`` it is the batch kernels' row-index
-    table.
+    ``table[a][b][item]`` lookup, 0.0 on the diagonal.
     """
     l = num_machines
     table = [[diagonal] * l for _ in range(l)]

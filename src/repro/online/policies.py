@@ -141,7 +141,6 @@ def improve_residual(
     service = EvaluationService(
         workload,
         network,
-        prefer_batch=False,  # busy machines: no batch kernel applies
         initial_avail=initial_avail,
         initial_nic_free=initial_nic_free,
     )

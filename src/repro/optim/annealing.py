@@ -181,9 +181,7 @@ class SimulatedAnnealing:
         rng = as_rng(cfg.seed)
         graph = workload.graph
         if service is None:
-            # SA scores one proposal at a time: the incremental tier is
-            # the hot path, so skip the batch kernel's packing entirely.
-            service = cfg.evaluation_service(workload, prefer_batch=False)
+            service = cfg.evaluation_service(workload)
         watch = Stopwatch()
 
         if initial is None:

@@ -6,16 +6,12 @@ is scored:
 * **backend selection** — the ``network`` name resolves through
   :func:`repro.schedule.backend.make_simulator` exactly once, so
   single, delta and batch scoring share one scalar backend;
-* **batch routing** — :meth:`batch_makespans` /
-  :meth:`batch_string_makespans` run the network's compiled kernel (the
-  ``jit`` tier, see :func:`repro.schedule.backend.batch_kernel_factory`)
-  when numba imports, ``prefer_batch`` is set and the backend starts
-  from idle machines, and loop the scalar backend otherwise (the
-  ``sequential`` tier, on the compiled C walker wherever a compiler
-  is); a weighted objective's cost column, a scenario objective's
-  reduction and the Pareto offers are applied here, once per batch.
+* **batch scoring** — :meth:`batch_makespans` /
+  :meth:`batch_string_makespans` loop the scalar backend (its compiled
+  C walker wherever a compiler is), so a weighted objective and the
+  Pareto offers apply per row exactly as on single calls, and a
+  scenario objective reduces the ``(S, B)`` matrix once per batch.
   :meth:`prepare` / :meth:`evaluate_delta` expose the incremental tier;
-  engines never touch kernel classes directly;
 * **cost accounting** — every scoring call increments one
   ``evaluations`` counter (full evaluation = 1, prepare = 1, delta = 1,
   batch = one per schedule — the same arithmetic the engines used to
@@ -27,8 +23,6 @@ is scored:
 
 >>> from repro.workloads import small_workload
 >>> svc = EvaluationService(small_workload(seed=1))
->>> svc.kernel_tier in ("jit", "sequential")
-True
 >>> svc.evaluations
 0
 """
@@ -36,7 +30,7 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -45,7 +39,6 @@ from repro.optim.objective import ObjectiveBackend
 from repro.schedule.backend import (
     DEFAULT_NETWORK,
     DEFAULT_PLATFORM,
-    batch_kernel_factory,
     check_network,
     make_simulator,
     plain_schedule,
@@ -64,23 +57,13 @@ class EvaluationService:
     workload:
         The MSHC problem instance.
     prefer_batch:
-        Whether to build the network's batch kernel (and its workload
-        pack) on the ``jit`` tier.  When False the batch methods still
-        *work* but loop the scalar backend, and :attr:`kernel_tier`
-        reports ``sequential``.  Engines that never batch-score pass
-        False so they skip the kernel's construction cost: SA, and SE,
-        whose allocator scores every probe with a cutoff-pruned
-        :meth:`evaluate_delta`.  GA, random search and tabu keep it
-        True; tabu picks its route from :attr:`prefers_delta`, so the
-        service, not a config field, decides how a candidate set is
-        scored.
+        Accepted and ignored; ROADMAP item 1 deletes it.
     initial_avail, initial_nic_free:
         Optional per-machine busy state the backend is constructed
         against (see :func:`repro.schedule.backend.make_simulator`) —
         the residual-schedule evaluation mode of the online service:
         engines handed such a service optimise a job's schedule *given*
-        machines still occupied by earlier jobs.  Batch calls loop the
-        scalar backend in this mode (the kernels pack idle machines).
+        machines still occupied by earlier jobs.
     pareto:
         Optional :class:`~repro.optim.tracking.ParetoTracker`; every
         point scored through this service is offered to it, so a run
@@ -95,9 +78,9 @@ class EvaluationService:
         :class:`~repro.optim.objective.ObjectiveBackend` and a scenario
         objective in a :class:`~repro.stochastic.scenarios.
         ScenarioBackend` scoring the objective's reduction over the
-        sampled perturbations (batches skip both wrappers: the batch
-        methods apply the objective to whole columns), so SE, GA, SA
-        and tabu optimise them without engine changes.  The default
+        sampled perturbations (batches skip that wrapper and reduce
+        the whole ``(S, B)`` matrix at once), so SE, GA, SA and tabu
+        optimise them without engine changes.  The default
         ``"makespan"`` uses the raw backend, bit-identical.  Scenario
         objectives cannot combine with residual initial state, Pareto
         tracking, or platforms with boot delays (boot is initial state).
@@ -114,7 +97,6 @@ class EvaluationService:
         "_pareto",
         "_cost_model",
         "_scenario",
-        "_kernel",
     )
 
     def __init__(
@@ -149,7 +131,6 @@ class EvaluationService:
         self._pareto = pareto
         self._cost_model = self._raw.cost_model
         self._scenario = None
-        self._kernel = None
         if self._objective.is_scenario:
             if pareto is not None:
                 raise ValueError(
@@ -177,36 +158,21 @@ class EvaluationService:
                     seed=scenario_seed,
                 ),
                 network=network,
-                prefer_batch=prefer_batch,
             )
             self._backend = ScenarioBackend(
                 self._raw, self._scenario, self._objective
             )
+        elif self._objective.is_makespan and pareto is None:
+            # the default: the unwrapped backend, bit-identical
+            self._backend = self._raw
         else:
-            # the kernels pack idle machines, so residual state and boot
-            # delays (initial state too) keep batches on the scalar loop
-            if (
-                prefer_batch
-                and initial_avail is None
-                and initial_nic_free is None
-                and not resolve_platform(platform)
-                .bind(workload.num_machines)
-                .has_boot
-            ):
-                factory = batch_kernel_factory(network)
-                if factory is not None:
-                    self._kernel = factory(self.effective_workload)
-            if self._objective.is_makespan and pareto is None:
-                # the default: the unwrapped backend, bit-identical
-                self._backend = self._raw
-            else:
-                if self._cost_model is None:
-                    self._cost_model = CostModel.zero(
-                        self.effective_workload.exec_times.values
-                    )
-                self._backend = ObjectiveBackend(
-                    self._raw, self._objective, self._cost_model, pareto
+            if self._cost_model is None:
+                self._cost_model = CostModel.zero(
+                    self.effective_workload.exec_times.values
                 )
+            self._backend = ObjectiveBackend(
+                self._raw, self._objective, self._cost_model, pareto
+            )
         self._calls = 0
 
     # ------------------------------------------------------------------
@@ -270,23 +236,12 @@ class EvaluationService:
 
     @property
     def kernel_tier(self) -> str:
-        """The active batch tier: ``jit`` or ``sequential``.
-
-        ``jit`` means batch calls run the network's compiled (numba)
-        kernel; ``sequential`` the scalar loop (numba absent,
-        ``prefer_batch=False``, a busy-state backend, or a network
-        without a kernel).  Under a scenario objective it is the tier
-        of the per-scenario scoring.
-        """
-        if self._scenario is not None:
-            return self._scenario.kernel_tier
-        if self._kernel is None:
-            return "sequential"
-        return self._kernel.kernel_tier
+        """Always ``"sequential"``; ROADMAP item 1 deletes it."""
+        return "sequential"
 
     @property
     def walker_tier(self) -> str:
-        """The scalar walker serving single, prepare and delta calls:
+        """The scalar walker serving every call, batches included:
         ``compiled`` (the C extension of :mod:`repro.schedule.walker`)
         or ``python``."""
         return self._raw.walker_tier
@@ -304,16 +259,11 @@ class EvaluationService:
         batch call.
 
         False for a scenario objective (its delta re-scores all ``S``
-        scenarios without pruning, so one ``B x S`` sweep wins), with a
-        Pareto tracker attached (it must see every candidate, and a
-        pruned delta offers nothing), and on the ``jit`` tier, whose
-        compiled kernels keep the batch route.
+        scenarios without pruning, so one ``B x S`` sweep wins) and
+        with a Pareto tracker attached (it must see every candidate,
+        and a pruned delta offers nothing).
         """
-        return (
-            self._scenario is None
-            and self._pareto is None
-            and self.kernel_tier != "jit"
-        )
+        return self._scenario is None and self._pareto is None
 
     # ------------------------------------------------------------------
     # cost accounting
@@ -412,79 +362,39 @@ class EvaluationService:
     # batch tier
     # ------------------------------------------------------------------
 
-    def batch_makespans(
-        self, orders: Any, machines: Any, validate: bool = True
-    ) -> list[float]:
-        """One scalar per ``(orders[i], machines[i])`` schedule.
-
-        Routed through the network's batch kernel when one serves this
-        service (see :attr:`kernel_tier`), a scalar loop otherwise —
-        bit-identical either way.
-        """
+    def batch_makespans(self, orders: Any, machines: Any) -> list[float]:
+        """One scalar per ``(orders[i], machines[i])`` schedule: a loop
+        of the scalar backend, which validates every row."""
         if self._scenario is not None:
             costs = self._objective.reduce_matrix(
-                self._scenario.matrix(orders, machines, validate=validate)
+                self._scenario.matrix(orders, machines)
             ).tolist()
-        elif self._kernel is None:
+        else:
             makespan = self._backend.makespan
             costs = [makespan(o, m) for o, m in row_pairs(orders, machines)]
-        else:
-            costs = self._scalarized(
-                self._kernel.makespans(orders, machines, validate=validate),
-                machines,
-                zip(orders, machines),
-            )
         self._calls += len(costs)
         return costs
 
     def batch_string_makespans(
-        self, strings: Sequence[ScheduleString], validate: bool = True
+        self, strings: Sequence[ScheduleString]
     ) -> list[float]:
         """:meth:`batch_makespans` over :class:`ScheduleString` objects."""
         if self._scenario is not None:
             costs = self._objective.reduce_matrix(
-                self._scenario.string_matrix(strings, validate=validate)
+                self._scenario.string_matrix(strings)
             ).tolist()
-        elif self._kernel is None:
-            costs = [self._backend.string_makespan(s) for s in strings]
         else:
-            costs = self._scalarized(
-                self._kernel.string_makespans(strings, validate=validate),
-                [s.machines for s in strings],
-                strings,
-            )
+            costs = [self._backend.string_makespan(s) for s in strings]
         self._calls += len(costs)
         return costs
-
-    def _scalarized(
-        self, spans: np.ndarray, machines: Any, candidates: Iterable
-    ) -> list[float]:
-        """The objective's scalars for a kernel's makespan column.
-
-        The default objective takes the column as it is.  Otherwise the
-        cost column is one gather into the billing table, every point
-        is offered to the Pareto tracker, and the objective scalarizes
-        both columns at once.
-        """
-        if self._backend is self._raw or not len(spans):
-            return spans.tolist()
-        costs = self._cost_model.batch_costs(
-            np.asarray(machines, dtype=np.intp)
-        )
-        if self._pareto is not None:
-            for span, cost, candidate in zip(
-                spans.tolist(), costs.tolist(), candidates
-            ):
-                self._pareto.offer(span, cost, candidate)
-        return self._objective.scalarize_arrays(spans, costs).tolist()
 
 
 def row_pairs(orders: Any, machines: Any) -> list:
     """The ``(order, machines)`` rows of a batch for a scalar walker.
 
     A NumPy matrix becomes lists of Python ints, the rows a scalar
-    walker reads fastest; other sequences pass as given.  Raises the
-    batch kernel's ``ValueError`` when the row counts differ.
+    walker reads fastest; other sequences pass as given.  Raises
+    ``ValueError`` when the row counts differ.
     """
     if isinstance(orders, np.ndarray):
         orders = orders.tolist()
@@ -556,14 +466,13 @@ class EvaluationFields:
         )
 
     def evaluation_service(
-        self, workload: Workload, prefer_batch: bool = True, **extra: Any
+        self, workload: Workload, **extra: Any
     ) -> EvaluationService:
         """The :class:`EvaluationService` scoring *workload* under these
         settings; *extra* passes through (``pareto=``, initial state)."""
         return EvaluationService(
             workload,
             self.network,
-            prefer_batch=prefer_batch,
             platform=self.platform,
             objective=self.objective,
             scenarios=self.scenarios,

@@ -31,9 +31,6 @@ optimise cost-aware without a single engine change.
   walk, since billing is per-task).  When a :class:`~repro.optim.
   tracking.ParetoTracker` is attached, every scored point is offered to
   it — one weighted run accumulates a whole front as a side effect.
-  Batches do not pass through it: the service scalarizes a kernel's
-  whole ``(makespans, costs)`` columns at once with
-  :meth:`WeightedObjective.scalarize_arrays`.
 
 >>> obj = resolve_objective("weighted:0.7:0.3")
 >>> obj.scalarize(100.0, 10.0)
@@ -84,11 +81,6 @@ class MakespanObjective:
     def scalarize(self, makespan: float, cost: float) -> float:
         return makespan
 
-    def scalarize_arrays(
-        self, makespans: np.ndarray, costs: np.ndarray
-    ) -> np.ndarray:
-        return makespans
-
     def span_cutoff(self, cutoff: float, cost: float) -> float:
         return cutoff
 
@@ -130,11 +122,6 @@ class WeightedObjective:
 
     def scalarize(self, makespan: float, cost: float) -> float:
         return self.w_makespan * makespan + self.w_cost * cost
-
-    def scalarize_arrays(
-        self, makespans: np.ndarray, costs: np.ndarray
-    ) -> np.ndarray:
-        return self.w_makespan * makespans + self.w_cost * costs
 
     def span_cutoff(self, cutoff: float, cost: float) -> float:
         """The *makespan* cutoff equivalent to a scalarized *cutoff*.
@@ -296,11 +283,6 @@ class ScenarioObjective:
 
     def scalarize(self, makespan: float, cost: float) -> float:
         return makespan
-
-    def scalarize_arrays(
-        self, makespans: np.ndarray, costs: np.ndarray
-    ) -> np.ndarray:
-        return makespans
 
 
 Objective = Union[MakespanObjective, WeightedObjective, ScenarioObjective]

@@ -39,9 +39,6 @@ class SearchResult:
     stopped_by:
         ``"iterations"``, ``"time"`` or ``"stall"`` — the unified
         :mod:`repro.optim.stop` reason strings.
-    kernel_tier:
-        The batch tier of the evaluation service that served the run
-        (``jit`` / ``sequential``).
     """
 
     best_string: ScheduleString
@@ -51,7 +48,6 @@ class SearchResult:
     iterations: int
     evaluations: int
     stopped_by: str
-    kernel_tier: str
 
     @classmethod
     def from_loop(cls, out: Any, service: Any, **extra: Any) -> "SearchResult":
@@ -67,6 +63,5 @@ class SearchResult:
             iterations=out.iterations,
             evaluations=service.evaluations,
             stopped_by=out.stopped_by,
-            kernel_tier=service.kernel_tier,
             **extra,
         )

@@ -28,8 +28,8 @@ off at the smallest bound that still decides its part in the rule
 above (see :func:`select_move`), so a losing candidate stops walking as
 soon as it is known to lose.  Services whose
 :attr:`~repro.optim.evaluation.EvaluationService.prefers_delta` is
-False (a scenario objective, an attached Pareto tracker, the ``jit``
-tier) score the whole neighborhood in one
+False (a scenario objective, an attached Pareto tracker) score the
+whole neighborhood in one
 :meth:`~repro.optim.evaluation.EvaluationService.
 batch_string_makespans` call instead.  Both routes commit the same
 move at the same exact cost, with the same trace and evaluation count.
@@ -194,9 +194,8 @@ def neighborhood_scores(
     ignored.
     """
     if state is None:
-        # candidates are valid by construction: skip re-validation
         costs = service.batch_string_makespans(
-            [applied_copy(string, mv) for mv in moves], validate=False
+            [applied_copy(string, mv) for mv in moves]
         )
         return lambda i, _cutoff: costs[i]
 
@@ -256,8 +255,6 @@ class TabuSearch:
         rng = as_rng(cfg.seed)
         graph = workload.graph
         if service is None:
-            # a batching service lets prefers_delta see a jit tier,
-            # which keeps scoring whole neighborhoods in one batch call
             service = cfg.evaluation_service(workload)
         watch = Stopwatch()
 

@@ -7,9 +7,7 @@ incumbents through a channel (:mod:`repro.portfolio.exchange`).  Three
 execution modes, picked from the config:
 
 * **process** (default) — one OS process per island via
-  ``ProcessPoolExecutor`` with the runner's
-  :func:`~repro.runner.pool.warmup_worker` initializer (the jit tier
-  compiles before the clock matters) and a
+  ``ProcessPoolExecutor`` and a
   :class:`~repro.portfolio.exchange.SharedChannel` over a
   ``multiprocessing.Manager``;
 * **thread** — islands as threads over a
@@ -227,7 +225,6 @@ class RaceResult:
                     "iterations": o.iterations,
                     "evaluations": o.evaluations,
                     "stopped_by": o.stopped_by,
-                    "kernel_tier": o.kernel_tier,
                     "published": o.published,
                     "received": o.received,
                     "anytime": [list(e) for e in o.anytime],
@@ -345,16 +342,13 @@ def _run_processes(
     import multiprocessing
 
     from repro.portfolio.exchange import SharedChannel
-    from repro.runner.pool import warmup_worker
 
     max_workers = min(
         len(specs), workers if workers else (os.cpu_count() or 1)
     )
     with multiprocessing.Manager() as manager:
         channel = SharedChannel.create(manager)
-        with ProcessPoolExecutor(
-            max_workers=max_workers, initializer=warmup_worker
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=max_workers) as pool:
             futures = [
                 pool.submit(run_island, spec, workload, channel, epoch)
                 for spec in specs

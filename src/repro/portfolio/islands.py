@@ -61,7 +61,6 @@ class IslandOutcome:
     iterations: int
     evaluations: int
     stopped_by: str
-    kernel_tier: str
     published: int
     received: int
     start_offset: float
@@ -211,7 +210,6 @@ def run_island(
         iterations=getattr(res, entry.counts),
         evaluations=res.evaluations,
         stopped_by=res.stopped_by,
-        kernel_tier=res.kernel_tier,
         published=exchange.published if exchange is not None else 0,
         received=exchange.received if exchange is not None else 0,
         start_offset=offset,

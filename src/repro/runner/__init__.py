@@ -38,7 +38,6 @@ from repro.runner.pool import (
     print_progress,
     run_cell,
     run_experiment,
-    warmup_worker,
     workers_from_env,
 )
 from repro.runner.registry import (
@@ -74,6 +73,5 @@ __all__ = [
     "resolve_algorithm",
     "run_cell",
     "run_experiment",
-    "warmup_worker",
     "workers_from_env",
 ]

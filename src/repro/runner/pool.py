@@ -92,14 +92,8 @@ def _cell_cost(cost_model, outcome) -> float:
 def run_cell(cell: ExperimentCell) -> CellResult:
     """Execute one cell (this is the function worker processes run).
 
-    The workload is rebuilt per cell (specs must stay picklable), but
-    the expensive part — deriving the batch kernels'
-    :class:`~repro.schedule.vectorized.WorkloadPack` tensors — is not:
-    every kernel construction resolves through the per-process
-    fingerprint-keyed pack cache
-    (:func:`~repro.schedule.vectorized.get_workload_pack`), so a sweep
-    with many cells over few workloads packs each workload once per
-    worker process instead of once per cell.
+    The workload is rebuilt from its spec per cell (specs must stay
+    picklable).
     """
     workload = build_workload(cell.workload)
     fn = resolve_algorithm(cell.algo.kind)
@@ -183,22 +177,6 @@ def _load_cached(path: Path) -> Optional[CellResult]:
         return CellResult.from_dict(doc["cell"])
     except TypeError:
         return None
-
-
-def warmup_worker() -> bool:
-    """Per-process warmup of the compiled kernel tier (pool initializer).
-
-    When the jit tier is active, the first batch evaluation in a fresh
-    worker pays the one-off numba compile (seconds); a sweep with many
-    workers pays it once *per worker*, and a deadline-bound portfolio
-    race would burn its budget compiling.  Calling
-    :func:`repro.schedule.jit.warmup` in the pool initializer moves that
-    cost before any cell/island work starts.  Without numba (the
-    ``sequential`` tier) this is a cheap no-op returning False.
-    """
-    from repro.schedule import jit
-
-    return jit.numba_available() and jit.warmup()
 
 
 def _tmp_path(path: Path) -> Path:
@@ -287,9 +265,7 @@ def run_experiment(
             finish(cell, run_cell(cell), cached=False)
     else:
         max_workers = min(workers, len(pending))
-        with ProcessPoolExecutor(
-            max_workers=max_workers, initializer=warmup_worker
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=max_workers) as pool:
             futures = {pool.submit(run_cell, cell): cell for cell in pending}
             remaining = set(futures)
             while remaining:

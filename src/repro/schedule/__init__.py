@@ -6,10 +6,8 @@
 * :class:`Simulator` — the deterministic cost model (string → makespan);
 * :mod:`~repro.schedule.backend` — simulator backends keyed by
   network-model name (``"contention-free"`` | ``"nic"``), one table row
-  per network naming its scalar backend and batch kernel;
-* :class:`BatchSimulator` — the contention-free batch kernel, compiled
-  by numba when it imports (the evaluation service decides when it
-  runs);
+  per network naming its scalar backend (a batch is a loop over it, run
+  by the evaluation service);
 * :class:`Timeline` / :func:`verify_schedule` — Gantt views and full
   constraint checking;
 * :mod:`~repro.schedule.metrics` — SLR, speedup, utilisation, comm volume;
@@ -25,7 +23,6 @@ from repro.schedule.backend import (
     available_platforms,
     make_simulator,
     plain_schedule,
-    platform_cost_vectorized,
     platform_state,
     register_platform,
     resolve_platform,
@@ -61,7 +58,6 @@ from repro.schedule.simulator import (
     evaluate_schedule,
 )
 from repro.schedule.timeline import MachineSpan, Timeline, verify_schedule
-from repro.schedule.vectorized import BatchSimulator
 from repro.schedule.valid_range import (
     assert_in_valid_range,
     machine_slot_indices,
@@ -78,13 +74,11 @@ __all__ = [
     "available_platforms",
     "make_simulator",
     "plain_schedule",
-    "platform_cost_vectorized",
     "platform_state",
     "register_platform",
     "resolve_platform",
     "CostModel",
     "ScheduleScore",
-    "BatchSimulator",
     "ScheduleString",
     "is_valid_for",
     "topological_string",

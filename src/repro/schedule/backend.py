@@ -12,15 +12,13 @@ string-keyed parameter:
   implements: ``makespan`` / ``evaluate`` plus the incremental tier
   (``prepare`` → delta state → ``evaluate_delta``) that the SE allocator
   and the GA offspring loop run on;
-* :func:`make_simulator` — ``(workload, network)`` → scalar backend;
-* :func:`batch_kernel_factory` / :func:`kernel_tier` — the network's
-  compiled batch kernel and the tier a batch runs on.
+* :func:`make_simulator` — ``(workload, network)`` → scalar backend.
 
-One table names every network: its scalar backend and its batch kernel.
-The table is resolved on first use, so importing :mod:`repro.schedule`
-does not import the extension layer that holds the NIC backend.
-Whether the kernel scores a batch is decided by
-:class:`~repro.optim.evaluation.EvaluationService` alone.
+One table names every network's scalar backend.  The table is resolved
+on first use, so importing :mod:`repro.schedule` does not import the
+extension layer that holds the NIC backend.  A batch is a loop over
+the scalar backend, run by
+:class:`~repro.optim.evaluation.EvaluationService`.
 
 Because the selector is a plain string, it travels everywhere the
 algorithms do: ``SEConfig(network="nic")``, ``GAConfig(network="nic")``,
@@ -125,18 +123,11 @@ class SimulatorBackend(Protocol):
     def finish_times(self, string: ScheduleString) -> list[float]: ...
 
 
-#: Every network model: name -> (scalar backend, batch kernel), as
-#: ``module:attribute`` paths resolved on first use.  A ``None`` kernel
-#: slot means the network has no kernel.
-_NETWORK_TABLE: Dict[str, tuple] = {
-    DEFAULT_NETWORK: (
-        "repro.schedule.simulator:Simulator",
-        "repro.schedule.vectorized:BatchSimulator",
-    ),
-    NIC_NETWORK: (
-        "repro.extensions.contention:ContentionSimulator",
-        "repro.schedule.vectorized:ContentionBatchSimulator",
-    ),
+#: Every network model: name -> its scalar backend, as a
+#: ``module:attribute`` path resolved on first use.
+_NETWORK_TABLE: Dict[str, str] = {
+    DEFAULT_NETWORK: "repro.schedule.simulator:Simulator",
+    NIC_NETWORK: "repro.extensions.contention:ContentionSimulator",
 }
 
 
@@ -155,14 +146,6 @@ def check_network(network: str) -> str:
             f"{', '.join(available_networks())}"
         )
     return key
-
-
-def _load(path: Optional[str]):
-    """The class a ``module:attribute`` table entry names (``None`` stays)."""
-    if path is None:
-        return None
-    module, _, name = path.partition(":")
-    return getattr(importlib.import_module(module), name)
 
 
 #: Platform specs keyed by name (see ``repro.model.platform``).
@@ -224,24 +207,6 @@ def resolve_platform(platform) -> Any:
         ) from None
 
 
-def platform_cost_vectorized(platform) -> bool:
-    """Whether *platform*'s batches may run on the jit kernel.
-
-    Boot delays become initial machine state, and the evaluation service
-    loops the scalar backend for a backend with initial state (the
-    kernel packs idle machines) — so only zero-boot platforms keep the
-    kernel and its one-gather cost column.  Surfaced by ``repro
-    algorithms`` / ``repro run --verbose`` next to the per-network batch
-    modes.
-
-    >>> platform_cost_vectorized("uniform"), platform_cost_vectorized("spot")
-    (True, True)
-    >>> platform_cost_vectorized("cloud")  # 0.3 boot on every tier
-    False
-    """
-    return not resolve_platform(platform).has_boot
-
-
 def platform_state(
     workload: Workload,
     platform,
@@ -278,44 +243,6 @@ def available_networks() -> list[str]:
     return sorted(_NETWORK_TABLE)
 
 
-def kernel_tier(network: str) -> str:
-    """The batch tier *network*'s batches run on: ``"jit"`` or
-    ``"sequential"``.
-
-    ``"jit"`` when the network has a kernel and numba imports (see
-    :mod:`repro.schedule.jit`); ``"sequential"`` otherwise, where a
-    batch loops the scalar backend (its compiled C walker on any host
-    with a compiler).  An evaluation service built with initial machine
-    state, or with ``prefer_batch=False``, runs ``"sequential"``
-    regardless of this answer (the kernels pack idle machines).
-    Surfaced by ``repro algorithms`` so the active tier is visible, not
-    guessed; a run reports the tier that actually served it
-    (``EvaluationService.kernel_tier``).
-
-    Raises
-    ------
-    ValueError
-        If *network* is unknown.
-    """
-    kernel = _NETWORK_TABLE[check_network(network)][1]
-    from repro.schedule.jit import numba_available
-
-    return "jit" if kernel is not None and numba_available() else "sequential"
-
-
-def batch_kernel_factory(network: str):
-    """The kernel class serving *network*'s :func:`kernel_tier`, or
-    ``None`` on the ``sequential`` tier.
-
-    Called as ``factory(workload)`` or ``factory(workload, pack=pack)``
-    (the scenario tier builds one kernel per sampled scenario, sharing
-    DAG-structure tables across them).
-    """
-    if kernel_tier(network) != "jit":
-        return None
-    return _load(_NETWORK_TABLE[check_network(network)][1])
-
-
 def make_simulator(
     workload: Workload,
     network: str = DEFAULT_NETWORK,
@@ -339,17 +266,14 @@ def make_simulator(
     object and the initial state untouched and attaches no billing
     table, so it is bit-identical to the historical path.
 
-    Batch scoring is not a backend concern: the
-    :class:`~repro.optim.evaluation.EvaluationService` pairs this backend
-    with the network's kernel (see :func:`batch_kernel_factory`).
-
     Raises
     ------
     ValueError
         If *network* names no network model, or *platform* no
         registered platform.
     """
-    scalar_cls = _load(_NETWORK_TABLE[check_network(network)][0])
+    module, _, name = _NETWORK_TABLE[check_network(network)].partition(":")
+    scalar_cls = getattr(importlib.import_module(module), name)
     spec = resolve_platform(platform)
     workload, initial_avail, initial_nic_free = platform_state(
         workload, spec, network, initial_avail, initial_nic_free

@@ -11,9 +11,7 @@ second objective, dollar cost, and this module owns its arithmetic:
   ``sum over tasks of price[machine_of[task]] * E[machine_of[task]][task]``
   — you pay for the busy time your tasks occupy, not for the makespan.
   That makes cost a function of the *matching string alone* (it does
-  not depend on the order or on communication waits), which is what
-  lets the evaluation service compute a whole batch's costs in a single
-  fancy gather + row sum instead of walking schedules.
+  not depend on the order or on communication waits).
 
 The zero model (all prices 0) is what uniform-platform simulators carry
 implicitly: ``score`` degrades to ``(makespan, 0.0, busy)``.
@@ -25,8 +23,6 @@ implicitly: ``score`` degrades to ``(makespan, 0.0, busy)``.
 0.6000000000000001
 >>> cm.cost([1, 1])  # both on the expensive one
 2.0
->>> cm.batch_costs(np.array([[0, 0], [1, 1]])).tolist()
-[0.6000000000000001, 2.0]
 """
 
 from __future__ import annotations
@@ -143,19 +139,3 @@ class CostModel:
             busy=self.busy_times(machine_of),
         )
 
-    # ------------------------------------------------------------------
-    # batch tier
-    # ------------------------------------------------------------------
-
-    def batch_costs(self, machines: np.ndarray) -> np.ndarray:
-        """Vectorized cost of a ``(B, k)`` machine-assignment batch.
-
-        One fancy gather into the ``(l, k)`` per-task billing table plus
-        a row sum — no per-schedule Python loop.
-        """
-        m = np.asarray(machines, dtype=np.intp)
-        if m.ndim != 2 or m.shape[1] != self._k:
-            raise ValueError(
-                f"machines must be (B, {self._k}), got {m.shape}"
-            )
-        return self._task_cost[m, np.arange(self._k)].sum(axis=1)

@@ -6,10 +6,10 @@ The risk-aware tier of the reproduction (see ``docs/risk_aware.md``):
   noise models (``deterministic`` / ``uniform:<w>`` /
   ``lognormal:<sigma>`` / ``empirical:<f1,f2,...>``) and seeded,
   worker-count-invariant scenario sampling;
-* :mod:`repro.stochastic.scenarios` — B×S scoring through the batch
-  kernels and the :class:`ScenarioBackend` that makes every engine's
-  compared scalar a risk statistic (``mean`` / ``quantile:q`` /
-  ``cvar:q`` / ``saa:T:eps``) with zero engine changes.
+* :mod:`repro.stochastic.scenarios` — B×S scoring over per-scenario
+  scalar backends and the :class:`ScenarioBackend` that makes every
+  engine's compared scalar a risk statistic (``mean`` / ``quantile:q``
+  / ``cvar:q`` / ``saa:T:eps``) with zero engine changes.
 
 Quickstart — sample scenarios and score one schedule's risk profile:
 

@@ -21,7 +21,8 @@ string-keyed axis (exactly like networks and platforms):
 * :func:`sample_scenarios` — materialises ``S`` scenarios as a
   :class:`ScenarioSet`: the ``(S, l, k)`` execution tensor, the
   per-scenario transfer matrices, and per-scenario
-  :class:`~repro.model.workload.Workload` views for the batch kernels.
+  :class:`~repro.model.workload.Workload` views the scenario backends
+  are built from.
 
 Determinism contract
 --------------------
@@ -238,7 +239,7 @@ class ScenarioSet:
       :class:`~repro.model.workload.Workload` sharing the nominal
       graph/system objects (the *same* nominal object under a
       deterministic distribution, preserving bit-identity), which is
-      what the batch kernels are built from.
+      what the scenario backends are built from.
     """
 
     __slots__ = (

@@ -1,19 +1,14 @@
-"""Scenario scoring: B schedules × S scenarios through the batch tier.
+"""Scenario scoring: B schedules × S scenarios over the scalar walker.
 
 A risk objective needs the makespan of every candidate schedule under
-every sampled scenario.  Scoring B schedules under scenario ``s`` is one
-batch call against a kernel built from scenario ``s``'s matrices, so the
-full ``(S, B)`` matrix is ``S`` kernel sweeps — no new walk code, and
-both network models (``"contention-free"`` and ``"nic"``) come for
-free.  Without a kernel (numba absent, or batching disabled) the matrix
-is an ``S × B`` loop over one scalar backend per scenario,
-bit-identical.
+every sampled scenario.  Scenario ``s`` gets one scalar backend built
+from its matrices, so the full ``(S, B)`` matrix is an ``S × B`` loop of
+``makespan`` calls — no new walk code, and both network models
+(``"contention-free"`` and ``"nic"``) come for free.
 
 Two classes:
 
-* :class:`ScenarioEvaluator` — owns the per-scenario kernels (one per
-  scenario; DAG-structure tables are shared across them via
-  ``WorkloadPack(w_s, like=base)``, since only the matrices differ) and
+* :class:`ScenarioEvaluator` — owns the per-scenario backends and
   produces scenario-makespan vectors/matrices;
 * :class:`ScenarioBackend` — the
   :class:`~repro.schedule.backend.SimulatorBackend`-shaped wrapper the
@@ -48,13 +43,8 @@ import numpy as np
 
 from repro.optim.evaluation import row_pairs
 from repro.optim.objective import ScenarioObjective, _ScalarizedState
-from repro.schedule.backend import (
-    DEFAULT_NETWORK,
-    batch_kernel_factory,
-    make_simulator,
-)
+from repro.schedule.backend import DEFAULT_NETWORK, make_simulator
 from repro.schedule.encoding import ScheduleString
-from repro.schedule.vectorized import WorkloadPack
 from repro.stochastic.distributions import ScenarioSet
 
 __all__ = ["ScenarioEvaluator", "ScenarioBackend"]
@@ -74,42 +64,19 @@ class ScenarioEvaluator:
     network:
         Simulator-backend name; scenario walks run under this network
         model, exactly like deterministic scoring.
-    prefer_batch:
-        When True (default) and the network's kernel serves (the
-        ``jit`` tier), one kernel per scenario scores whole batches;
-        otherwise an ``S × B`` loop over the scalar backends is used
-        (bit-identical; surfaced by :attr:`kernel_tier`).
     """
 
-    __slots__ = ("_set", "_network", "_kernels", "_backends")
+    __slots__ = ("_set", "_network", "_backends")
 
     def __init__(
-        self,
-        scenario_set: ScenarioSet,
-        network: str = DEFAULT_NETWORK,
-        prefer_batch: bool = True,
+        self, scenario_set: ScenarioSet, network: str = DEFAULT_NETWORK
     ):
         self._set = scenario_set
         self._network = network
-        self._kernels: Optional[list] = None
-        self._backends: Optional[list] = None
-        factory = batch_kernel_factory(network) if prefer_batch else None
-        S = scenario_set.scenarios
-        if factory is not None:
-            kernels = []
-            base_pack: Optional[WorkloadPack] = None
-            for s in range(S):
-                w_s = scenario_set.workload_for(s)
-                pack = WorkloadPack(w_s, like=base_pack)
-                if base_pack is None:
-                    base_pack = pack
-                kernels.append(factory(w_s, pack=pack))
-            self._kernels = kernels
-        else:
-            self._backends = [
-                make_simulator(scenario_set.workload_for(s), network)
-                for s in range(S)
-            ]
+        self._backends = [
+            make_simulator(scenario_set.workload_for(s), network)
+            for s in range(scenario_set.scenarios)
+        ]
 
     # ------------------------------------------------------------------
     # identity
@@ -133,60 +100,31 @@ class ScenarioEvaluator:
         """The *nominal* workload the scenarios perturb."""
         return self._set.workload
 
-    @property
-    def kernel_tier(self) -> str:
-        """``jit`` when per-scenario kernels score the batches,
-        ``sequential`` when scoring loops the scalar backends."""
-        if self._kernels is None:
-            return "sequential"
-        return self._kernels[0].kernel_tier
-
     # ------------------------------------------------------------------
     # scoring
     # ------------------------------------------------------------------
 
-    def matrix(
-        self, orders: Any, machines: Any, validate: bool = True
-    ) -> np.ndarray:
+    def matrix(self, orders: Any, machines: Any) -> np.ndarray:
         """The ``(S, B)`` scenario-makespan matrix of a batch.
 
         Row ``s`` holds every schedule's makespan under scenario ``s``
         — bit-identical to scoring the batch against a simulator built
-        from that scenario's matrices.  Validation (permutation /
-        precedence checks) runs once, on the first scenario: validity
-        is a property of the strings, not of the matrices.
+        from that scenario's matrices.  The rows are converted once and
+        read by every scenario.
         """
-        if self._kernels is not None:
-            rows = []
-            for s, kernel in enumerate(self._kernels):
-                rows.append(
-                    kernel.makespans(
-                        orders, machines, validate=validate and s == 0
-                    )
-                )
-            return np.stack(rows)
         return self._loop(row_pairs(orders, machines))
 
     def _loop(self, rows: list) -> np.ndarray:
-        """The ``(S, B)`` matrix of ``(order, machines)`` *rows* from the
-        scalar backends (rows converted once, read by every scenario)."""
+        """The ``(S, B)`` matrix of ``(order, machines)`` *rows*."""
         out = [
             [backend.makespan(o, m) for o, m in rows]
             for backend in self._backends
         ]
         return np.array(out, dtype=float).reshape(self.scenarios, len(rows))
 
-    def string_matrix(
-        self, strings: Sequence[ScheduleString], validate: bool = True
-    ) -> np.ndarray:
+    def string_matrix(self, strings: Sequence[ScheduleString]) -> np.ndarray:
         """:meth:`matrix` over :class:`ScheduleString` objects."""
-        if not strings:
-            return np.empty((self.scenarios, 0))
-        if self._kernels is None:
-            return self._loop([(s.order, s.machines) for s in strings])
-        orders = np.array([s.order for s in strings], dtype=np.intp)
-        machines = np.array([s.machines for s in strings], dtype=np.intp)
-        return self.matrix(orders, machines, validate=validate)
+        return self._loop([(s.order, s.machines) for s in strings])
 
     def samples(
         self, order: Sequence[int], machine_of: Sequence[int]

@@ -241,19 +241,18 @@ class TestIncrementalBuilder:
 
 
 class TestRandomSearchBatchDeadline:
-    """PR-4 satellite: a ``time_limit`` used to silently disable the
-    batch kernel (and its several-fold speedup).  Chunked scoring now
-    stays on, with the deadline checked between chunks."""
+    """A ``time_limit`` keeps chunked scoring on, with the deadline
+    checked between chunks."""
 
-    def test_time_limit_keeps_batch_kernel(self, tiny_workload, monkeypatch):
+    def test_time_limit_keeps_chunked_scoring(self, tiny_workload, monkeypatch):
         from repro.optim import EvaluationService
 
         calls = {"n": 0}
         original = EvaluationService.batch_string_makespans
 
-        def spy(self, strings, validate=True):
+        def spy(self, strings):
             calls["n"] += 1
-            return original(self, strings, validate=validate)
+            return original(self, strings)
 
         monkeypatch.setattr(
             EvaluationService, "batch_string_makespans", spy

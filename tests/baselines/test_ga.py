@@ -20,7 +20,7 @@ from repro.baselines.ga import (
 )
 from repro.optim import EvaluationService
 from repro.schedule import Simulator, is_valid_for, verify_schedule
-from tests.routes import jit_kernel, no_batch_kernel, walker
+from tests.routes import walker
 
 
 class TestGAConfig:
@@ -225,11 +225,10 @@ class TestGAEngine:
         assert is_valid_for(res.best_string, tiny_workload.graph)
 
 
-class TestUnkernelledSettings:
-    """Boot delays (the ``cloud`` platform) and residual machine state
-    keep every batch on the service's scalar loop, with or without
-    numba.  There the GA's results are the same on both walker tiers,
-    and it counts one evaluation per chromosome it scores."""
+class TestBusyMachineSettings:
+    """Under boot delays (the ``cloud`` platform) and residual machine
+    state the GA's results are the same on both walker tiers, and it
+    counts one evaluation per chromosome it scores."""
 
     @pytest.mark.parametrize("setting", ["cloud", "residual"])
     @pytest.mark.parametrize("seed", [1, 7])
@@ -253,10 +252,9 @@ class TestUnkernelledSettings:
         calls = _spy_service(monkeypatch)
         runs = {}
         for tier in ("compiled", "python"):
-            with walker(tier), jit_kernel():
+            with walker(tier):
                 calls.clear()
                 runs[tier] = run_ga(tiny_workload, cfg)
-            assert runs[tier].kernel_tier == "sequential"
             assert runs[tier].evaluations == calls["rows"]
             assert calls["evaluate_delta"] == 0
         fast, slow = runs["compiled"], runs["python"]
@@ -267,52 +265,44 @@ class TestUnkernelledSettings:
 
 
 class TestBatchFitness:
-    """The batch population-fitness route must be invisible in results:
-    identical traces, best makespans and final strings on the kernel
-    and on the scalar loop."""
-
-    @pytest.mark.parametrize("seed", [1, 7, 42])
-    def test_batch_path_equals_scalar_path(self, tiny_workload, seed):
-        cfg = GAConfig(max_generations=25, stall_generations=None, seed=seed)
-        with jit_kernel():
-            batch = run_ga(tiny_workload, cfg)
-        with no_batch_kernel():
-            scalar = run_ga(tiny_workload, cfg)
-        assert batch.best_makespan == scalar.best_makespan  # bit-identical
-        assert batch.trace.best_makespans() == scalar.trace.best_makespans()
-        assert (
-            batch.trace.current_makespans()
-            == scalar.trace.current_makespans()
-        )
-        assert batch.best_string == scalar.best_string
-        # both routes count exactly one call per chromosome
-        assert scalar.evaluations == batch.evaluations
-
     def test_batch_path_is_default(self, tiny_workload, monkeypatch):
         """Each generation is one batch call (plus one for the initial
-        population) and no delta, whichever route serves the batch."""
+        population) and no delta."""
         calls = _spy_service(monkeypatch)
         cfg = GAConfig(population_size=30, max_generations=5, seed=3)
-        for route in ("jit", "sequential"):
-            calls.clear()
-            with jit_kernel() if route == "jit" else no_batch_kernel():
-                res = run_ga(tiny_workload, cfg)
-            assert res.kernel_tier == route
-            assert calls["batch_makespans"] == 1 + 5
-            assert calls["evaluate_delta"] == 0
-            assert res.evaluations == calls["rows"]
+        res = run_ga(tiny_workload, cfg)
+        assert calls["batch_makespans"] == 1 + 5
+        assert calls["evaluate_delta"] == 0
+        assert res.evaluations == calls["rows"]
+
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    def test_batch_results_identical_across_walker_tiers(
+        self, tiny_workload, seed
+    ):
+        """Identical traces, best makespans, final strings and counts
+        whichever walker tier scores the population batches."""
+        cfg = GAConfig(max_generations=25, stall_generations=None, seed=seed)
+        with walker("compiled"):
+            fast = run_ga(tiny_workload, cfg)
+        with walker("python"):
+            slow = run_ga(tiny_workload, cfg)
+        assert fast.best_makespan == slow.best_makespan  # bit-identical
+        assert fast.trace.best_makespans() == slow.trace.best_makespans()
+        assert fast.trace.current_makespans() == slow.trace.current_makespans()
+        assert fast.best_string == slow.best_string
+        assert fast.evaluations == slow.evaluations
 
     def test_batch_fitness_under_nic_keeps_results(self, tiny_workload):
         cfg = GAConfig(
             max_generations=10, stall_generations=None, seed=3, network="nic"
         )
-        with jit_kernel():
-            batch = run_ga(tiny_workload, cfg)
-        with no_batch_kernel("nic"):
-            scalar = run_ga(tiny_workload, cfg)
-        assert batch.best_makespan == scalar.best_makespan
-        assert batch.best_string == scalar.best_string
-        assert batch.evaluations == scalar.evaluations
+        with walker("compiled"):
+            fast = run_ga(tiny_workload, cfg)
+        with walker("python"):
+            slow = run_ga(tiny_workload, cfg)
+        assert fast.best_makespan == slow.best_makespan
+        assert fast.best_string == slow.best_string
+        assert fast.evaluations == slow.evaluations
 
 
 def _spy_service(monkeypatch) -> Counter:

@@ -22,7 +22,6 @@ from repro.core import SEConfig, SimulatedEvolution
 from repro.extensions.contention import ContentionSimulator
 from repro.extensions.hybrid import heft_seeded_se
 from repro.workloads import WorkloadSpec, build_workload
-from tests.routes import no_batch_kernel
 
 
 @pytest.fixture(scope="module")
@@ -78,27 +77,6 @@ class TestGAUnderNic:
             )
         ).run(workload)
         assert res.best_makespan == nic.string_makespan(res.best_string)
-
-    def test_incremental_evaluation_is_equivalent_under_nic(self, workload):
-        """The GA's delta path (taken without a batch kernel) must stay
-        bit-identical when the backend is the contention simulator."""
-        def run():
-            return GeneticAlgorithm(
-                GAConfig(
-                    seed=9,
-                    population_size=12,
-                    max_generations=8,
-                    network="nic",
-                )
-            ).run(workload)
-
-        with no_batch_kernel("nic"):
-            a = run()
-        b = run()
-        assert a.best_makespan == b.best_makespan
-        assert [r.best_makespan for r in a.trace] == [
-            r.best_makespan for r in b.trace
-        ]
 
 
 class TestHybridUnderNic:

@@ -1,13 +1,13 @@
-"""EvaluationService: routing, fallbacks, and call accounting."""
+"""EvaluationService: backend selection, scoring, and call accounting."""
 
 import pytest
 
 from repro.extensions.contention import ContentionSimulator
 from repro.optim import EvaluationService
-from repro.schedule import Simulator
+from repro.schedule import Simulator, make_simulator
 from repro.schedule.operations import random_valid_string
 from repro.workloads import small_workload
-from tests.routes import jit_kernel, no_batch_kernel
+from tests.routes import walker
 
 
 @pytest.fixture(scope="module")
@@ -24,63 +24,6 @@ def strings(workload):
 
 
 class TestRouting:
-    @pytest.mark.parametrize("network", ["contention-free", "nic"])
-    def test_batch_runs_jit_kernel_when_numba_imports(self, workload, network):
-        with jit_kernel():
-            svc = EvaluationService(workload, network)
-        assert svc.kernel_tier == "jit"
-
-    def test_unkernelled_network_falls_back_sequential(self, workload):
-        # a network without a kernel loops the scalar backend and
-        # *visibly* reports so — the fallback must never be silent
-        with jit_kernel(), no_batch_kernel("nic"):
-            svc = EvaluationService(workload, "nic")
-        assert svc.kernel_tier == "sequential"
-        ref = ContentionSimulator(workload)
-        strings = [
-            random_valid_string(workload.graph, workload.num_machines, s)
-            for s in range(3)
-        ]
-        assert svc.batch_string_makespans(strings) == [
-            ref.string_makespan(s) for s in strings
-        ]
-        assert svc.evaluations == len(strings)
-
-    @pytest.mark.parametrize("initial", [None, "busy"])
-    @pytest.mark.parametrize("prefer_batch", [True, False])
-    @pytest.mark.parametrize("platform", ["uniform", "spot", "cloud"])
-    @pytest.mark.parametrize("network", ["contention-free", "nic"])
-    def test_route_pin_table(
-        self, workload, network, platform, prefer_batch, initial
-    ):
-        # numba present: the kernel serves the service iff batching is
-        # preferred and the backend starts idle (cloud boots are state)
-        busy = [1.0] * workload.num_machines if initial == "busy" else None
-        with jit_kernel():
-            svc = EvaluationService(
-                workload,
-                network,
-                prefer_batch=prefer_batch,
-                platform=platform,
-                initial_avail=busy,
-            )
-        served = prefer_batch and initial is None and platform != "cloud"
-        assert svc.kernel_tier == ("jit" if served else "sequential")
-
-    def test_prefer_batch_false_disables_kernel(self, workload):
-        with jit_kernel():
-            svc = EvaluationService(workload, prefer_batch=False)
-        assert svc.kernel_tier == "sequential"
-
-    def test_no_numba_loops_the_scalar_walker(self, workload, monkeypatch):
-        from repro.schedule import jit as jit_mod
-
-        monkeypatch.setattr(jit_mod, "_NUMBA_OK", False)
-        for network in ("contention-free", "nic"):
-            assert EvaluationService(workload, network).kernel_tier == (
-                "sequential"
-            )
-
     def test_unknown_network_rejected(self, workload):
         with pytest.raises(ValueError, match="unknown network"):
             EvaluationService(workload, "token-ring")
@@ -98,7 +41,7 @@ class TestRouting:
         assert got == [ref.string_makespan(s) for s in strings]
 
     def test_batch_without_wrapper_loops_scalar(self, workload, strings):
-        svc = EvaluationService(workload, prefer_batch=False)
+        svc = EvaluationService(workload)
         ref = Simulator(workload)
         assert svc.batch_string_makespans(strings) == [
             ref.string_makespan(s) for s in strings
@@ -108,6 +51,29 @@ class TestRouting:
         assert svc.batch_makespans(orders, machines) == [
             ref.makespan(o, m) for o, m in zip(orders, machines)
         ]
+
+    @pytest.mark.parametrize("initial", [None, "busy"])
+    @pytest.mark.parametrize("tier", ["compiled", "python"])
+    @pytest.mark.parametrize("platform", ["uniform", "spot", "cloud"])
+    @pytest.mark.parametrize("network", ["contention-free", "nic"])
+    def test_batch_route_table(
+        self, workload, strings, network, platform, tier, initial
+    ):
+        # boot delays (cloud) and residual machine state reach the
+        # batch rows exactly as they reach a single scalar call
+        busy = [1.0] * workload.num_machines if initial == "busy" else None
+        with walker(tier):
+            svc = EvaluationService(
+                workload, network, platform=platform, initial_avail=busy
+            )
+            ref = make_simulator(
+                workload, network, platform=platform, initial_avail=busy
+            )
+        assert svc.walker_tier == ref.walker_tier
+        assert svc.batch_string_makespans(strings) == [
+            ref.string_makespan(s) for s in strings
+        ]
+        assert svc.evaluations == len(strings)
 
     def test_delta_matches_full(self, workload, strings):
         svc = EvaluationService(workload)

@@ -21,7 +21,6 @@ from repro.optim.objective import (
 )
 from repro.schedule.operations import random_valid_string
 from repro.workloads import WorkloadSpec, build_workload
-from tests.routes import jit_kernel
 
 OBJ = "weighted:0.01:0.02"
 
@@ -81,14 +80,6 @@ class TestWeightedObjective:
         with pytest.raises(ValueError, match="at least one"):
             weighted(0.0, 0.0)
 
-    def test_scalarize_arrays_matches_scalar(self):
-        obj = weighted(0.3, 0.7)
-        spans = np.array([10.0, 20.0, 30.0])
-        costs = np.array([1.0, 2.0, 3.0])
-        assert obj.scalarize_arrays(spans, costs).tolist() == [
-            obj.scalarize(s, c) for s, c in zip(spans, costs)
-        ]
-
     def test_span_cutoff_inverts_the_scalar(self):
         obj = weighted(2.0, 0.5)
         cost = 10.0
@@ -137,7 +128,7 @@ class TestObjectiveBackend:
         assert svc.schedule_of(s).makespan == score.makespan
 
     def test_delta_tier_matches_full_eval(self, workload):
-        svc = self.service(workload, prefer_batch=False)
+        svc = self.service(workload)
         base, probe = strings(workload, 2, seed=3)
         state = svc.prepare(base.order, base.machines)
         got = svc.evaluate_delta(probe.order, probe.machines, 0, state)
@@ -146,7 +137,7 @@ class TestObjectiveBackend:
         )
 
     def test_delta_cutoff_prunes_exactly_non_improving(self, workload):
-        svc = self.service(workload, prefer_batch=False)
+        svc = self.service(workload)
         base, *probes = strings(workload, 12, seed=4)
         cutoff = svc.string_makespan(base)
         for p in probes:
@@ -160,8 +151,7 @@ class TestObjectiveBackend:
             else:
                 assert got == float("inf")  # the rest are pruned
 
-    # spot has no boot, so a kernel scores its batches; cloud's boot
-    # delays are initial state, so the service loops the scalar backend
+    # spot has no boot; cloud's boot delays are initial state
     ROUTES = pytest.mark.parametrize(
         "network,platform",
         [
@@ -173,10 +163,7 @@ class TestObjectiveBackend:
 
     @ROUTES
     def test_batch_columns_scalarized(self, workload, network, platform):
-        with jit_kernel():
-            svc = self.service(workload, network=network, platform=platform)
-        # cloud's boot delays keep the batch on the scalar loop
-        assert svc.kernel_tier == ("jit" if platform == "spot" else "sequential")
+        svc = self.service(workload, network=network, platform=platform)
         ss = strings(workload, 8, seed=5)
         want = [
             svc.scalarize(sc.makespan, sc.cost)
@@ -219,7 +206,6 @@ class TestCostAwareEngines:
                 workload,
                 platform="spot",
                 objective=objective,
-                prefer_batch=False,
             )
             res = run(
                 workload,

@@ -139,9 +139,9 @@ def _count_scoring_calls(monkeypatch):
         calls["delta"] += 1
         return delta(self, *args, **kwargs)
 
-    def spy_batch(self, strings, validate=True):
+    def spy_batch(self, strings):
         calls["batch"] += 1
-        return batch(self, strings, validate=validate)
+        return batch(self, strings)
 
     monkeypatch.setattr(EvaluationService, "evaluate_delta", spy_delta)
     monkeypatch.setattr(
@@ -203,12 +203,6 @@ class TestScoringRoute:
         assert not service.prefers_delta
         calls = self.run_counted(tiny_workload, service, monkeypatch)
         assert calls == {"delta": 0, "batch": self.ITERATIONS}
-
-    def test_jit_tier_keeps_the_batch_route(self, tiny_workload, monkeypatch):
-        monkeypatch.setattr(
-            EvaluationService, "kernel_tier", property(lambda self: "jit")
-        )
-        assert not EvaluationService(tiny_workload).prefers_delta
 
 
 class TestNicBackend:

@@ -32,7 +32,7 @@ class TestRace:
         assert "3 iterations" in out
         assert "thread mode" in out
 
-    def test_verbose_reports_kernel_tier_per_island(self, capsys):
+    def test_verbose_reports_start_offset_per_island(self, capsys):
         rc = main(
             ["race", "--preset", "small", "--seed", "1",
              "--engines", "se,tabu", "--iterations", "3",
@@ -40,11 +40,11 @@ class TestRace:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        tier_lines = [
-            ln for ln in out.splitlines() if "kernel tier" in ln
+        island_lines = [
+            ln for ln in out.splitlines() if "started +" in ln
         ]
-        assert len(tier_lines) == 2
-        assert all("island" in ln for ln in tier_lines)
+        assert len(island_lines) == 2
+        assert all(ln.startswith("island ") for ln in island_lines)
         assert "combined anytime curve" in out
 
     def test_output_writes_race_summary_json(self, tmp_path, capsys):

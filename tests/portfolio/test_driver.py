@@ -242,7 +242,6 @@ def make_island(island, kind, best, anytime, offset=0.0):
         iterations=3,
         evaluations=10,
         stopped_by="max_iterations",
-        kernel_tier="vectorized",
         published=1,
         received=0,
         start_offset=offset,

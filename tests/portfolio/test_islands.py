@@ -12,7 +12,6 @@ from repro.portfolio import (
 from repro.portfolio.islands import UNBOUNDED, engine_defaults
 from repro.runner.spec import derive_seed
 from repro.workloads import small_workload
-from tests.routes import jit_kernel
 
 
 class TestEngineDefaults:
@@ -106,44 +105,16 @@ class TestRunIsland:
         (spec,) = build_islands(
             (kind,), 1, 3, None, iters, "contention-free", "uniform"
         )
-        with jit_kernel():
-            out = run_island(spec, small_workload(seed=3))
+        out = run_island(spec, small_workload(seed=3))
         assert out.kind == kind
         assert out.best_makespan > 0
         assert out.evaluations > 0
         assert out.published == out.received == 0  # no channel attached
-        # the tier that served the run (numba marked available): SE's
-        # delta probes and SA's single proposals ask their service for
-        # no batch kernel
-        batched = kind in ("ga", "tabu")
-        assert (out.kernel_tier != "sequential") == batched
         # the anytime list is the strict best-so-far staircase
         costs = [c for _, c in out.anytime]
         assert costs == sorted(costs, reverse=True)
         assert len(set(costs)) == len(costs)
         assert costs and costs[-1] == out.best_makespan
-
-    @pytest.mark.parametrize("platform", ["uniform", "cloud"])
-    @pytest.mark.parametrize(
-        "kind, prefer_batch", [("se", False), ("tabu", True)]
-    )
-    def test_kernel_tier_is_the_served_tier(self, kind, prefer_batch, platform):
-        """Islands report the tier their evaluation service used, not
-        the network's capability: SE's delta probes and every engine on
-        the boot-delay ``cloud`` platform run the sequential fallback."""
-        from repro.optim import EvaluationService
-
-        w = small_workload(seed=3)
-        (spec,) = build_islands(
-            (kind,), 1, 3, None, 2, "contention-free", platform
-        )
-        out = run_island(spec, w)
-        service = EvaluationService(
-            w, "contention-free", prefer_batch=prefer_batch, platform=platform
-        )
-        assert out.kernel_tier == service.kernel_tier
-        if not prefer_batch or platform == "cloud":
-            assert out.kernel_tier == "sequential"
 
     def test_channel_wires_exchange_counters(self):
         channel = LocalChannel()

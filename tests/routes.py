@@ -1,13 +1,4 @@
-"""Force an engine onto one batch route, or a simulator onto one
-walker tier.
-
-Engines carry no batch switch: the
-:class:`~repro.optim.evaluation.EvaluationService` picks the route from
-the kernel the network table lists and from whether numba imports.
-Tests that pin the sequential route drop the kernel from the table for
-the duration of a block; tests that pin the kernel route mark numba
-available, so the kernel runs (as plain Python where numba is absent).
-"""
+"""Force a simulator onto one walker tier."""
 
 from __future__ import annotations
 
@@ -15,27 +6,6 @@ from contextlib import contextmanager
 from typing import Iterator
 
 import pytest
-
-from repro.schedule import backend as backend_mod
-
-
-@contextmanager
-def no_batch_kernel(network: str = backend_mod.DEFAULT_NETWORK) -> Iterator[None]:
-    """Drop *network*'s batch kernel from the table."""
-    scalar = backend_mod._NETWORK_TABLE[network][0]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(backend_mod._NETWORK_TABLE, network, (scalar, None))
-        yield
-
-
-@contextmanager
-def jit_kernel() -> Iterator[None]:
-    """Select the ``jit`` tier inside the block, numba or not."""
-    from repro.schedule import jit
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(jit, "_NUMBA_OK", True)
-        yield
 
 
 @contextmanager

@@ -1,43 +1,14 @@
-"""Pool initializer warmup and cache-write cleanup (runner satellites)."""
+"""Atomic cache stores: a failed write or rename leaves no scratch file."""
 
 import json
 
 import pytest
 
-from repro.runner import run_experiment, warmup_worker
+from repro.runner import run_experiment
 from repro.runner.pool import _store_cached, _tmp_path
 from repro.runner.results import RESULT_SCHEMA_VERSION
 from repro.runner.spec import AlgorithmSpec, ExperimentSpec
-from repro.schedule import jit
 from repro.workloads import WorkloadSpec
-
-
-class TestWarmupWorker:
-    def test_noop_on_sequential_tier(self, monkeypatch):
-        monkeypatch.setattr(jit, "_NUMBA_OK", False)
-        monkeypatch.setattr(jit, "warmup", lambda workload=None: 1 / 0)
-        assert warmup_worker() is False
-
-    def test_warms_when_compiled_tier_selected(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(jit, "_NUMBA_OK", True)
-        monkeypatch.setattr(
-            jit, "warmup", lambda workload=None: calls.append(1) or True
-        )
-        assert warmup_worker() is True
-        assert calls == [1]
-
-    def test_runs_in_current_container(self):
-        # whatever tier the container has, the initializer must succeed
-        assert warmup_worker() in (True, False)
-
-    def test_wired_as_pool_initializer(self):
-        import inspect
-
-        from repro.runner import pool
-
-        src = inspect.getsource(pool.run_experiment)
-        assert "initializer=warmup_worker" in src
 
 
 class TestStoreCachedCleanup:

@@ -21,14 +21,12 @@ from repro.optim.evaluation import EvaluationService
 from repro.schedule import make_simulator
 from repro.schedule.backend import (
     available_platforms,
-    platform_cost_vectorized,
     platform_state,
     register_platform,
     resolve_platform,
 )
 from repro.schedule.operations import random_valid_string
 from repro.workloads import WorkloadSpec, build_workload
-from tests.routes import jit_kernel
 
 
 @pytest.fixture
@@ -133,11 +131,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             register_platform(PlatformSpec("uniform"))
 
-    def test_cost_vectorized_iff_zero_boot(self):
-        assert platform_cost_vectorized("uniform")
-        assert platform_cost_vectorized("spot")
-        assert not platform_cost_vectorized("cloud")  # 0.3 boot everywhere
-
 
 class TestBootSemantics:
     def test_platform_state_folds_boot_into_avail(self, workload):
@@ -164,14 +157,6 @@ class TestBootSemantics:
         assert min(sched.start) >= boot
         assert booted.string_makespan(s) >= plain.string_makespan(s)
 
-    def test_boot_routes_batch_to_sequential_fallback(self, workload):
-        with jit_kernel():
-            tiers = [
-                EvaluationService(workload, platform=p).kernel_tier
-                for p in ("uniform", "spot", "cloud")
-            ]
-        assert tiers == ["jit", "jit", "sequential"]
-
 
 class TestUniformBitIdentity:
     """platform="uniform" is the historical path, bit for bit."""
@@ -197,12 +182,10 @@ class TestUniformBitIdentity:
         assert uniform.cost_model is None
 
     @pytest.mark.parametrize("network", ["contention-free", "nic"])
-    def test_batch_kernels_bit_identical(self, workload, network):
+    def test_batch_route_bit_identical(self, workload, network):
         strings = [self._string(workload, seed) for seed in range(20)]
         plain = EvaluationService(workload, network)
-        with jit_kernel():
-            uniform = EvaluationService(workload, network, platform="uniform")
-        assert uniform.kernel_tier == "jit"  # uniform never forces the loop
+        uniform = EvaluationService(workload, network, platform="uniform")
         got = uniform.batch_string_makespans(strings)
         assert got == plain.batch_string_makespans(strings)
 

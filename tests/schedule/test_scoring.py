@@ -1,20 +1,16 @@
 """CostModel / ScheduleScore — the billing arithmetic.
 
 Cost is per-task (``price[machine] * scaled exec time``, summed), so it
-depends on the matching string alone; the batch tier's ``batch_costs``
-must reproduce the scalar loop bit for bit, since the vectorized cost
-column rides the same guarantee the batch makespan kernels pin.
+depends on the matching string alone.
 """
 
 import numpy as np
 import pytest
 
 from repro.schedule import make_simulator
-from repro.schedule.backend import batch_kernel_factory
 from repro.schedule.operations import random_valid_string
 from repro.schedule.scoring import CostModel, ScheduleScore
 from repro.workloads import WorkloadSpec, build_workload
-from tests.routes import jit_kernel
 
 E = np.array([[2.0, 4.0, 1.0], [1.0, 1.0, 5.0]])
 PRICES = [0.1, 1.0]
@@ -68,25 +64,6 @@ class TestScalarTier:
         assert not cm.is_free
 
 
-class TestBatchTier:
-    def test_batch_costs_match_scalar_loop_bit_for_bit(self):
-        rng = np.random.default_rng(0)
-        l, k = 7, 40
-        model = CostModel(
-            rng.uniform(0.5, 50.0, size=(l, k)), rng.uniform(0, 2, size=l)
-        )
-        machines = rng.integers(0, l, size=(64, k))
-        assert model.batch_costs(machines).tolist() == [
-            model.cost(row) for row in machines
-        ]
-
-    def test_batch_shape_validated(self, cm):
-        with pytest.raises(ValueError, match="machines"):
-            cm.batch_costs(np.zeros((4, 99), dtype=int))
-        with pytest.raises(ValueError, match="machines"):
-            cm.batch_costs(np.zeros(3, dtype=int))
-
-
 class TestBackendIntegration:
     """The priced backend's scores agree with a hand-built CostModel."""
 
@@ -95,26 +72,6 @@ class TestBackendIntegration:
         return build_workload(
             WorkloadSpec(num_tasks=14, num_machines=4, seed=3)
         )
-
-    @pytest.mark.parametrize("network", ["contention-free", "nic"])
-    def test_batch_scores_agree_with_scalar_scores(self, workload, network):
-        # the evaluation service's kernel route: makespans from the
-        # network's kernel, costs from one gather into the billing table
-        sim = make_simulator(workload, network, platform="spot")
-        with jit_kernel():
-            kernel = batch_kernel_factory(network)(sim.workload)
-        rng = np.random.default_rng(9)
-        strings = [
-            random_valid_string(workload.graph, workload.num_machines, rng)
-            for _ in range(16)
-        ]
-        spans = kernel.string_makespans(strings)
-        costs = sim.cost_model.batch_costs(
-            np.array([s.machines for s in strings])
-        )
-        singles = [sim.string_score(s) for s in strings]
-        assert spans.tolist() == [s.makespan for s in singles]
-        assert costs.tolist() == [s.cost for s in singles]
 
     def test_backend_cost_matches_hand_model(self, workload):
         sim = make_simulator(workload, platform="spot")

@@ -162,8 +162,6 @@ def test_scalarize_ignores_cost():
     """Scenario objectives rank by the reduced makespan statistic only."""
     obj = resolve_objective("quantile:0.9")
     assert obj.scalarize(12.0, 99.0) == 12.0
-    spans = np.array([1.0, 2.0])
-    assert (obj.scalarize_arrays(spans, np.array([5.0, 5.0])) == spans).all()
 
 
 def test_is_deterministic_flag_consistency():

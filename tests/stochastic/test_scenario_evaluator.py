@@ -14,7 +14,7 @@ from repro.stochastic import (
     sample_scenarios,
 )
 from repro.workloads import small_workload
-from tests.routes import jit_kernel
+from tests.routes import walker
 
 NETWORKS = ("contention-free", "nic")
 
@@ -43,14 +43,14 @@ def test_single_deterministic_scenario_is_bit_identical(network):
 
 
 @pytest.mark.parametrize("network", NETWORKS)
-def test_vectorized_matches_sequential_fallback(network):
-    """Kernel-built scenario rows == scalar simulator per scenario."""
+def test_matrix_identical_across_walker_tiers(network):
+    """The per-scenario loops score the same floats on either tier."""
     w = small_workload(seed=2)
     scen = sample_scenarios(w, "lognormal:0.3", scenarios=4, seed=5)
-    with jit_kernel():
+    with walker("compiled"):
         fast = ScenarioEvaluator(scen, network=network)
-    slow = ScenarioEvaluator(scen, network=network, prefer_batch=False)
-    assert (fast.kernel_tier, slow.kernel_tier) == ("jit", "sequential")
+    with walker("python"):
+        slow = ScenarioEvaluator(scen, network=network)
     strings = _strings(w, 5)
     assert (
         fast.string_matrix(strings).tolist()

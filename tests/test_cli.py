@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import PRESETS, build_parser, main
-from tests.routes import no_batch_kernel
 
 
 class TestParser:
@@ -235,95 +234,22 @@ class TestAlgorithmsCommand:
         assert "unknown algorithms" in msg
         assert "tabu" in msg and "neighborhood_size" in msg
 
-    def test_lists_network_batch_modes(self, capsys, monkeypatch):
-        # without numba both built-in networks batch on the scalar
-        # loop; the listing is what makes the route visible
-        from repro.schedule import jit as jit_mod
-
-        monkeypatch.setattr(jit_mod, "_NUMBA_OK", False)
+    def test_lists_networks(self, capsys):
         main(["algorithms"])
         out = capsys.readouterr().out
-        assert "network models" in out
-        assert "contention-free" in out
-        assert "nic" in out
-        assert out.count("batch evaluation: sequential loop") == 2
-        assert "vectorized" not in out
-
-    def test_lists_sequential_fallback_when_no_kernel(self, capsys, monkeypatch):
-        from repro.schedule import jit as jit_mod
-
-        monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
-        with no_batch_kernel("nic"):
-            main(["algorithms"])
-        out = capsys.readouterr().out
-        assert out.count("batch evaluation: sequential loop") == 1
-        assert out.count("jit kernel (numba-compiled)") == 1
-
-    def test_lists_jit_tier_when_numba_selected(self, capsys, monkeypatch):
-        # numba-present path without requiring numba: selection reads
-        # the module flag, and `algorithms` only *lists* tiers (never
-        # compiles), so forcing the flag is an honest probe
-        from repro.schedule import jit as jit_mod
-
-        monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
-        main(["algorithms"])
-        out = capsys.readouterr().out
-        assert out.count("jit kernel (numba-compiled)") == 2
-        assert "batch evaluation: sequential" not in out
+        assert "network models (--network):" in out
+        assert "  contention-free\n" in out
+        assert "  nic\n" in out
+        assert "batch evaluation" not in out
 
 
 class TestRunVerbose:
-    def test_verbose_reports_sequential_nic(self, capsys, monkeypatch):
-        from repro.schedule import jit as jit_mod
-
-        monkeypatch.setattr(jit_mod, "_NUMBA_OK", False)
-        rc = main(
-            ["run", "--algo", "heft", "--preset", "small", "--seed", "1",
-             "--network", "nic", "--verbose"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert (
-            "network 'nic': batch evaluation via sequential loop over the "
-            "scalar walker" in out
-        )
-
-    def test_verbose_reports_jit_tier(self, capsys, monkeypatch):
-        # heft never batch-scores, so the run completes regardless of
-        # whether the forced flag is backed by a real numba install
-        from repro.schedule import jit as jit_mod
-
-        monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
-        rc = main(
-            ["run", "--algo", "heft", "--preset", "small", "--seed", "1",
-             "--network", "nic", "--verbose"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert (
-            "network 'nic': batch evaluation via jit kernel "
-            "(numba-compiled)" in out
-        )
-
-    def test_verbose_reports_sequential_fallback(self, capsys):
-        with no_batch_kernel("nic"):
-            rc = main(
-                ["run", "--algo", "heft", "--preset", "small", "--seed", "1",
-                 "--network", "nic", "--verbose"]
-            )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert (
-            "network 'nic': batch evaluation via sequential loop over the "
-            "scalar walker" in out
-        )
-
     def test_quiet_by_default(self, capsys):
         main(
             ["run", "--algo", "heft", "--preset", "small", "--seed", "1",
              "--network", "nic"]
         )
-        assert "batch evaluation" not in capsys.readouterr().out
+        assert "scalar walker" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("forced", [False, True])
     def test_verbose_reports_the_scalar_walker(self, capsys, monkeypatch,
@@ -426,17 +352,14 @@ class TestPlatformFlag:
             main(["run", "--algo", "heft", "--preset", "small",
                   "--platform", "mainframe"])
 
-    def test_verbose_lists_platform_cost_paths(self, capsys):
+    def test_verbose_lists_platforms(self, capsys):
         main(
             ["run", "--algo", "heft", "--preset", "small", "--seed", "1",
              "--verbose"]
         )
         out = capsys.readouterr().out
-        assert "platform catalogs (--platform)" in out
-        # spot + uniform may use the kernel's cost column; cloud's boot
-        # delays keep batches on the scalar loop
-        assert out.count("cost scoring: batch kernel when jit serves") == 2
-        assert "scalar loop (boot delays)" in out
+        assert "platform catalogs (--platform):" in out
+        assert "0.3 boot" in out  # cloud's description
 
     def test_algorithms_lists_platforms(self, capsys):
         main(["algorithms"])
@@ -558,19 +481,3 @@ class TestRunThroughEngineTable:
         )
         # fewer evaluations than even one sample per --iterations unit
         assert 0 < evaluations < 100000
-
-    def test_verbose_reports_the_served_tier(self, capsys, monkeypatch):
-        # SE's delta probes build no batch kernel, even on the jit tier
-        from repro.schedule import jit as jit_mod
-
-        monkeypatch.setattr(jit_mod, "_NUMBA_OK", True)
-        rc = main(
-            ["run", "--algo", "se", "--preset", "small", "--seed", "1",
-             "--iterations", "2", "--verbose"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert (
-            "network 'contention-free': batch evaluation via sequential "
-            "loop over the scalar walker" in out
-        )

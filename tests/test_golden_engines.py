@@ -24,8 +24,9 @@ Two later additions ride on the same goldens:
   during regeneration), but ``evaluations`` shrank because batch
   scoring counts one evaluation per chromosome — the accounting of the
   contention-free cells too, and of the GA's only route today.
-  ``TestGoldenBothBackends`` pins that the kernel and the forced-scalar
-  path produce bit-identical *search results* under ``"nic"``.
+
+``TestGoldenPythonWalker`` reruns every cell on the Python walker, so
+the goldens pin both walker tiers.
 """
 
 import json
@@ -38,7 +39,7 @@ from repro.baselines import GAConfig, GeneticAlgorithm, random_search
 from repro.core import SEConfig, SimulatedEvolution
 from repro.optim import TabuConfig, TabuSearch
 from repro.workloads import WorkloadSpec, build_workload, small_workload
-from tests.routes import no_batch_kernel
+from tests.routes import walker
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_engines.json"
 
@@ -128,51 +129,26 @@ class TestGoldenBitIdentity:
         assert strip_time(res.trace.to_rows()) == strip_time(g["trace"])
 
 
-class TestGoldenBothBackends:
-    """The NIC kernel and the scalar fallback agree on whole runs.
+class TestGoldenPythonWalker(TestGoldenBitIdentity):
+    """The same goldens hold when the Python walker scores every call,
+    batches and deltas included: the walker tier changes no search
+    decision and no ``evaluations`` count."""
 
-    These runs force the *scalar* batch path (by unregistering the
-    network's batch kernels) and compare against the same goldens'
-    search results — so the goldens pin the vectorized path and these
-    pin the sequential one, proving bit-identical results on both
-    backends.
-    """
+    @pytest.fixture(autouse=True)
+    def _python_walker(self):
+        with walker("python"):
+            yield
 
-    @pytest.mark.parametrize(
-        "key,expected",
-        [kv for kv in golden_cells() if "|nic|" in kv[0]],
-    )
-    def test_ga_scalar_path_same_results(self, key, expected):
-        w, network, seed = parse_key(key)
-        with no_batch_kernel(network):
-            res = GeneticAlgorithm(
-                GAConfig(
-                    seed=seed,
-                    population_size=8,
-                    max_generations=6,
-                    stall_generations=None,
-                    network=network,
-                )
-            ).run(w)
-        g = expected["ga"]
-        assert res.best_makespan == g["best_makespan"]
-        assert list(res.best_string.order) == g["best_string"]["order"]
-        assert list(res.best_string.machines) == g["best_string"]["machines"]
-        assert res.generations == g["generations"]
-        # the scalar loop counts one evaluation per chromosome, exactly
-        # like the kernel route
-        assert res.evaluations == g["evaluations"]
-        rows = strip_time(res.trace.to_rows())
-        want = strip_time(g["trace"])
-        for got_row, want_row in zip(rows, want):
-            assert got_row["best_makespan"] == want_row["best_makespan"]
-            assert got_row["current_makespan"] == want_row["current_makespan"]
+
+class TestGoldenChunking:
+    """Random search scored one sample per batch call reproduces the
+    goldens, which were recorded with the default chunk size."""
 
     @pytest.mark.parametrize(
         "key,expected",
         [kv for kv in golden_cells() if "|nic|" in kv[0]],
     )
-    def test_random_scalar_path_same_results(self, key, expected):
+    def test_random_unchunked_same_results(self, key, expected):
         w, network, seed = parse_key(key)
         res = random_search(
             w, samples=40, seed=seed, network=network, batch_size=1
