@@ -8,8 +8,6 @@ from repro.analysis.anytime import (
 )
 from repro.analysis.ascii_plot import Series, line_plot, sparkline
 from repro.analysis.grid import (
-    Algorithm,
-    GridAlgorithm,
     GridCellResult,
     GridResult,
     grid_from_experiment,
@@ -100,8 +98,6 @@ __all__ = [
     "speedup_to_reach",
     "stagnation",
     "time_to_target",
-    "Algorithm",
-    "GridAlgorithm",
     "GridCellResult",
     "GridResult",
     "grid_from_experiment",

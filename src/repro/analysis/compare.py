@@ -235,8 +235,8 @@ def compare_named(
 
     *network* selects the simulator backend every engine optimises
     against (``repro compare --network nic`` races the engines under
-    NIC contention; batch-scoring engines pick up the network's
-    batch route automatically).  *platform* races them on one
+    NIC contention; every engine, batch-scoring ones included, scores
+    through that network's scalar backend).  *platform* races them on one
     machine catalog (speed-scaled matrix + boot state; the default
     ``"uniform"`` changes nothing).
     """

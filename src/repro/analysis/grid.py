@@ -11,9 +11,7 @@ records between any two algorithms conditioned on a class value.
 Execution goes through :mod:`repro.runner`: pass algorithms as
 :class:`~repro.runner.spec.AlgorithmSpec` values and :func:`run_grid`
 fans the whole grid out over ``workers`` processes with optional
-resume-from-cache.  Plain ``workload -> makespan`` callables are still
-accepted for ad-hoc in-process experiments (they cannot cross process
-boundaries, so they imply ``workers=1``).
+resume-from-cache.
 """
 
 from __future__ import annotations
@@ -21,32 +19,23 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from repro.analysis.report import markdown_table
 from repro.analysis.stats import WinLossRecord, geometric_mean, win_loss
-from repro.model.workload import Workload
 from repro.runner.pool import ProgressFn, run_experiment
 from repro.runner.results import ExperimentResult
 from repro.runner.spec import AlgorithmSpec, ExperimentSpec
 from repro.schedule.backend import DEFAULT_NETWORK, DEFAULT_PLATFORM
-from repro.schedule.metrics import normalized_makespan
 from repro.workloads.suite import WorkloadSuite
-
-#: An in-process algorithm for the grid: workload -> makespan.
-Algorithm = Callable[[Workload], float]
-
-#: Grid entries are either registry specs (parallelisable) or callables.
-GridAlgorithm = Union[AlgorithmSpec, Algorithm]
-
 
 @dataclass(frozen=True)
 class GridCellResult:
     """One (workload, algorithm) measurement.
 
     ``network`` records which simulator backend produced the makespan
-    (``"contention-free"`` | ``"nic"`` | custom), so mixed-scenario
-    grids stay disaggregable.  ``platform`` / ``cost`` carry the
+    (``"contention-free"`` | ``"nic"``), so mixed-scenario grids stay
+    disaggregable.  ``platform`` / ``cost`` carry the
     machine-catalog scenario and the winning schedule's dollar cost
     (0.0 on the free default ``"uniform"`` platform).
     """
@@ -200,7 +189,7 @@ def grid_from_experiment(result: ExperimentResult) -> GridResult:
 
 def run_grid(
     suite: WorkloadSuite,
-    algorithms: Mapping[str, GridAlgorithm],
+    algorithms: Mapping[str, AlgorithmSpec],
     workers: int = 1,
     cache_dir: Optional[str | Path] = None,
     progress: Optional[ProgressFn] = None,
@@ -209,57 +198,25 @@ def run_grid(
 ) -> GridResult:
     """Run every algorithm on every suite cell; returns all measurements.
 
-    With :class:`~repro.runner.spec.AlgorithmSpec` values the grid runs
-    through :func:`repro.runner.run_experiment` — sweeps shard across
-    *workers* processes and finished cells resume from *cache_dir*.
-    Callable values run in-process and serially (a callable cannot be
-    shipped to a worker), so they reject ``workers > 1``.
+    The grid runs through :func:`repro.runner.run_experiment`, so sweeps
+    shard across *workers* processes and finished cells resume from
+    *cache_dir*.
     """
     if not algorithms:
         raise ValueError("need at least one algorithm")
-    specs = {
-        n: a for n, a in algorithms.items() if isinstance(a, AlgorithmSpec)
-    }
-    callables = {n: a for n, a in algorithms.items() if n not in specs}
-    if callables and workers > 1:
-        raise ValueError(
-            "workers > 1 requires every algorithm to be an AlgorithmSpec "
-            f"(callables cannot cross process boundaries): {sorted(callables)}"
-        )
-
-    result = GridResult()
-    if specs:
-        experiment = ExperimentSpec(
-            name=name,
-            algorithms=specs,
-            workloads=[cell.spec for cell in suite],
-            seeds=(0,),
-            base_seed=base_seed,
-        )
-        exp_result = run_experiment(
+    experiment = ExperimentSpec(
+        name=name,
+        algorithms=algorithms,
+        workloads=[cell.spec for cell in suite],
+        seeds=(0,),
+        base_seed=base_seed,
+    )
+    return grid_from_experiment(
+        run_experiment(
             experiment,
             workers=workers,
             cache_dir=cache_dir,
             progress=progress,
             keep_traces=False,
         )
-        result.cells.extend(grid_from_experiment(exp_result).cells)
-
-    if callables:
-        for cell in suite:
-            w = cell.build()
-            c = w.classification
-            for algo_name, algo in callables.items():
-                m = float(algo(w))
-                result.cells.append(
-                    GridCellResult(
-                        workload_name=w.name,
-                        connectivity=c.connectivity,
-                        heterogeneity=c.heterogeneity,
-                        ccr=float(c.ccr if c.ccr is not None else float("nan")),
-                        algorithm=algo_name,
-                        makespan=m,
-                        normalized=normalized_makespan(w, m),
-                    )
-                )
-    return result
+    )

@@ -32,7 +32,7 @@ from repro.schedule.backend import (
     resolve_platform,
 )
 from repro.schedule.encoding import ScheduleString
-from repro.schedule.simulator import Schedule
+from repro.schedule.simulator import Schedule, _state_vector
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,20 @@ class IncrementalScheduleBuilder:
         # *original* inputs + platform, which applies the identical
         # transform.  On "uniform" all three pass through unchanged.
         self._platform = resolve_platform(platform)
+        # Online dispatch hands the builder machines already busy with
+        # earlier jobs; EFT queries and the final measurement then price
+        # that in-flight work (default: all idle at 0, the offline case).
+        # Both vectors are checked here, before the list schedule runs.
+        l = workload.num_machines
         self._given_avail = (
-            None if initial_avail is None else [float(a) for a in initial_avail]
+            None
+            if initial_avail is None
+            else _state_vector(initial_avail, l, "initial_avail")
         )
         self._given_nic_free = (
             None
             if initial_nic_free is None
-            else [float(a) for a in initial_nic_free]
+            else _state_vector(initial_nic_free, l, "initial_nic_free")
         )
         workload, initial_avail, initial_nic_free = platform_state(
             workload,
@@ -109,42 +116,12 @@ class IncrementalScheduleBuilder:
         self._graph = workload.graph
         self._E = workload.exec_times.values.tolist()
         self._finish: dict[int, float] = {}
-        # Online dispatch hands the builder machines already busy with
-        # earlier jobs; EFT queries and the final measurement then price
-        # that in-flight work (default: all idle at 0, the offline case).
-        self._initial_avail = (
-            None if initial_avail is None else [float(a) for a in initial_avail]
-        )
-        self._initial_nic_free = (
-            None
-            if initial_nic_free is None
-            else [float(a) for a in initial_nic_free]
-        )
-        if self._initial_avail is None:
-            self._machine_avail = [0.0] * workload.num_machines
-        else:
-            if len(self._initial_avail) != workload.num_machines:
-                raise ValueError(
-                    f"initial_avail has {len(self._initial_avail)} entries "
-                    f"for {workload.num_machines} machines"
-                )
-            self._machine_avail = self._initial_avail.copy()
+        self._machine_avail = _state_vector(initial_avail, l, "initial_avail")
         self._machine_of: list[int | None] = [None] * workload.num_tasks
         self._order: list[int] = []
-        # NIC-free reservation per machine; only consulted under "nic"
-        # (a custom registered network gets contention-free estimates
-        # for its greedy decisions — we cannot guess its semantics —
-        # but is still measured through its real backend in to_result).
+        # NIC-free reservation per machine; only consulted under "nic".
         self._nic_aware = self._network == NIC_NETWORK
-        if self._initial_nic_free is None:
-            self._nic_free = [0.0] * workload.num_machines
-        else:
-            if len(self._initial_nic_free) != workload.num_machines:
-                raise ValueError(
-                    f"initial_nic_free has {len(self._initial_nic_free)} "
-                    f"entries for {workload.num_machines} machines"
-                )
-            self._nic_free = self._initial_nic_free.copy()
+        self._nic_free = _state_vector(initial_nic_free, l, "initial_nic_free")
         # per consumer: (producer, item) pairs in ascending item order
         incoming: list[list[tuple[int, int]]] = [
             [] for _ in range(workload.num_tasks)

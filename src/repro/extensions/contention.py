@@ -33,7 +33,11 @@ snapshots, per string position, the machine-availability vector, the
 NIC-free-time vector and the running span, plus the final item-arrival
 table; :meth:`ContentionSimulator.evaluate_delta` then re-scores a
 perturbed string suffix-only with branch-and-bound cutoff, bit-identical
-to a full evaluation.
+to a full evaluation.  Everything else (scoring, pickling, ``evaluate``'s
+schedule, ``finish_times``) is the shared scalar-backend base of
+:mod:`repro.schedule.simulator`; :meth:`ContentionSimulator.evaluate`
+adds the transfer records by replaying the pushes from the prepared
+finish times, with no second walk.
 
 One contention-specific subtlety: pushes happen *eagerly* when the
 producer runs, and a push's duration (and whether it happens at all)
@@ -52,12 +56,12 @@ from typing import Optional, Sequence
 
 from repro.model.workload import Workload
 from repro.schedule.encoding import ScheduleString
-from repro.schedule.scoring import CostModel, ScheduleScore
+from repro.schedule.scoring import CostModel
 from repro.schedule.simulator import (
     InvalidScheduleError,
     Schedule,
-    _state_vector,
-    _WalkerTier,
+    _PreparedState,
+    _ScalarBackend,
 )
 
 
@@ -122,7 +126,7 @@ class ContentionSchedule:
         )
 
 
-class ContentionDeltaState:
+class ContentionDeltaState(_PreparedState):
     """Per-position snapshot of one full contention evaluation.
 
     Produced by :meth:`ContentionSimulator.prepare`; consumed by
@@ -139,23 +143,18 @@ class ContentionDeltaState:
     restart point — see :meth:`ContentionSimulator.evaluate_delta`), the
     base ``order`` / ``machine_of`` copies, ``pos_of`` and, per task, the
     earliest base position among its producers (``producer_floor``, ``k``
-    for entry tasks) used to bound machine-reassignment effects.
+    for entry tasks; built from the simulator's *in_edges*) used to bound
+    machine-reassignment effects.
 
     Memory is ``O(k*l + p)``; building it costs one full evaluation.
     """
 
     __slots__ = (
-        "order",
-        "machine_of",
-        "pos_of",
-        "start",
-        "finish",
         "arrival",
         "avail_rows",
         "nic_rows",
         "span_prefix",
         "producer_floor",
-        "makespan",
     )
 
     def __init__(
@@ -168,36 +167,26 @@ class ContentionDeltaState:
         avail_rows: list[list[float]],
         nic_rows: list[list[float]],
         span_prefix: list[float],
-        producer_floor: list[int],
+        in_edges: list[tuple[tuple[int, int], ...]],
         makespan: float,
     ):
-        self.order = order
-        self.machine_of = machine_of
-        self.start = start
-        self.finish = finish
+        super().__init__(order, machine_of, start, finish, makespan)
         self.arrival = arrival
         self.avail_rows = avail_rows
         self.nic_rows = nic_rows
         self.span_prefix = span_prefix
+        k = len(order)
+        pos_of = self.pos_of
+        producer_floor = [k] * k
+        for t in range(k):
+            for prod, _item in in_edges[t]:
+                q = pos_of[prod]
+                if q < producer_floor[t]:
+                    producer_floor[t] = q
         self.producer_floor = producer_floor
-        self.makespan = makespan
-        pos_of = [0] * len(order)
-        for q, task in enumerate(order):
-            pos_of[task] = q
-        self.pos_of = pos_of
-
-    def as_schedule(self) -> Schedule:
-        """The fully evaluated base schedule (no re-walk needed)."""
-        return Schedule(
-            order=tuple(self.order),
-            machine_of=tuple(self.machine_of),
-            start=tuple(self.start),
-            finish=tuple(self.finish),
-            makespan=self.makespan,
-        )
 
 
-class ContentionSimulator(_WalkerTier):
+class ContentionSimulator(_ScalarBackend):
     """Schedule evaluation with per-machine outgoing-link serialisation.
 
     Full :class:`~repro.schedule.backend.SimulatorBackend`: the same
@@ -208,22 +197,7 @@ class ContentionSimulator(_WalkerTier):
     (:attr:`walker_tier`); the Python bodies are the fallback.
     """
 
-    __slots__ = (
-        "_workload",
-        "_k",
-        "_l",
-        "_p",
-        "_E",
-        "_pair",
-        "_in_edges",
-        "_out_edges",
-        "_avail0",
-        "_nic0",
-        "_cost_model",
-        "_c",
-        "_why",
-        "_ids",
-    )
+    __slots__ = ("_p", "_out_edges", "_avail0", "_nic0")
 
     def __init__(
         self,
@@ -232,17 +206,18 @@ class ContentionSimulator(_WalkerTier):
         initial_nic_free: Optional[Sequence[float]] = None,
         cost_model: Optional[CostModel] = None,
     ):
-        self._workload = workload
-        self._cost_model = cost_model
+        # Online-service support: seed the walk's machine-availability and
+        # NIC-free vectors from in-flight earlier work (default: idle at 0,
+        # bit-identical to the historical behaviour).
+        super().__init__(
+            workload,
+            cost_model,
+            initial_avail=initial_avail,
+            initial_nic_free=initial_nic_free,
+        )
+        self._avail0, self._nic0 = self._state0
         graph = workload.graph
-        self._k = graph.num_tasks
-        self._l = workload.num_machines
         self._p = graph.num_data_items
-        # Per consumer: (producer, item) pairs — the data inputs.
-        in_edges: list[list[tuple[int, int]]] = [[] for _ in range(self._k)]
-        for d in graph.data_items:
-            in_edges[d.consumer].append((d.producer, d.index))
-        self._in_edges = [tuple(es) for es in in_edges]
         # Per producer: (item, consumer) pairs in ascending item-index
         # order — the documented NIC push order, enforced here rather
         # than inherited from the graph's adjacency ordering.
@@ -253,118 +228,40 @@ class ContentionSimulator(_WalkerTier):
             )
             for t in range(self._k)
         ]
-        # Online-service support: seed the walk's machine-availability and
-        # NIC-free vectors from in-flight earlier work (default: idle at 0,
-        # bit-identical to the historical behaviour).
-        self._avail0 = _state_vector(initial_avail, self._l, "initial_avail")
-        self._nic0 = _state_vector(
-            initial_nic_free, self._l, "initial_nic_free"
-        )
         self._build_walker(
             self._in_edges, self._avail0, self._out_edges, self._nic0
         )
 
-    def __getstate__(self):
-        return self._workload, self._avail0, self._nic0, self._cost_model
-
-    def __setstate__(self, state) -> None:
-        self.__init__(*state)
-
-    @property
-    def workload(self) -> Workload:
-        return self._workload
-
-    # ------------------------------------------------------------------
-    # full evaluation
-    # ------------------------------------------------------------------
-
     def evaluate(self, string: ScheduleString) -> ContentionSchedule:
         """Full evaluation of *string* under NIC contention.
 
-        Records every transfer, so it stays a Python walk on both walker
-        tiers.  The Python tier reads its nested-list tables; the compiled
-        tier, which never builds them, reads the matrices' accessors (the
-        same float64 values).
+        One :meth:`prepare` walk gives the schedule; the transfers are
+        then replayed from its finish times: per task in string order,
+        each cross-machine output in item order on the producer's NIC.
+        Those are the walk's own float operations, so the records are
+        exact on both walker tiers.
         """
-        order = string.order
-        machine_of = string.machines
-        self._check_string(order, machine_of)
-        if self._E is None:
-            exec_time = self._workload.exec_times.time
-            transfer = self._workload.transfer_times.time
-        else:
-            E, pair = self._E, self._pair
-
-            def exec_time(m: int, task: int) -> float:
-                return E[m][task]
-
-            def transfer(src: int, dst: int, item: int) -> float:
-                return pair[src][dst][item]
-
-        k = self._k
-        in_edges = self._in_edges
-        out_edges = self._out_edges
-
-        start = [0.0] * k
-        finish = [-1.0] * k
-        machine_avail = self._avail0[:]
+        schedule = super().evaluate(string)
+        transfer = self._workload.transfer_times.time
+        machine_of = schedule.machine_of
+        finish = schedule.finish
         nic_free = self._nic0[:]
-        arrival = [0.0] * self._p
         transfers: list[TransferRecord] = []
-        span = 0.0
-
-        for task in order:
+        for task in schedule.order:
             m = machine_of[task]
-            ready = machine_avail[m]
-            for prod, item in in_edges[task]:
-                if finish[prod] < 0.0:
-                    raise InvalidScheduleError(
-                        f"subtask {task} scheduled before its producer {prod}"
-                    )
-                pm = machine_of[prod]
-                t_arr = finish[prod] if pm == m else arrival[item]
-                if t_arr > ready:
-                    ready = t_arr
-            fin = ready + exec_time(m, task)
-            start[task] = ready
-            finish[task] = fin
-            machine_avail[m] = fin
-            if fin > span:
-                span = fin
-
-            # eager push: send every cross-machine output item, in item
-            # order, serialised on this machine's NIC
+            fin = finish[task]
             nf = nic_free[m]
-            for item, consumer in out_edges[task]:
+            for item, consumer in self._out_edges[task]:
                 dst = machine_of[consumer]
                 if dst == m:
                     continue
                 t_start = fin if fin > nf else nf
                 nf = t_start + transfer(m, dst, item)
-                arrival[item] = nf
                 transfers.append(
-                    TransferRecord(
-                        item=item,
-                        producer=task,
-                        consumer=consumer,
-                        src_machine=m,
-                        dst_machine=dst,
-                        start=t_start,
-                        finish=nf,
-                    )
+                    TransferRecord(item, task, consumer, m, dst, t_start, nf)
                 )
             nic_free[m] = nf
-
-        return ContentionSchedule(
-            schedule=Schedule(
-                order=tuple(order),
-                machine_of=tuple(machine_of),
-                start=tuple(start),
-                finish=tuple(finish),
-                makespan=span,
-            ),
-            transfers=tuple(transfers),
-        )
+        return ContentionSchedule(schedule, tuple(transfers))
 
     def makespan(
         self, order: Sequence[int], machine_of: Sequence[int]
@@ -417,38 +314,6 @@ class ContentionSimulator(_WalkerTier):
                 arrival[item] = nf
             nic_free[m] = nf
         return span
-
-    def string_makespan(self, string: ScheduleString) -> float:
-        """Makespan of a :class:`ScheduleString` (thin convenience)."""
-        return self.makespan(string.order, string.machines)
-
-    @property
-    def cost_model(self) -> Optional[CostModel]:
-        """The platform billing table, or ``None`` on the uniform
-        platform (``score`` then reports cost 0.0)."""
-        return self._cost_model
-
-    def score(
-        self, order: Sequence[int], machine_of: Sequence[int]
-    ) -> ScheduleScore:
-        """The schedule's ``(makespan, cost, busy)`` triple under NIC
-        contention.  Cost billing is per-task busy time, so it is the
-        same arithmetic as the contention-free model — only the
-        makespan component changes with the network."""
-        cm = self._cost_model
-        if cm is None:
-            cm = self._cost_model = CostModel.zero(
-                self._workload.exec_times.values
-            )
-        return cm.score(machine_of, self.makespan(order, machine_of))
-
-    def string_score(self, string: ScheduleString) -> ScheduleScore:
-        """:meth:`score` of an encoded :class:`ScheduleString`."""
-        return self.score(string.order, string.machines)
-
-    def finish_times(self, string: ScheduleString) -> list[float]:
-        """Per-subtask finish times under contention — SE's ``Ci``."""
-        return list(self.evaluate(string).finish)
 
     # ------------------------------------------------------------------
     # incremental (suffix-only) evaluation
@@ -515,16 +380,6 @@ class ContentionSimulator(_WalkerTier):
             nic_rows.append(nic_free.copy())
             span_prefix.append(span)
 
-        pos_of = [0] * k
-        for q, t in enumerate(order):
-            pos_of[t] = q
-        producer_floor = [k] * k
-        for t in range(k):
-            for prod, _item in in_edges[t]:
-                q = pos_of[prod]
-                if q < producer_floor[t]:
-                    producer_floor[t] = q
-
         return ContentionDeltaState(
             order=list(order),
             machine_of=list(machine_of),
@@ -534,13 +389,9 @@ class ContentionSimulator(_WalkerTier):
             avail_rows=avail_rows,
             nic_rows=nic_rows,
             span_prefix=span_prefix,
-            producer_floor=producer_floor,
+            in_edges=in_edges,
             makespan=span,
         )
-
-    def prepare_string(self, string: ScheduleString) -> ContentionDeltaState:
-        """:meth:`prepare` for a :class:`ScheduleString` (thin convenience)."""
-        return self.prepare(string.order, string.machines)
 
     def evaluate_delta(
         self,

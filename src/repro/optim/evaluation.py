@@ -366,9 +366,7 @@ class EvaluationService:
         """One scalar per ``(orders[i], machines[i])`` schedule: a loop
         of the scalar backend, which validates every row."""
         if self._scenario is not None:
-            costs = self._objective.reduce_matrix(
-                self._scenario.matrix(orders, machines)
-            ).tolist()
+            costs = self._reduce(self._scenario.matrix(orders, machines))
         else:
             makespan = self._backend.makespan
             costs = [makespan(o, m) for o, m in row_pairs(orders, machines)]
@@ -380,13 +378,18 @@ class EvaluationService:
     ) -> list[float]:
         """:meth:`batch_makespans` over :class:`ScheduleString` objects."""
         if self._scenario is not None:
-            costs = self._objective.reduce_matrix(
-                self._scenario.string_matrix(strings)
-            ).tolist()
+            costs = self._reduce(self._scenario.string_matrix(strings))
         else:
             costs = [self._backend.string_makespan(s) for s in strings]
         self._calls += len(costs)
         return costs
+
+    def _reduce(self, matrix: np.ndarray) -> list[float]:
+        """The risk scalar of each column of an ``(S, B)`` scenario
+        matrix, by the same ``reduce`` call a single schedule gets, so
+        batch and single scoring are ``==``."""
+        reduce = self._objective.reduce
+        return [reduce(column) for column in matrix.T]
 
 
 def row_pairs(orders: Any, machines: Any) -> list:

@@ -251,27 +251,6 @@ class ScenarioObjective:
             return float(xs[rank - 1 :].mean())
         return float(xs[rank - 1])
 
-    def reduce_matrix(self, matrix) -> np.ndarray:
-        """An ``(S, B)`` scenario-makespan matrix -> ``(B,)`` scalars.
-
-        Column ``b`` equals ``reduce(matrix[:, b])`` exactly (same
-        sort, same rank arithmetic), so batch and scalar scoring of the
-        same schedule cannot disagree.
-        """
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] == 0:
-            raise ValueError(
-                f"matrix must be (scenarios, batch) with scenarios >= 1, "
-                f"got shape {m.shape}"
-            )
-        if self.kind == "mean":
-            return m.mean(axis=0)
-        m = np.sort(m, axis=0)
-        rank = _nearest_rank(self.level, m.shape[0])
-        if self.kind == "cvar":
-            return m[rank - 1 :].mean(axis=0)
-        return m[rank - 1]
-
     def feasible(self, samples) -> bool:
         """Whether the sampled chance constraint holds (``saa`` only)."""
         if self.kind != "saa":

@@ -20,6 +20,13 @@ guidance in the HPC coding guides:
   (100 tasks, 20 machines, 2-vCPU x86 host) a full Python walk costs
   ~50 µs and a mid-string delta ~26 µs.
 
+Both network models (this module's :class:`Simulator` and
+:class:`~repro.extensions.contention.ContentionSimulator`) derive from
+one scalar-backend base that owns everything but their three walks: the
+in-edge table, the initial machine state, the walker tier, the cost
+model, pickling, ``score``, ``evaluate`` (``prepare(...).as_schedule()``)
+and ``finish_times`` (the prepared ``finish``).
+
 Semantics (paper §2 + §4.1, matching Wang et al.'s model):
 
 * subtasks execute in string order on their assigned machine,
@@ -89,10 +96,56 @@ def _state_vector(
     return out
 
 
-class _WalkerTier:
-    """What both scalar backends share about their walker tier."""
+class _ScalarBackend:
+    """What both scalar backends share: everything but their walks.
 
-    __slots__ = ()
+    A network class builds its own tables after this constructor, hands
+    them to :meth:`_build_walker`, and defines ``makespan`` / ``prepare``
+    / ``evaluate_delta`` (the compiled walker's calls, then the Python
+    walks).  *initial* names each machine-state vector the constructor
+    takes, in its argument order, so pickling can rebuild the backend.
+    """
+
+    __slots__ = (
+        "_workload",
+        "_k",
+        "_l",
+        "_E",
+        "_pair",
+        "_in_edges",
+        "_state0",
+        "_cost_model",
+        "_c",
+        "_why",
+        "_ids",
+    )
+
+    def __init__(
+        self,
+        workload: Workload,
+        cost_model: Optional[CostModel],
+        **initial: Optional[Sequence[float]],
+    ):
+        self._workload = workload
+        self._cost_model = cost_model
+        graph = workload.graph
+        self._k = graph.num_tasks
+        self._l = workload.num_machines
+        self._state0 = tuple(
+            _state_vector(values, self._l, label)
+            for label, values in initial.items()
+        )
+        # Per consumer: tuple of (producer, item) pairs, the data inputs.
+        in_edges: list[list[tuple[int, int]]] = [[] for _ in range(self._k)]
+        for d in graph.data_items:
+            in_edges[d.consumer].append((d.producer, d.index))
+        self._in_edges = [tuple(es) for es in in_edges]
+
+    def __getstate__(self):
+        return (self._workload, *self._state0, self._cost_model)
+
+    def __setstate__(self, state) -> None:
+        self.__init__(*state)
 
     def _build_walker(self, *tables) -> None:
         """Take the compiled walker over *tables* (see
@@ -177,6 +230,58 @@ class _WalkerTier:
         """Why the Python walker serves (``None`` on the compiled tier)."""
         return self._why
 
+    @property
+    def workload(self) -> Workload:
+        return self._workload
+
+    @property
+    def cost_model(self) -> Optional[CostModel]:
+        """The platform billing table, or ``None`` on the uniform
+        platform (``score`` then reports cost 0.0)."""
+        return self._cost_model
+
+    def score(
+        self, order: Sequence[int], machine_of: Sequence[int]
+    ) -> ScheduleScore:
+        """The schedule's ``(makespan, cost, busy)`` triple.
+
+        One ``makespan`` walk plus the cost model's per-task billing,
+        which is per-task busy time and so the same under every network
+        model; without an attached cost model the zero model applies
+        (cost 0.0, busy times still real).
+        """
+        cm = self._cost_model
+        if cm is None:
+            cm = self._cost_model = CostModel.zero(
+                self._workload.exec_times.values
+            )
+        return cm.score(machine_of, self.makespan(order, machine_of))
+
+    def string_score(self, string: ScheduleString) -> ScheduleScore:
+        """:meth:`score` of an encoded :class:`ScheduleString`."""
+        return self.score(string.order, string.machines)
+
+    def string_makespan(self, string: ScheduleString) -> float:
+        """Makespan of a :class:`ScheduleString` (thin convenience)."""
+        return self.makespan(string.order, string.machines)
+
+    def prepare_string(self, string: ScheduleString):
+        """``prepare`` for a :class:`ScheduleString` (thin convenience)."""
+        return self.prepare(string.order, string.machines)
+
+    def evaluate(self, string: ScheduleString):
+        """Full evaluation of *string* with per-task start/finish times.
+
+        The schedule of one ``prepare`` walk; callers evaluate a string
+        once per run (result assembly, baselines), so the extra snapshot
+        rows cost nothing that matters.
+        """
+        return self.prepare_string(string).as_schedule()
+
+    def finish_times(self, string: ScheduleString) -> list[float]:
+        """Per-subtask finish times — SE's ``Ci`` values (paper §4.3)."""
+        return self.prepare_string(string).finish
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -209,7 +314,50 @@ class Schedule:
         return [t for t in self.order if self.machine_of[t] == machine]
 
 
-class DeltaState:
+class _PreparedState:
+    """What both Python delta states share: the base string, its
+    per-task ``start`` / ``finish`` and ``makespan``, ``pos_of`` (base
+    position per task) and :meth:`as_schedule`."""
+
+    __slots__ = (
+        "order",
+        "machine_of",
+        "pos_of",
+        "start",
+        "finish",
+        "makespan",
+    )
+
+    def __init__(
+        self,
+        order: list[int],
+        machine_of: list[int],
+        start: list[float],
+        finish: list[float],
+        makespan: float,
+    ):
+        self.order = order
+        self.machine_of = machine_of
+        self.start = start
+        self.finish = finish
+        self.makespan = makespan
+        pos_of = [0] * len(order)
+        for p, task in enumerate(order):
+            pos_of[task] = p
+        self.pos_of = pos_of
+
+    def as_schedule(self) -> Schedule:
+        """The fully evaluated base schedule (no re-walk needed)."""
+        return Schedule(
+            order=tuple(self.order),
+            machine_of=tuple(self.machine_of),
+            start=tuple(self.start),
+            finish=tuple(self.finish),
+            makespan=self.makespan,
+        )
+
+
+class DeltaState(_PreparedState):
     """Snapshot of one full evaluation, indexed by string position.
 
     Produced by :meth:`Simulator.prepare`; consumed by
@@ -232,16 +380,10 @@ class DeltaState:
     """
 
     __slots__ = (
-        "order",
-        "machine_of",
-        "pos_of",
-        "start",
-        "finish",
         "avail_rows",
         "span_prefix",
         "suffix_max",
         "last_consumer_pos",
-        "makespan",
         "avail_at",
         "dirty_epoch",
         "epoch",
@@ -259,19 +401,12 @@ class DeltaState:
         last_consumer_pos: list[int],
         makespan: float,
     ):
-        self.order = order
-        self.machine_of = machine_of
-        self.start = start
-        self.finish = finish
+        super().__init__(order, machine_of, start, finish, makespan)
         self.avail_rows = avail_rows
         self.span_prefix = span_prefix
         self.suffix_max = suffix_max
         self.last_consumer_pos = last_consumer_pos
-        self.makespan = makespan
-        pos_of = [0] * len(order)
-        for p, task in enumerate(order):
-            pos_of[task] = p
-        self.pos_of = pos_of
+        pos_of = self.pos_of
         # avail_at[t]: availability of t's machine just before t's base
         # position — the machine-side input of t's ready-time computation.
         self.avail_at = [
@@ -283,18 +418,8 @@ class DeltaState:
         self.dirty_epoch = [0] * len(order)
         self.epoch = 0
 
-    def as_schedule(self) -> Schedule:
-        """The fully evaluated base schedule (no re-walk needed)."""
-        return Schedule(
-            order=tuple(self.order),
-            machine_of=tuple(self.machine_of),
-            start=tuple(self.start),
-            finish=tuple(self.finish),
-            makespan=self.makespan,
-        )
 
-
-class Simulator(_WalkerTier):
+class Simulator(_ScalarBackend):
     """Reusable evaluation context for one :class:`Workload`.
 
     Build once per workload, then call :meth:`makespan` /
@@ -314,52 +439,17 @@ class Simulator(_WalkerTier):
     Simulators pickle and deep-copy; the walker is rebuilt on load.
     """
 
-    __slots__ = (
-        "_workload",
-        "_k",
-        "_l",
-        "_E",
-        "_pair",
-        "_in_edges",
-        "_avail0",
-        "_cost_model",
-        "_c",
-        "_why",
-        "_ids",
-    )
+    __slots__ = ("_avail0",)
 
     def __init__(
         self,
         workload: Workload,
         initial_avail: Optional[Sequence[float]] = None,
-        cost_model: Optional["CostModel"] = None,
+        cost_model: Optional[CostModel] = None,
     ):
-        self._workload = workload
-        self._cost_model = cost_model
-        graph = workload.graph
-        self._k = graph.num_tasks
-        self._l = workload.num_machines
-        self._avail0 = _state_vector(initial_avail, self._l, "initial_avail")
-        # Per consumer: tuple of (producer, item) pairs, the data inputs.
-        in_edges: list[list[tuple[int, int]]] = [[] for _ in range(self._k)]
-        for d in graph.data_items:
-            in_edges[d.consumer].append((d.producer, d.index))
-        self._in_edges = [tuple(es) for es in in_edges]
+        super().__init__(workload, cost_model, initial_avail=initial_avail)
+        (self._avail0,) = self._state0
         self._build_walker(self._in_edges, self._avail0)
-
-    def __getstate__(self):
-        return self._workload, self._avail0, self._cost_model
-
-    def __setstate__(self, state) -> None:
-        self.__init__(*state)
-
-    @property
-    def workload(self) -> Workload:
-        return self._workload
-
-    # ------------------------------------------------------------------
-    # hot path
-    # ------------------------------------------------------------------
 
     def makespan(
         self, order: Sequence[int], machine_of: Sequence[int]
@@ -400,45 +490,6 @@ class Simulator(_WalkerTier):
             if fin > span:
                 span = fin
         return span
-
-    def evaluate(self, string: ScheduleString) -> Schedule:
-        """Full evaluation of *string* with per-task start/finish times.
-
-        The schedule of one :meth:`prepare` walk; callers evaluate a
-        string once per run (result assembly, baselines), so the extra
-        snapshot rows cost nothing that matters.
-        """
-        return self.prepare(string.order, string.machines).as_schedule()
-
-    # ------------------------------------------------------------------
-    # multi-metric tier
-    # ------------------------------------------------------------------
-
-    @property
-    def cost_model(self) -> Optional[CostModel]:
-        """The platform billing table, or ``None`` on the uniform
-        platform (``score`` then reports cost 0.0)."""
-        return self._cost_model
-
-    def score(
-        self, order: Sequence[int], machine_of: Sequence[int]
-    ) -> ScheduleScore:
-        """The schedule's ``(makespan, cost, busy)`` triple.
-
-        One :meth:`makespan` walk plus the cost model's per-task
-        billing; without an attached cost model the zero model applies
-        (cost 0.0, busy times still real).
-        """
-        cm = self._cost_model
-        if cm is None:
-            cm = self._cost_model = CostModel.zero(
-                self._workload.exec_times.values
-            )
-        return cm.score(machine_of, self.makespan(order, machine_of))
-
-    def string_score(self, string: ScheduleString) -> ScheduleScore:
-        """:meth:`score` of an encoded :class:`ScheduleString`."""
-        return self.score(string.order, string.machines)
 
     # ------------------------------------------------------------------
     # incremental (suffix-only) evaluation
@@ -522,10 +573,6 @@ class Simulator(_WalkerTier):
             last_consumer_pos=last_consumer_pos,
             makespan=span,
         )
-
-    def prepare_string(self, string: ScheduleString) -> DeltaState:
-        """:meth:`prepare` for a :class:`ScheduleString` (thin convenience)."""
-        return self.prepare(string.order, string.machines)
 
     def evaluate_delta(
         self,
@@ -660,14 +707,6 @@ class Simulator(_WalkerTier):
                 if bound > frontier:
                     frontier = bound
         return span
-
-    def finish_times(self, string: ScheduleString) -> list[float]:
-        """Per-subtask finish times — SE's ``Ci`` values (paper §4.3)."""
-        return list(self.evaluate(string).finish)
-
-    def string_makespan(self, string: ScheduleString) -> float:
-        """Makespan of a :class:`ScheduleString` (thin convenience)."""
-        return self.makespan(string.order, string.machines)
 
 
 def evaluate_schedule(workload: Workload, string: ScheduleString) -> Schedule:

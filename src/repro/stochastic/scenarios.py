@@ -149,8 +149,8 @@ class ScenarioBackend:
     the decoded schedules stay *nominal* — reported makespans in
     result assembly are real nominal makespans, and SE's goodness
     phase ranks subtasks by nominal finish times.  Batches skip this
-    wrapper: the service reduces the evaluator's ``(S, B)`` matrix
-    column-wise in one :meth:`ScenarioObjective.reduce_matrix` call.
+    wrapper: the service reduces each column of the evaluator's
+    ``(S, B)`` matrix with the same :meth:`ScenarioObjective.reduce`.
     """
 
     def __init__(

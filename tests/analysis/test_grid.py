@@ -3,8 +3,11 @@
 import pytest
 
 from repro.analysis.grid import GridCellResult, GridResult, run_grid
-from repro.baselines import heft, olb
+from repro.runner import AlgorithmSpec
 from repro.workloads import WorkloadSuite
+
+HEFT = AlgorithmSpec.make("heft")
+OLB = AlgorithmSpec.make("olb")
 
 
 @pytest.fixture(scope="module")
@@ -24,10 +27,7 @@ def small_suite():
 def grid(small_suite):
     return run_grid(
         small_suite,
-        {
-            "HEFT": lambda w: heft(w).makespan,
-            "OLB": lambda w: olb(w).makespan,
-        },
+        {"HEFT": HEFT, "OLB": OLB},
     )
 
 
@@ -89,10 +89,7 @@ class TestTieHandling:
     def test_identical_algorithms_all_ties(self, small_suite):
         grid = run_grid(
             small_suite,
-            {
-                "A": lambda w: heft(w).makespan,
-                "B": lambda w: heft(w).makespan,
-            },
+            {"A": HEFT, "B": HEFT},
         )
         rec = grid.win_loss("A", "B")
         assert rec.ties == rec.n

@@ -224,6 +224,32 @@ class TestIncrementalBuilder:
         with pytest.raises(ValueError, match="already"):
             b.place(0, 1)
 
+    @pytest.mark.parametrize(
+        "key", ("initial_avail", "initial_nic_free")
+    )
+    @pytest.mark.parametrize(
+        "bad, match",
+        (
+            ("short", "entries for"),
+            (-1.0, "finite and >= 0"),
+            (float("nan"), "finite and >= 0"),
+        ),
+    )
+    def test_bad_initial_state_rejected_up_front(
+        self, diamond_workload, key, bad, match
+    ):
+        """A bad machine-state vector fails at construction, with the
+        simulators' own message, before any task is placed."""
+        l = diamond_workload.num_machines
+        values = [0.0] * (l - 1)
+        if bad != "short":
+            values.append(bad)
+        for network in ("contention-free", "nic"):
+            with pytest.raises(ValueError, match=match):
+                IncrementalScheduleBuilder(
+                    diamond_workload, "t", network=network, **{key: values}
+                )
+
     def test_incomplete_result_rejected(self, diamond_workload):
         b = IncrementalScheduleBuilder(diamond_workload, "t")
         b.place(0, 0)

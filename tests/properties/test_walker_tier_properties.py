@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.extensions.contention import ContentionSimulator
+from repro.schedule.backend import plain_schedule
 from repro.schedule.operations import random_valid_string
 from repro.schedule.simulator import Simulator
 from repro.schedule.valid_range import valid_insertion_range
@@ -63,6 +64,22 @@ def test_prepare_fields_agree_across_tiers(data, avail, nic):
         assert a.pos_of == [s.position_of(t) for t in range(s.num_tasks)]
         assert a.as_schedule() == b.as_schedule()
         assert fast.evaluate(s) == slow.evaluate(s)  # NIC: transfers too
+
+
+@given(workload_strings(max_machines=6), _busy, _busy)
+@settings(max_examples=60)
+def test_evaluate_and_finish_times_read_one_prepare(data, avail, nic):
+    """``finish_times`` is the prepared ``finish`` and ``evaluate``'s
+    schedule the prepared ``as_schedule()``, on both tiers of both
+    networks, from a busy machine (and NIC) state."""
+    w, s = data
+    for fast, slow, _nic0 in _pairs(w, avail, nic):
+        for sim in (fast, slow):
+            evaluated = sim.evaluate(s)
+            assert sim.finish_times(s) == list(evaluated.finish)
+            assert plain_schedule(evaluated) == (
+                sim.prepare(s.order, s.machines).as_schedule()
+            )
 
 
 @given(

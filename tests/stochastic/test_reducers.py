@@ -139,17 +139,6 @@ def test_saa_scores_by_the_survival_quantile_and_reports_feasibility():
     assert not obj.feasible([11.0, 12.0, 13.0, 14.0])
 
 
-def test_reduce_matrix_matches_columnwise_reduce():
-    rng = np.random.default_rng(1)
-    matrix = rng.uniform(1.0, 100.0, size=(13, 5))
-    for spec in ("mean", "quantile:0.9", "cvar:0.8", "saa:50:0.2"):
-        obj = resolve_objective(spec)
-        out = obj.reduce_matrix(matrix)
-        assert out.shape == (5,)
-        for b in range(5):
-            assert out[b] == pytest.approx(obj.reduce(matrix[:, b]))
-
-
 def test_reduce_is_bounded_by_the_sample_range():
     rng = np.random.default_rng(2)
     xs = rng.uniform(1.0, 1000.0, 17)

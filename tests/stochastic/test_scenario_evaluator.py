@@ -13,7 +13,7 @@ from repro.stochastic import (
     ScenarioEvaluator,
     sample_scenarios,
 )
-from repro.workloads import small_workload
+from repro.workloads import figure5_workload, small_workload
 from tests.routes import walker
 
 NETWORKS = ("contention-free", "nic")
@@ -68,8 +68,7 @@ def test_rows_match_scalar_simulation_of_each_scenario(network):
     got = ev.samples_string(s)
     for i in range(3):
         sim = make_simulator(scen.workload_for(i), network)
-        expected = sim.string_makespan(s)
-        assert got[i] == pytest.approx(expected, rel=1e-12)
+        assert got[i] == sim.string_makespan(s)
 
 
 def test_samples_equals_matrix_column():
@@ -108,10 +107,37 @@ def test_backend_scalars_are_the_objectives_reduction():
     assert backend.string_makespan(s) == expected
     assert backend.makespan(list(s.order), list(s.machines)) == expected
     singles = [backend.string_makespan(x) for x in _strings(w, 4)]
-    matrix = ev.string_matrix(_strings(w, 4))
-    np.testing.assert_allclose(
-        singles, backend.objective.reduce_matrix(matrix)
+    svc = EvaluationService(
+        w,
+        objective=backend.objective.name,
+        scenarios=5,
+        distribution="lognormal:0.25",
+        scenario_seed=3,
     )
+    assert svc.batch_string_makespans(_strings(w, 4)) == singles
+
+
+@pytest.mark.parametrize("objective", ("mean", "cvar:0.5"))
+@pytest.mark.parametrize("network", NETWORKS)
+def test_batch_scores_equal_single_calls(network, objective):
+    """A batch reduces each scenario column with the single-call
+    ``reduce``, so GA/tabu/random and SE/SA compare the same floats."""
+    w = figure5_workload(seed=1)
+    svc = EvaluationService(
+        w,
+        network,
+        objective=objective,
+        scenarios=32,
+        distribution="lognormal:0.25",
+        scenario_seed=0,
+    )
+    strings = _strings(w, 64)
+    singles = [svc.string_makespan(s) for s in strings]
+    assert svc.batch_string_makespans(strings) == singles
+    assert svc.batch_makespans(
+        np.array([s.order for s in strings]),
+        np.array([s.machines for s in strings]),
+    ) == singles
 
 
 def test_backend_schedules_stay_nominal():
