@@ -5,9 +5,8 @@ better schedules than the GA early; as time grows the curves approach
 each other.
 """
 
-from repro.analysis import Series, line_plot, head_to_head_experiment
-from repro.runner import workers_from_env
-from repro.workloads import figure5_spec
+from repro.analysis import Series, compare_named, line_plot
+from repro.workloads import figure5_workload
 
 BUDGET_SECONDS = 6.0
 GRID_POINTS = 12
@@ -15,13 +14,13 @@ SEED = 21
 
 
 def run_fig5():
-    workload = figure5_spec(seed=SEED)
-    return workload, head_to_head_experiment(
+    workload = figure5_workload(seed=SEED)
+    return workload, compare_named(
         workload,
+        ["se", "ga"],
         time_budget=BUDGET_SECONDS,
         grid_points=GRID_POINTS,
         seed=33,
-        workers=workers_from_env(),
     )
 
 

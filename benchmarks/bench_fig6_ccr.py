@@ -5,9 +5,8 @@ expectation: as for high connectivity, SE reaches good schedules sooner;
 curves converge with time.
 """
 
-from repro.analysis import Series, line_plot, head_to_head_experiment
-from repro.runner import workers_from_env
-from repro.workloads import figure6_spec
+from repro.analysis import Series, compare_named, line_plot
+from repro.workloads import figure6_workload
 
 BUDGET_SECONDS = 6.0
 GRID_POINTS = 12
@@ -15,13 +14,13 @@ SEED = 21
 
 
 def run_fig6():
-    workload = figure6_spec(seed=SEED)
-    return workload, head_to_head_experiment(
+    workload = figure6_workload(seed=SEED)
+    return workload, compare_named(
         workload,
+        ["se", "ga"],
         time_budget=BUDGET_SECONDS,
         grid_points=GRID_POINTS,
         seed=34,
-        workers=workers_from_env(),
     )
 
 

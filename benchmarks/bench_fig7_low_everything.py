@@ -6,9 +6,8 @@ benchmark therefore records who led when, and only asserts that both
 algorithms stayed within a sane band of each other.
 """
 
-from repro.analysis import Series, line_plot, head_to_head_experiment
-from repro.runner import workers_from_env
-from repro.workloads import figure7_spec
+from repro.analysis import Series, compare_named, line_plot
+from repro.workloads import figure7_workload
 
 BUDGET_SECONDS = 6.0
 GRID_POINTS = 12
@@ -16,13 +15,13 @@ SEED = 21
 
 
 def run_fig7():
-    workload = figure7_spec(seed=SEED)
-    return workload, head_to_head_experiment(
+    workload = figure7_workload(seed=SEED)
+    return workload, compare_named(
         workload,
+        ["se", "ga"],
         time_budget=BUDGET_SECONDS,
         grid_points=GRID_POINTS,
         seed=35,
-        workers=workers_from_env(),
     )
 
 

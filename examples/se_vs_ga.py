@@ -10,7 +10,7 @@ Run:  python examples/se_vs_ga.py [--budget SECONDS] [--preset fig5|fig6|fig7]
 
 import argparse
 
-from repro.analysis import Series, line_plot, se_vs_ga
+from repro.analysis import Series, compare_named, line_plot
 from repro.workloads import (
     figure5_workload,
     figure6_workload,
@@ -37,8 +37,9 @@ def main() -> None:
     print(workload.describe())
     print(f"\nrunning SE and GA for {args.budget:.1f}s each ...\n")
 
-    cmp = se_vs_ga(
-        workload, time_budget=args.budget, grid_points=16, seed=args.seed
+    cmp = compare_named(
+        workload, ["se", "ga"], time_budget=args.budget, grid_points=16,
+        seed=args.seed,
     )
 
     print(

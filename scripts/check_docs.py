@@ -22,6 +22,11 @@ Three classes of rot this catches:
    ``src/repro``, apart from the few names in :data:`NOT_CLASSES`.  A
    doc that still names a deleted class fails the build.
 
+4. **Phantom dotted names** — in the same documents, every inline-code
+   span that starts with ``repro.`` must resolve: the longest importable
+   module prefix is imported and the rest looked up with ``getattr``.
+   A doc that still names a deleted function or module fails the build.
+
 Run from the repo root (CI does):  ``python scripts/check_docs.py``.
 Exits non-zero listing every violation.  ``--self-test`` runs the
 checker's own unit checks (also exercised by the test suite).
@@ -29,6 +34,7 @@ checker's own unit checks (also exercised by the test suite).
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -44,8 +50,9 @@ DOCUMENTS = (
     "docs/risk_aware.md",
 )
 
-#: The documents whose inline code may name only real classes; the
-#: roadmap is exempt, since it names planned and deleted code.
+#: The documents whose inline code may name only real classes and
+#: dotted names; the roadmap is exempt, since it names planned and
+#: deleted code.
 CLASS_DOCUMENTS = ("README.md",) + tuple(
     f"docs/{p.name}" for p in sorted((REPO / "docs").glob("*.md"))
 )
@@ -60,6 +67,7 @@ _INLINE = re.compile(r"`(repro [^`]+)`")
 _SPAN = re.compile(r"`([^`\n]+)`")
 _CAMEL = re.compile(r"([A-Z][a-z0-9]\w*)(?:[.(]|$)")
 _CLASS_DEF = re.compile(r"^\s*class\s+(\w+)", re.MULTILINE)
+_DOTTED = re.compile(r"repro(?:\.\w+)+")
 
 
 # ----------------------------------------------------------------------
@@ -206,6 +214,39 @@ def check_class_references(doc: Path, text: str, classes) -> list[str]:
     return errors
 
 
+def _resolves(dotted: str) -> bool:
+    """Whether ``repro.x.y`` names a module or an attribute of one."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        module = ".".join(parts[:i])
+        try:
+            obj = importlib.import_module(module)
+        except ModuleNotFoundError as exc:
+            if not f"{module}.".startswith(f"{exc.name}."):
+                raise  # a real module whose own imports are broken
+            continue
+        for name in parts[i:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def check_dotted_references(doc: Path, text: str) -> list[str]:
+    """Inline-code spans in *text* naming a ``repro.`` path that does
+    not resolve."""
+    errors = []
+    for span in _SPAN.findall(_FENCE.sub("", text)):
+        m = _DOTTED.match(span)
+        if m and not _resolves(m.group(0)):
+            errors.append(
+                f"{doc.relative_to(REPO)}: {m.group(0)} does not resolve "
+                f"(in `{span}`)"
+            )
+    return errors
+
+
 # ----------------------------------------------------------------------
 # driver
 # ----------------------------------------------------------------------
@@ -225,6 +266,7 @@ def run(documents=DOCUMENTS) -> list[str]:
         errors += check_cli_references(doc, text, surface)
         if name in CLASS_DOCUMENTS:
             errors += check_class_references(doc, text, classes)
+            errors += check_dotted_references(doc, text)
     return errors
 
 
@@ -254,6 +296,14 @@ def self_test() -> None:
     # ... but not a class the package does not define
     assert check_class_references(doc, "`BatchBackend.is_vectorized`", classes)
     assert check_class_references(doc, "`NoSuchKernel`", classes)
+    # dotted spans must resolve to a module or one of its attributes ...
+    live = "`repro.optim`, `repro.analysis.grid.run_grid`, `repro.perf`"
+    assert check_dotted_references(doc, live) == []
+    call = "`repro.workloads.figure5_workload(seed=1)`"
+    assert check_dotted_references(doc, call) == []
+    # ... so a deleted function or module is reported
+    assert check_dotted_references(doc, "`repro.analysis.no_such_function`")
+    assert check_dotted_references(doc, "`repro.no_such_module.thing`")
     # and docs/*.md files are covered
     assert "docs/architecture.md" in CLASS_DOCUMENTS
 

@@ -25,14 +25,8 @@ from repro.analysis.compare import (
     COMPARISON_SE_BIAS,
     ComparisonResult,
     ComparisonSeries,
-    compare_algorithms,
     compare_named,
-    engine_runner,
-    ga_runner,
-    head_to_head_experiment,
     make_time_grid,
-    se_runner,
-    se_vs_ga,
     series_from_trace,
 )
 from repro.analysis.pareto import (
@@ -71,14 +65,8 @@ __all__ = [
     "sparkline",
     "ComparisonResult",
     "ComparisonSeries",
-    "compare_algorithms",
     "compare_named",
-    "engine_runner",
-    "ga_runner",
-    "head_to_head_experiment",
     "make_time_grid",
-    "se_runner",
-    "se_vs_ga",
     "series_from_trace",
     "ExperimentRecord",
     "markdown_table",

@@ -3,25 +3,22 @@
 The paper plots "the best schedules found by both algorithms as real
 time increases": SE and the GA each get the same wall-clock budget on
 the same workload, and their best-so-far curves are sampled on a common
-time grid.  :func:`compare_algorithms` is that harness, generalised to
-any number of trace-producing runners.
+time grid.  :func:`compare_named` is that experiment for any of the
+iterative engines (``compare_named(w, ["se", "ga"], budget)`` is the
+paper's pairing); every caller — ``repro compare``, ``repro figure
+5|6|7``, the Figs. 5-7 benchmarks — runs through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro.analysis.trace import ConvergenceTrace
-from repro.baselines.ga import GAConfig
-from repro.core.config import SEConfig
 from repro.model.workload import Workload
 from repro.schedule.backend import DEFAULT_NETWORK, DEFAULT_PLATFORM
 from repro.utils.rng import RandomSource
-
-#: A runner takes (workload, time_limit_seconds) and returns a trace.
-Runner = Callable[[Workload, float], ConvergenceTrace]
 
 
 @dataclass(frozen=True)
@@ -29,7 +26,9 @@ class ComparisonSeries:
     """One algorithm's sampled best-so-far curve.
 
     ``best_at[i]`` is the best makespan found within ``time_grid[i]``
-    seconds (``inf`` until the first evaluation lands).
+    seconds (``inf`` until the first evaluation lands).  ``iterations``
+    is the engine's own count (SA proposals, GA generations), which a
+    thinned trace can undercount.
     """
 
     name: str
@@ -105,71 +104,6 @@ def make_time_grid(budget: float, points: int) -> tuple[float, ...]:
     return tuple(budget * (i + 1) / points for i in range(points))
 
 
-def engine_runner(
-    kind: str, base=None, seed: RandomSource = None
-) -> Runner:
-    """A :func:`compare_algorithms` runner for engine-table *kind*.
-
-    *base* is the engine's config (its defaults when omitted); the
-    runner lifts the iteration cap and applies the table's wall-clock
-    overrides, so the budget is the binding limit.  *seed*, when given,
-    replaces the base config's seed.
-    """
-    from repro.runner.registry import ENGINES
-
-    entry = ENGINES[kind]
-
-    def run(workload: Workload, time_limit: float) -> ConvergenceTrace:
-        cfg = base if base is not None else entry.build()
-        cfg = replace(
-            cfg,
-            **entry.limits(None, time_limit),
-            seed=seed if seed is not None else cfg.seed,
-        )
-        return entry.run(workload, cfg).trace
-
-    return run
-
-
-def se_runner(
-    base: Optional[SEConfig] = None, seed: RandomSource = None
-) -> Runner:
-    """An SE runner for :func:`compare_algorithms` (see :func:`engine_runner`)."""
-    return engine_runner("se", base, seed)
-
-
-def ga_runner(
-    base: Optional[GAConfig] = None, seed: RandomSource = None
-) -> Runner:
-    """A GA runner for :func:`compare_algorithms`; the runner also lifts
-    Wang's stall rule (see :func:`engine_runner`)."""
-    return engine_runner("ga", base, seed)
-
-
-def compare_algorithms(
-    workload: Workload,
-    runners: Mapping[str, Runner],
-    time_budget: float,
-    grid_points: int = 20,
-) -> ComparisonResult:
-    """Run every runner under *time_budget* seconds; sample on one grid.
-
-    Runners execute sequentially (each gets the full budget to itself),
-    exactly like the paper's per-algorithm wall-clock measurement.
-    """
-    if not runners:
-        raise ValueError("need at least one runner")
-    grid = make_time_grid(time_budget, grid_points)
-    return ComparisonResult(
-        workload_name=workload.name,
-        time_budget=time_budget,
-        series=tuple(
-            series_from_trace(name, runner(workload, time_budget), grid)
-            for name, runner in runners.items()
-        ),
-    )
-
-
 #: SE selection bias used by default in head-to-head comparisons.
 #:
 #: Under a wall-clock budget, sustained selection pressure matters more
@@ -182,37 +116,8 @@ def compare_algorithms(
 COMPARISON_SE_BIAS = -0.1
 
 
-def se_vs_ga(
-    workload: Workload,
-    time_budget: float,
-    se_config: Optional[SEConfig] = None,
-    ga_config: Optional[GAConfig] = None,
-    grid_points: int = 20,
-    seed: RandomSource = None,
-) -> ComparisonResult:
-    """The paper's head-to-head: SE vs GA on one workload (Figs. 5-7).
-
-    Unless *se_config* overrides it, SE runs with
-    ``selection_bias=COMPARISON_SE_BIAS`` (see that constant's docstring).
-    """
-    from repro.utils.rng import spawn_rngs
-
-    if se_config is None:
-        se_config = SEConfig(selection_bias=COMPARISON_SE_BIAS)
-    rng_se, rng_ga = spawn_rngs(seed, 2)
-    return compare_algorithms(
-        workload,
-        {
-            "SE": se_runner(se_config, seed=rng_se),
-            "GA": ga_runner(ga_config, seed=rng_ga),
-        },
-        time_budget=time_budget,
-        grid_points=grid_points,
-    )
-
-
 #: Per-engine config overrides of every head-to-head: SE runs with the
-#: calibrated :data:`COMPARISON_SE_BIAS`, like :func:`se_vs_ga` does.
+#: calibrated :data:`COMPARISON_SE_BIAS`.
 HEAD_TO_HEAD_OVERRIDES = {"se": {"selection_bias": COMPARISON_SE_BIAS}}
 
 
@@ -227,11 +132,11 @@ def compare_named(
 ) -> ComparisonResult:
     """Head-to-head among any of the iterative engines by name.
 
-    Generalises :func:`se_vs_ga` to the full engine roster (``"se"``,
-    ``"ga"``, ``"sa"``, ``"tabu"``): every named engine runs under the
-    same wall-clock budget with an independent RNG stream spawned from
-    *seed*, and the best-so-far curves are sampled on one common grid.
-    Series are named with the upper-cased algorithm names.
+    Every named engine (``"se"``, ``"ga"``, ``"sa"``, ``"tabu"``) runs
+    in turn under the same wall-clock budget, its iteration cap lifted,
+    with an independent RNG stream spawned from *seed*; the best-so-far
+    curves are sampled on one common grid.  Series are named with the
+    upper-cased algorithm names.
 
     *network* selects the simulator backend every engine optimises
     against (``repro compare --network nic`` races the engines under
@@ -254,21 +159,27 @@ def compare_named(
         )
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate algorithm names in {names}")
-    rngs = spawn_rngs(seed, len(names))
-    runners = {
-        name.upper(): engine_runner(
-            name,
-            ENGINES[name].build(
-                network=network,
-                platform=platform,
-                **HEAD_TO_HEAD_OVERRIDES.get(name, {}),
-            ),
+    grid = make_time_grid(time_budget, grid_points)
+    series = []
+    for name, rng in zip(names, spawn_rngs(seed, len(names))):
+        entry = ENGINES[name]
+        config = entry.build(
+            network=network,
+            platform=platform,
+            **HEAD_TO_HEAD_OVERRIDES.get(name, {}),
+            **entry.limits(None, time_budget),
             seed=rng,
         )
-        for name, rng in zip(names, rngs)
-    }
-    return compare_algorithms(
-        workload, runners, time_budget=time_budget, grid_points=grid_points
+        res = entry.run(workload, config)
+        series.append(
+            series_from_trace(
+                name.upper(), res.trace, grid, getattr(res, entry.counts)
+            )
+        )
+    return ComparisonResult(
+        workload_name=workload.name,
+        time_budget=time_budget,
+        series=tuple(series),
     )
 
 
@@ -276,110 +187,15 @@ def series_from_trace(
     name: str,
     trace: ConvergenceTrace,
     time_grid: Sequence[float],
+    iterations: int,
 ) -> ComparisonSeries:
-    """Sample one trace's best-so-far curve on *time_grid*."""
+    """Sample one trace's best-so-far curve on *time_grid*; *iterations*
+    is the run's own count."""
     grid = tuple(time_grid)
     return ComparisonSeries(
         name=name,
         time_grid=grid,
         best_at=tuple(trace.best_at_time(t) for t in grid),
         final_best=trace.final_best() if len(trace) else float("inf"),
-        iterations=len(trace),
-    )
-
-
-def head_to_head_experiment(
-    workload,
-    time_budget: float,
-    algorithms: Optional[Mapping[str, Mapping]] = None,
-    grid_points: int = 20,
-    seed: int = 0,
-    workers: int = 1,
-    cache_dir=None,
-    progress=None,
-    network: str = DEFAULT_NETWORK,
-) -> ComparisonResult:
-    """The runner-backed head-to-head (Figs. 5-7 through :mod:`repro.runner`).
-
-    Parameters
-    ----------
-    workload:
-        A :class:`~repro.workloads.presets.WorkloadSpec` *recipe* — the
-        workload is rebuilt inside each worker process.
-    algorithms:
-        Display name → extra registry params; defaults to the paper's
-        pairing ``{"SE": ..., "GA": ...}`` with the calibrated
-        ``COMPARISON_SE_BIAS``.  Every engine-table algorithm gets the
-        table's limits for ``time_budget`` with caps lifted, exactly
-        like :func:`engine_runner`.
-    workers:
-        With ``workers > 1`` the contenders run concurrently in separate
-        processes.  RNG streams stay deterministic; note that for
-        *wall-clock-budget* runs the stopping instant is physical time,
-        so co-scheduling can shift how far each contender gets — use the
-        default serial mode for paper-grade timing comparisons.
-    network:
-        Simulator backend every contender optimises against (explicit
-        per-algorithm ``network`` entries in *algorithms* win; entries
-        whose registry declaration does not accept a ``network``
-        parameter are left untouched).
-    """
-    from repro.runner import (
-        AlgorithmSpec,
-        ExperimentSpec,
-        algorithm_parameters,
-        run_experiment,
-    )
-    from repro.runner.registry import ENGINES
-
-    if algorithms is None:
-        algorithms = {"SE": {}, "GA": {}}
-    algo_specs = {}
-    for name, extra in algorithms.items():
-        params = dict(extra)
-        kind = params.pop("kind", name.lower())
-        entry = ENGINES.get(kind)
-        base = dict(HEAD_TO_HEAD_OVERRIDES.get(kind, {}))
-        if entry is not None:
-            base.update(entry.limits(None, time_budget))
-        # only algorithms that declare the parameter get the selector —
-        # custom-registered entries without one must keep working
-        if "network" in algorithm_parameters(kind):
-            base["network"] = network
-        base.update(params)
-        algo_specs[name] = AlgorithmSpec.make(kind, **base)
-
-    spec = ExperimentSpec(
-        name=f"head-to-head-{workload.name or 'workload'}",
-        algorithms=algo_specs,
-        workloads=[workload],
-        seeds=(seed,),
-        base_seed=seed,
-    )
-    result = run_experiment(
-        spec,
-        workers=workers,
-        cache_dir=cache_dir,
-        progress=progress,
-        keep_traces=True,
-    )
-    grid = make_time_grid(time_budget, grid_points)
-
-    def cell_series(cell) -> ComparisonSeries:
-        if cell.trace is None:
-            # deterministic heuristic: done before the first sample point
-            return ComparisonSeries(
-                name=cell.algorithm,
-                time_grid=grid,
-                best_at=tuple(cell.makespan for _ in grid),
-                final_best=cell.makespan,
-                iterations=max(cell.iterations, 1),
-            )
-        return series_from_trace(cell.algorithm, cell.convergence_trace(), grid)
-
-    series = tuple(cell_series(cell) for cell in result)
-    return ComparisonResult(
-        workload_name=workload.name or "workload",
-        time_budget=time_budget,
-        series=series,
+        iterations=iterations,
     )

@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from repro.analysis.ascii_plot import Series, line_plot
-from repro.analysis.compare import compare_named, se_vs_ga
+from repro.analysis.compare import compare_named, make_time_grid
 from repro.baselines import heft
 from repro.core import SEConfig, run_se
 from repro.model import Workload, paper_sample_workload
@@ -239,7 +239,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_time_grid(command: str, args: argparse.Namespace) -> None:
+    """Exit cleanly on a ``--budget`` / ``--points`` no grid can take."""
+    try:
+        make_time_grid(args.budget, args.points)
+    except ValueError as exc:
+        raise SystemExit(f"{command}: {exc}")
+
+
 def _cmd_compare(args: argparse.Namespace) -> int:
+    _check_time_grid("compare", args)
     w = _load_workload(args.preset, args.seed)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     print(w.describe())
@@ -429,8 +438,12 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             )
         )
     elif fig in ("5", "6", "7"):
+        _check_time_grid("figure", args)
         w = {"5": figure5_workload, "6": figure6_workload, "7": figure7_workload}[fig](seed)
-        cmp = se_vs_ga(w, time_budget=args.budget, grid_points=args.points, seed=seed)
+        cmp = compare_named(
+            w, ["se", "ga"], time_budget=args.budget, grid_points=args.points,
+            seed=seed,
+        )
         series = [Series(s.name, s.time_grid, s.best_at) for s in cmp.series]
         print(
             line_plot(

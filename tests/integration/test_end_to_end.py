@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import se_vs_ga, summarize, win_loss
+from repro.analysis import compare_named, summarize, win_loss
 from repro.baselines import GAConfig, heft, min_min, olb, random_search, run_ga
 from repro.core import SEConfig, run_se
 from repro.schedule import Simulator, compute_metrics, verify_schedule
@@ -62,7 +62,9 @@ class TestFullPipeline:
         assert summarize(heft_vals).mean <= summarize(olb_vals).mean
 
     def test_se_vs_ga_comparison_machinery(self, tiny_workload):
-        cmp = se_vs_ga(tiny_workload, time_budget=0.5, grid_points=5, seed=9)
+        cmp = compare_named(
+            tiny_workload, ["se", "ga"], time_budget=0.5, grid_points=5, seed=9
+        )
         assert cmp.workload_name == tiny_workload.name
         assert len(cmp.winner_timeline()) == 5
 

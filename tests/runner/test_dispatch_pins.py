@@ -6,9 +6,12 @@ algorithm, and those params feed the cell fingerprints that key the
 resume cache.  The race islands build their engine overrides through
 :func:`~repro.portfolio.islands.engine_defaults`.  Both are pinned here
 value for value, so a change to how engines are dispatched cannot
-silently invalidate existing caches or change a race.
+silently invalidate existing caches or change a race.  The head-to-head
+configs of :func:`~repro.analysis.compare.compare_named` (``repro
+compare``, ``repro figure 5|6|7``) are pinned the same way.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -153,4 +156,67 @@ def test_engine_defaults(kind):
         "platform": "uniform",
         cap: 6,
         **ISLAND_STALL[kind],
+    }
+
+
+#: per-engine config fields ``compare_named`` sets under a 1.5 s budget
+HEAD_TO_HEAD = {
+    "se": {"max_iterations": U, "selection_bias": -0.1},
+    "ga": {"max_generations": U, "stall_generations": None},
+    "sa": {"max_iterations": U, "record_every": 50},
+    "tabu": {"max_iterations": U},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HEAD_TO_HEAD))
+def test_head_to_head_config(monkeypatch, tiny_workload, kind):
+    from repro.analysis.compare import compare_named
+    from repro.runner.registry import ENGINES, Engine
+
+    seen = {}
+
+    def capture(self, workload, config, **hooks):
+        seen["config"] = config
+        raise _Captured
+
+    monkeypatch.setattr(Engine, "run", capture)
+    with pytest.raises(_Captured):
+        compare_named(
+            tiny_workload, [kind], 1.5, seed=3, network="nic",
+            platform="cloud",
+        )
+    config = seen["config"]
+    expected = {
+        "network": "nic",
+        "platform": "cloud",
+        "time_limit": 1.5,
+        **HEAD_TO_HEAD[kind],
+    }
+    assert {k: getattr(config, k) for k in expected} == expected
+    # every other field keeps the engine's default
+    default = ENGINES[kind].build()
+    for field in dataclasses.fields(config):
+        if field.name not in expected and field.name != "seed":
+            assert getattr(config, field.name) == getattr(
+                default, field.name
+            ), field.name
+
+
+def test_figure_runs_se_against_ga(monkeypatch, capsys):
+    import repro.cli as cli
+
+    seen = {}
+
+    def capture(workload, algorithms, **kwargs):
+        seen.update(algorithms=algorithms, **kwargs)
+        raise _Captured
+
+    monkeypatch.setattr(cli, "compare_named", capture)
+    with pytest.raises(_Captured):
+        main(["figure", "5", "--seed", "4", "--budget", "0.5", "--points", "3"])
+    assert seen == {
+        "algorithms": ["se", "ga"],
+        "time_budget": 0.5,
+        "grid_points": 3,
+        "seed": 4,
     }

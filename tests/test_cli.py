@@ -126,6 +126,24 @@ class TestCompareAndFigures:
         with pytest.raises(SystemExit):
             main(["figure", "9"])
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--budget", "0"], "budget must be > 0"),
+            (["--budget", "-1"], "budget must be > 0"),
+            (["--points", "0"], "points must be >= 1"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command", [["compare"], ["figure", "5"]], ids=["compare", "figure"]
+    )
+    def test_bad_budget_or_grid_exits_before_output(
+        self, capsys, command, flags, message
+    ):
+        with pytest.raises(SystemExit, match=f"{command[0]}: {message}"):
+            main([*command, *flags])
+        assert capsys.readouterr().out == ""
+
 
 class TestSweep:
     def test_sweep_league_and_artifacts(self, tmp_path, capsys):
