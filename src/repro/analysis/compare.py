@@ -121,6 +121,31 @@ COMPARISON_SE_BIAS = -0.1
 HEAD_TO_HEAD_OVERRIDES = {"se": {"selection_bias": COMPARISON_SE_BIAS}}
 
 
+def comparison_names(algorithms: Sequence[str]) -> list[str]:
+    """The engine kinds *algorithms* names, stripped and lower-cased.
+
+    Raises
+    ------
+    ValueError
+        If no name is given, a name is no iterative engine kind, or a
+        name repeats.
+    """
+    from repro.runner.registry import ENGINE_KINDS
+
+    names = [a.strip().lower() for a in algorithms if a.strip()]
+    if not names:
+        raise ValueError("need at least one algorithm name")
+    unknown = sorted(set(names) - set(ENGINE_KINDS))
+    if unknown:
+        raise ValueError(
+            f"unknown comparison algorithms {unknown}; available: "
+            f"{', '.join(sorted(ENGINE_KINDS))}"
+        )
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate algorithm names in {names}")
+    return names
+
+
 def compare_named(
     workload: Workload,
     algorithms: Sequence[str],
@@ -145,20 +170,10 @@ def compare_named(
     machine catalog (speed-scaled matrix + boot state; the default
     ``"uniform"`` changes nothing).
     """
-    from repro.runner.registry import ENGINE_KINDS, ENGINES
+    from repro.runner.registry import ENGINES
     from repro.utils.rng import spawn_rngs
 
-    names = [a.strip().lower() for a in algorithms if a.strip()]
-    if not names:
-        raise ValueError("need at least one algorithm name")
-    unknown = sorted(set(names) - set(ENGINE_KINDS))
-    if unknown:
-        raise ValueError(
-            f"unknown comparison algorithms {unknown}; available: "
-            f"{', '.join(sorted(ENGINE_KINDS))}"
-        )
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate algorithm names in {names}")
+    names = comparison_names(algorithms)
     grid = make_time_grid(time_budget, grid_points)
     series = []
     for name, rng in zip(names, spawn_rngs(seed, len(names))):

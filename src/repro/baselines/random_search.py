@@ -120,13 +120,12 @@ def run_random_search(
                 )
 
     best_string = tracker.best  # drawn >= 1 by construction
-    schedule, makespan = service.best_of(best_string, tracker.best_cost)
     cm = service.cost_model
     return BaselineResult(
         name="random-search",
         string=best_string,
-        schedule=schedule,
-        makespan=makespan,
+        schedule=service.schedule_of(best_string),
+        makespan=service.reported_makespan(best_string, tracker.best_cost),
         evaluations=drawn,
         network=config.network,
         platform=service.platform,

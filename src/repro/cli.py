@@ -48,7 +48,11 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from repro.analysis.ascii_plot import Series, line_plot
-from repro.analysis.compare import compare_named, make_time_grid
+from repro.analysis.compare import (
+    compare_named,
+    comparison_names,
+    make_time_grid,
+)
 from repro.baselines import heft
 from repro.core import SEConfig, run_se
 from repro.model import Workload, paper_sample_workload
@@ -249,8 +253,11 @@ def _check_time_grid(command: str, args: argparse.Namespace) -> None:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     _check_time_grid("compare", args)
+    try:
+        algos = comparison_names(args.algos.split(","))
+    except ValueError as exc:
+        raise SystemExit(f"compare: {exc}")
     w = _load_workload(args.preset, args.seed)
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     print(w.describe())
     names = " and ".join(a.upper() for a in algos)
     print(

@@ -18,16 +18,21 @@ ablation) wastes simulator calls without reaching any extra schedule.
 
 Every probe is scored **incrementally**: relocating a subtask from
 position ``p`` to insertion index ``i`` leaves the string prefix before
-``min(p, i)`` untouched, so each probe is one
-:meth:`~repro.schedule.simulator.Simulator.evaluate_delta` against a
-:class:`~repro.schedule.simulator.DeltaState` prepared once per selected
-subtask, with ``region_end = max(p, i)`` enabling its rejoin exit.
-The running best cost doubles as a branch-and-bound cutoff, which prunes
-most of each probe's walk — the reason a batch sweep over the candidate
-set, which walks every probe in full, loses here (MICRO-DELTA).  Probe
+``min(p, i)`` untouched, so each probe is one suffix-only delta walk
+against a :class:`~repro.schedule.simulator.DeltaState` prepared once per
+committed placement, with ``region_end = max(p, i)`` enabling its rejoin
+exit.  The running best cost doubles as a branch-and-bound cutoff, which
+prunes most of each probe's walk — the reason a batch sweep over the
+candidate set, which walks every probe in full, loses here (MICRO-DELTA).
+
+All probes of one selected subtask run inside one backend ``place`` call
+(:func:`~repro.schedule.valid_range.place_by_probes` specifies it); on
+the compiled walker that is one C call that derives the window and slots,
+relocates in its own buffer and walks every probe.  The allocator itself
+only commits: one ``prepare``, then per selected subtask one ``place``,
+and a relocation plus a re-``prepare`` when the subtask moved.  Probe
 outcomes, and therefore the whole SE trajectory, are bit-identical to
-full re-evaluation (see
-``tests/properties/test_delta_properties.py``).
+full re-evaluation (see ``tests/properties/test_delta_properties.py``).
 """
 
 from __future__ import annotations
@@ -39,10 +44,6 @@ from repro.model.workload import Workload
 from repro.schedule.backend import SimulatorBackend
 from repro.schedule.encoding import ScheduleString
 from repro.schedule.simulator import Schedule
-from repro.schedule.valid_range import (
-    machine_slot_indices,
-    valid_insertion_range,
-)
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,8 @@ class Allocator:
         The problem instance and its evaluation context — any
         :class:`~repro.schedule.backend.SimulatorBackend` (the paper's
         contention-free :class:`~repro.schedule.simulator.Simulator` or
-        the NIC-contention backend); probes always go through the
-        backend's ``evaluate_delta``.
+        the NIC-contention backend); each selected subtask is one call of
+        the backend's ``place``.
     y_candidates:
         The resolved ``Y`` (1..l).
     slots:
@@ -89,9 +90,8 @@ class Allocator:
     __slots__ = (
         "_workload",
         "_sim",
-        "_graph",
         "_y",
-        "_slots",
+        "_all_positions",
         "_candidates",
     )
 
@@ -111,9 +111,8 @@ class Allocator:
             raise ValueError(f"unknown slot strategy {slots!r}")
         self._workload = workload
         self._sim = simulator
-        self._graph = workload.graph
         self._y = y_candidates
-        self._slots = slots
+        self._all_positions = slots == "all-positions"
         # Top-Y machines per subtask, fastest first (precomputed ranking).
         e = workload.exec_times
         self._candidates = tuple(
@@ -134,49 +133,28 @@ class Allocator:
         is untouched and one evaluation reports its makespan.
         """
         sim = self._sim
-        graph = self._graph
         order = string.order
         machines = string.machines
-        trials = 0
         moved = 0
         # One full evaluation per committed placement; every probe in
         # between is an incremental suffix-only re-evaluation against it.
         state = sim.prepare(order, machines)
-        trials += 1
+        trials = 1
 
         for task in selected:
-            orig_pos = string.position_of(task)
-            orig_machine = string.machine_of(task)
-            best_cost = float("inf")
-            best_machine = orig_machine
-            best_index = orig_pos
-            for machine in self._candidates[task]:
-                if self._slots == "per-machine":
-                    indices = machine_slot_indices(
-                        string, graph, task, machine
-                    )
-                else:
-                    lo, hi = valid_insertion_range(string, graph, task)
-                    indices = list(range(lo, hi + 1))
-                for idx in indices:
-                    string.relocate(task, idx, machine)
-                    if orig_pos < idx:
-                        first, last = orig_pos, idx
-                    else:
-                        first, last = idx, orig_pos
-                    cost = sim.evaluate_delta(
-                        order, machines, first, state, best_cost, last
-                    )
-                    trials += 1
-                    if cost < best_cost:
-                        best_cost = cost
-                        best_machine = machine
-                        best_index = idx
-                    # revert before the next probe
-                    string.relocate(task, orig_pos, orig_machine)
-
-            string.relocate(task, best_index, best_machine)
-            if best_index != orig_pos or best_machine != orig_machine:
+            _, index, machine, probes = sim.place(
+                state,
+                order,
+                machines,
+                task,
+                self._candidates[task],
+                self._all_positions,
+            )
+            trials += probes
+            if index != string.position_of(task) or (
+                machine != string.machine_of(task)
+            ):
+                string.relocate(task, index, machine)
                 moved += 1
                 # re-snapshot only when the string actually changed; an
                 # unmoved subtask leaves the prepared state valid

@@ -199,6 +199,8 @@ class ContentionSimulator(_ScalarBackend):
 
     __slots__ = ("_p", "_out_edges", "_avail0", "_nic0")
 
+    _state_type = ContentionDeltaState
+
     def __init__(
         self,
         workload: Workload,
@@ -442,6 +444,7 @@ class ContentionSimulator(_ScalarBackend):
             return self._c.evaluate_delta(
                 order, machine_of, first_changed, state, cutoff, region_end
             )
+        self._check_state(state)
         k = self._k
         f = first_changed
         if f < 0:

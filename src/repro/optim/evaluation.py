@@ -30,7 +30,8 @@ is scored:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -308,19 +309,26 @@ class EvaluationService:
         """
         return plain_schedule(self._raw.evaluate(string))
 
-    def best_of(
-        self, string: ScheduleString, cost: float
-    ) -> tuple[Schedule, float]:
-        """A run's best *string* as ``(schedule, makespan to report)``.
+    def schedule_source(self) -> Callable[[ScheduleString], Schedule]:
+        """:meth:`schedule_of` as a handle that keeps only what rebuilds
+        the raw backend (its pickled state: the workload and initial
+        machine state, not the backend's tables), so a run's result can
+        hold it instead of an evaluated schedule."""
+        return partial(
+            _rebuilt_schedule, type(self._raw), self._raw.__getstate__()
+        )
 
-        Under a weighted or scenario objective *cost* is the scalar the
-        engine compared, so the schedule's real makespan is reported in
-        that mode.  Not counted, like :meth:`schedule_of`.
+    def reported_makespan(self, string: ScheduleString, cost: float) -> float:
+        """The makespan to report for a run's best *string* of *cost*.
+
+        *cost* itself under the makespan objective; under a weighted or
+        scenario objective *cost* is the scalar the engine compared, so
+        the string's real makespan is reported.  Not counted, like
+        :meth:`schedule_of`.
         """
-        schedule = self.schedule_of(string)
         if self._objective.is_makespan:
-            return schedule, cost
-        return schedule, schedule.makespan
+            return cost
+        return self._raw.string_makespan(string)
 
     def score_of(self, string: ScheduleString) -> ScheduleScore:
         """The ``(makespan, cost, busy)`` score of *string* — **not**
@@ -390,6 +398,13 @@ class EvaluationService:
         batch and single scoring are ``==``."""
         reduce = self._objective.reduce
         return [reduce(column) for column in matrix.T]
+
+
+def _rebuilt_schedule(
+    backend_cls: type, state: tuple, string: ScheduleString
+) -> Schedule:
+    """*string*'s schedule on a ``backend_cls`` rebuilt from *state*."""
+    return plain_schedule(backend_cls(*state).evaluate(string))
 
 
 def row_pairs(orders: Any, machines: Any) -> list:

@@ -55,6 +55,7 @@ from typing import Any, Optional, Union
 import numpy as np
 
 from repro.schedule.scoring import CostModel
+from repro.schedule.valid_range import place_by_probes
 
 __all__ = [
     "MAKESPAN",
@@ -478,3 +479,19 @@ class ObjectiveBackend:
             return _INF
         self._offer(span, cost, (order, machine_of))
         return self._objective.scalarize(span, cost)
+
+    def place(
+        self,
+        state: Any,
+        order,
+        machine_of,
+        task: int,
+        candidates,
+        all_positions: bool = False,
+    ) -> tuple[float, int, int, int]:
+        """The probe loop of :func:`~repro.schedule.valid_range.
+        place_by_probes` over this backend's :meth:`evaluate_delta`, so
+        every probe is scalarized and offered to the Pareto tracker."""
+        return place_by_probes(
+            self, state, order, machine_of, task, candidates, all_positions
+        )

@@ -1,12 +1,14 @@
 /*
  * Compiled scalar walkers: the hot methods of the two scalar backends.
  *
- * `Walker` runs `makespan`, `prepare` and `evaluate_delta` for one
- * workload under the contention-free network (repro.schedule.simulator.
- * Simulator) or the one-NIC-per-machine network (repro.extensions.
- * contention.ContentionSimulator).  The Python methods of those classes
- * are the specification: every loop below performs the same float
- * operations in the same order, so results are bit-identical (`==`).
+ * `Walker` runs `makespan`, `prepare`, `evaluate_delta` and `place` for
+ * one workload under the contention-free network (repro.schedule.
+ * simulator.Simulator) or the one-NIC-per-machine network (repro.
+ * extensions.contention.ContentionSimulator).  The Python methods of
+ * those classes, and repro.schedule.valid_range.place_by_probes for
+ * `place`, are the specification: every loop below performs the same
+ * float operations in the same order, so results are bit-identical
+ * (`==`).
  * Built with -O2 -ffp-contract=off and without fast-math, so no
  * operation is fused or reordered.
  *
@@ -57,8 +59,9 @@ zalloc(Py_ssize_t n, size_t size)
     return p;
 }
 
-/* One index in [0, bound), else `exc`; any Python code (__index__) runs
- * here, before a walk starts. */
+/* One index in [0, bound), else `exc` (the message names what[pos], or
+ * just `what` for pos < 0); any Python code (__index__) runs here,
+ * before a walk starts. */
 static int
 read_index(PyObject *item, Py_ssize_t bound, long *out, const char *what,
            Py_ssize_t pos, PyObject *exc)
@@ -78,8 +81,14 @@ read_index(PyObject *item, Py_ssize_t bound, long *out, const char *what,
         return -1;
     }
     if (v < 0 || v >= bound) {
-        PyErr_Format(exc, "%s[%zd] = %ld is out of range [0, %zd)",
-                     what, pos, v, bound);
+        if (pos < 0) {
+            PyErr_Format(exc, "%s = %ld is out of range [0, %zd)", what, v,
+                         bound);
+        }
+        else {
+            PyErr_Format(exc, "%s[%zd] = %ld is out of range [0, %zd)",
+                         what, pos, v, bound);
+        }
         return -1;
     }
     *out = v;
@@ -555,10 +564,12 @@ typedef struct {
     const double **pair;    /* l*l Tr rows; shared zero row on diagonal */
     double *zero_row;
     int *in_ptr, *in_prod, *in_item;    /* CSR per consumer */
-    int *out_ptr, *out_item, *out_cons; /* CSR per producer (nic) */
+    /* CSR per producer: nic, the push order given; plain, in_* transposed */
+    int *out_ptr, *out_item, *out_cons;
     double *avail0, *nic0;
     /* scratch, used only while no Python code can run */
     double *finish, *avail, *nicf, *arrival;
+    int *slots;
     unsigned int *dirty;
     unsigned int epoch;
 } Walker;
@@ -587,6 +598,7 @@ walker_dealloc(Walker *w)
     PyMem_Free(w->nicf);
     PyMem_Free(w->arrival);
     PyMem_Free(w->dirty);
+    PyMem_Free(w->slots);
     Py_TYPE(w)->tp_free((PyObject *)w);
 }
 
@@ -691,6 +703,42 @@ done:
     return rc;
 }
 
+/* The (item, consumer) pairs of each producer: in_* transposed into
+ * out_* (the contention-free network's successor table). */
+static int
+transpose_edges(Walker *w)
+{
+    const Py_ssize_t k = w->k;
+    const int total = w->in_ptr[k];
+    int *fill = zalloc(k, sizeof(int));
+    Py_ssize_t t;
+    int e;
+    w->out_ptr = zalloc(k + 1, sizeof(int));
+    w->out_item = zalloc(total, sizeof(int));
+    w->out_cons = zalloc(total, sizeof(int));
+    if (w->out_ptr == NULL || w->out_item == NULL || w->out_cons == NULL
+        || fill == NULL) {
+        PyMem_Free(fill);
+        return -1;
+    }
+    for (e = 0; e < total; e++) {
+        w->out_ptr[w->in_prod[e] + 1]++;
+    }
+    for (t = 0; t < k; t++) {
+        w->out_ptr[t + 1] += w->out_ptr[t];
+    }
+    for (t = 0; t < k; t++) {
+        for (e = w->in_ptr[t]; e < w->in_ptr[t + 1]; e++) {
+            const int prod = w->in_prod[e];
+            const int slot = w->out_ptr[prod] + fill[prod]++;
+            w->out_item[slot] = w->in_item[e];
+            w->out_cons[slot] = (int)t;
+        }
+    }
+    PyMem_Free(fill);
+    return 0;
+}
+
 /* Walker(E, Tr, in_edges, out_edges, avail0, nic0)
  *
  * E: (l, k) float64; Tr: (l(l-1)/2, p) float64; in_edges[t]: (producer,
@@ -785,14 +833,18 @@ walker_init(Walker *w, PyObject *args, PyObject *kwds)
             return -1;
         }
     }
-    return 0;
+    else if (transpose_edges(w) < 0) {
+        return -1;
+    }
+    /* allocated last: walker_ready reads it as "fully initialised" */
+    w->slots = zalloc(k, sizeof(int));
+    return w->slots == NULL ? -1 : 0;
 }
 
 static int
 walker_ready(Walker *w)
 {
-    if (w->E == NULL || w->dirty == NULL
-        || (w->nic && w->arrival == NULL)) {
+    if (w->slots == NULL) {
         PyErr_SetString(PyExc_RuntimeError, "Walker is not initialised");
         return 0;
     }
@@ -1079,26 +1131,20 @@ nic_snapshot_tail(Walker *w, State *st)
     }
 }
 
+/* Re-walk from position f, which must be at or before the restart floor
+ * of every machine reassignment (see nic_delta). */
 static double
-nic_delta(Walker *w, const int *order, const int *mach, Py_ssize_t f,
-          State *st, double cutoff)
+nic_resume(Walker *w, const int *order, const int *mach, Py_ssize_t f,
+           State *st, double cutoff)
 {
     const Py_ssize_t k = w->k, l = w->l, p = w->p;
     const double *E = w->E;
     const double **pair = w->pair;
     double *finish = w->finish, *arrival = w->arrival;
     double *avail = w->avail, *nicf = w->nicf;
-    Py_ssize_t q, t, eff = f;
+    Py_ssize_t q;
     double span;
 
-    /* machine reassignments can dirty prefix producers' NICs; restart
-     * early enough to replay every affected push */
-    for (t = 0; t < k; t++) {
-        if (mach[t] != st->mach[t] && st->producer_floor[t] < eff) {
-            eff = st->producer_floor[t];
-        }
-    }
-    f = eff;
     memcpy(finish, st->finish, k * sizeof(double));
     memcpy(arrival, st->arrival, p * sizeof(double));
     memcpy(avail, st->avail_rows + f * l, l * sizeof(double));
@@ -1145,6 +1191,103 @@ nic_delta(Walker *w, const int *order, const int *mach, Py_ssize_t f,
         nicf[m] = nf;
     }
     return span;
+}
+
+static double
+nic_delta(Walker *w, const int *order, const int *mach, Py_ssize_t f,
+          State *st, double cutoff)
+{
+    Py_ssize_t t;
+    /* machine reassignments can dirty prefix producers' NICs; restart
+     * early enough to replay every affected push */
+    for (t = 0; t < w->k; t++) {
+        if (mach[t] != st->mach[t] && st->producer_floor[t] < f) {
+            f = st->producer_floor[t];
+        }
+    }
+    return nic_resume(w, order, mach, f, st, cutoff);
+}
+
+/* ---- placement (the SE allocation step) ---------------------------- */
+
+/* Inclusive insertion-index window of `task` in the state's base string:
+ * one past its last producer, up to its first consumer, both counted in
+ * the string without `task` (repro.schedule.valid_range.
+ * valid_insertion_range).  An empty window (only possible for a state
+ * whose string breaks a dependency) raises InvalidScheduleError, so
+ * every slot lies in [0, k). */
+static int
+place_window(const Walker *w, const State *st, int task, Py_ssize_t *lo_out,
+             Py_ssize_t *hi_out)
+{
+    const int own = st->pos_of[task];
+    Py_ssize_t lo = 0, hi = w->k - 1;
+    int e;
+    for (e = w->in_ptr[task]; e < w->in_ptr[task + 1]; e++) {
+        int pos = st->pos_of[w->in_prod[e]];
+        if (pos > own) {
+            pos--;
+        }
+        if (pos + 1 > lo) {
+            lo = pos + 1;
+        }
+    }
+    for (e = w->out_ptr[task]; e < w->out_ptr[task + 1]; e++) {
+        int pos = st->pos_of[w->out_cons[e]];
+        if (pos > own) {
+            pos--;
+        }
+        if (pos < hi) {
+            hi = pos;
+        }
+    }
+    if (lo > hi) {
+        PyErr_Format(INVALID_ERROR, "subtask %d has no valid insertion "
+                     "index in the state's string", task);
+        return -1;
+    }
+    *lo_out = lo;
+    *hi_out = hi;
+    return 0;
+}
+
+/* The insertion indices probed for `task` on machine m, into out[] (at
+ * most k): every index of its window [lo, hi], or one per distinct
+ * per-machine order -- the window start and the index after each subtask
+ * of m inside it (repro.schedule.valid_range.machine_slot_indices). */
+static Py_ssize_t
+place_slots(const State *st, int task, int m, Py_ssize_t lo, Py_ssize_t hi,
+            int all_positions, int *out)
+{
+    const Py_ssize_t own = st->pos_of[task];
+    Py_ssize_t idx, n = 0;
+    if (all_positions) {
+        for (idx = lo; idx <= hi; idx++) {
+            out[n++] = (int)idx;
+        }
+        return n;
+    }
+    out[n++] = (int)lo;
+    for (idx = lo; idx < hi; idx++) {
+        if (st->mach[st->order[idx < own ? idx : idx + 1]] == m) {
+            out[n++] = (int)(idx + 1);
+        }
+    }
+    return n;
+}
+
+/* Move the subtask at position `from` of order[] to position `to`. */
+static void
+shift_task(int *order, Py_ssize_t from, Py_ssize_t to)
+{
+    const int task = order[from];
+    if (to > from) {
+        memmove(order + from, order + from + 1, (to - from) * sizeof(int));
+    }
+    else if (to < from) {
+        memmove(order + to + 1, order + to, (from - to) * sizeof(int));
+    }
+    order[to] = task;
 }
 
 /* ---- Python entry points ------------------------------------------- */
@@ -1212,6 +1355,30 @@ walker_prepare(Walker *w, PyObject *const *args, Py_ssize_t nargs)
     return (PyObject *)st;
 }
 
+/* `obj` as a State this walker can resume from, else NULL with
+ * TypeError (not a compiled state) or ValueError (another network or
+ * workload shape). */
+static State *
+as_state(Walker *w, PyObject *obj)
+{
+    State *st;
+    if (Py_TYPE(obj) != &StateType) {
+        PyErr_Format(PyExc_TypeError,
+                     "state must come from a compiled prepare, got %s",
+                     Py_TYPE(obj)->tp_name);
+        return NULL;
+    }
+    st = (State *)obj;
+    if (st->nic != w->nic || st->k != w->k || st->l != w->l
+        || st->p != w->p) {
+        PyErr_SetString(PyExc_ValueError,
+                        "state was prepared for another network or "
+                        "workload shape");
+        return NULL;
+    }
+    return st;
+}
+
 /* evaluate_delta(order, machine_of, first_changed, state, cutoff,
  *                region_end) -- all six positional */
 static PyObject *
@@ -1227,21 +1394,7 @@ walker_evaluate_delta(Walker *w, PyObject *const *args, Py_ssize_t nargs)
                         "state, cutoff, region_end) takes 6 arguments");
         return NULL;
     }
-    if (!walker_ready(w)) {
-        return NULL;
-    }
-    if (Py_TYPE(args[3]) != &StateType) {
-        PyErr_Format(PyExc_TypeError,
-                     "state must come from a compiled prepare, got %s",
-                     Py_TYPE(args[3])->tp_name);
-        return NULL;
-    }
-    st = (State *)args[3];
-    if (st->nic != w->nic || st->k != w->k || st->l != w->l
-        || st->p != w->p) {
-        PyErr_SetString(PyExc_ValueError,
-                        "state was prepared for another network or "
-                        "workload shape");
+    if (!walker_ready(w) || (st = as_state(w, args[3])) == NULL) {
         return NULL;
     }
     f = PyNumber_AsSsize_t(args[2], NULL);  /* clamps huge values */
@@ -1280,6 +1433,163 @@ walker_evaluate_delta(Walker *w, PyObject *const *args, Py_ssize_t nargs)
     return PyFloat_FromDouble(span);
 }
 
+/* The state and task of a place / slots call. */
+static State *
+place_args(Walker *w, PyObject *state, PyObject *task_obj, long *task)
+{
+    State *st;
+    if (!walker_ready(w) || (st = as_state(w, state)) == NULL
+        || read_index(task_obj, w->k, task, "task", -1, PyExc_ValueError)
+               < 0) {
+        return NULL;
+    }
+    return st;
+}
+
+/* The candidate machines as a PyMem block of *n ids (caller frees). */
+static int *
+read_candidates(Walker *w, PyObject *candidates, Py_ssize_t *n)
+{
+    int *cand;
+    PyObject *fast = PySequence_Fast(
+        candidates, "candidates must be a sequence of machine ids");
+    if (fast == NULL) {
+        return NULL;
+    }
+    *n = PySequence_Fast_GET_SIZE(fast);
+    cand = zalloc(*n, sizeof(int));
+    if (cand != NULL
+        && read_ids(fast, cand, *n, w->l, "candidates", NULL) < 0) {
+        PyMem_Free(cand);
+        cand = NULL;
+    }
+    Py_DECREF(fast);
+    return cand;
+}
+
+/* place(state, order, machine_of, task, candidates, all_positions)
+ *   -> (best_cost, best_index, best_machine, probes)
+ *
+ * The SE allocation step for one subtask, as repro.schedule.valid_range.
+ * place_by_probes specifies it: for each candidate machine in the given
+ * order and each of its slots (place_slots), relocate the task in a
+ * private copy of the string, score it against the state with the
+ * running best as cutoff, and revert.  Only a strictly better probe
+ * replaces the best, so of equal placements the first stands.
+ * (order, machine_of) must be the string `state` was prepared from. */
+static PyObject *
+walker_place(Walker *w, PyObject *const *args, Py_ssize_t nargs)
+{
+    Inputs in;
+    State *st;
+    PyObject *out = NULL;
+    long task;
+    int *cand = NULL;
+    Py_ssize_t n_cand, c, own, lo, hi;
+    int all_positions, orig_m, best_m;
+    Py_ssize_t best_idx;
+    long probes = 0;
+    double best = INFINITY;
+    if (nargs != 6) {
+        PyErr_SetString(PyExc_TypeError,
+                        "place(state, order, machine_of, task, candidates, "
+                        "all_positions) takes 6 arguments");
+        return NULL;
+    }
+    st = place_args(w, args[0], args[3], &task);
+    if (st == NULL
+        || (cand = read_candidates(w, args[4], &n_cand)) == NULL) {
+        return NULL;
+    }
+    all_positions = PyObject_IsTrue(args[5]);
+    if (all_positions < 0
+        || read_inputs(&in, args[1], args[2], w->k, w->l) < 0) {
+        PyMem_Free(cand);
+        return NULL;
+    }
+    if (memcmp(in.order, st->order, w->k * sizeof(int)) != 0
+        || memcmp(in.mach, st->mach, w->k * sizeof(int)) != 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "order / machine_of are not the string the state "
+                        "was prepared from");
+        goto done;
+    }
+    if (place_window(w, st, (int)task, &lo, &hi) < 0) {
+        goto done;
+    }
+    /* no Python code runs from here on */
+    own = st->pos_of[task];
+    orig_m = st->mach[task];
+    best_idx = own;
+    best_m = orig_m;
+    for (c = 0; c < n_cand; c++) {
+        const int m = cand[c];
+        const Py_ssize_t n = place_slots(st, (int)task, m, lo, hi,
+                                         all_positions, w->slots);
+        Py_ssize_t i;
+        in.mach[task] = m;
+        for (i = 0; i < n; i++) {
+            const Py_ssize_t idx = w->slots[i];
+            const Py_ssize_t first = idx < own ? idx : own;
+            const Py_ssize_t last = idx < own ? own : idx;
+            double cost;
+            shift_task(in.order, own, idx);
+            if (w->nic) {
+                /* only `task` changed machine: its producers bound the
+                 * restart (nic_delta's scan, in O(1)) */
+                const Py_ssize_t floor = st->producer_floor[task];
+                cost = nic_resume(w, in.order, in.mach,
+                                  m != orig_m && floor < first ? floor
+                                                               : first,
+                                  st, best);
+            }
+            else {
+                cost = plain_delta(w, in.order, in.mach, first, st, best,
+                                   last);
+            }
+            probes++;
+            if (cost < best) {
+                best = cost;
+                best_idx = idx;
+                best_m = m;
+            }
+            shift_task(in.order, idx, own);
+        }
+    }
+    out = Py_BuildValue("(dnil)", best, best_idx, best_m, probes);
+done:
+    free_inputs(&in);
+    PyMem_Free(cand);
+    return out;
+}
+
+/* slots(state, task, machine, all_positions) -> list of the insertion
+ * indices `place` probes for `task` on `machine` */
+static PyObject *
+walker_slots(Walker *w, PyObject *const *args, Py_ssize_t nargs)
+{
+    State *st;
+    long task, machine;
+    int all_positions;
+    Py_ssize_t lo, hi;
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError,
+                        "slots(state, task, machine, all_positions) takes "
+                        "4 arguments");
+        return NULL;
+    }
+    st = place_args(w, args[0], args[1], &task);
+    if (st == NULL
+        || read_index(args[2], w->l, &machine, "machine", -1,
+                      PyExc_ValueError) < 0
+        || (all_positions = PyObject_IsTrue(args[3])) < 0
+        || place_window(w, st, (int)task, &lo, &hi) < 0) {
+        return NULL;
+    }
+    return int_list(w->slots, place_slots(st, (int)task, (int)machine, lo,
+                                          hi, all_positions, w->slots));
+}
+
 static PyObject *
 walker_get_nic(Walker *w, void *closure)
 {
@@ -1301,14 +1611,20 @@ static PyMethodDef walker_methods[] = {
      METH_FASTCALL,
      "evaluate_delta(order, machine_of, first_changed, state, cutoff, "
      "region_end) -> float"},
+    {"place", (PyCFunction)(void (*)(void))walker_place, METH_FASTCALL,
+     "place(state, order, machine_of, task, candidates, all_positions) -> "
+     "(best_cost, best_index, best_machine, probes)"},
+    {"slots", (PyCFunction)(void (*)(void))walker_slots, METH_FASTCALL,
+     "slots(state, task, machine, all_positions) -> the insertion indices "
+     "place probes for task on machine"},
     {NULL}
 };
 
 static PyTypeObject WalkerType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.schedule._walk.Walker",
-    .tp_doc = "Compiled makespan / prepare / evaluate_delta for one "
-              "workload and network.",
+    .tp_doc = "Compiled makespan / prepare / evaluate_delta / place for "
+              "one workload and network.",
     .tp_basicsize = sizeof(Walker),
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_new = PyType_GenericNew,

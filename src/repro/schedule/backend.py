@@ -10,8 +10,9 @@ string-keyed parameter:
 
 * :class:`SimulatorBackend` — the structural protocol every backend
   implements: ``makespan`` / ``evaluate`` plus the incremental tier
-  (``prepare`` → delta state → ``evaluate_delta``) that the SE allocator
-  and the GA offspring loop run on;
+  (``prepare`` → delta state → ``evaluate_delta``, and ``place``, the
+  SE allocation step for one subtask) that the SE allocator and the GA
+  offspring loop run on;
 * :func:`make_simulator` — ``(workload, network)`` → scalar backend.
 
 One table names every network's scalar backend.  The table is resolved
@@ -89,6 +90,10 @@ class SimulatorBackend(Protocol):
       ``cutoff`` branch-and-bound pruning.  ``evaluate_delta`` results
       must be **bit-identical** to a full ``makespan`` call on the same
       string (property-tested for both built-in backends);
+    * ``place`` — the best re-placement of one subtask over a list of
+      candidate machines, with the probe count: the loop of
+      :func:`~repro.schedule.valid_range.place_by_probes` (the scalar
+      backends run it in one compiled walker call, ``==``);
     * ``finish_times`` — per-subtask finish times (SE's ``Ci`` input).
 
     The delta state is backend-specific; callers treat it as opaque
@@ -119,6 +124,16 @@ class SimulatorBackend(Protocol):
         cutoff: float = float("inf"),
         region_end: Optional[int] = None,
     ) -> float: ...
+
+    def place(
+        self,
+        state: Any,
+        order: Sequence[int],
+        machine_of: Sequence[int],
+        task: int,
+        candidates: Sequence[int],
+        all_positions: bool = False,
+    ) -> tuple[float, int, int, int]: ...
 
     def finish_times(self, string: ScheduleString) -> list[float]: ...
 

@@ -5,11 +5,12 @@ the GA's fitness, every baseline's makespan), called hundreds of thousands
 of times per experiment, so it is written for speed per the profiling
 guidance in the HPC coding guides:
 
-* ``makespan``, ``prepare`` and ``evaluate_delta`` run in the compiled
-  walker of :mod:`repro.schedule.walker` when it loads (a C extension
-  built on first use; a fig5 ``makespan`` costs ~3 µs there); the Python
-  bodies below are its specification and the fallback, ``==`` on every
-  result;
+* ``makespan``, ``prepare``, ``evaluate_delta`` and ``place`` run in
+  the compiled walker of :mod:`repro.schedule.walker` when it loads (a
+  C extension built on first use; a fig5 ``makespan`` costs ~3 µs
+  there); the Python bodies below, and
+  :func:`~repro.schedule.valid_range.place_by_probes` for ``place``,
+  are its specification and the fallback, ``==`` on every result;
 * the Python tier converts the matrix data to nested lists (scalar
   indexing into small numpy arrays costs ~10x a list index), built only
   when that tier serves, and binds every attribute to a local;
@@ -48,8 +49,9 @@ position ``f`` onwards can reuse everything before ``f``.
 :meth:`Simulator.prepare` performs one full evaluation and snapshots that
 state at every position; :meth:`Simulator.evaluate_delta` then re-scores
 a perturbed string by recomputing positions ``f..k-1`` only.  This is the
-hot path of the SE allocation step (thousands of relocate-probe-revert
-cycles per iteration) and of the GA's mutation-only offspring.
+hot path of the GA's mutation-only offspring and of every probe of the SE
+allocation step, whose relocate-probe-revert loop for one subtask is one
+:meth:`Simulator.place` call.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from repro.model.workload import Workload
 from repro.schedule import walker
 from repro.schedule.encoding import ScheduleString
 from repro.schedule.scoring import CostModel, ScheduleScore
+from repro.schedule.valid_range import place_by_probes
 
 
 class InvalidScheduleError(ValueError):
@@ -100,8 +103,9 @@ class _ScalarBackend:
     """What both scalar backends share: everything but their walks.
 
     A network class builds its own tables after this constructor, hands
-    them to :meth:`_build_walker`, and defines ``makespan`` / ``prepare``
-    / ``evaluate_delta`` (the compiled walker's calls, then the Python
+    them to :meth:`_build_walker`, names its Python delta state
+    ``_state_type``, and defines ``makespan`` / ``prepare`` /
+    ``evaluate_delta`` (the compiled walker's calls, then the Python
     walks).  *initial* names each machine-state vector the constructor
     takes, in its argument order, so pickling can rebuild the backend.
     """
@@ -218,11 +222,78 @@ class _ScalarBackend:
                 return
         self._check_string(order, machine_of)
 
+    def _check_state(self, state) -> None:
+        """Raise on a delta state the Python walks cannot resume, as the
+        compiled walker does: ``TypeError`` for anything but a Python
+        delta state, ``ValueError`` for one of the other network or of
+        another task or machine count."""
+        if not isinstance(state, _PreparedState):
+            raise TypeError(
+                "state must come from a Python prepare, got "
+                f"{type(state).__name__}"
+            )
+        if (
+            type(state) is not self._state_type
+            or len(state.pos_of) != self._k
+            or len(state.avail_rows[0]) != self._l
+        ):
+            raise ValueError(
+                "state was prepared for another network or workload shape"
+            )
+
+    def place(
+        self,
+        state,
+        order: Sequence[int],
+        machine_of: Sequence[int],
+        task: int,
+        candidates: Sequence[int],
+        all_positions: bool = False,
+    ) -> tuple[float, int, int, int]:
+        """The best re-placement of *task* among *candidates* machines:
+        ``(best_cost, best_index, best_machine, probes)``.
+
+        The SE allocation step for one subtask, specified by
+        :func:`~repro.schedule.valid_range.place_by_probes`; *state* must
+        be prepared from *order* / *machine_of*.  On the compiled tier
+        every probe runs inside one walker call.
+
+        Raises
+        ------
+        TypeError, ValueError
+            For a state this backend cannot resume (as
+            :meth:`evaluate_delta`), a *task* or candidate machine out of
+            range, or a string other than *state*'s.
+        InvalidScheduleError
+            If *order* is not a permutation.
+        """
+        if self._c is not None:
+            return self._c.place(
+                state, order, machine_of, task, candidates, all_positions
+            )
+        self._check_state(state)
+        if not 0 <= task < self._k:
+            raise ValueError(f"task = {task} is out of range [0, {self._k})")
+        for i, m in enumerate(candidates):
+            if not 0 <= m < self._l:
+                raise ValueError(
+                    f"candidates[{i}] = {m} is out of range [0, {self._l})"
+                )
+        self._check_string(order, machine_of)
+        if list(order) != state.order or list(machine_of) != state.machine_of:
+            raise ValueError(
+                "order / machine_of are not the string the state was "
+                "prepared from"
+            )
+        return place_by_probes(
+            self, state, order, machine_of, task, candidates, all_positions
+        )
+
     @property
     def walker_tier(self) -> str:
         """``"compiled"`` when the C walker serves ``makespan`` /
-        ``prepare`` / ``evaluate_delta``, ``"python"`` otherwise (see
-        :mod:`repro.schedule.walker`)."""
+        ``prepare`` / ``evaluate_delta`` / ``place``, ``"python"``
+        otherwise (see :mod:`repro.schedule.walker`)."""
         return "python" if self._c is None else "compiled"
 
     @property
@@ -441,6 +512,8 @@ class Simulator(_ScalarBackend):
 
     __slots__ = ("_avail0",)
 
+    _state_type = DeltaState
+
     def __init__(
         self,
         workload: Workload,
@@ -624,6 +697,7 @@ class Simulator(_ScalarBackend):
             return self._c.evaluate_delta(
                 order, machine_of, first_changed, state, cutoff, region_end
             )
+        self._check_state(state)
         k = self._k
         f = first_changed
         if f < 0:

@@ -12,11 +12,14 @@ Indexing convention: positions refer to the string *with the subtask
 removed* (``0..k-2`` hold the other subtasks; an insertion index ``i``
 places the subtask at absolute position ``i`` of the resulting string).
 This matches :meth:`repro.schedule.encoding.ScheduleString.move`.
+
+:func:`place_by_probes` is the SE allocation step for one subtask built
+on these windows: the specification of every backend's ``place``.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Any, Sequence, Tuple
 
 from repro.model.graph import TaskGraph
 from repro.schedule.encoding import ScheduleString
@@ -108,3 +111,76 @@ def machine_slot_indices(
         if machines[other] == machine:
             slots.append(idx + 1)
     return slots
+
+
+def place_by_probes(
+    backend: Any,
+    state: Any,
+    order: Sequence[int],
+    machine_of: Sequence[int],
+    task: int,
+    candidates: Sequence[int],
+    all_positions: bool = False,
+) -> Tuple[float, int, int, int]:
+    """The best re-placement of *task* (paper §4.5), one probe at a time.
+
+    For each machine of *candidates*, in the given order, and each of its
+    insertion indices (:func:`machine_slot_indices`, or every index of
+    :func:`valid_insertion_range` with *all_positions*), the string
+    *order* / *machine_of* with *task* relocated there is scored by one
+    ``backend.evaluate_delta`` against *state* (prepared from that
+    string): from the first changed position, with ``region_end`` at the
+    last, and with the best cost so far as cutoff.  A probe wins only
+    when strictly better, so the first of equal placements stands.
+
+    Returns ``(best_cost, best_index, best_machine, probes)``; with no
+    probe (no candidate) that is ``(inf, position, machine, 0)`` of the
+    current placement.  This loop is the specification of the backends'
+    ``place`` (the compiled walker's is ``==`` on all four values), and
+    the ``place`` itself of the objective and scenario wrappers, which
+    see every probe through their own ``evaluate_delta``.
+
+    Raises :class:`~repro.schedule.simulator.InvalidScheduleError` when
+    *task* has no valid insertion index, which happens only when the
+    string breaks a dependency of *backend*'s graph (a state prepared
+    for another DAG of the same shape).
+    """
+    graph = backend.workload.graph
+    string = ScheduleString(order, machine_of, backend.workload.num_machines)
+    lo, hi = valid_insertion_range(string, graph, task)
+    if lo > hi:
+        from repro.schedule.simulator import InvalidScheduleError
+
+        raise InvalidScheduleError(
+            f"subtask {task} has no valid insertion index in the state's "
+            "string"
+        )
+    order = string.order
+    machines = string.machines
+    orig_pos = string.position_of(task)
+    orig_machine = string.machine_of(task)
+    best_cost = float("inf")
+    best_index = orig_pos
+    best_machine = orig_machine
+    probes = 0
+    for machine in candidates:
+        if all_positions:
+            indices = range(lo, hi + 1)
+        else:
+            indices = machine_slot_indices(string, graph, task, machine)
+        for idx in indices:
+            string.relocate(task, idx, machine)
+            if orig_pos < idx:
+                first, last = orig_pos, idx
+            else:
+                first, last = idx, orig_pos
+            cost = backend.evaluate_delta(
+                order, machines, first, state, best_cost, last
+            )
+            probes += 1
+            if cost < best_cost:
+                best_cost = cost
+                best_index = idx
+                best_machine = machine
+            string.relocate(task, orig_pos, orig_machine)
+    return best_cost, best_index, best_machine, probes

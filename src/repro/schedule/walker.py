@@ -2,10 +2,12 @@
 
 :class:`~repro.schedule.simulator.Simulator` and
 :class:`~repro.extensions.contention.ContentionSimulator` run their hot
-methods (``makespan``, ``prepare``, ``evaluate_delta``) through a
-``Walker`` of the C extension built from ``_walk.c`` when it loads; the
-Python method bodies stay as the specification and the fallback.  The
-two tiers are ``==`` on every result (property-tested).
+methods (``makespan``, ``prepare``, ``evaluate_delta`` and ``place``,
+the SE allocation step for one subtask) through a ``Walker`` of the C
+extension built from ``_walk.c`` when it loads; the Python method
+bodies, and :func:`~repro.schedule.valid_range.place_by_probes` for
+``place``, stay as the specification and the fallback.  The two tiers
+are ``==`` on every result (property-tested).
 
 The extension is compiled on first use with the local C compiler
 (``$CC``, else the compiler Python was built with, else ``cc``) and the

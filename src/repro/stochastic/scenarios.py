@@ -45,6 +45,7 @@ from repro.optim.evaluation import row_pairs
 from repro.optim.objective import ScenarioObjective, _ScalarizedState
 from repro.schedule.backend import DEFAULT_NETWORK, make_simulator
 from repro.schedule.encoding import ScheduleString
+from repro.schedule.valid_range import place_by_probes
 from repro.stochastic.distributions import ScenarioSet
 
 __all__ = ["ScenarioEvaluator", "ScenarioBackend"]
@@ -230,6 +231,22 @@ class ScenarioBackend:
         spurious ``inf``, just without branch-and-bound savings.
         """
         return self.makespan(order, machine_of)
+
+    def place(
+        self,
+        state: Any,
+        order: Sequence[int],
+        machine_of: Sequence[int],
+        task: int,
+        candidates: Sequence[int],
+        all_positions: bool = False,
+    ) -> tuple[float, int, int, int]:
+        """The probe loop of :func:`~repro.schedule.valid_range.
+        place_by_probes` over this backend's :meth:`evaluate_delta`, so
+        every probe is the risk scalar over all scenarios."""
+        return place_by_probes(
+            self, state, order, machine_of, task, candidates, all_positions
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

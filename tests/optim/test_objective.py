@@ -191,6 +191,38 @@ class TestObjectiveBackend:
             for p in tracker.front
         )
 
+    @ROUTES
+    def test_place_offers_every_unpruned_probe(
+        self, workload, network, platform, monkeypatch
+    ):
+        """``ObjectiveBackend.place`` runs the specification's probe loop
+        over the wrapper's own ``evaluate_delta``, so each probe is
+        scalarized and every probe not pruned reaches the tracker."""
+        tracker = ParetoTracker()
+        backend = self.service(
+            workload, network=network, platform=platform, pareto=tracker
+        ).backend
+        (s,) = strings(workload, 1, seed=8)
+        state = backend.prepare(s.order, s.machines)
+        scored = []
+        delta = backend.evaluate_delta
+
+        def spy(*args):
+            scored.append(delta(*args))
+            return scored[-1]
+
+        monkeypatch.setattr(backend, "evaluate_delta", spy)
+        offers = tracker.offers
+        task = s.order[len(s.order) // 2]
+        cost, index, machine, probes = backend.place(
+            state, s.order, s.machines, task, range(3), False
+        )
+        assert probes == len(scored) > 1
+        assert cost == min(scored)
+        assert tracker.offers - offers == sum(x != float("inf") for x in scored)
+        s.relocate(task, index, machine)
+        assert backend.string_makespan(s) == cost
+
 
 class TestCostAwareEngines:
     """SA and tabu optimise the weighted scalar without engine changes."""

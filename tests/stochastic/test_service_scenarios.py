@@ -52,6 +52,31 @@ def test_service_schedule_of_stays_nominal():
     assert svc.schedule_of(s).makespan == base.string_makespan(s)
 
 
+def test_place_scores_every_probe_over_the_scenarios(monkeypatch):
+    """``ScenarioBackend.place`` runs the specification's probe loop
+    over its own ``evaluate_delta``: every probe is a risk scalar."""
+    w = small_workload(seed=1)
+    backend = EvaluationService(w, **RISK).backend
+    s = _string(w)
+    state = backend.prepare(s.order, s.machines)
+    scored = []
+    delta = backend.evaluate_delta
+
+    def spy(*args):
+        scored.append(delta(*args))
+        return scored[-1]
+
+    monkeypatch.setattr(backend, "evaluate_delta", spy)
+    task = s.order[len(s.order) // 2]
+    cost, index, machine, probes = backend.place(
+        state, s.order, s.machines, task, range(w.num_machines), False
+    )
+    assert probes == len(scored) > 1
+    assert cost == min(scored)
+    s.relocate(task, index, machine)
+    assert backend.string_makespan(s) == cost
+
+
 def test_deterministic_service_has_no_scenario_machinery():
     svc = EvaluationService(small_workload(seed=1))
     assert svc.scenarios == 0

@@ -144,6 +144,22 @@ class TestCompareAndFigures:
             main([*command, *flags])
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "algos, message",
+        [
+            ("bogus", "unknown comparison algorithms"),
+            ("se,bogus", "unknown comparison algorithms"),
+            (" , ", "need at least one algorithm name"),
+            ("se,SE", "duplicate algorithm names"),
+        ],
+    )
+    def test_bad_algorithm_names_exit_before_output(
+        self, capsys, algos, message
+    ):
+        with pytest.raises(SystemExit, match=f"compare: {message}"):
+            main(["compare", "--algos", algos, "--budget", "0.1"])
+        assert capsys.readouterr().out == ""
+
 
 class TestSweep:
     def test_sweep_league_and_artifacts(self, tmp_path, capsys):
