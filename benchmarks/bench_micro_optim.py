@@ -10,10 +10,11 @@ paper scale (100 tasks, 20 machines):
   region) with naive full ``makespan`` calls.
 * MICRO-TABU — the tabu neighborhood sweep: ``neighborhood_size``
   candidate strings scored per iteration.  ``delta_speedup`` measures
-  the engine's path: cutoff-pruned deltas against one incumbent
-  snapshot, selected by the engine's own
-  :func:`~repro.optim.tabu.select_move`, against the batch route, both
-  on the Python walker.
+  the engine's path, one ``score_moves`` call (cutoff-pruned deltas
+  against one incumbent snapshot under tabu's selection rule), against
+  the batch route feeding :func:`~repro.optim.tabu.select_move`, both
+  on the compiled walker the engine runs on (MICRO-SA, like every bench
+  not marked otherwise, runs on the Python walker).
 
 Every case first asserts the two strategies agree bit-for-bit, then
 times them interleaved (``walkers.best_of_interleaved``) and records
@@ -25,6 +26,7 @@ loaded CI machine cannot flake the tier-1 suite; the *gate* lives in
 """
 
 import numpy as np
+import pytest
 
 from repro.optim import EvaluationService
 from repro.optim.neighborhood import (
@@ -32,7 +34,7 @@ from repro.optim.neighborhood import (
     changed_region,
     random_move,
 )
-from repro.optim.tabu import neighborhood_scores, select_move
+from repro.optim.tabu import select_move
 from repro.schedule.operations import random_valid_string
 from repro.schedule.simulator import Simulator
 from repro.utils.rng import as_rng
@@ -98,6 +100,7 @@ def test_micro_sa_proposal_stream(write_output, perf_log):
     assert speedup >= 1.0  # loose floor; the perf gate holds the bar
 
 
+@pytest.mark.walker("compiled")
 def test_micro_tabu_delta_route(write_output, perf_log):
     """MICRO-TABU: the engine's delta route vs the batch route, both
     feeding tabu's selection rule."""
@@ -129,28 +132,28 @@ def test_micro_tabu_delta_route(write_output, perf_log):
         hoods.append((base, moves, tabu, best))
 
     def delta_pass():
-        # one snapshot per neighborhood, as the engine takes per step
+        # one snapshot and one score_moves call per neighborhood, as the
+        # engine makes per step
         return [
-            select_move(
+            service.score_moves(
+                service.backend.prepare(base.order, base.machines),
+                base.order,
+                base.machines,
+                moves,
                 tabu,
                 best,
-                neighborhood_scores(
-                    service,
-                    base,
-                    moves,
-                    service.backend.prepare(base.order, base.machines),
-                ),
             )
             for base, moves, tabu, best in hoods
         ]
 
     def batch_pass():
-        return [
-            select_move(
-                tabu, best, neighborhood_scores(service, base, moves, None)
+        out = []
+        for base, moves, tabu, best in hoods:
+            costs = service.batch_string_makespans(
+                [applied_copy(base, mv) for mv in moves]
             )
-            for base, moves, tabu, best in hoods
-        ]
+            out.append(select_move(tabu, best, lambda i, _cut: costs[i]))
+        return out
 
     assert delta_pass() == batch_pass()  # same move, cost, admissible
 

@@ -14,12 +14,13 @@ is scored:
   :meth:`prepare` / :meth:`evaluate_delta` expose the incremental tier;
 * **cost accounting** — every scoring call increments one
   ``evaluations`` counter (full evaluation = 1, prepare = 1, delta = 1,
-  batch = one per schedule — the same arithmetic the engines used to
+  batch = one per schedule, a tabu neighborhood's :meth:`score_moves`
+  = one per candidate — the same arithmetic the engines used to
   maintain by hand), read back for the per-iteration trace records.
   Calls an engine makes on :attr:`backend` directly are not counted:
-  tabu re-anchors its delta snapshot that way on a candidate a delta
-  call already counted, and the SE allocator reports its probes with
-  :meth:`count`.
+  tabu re-anchors its delta snapshot that way on a candidate its
+  :meth:`score_moves` call already counted, and the SE allocator
+  reports its probes with :meth:`count`.
 
 >>> from repro.workloads import small_workload
 >>> svc = EvaluationService(small_workload(seed=1))
@@ -256,8 +257,8 @@ class EvaluationService:
     @property
     def prefers_delta(self) -> bool:
         """True when a neighbourhood of candidates is cheaper to score
-        one cutoff-pruned :meth:`evaluate_delta` at a time than in one
-        batch call.
+        in one :meth:`score_moves` call, a cutoff-pruned delta per
+        candidate, than in one batch call.
 
         False for a scenario objective (its delta re-scores all ``S``
         scenarios without pruning, so one ``B x S`` sweep wins) and
@@ -364,6 +365,24 @@ class EvaluationService:
         self._calls += 1
         return self._backend.evaluate_delta(
             order, machine_of, first_changed, state, cutoff, region_end
+        )
+
+    def score_moves(
+        self,
+        state: Any,
+        order: Sequence[int],
+        machine_of: Sequence[int],
+        moves: Sequence[Any],
+        tabu: Sequence[bool],
+        best_known: float,
+    ) -> tuple[float, int, int]:
+        """Tabu's ``(cost, index, admissible)`` pick among *moves* of
+        the string *state* was prepared from (see the backends'
+        ``score_moves``); counts one evaluation per move, the deltas it
+        stands for."""
+        self._calls += len(moves)
+        return self._backend.score_moves(
+            state, order, machine_of, moves, tabu, best_known
         )
 
     # ------------------------------------------------------------------

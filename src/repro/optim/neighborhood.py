@@ -14,7 +14,7 @@ proposals through the backends' incremental ``evaluate_delta`` tier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,13 +27,13 @@ REORDER = "reorder"
 REASSIGN = "reassign"
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """One atomic neighborhood move, as data.
 
     ``target`` is an insertion index (:meth:`ScheduleString.move`
     semantics) for ``"reorder"`` moves and a machine id for
-    ``"reassign"`` moves.
+    ``"reassign"`` moves.  A plain tuple underneath, so the compiled
+    walker's ``score_moves`` reads each move by index.
     """
 
     kind: str
@@ -67,33 +67,26 @@ def random_move(
     tried; a subtask with neither (degenerate one-task-one-machine
     instance) yields the identity reorder as a last resort.
     """
-    task = int(rng.integers(string.num_tasks))
+    l = string.num_machines
+    task = int(rng.integers(len(string.order)))
     want_reassign = rng.random() < reassign_prob
     if not avoid_noop:
         if want_reassign:
-            return Move(
-                REASSIGN, task, int(rng.integers(string.num_machines))
-            )
+            return Move(REASSIGN, task, int(rng.integers(l)))
         lo, hi = valid_insertion_range(string, graph, task)
         return Move(REORDER, task, int(rng.integers(lo, hi + 1)))
-
-    def reassign_elsewhere() -> Move:
-        # uniform over the l-1 other machines via draw-and-shift
-        cur = string.machine_of(task)
-        m = int(rng.integers(string.num_machines - 1))
-        return Move(REASSIGN, task, m + 1 if m >= cur else m)
-
-    if want_reassign and string.num_machines > 1:
-        return reassign_elsewhere()
-    lo, hi = valid_insertion_range(string, graph, task)
-    pos = string.position_of(task)
-    if hi > lo:
-        # uniform over [lo, hi] minus the current position
-        idx = int(rng.integers(lo, hi))
-        return Move(REORDER, task, idx + 1 if idx >= pos else idx)
-    if string.num_machines > 1:
-        return reassign_elsewhere()
-    return Move(REORDER, task, pos)
+    if not want_reassign or l == 1:
+        lo, hi = valid_insertion_range(string, graph, task)
+        if hi > lo:
+            # uniform over [lo, hi] minus the current position
+            pos = string.positions[task]
+            idx = int(rng.integers(lo, hi))
+            return Move(REORDER, task, idx + 1 if idx >= pos else idx)
+        if l == 1:
+            return Move(REORDER, task, string.positions[task])
+    # uniform over the l-1 other machines via draw-and-shift
+    m = int(rng.integers(l - 1))
+    return Move(REASSIGN, task, m + 1 if m >= string.machines[task] else m)
 
 
 def apply_move(string: ScheduleString, move: Move) -> None:

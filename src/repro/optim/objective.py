@@ -495,3 +495,22 @@ class ObjectiveBackend:
         return place_by_probes(
             self, state, order, machine_of, task, candidates, all_positions
         )
+
+    def score_moves(
+        self,
+        state: Any,
+        order,
+        machine_of,
+        moves,
+        tabu,
+        best_known: float,
+    ) -> tuple[float, int, int]:
+        """Tabu's selection loop of :func:`~repro.optim.tabu.
+        score_by_deltas` over this backend's :meth:`evaluate_delta`, so
+        every candidate is scalarized and offered to the Pareto
+        tracker."""
+        from repro.optim.tabu import score_by_deltas
+
+        return score_by_deltas(
+            self, state, order, machine_of, moves, tabu, best_known
+        )

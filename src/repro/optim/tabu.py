@@ -20,13 +20,16 @@ what lets tabu search climb out of local optima):
   overall best candidate is committed regardless (the search must not
   deadlock).
 
-Candidates are scored one at a time against a ``prepare`` snapshot of
-the incumbent: each one is an
-:meth:`~repro.optim.evaluation.EvaluationService.evaluate_delta` call
-over its move's :func:`~repro.optim.neighborhood.changed_region`, cut
-off at the smallest bound that still decides its part in the rule
-above (see :func:`select_move`), so a losing candidate stops walking as
-soon as it is known to lose.  Services whose
+The moves are drawn in Python, so the random stream is fixed; the
+whole neighborhood is then scored and selected in one
+:meth:`~repro.optim.evaluation.EvaluationService.score_moves` call
+against a ``prepare`` snapshot of the incumbent, which the compiled
+walker runs in C.  :func:`score_by_deltas` specifies it: each candidate
+is one delta over its move's :func:`~repro.optim.neighborhood.
+changed_region`, cut off at the smallest bound that still decides its
+part in the rule above (see :func:`select_move`), so a losing candidate
+stops walking as soon as it is known to lose; it counts one evaluation
+per candidate.  Services whose
 :attr:`~repro.optim.evaluation.EvaluationService.prefers_delta` is
 False (a scenario objective, an attached Pareto tracker) score the
 whole neighborhood in one
@@ -53,11 +56,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
+from repro.model.graph import TaskGraph
 from repro.model.workload import Workload
 from repro.optim.evaluation import EvaluationFields, EvaluationService
 from repro.optim.exchange import IncumbentSource
 from repro.optim.loop import SearchLoop, StepOutcome
 from repro.optim.neighborhood import (
+    REASSIGN,
+    REORDER,
     Move,
     applied_copy,
     apply_move,
@@ -70,6 +76,8 @@ from repro.optim.result import SearchResult
 from repro.optim.stop import IterationLimits
 from repro.schedule.encoding import ScheduleString
 from repro.schedule.operations import random_valid_string
+from repro.schedule.simulator import InvalidScheduleError
+from repro.schedule.valid_range import valid_insertion_range
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.timers import Stopwatch
 
@@ -177,40 +185,89 @@ def select_move(
     return chosen[0], chosen[1], admissible
 
 
-def neighborhood_scores(
-    service: EvaluationService,
+def check_moves(
     string: ScheduleString,
+    graph: TaskGraph,
     moves: Sequence[Move],
-    state: Any,
-) -> Callable[[int, float], float]:
-    """The ``score(i, cutoff)`` :func:`select_move` reads for *moves*
-    against *string*.
+    tabu: Sequence[bool],
+) -> None:
+    """Raise unless *moves* / *tabu* form a neighborhood of *string*.
 
-    With *state*, a delta snapshot of *string*, each call is one
-    cutoff-pruned :meth:`~repro.optim.evaluation.EvaluationService.
-    evaluate_delta` over the move's changed region, applied to *string*
-    in place and undone again.  With ``state=None`` the whole
-    neighborhood is scored up front in one batch call and cutoffs are
-    ignored.
+    ``ValueError`` for no moves, a flag count other than the move
+    count, an unknown move kind, or a task or machine out of range;
+    ``IndexError`` for an insertion index out of range (as
+    :meth:`~repro.schedule.encoding.ScheduleString.move`);
+    :class:`~repro.schedule.simulator.InvalidScheduleError` for one
+    outside the task's valid window, which would break a dependency.
     """
-    if state is None:
-        costs = service.batch_string_makespans(
-            [applied_copy(string, mv) for mv in moves]
-        )
-        return lambda i, _cutoff: costs[i]
+    if not moves:
+        raise ValueError("moves is empty")
+    if len(tabu) != len(moves):
+        raise ValueError(f"tabu has {len(tabu)} flags for {len(moves)} moves")
+    k, l = string.num_tasks, string.num_machines
+    for kind, task, target in moves:
+        if kind != REORDER and kind != REASSIGN:
+            raise ValueError(f"unknown move kind {kind!r}")
+        if not 0 <= task < k:
+            raise ValueError(f"task = {task} is out of range [0, {k})")
+        if kind == REASSIGN:
+            if not 0 <= target < l:
+                raise ValueError(
+                    f"machine = {target} is out of range [0, {l})"
+                )
+            continue
+        if not 0 <= target < k:
+            raise IndexError(
+                f"insertion index = {target} is out of range [0, {k})"
+            )
+        lo, hi = valid_insertion_range(string, graph, task)
+        if not lo <= target <= hi:
+            raise InvalidScheduleError(
+                f"insertion index {target} for subtask {task} outside its "
+                f"valid range [{lo}, {hi}]"
+            )
+
+
+def score_by_deltas(
+    backend: Any,
+    state: Any,
+    order: Sequence[int],
+    machine_of: Sequence[int],
+    moves: Sequence[Move],
+    tabu: Sequence[bool],
+    best_known: float,
+) -> tuple[float, int, int]:
+    """:func:`select_move` over *moves*, one delta per candidate.
+
+    Each candidate is applied to a copy of *order* / *machine_of* (the
+    string *state* was prepared from), scored by one
+    ``backend.evaluate_delta`` from its :func:`~repro.optim.
+    neighborhood.changed_region` under the cutoff :func:`select_move`
+    hands it, and undone.  Returns ``(cost, index, admissible)``.
+
+    This loop is the specification of the backends' ``score_moves``
+    (the compiled walker's is ``==`` on all three values), and the
+    ``score_moves`` itself of the Python walker and of the objective
+    and scenario wrappers, which see every candidate through their own
+    ``evaluate_delta``.  :func:`check_moves` vets the neighborhood
+    first.
+    """
+    string = ScheduleString(order, machine_of, backend.workload.num_machines)
+    check_moves(string, backend.workload.graph, moves, tabu)
+    order, machines = string.order, string.machines
 
     def score(i: int, cutoff: float) -> float:
         move = moves[i]
         first, last = changed_region(string, move)
         undo = inverse_move(string, move)
         apply_move(string, move)
-        cost = service.evaluate_delta(
-            string.order, string.machines, first, state, cutoff, last
+        cost = backend.evaluate_delta(
+            order, machines, first, state, cutoff, last
         )
         apply_move(string, undo)
         return cost
 
-    return score
+    return select_move(tabu, best_known, score)
 
 
 class TabuSearch:
@@ -305,15 +362,22 @@ class TabuSearch:
                 for _ in range(cfg.neighborhood_size)
             ]
             tabu = [tabu_until.get(mv.task, -1) >= iteration for mv in moves]
-            cost, i, admissible = select_move(
-                tabu,
-                loop.tracker.best_cost,
-                neighborhood_scores(service, string, moves, state),
-            )
+            best = loop.tracker.best_cost
+            if by_delta:
+                cost, i, admissible = service.score_moves(
+                    state, string.order, string.machines, moves, tabu, best
+                )
+            else:
+                costs = service.batch_string_makespans(
+                    [applied_copy(string, mv) for mv in moves]
+                )
+                cost, i, admissible = select_move(
+                    tabu, best, lambda j, _cutoff: costs[j]
+                )
             string = applied_copy(string, moves[i])
             if by_delta:
-                # re-anchor on the committed candidate; its delta above
-                # was its counted evaluation, so bypass the counter
+                # re-anchor on the committed candidate; score_moves
+                # counted its evaluation, so bypass the counter
                 state = service.backend.prepare(
                     string.order, string.machines
                 )

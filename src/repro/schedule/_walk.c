@@ -1,14 +1,14 @@
 /*
  * Compiled scalar walkers: the hot methods of the two scalar backends.
  *
- * `Walker` runs `makespan`, `prepare`, `evaluate_delta` and `place` for
- * one workload under the contention-free network (repro.schedule.
- * simulator.Simulator) or the one-NIC-per-machine network (repro.
- * extensions.contention.ContentionSimulator).  The Python methods of
- * those classes, and repro.schedule.valid_range.place_by_probes for
- * `place`, are the specification: every loop below performs the same
- * float operations in the same order, so results are bit-identical
- * (`==`).
+ * `Walker` runs `makespan`, `prepare`, `evaluate_delta`, `place` and
+ * `score_moves` for one workload under the contention-free network
+ * (repro.schedule.simulator.Simulator) or the one-NIC-per-machine network
+ * (repro.extensions.contention.ContentionSimulator).  The Python methods
+ * of those classes, repro.schedule.valid_range.place_by_probes for
+ * `place` and repro.optim.tabu.score_by_deltas for `score_moves`, are the
+ * specification: every loop below performs the same float operations in
+ * the same order, so results are bit-identical (`==`).
  * Built with -O2 -ffp-contract=off and without fast-math, so no
  * operation is fused or reordered.
  *
@@ -1590,6 +1590,220 @@ walker_slots(Walker *w, PyObject *const *args, Py_ssize_t nargs)
                                           hi, all_positions, w->slots));
 }
 
+/* ---- neighbourhood selection (the tabu step) ------------------------ */
+
+enum { MOVE_REORDER, MOVE_REASSIGN };
+
+/* One (kind, task, target) move of a score_moves call into out[0..2],
+ * checked as repro.optim.tabu.check_moves checks it: an unknown kind, a
+ * task or machine out of range (ValueError), an insertion index out of
+ * range (IndexError) or outside the task's valid window in the state's
+ * string (InvalidScheduleError). */
+static int
+read_move(Walker *w, const State *st, PyObject *move, Py_ssize_t i,
+          int *out)
+{
+    PyObject *kind;
+    long task, target;
+    Py_ssize_t lo, hi;
+    if (!PyTuple_Check(move) || PyTuple_GET_SIZE(move) != 3) {
+        PyErr_Format(PyExc_TypeError,
+                     "moves[%zd] must be a (kind, task, target) tuple", i);
+        return -1;
+    }
+    kind = PyTuple_GET_ITEM(move, 0);
+    if (PyUnicode_Check(kind)
+        && PyUnicode_CompareWithASCIIString(kind, "reorder") == 0) {
+        out[0] = MOVE_REORDER;
+    }
+    else if (PyUnicode_Check(kind)
+             && PyUnicode_CompareWithASCIIString(kind, "reassign") == 0) {
+        out[0] = MOVE_REASSIGN;
+    }
+    else {
+        PyErr_Format(PyExc_ValueError, "unknown move kind %R", kind);
+        return -1;
+    }
+    if (read_index(PyTuple_GET_ITEM(move, 1), w->k, &task, "task", -1,
+                   PyExc_ValueError) < 0) {
+        return -1;
+    }
+    if (out[0] == MOVE_REASSIGN) {
+        if (read_index(PyTuple_GET_ITEM(move, 2), w->l, &target, "machine",
+                       -1, PyExc_ValueError) < 0) {
+            return -1;
+        }
+    }
+    else {
+        if (read_index(PyTuple_GET_ITEM(move, 2), w->k, &target,
+                       "insertion index", -1, PyExc_IndexError) < 0
+            || place_window(w, st, (int)task, &lo, &hi) < 0) {
+            return -1;
+        }
+        if (target < lo || target > hi) {
+            PyErr_Format(INVALID_ERROR,
+                         "insertion index %ld for subtask %ld outside its "
+                         "valid range [%zd, %zd]", target, task, lo, hi);
+            return -1;
+        }
+    }
+    out[1] = (int)task;
+    out[2] = (int)target;
+    return 0;
+}
+
+/* score_moves(state, order, machine_of, moves, tabu, best_known)
+ *   -> (cost, index, admissible)
+ *
+ * Tabu's selection rule over one neighbourhood, as repro.optim.tabu.
+ * select_move specifies it over per-candidate deltas: each move, in
+ * order, is applied to a private copy of the string, scored from its
+ * changed region against the state under the cutoff select_move hands
+ * that candidate, and reverted; then the best admissible candidate (or,
+ * with none, the best overall) is kept by strict `<`.  (order,
+ * machine_of) must be the string `state` was prepared from. */
+static PyObject *
+walker_score_moves(Walker *w, PyObject *const *args, Py_ssize_t nargs)
+{
+    Inputs in;
+    State *st;
+    PyObject *moves = NULL, *tabu = NULL, *out = NULL;
+    int *mv = NULL;
+    unsigned char *is_tabu;
+    Py_ssize_t n, i, chosen = -1, fallback = -1, admissible = 0;
+    double best_known, chosen_cost = INFINITY, fallback_cost = INFINITY;
+    int all_tabu = 1;
+    if (nargs != 6) {
+        PyErr_SetString(PyExc_TypeError,
+                        "score_moves(state, order, machine_of, moves, tabu, "
+                        "best_known) takes 6 arguments");
+        return NULL;
+    }
+    if (!walker_ready(w) || (st = as_state(w, args[0])) == NULL) {
+        return NULL;
+    }
+    best_known = PyFloat_AsDouble(args[5]);
+    if ((best_known == -1.0 && PyErr_Occurred())
+        || read_inputs(&in, args[1], args[2], w->k, w->l) < 0) {
+        return NULL;
+    }
+    if (memcmp(in.order, st->order, w->k * sizeof(int)) != 0
+        || memcmp(in.mach, st->mach, w->k * sizeof(int)) != 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "order / machine_of are not the string the state "
+                        "was prepared from");
+        goto done;
+    }
+    /* tuple copies: no __index__ / __bool__ can resize what is read */
+    if ((moves = PySequence_Tuple(args[3])) == NULL
+        || (tabu = PySequence_Tuple(args[4])) == NULL) {
+        goto done;
+    }
+    n = PyTuple_GET_SIZE(moves);
+    if (n == 0) {
+        PyErr_SetString(PyExc_ValueError, "moves is empty");
+        goto done;
+    }
+    if (PyTuple_GET_SIZE(tabu) != n) {
+        PyErr_Format(PyExc_ValueError,
+                     "tabu has %zd flags for %zd moves",
+                     PyTuple_GET_SIZE(tabu), n);
+        goto done;
+    }
+    /* 3 ints per move, then n flags */
+    if ((mv = zalloc(4 * n, sizeof(int))) == NULL) {
+        goto done;
+    }
+    is_tabu = (unsigned char *)(mv + 3 * n);
+    for (i = 0; i < n; i++) {
+        if (read_move(w, st, PyTuple_GET_ITEM(moves, i), i, mv + 3 * i) < 0) {
+            goto done;
+        }
+    }
+    for (i = 0; i < n; i++) {
+        const int flag = PyObject_IsTrue(PyTuple_GET_ITEM(tabu, i));
+        if (flag < 0) {
+            goto done;
+        }
+        is_tabu[i] = (unsigned char)flag;
+        all_tabu &= flag;
+    }
+    /* no Python code runs from here on */
+    for (i = 0; i < n; i++) {
+        const int task = mv[3 * i + 1], target = mv[3 * i + 2];
+        const Py_ssize_t own = st->pos_of[task];
+        const int orig_m = st->mach[task];
+        Py_ssize_t first = own, last = own;
+        double cutoff, cost;
+        if (!is_tabu[i]) {
+            cutoff = chosen_cost;  /* inf while none is admissible */
+        }
+        else if (!all_tabu) {
+            cutoff = best_known;
+        }
+        else if (fallback < 0) {
+            cutoff = INFINITY;
+        }
+        else {  /* max(best_known, fallback_cost), keeping best_known on ties */
+            cutoff = fallback_cost > best_known ? fallback_cost : best_known;
+        }
+        if (mv[3 * i] == MOVE_REORDER) {
+            shift_task(in.order, own, target);
+            if (target < own) {
+                first = target;
+            }
+            else {
+                last = target;
+            }
+        }
+        else {
+            in.mach[task] = target;
+        }
+        if (w->nic) {
+            /* only `task` may change machine: its producers bound the
+             * restart (nic_delta's scan, in O(1)) */
+            const Py_ssize_t floor = st->producer_floor[task];
+            cost = nic_resume(w, in.order, in.mach,
+                              in.mach[task] != orig_m && floor < first
+                                  ? floor
+                                  : first,
+                              st, cutoff);
+        }
+        else {
+            cost = plain_delta(w, in.order, in.mach, first, st, cutoff, last);
+        }
+        if (mv[3 * i] == MOVE_REORDER) {
+            shift_task(in.order, target, own);
+        }
+        else {
+            in.mach[task] = orig_m;
+        }
+        if (fallback < 0 || cost < fallback_cost) {
+            fallback_cost = cost;
+            fallback = i;
+        }
+        if (is_tabu[i] && !(cost < best_known)) {  /* no aspiration */
+            continue;
+        }
+        admissible++;
+        if (chosen < 0 || cost < chosen_cost) {
+            chosen_cost = cost;
+            chosen = i;
+        }
+    }
+    if (chosen < 0) {
+        chosen_cost = fallback_cost;
+        chosen = fallback;
+    }
+    out = Py_BuildValue("(dnn)", chosen_cost, chosen, admissible);
+done:
+    free_inputs(&in);
+    Py_XDECREF(moves);
+    Py_XDECREF(tabu);
+    PyMem_Free(mv);
+    return out;
+}
+
 static PyObject *
 walker_get_nic(Walker *w, void *closure)
 {
@@ -1617,14 +1831,18 @@ static PyMethodDef walker_methods[] = {
     {"slots", (PyCFunction)(void (*)(void))walker_slots, METH_FASTCALL,
      "slots(state, task, machine, all_positions) -> the insertion indices "
      "place probes for task on machine"},
+    {"score_moves", (PyCFunction)(void (*)(void))walker_score_moves,
+     METH_FASTCALL,
+     "score_moves(state, order, machine_of, moves, tabu, best_known) -> "
+     "(cost, index, admissible)"},
     {NULL}
 };
 
 static PyTypeObject WalkerType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.schedule._walk.Walker",
-    .tp_doc = "Compiled makespan / prepare / evaluate_delta / place for "
-              "one workload and network.",
+    .tp_doc = "Compiled makespan / prepare / evaluate_delta / place / "
+              "score_moves for one workload and network.",
     .tp_basicsize = sizeof(Walker),
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_new = PyType_GenericNew,

@@ -94,6 +94,10 @@ class SimulatorBackend(Protocol):
       candidate machines, with the probe count: the loop of
       :func:`~repro.schedule.valid_range.place_by_probes` (the scalar
       backends run it in one compiled walker call, ``==``);
+    * ``score_moves`` — tabu's pick among a neighborhood of moves, with
+      the admissible count: the loop of :func:`~repro.optim.tabu.
+      score_by_deltas` (one compiled walker call on the scalar
+      backends, ``==``);
     * ``finish_times`` — per-subtask finish times (SE's ``Ci`` input).
 
     The delta state is backend-specific; callers treat it as opaque
@@ -134,6 +138,16 @@ class SimulatorBackend(Protocol):
         candidates: Sequence[int],
         all_positions: bool = False,
     ) -> tuple[float, int, int, int]: ...
+
+    def score_moves(
+        self,
+        state: Any,
+        order: Sequence[int],
+        machine_of: Sequence[int],
+        moves: Sequence[Any],
+        tabu: Sequence[bool],
+        best_known: float,
+    ) -> tuple[float, int, int]: ...
 
     def finish_times(self, string: ScheduleString) -> list[float]: ...
 

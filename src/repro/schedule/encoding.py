@@ -125,6 +125,12 @@ class ScheduleString:
         """Per-subtask machine ids (live reference — do not mutate)."""
         return self._machine_of
 
+    @property
+    def positions(self) -> list[int]:
+        """Per-subtask string positions, the inverse of :attr:`order`
+        (live reference — do not mutate)."""
+        return self._pos_of
+
     def pairs(self) -> tuple[Pair, ...]:
         """The segments ``(subtask, machine)`` left to right (a snapshot)."""
         return tuple((t, self._machine_of[t]) for t in self._order)

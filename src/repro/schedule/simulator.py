@@ -5,12 +5,14 @@ the GA's fitness, every baseline's makespan), called hundreds of thousands
 of times per experiment, so it is written for speed per the profiling
 guidance in the HPC coding guides:
 
-* ``makespan``, ``prepare``, ``evaluate_delta`` and ``place`` run in
-  the compiled walker of :mod:`repro.schedule.walker` when it loads (a
-  C extension built on first use; a fig5 ``makespan`` costs ~3 µs
-  there); the Python bodies below, and
-  :func:`~repro.schedule.valid_range.place_by_probes` for ``place``,
-  are its specification and the fallback, ``==`` on every result;
+* ``makespan``, ``prepare``, ``evaluate_delta``, ``place`` and
+  ``score_moves`` run in the compiled walker of
+  :mod:`repro.schedule.walker` when it loads (a C extension built on
+  first use; a fig5 ``makespan`` costs ~3 µs there); the Python bodies
+  below, :func:`~repro.schedule.valid_range.place_by_probes` for
+  ``place`` and :func:`~repro.optim.tabu.score_by_deltas` for
+  ``score_moves``, are its specification and the fallback, ``==`` on
+  every result;
 * the Python tier converts the matrix data to nested lists (scalar
   indexing into small numpy arrays costs ~10x a list index), built only
   when that tier serves, and binds every attribute to a local;
@@ -49,9 +51,10 @@ position ``f`` onwards can reuse everything before ``f``.
 :meth:`Simulator.prepare` performs one full evaluation and snapshots that
 state at every position; :meth:`Simulator.evaluate_delta` then re-scores
 a perturbed string by recomputing positions ``f..k-1`` only.  This is the
-hot path of the GA's mutation-only offspring and of every probe of the SE
+hot path of the GA's mutation-only offspring, of every probe of the SE
 allocation step, whose relocate-probe-revert loop for one subtask is one
-:meth:`Simulator.place` call.
+:meth:`Simulator.place` call, and of every tabu candidate, whose
+neighborhood is one :meth:`Simulator.score_moves` call.
 """
 
 from __future__ import annotations
@@ -279,21 +282,74 @@ class _ScalarBackend:
                 raise ValueError(
                     f"candidates[{i}] = {m} is out of range [0, {self._l})"
                 )
+        self._check_base(state, order, machine_of)
+        return place_by_probes(
+            self, state, order, machine_of, task, candidates, all_positions
+        )
+
+    def score_moves(
+        self,
+        state,
+        order: Sequence[int],
+        machine_of: Sequence[int],
+        moves: Sequence,
+        tabu: Sequence[bool],
+        best_known: float,
+    ) -> tuple[float, int, int]:
+        """Tabu's pick among *moves* of the string *state* was prepared
+        from: ``(cost, index, admissible)``.
+
+        One neighborhood of the tabu step, specified by
+        :func:`~repro.optim.tabu.score_by_deltas` (:func:`~repro.optim.
+        tabu.select_move` over one delta per candidate); *tabu* flags
+        each move and *best_known* is the run's best cost, for
+        aspiration.  On the compiled tier every candidate runs inside
+        one walker call.
+
+        Raises
+        ------
+        TypeError, ValueError
+            For a state this backend cannot resume (as
+            :meth:`evaluate_delta`), a string other than *state*'s, an
+            empty neighborhood, a flag count other than the move count,
+            an unknown move kind, or a task or machine out of range.
+        IndexError
+            For an insertion index out of range.
+        InvalidScheduleError
+            If *order* is not a permutation, or an insertion index lies
+            outside its task's valid window.
+        """
+        if self._c is not None:
+            return self._c.score_moves(
+                state, order, machine_of, moves, tabu, best_known
+            )
+        from repro.optim.tabu import score_by_deltas
+
+        self._check_state(state)
+        self._check_base(state, order, machine_of)
+        return score_by_deltas(
+            self, state, order, machine_of, moves, tabu, best_known
+        )
+
+    def _check_base(
+        self, state, order: Sequence[int], machine_of: Sequence[int]
+    ) -> None:
+        """Raise unless *order* / *machine_of* is a well-formed string
+        (:meth:`_check_string`) and the one *state* was prepared from
+        (``ValueError``), as the compiled ``place`` and ``score_moves``
+        do."""
         self._check_string(order, machine_of)
         if list(order) != state.order or list(machine_of) != state.machine_of:
             raise ValueError(
                 "order / machine_of are not the string the state was "
                 "prepared from"
             )
-        return place_by_probes(
-            self, state, order, machine_of, task, candidates, all_positions
-        )
 
     @property
     def walker_tier(self) -> str:
         """``"compiled"`` when the C walker serves ``makespan`` /
-        ``prepare`` / ``evaluate_delta`` / ``place``, ``"python"``
-        otherwise (see :mod:`repro.schedule.walker`)."""
+        ``prepare`` / ``evaluate_delta`` / ``place`` / ``score_moves``,
+        ``"python"`` otherwise (see :mod:`repro.schedule.walker`)."""
         return "python" if self._c is None else "compiled"
 
     @property

@@ -39,21 +39,21 @@ def valid_insertion_range(
     For any valid string, ``lo <= hi`` always holds and the current
     position of *task* lies within the returned window.
     """
-    k = string.num_tasks
-    own = string.position_of(task)
+    pos_of = string.positions
+    own = pos_of[task]
 
     lo = 0
     for pred in graph.predecessors(task):
-        pos = string.position_of(pred)
+        pos = pos_of[pred]
         # remove-shift: predecessors sit left of `task` in a valid string
         if pos > own:
             pos -= 1
         if pos + 1 > lo:
             lo = pos + 1
 
-    hi = k - 1
+    hi = len(pos_of) - 1
     for succ in graph.successors(task):
-        pos = string.position_of(succ)
+        pos = pos_of[succ]
         if pos > own:
             pos -= 1
         if pos < hi:

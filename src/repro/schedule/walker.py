@@ -2,12 +2,14 @@
 
 :class:`~repro.schedule.simulator.Simulator` and
 :class:`~repro.extensions.contention.ContentionSimulator` run their hot
-methods (``makespan``, ``prepare``, ``evaluate_delta`` and ``place``,
-the SE allocation step for one subtask) through a ``Walker`` of the C
+methods (``makespan``, ``prepare``, ``evaluate_delta``, ``place``, the
+SE allocation step for one subtask, and ``score_moves``, tabu's
+selection over one neighborhood) through a ``Walker`` of the C
 extension built from ``_walk.c`` when it loads; the Python method
-bodies, and :func:`~repro.schedule.valid_range.place_by_probes` for
-``place``, stay as the specification and the fallback.  The two tiers
-are ``==`` on every result (property-tested).
+bodies, :func:`~repro.schedule.valid_range.place_by_probes` for
+``place`` and :func:`~repro.optim.tabu.score_by_deltas` for
+``score_moves``, stay as the specification and the fallback.  The two
+tiers are ``==`` on every result (property-tested).
 
 The extension is compiled on first use with the local C compiler
 (``$CC``, else the compiler Python was built with, else ``cc``) and the

@@ -248,6 +248,24 @@ class ScenarioBackend:
             self, state, order, machine_of, task, candidates, all_positions
         )
 
+    def score_moves(
+        self,
+        state: Any,
+        order: Sequence[int],
+        machine_of: Sequence[int],
+        moves: Sequence,
+        tabu: Sequence[bool],
+        best_known: float,
+    ) -> tuple[float, int, int]:
+        """Tabu's selection loop of :func:`~repro.optim.tabu.
+        score_by_deltas` over this backend's :meth:`evaluate_delta`, so
+        every candidate is the risk scalar over all scenarios."""
+        from repro.optim.tabu import score_by_deltas
+
+        return score_by_deltas(
+            self, state, order, machine_of, moves, tabu, best_known
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ScenarioBackend({self._objective.name}, "

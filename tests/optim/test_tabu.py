@@ -130,29 +130,29 @@ class TestTabuMechanics:
 
 
 def _count_scoring_calls(monkeypatch):
-    """Spy on the two neighborhood routes of EvaluationService."""
-    calls = {"delta": 0, "batch": 0}
-    delta = EvaluationService.evaluate_delta
-    batch = EvaluationService.batch_string_makespans
+    """Spy on the neighborhood routes of EvaluationService (and on its
+    single deltas, which neither route makes)."""
+    calls = {"delta": 0, "moves": 0, "batch": 0}
 
-    def spy_delta(self, *args, **kwargs):
-        calls["delta"] += 1
-        return delta(self, *args, **kwargs)
+    def spy(name, key):
+        original = getattr(EvaluationService, name)
 
-    def spy_batch(self, strings):
-        calls["batch"] += 1
-        return batch(self, strings)
+        def counted(self, *args, **kwargs):
+            calls[key] += 1
+            return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(EvaluationService, "evaluate_delta", spy_delta)
-    monkeypatch.setattr(
-        EvaluationService, "batch_string_makespans", spy_batch
-    )
+        monkeypatch.setattr(EvaluationService, name, counted)
+
+    spy("evaluate_delta", "delta")
+    spy("score_moves", "moves")
+    spy("batch_string_makespans", "batch")
     return calls
 
 
 class TestScoringRoute:
-    """Neighborhoods score one cutoff-pruned delta per candidate; the
-    services that gain nothing from that keep one batch call."""
+    """A neighborhood is one ``score_moves`` call (a cutoff-pruned delta
+    per candidate, counted as such); the services that gain nothing
+    from that keep one batch call."""
 
     ITERATIONS = 7
 
@@ -184,7 +184,7 @@ class TestScoringRoute:
         service = EvaluationService(tiny_workload, **kwargs)
         assert service.prefers_delta
         calls = self.run_counted(tiny_workload, service, monkeypatch)
-        assert calls == {"delta": self.ITERATIONS * 24, "batch": 0}
+        assert calls == {"delta": 0, "moves": self.ITERATIONS, "batch": 0}
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -202,7 +202,7 @@ class TestScoringRoute:
         service = EvaluationService(tiny_workload, **kwargs)
         assert not service.prefers_delta
         calls = self.run_counted(tiny_workload, service, monkeypatch)
-        assert calls == {"delta": 0, "batch": self.ITERATIONS}
+        assert calls == {"delta": 0, "moves": 0, "batch": self.ITERATIONS}
 
 
 class TestNicBackend:
