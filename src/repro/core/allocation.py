@@ -113,11 +113,9 @@ class Allocator:
         self._sim = simulator
         self._y = y_candidates
         self._all_positions = slots == "all-positions"
-        # Top-Y machines per subtask, fastest first (precomputed ranking).
-        e = workload.exec_times
-        self._candidates = tuple(
-            e.best_machines(t, y_candidates) for t in range(workload.num_tasks)
-        )
+        # Top-Y machines per subtask, fastest first: one slice of the
+        # precomputed (l, k) ranking, transposed to a row per subtask.
+        self._candidates = workload.exec_times.ranking[:y_candidates].T.tolist()
 
     @property
     def y_candidates(self) -> int:

@@ -117,6 +117,7 @@ class SimulatedEvolution:
                 workload.num_machines,
                 rng,
                 shuffle_range=cfg.initial_shuffle_range,
+                backend=service.backend,
             )
         else:
             string = initial.copy()

@@ -35,27 +35,30 @@ def optimal_finish_times(workload: Workload) -> np.ndarray:
     Computed once per workload in topological order; ``O[i] > 0`` always.
     """
     graph = workload.graph
+    k = graph.num_tasks
     e = workload.exec_times
-    best = [e.best_machine(t) for t in range(graph.num_tasks)]
-    best_time = [e.best_time(t) for t in range(graph.num_tasks)]
+    best = e.ranking[0]
+    best_time = e.values[best, np.arange(k)].tolist()
+    # every item's transfer time between the best machines of its two
+    # ends, in one gather; then grouped per consumer
+    prod, cons, item = np.array(
+        [(d.producer, d.consumer, d.index) for d in graph.data_items],
+        dtype=np.intp,
+    ).reshape(-1, 3).T
+    times = workload.transfer_times.times(best[prod], best[cons], item)
+    incoming: list[list[tuple[int, float]]] = [[] for _ in range(k)]
+    for p, c, tr in zip(prod.tolist(), cons.tolist(), times.tolist()):
+        incoming[c].append((p, tr))
 
-    o = np.zeros(graph.num_tasks)
-    # group incoming items per consumer once
-    incoming: list[list[tuple[int, int]]] = [
-        [] for _ in range(graph.num_tasks)
-    ]
-    for d in graph.data_items:
-        incoming[d.consumer].append((d.producer, d.index))
-
+    o = [0.0] * k
     for t in graph.topological_order():
         ready = 0.0
-        bm_t = best[t]
-        for prod, item in incoming[t]:
-            arrival = o[prod] + workload.comm_time(best[prod], bm_t, item)
+        for p, tr in incoming[t]:
+            arrival = o[p] + tr
             if arrival > ready:
                 ready = arrival
         o[t] = ready + best_time[t]
-    return o
+    return np.array(o)
 
 
 def goodness_values(

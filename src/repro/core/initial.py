@@ -10,9 +10,17 @@ The paper builds the first string in three moves:
 The perturbation count is drawn uniformly from
 ``[lo_factor * k, hi_factor * k]`` (k = number of subtasks); the factors
 live in :class:`~repro.core.config.SEConfig.initial_shuffle_range`.
+
+The moves are specified by
+:func:`~repro.schedule.operations.shuffle_string`, which runs them when
+no backend is given.  The SE engine passes its backend, whose
+``shuffle`` makes the same draws in one compiled walker call, so the
+string is the same either way.
 """
 
 from __future__ import annotations
+
+from typing import Any, Optional
 
 import numpy as np
 
@@ -26,6 +34,7 @@ def initial_solution(
     num_machines: int,
     rng: np.random.Generator,
     shuffle_range: tuple[float, float] = (1.0, 3.0),
+    backend: Optional[Any] = None,
 ) -> ScheduleString:
     """Generate a valid initial string per the paper's recipe.
 
@@ -40,6 +49,11 @@ def initial_solution(
     shuffle_range:
         ``(lo_factor, hi_factor)`` scaling of ``k`` for the perturbation
         count; ``(0, 0)`` yields the plain topological string.
+    backend:
+        A :class:`~repro.schedule.backend.SimulatorBackend` for *graph*
+        whose ``shuffle`` runs the moves, or ``None`` to run
+        :func:`~repro.schedule.operations.shuffle_string`; the result
+        is the same.
     """
     lo_f, hi_f = shuffle_range
     if lo_f < 0 or hi_f < lo_f:
@@ -48,11 +62,14 @@ def initial_solution(
         )
     k = graph.num_tasks
     machine_of = [int(m) for m in rng.integers(num_machines, size=k)]
-    string = ScheduleString(
-        graph.topological_order(), machine_of, num_machines
-    )
     lo = int(round(lo_f * k))
     hi = int(round(hi_f * k))
     num_moves = int(rng.integers(lo, hi + 1)) if hi > lo else lo
+    order = graph.topological_order()
+    if backend is not None:
+        return ScheduleString(
+            backend.shuffle(order, rng, num_moves), machine_of, num_machines
+        )
+    string = ScheduleString(order, machine_of, num_machines)
     shuffle_string(string, graph, rng, num_moves)
     return string

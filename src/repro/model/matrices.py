@@ -13,7 +13,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 import numpy as np
 
@@ -77,8 +77,8 @@ class ExecutionTimeMatrix:
 
     The per-task machine ranking (``argsort`` of each column) is
     precomputed because the SE evaluation step (best-matching machine for
-    the ``Oi`` bound) and the allocation step (top-``Y`` machines) both
-    consult it in hot loops.
+    the ``Oi`` bound) and the allocation step (top-``Y`` machines, a
+    slice of :attr:`ranking`) both read it.
     """
 
     __slots__ = ("_e", "_ranking")
@@ -112,6 +112,12 @@ class ExecutionTimeMatrix:
         """The underlying read-only ``(l, k)`` array."""
         return self._e
 
+    @property
+    def ranking(self) -> np.ndarray:
+        """The read-only ``(l, k)`` machine ranking: column ``t`` holds
+        every machine id, fastest for *t* first (ties → lowest id)."""
+        return self._ranking
+
     def time(self, machine: int, task: int) -> float:
         """``E[machine, task]``."""
         return float(self._e[machine, task])
@@ -131,20 +137,6 @@ class ExecutionTimeMatrix:
         computing the optimistic finish time ``Oi`` (§4.3).
         """
         return int(self._ranking[0, task])
-
-    def best_machines(self, task: int, y: Optional[int] = None) -> tuple[int, ...]:
-        """The ``y`` best-matching machines of *task*, fastest first.
-
-        ``y=None`` (or ``y >= l``) returns all machines ranked.  This is
-        the candidate set that the SE allocation step restricts itself to
-        via the ``Y`` parameter (§4.5).
-        """
-        if y is None:
-            y = self.num_machines
-        if y <= 0:
-            raise ValueError(f"y must be >= 1, got {y}")
-        y = min(y, self.num_machines)
-        return tuple(int(m) for m in self._ranking[:y, task])
 
     def best_time(self, task: int) -> float:
         """Execution time of *task* on its best-matching machine."""
@@ -285,6 +277,22 @@ class TransferTimeMatrix:
         if machine_a == machine_b:
             return 0.0
         return float(self._tr[pair_index(machine_a, machine_b, self._l), item])
+
+    def times(
+        self, machines_a: np.ndarray, machines_b: np.ndarray, items: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`time` over equal-length integer arrays: the transfer
+        time of ``items[i]`` between ``machines_a[i]`` and
+        ``machines_b[i]``, in one gather."""
+        i = np.minimum(machines_a, machines_b)
+        j = np.maximum(machines_a, machines_b)
+        apart = i != j
+        i, j = i[apart], j[apart]
+        out = np.zeros(len(items))
+        out[apart] = self._tr[
+            i * self._l - i * (i + 1) // 2 + (j - i - 1), items[apart]
+        ]
+        return out
 
     def pair_rows(self) -> list[list[list[float]]]:
         """:func:`pair_table` of the ``Tr`` rows as lists, with one shared

@@ -424,6 +424,10 @@ class ObjectiveBackend:
     def finish_times(self, string) -> list[float]:
         return self._inner.finish_times(string)
 
+    def shuffle(self, order, rng, num_moves: int) -> list[int]:
+        """The inner backend's ``shuffle``: the graph is the same."""
+        return self._inner.shuffle(order, rng, num_moves)
+
     def evaluate(self, string) -> Any:
         result = self._inner.evaluate(string)
         self._offer(result.makespan, self._cm.cost(string.machines), string)

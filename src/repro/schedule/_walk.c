@@ -1,14 +1,16 @@
 /*
  * Compiled scalar walkers: the hot methods of the two scalar backends.
  *
- * `Walker` runs `makespan`, `prepare`, `evaluate_delta`, `place` and
- * `score_moves` for one workload under the contention-free network
- * (repro.schedule.simulator.Simulator) or the one-NIC-per-machine network
- * (repro.extensions.contention.ContentionSimulator).  The Python methods
- * of those classes, repro.schedule.valid_range.place_by_probes for
- * `place` and repro.optim.tabu.score_by_deltas for `score_moves`, are the
+ * `Walker` runs `makespan`, `prepare`, `evaluate_delta`, `place`,
+ * `score_moves` and `shuffle` for one workload under the contention-free
+ * network (repro.schedule.simulator.Simulator) or the one-NIC-per-machine
+ * network (repro.extensions.contention.ContentionSimulator).  The Python
+ * methods of those classes, repro.schedule.valid_range.place_by_probes for
+ * `place`, repro.optim.tabu.score_by_deltas for `score_moves` and
+ * repro.schedule.operations.shuffle_string for `shuffle`, are the
  * specification: every loop below performs the same float operations in
- * the same order, so results are bit-identical (`==`).
+ * the same order, so results are bit-identical (`==`), and `shuffle`
+ * makes the same random draws from the same numpy bit generator.
  * Built with -O2 -ffp-contract=off and without fast-math, so no
  * operation is fused or reordered.
  *
@@ -33,6 +35,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <stdint.h>
 #include <string.h>
 
 static PyObject *schedule_cls = NULL;
@@ -220,9 +223,16 @@ typedef struct {
     int *mach;
 } Inputs;
 
+static void
+free_inputs(Inputs *in)
+{
+    PyMem_Free(in->heap);
+}
+
+/* Copy `order`, which must be a permutation of 0..k-1, into in->order;
+ * in->mach is left as k ints of scratch. */
 static int
-read_inputs(Inputs *in, PyObject *order, PyObject *machine_of,
-            Py_ssize_t k, Py_ssize_t l)
+read_order(Inputs *in, PyObject *order, Py_ssize_t k)
 {
     int *buf = in->stack;
     unsigned char *seen = in->seen;
@@ -240,18 +250,25 @@ read_inputs(Inputs *in, PyObject *order, PyObject *machine_of,
     }
     in->order = buf;
     in->mach = buf + k;
-    if (read_ids(order, in->order, k, k, "order", seen) < 0
-        || read_ids(machine_of, in->mach, k, l, "machine_of", NULL) < 0) {
-        PyMem_Free(in->heap);
+    if (read_ids(order, in->order, k, k, "order", seen) < 0) {
+        free_inputs(in);
         return -1;
     }
     return 0;
 }
 
-static void
-free_inputs(Inputs *in)
+static int
+read_inputs(Inputs *in, PyObject *order, PyObject *machine_of,
+            Py_ssize_t k, Py_ssize_t l)
 {
-    PyMem_Free(in->heap);
+    if (read_order(in, order, k) < 0) {
+        return -1;
+    }
+    if (read_ids(machine_of, in->mach, k, l, "machine_of", NULL) < 0) {
+        free_inputs(in);
+        return -1;
+    }
+    return 0;
 }
 
 static void
@@ -1210,21 +1227,21 @@ nic_delta(Walker *w, const int *order, const int *mach, Py_ssize_t f,
 
 /* ---- placement (the SE allocation step) ---------------------------- */
 
-/* Inclusive insertion-index window of `task` in the state's base string:
- * one past its last producer, up to its first consumer, both counted in
- * the string without `task` (repro.schedule.valid_range.
- * valid_insertion_range).  An empty window (only possible for a state
- * whose string breaks a dependency) raises InvalidScheduleError, so
+/* Inclusive insertion-index window of `task` in the string whose
+ * positions are pos_of[]: one past its last producer, up to its first
+ * consumer, both counted in the string without `task` (repro.schedule.
+ * valid_range.valid_insertion_range).  An empty window (only possible
+ * for a string that breaks a dependency) raises InvalidScheduleError, so
  * every slot lies in [0, k). */
 static int
-place_window(const Walker *w, const State *st, int task, Py_ssize_t *lo_out,
-             Py_ssize_t *hi_out)
+place_window(const Walker *w, const int *pos_of, int task,
+             Py_ssize_t *lo_out, Py_ssize_t *hi_out)
 {
-    const int own = st->pos_of[task];
+    const int own = pos_of[task];
     Py_ssize_t lo = 0, hi = w->k - 1;
     int e;
     for (e = w->in_ptr[task]; e < w->in_ptr[task + 1]; e++) {
-        int pos = st->pos_of[w->in_prod[e]];
+        int pos = pos_of[w->in_prod[e]];
         if (pos > own) {
             pos--;
         }
@@ -1233,7 +1250,7 @@ place_window(const Walker *w, const State *st, int task, Py_ssize_t *lo_out,
         }
     }
     for (e = w->out_ptr[task]; e < w->out_ptr[task + 1]; e++) {
-        int pos = st->pos_of[w->out_cons[e]];
+        int pos = pos_of[w->out_cons[e]];
         if (pos > own) {
             pos--;
         }
@@ -1243,7 +1260,7 @@ place_window(const Walker *w, const State *st, int task, Py_ssize_t *lo_out,
     }
     if (lo > hi) {
         PyErr_Format(INVALID_ERROR, "subtask %d has no valid insertion "
-                     "index in the state's string", task);
+                     "index in the string", task);
         return -1;
     }
     *lo_out = lo;
@@ -1514,7 +1531,7 @@ walker_place(Walker *w, PyObject *const *args, Py_ssize_t nargs)
                         "was prepared from");
         goto done;
     }
-    if (place_window(w, st, (int)task, &lo, &hi) < 0) {
+    if (place_window(w, st->pos_of, (int)task, &lo, &hi) < 0) {
         goto done;
     }
     /* no Python code runs from here on */
@@ -1583,7 +1600,7 @@ walker_slots(Walker *w, PyObject *const *args, Py_ssize_t nargs)
         || read_index(args[2], w->l, &machine, "machine", -1,
                       PyExc_ValueError) < 0
         || (all_positions = PyObject_IsTrue(args[3])) < 0
-        || place_window(w, st, (int)task, &lo, &hi) < 0) {
+        || place_window(w, st->pos_of, (int)task, &lo, &hi) < 0) {
         return NULL;
     }
     return int_list(w->slots, place_slots(st, (int)task, (int)machine, lo,
@@ -1637,7 +1654,7 @@ read_move(Walker *w, const State *st, PyObject *move, Py_ssize_t i,
     else {
         if (read_index(PyTuple_GET_ITEM(move, 2), w->k, &target,
                        "insertion index", -1, PyExc_IndexError) < 0
-            || place_window(w, st, (int)task, &lo, &hi) < 0) {
+            || place_window(w, st->pos_of, (int)task, &lo, &hi) < 0) {
             return -1;
         }
         if (target < lo || target > hi) {
@@ -1804,6 +1821,136 @@ done:
     return out;
 }
 
+/* ---- the SE initial string (paper section 4.2) --------------------- */
+
+/* numpy's public bit-generator interface (numpy/random/bitgen.h),
+ * declared here so that no numpy header is needed. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* The bit generator of the numpy Generator `rng`, with a new reference
+ * to the object that owns it in *owner; else NULL with TypeError. */
+static bitgen_t *
+read_bitgen(PyObject *rng, PyObject **owner)
+{
+    PyObject *capsule = NULL;
+    bitgen_t *bg = NULL;
+    *owner = PyObject_GetAttrString(rng, "bit_generator");
+    if (*owner != NULL) {
+        capsule = PyObject_GetAttrString(*owner, "capsule");
+    }
+    if (capsule != NULL && PyCapsule_IsValid(capsule, "BitGenerator")) {
+        bg = PyCapsule_GetPointer(capsule, "BitGenerator");
+    }
+    else if (capsule != NULL
+             || PyErr_ExceptionMatches(PyExc_AttributeError)) {
+        PyErr_Format(PyExc_TypeError,
+                     "rng must be a numpy.random.Generator, got %s",
+                     Py_TYPE(rng)->tp_name);
+    }
+    Py_XDECREF(capsule);
+    if (bg == NULL) {
+        Py_CLEAR(*owner);
+    }
+    return bg;
+}
+
+/* low + a uniform draw from [0, r] for r < 2**32 - 1, the draw numpy's
+ * Generator.integers(low, low + r + 1) makes: none for r == 0, else
+ * Lemire's multiply-and-reject on next_uint32. */
+static Py_ssize_t
+draw_index(bitgen_t *bg, Py_ssize_t low, uint32_t r)
+{
+    const uint32_t excl = r + 1;
+    uint64_t m;
+    if (r == 0) {
+        return low;
+    }
+    m = (uint64_t)bg->next_uint32(bg->state) * excl;
+    if ((uint32_t)m < excl) {
+        const uint32_t threshold = (UINT32_MAX - r) % excl;
+        while ((uint32_t)m < threshold) {
+            m = (uint64_t)bg->next_uint32(bg->state) * excl;
+        }
+    }
+    return low + (Py_ssize_t)(m >> 32);
+}
+
+/* shuffle(order, rng, num_moves) -> list
+ *
+ * The SE initial string's perturbation, as repro.schedule.operations.
+ * shuffle_string specifies it: num_moves times, draw a subtask, then an
+ * insertion index in its valid window, and move it there.  Each draw is
+ * the one Generator.integers makes from rng's bit generator, so the
+ * returned order and rng's state afterwards are the specification's.
+ * The caller holds rng.bit_generator.lock. */
+static PyObject *
+walker_shuffle(Walker *w, PyObject *const *args, Py_ssize_t nargs)
+{
+    Inputs in;
+    PyObject *owner, *out = NULL;
+    bitgen_t *bg;
+    Py_ssize_t num_moves, n, p;
+    int *order, *pos_of;
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "shuffle(order, rng, num_moves) takes 3 arguments");
+        return NULL;
+    }
+    if (!walker_ready(w)) {
+        return NULL;
+    }
+    num_moves = PyNumber_AsSsize_t(args[2], NULL);  /* clamps huge values */
+    if (num_moves == -1 && PyErr_Occurred()) {
+        return NULL;
+    }
+    if ((bg = read_bitgen(args[1], &owner)) == NULL) {
+        return NULL;
+    }
+    if (read_order(&in, args[0], w->k) < 0) {
+        Py_DECREF(owner);
+        return NULL;
+    }
+    if (num_moves < 0) {
+        PyErr_Format(PyExc_ValueError, "num_moves must be >= 0, got %zd",
+                     num_moves);
+        goto done;
+    }
+    if (num_moves > 0 && w->k == 0) {
+        PyErr_SetString(PyExc_ValueError, "no subtask to move");
+        goto done;
+    }
+    /* no Python code runs from here on */
+    order = in.order;
+    pos_of = in.mach;
+    for (p = 0; p < w->k; p++) {
+        pos_of[order[p]] = (int)p;
+    }
+    for (n = 0; n < num_moves; n++) {
+        const int task = (int)draw_index(bg, 0, (uint32_t)(w->k - 1));
+        const Py_ssize_t own = pos_of[task];
+        Py_ssize_t lo, hi, to;
+        if (place_window(w, pos_of, task, &lo, &hi) < 0) {
+            goto done;
+        }
+        to = draw_index(bg, lo, (uint32_t)(hi - lo));
+        shift_task(order, own, to);
+        for (p = to < own ? to : own; p <= (to < own ? own : to); p++) {
+            pos_of[order[p]] = (int)p;
+        }
+    }
+    out = int_list(order, w->k);
+done:
+    free_inputs(&in);
+    Py_DECREF(owner);
+    return out;
+}
+
 static PyObject *
 walker_get_nic(Walker *w, void *closure)
 {
@@ -1835,6 +1982,9 @@ static PyMethodDef walker_methods[] = {
      METH_FASTCALL,
      "score_moves(state, order, machine_of, moves, tabu, best_known) -> "
      "(cost, index, admissible)"},
+    {"shuffle", (PyCFunction)(void (*)(void))walker_shuffle, METH_FASTCALL,
+     "shuffle(order, rng, num_moves) -> the order after num_moves random "
+     "valid moves drawn from rng"},
     {NULL}
 };
 
@@ -1842,7 +1992,7 @@ static PyTypeObject WalkerType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.schedule._walk.Walker",
     .tp_doc = "Compiled makespan / prepare / evaluate_delta / place / "
-              "score_moves for one workload and network.",
+              "score_moves / shuffle for one workload and network.",
     .tp_basicsize = sizeof(Walker),
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_new = PyType_GenericNew,

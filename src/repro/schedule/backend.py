@@ -98,6 +98,10 @@ class SimulatorBackend(Protocol):
       the admissible count: the loop of :func:`~repro.optim.tabu.
       score_by_deltas` (one compiled walker call on the scalar
       backends, ``==``);
+    * ``shuffle`` — the SE initial string's random valid moves (paper
+      §4.2): the loop of :func:`~repro.schedule.operations.
+      shuffle_string`, with the same draws (one compiled walker call on
+      the scalar backends, ``==``);
     * ``finish_times`` — per-subtask finish times (SE's ``Ci`` input).
 
     The delta state is backend-specific; callers treat it as opaque
@@ -148,6 +152,10 @@ class SimulatorBackend(Protocol):
         tabu: Sequence[bool],
         best_known: float,
     ) -> tuple[float, int, int]: ...
+
+    def shuffle(
+        self, order: Sequence[int], rng: Any, num_moves: int
+    ) -> list[int]: ...
 
     def finish_times(self, string: ScheduleString) -> list[float]: ...
 

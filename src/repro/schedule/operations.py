@@ -6,6 +6,12 @@ generator perturbs a topological string with :func:`random_valid_move`
 random-search baseline composes both move kinds.  Every operation keeps
 the string a valid solution — the closure property tested in
 ``tests/schedule/test_operations.py``.
+
+:func:`shuffle_string` is the specification of the scalar backends'
+``shuffle`` and the Python walker's body for it; the SE engine's
+initial string goes through the backend, whose compiled walker runs
+the whole loop in one call with the same draws from the generator's
+bit generator (``tests/properties/test_shuffle_properties.py``).
 """
 
 from __future__ import annotations
@@ -101,7 +107,8 @@ def shuffle_string(
 
     The paper's initial-solution generator modifies the topologically
     sorted string "a random number of times"; the SE initialiser calls
-    this with a randomised count.
+    this, or a backend's ``shuffle`` that it specifies, with a
+    randomised count.
     """
     if num_moves < 0:
         raise ValueError(f"num_moves must be >= 0, got {num_moves}")

@@ -5,13 +5,14 @@ the GA's fitness, every baseline's makespan), called hundreds of thousands
 of times per experiment, so it is written for speed per the profiling
 guidance in the HPC coding guides:
 
-* ``makespan``, ``prepare``, ``evaluate_delta``, ``place`` and
-  ``score_moves`` run in the compiled walker of
+* ``makespan``, ``prepare``, ``evaluate_delta``, ``place``,
+  ``score_moves`` and ``shuffle`` run in the compiled walker of
   :mod:`repro.schedule.walker` when it loads (a C extension built on
   first use; a fig5 ``makespan`` costs ~3 µs there); the Python bodies
   below, :func:`~repro.schedule.valid_range.place_by_probes` for
-  ``place`` and :func:`~repro.optim.tabu.score_by_deltas` for
-  ``score_moves``, are its specification and the fallback, ``==`` on
+  ``place``, :func:`~repro.optim.tabu.score_by_deltas` for
+  ``score_moves`` and :func:`~repro.schedule.operations.shuffle_string`
+  for ``shuffle``, are its specification and the fallback, ``==`` on
   every result;
 * the Python tier converts the matrix data to nested lists (scalar
   indexing into small numpy arrays costs ~10x a list index), built only
@@ -63,9 +64,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.model.workload import Workload
 from repro.schedule import walker
 from repro.schedule.encoding import ScheduleString
+from repro.schedule.operations import shuffle_string
 from repro.schedule.scoring import CostModel, ScheduleScore
 from repro.schedule.valid_range import place_by_probes
 
@@ -184,20 +188,28 @@ class _ScalarBackend:
             and machines.issuperset(machine_of)
         ):
             return
-        for name, seq in (("order", order), ("machine_of", machine_of)):
-            if len(seq) != k:
-                raise ValueError(
-                    f"{name} has {len(seq)} entries, expected {k}"
-                )
-        if set(order) != tasks:
-            raise InvalidScheduleError(
-                f"order is not a permutation of 0..{k - 1}"
+        self._check_order(order)
+        if len(machine_of) != k:
+            raise ValueError(
+                f"machine_of has {len(machine_of)} entries, expected {k}"
             )
         i = next(i for i, m in enumerate(machine_of) if m not in machines)
         raise ValueError(
             f"machine_of[{i}] = {machine_of[i]} is out of range "
             f"[0, {self._l})"
         )
+
+    def _check_order(self, order: Sequence[int]) -> None:
+        """Raise ``ValueError`` for an *order* of the wrong length and
+        :class:`InvalidScheduleError` for one that is not a permutation
+        of ``0..k-1``, as the compiled walker does."""
+        k = self._k
+        if len(order) != k:
+            raise ValueError(f"order has {len(order)} entries, expected {k}")
+        if set(order) != self._ids[0]:
+            raise InvalidScheduleError(
+                f"order is not a permutation of 0..{k - 1}"
+            )
 
     def _check_window(
         self,
@@ -331,6 +343,42 @@ class _ScalarBackend:
             self, state, order, machine_of, moves, tabu, best_known
         )
 
+    def shuffle(
+        self, order: Sequence[int], rng: np.random.Generator, num_moves: int
+    ) -> list[int]:
+        """*order* after *num_moves* random valid moves drawn from *rng*
+        (paper §4.2): the SE initial string's perturbation.
+
+        Specified by :func:`~repro.schedule.operations.shuffle_string`,
+        which is the Python tier's body; on the compiled tier the whole
+        loop is one walker call that makes the same draws from *rng*'s
+        bit generator, so the result and *rng*'s state afterwards are
+        the same on both tiers.
+
+        Raises
+        ------
+        TypeError
+            If *rng* is not a :class:`numpy.random.Generator`.
+        ValueError
+            If *num_moves* is negative, *order* has the wrong length, or
+            a drawn subtask has no valid insertion index (*order* breaks
+            a dependency).
+        InvalidScheduleError
+            If *order* is not a permutation.
+        """
+        if not isinstance(rng, np.random.Generator):
+            raise TypeError(
+                "rng must be a numpy.random.Generator, got "
+                f"{type(rng).__name__}"
+            )
+        if self._c is not None:
+            with rng.bit_generator.lock:
+                return self._c.shuffle(order, rng, num_moves)
+        self._check_order(order)
+        string = ScheduleString(order, [0] * self._k, 1)
+        shuffle_string(string, self._workload.graph, rng, num_moves)
+        return string.order
+
     def _check_base(
         self, state, order: Sequence[int], machine_of: Sequence[int]
     ) -> None:
@@ -348,8 +396,9 @@ class _ScalarBackend:
     @property
     def walker_tier(self) -> str:
         """``"compiled"`` when the C walker serves ``makespan`` /
-        ``prepare`` / ``evaluate_delta`` / ``place`` / ``score_moves``,
-        ``"python"`` otherwise (see :mod:`repro.schedule.walker`)."""
+        ``prepare`` / ``evaluate_delta`` / ``place`` / ``score_moves`` /
+        ``shuffle``, ``"python"`` otherwise (see
+        :mod:`repro.schedule.walker`)."""
         return "python" if self._c is None else "compiled"
 
     @property

@@ -192,6 +192,12 @@ class ScenarioBackend:
     def finish_times(self, string: ScheduleString) -> list[float]:
         return self._nominal.finish_times(string)
 
+    def shuffle(
+        self, order: Sequence[int], rng: Any, num_moves: int
+    ) -> list[int]:
+        """The nominal backend's ``shuffle``: the graph is the same."""
+        return self._nominal.shuffle(order, rng, num_moves)
+
     # ------------------------------------------------------------------
     # reduced (risk) scoring
     # ------------------------------------------------------------------

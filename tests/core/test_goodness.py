@@ -17,6 +17,7 @@ from repro.model import (
 )
 from repro.schedule import Simulator
 from repro.schedule.operations import random_valid_string
+from repro.workloads import WorkloadSpec, build_workload
 
 
 class TestOptimalFinishTimes:
@@ -50,6 +51,22 @@ class TestOptimalFinishTimes:
         w = Workload(graph, HCSystem.of_size(1), e, tr)
         o = optimal_finish_times(w)
         assert o[2] == pytest.approx(12.0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_the_recursion_through_comm_time(self, seed):
+        """Bit-identical to F evaluated item by item with ``comm_time``."""
+        w = build_workload(WorkloadSpec(num_tasks=60, num_machines=6, seed=seed))
+        e = w.exec_times
+        want = np.zeros(w.num_tasks)
+        for t in w.graph.topological_order():
+            ready = 0.0
+            for d in w.graph.data_items:
+                if d.consumer == t:
+                    ready = max(ready, want[d.producer] + w.comm_time(
+                        e.best_machine(d.producer), e.best_machine(t), d.index
+                    ))
+            want[t] = ready + e.best_time(t)
+        assert np.array_equal(optimal_finish_times(w), want)
 
     def test_all_positive(self, tiny_workload):
         assert np.all(optimal_finish_times(tiny_workload) > 0)

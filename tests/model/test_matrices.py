@@ -90,19 +90,11 @@ class TestExecutionTimeMatrix:
         e = ExecutionTimeMatrix([[3.0], [3.0], [3.0]])
         assert e.best_machine(0) == 0
 
-    def test_best_machines_ranking(self):
-        e = ExecutionTimeMatrix([[5.0], [2.0], [8.0]])
-        assert e.best_machines(0) == (1, 0, 2)
-        assert e.best_machines(0, y=2) == (1, 0)
-
-    def test_best_machines_y_clamped(self):
-        e = ExecutionTimeMatrix([[5.0], [2.0]])
-        assert e.best_machines(0, y=99) == (1, 0)
-
-    def test_best_machines_y_zero_rejected(self):
-        e = ExecutionTimeMatrix([[5.0]])
-        with pytest.raises(ValueError, match=">= 1"):
-            e.best_machines(0, y=0)
+    def test_ranking(self):
+        e = ExecutionTimeMatrix([[5.0, 1.0], [2.0, 1.0], [8.0, 0.5]])
+        assert e.ranking[:, 0].tolist() == [1, 0, 2]
+        assert e.ranking[:, 1].tolist() == [2, 0, 1]  # ties: lowest id
+        assert not e.ranking.flags.writeable
 
     def test_best_time(self):
         e = ExecutionTimeMatrix([[5.0], [2.0]])
@@ -213,6 +205,17 @@ class TestTransferTimeMatrix:
         a = TransferTimeMatrix([[1.0]], num_machines=2)
         b = TransferTimeMatrix([[1.0]], num_machines=2)
         assert a == b
+
+    @pytest.mark.parametrize("l,p", [(1, 2), (2, 3), (5, 3)])
+    def test_times_match_time(self, l, p):
+        """One gather over every (a, b, item), same-machine pairs too."""
+        rng = np.random.default_rng(l * 10 + p)
+        tr = TransferTimeMatrix(
+            rng.uniform(0.0, 9.0, size=(num_pairs(l), p)), num_machines=l
+        )
+        a, b, item = np.indices((l, l, p)).reshape(3, -1)
+        want = [tr.time(*t) for t in zip(a.tolist(), b.tolist(), item.tolist())]
+        assert tr.times(a, b, item).tolist() == want
 
 
 class TestPairTable:
