@@ -42,118 +42,69 @@ seeds go through :mod:`repro.runner`:
     ['HEFT', 'SE']
 """
 
-from repro import (
-    analysis,
-    baselines,
-    extensions,
-    io,
-    model,
-    online,
-    optim,
-    runner,
-    schedule,
-    workloads,
-)
-from repro.baselines import (
-    GAConfig,
-    GAResult,
-    GeneticAlgorithm,
-    heft,
-    max_min,
-    min_min,
-    olb,
-    random_search,
-    run_ga,
-)
-from repro.core import (
-    SEConfig,
-    SEResult,
-    SimulatedEvolution,
-    run_se,
-)
-from repro.online import (
-    DynamicSimulator,
-    JobStream,
-    OnlineResult,
-    ReoptConfig,
-    poisson_stream,
-)
-from repro.optim import (
-    SAConfig,
-    SearchResult,
-    SimulatedAnnealing,
-    TabuConfig,
-    TabuSearch,
-    run_sa,
-    run_tabu,
-)
-from repro.model import (
-    HCSystem,
-    TaskGraph,
-    Workload,
-    WorkloadClass,
-    paper_sample_workload,
-)
-from repro.schedule import (
-    Schedule,
-    ScheduleString,
-    Simulator,
-    compute_metrics,
-    evaluate_schedule,
-    verify_schedule,
-)
-from repro.workloads import WorkloadSpec, build_workload
+from repro._lazy import exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "analysis",
-    "baselines",
-    "extensions",
-    "io",
-    "model",
-    "online",
-    "optim",
-    "runner",
-    "schedule",
-    "workloads",
-    "GAConfig",
-    "GAResult",
-    "GeneticAlgorithm",
-    "heft",
-    "max_min",
-    "min_min",
-    "olb",
-    "random_search",
-    "run_ga",
-    "SEConfig",
-    "SEResult",
-    "SimulatedEvolution",
-    "run_se",
-    "DynamicSimulator",
-    "JobStream",
-    "OnlineResult",
-    "ReoptConfig",
-    "poisson_stream",
-    "SAConfig",
-    "SearchResult",
-    "SimulatedAnnealing",
-    "TabuConfig",
-    "TabuSearch",
-    "run_sa",
-    "run_tabu",
-    "HCSystem",
-    "TaskGraph",
-    "Workload",
-    "WorkloadClass",
-    "paper_sample_workload",
-    "Schedule",
-    "ScheduleString",
-    "Simulator",
-    "compute_metrics",
-    "evaluate_schedule",
-    "verify_schedule",
-    "WorkloadSpec",
-    "build_workload",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.baselines": (
+            "GAConfig",
+            "GAResult",
+            "GeneticAlgorithm",
+            "heft",
+            "max_min",
+            "min_min",
+            "olb",
+            "random_search",
+            "run_ga",
+        ),
+        "repro.core": ("SEConfig", "SEResult", "SimulatedEvolution", "run_se"),
+        "repro.online": (
+            "DynamicSimulator",
+            "JobStream",
+            "OnlineResult",
+            "ReoptConfig",
+            "poisson_stream",
+        ),
+        "repro.optim": (
+            "SAConfig",
+            "SearchResult",
+            "SimulatedAnnealing",
+            "TabuConfig",
+            "TabuSearch",
+            "run_sa",
+            "run_tabu",
+        ),
+        "repro.model": (
+            "HCSystem",
+            "TaskGraph",
+            "Workload",
+            "WorkloadClass",
+            "paper_sample_workload",
+        ),
+        "repro.schedule": (
+            "Schedule",
+            "ScheduleString",
+            "Simulator",
+            "compute_metrics",
+            "evaluate_schedule",
+            "verify_schedule",
+        ),
+        "repro.workloads": ("WorkloadSpec", "build_workload"),
+    },
+    submodules=(
+        "analysis",
+        "baselines",
+        "extensions",
+        "io",
+        "model",
+        "online",
+        "optim",
+        "runner",
+        "schedule",
+        "workloads",
+    ),
+)
+__all__ += ["__version__"]

@@ -8,39 +8,26 @@
   the paper's own evaluation).
 """
 
-from repro.baselines.base import BaselineResult, IncrementalScheduleBuilder
-from repro.baselines.ga import GAConfig, GAResult, GeneticAlgorithm, run_ga
-from repro.baselines.heft import heft
-from repro.baselines.listsched import (
-    downward_ranks,
-    list_schedule,
-    task_processing_order,
-    upward_ranks,
-)
-from repro.baselines.minmin import max_min, min_min
-from repro.baselines.olb import olb
-from repro.baselines.random_search import (
-    RandomSearchConfig,
-    random_search,
-    run_random_search,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "BaselineResult",
-    "IncrementalScheduleBuilder",
-    "GAConfig",
-    "GAResult",
-    "GeneticAlgorithm",
-    "run_ga",
-    "heft",
-    "downward_ranks",
-    "list_schedule",
-    "task_processing_order",
-    "upward_ranks",
-    "max_min",
-    "min_min",
-    "olb",
-    "RandomSearchConfig",
-    "random_search",
-    "run_random_search",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.baselines.base": ("BaselineResult", "IncrementalScheduleBuilder"),
+        "repro.baselines.ga": ("GAConfig", "GAResult", "GeneticAlgorithm", "run_ga"),
+        "repro.baselines.heft": ("heft",),
+        "repro.baselines.listsched": (
+            "downward_ranks",
+            "list_schedule",
+            "task_processing_order",
+            "upward_ranks",
+        ),
+        "repro.baselines.minmin": ("max_min", "min_min"),
+        "repro.baselines.olb": ("olb",),
+        "repro.baselines.random_search": (
+            "RandomSearchConfig",
+            "random_search",
+            "run_random_search",
+        ),
+    },
+)

@@ -1,31 +1,23 @@
 """Genetic-algorithm baseline (Wang et al., JPDC 1997) — the paper's comparator."""
 
-from repro.baselines.ga.chromosome import (
-    Chromosome,
-    initial_population,
-    is_valid_chromosome,
-    random_chromosome,
-)
-from repro.baselines.ga.config import GAConfig
-from repro.baselines.ga.engine import GAResult, GeneticAlgorithm, run_ga
-from repro.baselines.ga.operators import (
-    matching_crossover,
-    matching_mutation,
-    scheduling_crossover,
-    scheduling_mutation,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "Chromosome",
-    "initial_population",
-    "is_valid_chromosome",
-    "random_chromosome",
-    "GAConfig",
-    "GAResult",
-    "GeneticAlgorithm",
-    "run_ga",
-    "matching_crossover",
-    "matching_mutation",
-    "scheduling_crossover",
-    "scheduling_mutation",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.baselines.ga.chromosome": (
+            "Chromosome",
+            "initial_population",
+            "is_valid_chromosome",
+            "random_chromosome",
+        ),
+        "repro.baselines.ga.config": ("GAConfig",),
+        "repro.baselines.ga.engine": ("GAResult", "GeneticAlgorithm", "run_ga"),
+        "repro.baselines.ga.operators": (
+            "matching_crossover",
+            "matching_mutation",
+            "scheduling_crossover",
+            "scheduling_mutation",
+        ),
+    },
+)

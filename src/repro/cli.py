@@ -45,43 +45,45 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.analysis.ascii_plot import Series, line_plot
-from repro.analysis.compare import (
-    compare_named,
-    comparison_names,
-    make_time_grid,
-)
-from repro.baselines import heft
-from repro.core import SEConfig, run_se
-from repro.model import Workload, paper_sample_workload
 from repro.runner.registry import (
     ENGINES,
     algorithm_parameters,
     available_algorithms,
     heuristic,
 )
-from repro.schedule import Timeline, compute_metrics
-from repro.workloads import (
-    figure3_workload,
-    figure4a_workload,
-    figure4b_workload,
-    figure5_workload,
-    figure6_workload,
-    figure7_workload,
-    small_workload,
-)
+
+if TYPE_CHECKING:
+    from repro.model import Workload
+
+
+def _paper_sample(seed: Optional[int]) -> Workload:
+    from repro.model import paper_sample_workload
+
+    return paper_sample_workload()
+
+
+def _preset(factory: str) -> Callable[[Optional[int]], Workload]:
+    """The :mod:`repro.workloads` *factory*, imported when first called."""
+
+    def load(seed: Optional[int]) -> Workload:
+        from repro import workloads
+
+        return getattr(workloads, factory)(seed)
+
+    return load
+
 
 PRESETS: dict[str, Callable[[Optional[int]], Workload]] = {
-    "paper-sample": lambda seed: paper_sample_workload(),
-    "small": small_workload,
-    "fig3": figure3_workload,
-    "fig4a": figure4a_workload,
-    "fig4b": figure4b_workload,
-    "fig5": figure5_workload,
-    "fig6": figure6_workload,
-    "fig7": figure7_workload,
+    "paper-sample": _paper_sample,
+    "small": _preset("small_workload"),
+    "fig3": _preset("figure3_workload"),
+    "fig4a": _preset("figure4a_workload"),
+    "fig4b": _preset("figure4b_workload"),
+    "fig5": _preset("figure5_workload"),
+    "fig6": _preset("figure6_workload"),
+    "fig7": _preset("figure7_workload"),
 }
 
 
@@ -175,6 +177,7 @@ def _print_risk_profile(fields, w: Workload, best) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.schedule import Timeline, compute_metrics
     from repro.schedule.backend import make_simulator
 
     fields = _evaluation_fields("run", args)
@@ -245,6 +248,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _check_time_grid(command: str, args: argparse.Namespace) -> None:
     """Exit cleanly on a ``--budget`` / ``--points`` no grid can take."""
+    from repro.analysis.compare import make_time_grid
+
     try:
         make_time_grid(args.budget, args.points)
     except ValueError as exc:
@@ -252,6 +257,9 @@ def _check_time_grid(command: str, args: argparse.Namespace) -> None:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.analysis.ascii_plot import Series, line_plot
+    from repro.analysis.compare import compare_named, comparison_names
+
     _check_time_grid("compare", args)
     try:
         algos = comparison_names(args.algos.split(","))
@@ -413,11 +421,15 @@ def _cmd_algorithms(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.analysis.ascii_plot import Series, line_plot
+    from repro.analysis.compare import compare_named
+    from repro.core import SEConfig, run_se
+
     fig = args.id
     seed = args.seed
     iters = args.iterations
     if fig in ("3a", "3b"):
-        w = figure3_workload(seed)
+        w = _load_workload("fig3", seed)
         res = run_se(w, SEConfig(seed=seed, max_iterations=iters))
         tr = res.trace
         if fig == "3a":
@@ -428,7 +440,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             ylab = "schedule length"
         print(line_plot(series, title=f"Figure {fig}", x_label="iteration", y_label=ylab))
     elif fig in ("4a", "4b"):
-        w = figure4a_workload(seed) if fig == "4a" else figure4b_workload(seed)
+        w = _load_workload(f"fig{fig}", seed)
         series = []
         for y in (5, 9, 12):
             res = run_se(
@@ -446,7 +458,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         )
     elif fig in ("5", "6", "7"):
         _check_time_grid("figure", args)
-        w = {"5": figure5_workload, "6": figure6_workload, "7": figure7_workload}[fig](seed)
+        w = _load_workload(f"fig{fig}", seed)
         cmp = compare_named(
             w, ["se", "ga"], time_budget=args.budget, grid_points=args.points,
             seed=seed,
@@ -571,6 +583,7 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
     to cost".
     """
     from repro.analysis.pareto import cheapest_within, pareto_table
+    from repro.baselines import heft
     from repro.optim import ParetoTracker
 
     _check_platform("pareto", args.platform)
@@ -683,6 +696,7 @@ def _cmd_perf_show(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     from pathlib import Path
 
+    from repro.core import SEConfig, run_se
     from repro.io import save_dot, save_json, save_svg
 
     w = _load_workload(args.preset, args.seed)

@@ -7,44 +7,30 @@ evaluation (:mod:`~repro.core.goodness`), selection
 configured by :class:`~repro.core.config.SEConfig`.
 """
 
-from repro.core.allocation import AllocationResult, Allocator
-from repro.core.config import SEConfig, default_bias
-from repro.core.engine import SEResult, SimulatedEvolution, run_se
-from repro.core.goodness import (
-    GoodnessEvaluator,
-    goodness_values,
-    optimal_finish_times,
-)
-from repro.core.initial import initial_solution
-from repro.core.observers import (
-    Observer,
-    ProgressPrinter,
-    StallDetector,
-    StringSnapshots,
-)
-from repro.core.selection import (
-    bias_for_target_fraction,
-    expected_selection_fraction,
-    select_subtasks,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "AllocationResult",
-    "Allocator",
-    "SEConfig",
-    "default_bias",
-    "SEResult",
-    "SimulatedEvolution",
-    "run_se",
-    "GoodnessEvaluator",
-    "goodness_values",
-    "optimal_finish_times",
-    "initial_solution",
-    "Observer",
-    "ProgressPrinter",
-    "StallDetector",
-    "StringSnapshots",
-    "bias_for_target_fraction",
-    "expected_selection_fraction",
-    "select_subtasks",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.core.allocation": ("AllocationResult", "Allocator"),
+        "repro.core.config": ("SEConfig", "default_bias"),
+        "repro.core.engine": ("SEResult", "SimulatedEvolution", "run_se"),
+        "repro.core.goodness": (
+            "GoodnessEvaluator",
+            "goodness_values",
+            "optimal_finish_times",
+        ),
+        "repro.core.initial": ("initial_solution",),
+        "repro.core.observers": (
+            "Observer",
+            "ProgressPrinter",
+            "StallDetector",
+            "StringSnapshots",
+        ),
+        "repro.core.selection": (
+            "bias_for_target_fraction",
+            "expected_selection_fraction",
+            "select_subtasks",
+        ),
+    },
+)

@@ -7,21 +7,18 @@
   the GA (never worse than HEFT by construction).
 """
 
-from repro.extensions.contention import (
-    ContentionDeltaState,
-    ContentionSchedule,
-    ContentionSimulator,
-    TransferRecord,
-    contention_penalty,
-)
-from repro.extensions.hybrid import heft_seeded_ga, heft_seeded_se
+from repro._lazy import exports
 
-__all__ = [
-    "ContentionDeltaState",
-    "ContentionSchedule",
-    "ContentionSimulator",
-    "TransferRecord",
-    "contention_penalty",
-    "heft_seeded_ga",
-    "heft_seeded_se",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.extensions.contention": (
+            "ContentionDeltaState",
+            "ContentionSchedule",
+            "ContentionSimulator",
+            "TransferRecord",
+            "contention_penalty",
+        ),
+        "repro.extensions.hybrid": ("heft_seeded_ga", "heft_seeded_se"),
+    },
+)

@@ -6,56 +6,36 @@ fully connected :class:`HCSystem`; costs live in the execution-time matrix
 complete problem instance.
 """
 
-from repro.model.graph import TaskGraph
-from repro.model.machine import Machine, MachineSet
-from repro.model.matrices import (
-    ExecutionTimeMatrix,
-    TransferTimeMatrix,
-    num_pairs,
-    pair_index,
-)
-from repro.model.platform import (
-    CLOUD_PLATFORM,
-    SPOT_PLATFORM,
-    UNIFORM_PLATFORM,
-    BoundPlatform,
-    InstanceType,
-    PlatformSpec,
-)
-from repro.model.sample import (
-    FIGURE2_PAIRS,
-    PAPER_O4,
-    paper_sample_graph,
-    paper_sample_system,
-    paper_sample_workload,
-)
-from repro.model.system import FULLY_CONNECTED, HCSystem
-from repro.model.task import DataItem, Subtask
-from repro.model.workload import Workload, WorkloadClass
+from repro._lazy import exports
 
-__all__ = [
-    "TaskGraph",
-    "Machine",
-    "MachineSet",
-    "ExecutionTimeMatrix",
-    "TransferTimeMatrix",
-    "num_pairs",
-    "pair_index",
-    "InstanceType",
-    "PlatformSpec",
-    "BoundPlatform",
-    "UNIFORM_PLATFORM",
-    "CLOUD_PLATFORM",
-    "SPOT_PLATFORM",
-    "FIGURE2_PAIRS",
-    "PAPER_O4",
-    "paper_sample_graph",
-    "paper_sample_system",
-    "paper_sample_workload",
-    "FULLY_CONNECTED",
-    "HCSystem",
-    "DataItem",
-    "Subtask",
-    "Workload",
-    "WorkloadClass",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.model.graph": ("TaskGraph",),
+        "repro.model.machine": ("Machine", "MachineSet"),
+        "repro.model.matrices": (
+            "ExecutionTimeMatrix",
+            "TransferTimeMatrix",
+            "num_pairs",
+            "pair_index",
+        ),
+        "repro.model.platform": (
+            "InstanceType",
+            "PlatformSpec",
+            "BoundPlatform",
+            "UNIFORM_PLATFORM",
+            "CLOUD_PLATFORM",
+            "SPOT_PLATFORM",
+        ),
+        "repro.model.sample": (
+            "FIGURE2_PAIRS",
+            "PAPER_O4",
+            "paper_sample_graph",
+            "paper_sample_system",
+            "paper_sample_workload",
+        ),
+        "repro.model.system": ("FULLY_CONNECTED", "HCSystem"),
+        "repro.model.task": ("DataItem", "Subtask"),
+        "repro.model.workload": ("Workload", "WorkloadClass"),
+    },
+)

@@ -13,50 +13,36 @@ Public surface of the event-driven layer (see
   aggregation.
 """
 
-from repro.online.arrivals import (
-    JobArrival,
-    JobStream,
-    load_trace,
-    mean_job_work,
-    poisson_stream,
-    rate_for_utilisation,
-    save_trace,
-)
-from repro.online.metrics import (
-    JobRecord,
-    OnlineMetrics,
-    percentile,
-    summarize,
-)
-from repro.online.policies import (
-    DISPATCH_POLICIES,
-    ReoptConfig,
-    dispatch,
-    improve_residual,
-)
-from repro.online.simulator import (
-    CommittedJobView,
-    DynamicSimulator,
-    OnlineResult,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "JobArrival",
-    "JobStream",
-    "load_trace",
-    "mean_job_work",
-    "poisson_stream",
-    "rate_for_utilisation",
-    "save_trace",
-    "JobRecord",
-    "OnlineMetrics",
-    "percentile",
-    "summarize",
-    "DISPATCH_POLICIES",
-    "ReoptConfig",
-    "dispatch",
-    "improve_residual",
-    "CommittedJobView",
-    "DynamicSimulator",
-    "OnlineResult",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.online.arrivals": (
+            "JobArrival",
+            "JobStream",
+            "load_trace",
+            "mean_job_work",
+            "poisson_stream",
+            "rate_for_utilisation",
+            "save_trace",
+        ),
+        "repro.online.metrics": (
+            "JobRecord",
+            "OnlineMetrics",
+            "percentile",
+            "summarize",
+        ),
+        "repro.online.policies": (
+            "DISPATCH_POLICIES",
+            "ReoptConfig",
+            "dispatch",
+            "improve_residual",
+        ),
+        "repro.online.simulator": (
+            "CommittedJobView",
+            "DynamicSimulator",
+            "OnlineResult",
+        ),
+    },
+)

@@ -8,7 +8,7 @@ consumes a :class:`JobStream` — a time-ordered sequence of
 says *when* the job enters the system.  Streams come from two sources:
 
 * :func:`poisson_stream` — a Poisson(λ) process with per-job seeds
-  derived via :func:`~repro.runner.spec.derive_seed`, so the same
+  derived via :func:`~repro.utils.rng.derive_seed`, so the same
   ``(rate, num_jobs, template, seed)`` coordinates rebuild the exact
   same stream on any platform;
 * :func:`load_trace` — a JSON trace file previously written by
@@ -27,8 +27,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Sequence, Union
 
-from repro.runner.spec import derive_seed
-from repro.utils.rng import as_rng
+from repro.utils.rng import as_rng, derive_seed
 from repro.workloads.presets import WorkloadSpec
 
 #: Trace file schema version (bump on incompatible layout changes).

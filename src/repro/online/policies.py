@@ -33,7 +33,6 @@ from repro.baselines.heft import heft
 from repro.baselines.minmin import max_min, min_min
 from repro.baselines.olb import olb
 from repro.model.workload import Workload
-from repro.optim.annealing import SAConfig, run_sa
 from repro.optim.evaluation import EvaluationService
 from repro.optim.tabu import TabuConfig, run_tabu
 from repro.schedule.backend import DEFAULT_NETWORK
@@ -160,6 +159,8 @@ def improve_residual(
             service=service,
         )
     else:
+        from repro.optim.annealing import SAConfig, run_sa
+
         result = run_sa(
             workload,
             SAConfig(

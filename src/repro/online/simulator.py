@@ -84,7 +84,6 @@ from typing import Any, List, Optional, Tuple
 from repro.online.arrivals import JobArrival, JobStream
 from repro.online.metrics import JobRecord, OnlineMetrics, summarize
 from repro.online.policies import ReoptConfig, dispatch, improve_residual
-from repro.runner.spec import derive_seed
 from repro.schedule.backend import (
     DEFAULT_NETWORK,
     NIC_NETWORK,
@@ -93,6 +92,7 @@ from repro.schedule.backend import (
 )
 from repro.schedule.encoding import ScheduleString
 from repro.schedule.simulator import Schedule
+from repro.utils.rng import derive_seed
 from repro.workloads.presets import build_workload
 
 #: Same-instant event ordering (lower runs first).

@@ -41,77 +41,45 @@ components, bit-identically to their pre-refactor behaviour
 (``tests/test_golden_engines.py``).
 """
 
-from repro.optim.annealing import SAConfig, SimulatedAnnealing, run_sa
-from repro.optim.evaluation import EvaluationFields, EvaluationService
-from repro.optim.exchange import Incumbent, IncumbentSource
-from repro.optim.loop import LoopOutcome, SearchLoop, StepOutcome
-from repro.optim.neighborhood import (
-    Move,
-    applied_copy,
-    apply_move,
-    changed_region,
-    inverse_move,
-    random_move,
-)
-from repro.optim.objective import (
-    MAKESPAN,
-    MakespanObjective,
-    ObjectiveBackend,
-    WeightedObjective,
-    resolve_objective,
-    weighted,
-)
-from repro.optim.observers import Observer, ObserverBus
-from repro.optim.result import SearchResult
-from repro.optim.stop import (
-    STOP_ITERATIONS,
-    STOP_STALL,
-    STOP_TIME,
-    StopPolicy,
-)
-from repro.optim.tabu import TabuConfig, TabuSearch, run_tabu
-from repro.optim.tracking import (
-    BestTracker,
-    ParetoPoint,
-    ParetoTracker,
-    TrajectoryRecorder,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "MAKESPAN",
-    "STOP_ITERATIONS",
-    "STOP_STALL",
-    "STOP_TIME",
-    "BestTracker",
-    "EvaluationFields",
-    "EvaluationService",
-    "Incumbent",
-    "IncumbentSource",
-    "MakespanObjective",
-    "ObjectiveBackend",
-    "ParetoPoint",
-    "ParetoTracker",
-    "WeightedObjective",
-    "LoopOutcome",
-    "Move",
-    "Observer",
-    "ObserverBus",
-    "SAConfig",
-    "SearchLoop",
-    "SearchResult",
-    "SimulatedAnnealing",
-    "StepOutcome",
-    "StopPolicy",
-    "TabuConfig",
-    "TabuSearch",
-    "TrajectoryRecorder",
-    "applied_copy",
-    "apply_move",
-    "changed_region",
-    "inverse_move",
-    "random_move",
-    "resolve_objective",
-    "run_sa",
-    "run_tabu",
-    "weighted",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.optim.annealing": ("SAConfig", "SimulatedAnnealing", "run_sa"),
+        "repro.optim.evaluation": ("EvaluationFields", "EvaluationService"),
+        "repro.optim.exchange": ("Incumbent", "IncumbentSource"),
+        "repro.optim.loop": ("LoopOutcome", "SearchLoop", "StepOutcome"),
+        "repro.optim.neighborhood": (
+            "Move",
+            "applied_copy",
+            "apply_move",
+            "changed_region",
+            "inverse_move",
+            "random_move",
+        ),
+        "repro.optim.objective": (
+            "MAKESPAN",
+            "MakespanObjective",
+            "ObjectiveBackend",
+            "WeightedObjective",
+            "resolve_objective",
+            "weighted",
+        ),
+        "repro.optim.observers": ("Observer", "ObserverBus"),
+        "repro.optim.result": ("SearchResult",),
+        "repro.optim.stop": (
+            "STOP_ITERATIONS",
+            "STOP_STALL",
+            "STOP_TIME",
+            "StopPolicy",
+        ),
+        "repro.optim.tabu": ("TabuConfig", "TabuSearch", "run_tabu"),
+        "repro.optim.tracking": (
+            "BestTracker",
+            "ParetoPoint",
+            "ParetoTracker",
+            "TrajectoryRecorder",
+        ),
+    },
+)

@@ -30,37 +30,26 @@ Layers:
   execution modes, :class:`RaceConfig`, :class:`RaceResult`.
 """
 
-from repro.portfolio.driver import MODES, RaceConfig, RaceResult, run_race
-from repro.portfolio.exchange import (
-    EXTERNAL_SOURCE,
-    IncumbentExchange,
-    LocalChannel,
-    SharedChannel,
-    SyncChannel,
-)
-from repro.portfolio.islands import (
-    DEFAULT_INTERVALS,
-    ENGINE_KINDS,
-    IslandOutcome,
-    IslandSpec,
-    build_islands,
-    run_island,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "DEFAULT_INTERVALS",
-    "ENGINE_KINDS",
-    "EXTERNAL_SOURCE",
-    "IncumbentExchange",
-    "IslandOutcome",
-    "IslandSpec",
-    "LocalChannel",
-    "MODES",
-    "RaceConfig",
-    "RaceResult",
-    "SharedChannel",
-    "SyncChannel",
-    "build_islands",
-    "run_island",
-    "run_race",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.portfolio.driver": ("MODES", "RaceConfig", "RaceResult", "run_race"),
+        "repro.portfolio.exchange": (
+            "EXTERNAL_SOURCE",
+            "IncumbentExchange",
+            "LocalChannel",
+            "SharedChannel",
+            "SyncChannel",
+        ),
+        "repro.portfolio.islands": (
+            "DEFAULT_INTERVALS",
+            "ENGINE_KINDS",
+            "IslandOutcome",
+            "IslandSpec",
+            "build_islands",
+            "run_island",
+        ),
+    },
+)

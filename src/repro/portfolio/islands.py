@@ -5,7 +5,7 @@ kind, derived seed, flat config overrides, exchange interval — built by
 :func:`build_islands` from a :class:`~repro.portfolio.driver.RaceConfig`.
 Islands cycle through the requested engine kinds; once every kind has an
 island, further islands are seeded *restarts* (same kind, fresh RNG
-stream via :func:`~repro.runner.spec.derive_seed`).
+stream via :func:`~repro.utils.rng.derive_seed`).
 
 :func:`run_island` executes one spec against a workload — inside a
 worker process, a thread, or inline — wiring the island's
@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from repro.model.workload import Workload
 from repro.runner.registry import ENGINE_KINDS, ENGINES, string_pairs
 from repro.runner.registry import UNBOUNDED  # noqa: F401  (re-export)
-from repro.runner.spec import derive_seed
+from repro.utils.rng import derive_seed
 
 #: Default poll stride per engine kind, tuned to iteration granularity:
 #: an SA proposal is ~25 µs while a shared-channel poll is ~0.1 ms, so

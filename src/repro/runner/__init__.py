@@ -34,44 +34,31 @@ cell coordinates, never from execution order).
 True
 """
 
-from repro.runner.pool import (
-    print_progress,
-    run_cell,
-    run_experiment,
-    workers_from_env,
-)
-from repro.runner.registry import (
-    AlgorithmFn,
-    CellOutcome,
-    algorithm_parameters,
-    available_algorithms,
-    register_algorithm,
-    resolve_algorithm,
-)
-from repro.runner.results import CellResult, ExperimentResult, merge_results
-from repro.runner.spec import (
-    AlgorithmSpec,
-    ExperimentCell,
-    ExperimentSpec,
-    derive_seed,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "AlgorithmFn",
-    "AlgorithmSpec",
-    "CellOutcome",
-    "CellResult",
-    "ExperimentCell",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "algorithm_parameters",
-    "available_algorithms",
-    "derive_seed",
-    "merge_results",
-    "print_progress",
-    "register_algorithm",
-    "resolve_algorithm",
-    "run_cell",
-    "run_experiment",
-    "workers_from_env",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.runner.pool": (
+            "print_progress",
+            "run_cell",
+            "run_experiment",
+            "workers_from_env",
+        ),
+        "repro.runner.registry": (
+            "AlgorithmFn",
+            "CellOutcome",
+            "algorithm_parameters",
+            "available_algorithms",
+            "register_algorithm",
+            "resolve_algorithm",
+        ),
+        "repro.runner.results": ("CellResult", "ExperimentResult", "merge_results"),
+        "repro.runner.spec": (
+            "AlgorithmSpec",
+            "ExperimentCell",
+            "ExperimentSpec",
+            "derive_seed",
+        ),
+    },
+)

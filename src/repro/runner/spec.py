@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping, Sequence, Tuple
 
+from repro.utils.rng import derive_seed
 from repro.workloads.presets import WorkloadSpec
 
 #: Values allowed inside AlgorithmSpec params (JSON-safe scalars/tuples).
@@ -80,19 +81,6 @@ class AlgorithmSpec:
     @classmethod
     def from_dict(cls, doc: Mapping) -> "AlgorithmSpec":
         return cls.make(doc["kind"], **dict(doc.get("params", {})))
-
-
-def derive_seed(*parts: Any) -> int:
-    """A stable 63-bit seed from arbitrary (repr-able) coordinates.
-
-    SHA-256 based, so identical coordinates give identical seeds on any
-    platform/process — the root of the runner's worker-count-independent
-    determinism.
-    """
-    digest = hashlib.sha256(
-        "\x1f".join(repr(p) for p in parts).encode()
-    ).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
 
 
 def _workload_key(w: WorkloadSpec) -> dict:

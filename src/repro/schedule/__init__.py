@@ -14,97 +14,60 @@
 * :mod:`~repro.schedule.operations` — validity-preserving random moves.
 """
 
-from repro.schedule.backend import (
-    DEFAULT_NETWORK,
-    DEFAULT_PLATFORM,
-    NIC_NETWORK,
-    SimulatorBackend,
-    available_networks,
-    available_platforms,
-    make_simulator,
-    plain_schedule,
-    platform_state,
-    register_platform,
-    resolve_platform,
-)
-from repro.schedule.encoding import (
-    ScheduleString,
-    is_valid_for,
-    topological_string,
-)
-from repro.schedule.metrics import (
-    ScheduleMetrics,
-    communication_volume,
-    compute_metrics,
-    critical_path_lower_bound,
-    machine_load_lower_bound,
-    makespan_lower_bound,
-    normalized_makespan,
-    serial_speedup,
-)
-from repro.schedule.operations import (
-    random_reassign,
-    random_topological_order,
-    random_valid_move,
-    random_valid_string,
-    shuffle_string,
-)
-from repro.schedule.scoring import CostModel, ScheduleScore
-from repro.schedule.simulator import (
-    DeltaState,
-    InvalidScheduleError,
-    Schedule,
-    Simulator,
-    evaluate_schedule,
-)
-from repro.schedule.timeline import MachineSpan, Timeline, verify_schedule
-from repro.schedule.valid_range import (
-    assert_in_valid_range,
-    machine_slot_indices,
-    range_width,
-    valid_insertion_range,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "DEFAULT_NETWORK",
-    "DEFAULT_PLATFORM",
-    "NIC_NETWORK",
-    "SimulatorBackend",
-    "available_networks",
-    "available_platforms",
-    "make_simulator",
-    "plain_schedule",
-    "platform_state",
-    "register_platform",
-    "resolve_platform",
-    "CostModel",
-    "ScheduleScore",
-    "ScheduleString",
-    "is_valid_for",
-    "topological_string",
-    "ScheduleMetrics",
-    "communication_volume",
-    "compute_metrics",
-    "critical_path_lower_bound",
-    "machine_load_lower_bound",
-    "makespan_lower_bound",
-    "normalized_makespan",
-    "serial_speedup",
-    "random_reassign",
-    "random_topological_order",
-    "random_valid_move",
-    "random_valid_string",
-    "shuffle_string",
-    "DeltaState",
-    "InvalidScheduleError",
-    "Schedule",
-    "Simulator",
-    "evaluate_schedule",
-    "MachineSpan",
-    "Timeline",
-    "verify_schedule",
-    "assert_in_valid_range",
-    "machine_slot_indices",
-    "range_width",
-    "valid_insertion_range",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.schedule.backend": (
+            "DEFAULT_NETWORK",
+            "DEFAULT_PLATFORM",
+            "NIC_NETWORK",
+            "SimulatorBackend",
+            "available_networks",
+            "available_platforms",
+            "make_simulator",
+            "plain_schedule",
+            "platform_state",
+            "register_platform",
+            "resolve_platform",
+        ),
+        "repro.schedule.encoding": (
+            "ScheduleString",
+            "is_valid_for",
+            "topological_string",
+        ),
+        "repro.schedule.metrics": (
+            "ScheduleMetrics",
+            "communication_volume",
+            "compute_metrics",
+            "critical_path_lower_bound",
+            "machine_load_lower_bound",
+            "makespan_lower_bound",
+            "normalized_makespan",
+            "serial_speedup",
+        ),
+        "repro.schedule.operations": (
+            "random_reassign",
+            "random_topological_order",
+            "random_valid_move",
+            "random_valid_string",
+            "shuffle_string",
+        ),
+        "repro.schedule.scoring": ("CostModel", "ScheduleScore"),
+        "repro.schedule.simulator": (
+            "DeltaState",
+            "InvalidScheduleError",
+            "Schedule",
+            "Simulator",
+            "evaluate_schedule",
+        ),
+        "repro.schedule.timeline": ("MachineSpan", "Timeline", "verify_schedule"),
+        "repro.schedule.valid_range": (
+            "assert_in_valid_range",
+            "machine_slot_indices",
+            "range_width",
+            "valid_insertion_range",
+        ),
+    },
+)

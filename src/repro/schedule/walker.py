@@ -40,16 +40,12 @@ import importlib.machinery
 import importlib.resources
 import importlib.util
 import os
-import shlex
-import shutil
 import stat
-import subprocess
 import sys
 import sysconfig
-import tempfile
 from pathlib import Path
 from types import ModuleType
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -70,6 +66,9 @@ _loaded: Optional[tuple[Optional[ModuleType], Optional[str]]] = None
 
 def _compiler() -> Optional[list[str]]:
     """The compiler command (argv prefix), or ``None`` if none is found."""
+    import shlex
+    import shutil
+
     cmd = shlex.split(
         os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
     )
@@ -80,16 +79,16 @@ def _compiler() -> Optional[list[str]]:
     return None if exe is None else [exe, *cmd[1:]]
 
 
-def _cache_dirs() -> list[Path]:
+def _cache_dirs() -> Iterator[Path]:
     """Candidate cache directories, in order of preference."""
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
         os.path.expanduser("~"), ".cache"
     )
+    yield Path(base) / "repro"
+    import tempfile
+
     user = getattr(os, "getuid", lambda: "user")()
-    return [
-        Path(base) / "repro",
-        Path(tempfile.gettempdir()) / f"repro-{user}",
-    ]
+    yield Path(tempfile.gettempdir()) / f"repro-{user}"
 
 
 def _private_dir(path: Path) -> bool:
@@ -122,7 +121,13 @@ def _build_key(source: bytes, compiler: list[str]) -> str:
 
 
 def _compile(compiler: list[str], source: Path, target: Path) -> None:
-    """Compile *source* into *target* atomically (temp file + replace)."""
+    """Compile *source* into *target* atomically (temp file + replace).
+
+    Raises :class:`RuntimeError` when the compiler fails or times out.
+    """
+    import subprocess
+    import tempfile
+
     include = sysconfig.get_paths()["include"]
     link = (
         ["-bundle", "-undefined", "dynamic_lookup"]
@@ -147,6 +152,8 @@ def _compile(compiler: list[str], source: Path, target: Path) -> None:
                 + " | ".join(tail)
             )
         os.replace(tmp, target)
+    except subprocess.TimeoutExpired as e:
+        raise RuntimeError(f"{Path(compiler[0]).name} timed out: {e}") from None
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -194,7 +201,7 @@ def _load() -> tuple[Optional[ModuleType], Optional[str]]:
             module = _import_or_build(compiler, resource, cache / name)
         except RuntimeError as e:  # the compiler failed: no dir can help
             return None, f"compile failed: {e}"
-        except (OSError, ImportError, subprocess.SubprocessError) as e:
+        except (OSError, ImportError) as e:
             error = f"build failed in {cache}: {e}"
             continue
         from repro.schedule.simulator import InvalidScheduleError, Schedule

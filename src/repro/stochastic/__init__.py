@@ -31,25 +31,20 @@ Engines consume the same machinery through
 distribution="lognormal:0.25")``.
 """
 
-from repro.stochastic.distributions import (
-    DETERMINISTIC,
-    DISTRIBUTION_FORMS,
-    DistributionSpec,
-    ScenarioSet,
-    resolve_distribution,
-    sample_scenarios,
-    validate_scenario_settings,
-)
-from repro.stochastic.scenarios import ScenarioBackend, ScenarioEvaluator
+from repro._lazy import exports
 
-__all__ = [
-    "DETERMINISTIC",
-    "DISTRIBUTION_FORMS",
-    "DistributionSpec",
-    "ScenarioSet",
-    "resolve_distribution",
-    "sample_scenarios",
-    "validate_scenario_settings",
-    "ScenarioBackend",
-    "ScenarioEvaluator",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.stochastic.distributions": (
+            "DETERMINISTIC",
+            "DISTRIBUTION_FORMS",
+            "DistributionSpec",
+            "ScenarioSet",
+            "resolve_distribution",
+            "sample_scenarios",
+            "validate_scenario_settings",
+        ),
+        "repro.stochastic.scenarios": ("ScenarioBackend", "ScenarioEvaluator"),
+    },
+)

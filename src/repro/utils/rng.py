@@ -10,7 +10,8 @@ the same seed must produce identical traces.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+import hashlib
+from typing import Any, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -42,6 +43,20 @@ def as_rng(source: RandomSource = None) -> np.random.Generator:
         f"cannot build a random generator from {type(source).__name__!r}; "
         "expected None, int, SeedSequence or numpy.random.Generator"
     )
+
+
+def derive_seed(*parts: Any) -> int:
+    """A stable 63-bit seed from arbitrary (repr-able) coordinates.
+
+    SHA-256 based, so identical coordinates give identical seeds on any
+    platform/process — the root of the runner's worker-count-independent
+    determinism (:mod:`repro.runner.spec` cells) and of the online
+    service's per-job streams.
+    """
+    digest = hashlib.sha256(
+        "\x1f".join(repr(p) for p in parts).encode()
+    ).digest()
+    return int.from_bytes(digest[:8], "big") >> 1
 
 
 def spawn_rngs(source: RandomSource, n: int) -> list[np.random.Generator]:

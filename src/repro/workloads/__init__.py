@@ -7,74 +7,47 @@ plus named presets for every paper experiment
 (:mod:`~repro.workloads.suite`).
 """
 
-from repro.workloads.ccr import CCR_CLASSES, ccr_class, transfer_matrix
-from repro.workloads.generator import (
-    CONNECTIVITY_EDGES_PER_TASK,
-    chain_dag,
-    fork_join_dag,
-    gnp_dag,
-    layered_dag,
-)
-from repro.workloads.heterogeneity import (
-    HETEROGENEITY_FACTOR,
-    execution_matrix,
-    heterogeneity_factor,
-)
-from repro.workloads.presets import (
-    WorkloadSpec,
-    build_workload,
-    figure3_spec,
-    figure3_workload,
-    figure4a_spec,
-    figure4a_workload,
-    figure4b_spec,
-    figure4b_workload,
-    figure5_spec,
-    figure5_workload,
-    figure6_spec,
-    figure6_workload,
-    figure7_spec,
-    figure7_workload,
-    small_spec,
-    small_workload,
-)
-from repro.workloads.suite import (
-    SuiteCell,
-    WorkloadSuite,
-    paper_comparison_suite,
-    smoke_suite,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "CCR_CLASSES",
-    "ccr_class",
-    "transfer_matrix",
-    "CONNECTIVITY_EDGES_PER_TASK",
-    "chain_dag",
-    "fork_join_dag",
-    "gnp_dag",
-    "layered_dag",
-    "HETEROGENEITY_FACTOR",
-    "execution_matrix",
-    "heterogeneity_factor",
-    "WorkloadSpec",
-    "build_workload",
-    "figure3_spec",
-    "figure3_workload",
-    "figure4a_spec",
-    "figure4a_workload",
-    "figure4b_spec",
-    "figure4b_workload",
-    "figure5_spec",
-    "figure5_workload",
-    "figure6_spec",
-    "figure6_workload",
-    "figure7_spec",
-    "figure7_workload",
-    "small_spec",
-    "small_workload",
-    "SuiteCell",
-    "WorkloadSuite",
-    "paper_comparison_suite",
-    "smoke_suite",
-]
+__getattr__, __dir__, __all__ = exports(
+    __name__,
+    {
+        "repro.workloads.ccr": ("CCR_CLASSES", "ccr_class", "transfer_matrix"),
+        "repro.workloads.generator": (
+            "CONNECTIVITY_EDGES_PER_TASK",
+            "chain_dag",
+            "fork_join_dag",
+            "gnp_dag",
+            "layered_dag",
+        ),
+        "repro.workloads.heterogeneity": (
+            "HETEROGENEITY_FACTOR",
+            "execution_matrix",
+            "heterogeneity_factor",
+        ),
+        "repro.workloads.presets": (
+            "WorkloadSpec",
+            "build_workload",
+            "figure3_spec",
+            "figure3_workload",
+            "figure4a_spec",
+            "figure4a_workload",
+            "figure4b_spec",
+            "figure4b_workload",
+            "figure5_spec",
+            "figure5_workload",
+            "figure6_spec",
+            "figure6_workload",
+            "figure7_spec",
+            "figure7_workload",
+            "small_spec",
+            "small_workload",
+        ),
+        "repro.workloads.suite": (
+            "SuiteCell",
+            "WorkloadSuite",
+            "paper_comparison_suite",
+            "smoke_suite",
+        ),
+    },
+)

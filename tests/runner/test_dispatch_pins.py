@@ -203,15 +203,14 @@ def test_head_to_head_config(monkeypatch, tiny_workload, kind):
 
 
 def test_figure_runs_se_against_ga(monkeypatch, capsys):
-    import repro.cli as cli
-
     seen = {}
 
     def capture(workload, algorithms, **kwargs):
         seen.update(algorithms=algorithms, **kwargs)
         raise _Captured
 
-    monkeypatch.setattr(cli, "compare_named", capture)
+    # the figure handler imports compare_named when it runs
+    monkeypatch.setattr("repro.analysis.compare.compare_named", capture)
     with pytest.raises(_Captured):
         main(["figure", "5", "--seed", "4", "--budget", "0.5", "--points", "3"])
     assert seen == {

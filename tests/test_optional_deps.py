@@ -1,8 +1,10 @@
 """``import repro`` needs only the declared ``install_requires``.
 
 networkx is the optional ``graph`` extra (TaskGraph interop only), so
-the package and its CLI must import in a fresh interpreter where it is
-blocked.
+every public name of every package, and the CLI, must load in a fresh
+interpreter where it is blocked.  Packages export lazily (a name's
+submodule loads on first access), so the check resolves each name
+rather than importing the packages alone, which runs no submodule.
 """
 
 import os
@@ -17,9 +19,17 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 BLOCKED_IMPORT = """
 import sys
 sys.modules["networkx"] = None  # any `import networkx` now raises
-import repro
-import repro.cli
-print("ok")
+import importlib, pkgutil
+import repro, repro.cli
+packages = [repro] + [
+    importlib.import_module(m.name)
+    for m in pkgutil.walk_packages(repro.__path__, "repro.")
+    if m.ispkg
+]
+for package in packages:
+    for name in package.__all__:
+        getattr(package, name)
+print(len(packages), "ok")
 """
 
 
@@ -36,4 +46,5 @@ def test_repro_imports_without_networkx():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
+    packages, ok = proc.stdout.split()
+    assert ok == "ok" and int(packages) >= 16
