@@ -12,9 +12,10 @@ paper scale (100 tasks, 20 machines):
   candidate strings scored per iteration.  ``delta_speedup`` measures
   the engine's path, one ``score_moves`` call (cutoff-pruned deltas
   against one incumbent snapshot under tabu's selection rule), against
-  the batch route feeding :func:`~repro.optim.tabu.select_move`, both
-  on the compiled walker the engine runs on (MICRO-SA, like every bench
-  not marked otherwise, runs on the Python walker).
+  the batch route feeding :func:`~repro.schedule.neighborhood.
+  select_move`, both on the compiled walker the engine runs on
+  (MICRO-SA, like every bench not marked otherwise, runs on the Python
+  walker).
 
 Every case first asserts the two strategies agree bit-for-bit, then
 times them interleaved (``walkers.best_of_interleaved``) and records
@@ -29,12 +30,12 @@ import numpy as np
 import pytest
 
 from repro.optim import EvaluationService
-from repro.optim.neighborhood import (
+from repro.schedule.neighborhood import (
     applied_copy,
     changed_region,
     random_move,
+    select_move,
 )
-from repro.optim.tabu import select_move
 from repro.schedule.operations import random_valid_string
 from repro.schedule.simulator import Simulator
 from repro.utils.rng import as_rng
@@ -136,7 +137,7 @@ def test_micro_tabu_delta_route(write_output, perf_log):
         # engine makes per step
         return [
             service.score_moves(
-                service.backend.prepare(base.order, base.machines),
+                service.snapshot(base.order, base.machines),
                 base.order,
                 base.machines,
                 moves,

@@ -26,9 +26,10 @@ that machine once:
   (makespan, cost) front next to the scalar :class:`BestTracker`;
 * :class:`~repro.optim.loop.SearchLoop` — the driver tying the above
   together around an engine-supplied ``step`` callback;
-* :mod:`~repro.optim.neighborhood` — the pairwise-move neighborhood
-  (reorder / reassign) as first-class :class:`~repro.optim.
-  neighborhood.Move` data;
+* the pairwise-move neighborhood (reorder / reassign) as first-class
+  :class:`~repro.schedule.neighborhood.Move` data, defined in the
+  schedule layer next to the backends whose ``score_moves`` it
+  specifies;
 * two engines built *directly* on the core —
   :class:`~repro.optim.annealing.SimulatedAnnealing` (geometric
   cooling) and :class:`~repro.optim.tabu.TabuSearch` (move-attribute
@@ -50,14 +51,6 @@ __getattr__, __dir__, __all__ = exports(
         "repro.optim.evaluation": ("EvaluationFields", "EvaluationService"),
         "repro.optim.exchange": ("Incumbent", "IncumbentSource"),
         "repro.optim.loop": ("LoopOutcome", "SearchLoop", "StepOutcome"),
-        "repro.optim.neighborhood": (
-            "Move",
-            "applied_copy",
-            "apply_move",
-            "changed_region",
-            "inverse_move",
-            "random_move",
-        ),
         "repro.optim.objective": (
             "MAKESPAN",
             "MakespanObjective",
@@ -80,6 +73,14 @@ __getattr__, __dir__, __all__ = exports(
             "ParetoPoint",
             "ParetoTracker",
             "TrajectoryRecorder",
+        ),
+        "repro.schedule.neighborhood": (
+            "Move",
+            "applied_copy",
+            "apply_move",
+            "changed_region",
+            "inverse_move",
+            "random_move",
         ),
     },
 )

@@ -2,7 +2,7 @@
 
 A classic single-solution metaheuristic riding the shared optim core:
 each iteration proposes one uniformly random valid move
-(:func:`~repro.optim.neighborhood.random_move`), scores it through the
+(:func:`~repro.schedule.neighborhood.random_move`), scores it through the
 :class:`~repro.optim.evaluation.EvaluationService`'s incremental
 ``evaluate_delta`` tier (only the string suffix from the move's first
 changed position re-evaluates, and the walk may stop once it is past
@@ -41,16 +41,16 @@ from repro.model.workload import Workload
 from repro.optim.evaluation import EvaluationFields, EvaluationService
 from repro.optim.exchange import IncumbentSource
 from repro.optim.loop import SearchLoop, StepOutcome
-from repro.optim.neighborhood import (
+from repro.optim.observers import Observer
+from repro.optim.result import SearchResult
+from repro.optim.stop import IterationLimits
+from repro.schedule.encoding import ScheduleString
+from repro.schedule.neighborhood import (
     apply_move,
     changed_region,
     inverse_move,
     random_move,
 )
-from repro.optim.observers import Observer
-from repro.optim.result import SearchResult
-from repro.optim.stop import IterationLimits
-from repro.schedule.encoding import ScheduleString
 from repro.schedule.operations import random_valid_string
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.timers import Stopwatch

@@ -9,16 +9,18 @@ is scored:
 * **batch scoring** — :meth:`batch_makespans` /
   :meth:`batch_string_makespans` loop the scalar backend (its compiled
   C walker wherever a compiler is), so a weighted objective and the
-  Pareto offers apply per row exactly as on single calls, and a
-  scenario objective reduces the ``(S, B)`` matrix once per batch.
-  :meth:`prepare` / :meth:`evaluate_delta` expose the incremental tier;
+  Pareto offers apply per row exactly as on single calls; a scenario
+  objective's wrapper scores a batch in one scenario-major sweep.
+  :meth:`prepare` / :meth:`evaluate_delta` expose the incremental tier,
+  and :meth:`score_moves` a tabu neighborhood, scored as the backend
+  (or its objective wrapper) decides;
 * **cost accounting** — every scoring call increments one
   ``evaluations`` counter (full evaluation = 1, prepare = 1, delta = 1,
   batch = one per schedule, a tabu neighborhood's :meth:`score_moves`
   = one per candidate — the same arithmetic the engines used to
   maintain by hand), read back for the per-iteration trace records.
-  Calls an engine makes on :attr:`backend` directly are not counted:
-  tabu re-anchors its delta snapshot that way on a candidate its
+  Calls an engine makes on :attr:`backend` directly are not counted,
+  nor is a :meth:`snapshot`: tabu re-anchors on a candidate its
   :meth:`score_moves` call already counted, and the SE allocator
   reports its probes with :meth:`count`.
 
@@ -79,10 +81,9 @@ class EvaluationService:
         weighted objective wraps the backend in an
         :class:`~repro.optim.objective.ObjectiveBackend` and a scenario
         objective in a :class:`~repro.stochastic.scenarios.
-        ScenarioBackend` scoring the objective's reduction over the
-        sampled perturbations (batches skip that wrapper and reduce
-        the whole ``(S, B)`` matrix at once), so SE, GA, SA and tabu
-        optimise them without engine changes.  The default
+        ScenarioBackend` (the same wrapper, scoring the objective's
+        reduction over the sampled perturbations), so SE, GA, SA and
+        tabu optimise them without engine changes.  The default
         ``"makespan"`` uses the raw backend, bit-identical.  Scenario
         objectives cannot combine with residual initial state, Pareto
         tracking, or platforms with boot delays (boot is initial state).
@@ -254,19 +255,6 @@ class EvaluationService:
         ``REPRO_WALKER=python``, no compiler, or the failed compile."""
         return self._raw.walker_reason
 
-    @property
-    def prefers_delta(self) -> bool:
-        """True when a neighbourhood of candidates is cheaper to score
-        in one :meth:`score_moves` call, a cutoff-pruned delta per
-        candidate, than in one batch call.
-
-        False for a scenario objective (its delta re-scores all ``S``
-        scenarios without pruning, so one ``B x S`` sweep wins) and
-        with a Pareto tracker attached (it must see every candidate,
-        and a pruned delta offers nothing).
-        """
-        return self._scenario is None and self._pareto is None
-
     # ------------------------------------------------------------------
     # cost accounting
     # ------------------------------------------------------------------
@@ -385,18 +373,28 @@ class EvaluationService:
             state, order, machine_of, moves, tabu, best_known
         )
 
+    def snapshot(
+        self, order: Sequence[int], machine_of: Sequence[int]
+    ) -> Any:
+        """The raw backend's ``prepare`` — **not** counted, offered to
+        no tracker: the state tabu scores a neighborhood against, taken
+        of a candidate :meth:`score_moves` already counted."""
+        return self._raw.prepare(order, machine_of)
+
     # ------------------------------------------------------------------
     # batch tier
     # ------------------------------------------------------------------
 
     def batch_makespans(self, orders: Any, machines: Any) -> list[float]:
         """One scalar per ``(orders[i], machines[i])`` schedule: a loop
-        of the scalar backend, which validates every row."""
+        of the scalar backend, which validates every row (a scenario
+        objective's one scenario-major sweep)."""
+        rows = row_pairs(orders, machines)
         if self._scenario is not None:
-            costs = self._reduce(self._scenario.matrix(orders, machines))
+            costs = self._backend.makespans(rows)
         else:
             makespan = self._backend.makespan
-            costs = [makespan(o, m) for o, m in row_pairs(orders, machines)]
+            costs = [makespan(o, m) for o, m in rows]
         self._calls += len(costs)
         return costs
 
@@ -405,18 +403,11 @@ class EvaluationService:
     ) -> list[float]:
         """:meth:`batch_makespans` over :class:`ScheduleString` objects."""
         if self._scenario is not None:
-            costs = self._reduce(self._scenario.string_matrix(strings))
+            costs = self._backend.string_makespans(strings)
         else:
             costs = [self._backend.string_makespan(s) for s in strings]
         self._calls += len(costs)
         return costs
-
-    def _reduce(self, matrix: np.ndarray) -> list[float]:
-        """The risk scalar of each column of an ``(S, B)`` scenario
-        matrix, by the same ``reduce`` call a single schedule gets, so
-        batch and single scoring are ``==``."""
-        reduce = self._objective.reduce
-        return [reduce(column) for column in matrix.T]
 
 
 def _rebuilt_schedule(

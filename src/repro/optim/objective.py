@@ -19,8 +19,8 @@ optimise cost-aware without a single engine change.
   and scenario scoring live in
   :class:`~repro.stochastic.scenarios.ScenarioEvaluator`, and the
   service routes through a
-  :class:`~repro.stochastic.scenarios.ScenarioBackend` instead of the
-  :class:`ObjectiveBackend` below;
+  :class:`~repro.stochastic.scenarios.ScenarioBackend`, the
+  :class:`ObjectiveBackend` below with the reduction as its scalar;
 * :func:`resolve_objective` — parses the JSON/CLI-safe string forms
   ``"makespan"``, ``"weighted:<w_m>:<w_c>"``, ``"mean"``,
   ``"quantile:<q>"``, ``"cvar:<q>"`` and ``"saa:<T>:<eps>"``;
@@ -31,6 +31,8 @@ optimise cost-aware without a single engine change.
   walk, since billing is per-task).  When a :class:`~repro.optim.
   tracking.ParetoTracker` is attached, every scored point is offered to
   it — one weighted run accumulates a whole front as a side effect.
+  Each wrapper also decides how a tabu neighborhood is scored
+  (``score_moves``), so the engine keeps one route.
 
 >>> obj = resolve_objective("weighted:0.7:0.3")
 >>> obj.scalarize(100.0, 10.0)
@@ -54,6 +56,13 @@ from typing import Any, Optional, Union
 
 import numpy as np
 
+from repro.schedule.encoding import ScheduleString
+from repro.schedule.neighborhood import (
+    applied_copy,
+    check_moves,
+    score_by_deltas,
+    select_move,
+)
 from repro.schedule.scoring import CostModel
 from repro.schedule.valid_range import place_by_probes
 
@@ -385,14 +394,21 @@ class ObjectiveBackend:
     ``evaluate`` still returns the inner backend's real result (result
     assembly wants true makespans); everything an engine *compares* —
     ``makespan``, ``string_makespan``, delta scalars, prepared-state
-    ``makespan`` — is scalarized.
+    ``makespan`` — is scalarized.  The scenario wrapper,
+    :class:`~repro.stochastic.scenarios.ScenarioBackend`, derives from
+    this class and replaces only the scalar: the reduction over
+    scenarios.
+
+    The wrapper also decides how a tabu neighborhood is scored
+    (:meth:`score_moves`): by pruned deltas, unless a Pareto tracker
+    must see every candidate's exact point.
     """
 
     def __init__(
         self,
         inner: Any,
         objective: Objective,
-        cost_model: CostModel,
+        cost_model: Optional[CostModel],
         pareto: Optional[Any] = None,
     ):
         self._inner = inner
@@ -414,10 +430,6 @@ class ObjectiveBackend:
         return self._objective
 
     @property
-    def cost_model(self) -> CostModel:
-        return self._cm
-
-    @property
     def workload(self):
         return self._inner.workload
 
@@ -429,9 +441,35 @@ class ObjectiveBackend:
         return self._inner.shuffle(order, rng, num_moves)
 
     def evaluate(self, string) -> Any:
+        """The inner backend's full result (real schedule/makespan)."""
         result = self._inner.evaluate(string)
-        self._offer(result.makespan, self._cm.cost(string.machines), string)
+        if self._pareto is not None:
+            cost = self._cm.cost(string.machines)
+            self._offer(result.makespan, cost, string)
         return result
+
+    def prepare(self, order, machine_of) -> _ScalarizedState:
+        state = self._inner.prepare(order, machine_of)
+        scalar = self._scalar(
+            state.makespan, order, machine_of, (order, machine_of)
+        )
+        return _ScalarizedState(state, scalar)
+
+    def place(
+        self,
+        state: Any,
+        order,
+        machine_of,
+        task: int,
+        candidates,
+        all_positions: bool = False,
+    ) -> tuple[float, int, int, int]:
+        """The probe loop of :func:`~repro.schedule.valid_range.
+        place_by_probes` over this backend's :meth:`evaluate_delta`, so
+        every probe is scalarized and offered to the Pareto tracker."""
+        return place_by_probes(
+            self, state, order, machine_of, task, candidates, all_positions
+        )
 
     # ------------------------------------------------------------------
     # scalarized scoring
@@ -441,25 +479,25 @@ class ObjectiveBackend:
         if self._pareto is not None and span != _INF:
             self._pareto.offer(span, cost, candidate)
 
+    def _scalar(self, span: float, order, machine_of, candidate) -> float:
+        """The scalar of the schedule *order* / *machine_of*, whose walk
+        gave *span*; the point is offered to the tracker as
+        *candidate*."""
+        cost = self._cm.cost(machine_of)
+        self._offer(span, cost, candidate)
+        return self._objective.scalarize(span, cost)
+
     def makespan(self, order, machine_of) -> float:
         span = self._inner.makespan(order, machine_of)
-        cost = self._cm.cost(machine_of)
-        self._offer(span, cost, (order, machine_of))
-        return self._objective.scalarize(span, cost)
+        return self._scalar(span, order, machine_of, (order, machine_of))
 
     def string_makespan(self, string) -> float:
         span = self._inner.string_makespan(string)
-        cost = self._cm.cost(string.machines)
-        self._offer(span, cost, string)
-        return self._objective.scalarize(span, cost)
+        return self._scalar(span, string.order, string.machines, string)
 
-    def prepare(self, order, machine_of) -> _ScalarizedState:
-        state = self._inner.prepare(order, machine_of)
-        cost = self._cm.cost(machine_of)
-        self._offer(state.makespan, cost, (order, machine_of))
-        return _ScalarizedState(
-            state, self._objective.scalarize(state.makespan, cost)
-        )
+    def string_makespans(self, strings) -> list[float]:
+        """:meth:`string_makespan` of each of *strings*, in order."""
+        return [self.string_makespan(s) for s in strings]
 
     def evaluate_delta(
         self,
@@ -484,22 +522,6 @@ class ObjectiveBackend:
         self._offer(span, cost, (order, machine_of))
         return self._objective.scalarize(span, cost)
 
-    def place(
-        self,
-        state: Any,
-        order,
-        machine_of,
-        task: int,
-        candidates,
-        all_positions: bool = False,
-    ) -> tuple[float, int, int, int]:
-        """The probe loop of :func:`~repro.schedule.valid_range.
-        place_by_probes` over this backend's :meth:`evaluate_delta`, so
-        every probe is scalarized and offered to the Pareto tracker."""
-        return place_by_probes(
-            self, state, order, machine_of, task, candidates, all_positions
-        )
-
     def score_moves(
         self,
         state: Any,
@@ -509,12 +531,31 @@ class ObjectiveBackend:
         tabu,
         best_known: float,
     ) -> tuple[float, int, int]:
-        """Tabu's selection loop of :func:`~repro.optim.tabu.
-        score_by_deltas` over this backend's :meth:`evaluate_delta`, so
-        every candidate is scalarized and offered to the Pareto
-        tracker."""
-        from repro.optim.tabu import score_by_deltas
+        """Tabu's ``(cost, index, admissible)`` pick among *moves*.
 
-        return score_by_deltas(
-            self, state, order, machine_of, moves, tabu, best_known
-        )
+        With no Pareto tracker, :func:`~repro.schedule.neighborhood.
+        score_by_deltas` over this backend's :meth:`evaluate_delta`, so
+        every candidate is scalarized and a loser stops at its cutoff.
+        A tracker must see every candidate's exact point, which a
+        pruned delta does not give, so then each candidate is scored in
+        full (:meth:`score_applied`).  *state* is a snapshot of *order*
+        / *machine_of*, wrapped or raw.
+        """
+        if self._pareto is None:
+            return score_by_deltas(
+                self, state, order, machine_of, moves, tabu, best_known
+            )
+        return self.score_applied(order, machine_of, moves, tabu, best_known)
+
+    def score_applied(
+        self, order, machine_of, moves, tabu, best_known: float
+    ) -> tuple[float, int, int]:
+        """:func:`~repro.schedule.neighborhood.select_move` on exact
+        costs: each move applied to a copy of *order* / *machine_of*,
+        the copies scored by one :meth:`string_makespans` call.  The
+        neighborhood is checked as :func:`~repro.schedule.neighborhood.
+        check_moves` checks it."""
+        string = ScheduleString(order, machine_of, self.workload.num_machines)
+        check_moves(string, self.workload.graph, moves, tabu)
+        costs = self.string_makespans([applied_copy(string, m) for m in moves])
+        return select_move(tabu, best_known, lambda i, _cutoff: costs[i])

@@ -3,6 +3,8 @@
 * :class:`ScheduleString` — the paper's combined matching+scheduling
   string (§4.1);
 * :mod:`~repro.schedule.valid_range` — dependency-safe moving windows;
+* :mod:`~repro.schedule.neighborhood` — reorder / reassign moves as
+  data, and tabu's selection over a neighborhood of them;
 * :class:`Simulator` — the deterministic cost model (string → makespan);
 * :mod:`~repro.schedule.backend` — simulator backends keyed by
   network-model name (``"contention-free"`` | ``"nic"``), one table row

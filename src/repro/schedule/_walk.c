@@ -6,8 +6,8 @@
  * network (repro.schedule.simulator.Simulator) or the one-NIC-per-machine
  * network (repro.extensions.contention.ContentionSimulator).  The Python
  * methods of those classes, repro.schedule.valid_range.place_by_probes for
- * `place`, repro.optim.tabu.score_by_deltas for `score_moves` and
- * repro.schedule.operations.shuffle_string for `shuffle`, are the
+ * `place`, repro.schedule.neighborhood.score_by_deltas for `score_moves`
+ * and repro.schedule.operations.shuffle_string for `shuffle`, are the
  * specification: every loop below performs the same float operations in
  * the same order, so results are bit-identical (`==`), and `shuffle`
  * makes the same random draws from the same numpy bit generator.
@@ -1612,10 +1612,10 @@ walker_slots(Walker *w, PyObject *const *args, Py_ssize_t nargs)
 enum { MOVE_REORDER, MOVE_REASSIGN };
 
 /* One (kind, task, target) move of a score_moves call into out[0..2],
- * checked as repro.optim.tabu.check_moves checks it: an unknown kind, a
- * task or machine out of range (ValueError), an insertion index out of
- * range (IndexError) or outside the task's valid window in the state's
- * string (InvalidScheduleError). */
+ * checked as repro.schedule.neighborhood.check_moves checks it: an
+ * unknown kind, a task or machine out of range (ValueError), an insertion
+ * index out of range (IndexError) or outside the task's valid window in
+ * the state's string (InvalidScheduleError). */
 static int
 read_move(Walker *w, const State *st, PyObject *move, Py_ssize_t i,
           int *out)
@@ -1672,8 +1672,8 @@ read_move(Walker *w, const State *st, PyObject *move, Py_ssize_t i,
 /* score_moves(state, order, machine_of, moves, tabu, best_known)
  *   -> (cost, index, admissible)
  *
- * Tabu's selection rule over one neighbourhood, as repro.optim.tabu.
- * select_move specifies it over per-candidate deltas: each move, in
+ * Tabu's selection rule over one neighbourhood, as repro.schedule.
+ * neighborhood.select_move specifies it over per-candidate deltas: each move, in
  * order, is applied to a private copy of the string, scored from its
  * changed region against the state under the cutoff select_move hands
  * that candidate, and reverted; then the best admissible candidate (or,

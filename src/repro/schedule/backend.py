@@ -95,9 +95,9 @@ class SimulatorBackend(Protocol):
       :func:`~repro.schedule.valid_range.place_by_probes` (the scalar
       backends run it in one compiled walker call, ``==``);
     * ``score_moves`` — tabu's pick among a neighborhood of moves, with
-      the admissible count: the loop of :func:`~repro.optim.tabu.
-      score_by_deltas` (one compiled walker call on the scalar
-      backends, ``==``);
+      the admissible count: the loop of :func:`~repro.schedule.
+      neighborhood.score_by_deltas` (one compiled walker call on the
+      scalar backends, ``==``);
     * ``shuffle`` — the SE initial string's random valid moves (paper
       §4.2): the loop of :func:`~repro.schedule.operations.
       shuffle_string`, with the same draws (one compiled walker call on

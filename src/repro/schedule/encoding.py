@@ -102,6 +102,11 @@ class ScheduleString:
         new._l = self._l
         return new
 
+    def __deepcopy__(self, memo: dict) -> "ScheduleString":
+        # every field holds ints, so :meth:`copy` is already deep; a Pareto
+        # tracker deep-copies each string that joins its front
+        return self.copy()
+
     # ------------------------------------------------------------------
     # read access
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ guidance in the HPC coding guides:
   :mod:`repro.schedule.walker` when it loads (a C extension built on
   first use; a fig5 ``makespan`` costs ~3 µs there); the Python bodies
   below, :func:`~repro.schedule.valid_range.place_by_probes` for
-  ``place``, :func:`~repro.optim.tabu.score_by_deltas` for
+  ``place``, :func:`~repro.schedule.neighborhood.score_by_deltas` for
   ``score_moves`` and :func:`~repro.schedule.operations.shuffle_string`
   for ``shuffle``, are its specification and the fallback, ``==`` on
   every result;
@@ -69,6 +69,7 @@ import numpy as np
 from repro.model.workload import Workload
 from repro.schedule import walker
 from repro.schedule.encoding import ScheduleString
+from repro.schedule.neighborhood import score_by_deltas
 from repro.schedule.operations import shuffle_string
 from repro.schedule.scoring import CostModel, ScheduleScore
 from repro.schedule.valid_range import place_by_probes
@@ -312,8 +313,9 @@ class _ScalarBackend:
         from: ``(cost, index, admissible)``.
 
         One neighborhood of the tabu step, specified by
-        :func:`~repro.optim.tabu.score_by_deltas` (:func:`~repro.optim.
-        tabu.select_move` over one delta per candidate); *tabu* flags
+        :func:`~repro.schedule.neighborhood.score_by_deltas`
+        (:func:`~repro.schedule.neighborhood.select_move` over one delta
+        per candidate); *tabu* flags
         each move and *best_known* is the run's best cost, for
         aspiration.  On the compiled tier every candidate runs inside
         one walker call.
@@ -335,8 +337,6 @@ class _ScalarBackend:
             return self._c.score_moves(
                 state, order, machine_of, moves, tabu, best_known
             )
-        from repro.optim.tabu import score_by_deltas
-
         self._check_state(state)
         self._check_base(state, order, machine_of)
         return score_by_deltas(

@@ -8,12 +8,13 @@ over one neighborhood, and ``shuffle``, the SE initial string's random
 moves) through a ``Walker`` of the C extension built from ``_walk.c``
 when it loads; the Python method bodies,
 :func:`~repro.schedule.valid_range.place_by_probes` for ``place``,
-:func:`~repro.optim.tabu.score_by_deltas` for ``score_moves`` and
-:func:`~repro.schedule.operations.shuffle_string` for ``shuffle``, stay
-as the specification and the fallback.  The two tiers are ``==`` on
-every result (property-tested); ``shuffle`` draws from the numpy
-generator's bit generator exactly as ``Generator.integers`` does, so
-the generator's state afterwards is the same on both tiers too.
+:func:`~repro.schedule.neighborhood.score_by_deltas` for
+``score_moves`` and :func:`~repro.schedule.operations.shuffle_string`
+for ``shuffle``, stay as the specification and the fallback.  The two
+tiers are ``==`` on every result (property-tested); ``shuffle`` draws
+from the numpy generator's bit generator exactly as
+``Generator.integers`` does, so the generator's state afterwards is the
+same on both tiers too.
 
 The extension is compiled on first use with the local C compiler
 (``$CC``, else the compiler Python was built with, else ``cc``) and the

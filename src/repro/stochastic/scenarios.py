@@ -11,7 +11,7 @@ Two classes:
 * :class:`ScenarioEvaluator` — owns the per-scenario backends and
   produces scenario-makespan vectors/matrices;
 * :class:`ScenarioBackend` — the
-  :class:`~repro.schedule.backend.SimulatorBackend`-shaped wrapper the
+  :class:`~repro.optim.objective.ObjectiveBackend` the
   :class:`~repro.optim.evaluation.EvaluationService` installs for
   scenario objectives: every scalar an engine compares (``makespan``,
   delta scalars) is the *reduced risk statistic*, while
@@ -19,7 +19,9 @@ Two classes:
   (result assembly and SE's goodness phase run on nominal durations).
   The incremental tier is exact but unaccelerated: ``evaluate_delta``
   re-scores the full string over all scenarios and ignores the cutoff
-  (a risk statistic has no per-position lower bound to prune on).
+  (a risk statistic has no per-position lower bound to prune on), so
+  batches and tabu neighborhoods are scored in one scenario-major
+  sweep instead (:meth:`ScenarioBackend.makespans`).
 
 >>> from repro.optim.objective import resolve_objective
 >>> from repro.schedule.operations import random_valid_string
@@ -42,10 +44,9 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro.optim.evaluation import row_pairs
-from repro.optim.objective import ScenarioObjective, _ScalarizedState
+from repro.optim.objective import ObjectiveBackend, ScenarioObjective
 from repro.schedule.backend import DEFAULT_NETWORK, make_simulator
 from repro.schedule.encoding import ScheduleString
-from repro.schedule.valid_range import place_by_probes
 from repro.stochastic.distributions import ScenarioSet
 
 __all__ = ["ScenarioEvaluator", "ScenarioBackend"]
@@ -113,10 +114,11 @@ class ScenarioEvaluator:
         from that scenario's matrices.  The rows are converted once and
         read by every scenario.
         """
-        return self._loop(row_pairs(orders, machines))
+        return self.row_matrix(row_pairs(orders, machines))
 
-    def _loop(self, rows: list) -> np.ndarray:
-        """The ``(S, B)`` matrix of ``(order, machines)`` *rows*."""
+    def row_matrix(self, rows: Sequence) -> np.ndarray:
+        """The ``(S, B)`` matrix of ``(order, machines)`` *rows*,
+        scenario-major: each scenario scores every row in turn."""
         out = [
             [backend.makespan(o, m) for o, m in rows]
             for backend in self._backends
@@ -125,7 +127,7 @@ class ScenarioEvaluator:
 
     def string_matrix(self, strings: Sequence[ScheduleString]) -> np.ndarray:
         """:meth:`matrix` over :class:`ScheduleString` objects."""
-        return self._loop([(s.order, s.machines) for s in strings])
+        return self.row_matrix([(s.order, s.machines) for s in strings])
 
     def samples(
         self, order: Sequence[int], machine_of: Sequence[int]
@@ -138,20 +140,19 @@ class ScenarioEvaluator:
         return self.samples(string.order, string.machines)
 
 
-class ScenarioBackend:
+class ScenarioBackend(ObjectiveBackend):
     """A backend whose every scalar is the reduced risk statistic.
 
-    The scenario-objective twin of
-    :class:`~repro.optim.objective.ObjectiveBackend`: built by the
-    :class:`~repro.optim.evaluation.EvaluationService` when a scenario
-    objective is configured, never by engines directly.  Engines
-    compare scalars; here each scalar is ``objective.reduce`` over the
-    schedule's scenario makespans.  ``evaluate`` / ``finish_times`` /
-    the decoded schedules stay *nominal* — reported makespans in
-    result assembly are real nominal makespans, and SE's goodness
-    phase ranks subtasks by nominal finish times.  Batches skip this
-    wrapper: the service reduces each column of the evaluator's
-    ``(S, B)`` matrix with the same :meth:`ScenarioObjective.reduce`.
+    The :class:`~repro.optim.objective.ObjectiveBackend` of a scenario
+    objective: built by the :class:`~repro.optim.evaluation.
+    EvaluationService` when one is configured, never by engines
+    directly.  Engines compare scalars; here each scalar is
+    ``objective.reduce`` over the schedule's scenario makespans, and
+    that reduction is all this class replaces.  ``evaluate`` /
+    ``finish_times`` / the decoded schedules stay *nominal* — reported
+    makespans in result assembly are real nominal makespans, and SE's
+    goodness phase ranks subtasks by nominal finish times.  A risk
+    objective is makespan-only: no cost model, no Pareto tracker.
     """
 
     def __init__(
@@ -160,47 +161,16 @@ class ScenarioBackend:
         evaluator: ScenarioEvaluator,
         objective: ScenarioObjective,
     ):
-        self._nominal = nominal
+        super().__init__(nominal, objective, None)
         self._evaluator = evaluator
-        self._objective = objective
-
-    # ------------------------------------------------------------------
-    # identity / passthrough
-    # ------------------------------------------------------------------
-
-    @property
-    def base(self) -> Any:
-        """The wrapped nominal backend."""
-        return self._nominal
-
-    @property
-    def objective(self) -> ScenarioObjective:
-        return self._objective
-
-    @property
-    def evaluator(self) -> ScenarioEvaluator:
-        return self._evaluator
-
-    @property
-    def workload(self):
-        return self._nominal.workload
-
-    def evaluate(self, string: ScheduleString) -> Any:
-        """The nominal backend's full result (real schedule/makespan)."""
-        return self._nominal.evaluate(string)
-
-    def finish_times(self, string: ScheduleString) -> list[float]:
-        return self._nominal.finish_times(string)
-
-    def shuffle(
-        self, order: Sequence[int], rng: Any, num_moves: int
-    ) -> list[int]:
-        """The nominal backend's ``shuffle``: the graph is the same."""
-        return self._nominal.shuffle(order, rng, num_moves)
 
     # ------------------------------------------------------------------
     # reduced (risk) scoring
     # ------------------------------------------------------------------
+
+    def _scalar(self, span, order, machine_of, candidate) -> float:
+        """The reduction; the nominal *span* plays no part."""
+        return self.makespan(order, machine_of)
 
     def makespan(
         self, order: Sequence[int], machine_of: Sequence[int]
@@ -214,11 +184,24 @@ class ScenarioBackend:
             self._evaluator.samples_string(string)
         )
 
-    def prepare(
-        self, order: Sequence[int], machine_of: Sequence[int]
-    ) -> _ScalarizedState:
-        state = self._nominal.prepare(order, machine_of)
-        return _ScalarizedState(state, self.makespan(order, machine_of))
+    def makespans(self, rows: Sequence) -> list[float]:
+        """The risk scalar of each ``(order, machine_of)`` row, in one
+        scenario-major sweep.
+
+        Each scenario's backend scores the whole batch before the next
+        one starts (:meth:`ScenarioEvaluator.row_matrix`), so its tables
+        stay in cache; each column of the ``(S, B)`` matrix is reduced by
+        the same ``reduce`` call a single schedule gets, so a batch and
+        single calls are ``==``.
+        """
+        reduce = self._objective.reduce
+        return [reduce(col) for col in self._evaluator.row_matrix(rows).T]
+
+    def string_makespans(
+        self, strings: Sequence[ScheduleString]
+    ) -> list[float]:
+        """:meth:`makespans` over :class:`ScheduleString` objects."""
+        return self.makespans([(s.order, s.machines) for s in strings])
 
     def evaluate_delta(
         self,
@@ -238,22 +221,6 @@ class ScenarioBackend:
         """
         return self.makespan(order, machine_of)
 
-    def place(
-        self,
-        state: Any,
-        order: Sequence[int],
-        machine_of: Sequence[int],
-        task: int,
-        candidates: Sequence[int],
-        all_positions: bool = False,
-    ) -> tuple[float, int, int, int]:
-        """The probe loop of :func:`~repro.schedule.valid_range.
-        place_by_probes` over this backend's :meth:`evaluate_delta`, so
-        every probe is the risk scalar over all scenarios."""
-        return place_by_probes(
-            self, state, order, machine_of, task, candidates, all_positions
-        )
-
     def score_moves(
         self,
         state: Any,
@@ -263,14 +230,11 @@ class ScenarioBackend:
         tabu: Sequence[bool],
         best_known: float,
     ) -> tuple[float, int, int]:
-        """Tabu's selection loop of :func:`~repro.optim.tabu.
-        score_by_deltas` over this backend's :meth:`evaluate_delta`, so
-        every candidate is the risk scalar over all scenarios."""
-        from repro.optim.tabu import score_by_deltas
-
-        return score_by_deltas(
-            self, state, order, machine_of, moves, tabu, best_known
-        )
+        """Tabu's pick among *moves*: the candidates scored in one
+        scenario-major sweep (:meth:`~repro.optim.objective.
+        ObjectiveBackend.score_applied`), since a delta here would
+        re-score every scenario without pruning.  *state* is unused."""
+        return self.score_applied(order, machine_of, moves, tabu, best_known)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

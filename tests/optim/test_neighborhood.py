@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.optim.neighborhood import (
+from repro.schedule.neighborhood import (
     REASSIGN,
     REORDER,
     Move,

@@ -130,8 +130,8 @@ class TestTabuMechanics:
 
 
 def _count_scoring_calls(monkeypatch):
-    """Spy on the neighborhood routes of EvaluationService (and on its
-    single deltas, which neither route makes)."""
+    """Spy on the scoring calls of EvaluationService a tabu step could
+    make: its one neighborhood route, single deltas and batches."""
     calls = {"delta": 0, "moves": 0, "batch": 0}
 
     def spy(name, key):
@@ -145,26 +145,17 @@ def _count_scoring_calls(monkeypatch):
 
     spy("evaluate_delta", "delta")
     spy("score_moves", "moves")
+    spy("batch_makespans", "batch")
     spy("batch_string_makespans", "batch")
     return calls
 
 
 class TestScoringRoute:
-    """A neighborhood is one ``score_moves`` call (a cutoff-pruned delta
-    per candidate, counted as such); the services that gain nothing
-    from that keep one batch call."""
+    """Whatever the service, a neighborhood is one ``score_moves`` call,
+    counted as one evaluation per candidate; the service's backend (or
+    its objective wrapper) decides how the candidates are scored."""
 
     ITERATIONS = 7
-
-    def run_counted(self, workload, service, monkeypatch):
-        calls = _count_scoring_calls(monkeypatch)
-        res = run_tabu(
-            workload,
-            TabuConfig(seed=1, max_iterations=self.ITERATIONS),
-            service=service,
-        )
-        assert res.evaluations == 1 + self.ITERATIONS * 24
-        return calls
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -177,18 +168,6 @@ class TestScoringRoute:
                 "initial_avail": [5.0, 0.0, 9.0, 1.0],
                 "initial_nic_free": [2.0, 7.0, 0.0, 3.0],
             },
-        ],
-        ids=["plain", "nic", "busy", "nic-busy"],
-    )
-    def test_delta_route(self, tiny_workload, monkeypatch, kwargs):
-        service = EvaluationService(tiny_workload, **kwargs)
-        assert service.prefers_delta
-        calls = self.run_counted(tiny_workload, service, monkeypatch)
-        assert calls == {"delta": 0, "moves": self.ITERATIONS, "batch": 0}
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
             {
                 "objective": "mean",
                 "scenarios": 4,
@@ -196,13 +175,23 @@ class TestScoringRoute:
             },
             {"platform": "spot", "pareto": ParetoTracker()},
         ],
-        ids=["scenario", "pareto"],
+        ids=["plain", "nic", "busy", "nic-busy", "scenario", "pareto"],
     )
-    def test_batch_route(self, tiny_workload, monkeypatch, kwargs):
+    def test_one_score_moves_call_per_step(
+        self, tiny_workload, monkeypatch, kwargs
+    ):
         service = EvaluationService(tiny_workload, **kwargs)
-        assert not service.prefers_delta
-        calls = self.run_counted(tiny_workload, service, monkeypatch)
-        assert calls == {"delta": 0, "moves": 0, "batch": self.ITERATIONS}
+        calls = _count_scoring_calls(monkeypatch)
+        res = run_tabu(
+            tiny_workload,
+            TabuConfig(seed=1, max_iterations=self.ITERATIONS),
+            service=service,
+        )
+        assert calls == {"delta": 0, "moves": self.ITERATIONS, "batch": 0}
+        assert res.evaluations == 1 + self.ITERATIONS * 24
+        if service.pareto is not None:
+            # the incumbent's score, then every candidate in full
+            assert service.pareto.offers == 1 + self.ITERATIONS * 24
 
 
 class TestNicBackend:

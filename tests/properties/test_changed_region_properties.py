@@ -1,6 +1,6 @@
 """Property tests: a move's changed region bounds what the move rewrites.
 
-:func:`repro.optim.neighborhood.changed_region` names the ``(first,
+:func:`repro.schedule.neighborhood.changed_region` names the ``(first,
 last)`` string positions a move rewrites.  SA and tabu pass them as
 ``evaluate_delta``'s ``first_changed`` and ``region_end``; the latter
 lets the contention-free walker stop once it has rejoined the base run.
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.extensions.contention import ContentionSimulator
-from repro.optim.neighborhood import (
+from repro.schedule.neighborhood import (
     apply_move,
     changed_region,
     inverse_move,

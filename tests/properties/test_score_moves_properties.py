@@ -3,12 +3,12 @@
 ``score_moves(state, order, machine_of, moves, tabu, best_known)`` runs
 tabu's whole selection rule in one walker call.  On the compiled tier
 it must be ``==`` on ``(cost, index, admissible)`` to its Python
-specification, :func:`~repro.optim.tabu.score_by_deltas`
-(:func:`~repro.optim.tabu.select_move` over one delta per candidate),
-and to the Python walker's own ``score_moves``, on both networks, from
-idle and busy machines and NICs, for neighbourhoods with duplicate
-moves, all-tabu neighbourhoods (the fallback), tabu moves that
-aspirate and ``best_known = inf``.  The rule itself is checked against
+specification, :func:`~repro.schedule.neighborhood.score_by_deltas`
+(:func:`~repro.schedule.neighborhood.select_move` over one delta per
+candidate), and to the Python walker's own ``score_moves``, on both
+networks, from idle and busy machines and NICs, for neighbourhoods with
+duplicate moves, all-tabu neighbourhoods (the fallback), tabu moves
+that aspirate and ``best_known = inf``.  The rule itself is checked against
 exact costs from full walks of each candidate.  Both tiers reject the
 same malformed calls with the same error types.
 """
@@ -20,15 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.extensions.contention import ContentionSimulator
-from repro.optim import EvaluationService
-from repro.optim.neighborhood import (
+from repro.optim import EvaluationService, ParetoTracker
+from repro.schedule.neighborhood import (
     REASSIGN,
     REORDER,
     Move,
     applied_copy,
     random_move,
 )
-from repro.optim.tabu import score_by_deltas, select_move
+from repro.schedule.neighborhood import score_by_deltas, select_move
 from repro.schedule.operations import random_valid_string
 from repro.schedule.simulator import InvalidScheduleError, Simulator
 from repro.schedule.valid_range import valid_insertion_range
@@ -239,28 +239,44 @@ def test_score_moves_rejects_malformed_calls(cls, tier):
     "evaluation",
     [
         {"platform": "cloud", "objective": "weighted:1:0.5"},
+        {"platform": "cloud", "objective": "weighted:1:0.5", "pareto": True},
         {"objective": "cvar:0.9", "scenarios": 4, "distribution": "uniform:0.3"},
     ],
-    ids=["weighted", "cvar"],
+    ids=["weighted", "pareto", "cvar"],
 )
 def test_wrappers_run_the_specification(network, evaluation):
-    """The objective and scenario wrappers run the specification over
-    their own deltas: the rule over their exact scalars, and the same
-    checks of the neighbourhood."""
+    """The objective and scenario wrappers pick by the rule over their
+    exact scalars, with the same checks of the neighbourhood; with a
+    Pareto tracker, every candidate's exact point is offered, in
+    order."""
     w = build_workload(WorkloadSpec(num_tasks=12, num_machines=3, seed=4))
-    service = EvaluationService(w, network, **evaluation)
+    fields = {k: v for k, v in evaluation.items() if k != "pareto"}
+    pareto = ParetoTracker() if evaluation.get("pareto") else None
+    # scores the exact scalars without offering them to the tracker
+    exact = EvaluationService(w, network, **fields).backend
+    service = EvaluationService(w, network, pareto=pareto, **fields)
     s = random_valid_string(w.graph, w.num_machines, 5)
     rng = as_rng(2)
     moves = [random_move(s, w.graph, rng, 0.5, True) for _ in range(10)]
     tabu = [i % 3 == 0 for i in range(10)]
     state = service.prepare(s.order, s.machines)
-    costs = [
-        service.backend.string_makespan(applied_copy(s, mv)) for mv in moves
-    ]
+    copies = [applied_copy(s, mv) for mv in moves]
+    costs = [exact.string_makespan(c) for c in copies]
+    witness = ParetoTracker()  # offered the points a tracker should see
+    if pareto is not None:
+        raw, cm = service.backend.base, service.cost_model
+        for c in [s] + copies:
+            witness.offer(raw.string_makespan(c), cm.cost(c.machines))
     for best_known in (math.inf, sorted(costs)[3], 0.0):
+        offers = 0 if pareto is None else pareto.offers
         assert service.score_moves(
             state, s.order, s.machines, moves, tabu, best_known
         ) == select_move(tabu, best_known, lambda i, _cutoff: costs[i])
+        if pareto is not None:
+            assert pareto.offers == offers + len(moves)
+            assert [p.point for p in pareto.front] == [
+                p.point for p in witness.front
+            ]
     with pytest.raises(ValueError):
         service.score_moves(state, s.order, s.machines, [], [], 1e9)
     with pytest.raises(IndexError):

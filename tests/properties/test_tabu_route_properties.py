@@ -1,37 +1,46 @@
-"""Property tests: tabu's two scoring routes run the same search.
+"""Property tests: tabu's one scoring route runs the exact search.
 
-A tabu neighborhood is scored either one cutoff-pruned
-``evaluate_delta`` per candidate against a snapshot of the incumbent,
-or in one ``batch_string_makespans`` call; the service's
-``prefers_delta`` picks the route.  Forcing each route in turn, these
-properties pin that a run is the same either way: best string, best
-cost, evaluation count and every trace record except wall time.  The
-pruning rule itself (:func:`repro.optim.tabu.select_move`) is checked
-against exact costs directly.
+A tabu step scores its neighborhood in one ``score_moves`` call, and
+the service's backend decides how: cutoff-pruned deltas against a
+snapshot of the incumbent (the compiled walker, the objective wrapper
+without a tracker), every candidate in full (the objective wrapper
+with a Pareto tracker), or one scenario-major sweep (the scenario
+wrapper).  These properties pin each of those to an exact oracle, the
+batch loop tabu once ran itself: apply each move to a copy, score
+every copy in full on the service's backend and run
+:func:`~repro.schedule.neighborhood.select_move` on the exact costs.
+A run is the same either way: best string, best cost, evaluation
+count, every trace record except wall time, and a Pareto tracker's
+front and offer count.  The pruning rule itself is checked against
+exact costs directly.
 """
 
 import math
-from contextlib import contextmanager
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.optim import TabuConfig, run_tabu
 from repro.optim.evaluation import EvaluationService
 from repro.optim.exchange import Incumbent
-from repro.optim.tabu import select_move
+from repro.optim.tracking import ParetoTracker
+from repro.schedule.encoding import ScheduleString
+from repro.schedule.neighborhood import applied_copy, select_move
 from repro.schedule.operations import random_valid_string
 from tests.strategies import workloads
 
 
-@contextmanager
-def forced_route(by_delta: bool):
-    with mock.patch.object(
-        EvaluationService, "prefers_delta", property(lambda self: by_delta)
-    ):
-        yield
+def exact_score_moves(self, state, order, machine_of, moves, tabu, best):
+    """The oracle for ``EvaluationService.score_moves``: every candidate
+    applied to a copy and scored in full on the service's backend, then
+    the rule over the exact costs.  Counts one evaluation per move."""
+    string = ScheduleString(order, machine_of, self.workload.num_machines)
+    score = self.backend.string_makespan
+    costs = [score(applied_copy(string, mv)) for mv in moves]
+    self.count(len(moves))
+    return select_move(tabu, best, lambda i, _cutoff: costs[i])
 
 
 class DeliverAt:
@@ -47,17 +56,25 @@ class DeliverAt:
         return self.incumbent if iteration == self.iteration else None
 
 
-def run_both(workload, config, service_kwargs=None, exchange_string=None):
-    """The run under each forced route, as comparable tuples."""
+def run_both(
+    workload, config, service_kwargs=None, exchange_string=None, pareto=False
+):
+    """The run on the engine's route and on the exact oracle, as
+    comparable tuples."""
     outs = []
-    for by_delta in (True, False):
-        service = None
-        if service_kwargs is not None:
-            service = config.evaluation_service(workload, **service_kwargs)
+    for oracle in (False, True):
+        kwargs = dict(service_kwargs or {})
+        if pareto:
+            kwargs["pareto"] = ParetoTracker()
+        service = config.evaluation_service(workload, **kwargs)
         exchange = None
         if exchange_string is not None:
             exchange = DeliverAt(3, exchange_string)
-        with forced_route(by_delta):
+        with mock.patch.object(
+            EvaluationService,
+            "score_moves",
+            exact_score_moves if oracle else EvaluationService.score_moves,
+        ):
             res = run_tabu(
                 workload, config, service=service, exchange=exchange
             )
@@ -71,12 +88,19 @@ def run_both(workload, config, service_kwargs=None, exchange_string=None):
             )
             for r in res.trace
         ]
+        front = None
+        if pareto:
+            front = (
+                [p.point for p in service.pareto.front],
+                service.pareto.offers,
+            )
         outs.append(
             (
                 res.best_string.pairs(),
                 res.best_makespan,
                 res.evaluations,
                 records,
+                front,
             )
         )
     return outs
@@ -85,10 +109,27 @@ def run_both(workload, config, service_kwargs=None, exchange_string=None):
 _settings = dict(
     network=st.sampled_from(["contention-free", "nic"]),
     platform=st.sampled_from(["uniform", "spot", "cloud"]),
-    objective=st.sampled_from(["makespan", "weighted:1.0:0.05"]),
+    objective=st.sampled_from(
+        ["makespan", "weighted:1.0:0.05", "pareto", "cvar:0.9"]
+    ),
     tenure=st.sampled_from([0, 2, 8]),
     size=st.integers(1, 12),
 )
+
+
+def _evaluation(objective, platform):
+    """``(config fields, pareto)`` of one drawn objective; a scenario
+    objective needs scenarios and a platform without boot delays."""
+    if objective == "pareto":
+        return {"objective": "weighted:1.0:0.05"}, True
+    if objective == "cvar:0.9":
+        assume(platform != "cloud")
+        return {
+            "objective": objective,
+            "scenarios": 4,
+            "distribution": "uniform:0.3",
+        }, False
+    return {"objective": objective}, False
 
 
 @given(
@@ -97,9 +138,10 @@ _settings = dict(
     **_settings,
 )
 @settings(max_examples=50, deadline=None)
-def test_delta_route_equals_batch_route(
+def test_route_equals_the_exact_oracle(
     w, seed, network, platform, objective, tenure, size
 ):
+    fields, pareto = _evaluation(objective, platform)
     cfg = TabuConfig(
         seed=seed,
         max_iterations=12,
@@ -107,10 +149,10 @@ def test_delta_route_equals_batch_route(
         tenure=tenure,
         network=network,
         platform=platform,
-        objective=objective,
+        **fields,
     )
-    delta, batch = run_both(w, cfg)
-    assert delta == batch
+    route, oracle = run_both(w, cfg, pareto=pareto)
+    assert route == oracle
 
 
 _busy = st.lists(st.floats(0.0, 100.0), min_size=4, max_size=4)
@@ -124,14 +166,14 @@ _busy = st.lists(st.floats(0.0, 100.0), min_size=4, max_size=4)
     _busy,
 )
 @settings(max_examples=40, deadline=None)
-def test_routes_agree_from_busy_machines(w, seed, network, avail, nic):
+def test_route_is_exact_from_busy_machines(w, seed, network, avail, nic):
     l = w.num_machines
     cfg = TabuConfig(seed=seed, max_iterations=12, network=network)
     busy = {"initial_avail": avail[:l]}
     if network == "nic":
         busy["initial_nic_free"] = nic[:l]
-    delta, batch = run_both(w, cfg, service_kwargs=busy)
-    assert delta == batch
+    route, oracle = run_both(w, cfg, service_kwargs=busy)
+    assert route == oracle
 
 
 @given(
@@ -140,21 +182,21 @@ def test_routes_agree_from_busy_machines(w, seed, network, avail, nic):
     st.sampled_from(["contention-free", "nic"]),
 )
 @settings(max_examples=40, deadline=None)
-def test_routes_agree_across_an_exchange(w, seed, network):
-    """An incumbent delivered mid-run is re-scored and re-anchored the
-    same way on both routes."""
+def test_route_is_exact_across_an_exchange(w, seed, network):
+    """An incumbent delivered mid-run is re-scored and re-anchored, so
+    the next neighborhood is scored against the new incumbent."""
     cfg = TabuConfig(seed=seed, max_iterations=8, network=network)
     foreign = random_valid_string(w.graph, w.num_machines, seed + 1)
-    delta, batch = run_both(w, cfg, exchange_string=foreign)
-    assert delta == batch
+    route, oracle = run_both(w, cfg, exchange_string=foreign)
+    assert route == oracle
 
 
 @pytest.mark.parametrize("network", ["contention-free", "nic"])
-def test_routes_agree_through_the_all_tabu_fallback(
+def test_route_is_exact_through_the_all_tabu_fallback(
     tiny_workload, network
 ):
     """A two-move neighborhood under a tenure longer than the run is
-    soon all tabu; both routes must commit the same fallback moves."""
+    soon all tabu; the route must commit the oracle's fallback moves."""
     cfg = TabuConfig(
         seed=1,
         max_iterations=40,
@@ -162,9 +204,9 @@ def test_routes_agree_through_the_all_tabu_fallback(
         tenure=10**6,
         network=network,
     )
-    delta, batch = run_both(tiny_workload, cfg)
-    assert delta == batch
-    selected = [r[3] for r in delta[3]]
+    route, oracle = run_both(tiny_workload, cfg)
+    assert route == oracle
+    selected = [r[3] for r in route[3]]
     assert 0 in selected  # the fallback branch really ran
 
 

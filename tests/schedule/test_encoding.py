@@ -1,5 +1,7 @@
 """Unit tests for the combined matching+scheduling string."""
 
+import copy
+
 import pytest
 
 from repro.model.graph import TaskGraph
@@ -82,6 +84,14 @@ class TestCopy:
 
     def test_copy_equal(self, string):
         assert string.copy() == string
+
+    def test_deepcopy_is_an_independent_copy(self, string):
+        # a container holding the string twice gets one copy, twice
+        pair = copy.deepcopy([string, string])
+        assert pair[0] is pair[1] and pair[0] is not string
+        assert pair[0] == string and pair[0].positions == string.positions
+        pair[0].move(2, 2)
+        assert string.position_of(2) == 0
 
 
 class TestMutation:

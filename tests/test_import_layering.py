@@ -4,7 +4,9 @@ Every package ``__init__`` is a PEP 562 lazy table (:mod:`repro._lazy`),
 and ``repro.cli`` imports each subcommand's modules inside its handler.
 These tests pin both: the import closure of ``repro run`` and of a bare
 ``import repro``, and, for every package, that its table resolves the
-same objects an eager ``__init__`` exported.
+same objects an eager ``__init__`` exported.  A third test pins that
+no backend method an engine calls per step, probe or move imports in
+its body.
 """
 
 import ast
@@ -183,3 +185,64 @@ def test_submodules_load_on_attribute_access():
     # as they did when every __init__ imported its submodules eagerly
     code = "import repro; print(repro.core.engine.__name__)"
     assert _run(code) == "repro.core.engine"
+
+
+#: The backend methods an engine calls per step, probe or move.
+PER_STEP_METHODS = frozenset(
+    {
+        "makespan",
+        "string_makespan",
+        "prepare",
+        "evaluate_delta",
+        "place",
+        "score_moves",
+        "shuffle",
+        "makespans",
+        "string_makespans",
+        "score_applied",
+        "snapshot",
+        "batch_makespans",
+        "batch_string_makespans",
+    }
+)
+
+#: The classes that serve them: the scalar backends, the objective and
+#: scenario wrappers and the evaluation service.
+BACKEND_CLASSES = frozenset(
+    {
+        "_ScalarBackend",
+        "Simulator",
+        "ContentionSimulator",
+        "ObjectiveBackend",
+        "ScenarioBackend",
+        "EvaluationService",
+    }
+)
+
+
+def test_per_step_backend_methods_import_nothing():
+    """An import in a per-step body costs a module lookup on every
+    call and hides the name from the benchmark harness's wrapping
+    (docs/architecture.md, *Import layering*)."""
+    found, offenders = set(), []
+    for path in sorted(Path(SRC, "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            methods = {
+                f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)
+            }
+            if "evaluate_delta" not in methods and "score_moves" not in methods:
+                continue
+            found.add(cls.name)
+            for name, fn in methods.items():
+                if name not in PER_STEP_METHODS:
+                    continue
+                for node in ast.walk(fn):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        offenders.append(
+                            f"{path.name}:{node.lineno} {cls.name}.{name}"
+                        )
+    assert BACKEND_CLASSES <= found
+    assert offenders == []
