@@ -9,7 +9,13 @@ These benches measure it at paper scale (fig5: 100 tasks, 20 machines):
 * ``delta_stream_speedup`` / ``nic_delta_stream_speedup`` — the
   MICRO-DELTA and MICRO-CONT-DELTA probe streams (the SE allocation
   step's relocate / score / revert cycle with the best-so-far cutoff),
-  compiled vs Python.
+  compiled vs Python;
+* ``allocate_speedup`` / ``nic_allocate_speedup`` — SE's allocation
+  phase for one first-iteration selection: one compiled ``allocate``
+  call against the Python loop it replaces
+  (:func:`~repro.schedule.valid_range.allocate_by_places`: a compiled
+  ``place`` per selected subtask, and a relocation and a ``prepare``
+  per move), both on the compiled walker.  Recorded without a floor.
 
 ``makespan_speedup`` / ``nic_makespan_speedup`` are the only gate on
 the walker ratio: the evaluation service's batch route is a loop of
@@ -26,9 +32,13 @@ sides are built with ``REPRO_WALKER=python`` explicitly.
 import numpy as np
 import pytest
 
+from repro.core import SEConfig
+from repro.core.goodness import GoodnessEvaluator
+from repro.core.selection import select_subtasks
 from repro.extensions.contention import ContentionSimulator
 from repro.schedule.operations import random_valid_string
 from repro.schedule.simulator import Simulator
+from repro.schedule.valid_range import allocate_by_places
 from repro.schedule.walker import ENV, load
 from repro.workloads import figure5_workload
 from walkers import best_of_interleaved, replay_probe_stream, se_probe_groups
@@ -126,3 +136,52 @@ def test_micro_compiled_delta_stream(cls, metric, monkeypatch, write_output,
         f"speedup : {speedup:.2f}x\n",
     )
     assert speedup >= 3.0  # loose floor; the perf gate holds the bar
+
+
+@pytest.mark.parametrize(
+    "cls, metric",
+    [
+        (Simulator, "allocate_speedup"),
+        (ContentionSimulator, "nic_allocate_speedup"),
+    ],
+)
+def test_micro_compiled_allocate(cls, metric, write_output, perf_log):
+    """One SE allocation phase: the walker's ``allocate`` against the
+    per-subtask loop of ``allocate_by_places``, on one backend."""
+    w = figure5_workload(seed=1)
+    sim = cls(w)
+    assert sim.walker_tier == "compiled"
+    base = random_valid_string(w.graph, w.num_machines, 7)
+    goodness = GoodnessEvaluator(w).goodness(sim.finish_times(base))
+    selected = select_subtasks(
+        goodness,
+        w.graph,
+        SEConfig().resolved_bias(w.num_tasks),
+        np.random.default_rng(3),
+    )
+    candidates = w.exec_times.ranking.T  # SE's default Y = l
+
+    def phase(run):
+        string = base.copy()
+        state, trials, moved = run(string, selected, candidates, False)
+        return string, trials, moved, state.makespan, state.as_schedule()
+
+    def one_call():
+        return phase(sim.allocate)
+
+    def loop():
+        return phase(lambda *args: allocate_by_places(sim, *args))
+
+    got = one_call()
+    assert got == loop()  # same string, counts, makespan and schedule
+    t_fast, t_slow = best_of_interleaved(one_call, loop)
+    speedup = t_slow / t_fast
+    perf_log("MICRO-COMPILED", metric, round(speedup, 3), "x")
+    write_output(
+        f"micro_compiled_{metric}",
+        f"MICRO-COMPILED — {cls.__name__} SE allocation phase "
+        f"({len(selected)} selected, {got[2]} moved, {got[1]} trials)\n\n"
+        f"one allocate call: {t_fast * 1e3:.3f} ms\n"
+        f"per-subtask loop : {t_slow * 1e3:.3f} ms\n"
+        f"speedup          : {speedup:.2f}x\n",
+    )

@@ -25,14 +25,16 @@ exit.  The running best cost doubles as a branch-and-bound cutoff, which
 prunes most of each probe's walk — the reason a batch sweep over the
 candidate set, which walks every probe in full, loses here (MICRO-DELTA).
 
-All probes of one selected subtask run inside one backend ``place`` call
-(:func:`~repro.schedule.valid_range.place_by_probes` specifies it); on
-the compiled walker that is one C call that derives the window and slots,
-relocates in its own buffer and walks every probe.  The allocator itself
-only commits: one ``prepare``, then per selected subtask one ``place``,
-and a relocation plus a re-``prepare`` when the subtask moved.  Probe
-outcomes, and therefore the whole SE trajectory, are bit-identical to
-full re-evaluation (see ``tests/properties/test_delta_properties.py``).
+The whole phase is one backend ``allocate`` call
+(:func:`~repro.schedule.valid_range.allocate_by_places` specifies it):
+one ``prepare``, then per selected subtask one ``place``
+(:func:`~repro.schedule.valid_range.place_by_probes`), and a relocation
+plus a re-``prepare`` when the subtask moved.  On the compiled walker
+that is one C call: it derives each window and its slots, walks every
+probe in its own buffers, and re-prepares one state in place from the
+first changed position after each move.  Probe outcomes, and therefore
+the whole SE trajectory, are bit-identical to full re-evaluation (see
+``tests/properties/test_delta_properties.py``).
 """
 
 from __future__ import annotations
@@ -79,8 +81,8 @@ class Allocator:
         The problem instance and its evaluation context — any
         :class:`~repro.schedule.backend.SimulatorBackend` (the paper's
         contention-free :class:`~repro.schedule.simulator.Simulator` or
-        the NIC-contention backend); each selected subtask is one call of
-        the backend's ``place``.
+        the NIC-contention backend); each allocation step is one call of
+        the backend's ``allocate``.
     y_candidates:
         The resolved ``Y`` (1..l).
     slots:
@@ -114,8 +116,8 @@ class Allocator:
         self._y = y_candidates
         self._all_positions = slots == "all-positions"
         # Top-Y machines per subtask, fastest first: one slice of the
-        # precomputed (l, k) ranking, transposed to a row per subtask.
-        self._candidates = workload.exec_times.ranking[:y_candidates].T.tolist()
+        # precomputed (l, k) ranking, viewed as a (k, Y) int64 table.
+        self._candidates = workload.exec_times.ranking[:y_candidates].T
 
     @property
     def y_candidates(self) -> int:
@@ -130,35 +132,9 @@ class Allocator:
         enumeration statistics.  With an empty selection set the string
         is untouched and one evaluation reports its makespan.
         """
-        sim = self._sim
-        order = string.order
-        machines = string.machines
-        moved = 0
-        # One full evaluation per committed placement; every probe in
-        # between is an incremental suffix-only re-evaluation against it.
-        state = sim.prepare(order, machines)
-        trials = 1
-
-        for task in selected:
-            _, index, machine, probes = sim.place(
-                state,
-                order,
-                machines,
-                task,
-                self._candidates[task],
-                self._all_positions,
-            )
-            trials += probes
-            if index != string.position_of(task) or (
-                machine != string.machine_of(task)
-            ):
-                string.relocate(task, index, machine)
-                moved += 1
-                # re-snapshot only when the string actually changed; an
-                # unmoved subtask leaves the prepared state valid
-                state = sim.prepare(order, machines)
-                trials += 1
-
+        state, trials, moved = self._sim.allocate(
+            string, selected, self._candidates, self._all_positions
+        )
         return AllocationResult(
             makespan=state.makespan,
             trials=trials,

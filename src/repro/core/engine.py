@@ -101,7 +101,7 @@ class SimulatedEvolution:
         # the backend actually scores — the platform's speed-scaled
         # matrix (the original object on "uniform", so nothing moves).
         eff = service.effective_workload
-        goodness = GoodnessEvaluator(eff)
+        goodness = GoodnessEvaluator(eff, service.raw_backend)
         bias = cfg.resolved_bias(graph.num_tasks)
         y = cfg.resolved_y(workload.num_machines)
         allocator = Allocator(

@@ -61,7 +61,7 @@ def initial_solution(
             f"shuffle_range must satisfy 0 <= lo <= hi, got {shuffle_range}"
         )
     k = graph.num_tasks
-    machine_of = [int(m) for m in rng.integers(num_machines, size=k)]
+    machine_of = rng.integers(num_machines, size=k).tolist()
     lo = int(round(lo_f * k))
     hi = int(round(hi_f * k))
     num_moves = int(rng.integers(lo, hi + 1)) if hi > lo else lo

@@ -39,11 +39,12 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from repro.model.workload import Workload
-from repro.optim.objective import ObjectiveBackend
+from repro.optim.objective import MAKESPAN, ObjectiveBackend
 from repro.schedule.backend import (
     DEFAULT_NETWORK,
     DEFAULT_PLATFORM,
     check_network,
+    check_platform,
     make_simulator,
     plain_schedule,
     resolve_platform,
@@ -126,9 +127,7 @@ class EvaluationService:
             initial_nic_free=initial_nic_free,
             platform=platform,
         )
-        from repro.stochastic.distributions import validate_scenario_settings
-
-        self._objective, dist_spec = validate_scenario_settings(
+        self._objective, dist_spec = scenario_settings(
             objective, scenarios, distribution
         )
         self._pareto = pareto
@@ -193,6 +192,8 @@ class EvaluationService:
     @property
     def platform(self) -> str:
         """Canonical name of the platform this service evaluates under."""
+        if self._platform == DEFAULT_PLATFORM:
+            return DEFAULT_PLATFORM
         return resolve_platform(self._platform).name
 
     @property
@@ -236,6 +237,13 @@ class EvaluationService:
         """The underlying backend (for components like the SE allocator
         that take a :class:`~repro.schedule.backend.SimulatorBackend`)."""
         return self._backend
+
+    @property
+    def raw_backend(self) -> Any:
+        """The scalar backend under any objective wrapper: the real
+        makespan, no Pareto offers (SE reads its optimistic finish
+        times from it)."""
+        return self._raw
 
     @property
     def kernel_tier(self) -> str:
@@ -410,6 +418,24 @@ class EvaluationService:
         return costs
 
 
+def scenario_settings(objective, scenarios: int, distribution) -> tuple:
+    """:func:`~repro.stochastic.distributions.validate_scenario_settings`
+    (``(objective, distribution spec)``, or ``ValueError``), with the
+    deterministic default (``"makespan"``, no scenarios,
+    ``"deterministic"``) answered as ``(MAKESPAN, None)`` without
+    loading :mod:`repro.stochastic`: a deterministic run never samples.
+    """
+    if (
+        objective == "makespan"
+        and scenarios == 0
+        and distribution == "deterministic"
+    ):
+        return MAKESPAN, None
+    from repro.stochastic.distributions import validate_scenario_settings
+
+    return validate_scenario_settings(objective, scenarios, distribution)
+
+
 def _rebuilt_schedule(
     backend_cls: type, state: tuple, string: ScheduleString
 ) -> Schedule:
@@ -481,17 +507,13 @@ class EvaluationFields:
     scenario_seed: int = 0
 
     def __post_init__(self) -> None:
-        from repro.stochastic.distributions import validate_scenario_settings
-
         if not isinstance(self.network, str) or not self.network:
             raise ValueError(
                 f"network must be a backend name string, got {self.network!r}"
             )
         check_network(self.network)
-        resolve_platform(self.platform)
-        validate_scenario_settings(
-            self.objective, self.scenarios, self.distribution
-        )
+        check_platform(self.platform)
+        scenario_settings(self.objective, self.scenarios, self.distribution)
 
     def evaluation_service(
         self, workload: Workload, **extra: Any

@@ -64,7 +64,7 @@ from repro.schedule.neighborhood import (
     select_move,
 )
 from repro.schedule.scoring import CostModel
-from repro.schedule.valid_range import place_by_probes
+from repro.schedule.valid_range import allocate_by_places, place_by_probes
 
 __all__ = [
     "MAKESPAN",
@@ -469,6 +469,17 @@ class ObjectiveBackend:
         every probe is scalarized and offered to the Pareto tracker."""
         return place_by_probes(
             self, state, order, machine_of, task, candidates, all_positions
+        )
+
+    def allocate(
+        self, string, selected, candidates, all_positions: bool = False
+    ) -> tuple[Any, int, int]:
+        """SE's allocation phase, :func:`~repro.schedule.valid_range.
+        allocate_by_places` over this backend's :meth:`prepare` and
+        :meth:`place`, so every prepare and probe is scalarized and
+        offered to the Pareto tracker."""
+        return allocate_by_places(
+            self, string, selected, candidates, all_positions
         )
 
     # ------------------------------------------------------------------

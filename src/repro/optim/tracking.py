@@ -29,12 +29,30 @@ from dataclasses import dataclass
 from typing import Any, Callable, Generic, Iterator, Optional, TypeVar
 
 from repro.analysis.trace import ConvergenceTrace, IterationRecord
+from repro.schedule.encoding import ScheduleString
 
 S = TypeVar("S")
 
 
 def _default_copy(candidate: Any) -> Any:
     return candidate.copy()
+
+
+def point_copy(candidate: Any) -> Any:
+    """A Pareto point's own copy of *candidate*: :meth:`ScheduleString.
+    copy` for a string, two list copies for an ``(order, machine_of)``
+    pair of lists (the scoring calls' candidates; their items are ints,
+    so the copies are deep), :func:`copy.deepcopy` for anything else."""
+    if isinstance(candidate, ScheduleString):
+        return candidate.copy()
+    if (
+        type(candidate) is tuple
+        and len(candidate) == 2
+        and type(candidate[0]) is list
+        and type(candidate[1]) is list
+    ):
+        return (candidate[0].copy(), candidate[1].copy())
+    return _copy.deepcopy(candidate)
 
 
 class BestTracker(Generic[S]):
@@ -120,8 +138,9 @@ class ParetoTracker:
     ----------
     copy:
         How to snapshot a candidate when its point joins the front
-        (default: :func:`copy.deepcopy`, safe for live engine
-        solutions).  Only accepted offers pay the copy.
+        (default: :func:`point_copy`, as deep as :func:`copy.deepcopy`
+        and safe for live engine solutions).  Only accepted offers pay
+        the copy.
 
     >>> t = ParetoTracker()
     >>> t.offer(10.0, 5.0), t.offer(12.0, 3.0), t.offer(11.0, 6.0)
@@ -136,7 +155,7 @@ class ParetoTracker:
 
     __slots__ = ("_copy", "_points", "_offers")
 
-    def __init__(self, copy: Callable[[Any], Any] = _copy.deepcopy):
+    def __init__(self, copy: Callable[[Any], Any] = point_copy):
         self._copy = copy
         self._points: list[ParetoPoint] = []
         self._offers = 0

@@ -2,12 +2,15 @@
  * Compiled scalar walkers: the hot methods of the two scalar backends.
  *
  * `Walker` runs `makespan`, `prepare`, `evaluate_delta`, `place`,
- * `score_moves` and `shuffle` for one workload under the contention-free
- * network (repro.schedule.simulator.Simulator) or the one-NIC-per-machine
- * network (repro.extensions.contention.ContentionSimulator).  The Python
- * methods of those classes, repro.schedule.valid_range.place_by_probes for
- * `place`, repro.schedule.neighborhood.score_by_deltas for `score_moves`
- * and repro.schedule.operations.shuffle_string for `shuffle`, are the
+ * `allocate`, `optimal_finish`, `score_moves` and `shuffle` for one
+ * workload under the contention-free network (repro.schedule.simulator.
+ * Simulator) or the one-NIC-per-machine network (repro.extensions.
+ * contention.ContentionSimulator).  The Python methods of those classes,
+ * repro.schedule.valid_range.place_by_probes for `place`, repro.schedule.
+ * valid_range.allocate_by_places for `allocate`, repro.core.goodness.
+ * optimal_finish_times for `optimal_finish`, repro.schedule.neighborhood.
+ * score_by_deltas for `score_moves` and repro.schedule.operations.
+ * shuffle_string for `shuffle`, are the
  * specification: every loop below performs the same float operations in
  * the same order, so results are bit-identical (`==`), and `shuffle`
  * makes the same random draws from the same numpy bit generator.
@@ -870,10 +873,12 @@ walker_ready(Walker *w)
 
 /* ---- contention-free walks ---------------------------------------- */
 
-/* Full walk; with st != NULL, snapshot every position into it. */
+/* Full walk; with st != NULL, snapshot every position into it.  From
+ * f > 0 (st only) the walk re-snapshots positions f..k-1 of st's string
+ * in place: rows 0..f of st must be those of that string's prefix. */
 static int
 plain_walk(Walker *w, const int *order, const int *mach, State *st,
-           double *span_out)
+           Py_ssize_t f, double *span_out)
 {
     const Py_ssize_t k = w->k, l = w->l;
     const double *E = w->E;
@@ -883,15 +888,21 @@ plain_walk(Walker *w, const int *order, const int *mach, State *st,
     double span = 0.0;
     Py_ssize_t q, i;
 
-    for (i = 0; i < k; i++) {
-        finish[i] = -1.0;
+    if (f > 0) {
+        memcpy(avail, st->avail_rows + f * l, l * sizeof(double));
+        span = st->span_prefix[f];
     }
-    memcpy(avail, w->avail0, l * sizeof(double));
-    if (st) {
-        memcpy(st->avail_rows, avail, l * sizeof(double));
-        st->span_prefix[0] = 0.0;
+    else {
+        for (i = 0; i < k; i++) {
+            finish[i] = -1.0;
+        }
+        memcpy(avail, w->avail0, l * sizeof(double));
+        if (st) {
+            memcpy(st->avail_rows, avail, l * sizeof(double));
+            st->span_prefix[0] = 0.0;
+        }
     }
-    for (q = 0; q < k; q++) {
+    for (q = f; q < k; q++) {
         const int task = order[q];
         const int m = mach[task];
         const double **to_m = pair + (Py_ssize_t)m * l;
@@ -1055,9 +1066,13 @@ plain_delta(Walker *w, const int *order, const int *mach, Py_ssize_t f,
 
 /* ---- NIC walks ----------------------------------------------------- */
 
+/* plain_walk's contract under the NIC model.  From f > 0, f must also
+ * lie at or before the restart floor of every machine reassignment (see
+ * nic_delta), and the items pushed from positions f..k-1 start again
+ * unsent, as in a full walk. */
 static int
 nic_walk(Walker *w, const int *order, const int *mach, State *st,
-         double *span_out)
+         Py_ssize_t f, double *span_out)
 {
     const Py_ssize_t k = w->k, l = w->l, p = w->p;
     const double *E = w->E;
@@ -1067,26 +1082,39 @@ nic_walk(Walker *w, const int *order, const int *mach, State *st,
     double *avail = w->avail, *nicf = w->nicf;
     double span = 0.0;
     Py_ssize_t q, i;
+    int e;
 
-    for (i = 0; i < k; i++) {
-        finish[i] = -1.0;
+    if (f > 0) {
+        for (q = f; q < k; q++) {
+            for (e = w->out_ptr[order[q]]; e < w->out_ptr[order[q] + 1];
+                 e++) {
+                arrival[w->out_item[e]] = 0.0;
+            }
+        }
+        memcpy(avail, st->avail_rows + f * l, l * sizeof(double));
+        memcpy(nicf, st->nic_rows + f * l, l * sizeof(double));
+        span = st->span_prefix[f];
     }
-    for (i = 0; i < p; i++) {
-        arrival[i] = 0.0;
+    else {
+        for (i = 0; i < k; i++) {
+            finish[i] = -1.0;
+        }
+        for (i = 0; i < p; i++) {
+            arrival[i] = 0.0;
+        }
+        memcpy(avail, w->avail0, l * sizeof(double));
+        memcpy(nicf, w->nic0, l * sizeof(double));
+        if (st) {
+            memcpy(st->avail_rows, avail, l * sizeof(double));
+            memcpy(st->nic_rows, nicf, l * sizeof(double));
+            st->span_prefix[0] = 0.0;
+        }
     }
-    memcpy(avail, w->avail0, l * sizeof(double));
-    memcpy(nicf, w->nic0, l * sizeof(double));
-    if (st) {
-        memcpy(st->avail_rows, avail, l * sizeof(double));
-        memcpy(st->nic_rows, nicf, l * sizeof(double));
-        st->span_prefix[0] = 0.0;
-    }
-    for (q = 0; q < k; q++) {
+    for (q = f; q < k; q++) {
         const int task = order[q];
         const int m = mach[task];
         const double **from_m = pair + (Py_ssize_t)m * l;
         double ready = avail[m], fin, nf;
-        int e;
         for (e = w->in_ptr[task]; e < w->in_ptr[task + 1]; e++) {
             const int prod = w->in_prod[e];
             const double pf = finish[prod];
@@ -1145,6 +1173,24 @@ nic_snapshot_tail(Walker *w, State *st)
             }
         }
         st->producer_floor[t] = floor;
+    }
+}
+
+/* The rest of st's snapshot after a walk from position f: pos_of from f
+ * on (the tasks before f keep their positions), then the network's
+ * tables. */
+static void
+snapshot_tail(Walker *w, State *st, Py_ssize_t f)
+{
+    Py_ssize_t q;
+    for (q = f; q < w->k; q++) {
+        st->pos_of[st->order[q]] = (int)q;
+    }
+    if (w->nic) {
+        nic_snapshot_tail(w, st);
+    }
+    else {
+        plain_snapshot_tail(w, st);
     }
 }
 
@@ -1307,6 +1353,65 @@ shift_task(int *order, Py_ssize_t from, Py_ssize_t to)
     order[to] = task;
 }
 
+/* The best placement of `task` among the n_cand machines cand[]: every
+ * slot of each (place_slots) is probed against st, with the running best
+ * as cutoff, by relocating the task in order / mach, a private copy of
+ * st's string that is left as it came.  Only a strictly better probe
+ * replaces the best, so of equal placements the first stands.  Writes
+ * the best cost, index and machine; returns the probe count.  [lo, hi]
+ * is the task's window (place_window). */
+static long
+place_best(Walker *w, State *st, int *order, int *mach, int task,
+           const int *cand, Py_ssize_t n_cand, int all_positions,
+           Py_ssize_t lo, Py_ssize_t hi, double *best_out,
+           Py_ssize_t *idx_out, int *m_out)
+{
+    const Py_ssize_t own = st->pos_of[task];
+    const int orig_m = st->mach[task];
+    double best = INFINITY;
+    Py_ssize_t best_idx = own, c;
+    int best_m = orig_m;
+    long probes = 0;
+    for (c = 0; c < n_cand; c++) {
+        const int m = cand[c];
+        const Py_ssize_t n = place_slots(st, task, m, lo, hi, all_positions,
+                                         w->slots);
+        Py_ssize_t i;
+        mach[task] = m;
+        for (i = 0; i < n; i++) {
+            const Py_ssize_t idx = w->slots[i];
+            const Py_ssize_t first = idx < own ? idx : own;
+            const Py_ssize_t last = idx < own ? own : idx;
+            double cost;
+            shift_task(order, own, idx);
+            if (w->nic) {
+                /* only `task` changed machine: its producers bound the
+                 * restart (nic_delta's scan, in O(1)) */
+                const Py_ssize_t floor = st->producer_floor[task];
+                cost = nic_resume(w, order, mach,
+                                  m != orig_m && floor < first ? floor
+                                                               : first,
+                                  st, best);
+            }
+            else {
+                cost = plain_delta(w, order, mach, first, st, best, last);
+            }
+            probes++;
+            if (cost < best) {
+                best = cost;
+                best_idx = idx;
+                best_m = m;
+            }
+            shift_task(order, idx, own);
+        }
+    }
+    mach[task] = orig_m;
+    *best_out = best;
+    *idx_out = best_idx;
+    *m_out = best_m;
+    return probes;
+}
+
 /* ---- Python entry points ------------------------------------------- */
 
 static PyObject *
@@ -1324,8 +1429,8 @@ walker_makespan(Walker *w, PyObject *const *args, Py_ssize_t nargs)
                                 < 0) {
         return NULL;
     }
-    rc = w->nic ? nic_walk(w, in.order, in.mach, NULL, &span)
-                : plain_walk(w, in.order, in.mach, NULL, &span);
+    rc = w->nic ? nic_walk(w, in.order, in.mach, NULL, 0, &span)
+                : plain_walk(w, in.order, in.mach, NULL, 0, &span);
     free_inputs(&in);
     return rc < 0 ? NULL : PyFloat_FromDouble(span);
 }
@@ -1335,7 +1440,6 @@ walker_prepare(Walker *w, PyObject *const *args, Py_ssize_t nargs)
 {
     Inputs in;
     State *st;
-    Py_ssize_t q;
     int rc;
     if (nargs != 2) {
         PyErr_SetString(PyExc_TypeError,
@@ -1354,21 +1458,13 @@ walker_prepare(Walker *w, PyObject *const *args, Py_ssize_t nargs)
     memcpy(st->order, in.order, w->k * sizeof(int));
     memcpy(st->mach, in.mach, w->k * sizeof(int));
     free_inputs(&in);
-    rc = w->nic ? nic_walk(w, st->order, st->mach, st, &st->makespan)
-                : plain_walk(w, st->order, st->mach, st, &st->makespan);
+    rc = w->nic ? nic_walk(w, st->order, st->mach, st, 0, &st->makespan)
+                : plain_walk(w, st->order, st->mach, st, 0, &st->makespan);
     if (rc < 0) {
         Py_DECREF(st);
         return NULL;
     }
-    for (q = 0; q < w->k; q++) {
-        st->pos_of[st->order[q]] = (int)q;
-    }
-    if (w->nic) {
-        nic_snapshot_tail(w, st);
-    }
-    else {
-        plain_snapshot_tail(w, st);
-    }
+    snapshot_tail(w, st, 0);
     return (PyObject *)st;
 }
 
@@ -1488,25 +1584,19 @@ read_candidates(Walker *w, PyObject *candidates, Py_ssize_t *n)
  *   -> (best_cost, best_index, best_machine, probes)
  *
  * The SE allocation step for one subtask, as repro.schedule.valid_range.
- * place_by_probes specifies it: for each candidate machine in the given
- * order and each of its slots (place_slots), relocate the task in a
- * private copy of the string, score it against the state with the
- * running best as cutoff, and revert.  Only a strictly better probe
- * replaces the best, so of equal placements the first stands.
- * (order, machine_of) must be the string `state` was prepared from. */
+ * place_by_probes specifies it (place_best).  (order, machine_of) must be
+ * the string `state` was prepared from. */
 static PyObject *
 walker_place(Walker *w, PyObject *const *args, Py_ssize_t nargs)
 {
     Inputs in;
     State *st;
     PyObject *out = NULL;
-    long task;
+    long task, probes;
     int *cand = NULL;
-    Py_ssize_t n_cand, c, own, lo, hi;
-    int all_positions, orig_m, best_m;
-    Py_ssize_t best_idx;
-    long probes = 0;
-    double best = INFINITY;
+    Py_ssize_t n_cand, lo, hi, best_idx;
+    int all_positions, best_m;
+    double best;
     if (nargs != 6) {
         PyErr_SetString(PyExc_TypeError,
                         "place(state, order, machine_of, task, candidates, "
@@ -1535,44 +1625,8 @@ walker_place(Walker *w, PyObject *const *args, Py_ssize_t nargs)
         goto done;
     }
     /* no Python code runs from here on */
-    own = st->pos_of[task];
-    orig_m = st->mach[task];
-    best_idx = own;
-    best_m = orig_m;
-    for (c = 0; c < n_cand; c++) {
-        const int m = cand[c];
-        const Py_ssize_t n = place_slots(st, (int)task, m, lo, hi,
-                                         all_positions, w->slots);
-        Py_ssize_t i;
-        in.mach[task] = m;
-        for (i = 0; i < n; i++) {
-            const Py_ssize_t idx = w->slots[i];
-            const Py_ssize_t first = idx < own ? idx : own;
-            const Py_ssize_t last = idx < own ? own : idx;
-            double cost;
-            shift_task(in.order, own, idx);
-            if (w->nic) {
-                /* only `task` changed machine: its producers bound the
-                 * restart (nic_delta's scan, in O(1)) */
-                const Py_ssize_t floor = st->producer_floor[task];
-                cost = nic_resume(w, in.order, in.mach,
-                                  m != orig_m && floor < first ? floor
-                                                               : first,
-                                  st, best);
-            }
-            else {
-                cost = plain_delta(w, in.order, in.mach, first, st, best,
-                                   last);
-            }
-            probes++;
-            if (cost < best) {
-                best = cost;
-                best_idx = idx;
-                best_m = m;
-            }
-            shift_task(in.order, idx, own);
-        }
-    }
+    probes = place_best(w, st, in.order, in.mach, (int)task, cand, n_cand,
+                        all_positions, lo, hi, &best, &best_idx, &best_m);
     out = Py_BuildValue("(dnil)", best, best_idx, best_m, probes);
 done:
     free_inputs(&in);
@@ -1605,6 +1659,266 @@ walker_slots(Walker *w, PyObject *const *args, Py_ssize_t nargs)
     }
     return int_list(w->slots, place_slots(st, (int)task, (int)machine, lo,
                                           hi, all_positions, w->slots));
+}
+
+/* ---- the SE allocation phase and the optimistic finish times -------- */
+
+/* The (k, y) candidate table of an allocate call, read once through the
+ * buffer protocol into a PyMem block of k * (*y) machine ids (caller
+ * frees): TypeError unless a 2-D buffer of 64-bit ints, ValueError for
+ * another row count or an entry that is no machine id. */
+static int *
+read_candidate_table(Walker *w, PyObject *obj, Py_ssize_t *y)
+{
+    Py_buffer view;
+    const char *f;
+    int *out = NULL;
+    Py_ssize_t t, j;
+    if (PyObject_GetBuffer(obj, &view, PyBUF_RECORDS_RO) < 0) {
+        if (PyErr_ExceptionMatches(PyExc_TypeError)) {
+            PyErr_Clear();
+            PyErr_SetString(PyExc_TypeError,
+                            "candidates must be a 2-D table of 64-bit ints");
+        }
+        return NULL;
+    }
+    f = view.format == NULL ? "B" : view.format;
+    if (*f == '@' || *f == '=') {
+        f++;
+    }
+    if (view.ndim != 2 || view.itemsize != 8
+        || !(strcmp(f, "l") == 0 || strcmp(f, "q") == 0)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "candidates must be a 2-D table of 64-bit ints");
+        goto done;
+    }
+    if (view.shape[0] != w->k) {
+        PyErr_Format(PyExc_ValueError, "candidates has %zd rows, expected %zd",
+                     view.shape[0], w->k);
+        goto done;
+    }
+    *y = view.shape[1];
+    if ((out = zalloc(w->k * *y, sizeof(int))) == NULL) {
+        goto done;
+    }
+    for (t = 0; t < w->k; t++) {
+        for (j = 0; j < *y; j++) {
+            int64_t v;
+            memcpy(&v, (const char *)view.buf + t * view.strides[0]
+                           + j * view.strides[1], sizeof(v));
+            if (v < 0 || v >= w->l) {
+                PyErr_Format(PyExc_ValueError,
+                             "candidates[%zd][%zd] = %lld is out of range "
+                             "[0, %zd)", t, j, (long long)v, w->l);
+                PyMem_Free(out);
+                out = NULL;
+                goto done;
+            }
+            out[t * *y + j] = (int)v;
+        }
+    }
+done:
+    PyBuffer_Release(&view);
+    return out;
+}
+
+/* list[i] = v for an int v; 0, or -1 with an exception set. */
+static int
+set_int_item(PyObject *list, Py_ssize_t i, long v)
+{
+    PyObject *x = PyLong_FromLong(v);
+    return x == NULL ? -1 : PyList_SetItem(list, i, x);
+}
+
+/* allocate(order, machine_of, positions, selected, candidates,
+ *          all_positions) -> (state, trials, moved)
+ *
+ * The SE allocation phase of one iteration, as repro.schedule.
+ * valid_range.allocate_by_places specifies it: one prepare of the string
+ * (the three lists of a ScheduleString), then for each selected subtask
+ * in order the place probe loop (place_best) over its row of the (k, Y)
+ * candidate table.  A subtask that moves is shifted in the walker's own
+ * buffers and the same state is re-prepared in place from the first
+ * changed position: its rows before that position cannot change.
+ * `trials` counts the prepares and probes, `moved` the subtasks that
+ * moved; the lists are written back once, at the end. */
+static PyObject *
+walker_allocate(Walker *w, PyObject *const *args, Py_ssize_t nargs)
+{
+    Inputs in;
+    State *st = NULL;
+    PyObject *fast = NULL, *out = NULL;
+    int *cand = NULL, *sel = NULL;
+    Py_ssize_t y = 0, n_sel = 0, i, q;
+    long trials = 1, moved = 0;
+    int all_positions, rc;
+    if (nargs != 6) {
+        PyErr_SetString(PyExc_TypeError,
+                        "allocate(order, machine_of, positions, selected, "
+                        "candidates, all_positions) takes 6 arguments");
+        return NULL;
+    }
+    if (!walker_ready(w)) {
+        return NULL;
+    }
+    for (i = 0; i < 3; i++) {
+        if (!PyList_CheckExact(args[i])) {
+            PyErr_SetString(PyExc_TypeError,
+                            "order, machine_of and positions must be lists");
+            return NULL;
+        }
+    }
+    /* everything that may run Python code (__index__, __bool__) is read
+     * before the string, so the lists cannot change once read */
+    if ((all_positions = PyObject_IsTrue(args[5])) < 0
+        || (cand = read_candidate_table(w, args[4], &y)) == NULL) {
+        return NULL;
+    }
+    fast = PySequence_Fast(args[3], "selected must be a sequence of subtask "
+                                    "ids");
+    if (fast == NULL) {
+        PyMem_Free(cand);
+        return NULL;
+    }
+    n_sel = PySequence_Fast_GET_SIZE(fast);
+    if ((sel = zalloc(n_sel, sizeof(int))) == NULL
+        || read_ids(fast, sel, n_sel, w->k, "selected", NULL) < 0
+        || read_inputs(&in, args[0], args[1], w->k, w->l) < 0) {
+        Py_DECREF(fast);
+        PyMem_Free(cand);
+        PyMem_Free(sel);
+        return NULL;
+    }
+    Py_CLEAR(fast);
+    if (PyList_GET_SIZE(args[2]) != w->k) {
+        PyErr_Format(PyExc_ValueError, "positions has %zd entries, expected "
+                     "%zd", PyList_GET_SIZE(args[2]), w->k);
+        goto done;
+    }
+    for (q = 0; q < w->k; q++) {
+        PyObject *item = PyList_GET_ITEM(args[2], in.order[q]);
+        if (!PyLong_CheckExact(item) || PyLong_AsLong(item) != q) {
+            PyErr_Clear();
+            PyErr_SetString(PyExc_ValueError,
+                            "positions are not the inverse of order");
+            goto done;
+        }
+    }
+    if ((st = state_new(w->nic, w->k, w->l, w->p)) == NULL) {
+        goto done;
+    }
+    memcpy(st->order, in.order, w->k * sizeof(int));
+    memcpy(st->mach, in.mach, w->k * sizeof(int));
+    rc = w->nic ? nic_walk(w, st->order, st->mach, st, 0, &st->makespan)
+                : plain_walk(w, st->order, st->mach, st, 0, &st->makespan);
+    if (rc < 0) {
+        goto done;
+    }
+    snapshot_tail(w, st, 0);
+    /* no Python code runs from here on */
+    for (i = 0; i < n_sel; i++) {
+        const int task = sel[i];
+        const Py_ssize_t own = st->pos_of[task];
+        const int orig_m = st->mach[task];
+        Py_ssize_t lo, hi, idx, f;
+        int m;
+        double best;
+        if (place_window(w, st->pos_of, task, &lo, &hi) < 0) {
+            goto done;
+        }
+        trials += place_best(w, st, in.order, in.mach, task, cand + task * y,
+                             y, all_positions, lo, hi, &best, &idx, &m);
+        if (idx == own && m == orig_m) {
+            continue;
+        }
+        shift_task(in.order, own, idx);
+        in.mach[task] = m;
+        shift_task(st->order, own, idx);
+        st->mach[task] = m;
+        f = idx < own ? idx : own;
+        if (w->nic && m != orig_m && st->producer_floor[task] < f) {
+            f = st->producer_floor[task];
+        }
+        rc = w->nic ? nic_walk(w, st->order, st->mach, st, f, &st->makespan)
+                    : plain_walk(w, st->order, st->mach, st, f,
+                                 &st->makespan);
+        if (rc < 0) {
+            goto done;
+        }
+        snapshot_tail(w, st, f);
+        moved++;
+        trials++;
+    }
+    for (q = 0; moved > 0 && q < w->k; q++) {
+        if (set_int_item(args[0], q, st->order[q]) < 0
+            || set_int_item(args[1], q, st->mach[q]) < 0
+            || set_int_item(args[2], st->order[q], (long)q) < 0) {
+            goto done;
+        }
+    }
+    out = Py_BuildValue("(Oll)", (PyObject *)st, trials, moved);
+done:
+    free_inputs(&in);
+    PyMem_Free(cand);
+    PyMem_Free(sel);
+    Py_XDECREF(st);
+    return out;
+}
+
+/* optimal_finish(best_machines, topo_order) -> list
+ *
+ * SE's optimistic finish time O of every subtask (paper section 4.3),
+ * as repro.core.goodness.optimal_finish_times specifies it: in
+ * topo_order, each subtask on its best machine starts once the last of
+ * its inputs arrives from its producer's best machine, with the same
+ * float operations in the same order. */
+static PyObject *
+walker_optimal_finish(Walker *w, PyObject *const *args, Py_ssize_t nargs)
+{
+    Inputs in;
+    double *o = w->finish;
+    const double **pair = w->pair;
+    Py_ssize_t q;
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "optimal_finish(best_machines, topo_order) takes 2 "
+                        "arguments");
+        return NULL;
+    }
+    if (!walker_ready(w) || read_order(&in, args[1], w->k) < 0) {
+        return NULL;
+    }
+    if (read_ids(args[0], in.mach, w->k, w->l, "best_machines", NULL) < 0) {
+        free_inputs(&in);
+        return NULL;
+    }
+    /* no Python code runs from here on */
+    for (q = 0; q < w->k; q++) {
+        o[q] = -1.0;
+    }
+    for (q = 0; q < w->k; q++) {
+        const int task = in.order[q];
+        const int m = in.mach[task];
+        const double **to_m = pair + (Py_ssize_t)m * w->l;
+        double ready = 0.0;
+        int e;
+        for (e = w->in_ptr[task]; e < w->in_ptr[task + 1]; e++) {
+            const int prod = w->in_prod[e];
+            double arrival;
+            if (o[prod] < 0.0) {
+                raise_invalid(task, prod);
+                free_inputs(&in);
+                return NULL;
+            }
+            arrival = o[prod] + to_m[in.mach[prod]][w->in_item[e]];
+            if (arrival > ready) {
+                ready = arrival;
+            }
+        }
+        o[task] = ready + w->E[(Py_ssize_t)m * w->k + task];
+    }
+    free_inputs(&in);
+    return float_list(o, w->k);
 }
 
 /* ---- neighbourhood selection (the tabu step) ------------------------ */
@@ -1975,6 +2289,14 @@ static PyMethodDef walker_methods[] = {
     {"place", (PyCFunction)(void (*)(void))walker_place, METH_FASTCALL,
      "place(state, order, machine_of, task, candidates, all_positions) -> "
      "(best_cost, best_index, best_machine, probes)"},
+    {"allocate", (PyCFunction)(void (*)(void))walker_allocate,
+     METH_FASTCALL,
+     "allocate(order, machine_of, positions, selected, candidates, "
+     "all_positions) -> (state, trials, moved)"},
+    {"optimal_finish", (PyCFunction)(void (*)(void))walker_optimal_finish,
+     METH_FASTCALL,
+     "optimal_finish(best_machines, topo_order) -> the optimistic finish "
+     "time of every subtask"},
     {"slots", (PyCFunction)(void (*)(void))walker_slots, METH_FASTCALL,
      "slots(state, task, machine, all_positions) -> the insertion indices "
      "place probes for task on machine"},
@@ -1992,7 +2314,8 @@ static PyTypeObject WalkerType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.schedule._walk.Walker",
     .tp_doc = "Compiled makespan / prepare / evaluate_delta / place / "
-              "score_moves / shuffle for one workload and network.",
+              "allocate / optimal_finish / score_moves / shuffle for one "
+              "workload and network.",
     .tp_basicsize = sizeof(Walker),
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_new = PyType_GenericNew,

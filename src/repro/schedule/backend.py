@@ -61,6 +61,7 @@ from typing import Any, Dict, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.model.workload import Workload
 from repro.schedule.encoding import ScheduleString
+from repro.schedule.scoring import CostModel
 from repro.schedule.simulator import Schedule
 
 #: The paper's model; the default everywhere a ``network`` is accepted.
@@ -94,6 +95,10 @@ class SimulatorBackend(Protocol):
       candidate machines, with the probe count: the loop of
       :func:`~repro.schedule.valid_range.place_by_probes` (the scalar
       backends run it in one compiled walker call, ``==``);
+    * ``allocate`` — SE's allocation phase: one ``place`` per selected
+      subtask, committing each move, with the trial and move counts: the
+      loop of :func:`~repro.schedule.valid_range.allocate_by_places`
+      (one compiled walker call on the scalar backends, ``==``);
     * ``score_moves`` — tabu's pick among a neighborhood of moves, with
       the admissible count: the loop of :func:`~repro.schedule.
       neighborhood.score_by_deltas` (one compiled walker call on the
@@ -142,6 +147,14 @@ class SimulatorBackend(Protocol):
         candidates: Sequence[int],
         all_positions: bool = False,
     ) -> tuple[float, int, int, int]: ...
+
+    def allocate(
+        self,
+        string: ScheduleString,
+        selected: Sequence[int],
+        candidates: Any,
+        all_positions: bool = False,
+    ) -> tuple[Any, int, int]: ...
 
     def score_moves(
         self,
@@ -244,6 +257,21 @@ def resolve_platform(platform) -> Any:
         ) from None
 
 
+def _names_default_platform(platform) -> bool:
+    """True for the name of the identity platform, which changes
+    nothing: it needs no spec, so the catalog (:mod:`repro.model.
+    platform`) is not loaded for it."""
+    return isinstance(platform, str) and platform.lower() == DEFAULT_PLATFORM
+
+
+def check_platform(platform) -> None:
+    """Raise ``ValueError`` if *platform* names no registered platform
+    (as :func:`resolve_platform`); the default is known without loading
+    the catalog."""
+    if not _names_default_platform(platform):
+        resolve_platform(platform)
+
+
 def platform_state(
     workload: Workload,
     platform,
@@ -263,6 +291,8 @@ def platform_state(
     OLB, ...) use so their EFT decision phase sees exactly the machine
     model their reported schedule is measured under.
     """
+    if _names_default_platform(platform):
+        return workload, initial_avail, initial_nic_free
     spec = resolve_platform(platform)
     if spec.is_uniform:
         return workload, initial_avail, initial_nic_free
@@ -311,18 +341,20 @@ def make_simulator(
     """
     module, _, name = _NETWORK_TABLE[check_network(network)].partition(":")
     scalar_cls = getattr(importlib.import_module(module), name)
-    spec = resolve_platform(platform)
-    workload, initial_avail, initial_nic_free = platform_state(
-        workload, spec, network, initial_avail, initial_nic_free
-    )
-    kwargs: Dict[str, Any] = {"initial_avail": initial_avail}
+    kwargs: Dict[str, Any] = {}
+    if not _names_default_platform(platform):
+        spec = resolve_platform(platform)
+        if not spec.is_uniform:
+            workload, initial_avail, initial_nic_free = platform_state(
+                workload, spec, network, initial_avail, initial_nic_free
+            )
+            prices = spec.bind(workload.num_machines).prices
+            kwargs["cost_model"] = CostModel(
+                workload.exec_times.values, prices
+            )
+    kwargs["initial_avail"] = initial_avail
     if initial_nic_free is not None:
         kwargs["initial_nic_free"] = initial_nic_free
-    if not spec.is_uniform:
-        from repro.schedule.scoring import CostModel
-
-        prices = spec.bind(workload.num_machines).prices
-        kwargs["cost_model"] = CostModel(workload.exec_times.values, prices)
     return scalar_cls(workload, **kwargs)
 
 

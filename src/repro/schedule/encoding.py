@@ -49,25 +49,31 @@ class ScheduleString:
         machine_of: Sequence[int],
         num_machines: int,
     ):
-        k = len(order)
-        if sorted(order) != list(range(k)):
+        self._order = list(order)
+        self._machine_of = list(machine_of)
+        k = len(self._order)
+        if sorted(self._order) != list(range(k)):
             raise ValueError(
                 "order must be a permutation of 0..k-1; got a sequence of "
                 f"length {k} that is not"
             )
-        if len(machine_of) != k:
+        if len(self._machine_of) != k:
             raise ValueError(
-                f"machine_of has length {len(machine_of)}, expected k={k}"
+                f"machine_of has length {len(self._machine_of)}, expected k={k}"
             )
         if num_machines <= 0:
             raise ValueError(f"num_machines must be > 0, got {num_machines}")
-        for t, m in enumerate(machine_of):
-            if not 0 <= m < num_machines:
-                raise ValueError(
-                    f"machine {m} of subtask {t} out of range [0, {num_machines})"
-                )
-        self._order = list(order)
-        self._machine_of = list(machine_of)
+        # the range test runs once per distinct machine id (at most l),
+        # not once per subtask; the loop below only names the culprit
+        if not all(0 <= m < num_machines for m in set(self._machine_of)):
+            t, m = next(
+                (t, m)
+                for t, m in enumerate(self._machine_of)
+                if not 0 <= m < num_machines
+            )
+            raise ValueError(
+                f"machine {m} of subtask {t} out of range [0, {num_machines})"
+            )
         self._l = num_machines
         self._pos_of = [0] * k
         for pos, t in enumerate(self._order):

@@ -6,14 +6,16 @@ of times per experiment, so it is written for speed per the profiling
 guidance in the HPC coding guides:
 
 * ``makespan``, ``prepare``, ``evaluate_delta``, ``place``,
-  ``score_moves`` and ``shuffle`` run in the compiled walker of
-  :mod:`repro.schedule.walker` when it loads (a C extension built on
-  first use; a fig5 ``makespan`` costs ~3 µs there); the Python bodies
-  below, :func:`~repro.schedule.valid_range.place_by_probes` for
-  ``place``, :func:`~repro.schedule.neighborhood.score_by_deltas` for
-  ``score_moves`` and :func:`~repro.schedule.operations.shuffle_string`
-  for ``shuffle``, are its specification and the fallback, ``==`` on
-  every result;
+  ``allocate``, ``optimal_finish``, ``score_moves`` and ``shuffle`` run
+  in the compiled walker of :mod:`repro.schedule.walker` when it loads
+  (a C extension built on first use; a fig5 ``makespan`` costs ~3 µs
+  there); the Python bodies below,
+  :func:`~repro.schedule.valid_range.place_by_probes` for ``place``,
+  :func:`~repro.schedule.valid_range.allocate_by_places` for
+  ``allocate``, :func:`~repro.schedule.neighborhood.score_by_deltas`
+  for ``score_moves`` and :func:`~repro.schedule.operations.
+  shuffle_string` for ``shuffle``, are its specification and the
+  fallback, ``==`` on every result;
 * the Python tier converts the matrix data to nested lists (scalar
   indexing into small numpy arrays costs ~10x a list index), built only
   when that tier serves, and binds every attribute to a local;
@@ -54,7 +56,8 @@ state at every position; :meth:`Simulator.evaluate_delta` then re-scores
 a perturbed string by recomputing positions ``f..k-1`` only.  This is the
 hot path of the GA's mutation-only offspring, of every probe of the SE
 allocation step, whose relocate-probe-revert loop for one subtask is one
-:meth:`Simulator.place` call, and of every tabu candidate, whose
+:meth:`Simulator.place` call and whose whole phase is one
+:meth:`Simulator.allocate` call, and of every tabu candidate, whose
 neighborhood is one :meth:`Simulator.score_moves` call.
 """
 
@@ -72,7 +75,7 @@ from repro.schedule.encoding import ScheduleString
 from repro.schedule.neighborhood import score_by_deltas
 from repro.schedule.operations import shuffle_string
 from repro.schedule.scoring import CostModel, ScheduleScore
-from repro.schedule.valid_range import place_by_probes
+from repro.schedule.valid_range import allocate_by_places, place_by_probes
 
 
 class InvalidScheduleError(ValueError):
@@ -300,6 +303,88 @@ class _ScalarBackend:
             self, state, order, machine_of, task, candidates, all_positions
         )
 
+    def allocate(
+        self,
+        string: ScheduleString,
+        selected: Sequence[int],
+        candidates,
+        all_positions: bool = False,
+    ) -> tuple:
+        """SE's allocation phase: re-place each subtask of *selected* in
+        *string* (mutated in place) at its best placement among its row
+        of the ``(k, Y)`` int64 table *candidates*; returns ``(state,
+        trials, moved)``.
+
+        Specified by :func:`~repro.schedule.valid_range.
+        allocate_by_places`, which is the Python tier's body; on the
+        compiled tier the whole phase is one walker call that re-prepares
+        its state in place after each move and writes *string* back
+        once.
+
+        Raises
+        ------
+        TypeError, ValueError
+            For a candidate table, selected id or string that
+            :func:`~repro.schedule.valid_range.allocate_by_places`
+            rejects, before *string* changes.
+        InvalidScheduleError
+            If *string* breaks a dependency of the graph.
+        """
+        if self._c is not None:
+            return self._c.allocate(
+                string.order,
+                string.machines,
+                string.positions,
+                selected,
+                candidates,
+                all_positions,
+            )
+        return allocate_by_places(
+            self, string, selected, candidates, all_positions
+        )
+
+    def optimal_finish(
+        self, best_machines: Sequence[int], topo_order: Sequence[int]
+    ) -> list[float]:
+        """SE's optimistic finish time ``O`` of every subtask (paper
+        §4.3): in *topo_order*, each subtask on its machine of
+        *best_machines* starts when the last of its inputs arrives from
+        its producer's machine.
+
+        Read from this backend's own ``E`` / ``Tr`` tables, so the
+        vector is ``==`` to :func:`~repro.core.goodness.
+        optimal_finish_times` (the specification) for the best-matching
+        machines; one walker call on the compiled tier.
+
+        Raises
+        ------
+        ValueError
+            For a machine id out of range or a wrong length.
+        InvalidScheduleError
+            If *topo_order* is not a permutation, or lists a subtask
+            before one of its producers.
+        """
+        if self._c is not None:
+            return self._c.optimal_finish(best_machines, topo_order)
+        self._check_string(topo_order, best_machines)
+        E = self._E
+        pair = self._pair
+        o = [-1.0] * self._k
+        for task in topo_order:
+            m = best_machines[task]
+            to_m = pair[m]
+            ready = 0.0
+            for prod, item in self._in_edges[task]:
+                if o[prod] < 0.0:
+                    raise InvalidScheduleError(
+                        f"subtask {task} scheduled before its producer {prod}"
+                    )
+                arrival = o[prod] + to_m[best_machines[prod]][item]
+                if arrival > ready:
+                    ready = arrival
+            o[task] = ready + E[m][task]
+        return o
+
     def score_moves(
         self,
         state,
@@ -396,9 +481,9 @@ class _ScalarBackend:
     @property
     def walker_tier(self) -> str:
         """``"compiled"`` when the C walker serves ``makespan`` /
-        ``prepare`` / ``evaluate_delta`` / ``place`` / ``score_moves`` /
-        ``shuffle``, ``"python"`` otherwise (see
-        :mod:`repro.schedule.walker`)."""
+        ``prepare`` / ``evaluate_delta`` / ``place`` / ``allocate`` /
+        ``optimal_finish`` / ``score_moves`` / ``shuffle``, ``"python"``
+        otherwise (see :mod:`repro.schedule.walker`)."""
         return "python" if self._c is None else "compiled"
 
     @property

@@ -14,12 +14,17 @@ places the subtask at absolute position ``i`` of the resulting string).
 This matches :meth:`repro.schedule.encoding.ScheduleString.move`.
 
 :func:`place_by_probes` is the SE allocation step for one subtask built
-on these windows: the specification of every backend's ``place``.
+on these windows: the specification of every backend's ``place``; and
+:func:`allocate_by_places`, one ``place`` per selected subtask, is the
+whole allocation phase of an SE iteration: the specification of every
+backend's ``allocate``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence, Tuple
+
+import numpy as np
 
 from repro.model.graph import TaskGraph
 from repro.schedule.encoding import ScheduleString
@@ -184,3 +189,102 @@ def place_by_probes(
                 best_machine = machine
             string.relocate(task, orig_pos, orig_machine)
     return best_cost, best_index, best_machine, probes
+
+
+def candidate_rows(candidates: Any, num_tasks: int, num_machines: int) -> list:
+    """The rows of SE's ``(k, Y)`` candidate table as lists of ints.
+
+    Raises ``TypeError`` unless *candidates* exports a 2-D buffer of
+    64-bit ints (a NumPy ``int64`` array, or a view of one), and
+    ``ValueError`` for a row count other than *num_tasks* or an entry
+    outside ``[0, num_machines)``, as the compiled ``allocate`` does.
+    """
+    try:
+        view = memoryview(candidates)
+    except TypeError:
+        view = None
+    if (
+        view is None
+        or view.ndim != 2
+        or view.itemsize != 8
+        or view.format.lstrip("@=") not in ("l", "q")
+    ):
+        raise TypeError("candidates must be a 2-D table of 64-bit ints")
+    if view.shape[0] != num_tasks:
+        raise ValueError(
+            f"candidates has {view.shape[0]} rows, expected {num_tasks}"
+        )
+    table = np.asarray(view)
+    bad = np.flatnonzero((table < 0) | (table >= num_machines))
+    if bad.size:
+        t, j = divmod(int(bad[0]), table.shape[1])
+        raise ValueError(
+            f"candidates[{t}][{j}] = {table[t, j]} is out of range "
+            f"[0, {num_machines})"
+        )
+    return view.tolist()
+
+
+def allocate_by_places(
+    backend: Any,
+    string: ScheduleString,
+    selected: Sequence[int],
+    candidates: Any,
+    all_positions: bool = False,
+) -> Tuple[Any, int, int]:
+    """SE's allocation phase (paper §4.5): re-place every subtask of
+    *selected*, in the given order, at its best placement.
+
+    One ``backend.prepare`` of *string*, then per selected subtask one
+    ``backend.place`` (:func:`place_by_probes`) over its row of
+    *candidates*, the ``(k, Y)`` table of each subtask's candidate
+    machines (:func:`candidate_rows`); a subtask whose best placement
+    differs from its own is relocated in *string* and the string
+    prepared again.  Returns ``(state, trials, moved)``: the state of
+    the final string, the prepares plus probes, and the number of
+    subtasks that moved.  This loop is the specification of the
+    backends' ``allocate`` (the compiled walker's is ``==`` on all three
+    and on *string*), and the ``allocate`` itself of the objective and
+    scenario wrappers.
+
+    Everything is checked before *string* changes: ``ValueError`` for a
+    selected id outside ``[0, k)``, for a bad candidate table (as
+    :func:`candidate_rows`; ``TypeError`` for one that is no int64
+    table) or for ``positions`` that are not the inverse of ``order``
+    (a string mutated through its live lists); the first ``prepare``
+    raises for a string that breaks the graph.
+    """
+    k = backend.workload.num_tasks
+    rows = candidate_rows(candidates, k, backend.workload.num_machines)
+    for i, task in enumerate(selected):
+        if not 0 <= task < k:
+            raise ValueError(
+                f"selected[{i}] = {task} is out of range [0, {k})"
+            )
+    order = string.order
+    machines = string.machines
+    positions = string.positions
+    try:
+        inverse = len(positions) == len(order) and (
+            list(map(positions.__getitem__, order)) == list(range(len(order)))
+        )
+    except (IndexError, TypeError):
+        inverse = False
+    if not inverse:
+        raise ValueError("positions are not the inverse of order")
+    state = backend.prepare(order, machines)
+    trials = 1
+    moved = 0
+    for task in selected:
+        _, index, machine, probes = backend.place(
+            state, order, machines, task, rows[task], all_positions
+        )
+        trials += probes
+        if index != positions[task] or machine != machines[task]:
+            string.relocate(task, index, machine)
+            moved += 1
+            # re-snapshot only when the string actually changed; an
+            # unmoved subtask leaves the prepared state valid
+            state = backend.prepare(order, machines)
+            trials += 1
+    return state, trials, moved

@@ -2,15 +2,25 @@
 
 :class:`~repro.schedule.simulator.Simulator` and
 :class:`~repro.extensions.contention.ContentionSimulator` run their hot
-methods (``makespan``, ``prepare``, ``evaluate_delta``, ``place``, the
-SE allocation step for one subtask, ``score_moves``, tabu's selection
-over one neighborhood, and ``shuffle``, the SE initial string's random
-moves) through a ``Walker`` of the C extension built from ``_walk.c``
-when it loads; the Python method bodies,
+methods through a ``Walker`` of the C extension built from ``_walk.c``
+when it loads:
+
+* ``makespan``, ``prepare`` and ``evaluate_delta``, the walks;
+* ``place``, the SE allocation step for one subtask;
+* ``allocate``, SE's whole allocation phase: one ``place`` per
+  selected subtask, re-preparing one state in place after each move;
+* ``optimal_finish``, SE's optimistic finish times ``O``;
+* ``score_moves``, tabu's selection over one neighborhood;
+* ``shuffle``, the SE initial string's random moves.
+
+The Python bodies stay as the specification and the fallback:
 :func:`~repro.schedule.valid_range.place_by_probes` for ``place``,
+:func:`~repro.schedule.valid_range.allocate_by_places` for
+``allocate``, a loop over the same tables for ``optimal_finish``
+(specified by :func:`~repro.core.goodness.optimal_finish_times`),
 :func:`~repro.schedule.neighborhood.score_by_deltas` for
 ``score_moves`` and :func:`~repro.schedule.operations.shuffle_string`
-for ``shuffle``, stay as the specification and the fallback.  The two
+for ``shuffle``.  The two
 tiers are ``==`` on every result (property-tested); ``shuffle`` draws
 from the numpy generator's bit generator exactly as
 ``Generator.integers`` does, so the generator's state afterwards is the

@@ -1,11 +1,16 @@
 """Unit tests for the SE allocation step (paper §4.5)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import SEConfig, SimulatedEvolution
 from repro.core.allocation import Allocator
 from repro.schedule.encoding import is_valid_for
 from repro.schedule.operations import random_valid_string
 from repro.schedule.simulator import Simulator
+from tests.routes import walker
+from tests.strategies import workload_strings
 
 
 @pytest.fixture
@@ -123,3 +128,55 @@ class TestSlotStrategies:
             )
             trials[slots] = alloc.allocate(base.copy(), list(range(10))).trials
         assert trials["per-machine"] < trials["all-positions"]
+
+
+class TestOneBackendCall:
+    def test_an_allocation_step_is_one_allocate_call(self, tiny_workload, sim):
+        """The allocator hands the whole phase to the backend: one
+        ``allocate`` call per step, no ``prepare`` or ``place`` of its
+        own."""
+        calls = []
+
+        class Spy:
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(sim, name)
+
+        s = random_valid_string(tiny_workload.graph, tiny_workload.num_machines, 4)
+        want = Allocator(tiny_workload, sim, y_candidates=3).allocate(
+            s.copy(), [0, 4, 9]
+        )
+        got = Allocator(tiny_workload, Spy(), y_candidates=3).allocate(
+            s, [0, 4, 9]
+        )
+        assert calls == ["allocate"]
+        assert got == want
+
+    @given(
+        workload_strings(min_tasks=2, max_machines=5),
+        st.sampled_from(["contention-free", "nic"]),
+        st.sampled_from(["per-machine", "all-positions"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_se_runs_agree_across_tiers(self, data, network, slots, seed):
+        """Every SE iteration (allocation in one compiled call, ``O``
+        from the walker) is the Python tier's, ``evaluations`` too."""
+        w, s = data
+        runs = []
+        for tier in ("compiled", "python"):
+            with walker(tier):
+                res = SimulatedEvolution(
+                    SEConfig(
+                        seed=seed,
+                        max_iterations=4,
+                        network=network,
+                        allocation_slots=slots,
+                    )
+                ).run(w, initial=s)
+            rows = [
+                {k: v for k, v in row.items() if k != "elapsed_seconds"}
+                for row in res.trace.to_rows()
+            ]
+            runs.append((rows, res.evaluations, res.best_string))
+        assert runs[0] == runs[1]

@@ -120,3 +120,80 @@ class TestAccounting:
         svc = EvaluationService(workload)
         assert svc.batch_string_makespans([]) == []
         assert svc.evaluations == 0
+
+
+class TestDeterministicDefaultShortCut:
+    """The deterministic default is answered without loading the
+    scenario sampler or the platform catalog; every other combination
+    raises what the full validation raises."""
+
+    @pytest.mark.parametrize(
+        "objective, scenarios, distribution",
+        [
+            ("makespan", 5, "deterministic"),
+            ("makespan", 0, "lognormal:0.25"),
+            ("makespan", -1, "deterministic"),
+            ("cvar:0.9", 0, "deterministic"),
+            ("no-such-objective", 0, "deterministic"),
+            ("makespan", 0, "no-such-distribution"),
+            ("weighted:1:0.5", 3, "deterministic"),
+        ],
+    )
+    def test_invalid_combinations_raise_the_full_validation_error(
+        self, objective, scenarios, distribution
+    ):
+        from repro.optim.evaluation import EvaluationFields, scenario_settings
+        from repro.stochastic.distributions import validate_scenario_settings
+
+        with pytest.raises(ValueError) as want:
+            validate_scenario_settings(objective, scenarios, distribution)
+        for build in (
+            lambda: scenario_settings(objective, scenarios, distribution),
+            lambda: EvaluationFields(
+                objective=objective,
+                scenarios=scenarios,
+                distribution=distribution,
+            ),
+            lambda: EvaluationService(
+                small_workload(seed=1),
+                objective=objective,
+                scenarios=scenarios,
+                distribution=distribution,
+            ),
+        ):
+            with pytest.raises(ValueError) as got:
+                build()
+            assert str(got.value) == str(want.value)
+
+    def test_the_default_is_the_makespan_objective(self):
+        from repro.optim.evaluation import scenario_settings
+        from repro.optim.objective import MAKESPAN, resolve_objective
+
+        assert scenario_settings("makespan", 0, "deterministic") == (
+            MAKESPAN,
+            None,
+        )
+        assert resolve_objective("makespan") is MAKESPAN
+
+    @pytest.mark.parametrize("platform", ["no-such-platform", "", "unif"])
+    def test_an_unknown_platform_raises_the_resolver_error(self, platform):
+        from repro.optim.evaluation import EvaluationFields
+        from repro.schedule.backend import make_simulator, resolve_platform
+
+        with pytest.raises(ValueError) as want:
+            resolve_platform(platform)
+        for build in (
+            lambda: EvaluationFields(platform=platform),
+            lambda: make_simulator(small_workload(seed=1), platform=platform),
+        ):
+            with pytest.raises(ValueError) as got:
+                build()
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("platform", ["uniform", "UNIFORM"])
+    def test_the_uniform_platform_changes_nothing(self, platform):
+        w = small_workload(seed=1)
+        svc = EvaluationService(w, platform=platform)
+        assert svc.platform == "uniform"
+        assert svc.effective_workload is w
+        assert svc.cost_model is None

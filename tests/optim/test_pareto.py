@@ -117,3 +117,66 @@ class TestSetSemantics:
         # every input point is dominated-or-equalled by the front
         for span, cost in points:
             assert any(ms <= span and cs <= cost for ms, cs in front)
+
+
+class TestPointCopy:
+    """The default copy is as deep as ``copy.deepcopy``: a weighted SE
+    run keeps the same front and candidates under either, and no stored
+    candidate shares state with what was offered."""
+
+    def test_a_weighted_run_keeps_the_deepcopy_front(self):
+        import copy
+
+        from repro.core import SEConfig, SimulatedEvolution
+        from repro.optim.evaluation import EvaluationFields
+        from repro.workloads import small_workload
+
+        w = small_workload(seed=3)
+        fronts = []
+        for tracker in (ParetoTracker(), ParetoTracker(copy=copy.deepcopy)):
+            config = SEConfig(
+                seed=5,
+                max_iterations=6,
+                platform="spot",
+                objective="weighted:1:0.5",
+            )
+            config.evaluation_service = (
+                lambda wl, t=tracker, c=config: EvaluationFields.
+                evaluation_service(c, wl, pareto=t)
+            )
+            SimulatedEvolution(config).run(w)
+            assert tracker.offers > 50 and len(tracker) > 1
+            fronts.append(
+                [
+                    (p.makespan, p.cost, _as_pair(p.candidate))
+                    for p in tracker.front
+                ]
+            )
+        assert fronts[0] == fronts[1]
+
+    def test_copies_are_independent_of_the_offered_candidate(self):
+        from repro.schedule.encoding import ScheduleString
+
+        t = ParetoTracker()
+        string = ScheduleString([1, 0, 2], [0, 1, 1], 2)
+        order, machines = [0, 2, 1], [1, 1, 0]
+        nested = {"order": [2, 1, 0]}
+        t.offer(3.0, 1.0, string)
+        t.offer(2.0, 2.0, (order, machines))
+        t.offer(1.0, 3.0, nested)
+        string.relocate(1, 2, 1)
+        order.reverse()
+        machines[0] = 0
+        nested["order"].append(9)
+        got = {p.makespan: p.candidate for p in t.front}
+        assert got[3.0] == ScheduleString([1, 0, 2], [0, 1, 1], 2)
+        assert got[3.0].positions == [1, 0, 2]
+        assert got[2.0] == ([0, 2, 1], [1, 1, 0])
+        assert got[1.0] == {"order": [2, 1, 0]}
+
+
+def _as_pair(candidate):
+    """``(order, machines)`` of a string or of a scoring call's pair."""
+    if hasattr(candidate, "machines"):
+        return (list(candidate.order), list(candidate.machines))
+    return (list(candidate[0]), list(candidate[1]))

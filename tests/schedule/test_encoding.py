@@ -50,6 +50,39 @@ class TestConstruction:
         with pytest.raises(ValueError, match="> 0"):
             ScheduleString([0], [0], 0)
 
+    @pytest.mark.parametrize(
+        "order, machines, l, message",
+        [
+            ([0, 0, 1], [0, 0, 0], 1, "order must be a permutation of "
+             "0..k-1; got a sequence of length 3 that is not"),
+            ([0, 2], [0, 0], 1, "order must be a permutation of 0..k-1; "
+             "got a sequence of length 2 that is not"),
+            ([1, -1, 0], [0, 0, 0], 1, "order must be a permutation of "
+             "0..k-1; got a sequence of length 3 that is not"),
+            ([0, 1], [0], 2, "machine_of has length 1, expected k=2"),
+            ([0, 1], [0, 0, 0], 2, "machine_of has length 3, expected k=2"),
+            ([0], [0], 0, "num_machines must be > 0, got 0"),
+            ([0], [0], -2, "num_machines must be > 0, got -2"),
+            ([0, 1, 2], [1, 5, 7], 2, "machine 5 of subtask 1 out of "
+             "range [0, 2)"),
+            ([0, 1, 2], [-1, 0, 0], 2, "machine -1 of subtask 0 out of "
+             "range [0, 2)"),
+            ([0, 1, 2], [0, 1, float("nan")], 2, "machine nan of subtask "
+             "2 out of range [0, 2)"),
+        ],
+    )
+    def test_each_check_names_the_fault(self, order, machines, l, message):
+        """Every construction check, with its exact message; a bad
+        machine is named by its first subtask, whatever the number of
+        distinct ids."""
+        with pytest.raises(ValueError) as err:
+            ScheduleString(order, machines, l)
+        assert str(err.value) == message
+
+    def test_an_empty_string_is_valid(self):
+        s = ScheduleString([], [], 3)
+        assert s.num_tasks == 0 and s.positions == []
+
 
 class TestAccessors:
     def test_position_of(self, string):

@@ -2,14 +2,17 @@
 
 Every package ``__init__`` is a PEP 562 lazy table (:mod:`repro._lazy`),
 and ``repro.cli`` imports each subcommand's modules inside its handler.
-These tests pin both: the import closure of ``repro run`` and of a bare
-``import repro``, and, for every package, that its table resolves the
-same objects an eager ``__init__`` exported.  A third test pins that
+These tests pin both: the import closure of ``repro run`` (which, for a
+deterministic run on the uniform platform, loads neither the scenario
+sampler nor the platform catalog) and of a bare ``import repro``, and,
+for every package, that its table resolves the same objects an eager
+``__init__`` exported.  A third test pins that
 no backend method an engine calls per step, probe or move imports in
 its body.
 """
 
 import ast
+import functools
 import importlib
 import json
 import os
@@ -33,6 +36,10 @@ RUN_NEVER_LOADS = (
     "multiprocessing",
     "concurrent.futures",
 )
+
+#: Modules a deterministic ``repro run`` on the uniform platform does
+#: not need: the scenario sampler and the platform catalog.
+DETERMINISTIC_RUN_NEVER_LOADS = ("repro.stochastic", "repro.model.platform")
 
 RUN_SE = """
 import json, sys
@@ -75,11 +82,26 @@ def _loads(modules: set, name: str) -> bool:
     return any(m == name or m.startswith(name + ".") for m in modules)
 
 
+@functools.lru_cache(maxsize=None)
+def _run_se_modules() -> frozenset:
+    return frozenset(_loaded_by(RUN_SE))
+
+
 class TestImportClosure:
     def test_repro_run_loads_no_runner_pool_grid_or_portfolio(self):
-        modules = _loaded_by(RUN_SE)
+        modules = _run_se_modules()
         assert "repro.core.engine" in modules  # the run did run SE
         loaded = [name for name in RUN_NEVER_LOADS if _loads(modules, name)]
+        assert loaded == []
+
+    def test_deterministic_run_loads_no_sampler_or_platform_catalog(self):
+        modules = _run_se_modules()
+        assert "repro.core.engine" in modules
+        loaded = [
+            name
+            for name in DETERMINISTIC_RUN_NEVER_LOADS
+            if _loads(modules, name)
+        ]
         assert loaded == []
 
     def test_bare_import_loads_no_subpackage(self):
