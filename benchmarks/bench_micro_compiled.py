@@ -12,10 +12,12 @@ These benches measure it at paper scale (fig5: 100 tasks, 20 machines):
   compiled vs Python;
 * ``allocate_speedup`` / ``nic_allocate_speedup`` — SE's allocation
   phase for one first-iteration selection: one compiled ``allocate``
-  call against the Python loop it replaces
-  (:func:`~repro.schedule.valid_range.allocate_by_places`: a compiled
-  ``place`` per selected subtask, and a relocation and a ``prepare``
-  per move), both on the compiled walker.  Recorded without a floor.
+  call against its Python specification
+  (:func:`~repro.schedule.valid_range.allocate_by_places`: the
+  :func:`~repro.schedule.valid_range.place_by_probes` loop over the
+  compiled ``evaluate_delta`` per selected subtask, and a relocation
+  and a compiled ``prepare`` per move), both on the compiled walker.
+  Recorded without a floor.
 
 ``makespan_speedup`` / ``nic_makespan_speedup`` are the only gate on
 the walker ratio: the evaluation service's batch route is a loop of
@@ -152,7 +154,7 @@ def test_micro_compiled_allocate(cls, metric, write_output, perf_log):
     sim = cls(w)
     assert sim.walker_tier == "compiled"
     base = random_valid_string(w.graph, w.num_machines, 7)
-    goodness = GoodnessEvaluator(w).goodness(sim.finish_times(base))
+    goodness = GoodnessEvaluator(sim).goodness(sim.finish_times(base))
     selected = select_subtasks(
         goodness,
         w.graph,

@@ -44,7 +44,7 @@ def main() -> None:
         print(f"  O{t} = {o[t]:7.1f}")
     print(f"\nO4 = {o[4]:.0f} — the paper quotes O4 = {PAPER_O4:.0f} (§4.3)")
 
-    goodness = GoodnessEvaluator(workload).goodness(schedule.finish)
+    goodness = GoodnessEvaluator(sim).goodness(schedule.finish)
     print("\nGoodness g_i = O_i / C_i for the Figure-2 string:")
     for t in range(workload.num_tasks):
         print(

@@ -37,13 +37,6 @@ class ComparisonSeries:
     final_best: float
     iterations: int
 
-    def first_finite_index(self) -> int:
-        """Index of the first grid point with a real value."""
-        for i, v in enumerate(self.best_at):
-            if math.isfinite(v):
-                return i
-        return len(self.best_at)
-
 
 @dataclass(frozen=True)
 class ComparisonResult:
@@ -68,10 +61,6 @@ class ComparisonResult:
         if not math.isfinite(vals[0][0]):
             return None
         return vals[0][1]
-
-    def final_winner(self) -> Optional[str]:
-        """Winner at the end of the budget."""
-        return self.winner_at(len(self.series[0].time_grid) - 1)
 
     def winner_timeline(self) -> list[Optional[str]]:
         """Winner at every grid point — shows lead changes over time."""

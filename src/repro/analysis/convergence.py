@@ -72,11 +72,6 @@ class StagnationStats:
     improvements: int
     total_iterations: int
 
-    @property
-    def improved_fraction(self) -> float:
-        """Improving iterations / total iterations recorded."""
-        return self.improvements / max(1, self.total_iterations)
-
 
 def stagnation(trace: ConvergenceTrace) -> StagnationStats:
     """Longest / trailing no-improvement streaks and improvement count."""

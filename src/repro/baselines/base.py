@@ -131,10 +131,6 @@ class IncrementalScheduleBuilder:
         self._incoming = [tuple(es) for es in incoming]
 
     @property
-    def scheduled_count(self) -> int:
-        return len(self._order)
-
-    @property
     def network(self) -> str:
         return self._network
 

@@ -27,7 +27,7 @@ candidate set, which walks every probe in full, loses here (MICRO-DELTA).
 
 The whole phase is one backend ``allocate`` call
 (:func:`~repro.schedule.valid_range.allocate_by_places` specifies it):
-one ``prepare``, then per selected subtask one ``place``
+one ``prepare``, then per selected subtask its probe loop
 (:func:`~repro.schedule.valid_range.place_by_probes`), and a relocation
 plus a re-``prepare`` when the subtask moved.  On the compiled walker
 that is one C call: it derives each window and its slots, walks every

@@ -101,7 +101,7 @@ class SimulatedEvolution:
         # the backend actually scores — the platform's speed-scaled
         # matrix (the original object on "uniform", so nothing moves).
         eff = service.effective_workload
-        goodness = GoodnessEvaluator(eff, service.raw_backend)
+        goodness = GoodnessEvaluator(service.raw_backend)
         bias = cfg.resolved_bias(graph.num_tasks)
         y = cfg.resolved_y(workload.num_machines)
         allocator = Allocator(
@@ -113,11 +113,7 @@ class SimulatedEvolution:
 
         if initial is None:
             string = initial_solution(
-                graph,
-                workload.num_machines,
-                rng,
-                shuffle_range=cfg.initial_shuffle_range,
-                backend=service.backend,
+                service.backend, rng, shuffle_range=cfg.initial_shuffle_range
             )
         else:
             string = initial.copy()

@@ -6,9 +6,10 @@ finishing time under the paper's function **F**: ``s_i`` and all its
 predecessors sit on their best-matching machines (fastest execution
 time).  ``O_i`` depends only on the workload, so it is computed once at
 initialisation and reused every generation — exactly as the paper
-prescribes ("Oi does not change from one generation to the next").  The
-SE engine computes it once per run, in one walker call of its backend
-(:class:`GoodnessEvaluator`).
+prescribes ("Oi does not change from one generation to the next").
+:class:`GoodnessEvaluator` reads it once per run from a backend's
+``optimal_finish``, one walker call on the compiled tier;
+:func:`optimal_finish_times` is its specification.
 
 Concretely we evaluate F with a contention-free recursion over the DAG::
 
@@ -26,7 +27,7 @@ number expressible in the range [0,1]".
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -89,26 +90,25 @@ def goodness_values(
 
 
 class GoodnessEvaluator:
-    """Caches ``O`` for a workload and maps solutions to goodness vectors.
+    """Caches ``O`` for a backend's workload and maps solutions to
+    goodness vectors.
 
-    With a *backend* (a scalar backend of *workload*, e.g. an SE run's
-    raw simulator), ``O`` is read from the backend's own tables by its
-    ``optimal_finish``: one compiled walker call, ``==`` to
-    :func:`optimal_finish_times`, which computes it otherwise.
+    *backend* is a scalar backend (e.g. an SE run's raw simulator):
+    ``O`` is read from its own tables by its ``optimal_finish``, one
+    compiled walker call, ``==`` to :func:`optimal_finish_times` of its
+    workload.
     """
 
     __slots__ = ("_optimal",)
 
-    def __init__(self, workload: Workload, backend: Optional[Any] = None):
-        if backend is None:
-            self._optimal = optimal_finish_times(workload)
-        else:
-            self._optimal = np.array(
-                backend.optimal_finish(
-                    workload.exec_times.ranking[0].tolist(),
-                    workload.graph.topological_order(),
-                )
+    def __init__(self, backend: Any):
+        workload = backend.workload
+        self._optimal = np.array(
+            backend.optimal_finish(
+                workload.exec_times.ranking[0].tolist(),
+                workload.graph.topological_order(),
             )
+        )
         self._optimal.setflags(write=False)
 
     @property

@@ -12,64 +12,50 @@ The perturbation count is drawn uniformly from
 live in :class:`~repro.core.config.SEConfig.initial_shuffle_range`.
 
 The moves are specified by
-:func:`~repro.schedule.operations.shuffle_string`, which runs them when
-no backend is given.  The SE engine passes its backend, whose
-``shuffle`` makes the same draws in one compiled walker call, so the
-string is the same either way.
+:func:`~repro.schedule.operations.shuffle_string`; the backend's
+``shuffle`` runs them, in one compiled walker call on the scalar
+backends, with the same draws.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
-from repro.model.graph import TaskGraph
 from repro.schedule.encoding import ScheduleString
-from repro.schedule.operations import shuffle_string
 
 
 def initial_solution(
-    graph: TaskGraph,
-    num_machines: int,
+    backend: Any,
     rng: np.random.Generator,
     shuffle_range: tuple[float, float] = (1.0, 3.0),
-    backend: Optional[Any] = None,
 ) -> ScheduleString:
     """Generate a valid initial string per the paper's recipe.
 
     Parameters
     ----------
-    graph:
-        The application DAG.
-    num_machines:
-        ``l``.
+    backend:
+        A :class:`~repro.schedule.backend.SimulatorBackend`; its
+        workload gives the graph and ``l``, and its ``shuffle`` runs the
+        moves.
     rng:
         Randomness source (machine draws, shuffle count, shuffle moves).
     shuffle_range:
         ``(lo_factor, hi_factor)`` scaling of ``k`` for the perturbation
         count; ``(0, 0)`` yields the plain topological string.
-    backend:
-        A :class:`~repro.schedule.backend.SimulatorBackend` for *graph*
-        whose ``shuffle`` runs the moves, or ``None`` to run
-        :func:`~repro.schedule.operations.shuffle_string`; the result
-        is the same.
     """
     lo_f, hi_f = shuffle_range
     if lo_f < 0 or hi_f < lo_f:
         raise ValueError(
             f"shuffle_range must satisfy 0 <= lo <= hi, got {shuffle_range}"
         )
+    graph = backend.workload.graph
+    num_machines = backend.workload.num_machines
     k = graph.num_tasks
     machine_of = rng.integers(num_machines, size=k).tolist()
     lo = int(round(lo_f * k))
     hi = int(round(hi_f * k))
     num_moves = int(rng.integers(lo, hi + 1)) if hi > lo else lo
-    order = graph.topological_order()
-    if backend is not None:
-        return ScheduleString(
-            backend.shuffle(order, rng, num_moves), machine_of, num_machines
-        )
-    string = ScheduleString(order, machine_of, num_machines)
-    shuffle_string(string, graph, rng, num_moves)
-    return string
+    order = backend.shuffle(graph.topological_order(), rng, num_moves)
+    return ScheduleString(order, machine_of, num_machines)

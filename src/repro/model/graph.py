@@ -46,7 +46,6 @@ class TaskGraph:
         "_in_items",
         "_out_items",
         "_topo",
-        "_topo_pos",
         "_levels",
         "_num_levels",
     )
@@ -101,10 +100,6 @@ class TaskGraph:
         if topo is None:
             raise ValueError("task graph contains a cycle; it must be a DAG")
         self._topo: Tuple[int, ...] = topo
-        pos = [0] * k
-        for position, task in enumerate(topo):
-            pos[task] = position
-        self._topo_pos: Tuple[int, ...] = tuple(pos)
 
         levels = [0] * k
         for t in topo:
@@ -261,10 +256,6 @@ class TaskGraph:
         """Deterministic topological order (smallest index first)."""
         return self._topo
 
-    def topological_position(self, task: int) -> int:
-        """Position of *task* in :meth:`topological_order`."""
-        return self._topo_pos[task]
-
     def level(self, task: int) -> int:
         """DAG level: 0 for entry tasks, else 1 + max level of predecessors.
 
@@ -290,28 +281,6 @@ class TaskGraph:
     def exit_tasks(self) -> Tuple[int, ...]:
         """Tasks with no successors."""
         return tuple(t for t in range(self.num_tasks) if not self._succ[t])
-
-    def ancestors(self, task: int) -> frozenset[int]:
-        """All transitive predecessors of *task* (excluding itself)."""
-        seen: set[int] = set()
-        stack = list(self._pred[task])
-        while stack:
-            t = stack.pop()
-            if t not in seen:
-                seen.add(t)
-                stack.extend(self._pred[t])
-        return frozenset(seen)
-
-    def descendants(self, task: int) -> frozenset[int]:
-        """All transitive successors of *task* (excluding itself)."""
-        seen: set[int] = set()
-        stack = list(self._succ[task])
-        while stack:
-            t = stack.pop()
-            if t not in seen:
-                seen.add(t)
-                stack.extend(self._succ[t])
-        return frozenset(seen)
 
     def is_valid_order(self, order: Sequence[int]) -> bool:
         """True iff *order* is a permutation of all tasks respecting edges."""

@@ -122,14 +122,6 @@ class ExecutionTimeMatrix:
         """``E[machine, task]``."""
         return float(self._e[machine, task])
 
-    def task_times(self, task: int) -> np.ndarray:
-        """Column of execution times of *task* across all machines."""
-        return self._e[:, task]
-
-    def machine_times(self, machine: int) -> np.ndarray:
-        """Row of execution times of all tasks on *machine*."""
-        return self._e[machine, :]
-
     def best_machine(self, task: int) -> int:
         """The best-matching machine of *task* (fastest; ties → lowest id).
 
@@ -225,40 +217,6 @@ class TransferTimeMatrix:
             num_machines,
         )
 
-    @classmethod
-    def from_item_sizes(
-        cls,
-        item_sizes: Sequence[float],
-        num_machines: int,
-        pair_latency: float = 0.0,
-        pair_rate: float | Sequence[float] = 1.0,
-    ) -> "TransferTimeMatrix":
-        """Derive ``Tr`` from data item sizes and per-pair link speed.
-
-        ``Tr[pair, d] = pair_latency + size_d / rate_pair``.  *pair_rate*
-        may be a scalar (uniform network) or one rate per machine pair.
-        """
-        sizes = np.asarray(item_sizes, dtype=float)
-        if sizes.ndim != 1:
-            raise ValueError("item_sizes must be 1-D")
-        if np.any(sizes < 0):
-            raise ValueError("item sizes must be >= 0")
-        if pair_latency < 0:
-            raise ValueError(f"pair_latency must be >= 0, got {pair_latency}")
-        rows = num_pairs(num_machines)
-        rates = np.asarray(pair_rate, dtype=float)
-        if rates.ndim == 0:
-            rates = np.full(rows, float(rates))
-        if rates.shape != (rows,):
-            raise ValueError(
-                f"pair_rate must be scalar or have length {rows}, "
-                f"got shape {rates.shape}"
-            )
-        if np.any(rates <= 0):
-            raise ValueError("pair rates must be > 0")
-        tr = pair_latency + sizes[None, :] / rates[:, None]
-        return cls(tr, num_machines)
-
     @property
     def num_machines(self) -> int:
         return self._l
@@ -298,10 +256,6 @@ class TransferTimeMatrix:
         """:func:`pair_table` of the ``Tr`` rows as lists, with one shared
         all-zero diagonal row: ``pair_rows()[a][b][d] == time(a, b, d)``."""
         return pair_table(self._tr.tolist(), self._l, [0.0] * self.num_items)
-
-    def item_times(self, item: int) -> np.ndarray:
-        """Column of transfer times of *item* over all machine pairs."""
-        return self._tr[:, item]
 
     def mean_time(self) -> float:
         """Mean off-machine transfer time over all pairs and items.

@@ -64,7 +64,7 @@ from repro.schedule.neighborhood import (
     select_move,
 )
 from repro.schedule.scoring import CostModel
-from repro.schedule.valid_range import allocate_by_places, place_by_probes
+from repro.schedule.valid_range import allocate_by_places
 
 __all__ = [
     "MAKESPAN",
@@ -455,29 +455,13 @@ class ObjectiveBackend:
         )
         return _ScalarizedState(state, scalar)
 
-    def place(
-        self,
-        state: Any,
-        order,
-        machine_of,
-        task: int,
-        candidates,
-        all_positions: bool = False,
-    ) -> tuple[float, int, int, int]:
-        """The probe loop of :func:`~repro.schedule.valid_range.
-        place_by_probes` over this backend's :meth:`evaluate_delta`, so
-        every probe is scalarized and offered to the Pareto tracker."""
-        return place_by_probes(
-            self, state, order, machine_of, task, candidates, all_positions
-        )
-
     def allocate(
         self, string, selected, candidates, all_positions: bool = False
     ) -> tuple[Any, int, int]:
         """SE's allocation phase, :func:`~repro.schedule.valid_range.
         allocate_by_places` over this backend's :meth:`prepare` and
-        :meth:`place`, so every prepare and probe is scalarized and
-        offered to the Pareto tracker."""
+        :meth:`evaluate_delta`, so every prepare and probe is scalarized
+        and offered to the Pareto tracker."""
         return allocate_by_places(
             self, string, selected, candidates, all_positions
         )

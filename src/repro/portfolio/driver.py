@@ -285,10 +285,14 @@ def run_race(
         # solo runs skip the channel entirely: bit-identical to the
         # engine's own golden trajectory
         outcomes = [run_island(specs[0], workload, None, epoch)]
-    elif cfg.sync_every is not None:
-        outcomes = _run_lockstep(specs, workload, epoch)
-    elif cfg.mode == "thread":
-        outcomes = _run_threads(specs, workload, epoch)
+    elif cfg.sync_every is not None or cfg.mode == "thread":
+        from repro.portfolio.exchange import LocalChannel, SyncChannel
+
+        if cfg.sync_every is not None:
+            channel = SyncChannel(len(specs))
+        else:
+            channel = LocalChannel()
+        outcomes = _run_threads(specs, workload, epoch, channel)
     else:
         outcomes = _run_processes(specs, workload, epoch, cfg.workers)
     wall = time.perf_counter() - t0
@@ -305,26 +309,12 @@ def run_race(
     )
 
 
-def _run_lockstep(
-    specs: Sequence[IslandSpec], workload: Workload, epoch: float
-) -> list[IslandOutcome]:
-    from repro.portfolio.exchange import SyncChannel
-
-    channel = SyncChannel(len(specs))
-    with ThreadPoolExecutor(max_workers=len(specs)) as pool:
-        futures = [
-            pool.submit(run_island, spec, workload, channel, epoch)
-            for spec in specs
-        ]
-        return [f.result() for f in futures]
-
-
 def _run_threads(
-    specs: Sequence[IslandSpec], workload: Workload, epoch: float
+    specs: Sequence[IslandSpec], workload: Workload, epoch: float, channel
 ) -> list[IslandOutcome]:
-    from repro.portfolio.exchange import LocalChannel
-
-    channel = LocalChannel()
+    """Every island on its own thread of this process, all trading
+    through *channel*: a lockstep ``SyncChannel`` or a free-running
+    ``LocalChannel``."""
     with ThreadPoolExecutor(max_workers=len(specs)) as pool:
         futures = [
             pool.submit(run_island, spec, workload, channel, epoch)

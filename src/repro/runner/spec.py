@@ -233,10 +233,6 @@ class ExperimentSpec:
         object.__setattr__(self, "seed_mode", seed_mode)
         object.__setattr__(self, "base_seed", int(base_seed))
 
-    @property
-    def algorithm_names(self) -> list[str]:
-        return [n for n, _ in self.algorithms]
-
     def cells(self) -> list[ExperimentCell]:
         """The deterministic expansion, in a stable canonical order."""
         out: list[ExperimentCell] = []

@@ -1,13 +1,13 @@
 /*
  * Compiled scalar walkers: the hot methods of the two scalar backends.
  *
- * `Walker` runs `makespan`, `prepare`, `evaluate_delta`, `place`,
- * `allocate`, `optimal_finish`, `score_moves` and `shuffle` for one
- * workload under the contention-free network (repro.schedule.simulator.
- * Simulator) or the one-NIC-per-machine network (repro.extensions.
- * contention.ContentionSimulator).  The Python methods of those classes,
- * repro.schedule.valid_range.place_by_probes for `place`, repro.schedule.
- * valid_range.allocate_by_places for `allocate`, repro.core.goodness.
+ * `Walker` runs `makespan`, `prepare`, `evaluate_delta`, `allocate`,
+ * `optimal_finish`, `score_moves` and `shuffle` for one workload under
+ * the contention-free network (repro.schedule.simulator.Simulator) or
+ * the one-NIC-per-machine network (repro.extensions.contention.
+ * ContentionSimulator).  The Python methods of those classes, repro.
+ * schedule.valid_range.allocate_by_places for `allocate` (with
+ * place_by_probes for each selected subtask), repro.core.goodness.
  * optimal_finish_times for `optimal_finish`, repro.schedule.neighborhood.
  * score_by_deltas for `score_moves` and repro.schedule.operations.
  * shuffle_string for `shuffle`, are the
@@ -1353,7 +1353,8 @@ shift_task(int *order, Py_ssize_t from, Py_ssize_t to)
     order[to] = task;
 }
 
-/* The best placement of `task` among the n_cand machines cand[]: every
+/* The best placement of `task` among the n_cand machines cand[], as
+ * repro.schedule.valid_range.place_by_probes specifies it: every
  * slot of each (place_slots) is probed against st, with the running best
  * as cutoff, by relocating the task in order / mach, a private copy of
  * st's string that is left as it came.  Only a strictly better probe
@@ -1546,121 +1547,6 @@ walker_evaluate_delta(Walker *w, PyObject *const *args, Py_ssize_t nargs)
     return PyFloat_FromDouble(span);
 }
 
-/* The state and task of a place / slots call. */
-static State *
-place_args(Walker *w, PyObject *state, PyObject *task_obj, long *task)
-{
-    State *st;
-    if (!walker_ready(w) || (st = as_state(w, state)) == NULL
-        || read_index(task_obj, w->k, task, "task", -1, PyExc_ValueError)
-               < 0) {
-        return NULL;
-    }
-    return st;
-}
-
-/* The candidate machines as a PyMem block of *n ids (caller frees). */
-static int *
-read_candidates(Walker *w, PyObject *candidates, Py_ssize_t *n)
-{
-    int *cand;
-    PyObject *fast = PySequence_Fast(
-        candidates, "candidates must be a sequence of machine ids");
-    if (fast == NULL) {
-        return NULL;
-    }
-    *n = PySequence_Fast_GET_SIZE(fast);
-    cand = zalloc(*n, sizeof(int));
-    if (cand != NULL
-        && read_ids(fast, cand, *n, w->l, "candidates", NULL) < 0) {
-        PyMem_Free(cand);
-        cand = NULL;
-    }
-    Py_DECREF(fast);
-    return cand;
-}
-
-/* place(state, order, machine_of, task, candidates, all_positions)
- *   -> (best_cost, best_index, best_machine, probes)
- *
- * The SE allocation step for one subtask, as repro.schedule.valid_range.
- * place_by_probes specifies it (place_best).  (order, machine_of) must be
- * the string `state` was prepared from. */
-static PyObject *
-walker_place(Walker *w, PyObject *const *args, Py_ssize_t nargs)
-{
-    Inputs in;
-    State *st;
-    PyObject *out = NULL;
-    long task, probes;
-    int *cand = NULL;
-    Py_ssize_t n_cand, lo, hi, best_idx;
-    int all_positions, best_m;
-    double best;
-    if (nargs != 6) {
-        PyErr_SetString(PyExc_TypeError,
-                        "place(state, order, machine_of, task, candidates, "
-                        "all_positions) takes 6 arguments");
-        return NULL;
-    }
-    st = place_args(w, args[0], args[3], &task);
-    if (st == NULL
-        || (cand = read_candidates(w, args[4], &n_cand)) == NULL) {
-        return NULL;
-    }
-    all_positions = PyObject_IsTrue(args[5]);
-    if (all_positions < 0
-        || read_inputs(&in, args[1], args[2], w->k, w->l) < 0) {
-        PyMem_Free(cand);
-        return NULL;
-    }
-    if (memcmp(in.order, st->order, w->k * sizeof(int)) != 0
-        || memcmp(in.mach, st->mach, w->k * sizeof(int)) != 0) {
-        PyErr_SetString(PyExc_ValueError,
-                        "order / machine_of are not the string the state "
-                        "was prepared from");
-        goto done;
-    }
-    if (place_window(w, st->pos_of, (int)task, &lo, &hi) < 0) {
-        goto done;
-    }
-    /* no Python code runs from here on */
-    probes = place_best(w, st, in.order, in.mach, (int)task, cand, n_cand,
-                        all_positions, lo, hi, &best, &best_idx, &best_m);
-    out = Py_BuildValue("(dnil)", best, best_idx, best_m, probes);
-done:
-    free_inputs(&in);
-    PyMem_Free(cand);
-    return out;
-}
-
-/* slots(state, task, machine, all_positions) -> list of the insertion
- * indices `place` probes for `task` on `machine` */
-static PyObject *
-walker_slots(Walker *w, PyObject *const *args, Py_ssize_t nargs)
-{
-    State *st;
-    long task, machine;
-    int all_positions;
-    Py_ssize_t lo, hi;
-    if (nargs != 4) {
-        PyErr_SetString(PyExc_TypeError,
-                        "slots(state, task, machine, all_positions) takes "
-                        "4 arguments");
-        return NULL;
-    }
-    st = place_args(w, args[0], args[1], &task);
-    if (st == NULL
-        || read_index(args[2], w->l, &machine, "machine", -1,
-                      PyExc_ValueError) < 0
-        || (all_positions = PyObject_IsTrue(args[3])) < 0
-        || place_window(w, st->pos_of, (int)task, &lo, &hi) < 0) {
-        return NULL;
-    }
-    return int_list(w->slots, place_slots(st, (int)task, (int)machine, lo,
-                                          hi, all_positions, w->slots));
-}
-
 /* ---- the SE allocation phase and the optimistic finish times -------- */
 
 /* The (k, y) candidate table of an allocate call, read once through the
@@ -1736,8 +1622,8 @@ set_int_item(PyObject *list, Py_ssize_t i, long v)
  * The SE allocation phase of one iteration, as repro.schedule.
  * valid_range.allocate_by_places specifies it: one prepare of the string
  * (the three lists of a ScheduleString), then for each selected subtask
- * in order the place probe loop (place_best) over its row of the (k, Y)
- * candidate table.  A subtask that moves is shifted in the walker's own
+ * in order the probe loop of place_by_probes (place_best) over its row
+ * of the (k, Y) candidate table.  A subtask that moves is shifted in the walker's own
  * buffers and the same state is re-prepared in place from the first
  * changed position: its rows before that position cannot change.
  * `trials` counts the prepares and probes, `moved` the subtasks that
@@ -2286,9 +2172,6 @@ static PyMethodDef walker_methods[] = {
      METH_FASTCALL,
      "evaluate_delta(order, machine_of, first_changed, state, cutoff, "
      "region_end) -> float"},
-    {"place", (PyCFunction)(void (*)(void))walker_place, METH_FASTCALL,
-     "place(state, order, machine_of, task, candidates, all_positions) -> "
-     "(best_cost, best_index, best_machine, probes)"},
     {"allocate", (PyCFunction)(void (*)(void))walker_allocate,
      METH_FASTCALL,
      "allocate(order, machine_of, positions, selected, candidates, "
@@ -2297,9 +2180,6 @@ static PyMethodDef walker_methods[] = {
      METH_FASTCALL,
      "optimal_finish(best_machines, topo_order) -> the optimistic finish "
      "time of every subtask"},
-    {"slots", (PyCFunction)(void (*)(void))walker_slots, METH_FASTCALL,
-     "slots(state, task, machine, all_positions) -> the insertion indices "
-     "place probes for task on machine"},
     {"score_moves", (PyCFunction)(void (*)(void))walker_score_moves,
      METH_FASTCALL,
      "score_moves(state, order, machine_of, moves, tabu, best_known) -> "
@@ -2313,9 +2193,9 @@ static PyMethodDef walker_methods[] = {
 static PyTypeObject WalkerType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.schedule._walk.Walker",
-    .tp_doc = "Compiled makespan / prepare / evaluate_delta / place / "
-              "allocate / optimal_finish / score_moves / shuffle for one "
-              "workload and network.",
+    .tp_doc = "Compiled makespan / prepare / evaluate_delta / allocate / "
+              "optimal_finish / score_moves / shuffle for one workload and "
+              "network.",
     .tp_basicsize = sizeof(Walker),
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_new = PyType_GenericNew,

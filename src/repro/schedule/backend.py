@@ -10,9 +10,9 @@ string-keyed parameter:
 
 * :class:`SimulatorBackend` — the structural protocol every backend
   implements: ``makespan`` / ``evaluate`` plus the incremental tier
-  (``prepare`` → delta state → ``evaluate_delta``, and ``place``, the
-  SE allocation step for one subtask) that the SE allocator and the GA
-  offspring loop run on;
+  (``prepare`` → delta state → ``evaluate_delta``, and ``allocate``,
+  SE's allocation phase) that the SE allocator and the GA offspring
+  loop run on;
 * :func:`make_simulator` — ``(workload, network)`` → scalar backend.
 
 One table names every network's scalar backend.  The table is resolved
@@ -91,14 +91,12 @@ class SimulatorBackend(Protocol):
       ``cutoff`` branch-and-bound pruning.  ``evaluate_delta`` results
       must be **bit-identical** to a full ``makespan`` call on the same
       string (property-tested for both built-in backends);
-    * ``place`` — the best re-placement of one subtask over a list of
-      candidate machines, with the probe count: the loop of
-      :func:`~repro.schedule.valid_range.place_by_probes` (the scalar
-      backends run it in one compiled walker call, ``==``);
-    * ``allocate`` — SE's allocation phase: one ``place`` per selected
-      subtask, committing each move, with the trial and move counts: the
-      loop of :func:`~repro.schedule.valid_range.allocate_by_places`
-      (one compiled walker call on the scalar backends, ``==``);
+    * ``allocate`` — SE's allocation phase: the best re-placement of
+      each selected subtask over its candidate machines
+      (:func:`~repro.schedule.valid_range.place_by_probes`), committing
+      each move, with the trial and move counts: the loop of
+      :func:`~repro.schedule.valid_range.allocate_by_places` (one
+      compiled walker call on the scalar backends, ``==``);
     * ``score_moves`` — tabu's pick among a neighborhood of moves, with
       the admissible count: the loop of :func:`~repro.schedule.
       neighborhood.score_by_deltas` (one compiled walker call on the
@@ -137,16 +135,6 @@ class SimulatorBackend(Protocol):
         cutoff: float = float("inf"),
         region_end: Optional[int] = None,
     ) -> float: ...
-
-    def place(
-        self,
-        state: Any,
-        order: Sequence[int],
-        machine_of: Sequence[int],
-        task: int,
-        candidates: Sequence[int],
-        all_positions: bool = False,
-    ) -> tuple[float, int, int, int]: ...
 
     def allocate(
         self,

@@ -5,12 +5,11 @@ the GA's fitness, every baseline's makespan), called hundreds of thousands
 of times per experiment, so it is written for speed per the profiling
 guidance in the HPC coding guides:
 
-* ``makespan``, ``prepare``, ``evaluate_delta``, ``place``,
-  ``allocate``, ``optimal_finish``, ``score_moves`` and ``shuffle`` run
-  in the compiled walker of :mod:`repro.schedule.walker` when it loads
-  (a C extension built on first use; a fig5 ``makespan`` costs ~3 µs
+* ``makespan``, ``prepare``, ``evaluate_delta``, ``allocate``,
+  ``optimal_finish``, ``score_moves`` and ``shuffle`` run in the
+  compiled walker of :mod:`repro.schedule.walker` when it loads (a C
+  extension built on first use; a fig5 ``makespan`` costs ~3 µs
   there); the Python bodies below,
-  :func:`~repro.schedule.valid_range.place_by_probes` for ``place``,
   :func:`~repro.schedule.valid_range.allocate_by_places` for
   ``allocate``, :func:`~repro.schedule.neighborhood.score_by_deltas`
   for ``score_moves`` and :func:`~repro.schedule.operations.
@@ -55,10 +54,9 @@ position ``f`` onwards can reuse everything before ``f``.
 state at every position; :meth:`Simulator.evaluate_delta` then re-scores
 a perturbed string by recomputing positions ``f..k-1`` only.  This is the
 hot path of the GA's mutation-only offspring, of every probe of the SE
-allocation step, whose relocate-probe-revert loop for one subtask is one
-:meth:`Simulator.place` call and whose whole phase is one
-:meth:`Simulator.allocate` call, and of every tabu candidate, whose
-neighborhood is one :meth:`Simulator.score_moves` call.
+allocation phase, which is one :meth:`Simulator.allocate` call, and of
+every tabu candidate, whose neighborhood is one
+:meth:`Simulator.score_moves` call.
 """
 
 from __future__ import annotations
@@ -75,7 +73,7 @@ from repro.schedule.encoding import ScheduleString
 from repro.schedule.neighborhood import score_by_deltas
 from repro.schedule.operations import shuffle_string
 from repro.schedule.scoring import CostModel, ScheduleScore
-from repro.schedule.valid_range import allocate_by_places, place_by_probes
+from repro.schedule.valid_range import allocate_by_places
 
 
 class InvalidScheduleError(ValueError):
@@ -260,49 +258,6 @@ class _ScalarBackend:
                 "state was prepared for another network or workload shape"
             )
 
-    def place(
-        self,
-        state,
-        order: Sequence[int],
-        machine_of: Sequence[int],
-        task: int,
-        candidates: Sequence[int],
-        all_positions: bool = False,
-    ) -> tuple[float, int, int, int]:
-        """The best re-placement of *task* among *candidates* machines:
-        ``(best_cost, best_index, best_machine, probes)``.
-
-        The SE allocation step for one subtask, specified by
-        :func:`~repro.schedule.valid_range.place_by_probes`; *state* must
-        be prepared from *order* / *machine_of*.  On the compiled tier
-        every probe runs inside one walker call.
-
-        Raises
-        ------
-        TypeError, ValueError
-            For a state this backend cannot resume (as
-            :meth:`evaluate_delta`), a *task* or candidate machine out of
-            range, or a string other than *state*'s.
-        InvalidScheduleError
-            If *order* is not a permutation.
-        """
-        if self._c is not None:
-            return self._c.place(
-                state, order, machine_of, task, candidates, all_positions
-            )
-        self._check_state(state)
-        if not 0 <= task < self._k:
-            raise ValueError(f"task = {task} is out of range [0, {self._k})")
-        for i, m in enumerate(candidates):
-            if not 0 <= m < self._l:
-                raise ValueError(
-                    f"candidates[{i}] = {m} is out of range [0, {self._l})"
-                )
-        self._check_base(state, order, machine_of)
-        return place_by_probes(
-            self, state, order, machine_of, task, candidates, all_positions
-        )
-
     def allocate(
         self,
         string: ScheduleString,
@@ -469,8 +424,7 @@ class _ScalarBackend:
     ) -> None:
         """Raise unless *order* / *machine_of* is a well-formed string
         (:meth:`_check_string`) and the one *state* was prepared from
-        (``ValueError``), as the compiled ``place`` and ``score_moves``
-        do."""
+        (``ValueError``), as the compiled ``score_moves`` does."""
         self._check_string(order, machine_of)
         if list(order) != state.order or list(machine_of) != state.machine_of:
             raise ValueError(
@@ -481,7 +435,7 @@ class _ScalarBackend:
     @property
     def walker_tier(self) -> str:
         """``"compiled"`` when the C walker serves ``makespan`` /
-        ``prepare`` / ``evaluate_delta`` / ``place`` / ``allocate`` /
+        ``prepare`` / ``evaluate_delta`` / ``allocate`` /
         ``optimal_finish`` / ``score_moves`` / ``shuffle``, ``"python"``
         otherwise (see :mod:`repro.schedule.walker`)."""
         return "python" if self._c is None else "compiled"

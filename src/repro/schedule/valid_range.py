@@ -14,10 +14,10 @@ places the subtask at absolute position ``i`` of the resulting string).
 This matches :meth:`repro.schedule.encoding.ScheduleString.move`.
 
 :func:`place_by_probes` is the SE allocation step for one subtask built
-on these windows: the specification of every backend's ``place``; and
-:func:`allocate_by_places`, one ``place`` per selected subtask, is the
-whole allocation phase of an SE iteration: the specification of every
-backend's ``allocate``.
+on these windows, and :func:`allocate_by_places`, one
+:func:`place_by_probes` per selected subtask, is the whole allocation
+phase of an SE iteration: the specification of every backend's
+``allocate``.
 """
 
 from __future__ import annotations
@@ -140,9 +140,9 @@ def place_by_probes(
 
     Returns ``(best_cost, best_index, best_machine, probes)``; with no
     probe (no candidate) that is ``(inf, position, machine, 0)`` of the
-    current placement.  This loop is the specification of the backends'
-    ``place`` (the compiled walker's is ``==`` on all four values), and
-    the ``place`` itself of the objective and scenario wrappers, which
+    current placement.  This loop is the specification of the compiled
+    walker's probe loop inside ``allocate``, and the probe loop itself of
+    the Python tier and of the objective and scenario wrappers, which
     see every probe through their own ``evaluate_delta``.
 
     Raises :class:`~repro.schedule.simulator.InvalidScheduleError` when
@@ -236,11 +236,11 @@ def allocate_by_places(
     *selected*, in the given order, at its best placement.
 
     One ``backend.prepare`` of *string*, then per selected subtask one
-    ``backend.place`` (:func:`place_by_probes`) over its row of
-    *candidates*, the ``(k, Y)`` table of each subtask's candidate
-    machines (:func:`candidate_rows`); a subtask whose best placement
-    differs from its own is relocated in *string* and the string
-    prepared again.  Returns ``(state, trials, moved)``: the state of
+    :func:`place_by_probes` over *backend* and its row of *candidates*,
+    the ``(k, Y)`` table of each subtask's candidate machines
+    (:func:`candidate_rows`); a subtask whose best placement differs
+    from its own is relocated in *string* and the string prepared
+    again.  Returns ``(state, trials, moved)``: the state of
     the final string, the prepares plus probes, and the number of
     subtasks that moved.  This loop is the specification of the
     backends' ``allocate`` (the compiled walker's is ``==`` on all three
@@ -276,8 +276,8 @@ def allocate_by_places(
     trials = 1
     moved = 0
     for task in selected:
-        _, index, machine, probes = backend.place(
-            state, order, machines, task, rows[task], all_positions
+        _, index, machine, probes = place_by_probes(
+            backend, state, order, machines, task, rows[task], all_positions
         )
         trials += probes
         if index != positions[task] or machine != machines[task]:

@@ -6,17 +6,17 @@ methods through a ``Walker`` of the C extension built from ``_walk.c``
 when it loads:
 
 * ``makespan``, ``prepare`` and ``evaluate_delta``, the walks;
-* ``place``, the SE allocation step for one subtask;
-* ``allocate``, SE's whole allocation phase: one ``place`` per
-  selected subtask, re-preparing one state in place after each move;
+* ``allocate``, SE's whole allocation phase: the best re-placement of
+  each selected subtask, re-preparing one state in place after each
+  move;
 * ``optimal_finish``, SE's optimistic finish times ``O``;
 * ``score_moves``, tabu's selection over one neighborhood;
 * ``shuffle``, the SE initial string's random moves.
 
 The Python bodies stay as the specification and the fallback:
-:func:`~repro.schedule.valid_range.place_by_probes` for ``place``,
 :func:`~repro.schedule.valid_range.allocate_by_places` for
-``allocate``, a loop over the same tables for ``optimal_finish``
+``allocate`` (with :func:`~repro.schedule.valid_range.place_by_probes`
+for each selected subtask), a loop over the same tables for ``optimal_finish``
 (specified by :func:`~repro.core.goodness.optimal_finish_times`),
 :func:`~repro.schedule.neighborhood.score_by_deltas` for
 ``score_moves`` and :func:`~repro.schedule.operations.shuffle_string`

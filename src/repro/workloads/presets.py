@@ -14,7 +14,7 @@ helpers pin the parameters the paper states for each experiment:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.model.system import HCSystem
 from repro.model.workload import Workload, WorkloadClass
@@ -79,9 +79,6 @@ class WorkloadSpec:
     def size_class(self) -> str:
         """The paper's small/large vocabulary (threshold at 50 subtasks)."""
         return "small" if self.num_tasks < 50 else "large"
-
-    def with_seed(self, seed: RandomSource) -> "WorkloadSpec":
-        return replace(self, seed=seed)
 
 
 def build_workload(spec: WorkloadSpec) -> Workload:

@@ -75,10 +75,6 @@ class WorkloadSuite:
     def cells(self) -> tuple[SuiteCell, ...]:
         return tuple(self._cells)
 
-    def build_all(self) -> list[Workload]:
-        """Materialise every cell (memory scales with the grid size)."""
-        return [cell.build() for cell in self._cells]
-
 
 def paper_comparison_suite(
     seed: RandomSource = None, replicates: int = 1

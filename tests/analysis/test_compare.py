@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.compare import (
     COMPARISON_SE_BIAS,
     ComparisonResult,
-    ComparisonSeries,
     compare_named,
     make_time_grid,
     series_from_trace,
@@ -90,7 +89,6 @@ class TestSampling:
     def test_winner_at(self):
         res = sampled({"A": [(0.1, 100.0)], "B": [(0.1, 90.0)]}, 1.0, 2)
         assert res.winner_at(0) == "B"
-        assert res.final_winner() == "B"
 
     def test_tie_returns_none(self):
         res = sampled({"A": [(0.1, 90.0)], "B": [(0.1, 90.0)]}, 1.0, 1)
@@ -112,16 +110,6 @@ class TestSampling:
         res = sampled({"A": [(0.1, 1.0)]}, 1.0, 1)
         with pytest.raises(KeyError):
             res.by_name("Z")
-
-    def test_first_finite_index(self):
-        s = ComparisonSeries(
-            name="x",
-            time_grid=(1.0, 2.0),
-            best_at=(math.inf, 5.0),
-            final_best=5.0,
-            iterations=1,
-        )
-        assert s.first_finite_index() == 1
 
 
 class TestCompareNamed:

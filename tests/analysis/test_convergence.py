@@ -96,10 +96,6 @@ class TestStagnation:
         assert s.final_streak == 0
         assert s.improvements == 2
 
-    def test_improved_fraction(self):
-        s = stagnation(trace_from([100, 90, 90, 90]))
-        assert s.improved_fraction == pytest.approx(0.5)
-
 
 class TestSpeedupToReach:
     def test_basic_ratio(self):

@@ -18,6 +18,7 @@ from repro.model import (
 from repro.schedule import Simulator
 from repro.schedule.operations import random_valid_string
 from repro.workloads import WorkloadSpec, build_workload
+from tests.routes import walker
 
 
 class TestOptimalFinishTimes:
@@ -118,21 +119,27 @@ class TestGoodnessValues:
             goodness_values(np.ones(1), [0.0])
 
 
+@pytest.fixture(params=["compiled", "python"])
+def sim(request, tiny_workload):
+    """The evaluator's backend on each walker tier."""
+    with walker(request.param):
+        return Simulator(tiny_workload)
+
+
 class TestGoodnessEvaluator:
-    def test_caches_optimal(self, tiny_workload):
-        ev = GoodnessEvaluator(tiny_workload)
+    def test_caches_optimal(self, tiny_workload, sim):
+        ev = GoodnessEvaluator(sim)
         assert np.array_equal(
             ev.optimal, optimal_finish_times(tiny_workload)
         )
 
-    def test_optimal_read_only(self, tiny_workload):
-        ev = GoodnessEvaluator(tiny_workload)
+    def test_optimal_read_only(self, sim):
+        ev = GoodnessEvaluator(sim)
         with pytest.raises(ValueError):
             ev.optimal[0] = 99.0
 
-    def test_goodness_delegates(self, tiny_workload):
-        ev = GoodnessEvaluator(tiny_workload)
-        sim = Simulator(tiny_workload)
+    def test_goodness_delegates(self, tiny_workload, sim):
+        ev = GoodnessEvaluator(sim)
         s = random_valid_string(tiny_workload.graph, tiny_workload.num_machines, 3)
         fts = sim.finish_times(s)
         assert np.array_equal(

@@ -93,11 +93,6 @@ class TestTopology:
         g = TaskGraph.from_edges(4, [(0, 3), (1, 3), (2, 3)])
         assert g.topological_order() == (0, 1, 2, 3)
 
-    def test_topological_position_inverse(self, diamond):
-        topo = diamond.topological_order()
-        for pos, t in enumerate(topo):
-            assert diamond.topological_position(t) == pos
-
     def test_levels(self, diamond):
         assert diamond.level(0) == 0
         assert diamond.level(1) == 1
@@ -107,14 +102,6 @@ class TestTopology:
 
     def test_levels_tuple(self, diamond):
         assert diamond.levels == (0, 1, 1, 2)
-
-    def test_ancestors(self, diamond):
-        assert diamond.ancestors(3) == frozenset({0, 1, 2})
-        assert diamond.ancestors(0) == frozenset()
-
-    def test_descendants(self, diamond):
-        assert diamond.descendants(0) == frozenset({1, 2, 3})
-        assert diamond.descendants(3) == frozenset()
 
     def test_is_valid_order_rejects_non_permutation(self, diamond):
         assert not diamond.is_valid_order([0, 1, 2])

@@ -119,11 +119,6 @@ class TestExecutionTimeMatrix:
         assert a == b
         assert a != c
 
-    def test_task_and_machine_views(self):
-        e = ExecutionTimeMatrix([[1.0, 2.0], [3.0, 4.0]])
-        assert list(e.task_times(1)) == [2.0, 4.0]
-        assert list(e.machine_times(0)) == [1.0, 2.0]
-
 
 class TestTransferTimeMatrix:
     def test_basic_lookup(self):
@@ -166,40 +161,9 @@ class TestTransferTimeMatrix:
         assert tr.time(0, 0, 2) == 0.0
         assert tr.mean_time() == 0.0
 
-    def test_from_item_sizes(self):
-        tr = TransferTimeMatrix.from_item_sizes(
-            [10.0, 20.0], num_machines=2, pair_latency=1.0, pair_rate=2.0
-        )
-        assert tr.time(0, 1, 0) == pytest.approx(6.0)   # 1 + 10/2
-        assert tr.time(0, 1, 1) == pytest.approx(11.0)  # 1 + 20/2
-
-    def test_from_item_sizes_per_pair_rates(self):
-        tr = TransferTimeMatrix.from_item_sizes(
-            [12.0], num_machines=3, pair_rate=[1.0, 2.0, 3.0]
-        )
-        assert tr.time(0, 1, 0) == pytest.approx(12.0)
-        assert tr.time(0, 2, 0) == pytest.approx(6.0)
-        assert tr.time(1, 2, 0) == pytest.approx(4.0)
-
-    def test_from_item_sizes_bad_rate_shape(self):
-        with pytest.raises(ValueError, match="pair_rate"):
-            TransferTimeMatrix.from_item_sizes(
-                [1.0], num_machines=3, pair_rate=[1.0, 2.0]
-            )
-
-    def test_from_item_sizes_zero_rate_rejected(self):
-        with pytest.raises(ValueError, match="> 0"):
-            TransferTimeMatrix.from_item_sizes(
-                [1.0], num_machines=2, pair_rate=0.0
-            )
-
     def test_mean_time(self):
         tr = TransferTimeMatrix([[2.0, 4.0]], num_machines=2)
         assert tr.mean_time() == pytest.approx(3.0)
-
-    def test_item_times_column(self):
-        tr = TransferTimeMatrix([[2.0, 4.0], [6.0, 8.0], [1.0, 3.0]], num_machines=3)
-        assert list(tr.item_times(1)) == [4.0, 8.0, 3.0]
 
     def test_equality(self):
         a = TransferTimeMatrix([[1.0]], num_machines=2)

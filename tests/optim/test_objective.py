@@ -192,18 +192,18 @@ class TestObjectiveBackend:
         )
 
     @ROUTES
-    def test_place_offers_every_unpruned_probe(
+    def test_allocate_offers_every_unpruned_probe(
         self, workload, network, platform, monkeypatch
     ):
-        """``ObjectiveBackend.place`` runs the specification's probe loop
-        over the wrapper's own ``evaluate_delta``, so each probe is
-        scalarized and every probe not pruned reaches the tracker."""
+        """``ObjectiveBackend.allocate`` of one subtask runs the
+        specification's probe loop over the wrapper's own
+        ``evaluate_delta``, so each probe is scalarized and every probe
+        not pruned reaches the tracker, next to each prepare."""
         tracker = ParetoTracker()
         backend = self.service(
             workload, network=network, platform=platform, pareto=tracker
         ).backend
         (s,) = strings(workload, 1, seed=8)
-        state = backend.prepare(s.order, s.machines)
         scored = []
         delta = backend.evaluate_delta
 
@@ -214,14 +214,13 @@ class TestObjectiveBackend:
         monkeypatch.setattr(backend, "evaluate_delta", spy)
         offers = tracker.offers
         task = s.order[len(s.order) // 2]
-        cost, index, machine, probes = backend.place(
-            state, s.order, s.machines, task, range(3), False
-        )
-        assert probes == len(scored) > 1
-        assert cost == min(scored)
-        assert tracker.offers - offers == sum(x != float("inf") for x in scored)
-        s.relocate(task, index, machine)
-        assert backend.string_makespan(s) == cost
+        table = np.tile(np.arange(3), (workload.num_tasks, 1))
+        state, trials, moved = backend.allocate(s, [task], table, False)
+        assert trials - 1 - moved == len(scored) > 1
+        assert state.makespan == min(scored)
+        unpruned = sum(x != float("inf") for x in scored)
+        assert tracker.offers - offers == unpruned + 1 + moved
+        assert backend.string_makespan(s) == state.makespan
 
 
 class TestCostAwareEngines:

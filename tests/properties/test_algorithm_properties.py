@@ -54,8 +54,8 @@ def test_se_best_never_worse_than_any_current(w, seed):
 @slow
 @given(workloads())
 def test_goodness_in_unit_interval_everywhere(w):
-    ev = GoodnessEvaluator(w)
     sim = Simulator(w)
+    ev = GoodnessEvaluator(sim)
     for seed in range(3):
         s = random_valid_string(w.graph, w.num_machines, seed)
         g = ev.goodness(sim.finish_times(s))

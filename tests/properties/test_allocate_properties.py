@@ -2,13 +2,14 @@
 times from the walker's tables.
 
 The compiled ``allocate`` must equal its specification,
-``allocate_by_places`` (one ``place`` per selected subtask over the same
-backend), and the Python tier on the final string, its positions,
-``trials``, ``moved``, the makespan and ``as_schedule()``: over both
-networks, both slot strategies, idle or busy machines and NICs, and the
-uniform and non-uniform platforms.  The state it re-prepares in place
-after each move must be byte-for-byte a fresh ``prepare`` of the final
-string.  ``optimal_finish`` must be bit-for-bit
+``allocate_by_places`` (one ``place_by_probes`` per selected subtask
+over the same backend), and the Python tier on the final string, its
+positions, ``trials``, ``moved``, the makespan and ``as_schedule()``:
+over both networks, both slot strategies, idle or busy machines and
+NICs, and the uniform and non-uniform platforms; and so for a single
+subtask, every subtask in turn, over candidates in any order.  The
+state it re-prepares in place after each move must be byte-for-byte a
+fresh ``prepare`` of the final string.  ``optimal_finish`` must be bit-for-bit
 ``optimal_finish_times``.  Both tiers, and the objective wrapper, raise
 the same errors before the string changes.
 """
@@ -26,7 +27,7 @@ from repro.optim import EvaluationService
 from repro.schedule.backend import make_simulator
 from repro.schedule.operations import random_valid_string
 from repro.schedule.simulator import InvalidScheduleError
-from repro.schedule.valid_range import allocate_by_places
+from repro.schedule.valid_range import allocate_by_places, place_by_probes
 from repro.workloads import WorkloadSpec, build_workload
 from tests.routes import walker
 from tests.strategies import workload_strings, workloads
@@ -81,7 +82,9 @@ def test_allocate_agrees_with_its_specification(
 ):
     """Compiled ``allocate`` == ``allocate_by_places`` == the Python
     tier, for any selection (repeats and any order included) over the
-    top-Y ranking or an arbitrary table with repeated machines."""
+    top-Y ranking or an arbitrary table with repeated machines, and for
+    a one-subtask selection of every subtask over Y machines in any
+    order, where ``trials`` counts that subtask's probes."""
     w, s = data
     fast, slow = _tiers(w, network, platform, avail, nic)
     eff = fast.workload
@@ -96,12 +99,16 @@ def test_allocate_agrees_with_its_specification(
     selected = draw.draw(
         st.lists(st.integers(0, k - 1), max_size=2 * k), label="selected"
     )
-    args = (s, selected, candidates, all_positions)
-    want = _outcome(partial(allocate_by_places, slow), *args)
-    assert _outcome(fast.allocate, *args) == want
-    assert _outcome(partial(allocate_by_places, fast), *args) == want
-    assert _outcome(slow.allocate, *args) == want
-    assert want[2] >= 1 + want[3]  # one prepare, one more per move
+    machines = draw.draw(st.permutations(range(l)), label="machines")[:y]
+    row = np.tile(np.array(machines, dtype=np.int64), (k, 1))
+    runs = [(selected, candidates)] + [([t], row) for t in range(k)]
+    for chosen, table in runs:
+        args = (s, chosen, table, all_positions)
+        want = _outcome(partial(allocate_by_places, slow), *args)
+        assert _outcome(fast.allocate, *args) == want
+        assert _outcome(partial(allocate_by_places, fast), *args) == want
+        assert _outcome(slow.allocate, *args) == want
+        assert want[2] >= 1 + want[3]  # one prepare, one more per move
     if fast.walker_tier == "compiled":
         string = s.copy()
         state = fast.allocate(string, selected, candidates, all_positions)[0]
@@ -123,13 +130,46 @@ def test_allocate_agrees_on_long_strings(network):
     assert _outcome(fast.allocate, s, selected, candidates, False) == want
 
 
+@pytest.mark.parametrize("network", ["contention-free", "nic"])
+@given(workload_strings(max_machines=6), st.data())
+@settings(max_examples=40, deadline=None)
+def test_one_subtask_allocate_is_one_place_by_probes(network, data, draw):
+    """A one-subtask ``allocate`` on either tier leaves the subtask at
+    ``place_by_probes``'s (index, machine), at its cost, after one
+    prepare, its probes and one more prepare if it moved; for every
+    subtask, both slot modes and 1 <= Y <= l candidates in any order."""
+    w, s = data
+    l = w.num_machines
+    y = draw.draw(st.integers(1, l), label="Y")
+    machines = draw.draw(st.permutations(range(l)), label="machines")[:y]
+    all_positions = draw.draw(st.booleans(), label="all_positions")
+    row = np.tile(np.array(machines, dtype=np.int64), (w.num_tasks, 1))
+    for sim in _tiers(w, network):
+        state = sim.prepare(s.order, s.machines)
+        for task in range(s.num_tasks):
+            cost, index, machine, probes = place_by_probes(
+                sim, state, s.order, s.machines, task, machines, all_positions
+            )
+            string = s.copy()
+            got, trials, moved = sim.allocate(
+                string, [task], row, all_positions
+            )
+            placed = (string.position_of(task), string.machine_of(task))
+            assert placed == (index, machine)
+            assert moved == int(
+                placed != (s.position_of(task), s.machine_of(task))
+            )
+            assert trials == 1 + probes + moved
+            assert got.makespan == cost
+
+
 @given(workloads(max_machines=6), _networks, _platforms)
 @settings(max_examples=80, deadline=None)
 def test_optimal_finish_is_the_specification_bit_for_bit(w, network, platform):
     for sim in _tiers(w, network, platform):
         eff = sim.workload
         want = optimal_finish_times(eff)
-        got = GoodnessEvaluator(eff, sim).optimal
+        got = GoodnessEvaluator(sim).optimal
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

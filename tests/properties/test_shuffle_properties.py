@@ -154,15 +154,19 @@ def test_paper_scale_limit_against_the_specification():
 
 @pytest.mark.parametrize("tier", ["compiled", "python"])
 def test_initial_solution_through_a_backend(tier):
-    """The SE initial string is the same with and without a backend,
-    and leaves the generator in the same state."""
+    """The SE initial string is the paper's recipe with the
+    specification's moves (machines, then the move count, then
+    ``shuffle_string``), and leaves the generator in the same state."""
     w = build_workload(WorkloadSpec(num_tasks=40, num_machines=5, seed=2))
     with walker(tier):
         sim = Simulator(w)
     for seed in range(5):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = initial_solution(w.graph, w.num_machines, a)
-        assert initial_solution(w.graph, w.num_machines, b, backend=sim) == want
+        machines = a.integers(w.num_machines, size=40).tolist()
+        num_moves = int(a.integers(40, 121))  # shuffle_range (1, 3)
+        order = _spec(w, w.graph.topological_order(), a, num_moves)
+        want = ScheduleString(order, machines, w.num_machines)
+        assert initial_solution(sim, b) == want
         assert _same_state(a.bit_generator.state, b.bit_generator.state)
 
 

@@ -6,10 +6,6 @@ across the two tiers of both scalar backends, and equal to the
 reference walk written from the model, from random busy machine and NIC
 states.  Probes move one or two subtasks at a time, so the delta walks
 cover the rejoin exit, the clean shortcut and the NIC restart floor.
-``place`` on the compiled tier must equal its Python specification
-(``place_by_probes``) on all four results, and the window and slots the
-C walker derives must be ``valid_insertion_range`` /
-``machine_slot_indices``.
 """
 
 import math
@@ -30,11 +26,7 @@ from repro.model import (
 from repro.schedule.backend import plain_schedule
 from repro.schedule.operations import random_valid_string
 from repro.schedule.simulator import InvalidScheduleError, Simulator
-from repro.schedule.valid_range import (
-    machine_slot_indices,
-    place_by_probes,
-    valid_insertion_range,
-)
+from repro.schedule.valid_range import place_by_probes, valid_insertion_range
 from repro.workloads import WorkloadSpec, build_workload
 from tests.properties.test_reference_walk_properties import reference_walk
 from tests.routes import walker
@@ -164,7 +156,7 @@ def test_unchanged_string_delta_is_the_base_makespan(cls, tiny_workload):
 @pytest.mark.parametrize("cls", [Simulator, ContentionSimulator])
 def test_long_strings_agree_across_tiers(cls):
     """Past 512 tasks the compiled walker copies its inputs to the heap
-    instead of the stack; ``makespan``, ``prepare``, ``place`` and
+    instead of the stack; ``makespan``, ``prepare``, ``allocate`` and
     ``evaluate_delta`` stay ``==``."""
     w = build_workload(WorkloadSpec(num_tasks=600, num_machines=4, seed=9))
     s = random_valid_string(w.graph, w.num_machines, 2)
@@ -177,12 +169,17 @@ def test_long_strings_agree_across_tiers(cls):
     )
     a, b = fast.prepare(s.order, s.machines), slow.prepare(s.order, s.machines)
     assert a.finish == b.finish and a.span_prefix == b.span_prefix
+    candidates = np.tile(np.array([3, 0, 1], dtype=np.int64), (600, 1))
     for task, all_positions in ((s.order[10], False), (s.order[590], True)):
-        got = fast.place(a, s.order, s.machines, task, (3, 0, 1), all_positions)
-        assert got[3] > 1
-        assert got == slow.place(
-            b, s.order, s.machines, task, (3, 0, 1), all_positions
-        )
+        outcomes = []
+        for sim in (fast, slow):
+            string = s.copy()
+            state, trials, moved = sim.allocate(
+                string, [task], candidates, all_positions
+            )
+            outcomes.append((string, trials, moved, state.makespan))
+        assert outcomes[0][1] > 2  # the prepare and more than one probe
+        assert outcomes[0] == outcomes[1]
     task = s.order[300]
     idx = valid_insertion_range(s, w.graph, task)[0]
     s.relocate(task, idx, (s.machine_of(task) + 1) % 4)
@@ -192,58 +189,14 @@ def test_long_strings_agree_across_tiers(cls):
     )
 
 
-@given(
-    workload_strings(max_machines=6),
-    st.one_of(st.none(), _busy),
-    st.one_of(st.none(), _busy),
-    st.data(),
-)
-@settings(max_examples=80)
-def test_place_agrees_with_its_specification(data, avail, nic, draw):
-    """Compiled ``place`` == ``place_by_probes`` (over the compiled and
-    the Python deltas) on (cost, index, machine, probes), for every
-    task, both slot modes and 1 <= Y <= l candidates in any order, from
-    idle or busy machines and NICs."""
-    w, s = data
-    l = w.num_machines
-    y = draw.draw(st.integers(1, l), label="Y")
-    candidates = draw.draw(st.permutations(range(l)), label="machines")[:y]
-    all_positions = draw.draw(st.booleans(), label="all_positions")
-    for fast, slow, _nic0 in _pairs(w, avail, nic):
-        sa = fast.prepare(s.order, s.machines)
-        sb = slow.prepare(s.order, s.machines)
-        for task in range(s.num_tasks):
-            got = fast.place(
-                sa, s.order, s.machines, task, candidates, all_positions
-            )
-            assert isinstance(got[3], int)
-            assert got == slow.place(
-                sb, s.order, s.machines, task, candidates, all_positions
-            )
-            assert got == place_by_probes(
-                fast, sa, s.order, s.machines, task, candidates, all_positions
-            )
-            lo, hi = valid_insertion_range(s, w.graph, task)
-            for m in candidates:
-                assert fast._c.slots(sa, task, m, False) == (
-                    machine_slot_indices(s, w.graph, task, m)
-                )
-                assert fast._c.slots(sa, task, m, True) == list(
-                    range(lo, hi + 1)
-                )
-
-
 @pytest.mark.parametrize(
     "cls", [Simulator, ContentionSimulator], ids=["plain", "nic"]
 )
 @pytest.mark.parametrize("tier", ["compiled", "python"])
-def test_place_rejects_what_evaluate_delta_rejects(cls, tier):
-    """Both tiers raise one error type per malformed input: TypeError
-    for a state of the other tier; ValueError for a state of the other
-    network or of another workload shape (``evaluate_delta`` too), an
-    out-of-range task or candidate machine, or a string other than the
-    state's; InvalidScheduleError for an order that is not a
-    permutation."""
+def test_evaluate_delta_rejects_a_state_it_cannot_resume(cls, tier):
+    """Both tiers raise one error type per foreign state: TypeError for
+    a state of the other tier; ValueError for a state of the other
+    network or of another workload shape."""
     w = build_workload(WorkloadSpec(num_tasks=12, num_machines=3, seed=4))
     small = build_workload(WorkloadSpec(num_tasks=8, num_machines=3, seed=4))
     other_cls = ContentionSimulator if cls is Simulator else Simulator
@@ -256,43 +209,26 @@ def test_place_rejects_what_evaluate_delta_rejects(cls, tier):
     s = random_valid_string(w.graph, w.num_machines, 5)
     o, m = s.order, s.machines
     ss = random_valid_string(small.graph, small.num_machines, 5)
-    t = s.order[0]
-
-    def place(state=None, order=o, machine_of=m, task=t, cands=(0, 2)):
-        state = sim.prepare(o, m) if state is None else state
-        return sim.place(state, order, machine_of, task, cands, False)
-
     for error, bad in (
         (TypeError, foreign.prepare(o, m)),
         (ValueError, other.prepare(o, m)),
         (ValueError, shrunk.prepare(ss.order, ss.machines)),
     ):
         with pytest.raises(error):
-            place(state=bad)
-        with pytest.raises(error):
             sim.evaluate_delta(o, m, 0, bad)
-    for task in (w.num_tasks, -1):
-        with pytest.raises(ValueError):
-            place(task=task)
-    for cands in ((0, w.num_machines), (-1,)):
-        with pytest.raises(ValueError):
-            place(cands=cands)
-    with pytest.raises(InvalidScheduleError):
-        place(order=[o[1]] + o[1:])
-    with pytest.raises(ValueError):
-        place(machine_of=[(x + 1) % w.num_machines for x in m])
-    assert place()[3] > 0
+    state = sim.prepare(o, m)
+    assert sim.evaluate_delta(o, m, 0, state) == state.makespan
 
 
 @pytest.mark.parametrize(
     "cls", [Simulator, ContentionSimulator], ids=["plain", "nic"]
 )
 @pytest.mark.parametrize("tier", ["compiled", "python"])
-def test_place_rejects_a_string_that_breaks_its_graph(cls, tier):
+def test_place_by_probes_rejects_a_string_that_breaks_its_graph(cls, tier):
     """A state of another DAG with the same shape passes the shape
     check; when its string leaves the task no valid insertion index,
-    both tiers raise InvalidScheduleError rather than probe outside the
-    window."""
+    the probe loop raises InvalidScheduleError over both tiers rather
+    than probe outside the window."""
     rng = np.random.default_rng(0)
 
     def chain(edges):
@@ -309,4 +245,6 @@ def test_place_rejects_a_string_that_breaks_its_graph(cls, tier):
     state = other.prepare([0, 1, 2], [0, 1, 0])
     for all_positions in (False, True):
         with pytest.raises(InvalidScheduleError):
-            sim.place(state, [0, 1, 2], [0, 1, 0], 1, (0, 1), all_positions)
+            place_by_probes(
+                sim, state, [0, 1, 2], [0, 1, 0], 1, (0, 1), all_positions
+            )

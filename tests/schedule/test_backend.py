@@ -3,6 +3,7 @@
 import pytest
 
 from repro.extensions.contention import ContentionSimulator
+from repro.optim import EvaluationService
 from repro.schedule import (
     DEFAULT_NETWORK,
     NIC_NETWORK,
@@ -12,6 +13,7 @@ from repro.schedule import (
     make_simulator,
     plain_schedule,
 )
+from repro.schedule.walker import load
 from repro.workloads import WorkloadSpec, build_workload
 
 
@@ -55,6 +57,39 @@ class TestRegistry:
             ):
                 assert callable(getattr(sim, method)), (name, method)
             assert sim.workload is workload
+
+    @pytest.mark.parametrize(
+        "route", ["contention-free", "nic", "weighted", "scenarios", "walker"]
+    )
+    def test_one_route_per_se_phase(self, workload, route):
+        """SE's allocation phase has one backend call, ``allocate``: no
+        backend, wrapper or compiled walker keeps a per-subtask
+        ``place`` or its ``slots`` beside it."""
+        if route in available_networks():
+            backend = make_simulator(workload, route)
+        elif route == "weighted":
+            backend = EvaluationService(
+                workload, objective="weighted:1:0.5"
+            ).backend
+        elif route == "scenarios":
+            backend = EvaluationService(
+                workload,
+                objective="quantile:0.9",
+                scenarios=4,
+                distribution="uniform:0.3",
+            ).backend
+        else:
+            module = load()[0]
+            if module is None:
+                pytest.skip("the compiled walker does not load on this host")
+            backend = module.Walker
+        assert callable(getattr(backend, "allocate")), backend
+        assert not hasattr(backend, "place"), backend
+        assert not hasattr(backend, "slots"), backend
+
+    def test_protocol_has_no_place(self):
+        assert callable(getattr(SimulatorBackend, "allocate"))
+        assert "place" not in dir(SimulatorBackend)
 
 
 class TestPlainSchedule:

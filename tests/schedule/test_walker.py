@@ -434,7 +434,7 @@ class TestInitialStateValidation:
         from repro.core.initial import initial_solution
 
         w = small_workload(seed=1)
-        s = initial_solution(w.graph, w.num_machines, np.random.default_rng(1))
+        s = initial_solution(Simulator(w), np.random.default_rng(1))
         idle = cls(w).makespan(s.order, s.machines)
         assert idle > 0
         l = w.num_machines

@@ -52,13 +52,13 @@ def test_service_schedule_of_stays_nominal():
     assert svc.schedule_of(s).makespan == base.string_makespan(s)
 
 
-def test_place_scores_every_probe_over_the_scenarios(monkeypatch):
-    """``ScenarioBackend.place`` runs the specification's probe loop
-    over its own ``evaluate_delta``: every probe is a risk scalar."""
+def test_allocate_scores_every_probe_over_the_scenarios(monkeypatch):
+    """``ScenarioBackend.allocate`` of one subtask runs the
+    specification's probe loop over its own ``evaluate_delta``: every
+    probe is a risk scalar."""
     w = small_workload(seed=1)
     backend = EvaluationService(w, **RISK).backend
     s = _string(w)
-    state = backend.prepare(s.order, s.machines)
     scored = []
     delta = backend.evaluate_delta
 
@@ -68,13 +68,11 @@ def test_place_scores_every_probe_over_the_scenarios(monkeypatch):
 
     monkeypatch.setattr(backend, "evaluate_delta", spy)
     task = s.order[len(s.order) // 2]
-    cost, index, machine, probes = backend.place(
-        state, s.order, s.machines, task, range(w.num_machines), False
-    )
-    assert probes == len(scored) > 1
-    assert cost == min(scored)
-    s.relocate(task, index, machine)
-    assert backend.string_makespan(s) == cost
+    table = np.tile(np.arange(w.num_machines), (w.num_tasks, 1))
+    state, trials, moved = backend.allocate(s, [task], table, False)
+    assert trials - 1 - moved == len(scored) > 1
+    assert state.makespan == min(scored)
+    assert backend.string_makespan(s) == state.makespan
 
 
 def test_deterministic_service_has_no_scenario_machinery():

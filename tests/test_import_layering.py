@@ -216,7 +216,7 @@ PER_STEP_METHODS = frozenset(
         "string_makespan",
         "prepare",
         "evaluate_delta",
-        "place",
+        "allocate",
         "score_moves",
         "shuffle",
         "makespans",

@@ -25,10 +25,6 @@ class TestWorkloadSpec:
         assert WorkloadSpec(num_tasks=20).size_class() == "small"
         assert WorkloadSpec(num_tasks=100).size_class() == "large"
 
-    def test_with_seed(self):
-        spec = WorkloadSpec(seed=1).with_seed(2)
-        assert spec.seed == 2
-
     def test_build_dimensions(self):
         w = build_workload(WorkloadSpec(num_tasks=25, num_machines=5, seed=1))
         assert w.num_tasks == 25
@@ -131,17 +127,6 @@ class TestSuites:
         s = smoke_suite(seed=1)
         w = s.cells[0].build()
         assert w.num_tasks == 20
-
-    def test_build_all(self):
-        s = WorkloadSuite(
-            num_tasks=8,
-            num_machines=2,
-            connectivities=("low",),
-            heterogeneities=("low",),
-            ccrs=(0.1,),
-            seed=1,
-        )
-        assert len(s.build_all()) == 1
 
     def test_replicates_have_distinct_seeds(self):
         s = WorkloadSuite(
