@@ -77,10 +77,12 @@ skipped via a per-job epoch counter.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import Any, List, Optional, Tuple
 
+from repro.model.workload import Workload
 from repro.online.arrivals import JobArrival, JobStream
 from repro.online.metrics import JobRecord, OnlineMetrics, summarize
 from repro.online.policies import ReoptConfig, dispatch, improve_residual
@@ -93,7 +95,7 @@ from repro.schedule.backend import (
 from repro.schedule.encoding import ScheduleString
 from repro.schedule.simulator import Schedule
 from repro.utils.rng import derive_seed
-from repro.workloads.presets import build_workload
+from repro.workloads.presets import WorkloadSpec, build_workload
 
 #: Same-instant event ordering (lower runs first).
 _PRIO_TASK_DONE = 0
@@ -114,6 +116,8 @@ class _CommittedJob:
         "schedule",
         "avail_before",
         "nic_before",
+        "scored_avail",
+        "scored_nic",
         "epoch",
         "fired",
         "t_dispatch",
@@ -131,6 +135,9 @@ class _CommittedJob:
         # the rollback point for re-optimisation
         self.avail_before: List[float] = []
         self.nic_before: List[float] = []
+        # the state the committed schedule was scored against
+        self.scored_avail: Tuple[float, ...] = ()
+        self.scored_nic: Optional[Tuple[float, ...]] = None
         self.epoch = 0
         self.fired = 0  # completion events already logged
         self.t_dispatch = 0.0
@@ -139,15 +146,52 @@ class _CommittedJob:
 
 @dataclass(frozen=True)
 class CommittedJobView:
-    """Read-only view of one job's final committed schedule."""
+    """Read-only view of one job's final committed schedule.
+
+    The view keeps the job's committed string and the machine state it
+    was last scored against: ``avail`` (availability clamped to the
+    commit time) and, under ``"nic"``, ``nic_free``.  ``evaluated`` (the
+    backend's ``evaluate`` result, with its
+    :class:`~repro.extensions.contention.TransferRecord` list under
+    ``"nic"``) and ``schedule`` (its plain
+    :class:`~repro.schedule.simulator.Schedule`) are rebuilt on first
+    read from ``build_workload(spec)`` against that state, and then
+    kept — ``==`` to what the run committed, since a scalar backend's
+    ``evaluate`` is a pure function of the workload, the string and the
+    initial state.  So a kept :class:`OnlineResult` holds no schedule
+    and no workload until a view is asked for one (the pattern of
+    :attr:`repro.optim.result.SearchResult.best_schedule`).  Only a job
+    whose spec has no integer seed keeps the run's ``workload``:
+    building such a spec again would draw another DAG.
+    """
 
     job_id: str
     t_arrival: float
     t_dispatch: float
     t_completed: float
     string: ScheduleString
-    schedule: Schedule
-    evaluated: Any
+    spec: WorkloadSpec = field(repr=False)
+    network: str
+    avail: Tuple[float, ...] = field(repr=False)
+    nic_free: Optional[Tuple[float, ...]] = field(repr=False)
+    workload: Optional[Workload] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @cached_property
+    def evaluated(self) -> Any:
+        workload = self.workload
+        sim = make_simulator(
+            build_workload(self.spec) if workload is None else workload,
+            self.network,
+            initial_avail=self.avail,
+            initial_nic_free=self.nic_free,
+        )
+        return sim.evaluate(self.string)
+
+    @cached_property
+    def schedule(self) -> Schedule:
+        return plain_schedule(self.evaluated)
 
 
 @dataclass(frozen=True)
@@ -232,6 +276,8 @@ class DynamicSimulator:
             initial_nic_free=nic_free if self._track_nic else None,
         )
         evaluated = sim.evaluate(string)
+        job.scored_avail = tuple(eff_avail)
+        job.scored_nic = tuple(nic_free) if self._track_nic else None
         job.string = string
         job.evaluated = evaluated
         job.schedule = plain_schedule(evaluated)
@@ -413,8 +459,13 @@ class DynamicSimulator:
                 t_dispatch=j.t_dispatch,
                 t_completed=j.t_completed,
                 string=j.string,
-                schedule=j.schedule,
-                evaluated=j.evaluated,
+                spec=j.arrival.spec,
+                network=self._network,
+                avail=j.scored_avail,
+                nic_free=j.scored_nic,
+                workload=(
+                    None if isinstance(j.arrival.spec.seed, int) else j.workload
+                ),
             )
             for j in committed
         )

@@ -15,7 +15,7 @@ bit-identity tests in ``tests/test_golden_engines.py``):
         if elapsed >= time_limit: break            #      -> "time"
         outcome = step(iteration)                  # the engine's work
         update best / stall                        # strict improvement
-        record IterationRecord; notify observers
+        append the trace row; notify observers
         if stall >= stall_iterations: break        #      -> "stall"
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generic, Optional, Sequence, TypeVar
 
-from repro.analysis.trace import ConvergenceTrace
+from repro.analysis.trace import ConvergenceTrace, IterationRecord
 from repro.optim.observers import Observer, ObserverBus
 from repro.optim.stop import (
     STOP_ITERATIONS,
@@ -141,6 +141,8 @@ class SearchLoop(Generic[S]):
         """
         stop = self._stop
         tracker = self._tracker
+        # observers get a record; the trace itself keeps only columns
+        notify = self._bus.notify if len(self._bus) else None
         recorder = TrajectoryRecorder()
         if watch is None:
             watch = Stopwatch()
@@ -156,19 +158,31 @@ class SearchLoop(Generic[S]):
             out = step(iteration)
             tracker.update(out.cost, out.candidate)
             if out.record:
-                record = recorder.record(
-                    iteration=iteration,
-                    current_cost=out.cost,
-                    best_cost=tracker.best_cost,
-                    elapsed_seconds=watch.elapsed(),
-                    evaluations=self._evaluations(),
-                    num_selected=out.num_selected,
-                    mean_goodness=out.mean_goodness,
+                best_cost = tracker.best_cost
+                elapsed = watch.elapsed()
+                evaluations = self._evaluations()
+                recorder.record(
+                    iteration,
+                    out.cost,
+                    best_cost,
+                    elapsed,
+                    evaluations,
+                    out.num_selected,
+                    out.mean_goodness,
                 )
-                self._bus.notify(
-                    record,
-                    out.payload if out.payload is not None else out.candidate,
-                )
+                if notify is not None:
+                    notify(
+                        IterationRecord(
+                            iteration,
+                            out.cost,
+                            best_cost,
+                            out.num_selected,
+                            elapsed,
+                            out.mean_goodness,
+                            evaluations,
+                        ),
+                        out.payload if out.payload is not None else out.candidate,
+                    )
             if stop.stalled(tracker.stall):
                 stopped_by = STOP_STALL
                 break

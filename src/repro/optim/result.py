@@ -5,6 +5,11 @@ SA and tabu return a :class:`SearchResult`; SE's
 :class:`~repro.baselines.ga.engine.GAResult` extend it, so downstream
 code (registry entries, the comparison harness, the figure benchmarks)
 treats every engine uniformly.
+
+Results are kept (one per runner cell, per comparison run, per
+benchmark episode), so a result holds what it reports and no more: the
+best string, a column-wise trace, and the counts; the best schedule is
+evaluated only when read.
 """
 
 from __future__ import annotations
@@ -34,7 +39,9 @@ class SearchResult:
         *schedule_source*, so a kept result costs no schedule until it
         is asked for.  Do not mutate *best_string* before reading it.
     trace:
-        Per-iteration convergence records.
+        Per-iteration convergence records, stored column-wise (see
+        :mod:`repro.analysis.trace`): a kept result holds ~40-57 bytes
+        per recorded iteration, not one record object each.
     iterations:
         Iterations executed (engine-specific granularity: SE iterations,
         GA generations, SA proposals, tabu steps).

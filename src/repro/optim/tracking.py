@@ -6,11 +6,11 @@ cost improvement (ties keep the old best and count toward the stall
 streak), and the stored best is a *copy* of the candidate so engines can
 keep mutating their working solution in place.
 
-:class:`TrajectoryRecorder` builds the
-:class:`~repro.analysis.trace.IterationRecord` rows of a
-:class:`~repro.analysis.trace.ConvergenceTrace` — the exact record/trace
-types the figure benchmarks and the runner already consume, so a
-refactored engine's trace is indistinguishable from the hand-rolled one.
+:class:`TrajectoryRecorder` appends each iteration's values straight
+into the columns of a :class:`~repro.analysis.trace.ConvergenceTrace` —
+the exact trace type the figure benchmarks and the runner already
+consume, so a refactored engine's trace is indistinguishable from the
+hand-rolled one.
 
 :class:`ParetoTracker` is :class:`BestTracker`'s bi-objective sibling:
 instead of one scalar incumbent it maintains the **non-dominated front**
@@ -28,7 +28,7 @@ import copy as _copy
 from dataclasses import dataclass
 from typing import Any, Callable, Generic, Iterator, Optional, TypeVar
 
-from repro.analysis.trace import ConvergenceTrace, IterationRecord
+from repro.analysis.trace import ConvergenceTrace
 from repro.schedule.encoding import ScheduleString
 
 S = TypeVar("S")
@@ -212,7 +212,12 @@ class ParetoTracker:
 
 
 class TrajectoryRecorder:
-    """Accumulates per-iteration records into a :class:`ConvergenceTrace`."""
+    """Accumulates per-iteration records into a :class:`ConvergenceTrace`.
+
+    Each :meth:`record` goes straight into the trace's columns; no
+    :class:`~repro.analysis.trace.IterationRecord` is built (read
+    ``trace[-1]`` for one).
+    """
 
     __slots__ = ("trace",)
 
@@ -228,15 +233,13 @@ class TrajectoryRecorder:
         evaluations: int,
         num_selected: Optional[int] = None,
         mean_goodness: Optional[float] = None,
-    ) -> IterationRecord:
-        rec = IterationRecord(
-            iteration=iteration,
-            current_makespan=current_cost,
-            best_makespan=best_cost,
-            num_selected=num_selected,
-            elapsed_seconds=elapsed_seconds,
-            mean_goodness=mean_goodness,
-            evaluations=evaluations,
+    ) -> None:
+        self.trace.add(
+            iteration,
+            current_cost,
+            best_cost,
+            num_selected,
+            elapsed_seconds,
+            mean_goodness,
+            evaluations,
         )
-        self.trace.append(rec)
-        return rec

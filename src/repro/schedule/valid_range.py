@@ -104,6 +104,14 @@ def machine_slot_indices(
     reachable schedules is identical.
     """
     lo, hi = valid_insertion_range(string, graph, task)
+    return _slots_in_window(string, task, machine, lo, hi)
+
+
+def _slots_in_window(
+    string: ScheduleString, task: int, machine: int, lo: int, hi: int
+) -> list[int]:
+    """:func:`machine_slot_indices` within *task*'s window ``[lo, hi]``
+    already derived from *string*."""
     own = string.position_of(task)
     machines = string.machines
     order = string.order
@@ -172,7 +180,7 @@ def place_by_probes(
         if all_positions:
             indices = range(lo, hi + 1)
         else:
-            indices = machine_slot_indices(string, graph, task, machine)
+            indices = _slots_in_window(string, task, machine, lo, hi)
         for idx in indices:
             string.relocate(task, idx, machine)
             if orig_pos < idx:

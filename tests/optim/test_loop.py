@@ -3,6 +3,7 @@ ObserverBus and the SearchLoop driver."""
 
 import pytest
 
+from repro.analysis.trace import IterationRecord
 from repro.optim import (
     BestTracker,
     ObserverBus,
@@ -102,14 +103,14 @@ class TestObserverBus:
                 lambda rec, s: seen.append(("b", rec.iteration)),
             ]
         )
-        rec = TrajectoryRecorder().record(1, 1.0, 1.0, 0.0, 0)
+        rec = IterationRecord(1, 1.0, 1.0)
         bus.notify(rec, None)
         assert seen == [("a", 1), ("b", 1)]
 
     def test_empty_bus_is_a_noop(self):
         bus = ObserverBus()
         assert len(bus) == 0
-        rec = TrajectoryRecorder().record(1, 1.0, 1.0, 0.0, 0)
+        rec = IterationRecord(1, 1.0, 1.0)
         bus.notify(rec, None)  # must not raise
 
 
