@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation integrity checker (the CI ``docs`` job).
 
-Three classes of rot this catches:
+Five classes of rot this catches:
 
 1. **Dead intra-repo links** — every relative markdown link or image in
    the checked documents must point at a file (or ``file#anchor``) that
@@ -17,15 +17,23 @@ Three classes of rot this catches:
    accepts fail the build, not the reader.
 
 3. **Phantom classes** — in README.md and ``docs/*.md``, every
-   inline-code span that starts with a CamelCase name (followed by the
-   end of the span, ``.`` or ``(``) must name a ``class`` defined under
-   ``src/repro``, apart from the few names in :data:`NOT_CLASSES`.  A
-   doc that still names a deleted class fails the build.
+   inline-code span that starts with a CamelCase name (a capital, then
+   at least one lowercase letter somewhere, so acronym-led names such as
+   ``HCSystem`` count; followed by the end of the span, ``.`` or ``(``)
+   must name a ``class`` defined under ``src/repro``, apart from the few
+   names in :data:`NOT_CLASSES`.  A doc that still names a deleted class
+   fails the build.
 
 4. **Phantom dotted names** — in the same documents, every inline-code
    span that starts with ``repro.`` must resolve: the longest importable
    module prefix is imported and the rest looked up with ``getattr``.
    A doc that still names a deleted function or module fails the build.
+
+5. **Phantom docstring targets** — under ``src/repro``, every
+   ``repro.``-qualified target of a ``:class:`` / ``:func:`` /
+   ``:meth:`` / ``:mod:`` / ``:attr:`` / ``:data:`` / ``:exc:`` role
+   (with or without ``~``, and also when wrapped over two lines) must
+   resolve the same way.
 
 Run from the repo root (CI does):  ``python scripts/check_docs.py``.
 Exits non-zero listing every violation.  ``--self-test`` runs the
@@ -65,9 +73,12 @@ _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 _FENCE = re.compile(r"```(?:\w*)\n(.*?)```", re.DOTALL)
 _INLINE = re.compile(r"`(repro [^`]+)`")
 _SPAN = re.compile(r"`([^`\n]+)`")
-_CAMEL = re.compile(r"([A-Z][a-z0-9]\w*)(?:[.(]|$)")
+_CAMEL = re.compile(r"([A-Z][A-Za-z0-9]*[a-z]\w*)(?:[.(]|$)")
 _CLASS_DEF = re.compile(r"^\s*class\s+(\w+)", re.MULTILINE)
 _DOTTED = re.compile(r"repro(?:\.\w+)+")
+_ROLE = re.compile(
+    r":(?:class|func|meth|mod|attr|data|exc):`~?(repro\.[^`]*)`"
+)
 
 
 # ----------------------------------------------------------------------
@@ -247,6 +258,22 @@ def check_dotted_references(doc: Path, text: str) -> list[str]:
     return errors
 
 
+def check_docstring_targets(path: Path, text: str) -> list[str]:
+    """``repro.``-qualified role targets in the source *text* that do
+    not resolve (a target wrapped over lines is joined first)."""
+    errors = []
+    for m in _ROLE.finditer(text):
+        target = re.sub(r"\s+", "", m.group(1))
+        dotted = _DOTTED.match(target)
+        if not dotted or not _resolves(dotted.group(0)):
+            line = text.count("\n", 0, m.start()) + 1
+            errors.append(
+                f"{path.relative_to(REPO)}:{line}: {target} does not "
+                f"resolve"
+            )
+    return errors
+
+
 # ----------------------------------------------------------------------
 # driver
 # ----------------------------------------------------------------------
@@ -267,6 +294,8 @@ def run(documents=DOCUMENTS) -> list[str]:
         if name in CLASS_DOCUMENTS:
             errors += check_class_references(doc, text, classes)
             errors += check_dotted_references(doc, text)
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        errors += check_docstring_targets(path, path.read_text())
     return errors
 
 
@@ -296,6 +325,9 @@ def self_test() -> None:
     # ... but not a class the package does not define
     assert check_class_references(doc, "`BatchBackend.is_vectorized`", classes)
     assert check_class_references(doc, "`NoSuchKernel`", classes)
+    # acronym-led names are classes too; an all-capitals symbol is not
+    assert check_class_references(doc, "`HCSystem`", classes)
+    assert check_class_references(doc, "`CCR`, `E`, `IPPS`", classes) == []
     # dotted spans must resolve to a module or one of its attributes ...
     live = "`repro.optim`, `repro.analysis.grid.run_grid`, `repro.perf`"
     assert check_dotted_references(doc, live) == []
@@ -306,6 +338,17 @@ def self_test() -> None:
     assert check_dotted_references(doc, "`repro.no_such_module.thing`")
     # and docs/*.md files are covered
     assert "docs/architecture.md" in CLASS_DOCUMENTS
+    # docstring role targets resolve, also when wrapped over two lines ...
+    src = REPO / "src" / "repro" / "__init__.py"
+    live = (
+        ":class:`~repro.optim.evaluation.\n    EvaluationService` and "
+        ":func:`repro.schedule.backend.make_simulator`"
+    )
+    assert check_docstring_targets(src, live) == []
+    # ... so a deleted class or function is reported, wrapped or not
+    assert check_docstring_targets(src, ":class:`repro.model.HCSystem`")
+    gone = ":func:`~repro.schedule.simulator.\n    evaluate_schedule`"
+    assert check_docstring_targets(src, gone)
 
 
 def main(argv) -> int:
@@ -320,7 +363,7 @@ def main(argv) -> int:
         print(f"docs check: {len(errors)} problem(s)", file=sys.stderr)
         return 1
     checked = ", ".join(DOCUMENTS)
-    print(f"docs check: OK ({checked})")
+    print(f"docs check: OK ({checked}, src/repro docstring targets)")
     return 0
 
 

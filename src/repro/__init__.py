@@ -78,7 +78,6 @@ __getattr__, __dir__, __all__ = exports(
             "run_tabu",
         ),
         "repro.model": (
-            "HCSystem",
             "TaskGraph",
             "Workload",
             "WorkloadClass",
@@ -89,7 +88,6 @@ __getattr__, __dir__, __all__ = exports(
             "ScheduleString",
             "Simulator",
             "compute_metrics",
-            "evaluate_schedule",
             "verify_schedule",
         ),
         "repro.workloads": ("WorkloadSpec", "build_workload"),

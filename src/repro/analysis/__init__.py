@@ -20,11 +20,8 @@ __getattr__, __dir__, __all__ = exports(
         ),
         "repro.analysis.convergence": (
             "StagnationStats",
-            "iterations_to_within",
             "normalized_auc",
-            "speedup_to_reach",
             "stagnation",
-            "time_to_target",
         ),
         "repro.analysis.compare": (
             "COMPARISON_SE_BIAS",
@@ -35,17 +32,12 @@ __getattr__, __dir__, __all__ = exports(
             "series_from_trace",
         ),
         "repro.analysis.pareto": ("cheapest_within", "pareto_front", "pareto_table"),
-        "repro.analysis.report": (
-            "ExperimentRecord",
-            "markdown_table",
-            "render_report",
-        ),
+        "repro.analysis.report": ("markdown_table",),
         "repro.analysis.robust": ("RiskSummary", "compare_risk", "risk_profile"),
         "repro.analysis.stats": (
             "SummaryStats",
             "WinLossRecord",
             "geometric_mean",
-            "makespan_ratio",
             "summarize",
             "win_loss",
         ),

@@ -2,47 +2,16 @@
 
 Quantifies the *rate* claims the paper makes qualitatively ("SE reaches
 good solutions faster", "the rate to reach good solutions improves with
-Y"): time/iterations to reach a target, normalised area under the
-best-so-far curve, and stagnation statistics.
+Y"): normalised area under the best-so-far curve and stagnation
+statistics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.analysis.trace import ConvergenceTrace
-
-
-def time_to_target(
-    trace: ConvergenceTrace, target_makespan: float
-) -> Optional[float]:
-    """Wall-clock seconds until the best makespan first reaches *target*.
-
-    ``None`` if the run never got there.
-    """
-    for r in trace.records:
-        if r.best_makespan <= target_makespan:
-            return r.elapsed_seconds
-    return None
-
-
-def iterations_to_within(
-    trace: ConvergenceTrace, fraction: float
-) -> Optional[int]:
-    """First iteration whose best is within ``(1 + fraction)`` of the
-    run's final best.  ``fraction=0.05`` asks "when was it 5%-close?".
-    """
-    if fraction < 0:
-        raise ValueError(f"fraction must be >= 0, got {fraction}")
-    if not len(trace):
-        return None
-    target = trace.final_best() * (1.0 + fraction)
-    for r in trace.records:
-        if r.best_makespan <= target:
-            return r.iteration
-    return None  # pragma: no cover - final record always qualifies
 
 
 def normalized_auc(trace: ConvergenceTrace) -> float:
@@ -93,21 +62,3 @@ def stagnation(trace: ConvergenceTrace) -> StagnationStats:
         improvements=improvements,
         total_iterations=len(trace),
     )
-
-
-def speedup_to_reach(
-    fast: ConvergenceTrace, slow: ConvergenceTrace, target_makespan: float
-) -> Optional[float]:
-    """How many times faster *fast* reached *target* than *slow*.
-
-    ``None`` when either run never reached the target; ``inf`` when the
-    slow run took (effectively) zero time is impossible since records
-    carry positive elapsed times.
-    """
-    tf = time_to_target(fast, target_makespan)
-    ts = time_to_target(slow, target_makespan)
-    if tf is None or ts is None:
-        return None
-    if tf <= 0:
-        return math.inf
-    return ts / tf

@@ -1,15 +1,8 @@
-"""Experiment records and markdown rendering.
-
-Each figure benchmark produces an :class:`ExperimentRecord` — experiment
-id, the paper's expected shape, the measured outcome, and a pass/deviate
-verdict — and EXPERIMENTS.md aggregates them.  The markdown helpers keep
-table formatting in one place.
-"""
+"""Markdown rendering: table formatting kept in one place."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 
 def markdown_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -25,66 +18,3 @@ def markdown_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> 
     sep = "|" + "|".join("---" for _ in headers) + "|"
     body = ["| " + " | ".join(str(c) for c in r) + " |" for r in rows]
     return "\n".join([head, sep, *body])
-
-
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """Paper-vs-measured record for one experiment (one figure/ablation).
-
-    Attributes
-    ----------
-    experiment_id:
-        DESIGN.md id, e.g. ``"FIG3A"``.
-    description:
-        What the experiment shows.
-    paper_expectation:
-        The shape the paper reports (who wins, what decays, ...).
-    measured:
-        What this reproduction observed (free text with numbers).
-    matches:
-        Whether the measured shape matches the paper's expectation.
-    details:
-        Optional extra key/value context (parameters, seeds).
-    """
-
-    experiment_id: str
-    description: str
-    paper_expectation: str
-    measured: str
-    matches: bool
-    details: Mapping[str, object] = field(default_factory=dict)
-
-    def verdict(self) -> str:
-        return "matches" if self.matches else "DEVIATES"
-
-    def to_markdown(self) -> str:
-        lines = [
-            f"### {self.experiment_id} — {self.description}",
-            "",
-            f"* **Paper:** {self.paper_expectation}",
-            f"* **Measured:** {self.measured}",
-            f"* **Verdict:** {self.verdict()}",
-        ]
-        if self.details:
-            lines.append("* **Parameters:** " + ", ".join(
-                f"{k}={v}" for k, v in sorted(self.details.items())
-            ))
-        return "\n".join(lines)
-
-
-def render_report(
-    title: str, records: Sequence[ExperimentRecord]
-) -> str:
-    """A full markdown report over several experiment records."""
-    lines = [f"# {title}", ""]
-    summary_rows = [
-        (r.experiment_id, r.description, r.verdict()) for r in records
-    ]
-    lines.append(
-        markdown_table(["experiment", "description", "verdict"], summary_rows)
-    )
-    lines.append("")
-    for r in records:
-        lines.append(r.to_markdown())
-        lines.append("")
-    return "\n".join(lines)

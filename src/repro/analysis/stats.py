@@ -87,13 +87,6 @@ def geometric_mean(values: Sequence[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def makespan_ratio(baseline: float, candidate: float) -> float:
-    """``baseline / candidate`` — >1 means the candidate is better."""
-    if candidate <= 0 or baseline <= 0:
-        raise ValueError("makespans must be strictly positive")
-    return baseline / candidate
-
-
 @dataclass(frozen=True)
 class WinLossRecord:
     """Win/tie/loss tally of algorithm A against algorithm B."""

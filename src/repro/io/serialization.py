@@ -16,8 +16,7 @@ from typing import Any
 from repro.analysis.trace import ConvergenceTrace, IterationRecord
 from repro.model.graph import TaskGraph
 from repro.model.matrices import ExecutionTimeMatrix, TransferTimeMatrix
-from repro.model.system import HCSystem
-from repro.model.task import DataItem, Subtask
+from repro.model.task import DataItem
 from repro.model.workload import Workload, WorkloadClass
 from repro.schedule.encoding import ScheduleString
 from repro.schedule.simulator import Schedule
@@ -51,7 +50,7 @@ def _check_version(doc: dict, kind: str) -> None:
 
 
 def workload_to_dict(workload: Workload) -> dict:
-    """Encode *workload* (graph + system + matrices + metadata)."""
+    """Encode *workload* (graph + matrices + metadata)."""
     g = workload.graph
     c = workload.classification
     return {
@@ -94,7 +93,7 @@ def workload_from_dict(doc: dict) -> Workload:
         )
         for d in _require(doc, "data_items", "workload")
     ]
-    graph = TaskGraph([Subtask(i) for i in range(k)], items)
+    graph = TaskGraph(k, items)
     e = ExecutionTimeMatrix(_require(doc, "exec_times", "workload"))
     tr_rows = _require(doc, "transfer_times", "workload")
     # an empty Tr arrives as [] and loses its column count; rebuild shape
@@ -119,7 +118,6 @@ def workload_from_dict(doc: dict) -> Workload:
     )
     return Workload(
         graph,
-        HCSystem.of_size(l),
         e,
         tr,
         classification=classification,

@@ -90,10 +90,7 @@ def schedule_to_svg(
             f'<rect x="{MARGIN_LEFT}" y="{y}" width="{plot_w}" '
             f'height="{LANE_HEIGHT}" fill="#f4f4f4"/>'
         )
-        name = escape(workload.system.machine(m).name)
-        parts.append(
-            f'<text x="8" y="{y + LANE_HEIGHT / 2 + 4}">{name}</text>'
-        )
+        parts.append(f'<text x="8" y="{y + LANE_HEIGHT / 2 + 4}">m{m}</text>')
 
     # task blocks
     for t in schedule.order:

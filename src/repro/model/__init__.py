@@ -1,9 +1,9 @@
 """The heterogeneous-computing problem model (paper §2).
 
-Subtasks and data items form a DAG (:class:`TaskGraph`); machines form a
-fully connected :class:`HCSystem`; costs live in the execution-time matrix
-``E`` and the transfer-time matrix ``Tr``; a :class:`Workload` bundles one
-complete problem instance.
+Subtask indices and data items form a DAG (:class:`TaskGraph`); costs
+live in the execution-time matrix ``E``, whose ``l`` rows are the
+machines of the fully connected HC system, and the transfer-time matrix
+``Tr``; a :class:`Workload` bundles one complete problem instance.
 """
 
 from repro._lazy import exports
@@ -12,7 +12,6 @@ __getattr__, __dir__, __all__ = exports(
     __name__,
     {
         "repro.model.graph": ("TaskGraph",),
-        "repro.model.machine": ("Machine", "MachineSet"),
         "repro.model.matrices": (
             "ExecutionTimeMatrix",
             "TransferTimeMatrix",
@@ -31,11 +30,9 @@ __getattr__, __dir__, __all__ = exports(
             "FIGURE2_PAIRS",
             "PAPER_O4",
             "paper_sample_graph",
-            "paper_sample_system",
             "paper_sample_workload",
         ),
-        "repro.model.system": ("FULLY_CONNECTED", "HCSystem"),
-        "repro.model.task": ("DataItem", "Subtask"),
+        "repro.model.task": ("DataItem",),
         "repro.model.workload": ("Workload", "WorkloadClass"),
     },
 )

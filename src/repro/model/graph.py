@@ -1,4 +1,4 @@
-"""The application DAG: subtasks as vertices, data items as edges.
+"""The application DAG: subtask indices as vertices, data items as edges.
 
 ``TaskGraph`` is the immutable structural backbone of the library.  It is
 built once per workload and then queried millions of times from the SE /
@@ -11,21 +11,22 @@ on call, so ``import repro`` does not need it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from numbers import Integral
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
 
-from repro.model.task import DataItem, Subtask
+from repro.model.task import DataItem
 
 if TYPE_CHECKING:
     import networkx as nx
 
 
 class TaskGraph:
-    """A directed acyclic graph of :class:`Subtask` linked by :class:`DataItem`.
+    """A directed acyclic graph of ``k`` subtasks linked by :class:`DataItem`.
 
     Parameters
     ----------
-    subtasks:
-        The ``k`` subtasks; indices must be dense ``0..k-1`` (any order).
+    num_tasks:
+        ``k``, an int ``>= 1``; the subtasks are ``0..k-1``.
     data_items:
         The ``p`` data items; indices must be dense ``0..p-1`` (any order).
         Each item contributes one edge ``producer -> consumer``.  Parallel
@@ -33,13 +34,16 @@ class TaskGraph:
 
     Raises
     ------
+    TypeError
+        If *num_tasks* is not an int (a bool or a float is refused).
     ValueError
-        If indices are not dense, an item references a missing subtask, or
-        the resulting directed graph has a cycle.
+        If *num_tasks* is below 1, item indices are not dense, an item
+        references a missing subtask, or the resulting directed graph has
+        a cycle.
     """
 
     __slots__ = (
-        "_subtasks",
+        "_k",
         "_items",
         "_pred",
         "_succ",
@@ -50,22 +54,17 @@ class TaskGraph:
         "_num_levels",
     )
 
-    def __init__(
-        self,
-        subtasks: Iterable[Subtask],
-        data_items: Iterable[DataItem] = (),
-    ):
-        subs = sorted(subtasks)
+    def __init__(self, num_tasks: int, data_items: Iterable[DataItem] = ()):
+        if isinstance(num_tasks, bool) or not isinstance(num_tasks, Integral):
+            raise TypeError(
+                f"num_tasks must be an int, got {type(num_tasks).__name__}"
+            )
+        k = int(num_tasks)
+        if k < 1:
+            raise ValueError(
+                f"a task graph needs at least one subtask, got num_tasks={k}"
+            )
         items = sorted(data_items)
-        k = len(subs)
-        if k == 0:
-            raise ValueError("a task graph needs at least one subtask")
-        for expect, s in enumerate(subs):
-            if s.index != expect:
-                raise ValueError(
-                    f"subtask indices must be dense 0..{k - 1}; "
-                    f"missing or duplicate index near {expect}"
-                )
         for expect, d in enumerate(items):
             if d.index != expect:
                 raise ValueError(
@@ -77,7 +76,7 @@ class TaskGraph:
                     f"data item {d.index} references subtask "
                     f"({d.producer} -> {d.consumer}) outside 0..{k - 1}"
                 )
-        self._subtasks: Tuple[Subtask, ...] = tuple(subs)
+        self._k = k
         self._items: Tuple[DataItem, ...] = tuple(items)
 
         pred: list[list[int]] = [[] for _ in range(k)]
@@ -126,7 +125,6 @@ class TaskGraph:
         """
         if sizes is not None and len(sizes) != len(edges):
             raise ValueError("sizes must match edges in length")
-        subs = [Subtask(i) for i in range(num_tasks)]
         items = [
             DataItem(
                 i,
@@ -136,7 +134,7 @@ class TaskGraph:
             )
             for i, (u, v) in enumerate(edges)
         ]
-        return cls(subs, items)
+        return cls(num_tasks, items)
 
     @classmethod
     def from_networkx(cls, g: "nx.DiGraph") -> "TaskGraph":
@@ -199,7 +197,7 @@ class TaskGraph:
     @property
     def num_tasks(self) -> int:
         """``k`` — the number of subtasks."""
-        return len(self._subtasks)
+        return self._k
 
     @property
     def num_data_items(self) -> int:
@@ -207,24 +205,11 @@ class TaskGraph:
         return len(self._items)
 
     @property
-    def subtasks(self) -> Tuple[Subtask, ...]:
-        return self._subtasks
-
-    @property
     def data_items(self) -> Tuple[DataItem, ...]:
         return self._items
 
-    def subtask(self, index: int) -> Subtask:
-        return self._subtasks[index]
-
     def data_item(self, index: int) -> DataItem:
         return self._items[index]
-
-    def __iter__(self) -> Iterator[Subtask]:
-        return iter(self._subtasks)
-
-    def __len__(self) -> int:
-        return len(self._subtasks)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -213,7 +213,6 @@ class BoundPlatform:
         ).reshape(-1, 1)
         return Workload(
             graph=workload.graph,
-            system=workload.system,
             exec_times=ExecutionTimeMatrix(scaled),
             transfer_times=workload.transfer_times,
             classification=workload.classification,

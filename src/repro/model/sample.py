@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from repro.model.graph import TaskGraph
 from repro.model.matrices import ExecutionTimeMatrix, TransferTimeMatrix
-from repro.model.system import HCSystem
-from repro.model.task import DataItem, Subtask
+from repro.model.task import DataItem
 from repro.model.workload import Workload, WorkloadClass
 
 #: DAG edges, one per data item d0..d5 (producer, consumer).
@@ -69,28 +68,23 @@ PAPER_O4 = 1835.0
 
 def paper_sample_graph() -> TaskGraph:
     """The 7-subtask / 6-data-item DAG of Figure 1a."""
-    subtasks = [Subtask(i) for i in range(7)]
     items = [
         DataItem(i, producer=u, consumer=v, size=SAMPLE_TRANSFER_TIMES[i])
         for i, (u, v) in enumerate(SAMPLE_EDGES)
     ]
-    return TaskGraph(subtasks, items)
-
-
-def paper_sample_system() -> HCSystem:
-    """The 2-machine fully connected system of Figure 1b."""
-    return HCSystem.of_size(2, architectures=("SIMD", "MIMD"))
+    return TaskGraph(7, items)
 
 
 def paper_sample_workload() -> Workload:
-    """The full Figure-1 problem instance as a :class:`Workload`."""
+    """The full Figure-1 problem instance as a :class:`Workload`.
+
+    Its ``E`` has two rows: the 2-machine system of Figure 1b.
+    """
     graph = paper_sample_graph()
-    system = paper_sample_system()
     e = ExecutionTimeMatrix(SAMPLE_EXEC_TIMES)
     tr = TransferTimeMatrix([list(SAMPLE_TRANSFER_TIMES)], num_machines=2)
     return Workload(
         graph,
-        system,
         e,
         tr,
         classification=WorkloadClass(

@@ -1,44 +1,19 @@
-"""Subtasks and data items — the vertices and edge payloads of the DAG.
+"""Data items — the edge payloads of the DAG.
 
 Terminology follows the paper (§2): an *application task* is decomposed
 into coarse-grained **subtasks** ``Sb = {s_i, 0 <= i < k}``; the values
 exchanged between subtasks form the **data items** ``D = {d_i, 0 <= i < p}``.
-A data item is produced by exactly one subtask and consumed by exactly one
-subtask, i.e. it annotates one DAG edge.  (Two subtasks may exchange several
-distinct data items — that is simply several parallel edges, each with its
-own transfer-time column in ``Tr``.)
+A subtask is just its index in ``[0, k)`` (a column of ``E``), so only
+the data items have an object.  A data item is produced by exactly one
+subtask and consumed by exactly one subtask, i.e. it annotates one DAG
+edge.  (Two subtasks may exchange several distinct data items — that is
+simply several parallel edges, each with its own transfer-time column in
+``Tr``.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True, order=True)
-class Subtask:
-    """One coarse-grained unit of the application.
-
-    Attributes
-    ----------
-    index:
-        Dense identifier in ``[0, k)``; used to index the columns of the
-        execution-time matrix ``E``.
-    name:
-        Human-readable label; defaults to ``"s{index}"`` as in the paper's
-        figures.
-    """
-
-    index: int
-    name: str = field(default="", compare=False)
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"subtask index must be >= 0, got {self.index}")
-        if not self.name:
-            object.__setattr__(self, "name", f"s{self.index}")
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.name
 
 
 @dataclass(frozen=True, order=True)
@@ -57,15 +32,12 @@ class DataItem:
     size:
         Abstract size (used by workload generators to derive transfer
         times from the CCR knob); purely informational once ``Tr`` exists.
-    name:
-        Human-readable label; defaults to ``"d{index}"``.
     """
 
     index: int
     producer: int
     consumer: int
     size: float = field(default=1.0, compare=False)
-    name: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         if self.index < 0:
@@ -82,13 +54,9 @@ class DataItem:
             )
         if self.size < 0:
             raise ValueError(f"data item size must be >= 0, got {self.size}")
-        if not self.name:
-            object.__setattr__(self, "name", f"d{self.index}")
 
     @property
     def edge(self) -> tuple[int, int]:
         """The DAG edge ``(producer, consumer)`` this item annotates."""
         return (self.producer, self.consumer)
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.name}({self.producer}->{self.consumer})"

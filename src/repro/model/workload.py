@@ -3,8 +3,9 @@
 The paper (§5) defines a workload as "a DAG representing an application
 task, the number of machines in the HC system, the matrix E, and the
 matrix Tr", classified along three axes: connectivity, heterogeneity and
-communication-to-cost ratio (CCR).  :class:`Workload` bundles exactly
-those pieces, cross-validates their dimensions once, and offers the cost
+communication-to-cost ratio (CCR).  :class:`Workload` bundles the DAG and
+the two matrices (the machine count ``l`` is the number of rows of
+``E``), cross-validates their dimensions once, and offers the cost
 queries the schedule simulator needs.
 """
 
@@ -15,7 +16,6 @@ from typing import Optional
 
 from repro.model.graph import TaskGraph
 from repro.model.matrices import ExecutionTimeMatrix, TransferTimeMatrix
-from repro.model.system import HCSystem
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,11 @@ class Workload:
     ----------
     graph:
         The application DAG (``k`` subtasks, ``p`` data items).
-    system:
-        The HC system (``l`` machines, fully connected).
     exec_times:
-        The ``l x k`` matrix ``E``.
+        The ``l x k`` matrix ``E``; its rows are the ``l`` machines of the
+        fully connected HC system.
     transfer_times:
-        The ``l(l-1)/2 x p`` matrix ``Tr``.
+        The ``l(l-1)/2 x p`` matrix ``Tr``, sized for the same ``l``.
     classification:
         Optional :class:`WorkloadClass` metadata.
     name:
@@ -67,7 +66,6 @@ class Workload:
 
     __slots__ = (
         "_graph",
-        "_system",
         "_exec",
         "_transfer",
         "classification",
@@ -77,26 +75,20 @@ class Workload:
     def __init__(
         self,
         graph: TaskGraph,
-        system: HCSystem,
         exec_times: ExecutionTimeMatrix,
         transfer_times: TransferTimeMatrix,
         classification: Optional[WorkloadClass] = None,
         name: str = "",
     ):
-        if exec_times.num_machines != system.num_machines:
-            raise ValueError(
-                f"E has {exec_times.num_machines} machine rows but the "
-                f"system has {system.num_machines} machines"
-            )
         if exec_times.num_tasks != graph.num_tasks:
             raise ValueError(
                 f"E has {exec_times.num_tasks} task columns but the graph "
                 f"has {graph.num_tasks} subtasks"
             )
-        if transfer_times.num_machines != system.num_machines:
+        if transfer_times.num_machines != exec_times.num_machines:
             raise ValueError(
                 f"Tr is sized for {transfer_times.num_machines} machines "
-                f"but the system has {system.num_machines}"
+                f"but E has {exec_times.num_machines} machine rows"
             )
         if transfer_times.num_items != graph.num_data_items:
             raise ValueError(
@@ -104,11 +96,12 @@ class Workload:
                 f"graph has {graph.num_data_items} data items"
             )
         self._graph = graph
-        self._system = system
         self._exec = exec_times
         self._transfer = transfer_times
         self.classification = classification or WorkloadClass()
-        self.name = name or f"workload-k{graph.num_tasks}-l{system.num_machines}"
+        self.name = name or (
+            f"workload-k{graph.num_tasks}-l{exec_times.num_machines}"
+        )
 
     # ------------------------------------------------------------------
     # accessors
@@ -117,10 +110,6 @@ class Workload:
     @property
     def graph(self) -> TaskGraph:
         return self._graph
-
-    @property
-    def system(self) -> HCSystem:
-        return self._system
 
     @property
     def exec_times(self) -> ExecutionTimeMatrix:
@@ -137,8 +126,8 @@ class Workload:
 
     @property
     def num_machines(self) -> int:
-        """``l``."""
-        return self._system.num_machines
+        """``l`` — the number of rows of ``E``."""
+        return self._exec.num_machines
 
     @property
     def num_data_items(self) -> int:

@@ -393,6 +393,13 @@ class DynamicSimulator:
                         "job": job.arrival.job_id,
                     }
                 )
+                # a finished job is never rolled back: keep only what
+                # its view reads (a seedless spec's view needs the run's
+                # workload, as building it again would draw another DAG)
+                job.evaluated = job.schedule = None
+                job.avail_before = job.nic_before = []
+                if isinstance(job.arrival.spec.seed, int):
+                    job.workload = None
 
             elif kind == "arrival":
                 arr = stream[payload[1]]
@@ -463,9 +470,7 @@ class DynamicSimulator:
                 network=self._network,
                 avail=j.scored_avail,
                 nic_free=j.scored_nic,
-                workload=(
-                    None if isinstance(j.arrival.spec.seed, int) else j.workload
-                ),
+                workload=j.workload,
             )
             for j in committed
         )

@@ -37,7 +37,6 @@ __getattr__, __dir__, __all__ = exports(
         "repro.schedule.encoding": (
             "ScheduleString",
             "is_valid_for",
-            "topological_string",
         ),
         "repro.schedule.metrics": (
             "ScheduleMetrics",
@@ -62,13 +61,10 @@ __getattr__, __dir__, __all__ = exports(
             "InvalidScheduleError",
             "Schedule",
             "Simulator",
-            "evaluate_schedule",
         ),
         "repro.schedule.timeline": ("MachineSpan", "Timeline", "verify_schedule"),
         "repro.schedule.valid_range": (
-            "assert_in_valid_range",
             "machine_slot_indices",
-            "range_width",
             "valid_insertion_range",
         ),
     },

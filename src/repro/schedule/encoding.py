@@ -231,10 +231,3 @@ def is_valid_for(string: ScheduleString, graph: TaskGraph) -> bool:
     if string.num_tasks != graph.num_tasks:
         return False
     return graph.is_valid_order(string.order)
-
-
-def topological_string(
-    graph: TaskGraph, machine_of: Sequence[int], num_machines: int
-) -> ScheduleString:
-    """A valid string placing tasks in the graph's topological order."""
-    return ScheduleString(graph.topological_order(), machine_of, num_machines)

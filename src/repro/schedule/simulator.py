@@ -925,12 +925,3 @@ class Simulator(_ScalarBackend):
                 if bound > frontier:
                     frontier = bound
         return span
-
-
-def evaluate_schedule(workload: Workload, string: ScheduleString) -> Schedule:
-    """One-shot evaluation (builds a throwaway :class:`Simulator`).
-
-    Prefer constructing a :class:`Simulator` when evaluating many strings
-    against the same workload.
-    """
-    return Simulator(workload).evaluate(string)

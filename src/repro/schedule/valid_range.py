@@ -67,24 +67,6 @@ def valid_insertion_range(
     return lo, hi
 
 
-def range_width(string: ScheduleString, graph: TaskGraph, task: int) -> int:
-    """Number of valid insertion indices for *task* (always >= 1)."""
-    lo, hi = valid_insertion_range(string, graph, task)
-    return hi - lo + 1
-
-
-def assert_in_valid_range(
-    string: ScheduleString, graph: TaskGraph, task: int, insertion_index: int
-) -> None:
-    """Raise ``ValueError`` if the proposed move would break a dependency."""
-    lo, hi = valid_insertion_range(string, graph, task)
-    if not lo <= insertion_index <= hi:
-        raise ValueError(
-            f"insertion index {insertion_index} for subtask {task} outside "
-            f"its valid range [{lo}, {hi}]"
-        )
-
-
 def machine_slot_indices(
     string: ScheduleString,
     graph: TaskGraph,

@@ -237,7 +237,7 @@ class ScenarioSet:
       tensor (``None`` when the workload has no data items);
     * :meth:`workload_for` — scenario ``s`` as a
       :class:`~repro.model.workload.Workload` sharing the nominal
-      graph/system objects (the *same* nominal object under a
+      graph object (the *same* nominal object under a
       deterministic distribution, preserving bit-identity), which is
       what the scenario backends are built from.
     """
@@ -298,7 +298,7 @@ class ScenarioSet:
     def workload_for(self, s: int) -> Workload:
         """Scenario *s* as a :class:`Workload` (cached).
 
-        Shares the nominal graph, system and classification objects;
+        Shares the nominal graph and classification objects;
         only the matrices differ.  Under a deterministic distribution
         this *is* the nominal workload object, so downstream packing
         and scoring are bit-identical to the plain path.
@@ -316,7 +316,6 @@ class ScenarioSet:
         trt = self.transfer_tensor
         built = Workload(
             graph=w.graph,
-            system=w.system,
             exec_times=ExecutionTimeMatrix(self.exec_tensor[s]),
             transfer_times=(
                 w.transfer_times

@@ -1,4 +1,4 @@
-"""Shared utilities: deterministic RNG handling, validation helpers, timers."""
+"""Shared utilities: deterministic RNG handling and a stopwatch."""
 
 from repro._lazy import exports
 
@@ -9,17 +9,8 @@ __getattr__, __dir__, __all__ = exports(
             "RandomSource",
             "as_rng",
             "derive_seed",
-            "random_permutation",
             "spawn_rngs",
-            "weighted_choice",
         ),
-        "repro.utils.timers": ("Stopwatch", "TimeBudget"),
-        "repro.utils.validation": (
-            "check_fraction_range",
-            "check_index",
-            "check_nonnegative",
-            "check_positive",
-            "check_probability",
-        ),
+        "repro.utils.timers": ("Stopwatch",),
     },
 )

@@ -11,7 +11,7 @@ the same seed must produce identical traces.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Iterable, Sequence, Union
+from typing import Any, Union
 
 import numpy as np
 
@@ -77,32 +77,3 @@ def spawn_rngs(source: RandomSource, n: int) -> list[np.random.Generator]:
     else:
         seq = np.random.SeedSequence(source)
     return [np.random.default_rng(child) for child in seq.spawn(n)]
-
-
-def random_permutation(
-    rng: np.random.Generator, items: Sequence
-) -> list:
-    """Return a new list with *items* in a uniformly random order."""
-    idx = rng.permutation(len(items))
-    return [items[i] for i in idx]
-
-
-def weighted_choice(
-    rng: np.random.Generator,
-    items: Sequence,
-    weights: Iterable[float],
-) -> object:
-    """Roulette-wheel selection of one element of *items*.
-
-    Weights must be non-negative and not all zero.  Used by the GA
-    baseline's fitness-proportionate selection.
-    """
-    w = np.asarray(list(weights), dtype=float)
-    if len(w) != len(items):
-        raise ValueError("items and weights must have the same length")
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("at least one weight must be positive")
-    return items[int(rng.choice(len(items), p=w / total))]

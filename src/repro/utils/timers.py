@@ -1,17 +1,14 @@
-"""Wall-clock helpers for time-budgeted experiments.
+"""Wall-clock helper for time-budgeted experiments.
 
 The paper's SE-vs-GA figures (Figs. 5-7) plot the *best schedule length
-found so far* against *real time*; both algorithms therefore run under a
-shared wall-clock budget rather than an iteration count.  ``TimeBudget``
-is the single source of truth for that: engines poll :meth:`TimeBudget.expired`
-at iteration boundaries.
+found so far* against *real time*.  :class:`Stopwatch` times them; the
+engines' stopping rule (iterations, wall clock, stall) is
+:class:`repro.optim.stop.StopPolicy`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional
 
 
 class Stopwatch:
@@ -34,53 +31,3 @@ class Stopwatch:
     def elapsed(self) -> float:
         """Seconds since construction or last :meth:`restart`."""
         return time.perf_counter() - self._start
-
-
-@dataclass
-class TimeBudget:
-    """A wall-clock budget with an optional iteration cap.
-
-    Either limit may be ``None`` (unbounded); an engine stops as soon as
-    *any* configured limit is hit.  A budget with both limits ``None``
-    never expires — engines that accept one must also have their own
-    stopping criterion.
-    """
-
-    seconds: Optional[float] = None
-    max_iterations: Optional[int] = None
-    _watch: Stopwatch = field(default_factory=Stopwatch, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.seconds is not None and self.seconds < 0:
-            raise ValueError(f"seconds must be >= 0, got {self.seconds}")
-        if self.max_iterations is not None and self.max_iterations < 0:
-            raise ValueError(
-                f"max_iterations must be >= 0, got {self.max_iterations}"
-            )
-
-    def start(self) -> "TimeBudget":
-        """(Re)start the wall clock; returns self for chaining."""
-        self._watch.restart()
-        return self
-
-    def elapsed(self) -> float:
-        """Seconds elapsed since :meth:`start` (or construction)."""
-        return self._watch.elapsed()
-
-    def expired(self, iteration: int) -> bool:
-        """True once the wall clock or the iteration cap is exhausted."""
-        if self.max_iterations is not None and iteration >= self.max_iterations:
-            return True
-        if self.seconds is not None and self._watch.elapsed() >= self.seconds:
-            return True
-        return False
-
-    @classmethod
-    def iterations(cls, n: int) -> "TimeBudget":
-        """Budget limited only by an iteration count."""
-        return cls(seconds=None, max_iterations=n)
-
-    @classmethod
-    def wall_clock(cls, seconds: float) -> "TimeBudget":
-        """Budget limited only by wall-clock time."""
-        return cls(seconds=seconds, max_iterations=None)

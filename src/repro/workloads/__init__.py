@@ -12,7 +12,7 @@ from repro._lazy import exports
 __getattr__, __dir__, __all__ = exports(
     __name__,
     {
-        "repro.workloads.ccr": ("CCR_CLASSES", "ccr_class", "transfer_matrix"),
+        "repro.workloads.ccr": ("CCR_CLASSES", "transfer_matrix"),
         "repro.workloads.generator": (
             "CONNECTIVITY_EDGES_PER_TASK",
             "chain_dag",
@@ -46,7 +46,6 @@ __getattr__, __dir__, __all__ = exports(
         "repro.workloads.suite": (
             "SuiteCell",
             "WorkloadSuite",
-            "paper_comparison_suite",
             "smoke_suite",
         ),
     },

@@ -77,8 +77,3 @@ def transfer_matrix(
         base[d.index] = ccr * anchor * rng.uniform(*item_jitter)
     pair_factor = rng.uniform(*pair_jitter, size=rows)
     return TransferTimeMatrix(pair_factor[:, None] * base[None, :], l)
-
-
-def ccr_class(value: float) -> str:
-    """Qualitative class of a numeric CCR (nearest of the paper's values)."""
-    return min(CCR_CLASSES, key=lambda name: abs(CCR_CLASSES[name] - value))

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from repro.model.graph import TaskGraph
-from repro.model.task import DataItem, Subtask
+from repro.model.task import DataItem
 from repro.utils.rng import RandomSource, as_rng
 
 #: Mapping of the paper's qualitative connectivity classes to the mean
@@ -100,7 +100,7 @@ def layered_dag(
     rng = as_rng(seed)
 
     if num_tasks == 1:
-        return TaskGraph([Subtask(0)], [])
+        return TaskGraph(1)
 
     if num_levels is None:
         num_levels = int(round(num_tasks**0.5))
@@ -133,7 +133,7 @@ def layered_dag(
         )
         for i, (u, v) in enumerate(sorted(edges))
     ]
-    return TaskGraph([Subtask(t) for t in range(num_tasks)], items)
+    return TaskGraph(num_tasks, items)
 
 
 def gnp_dag(
@@ -169,7 +169,7 @@ def gnp_dag(
         DataItem(i, producer=u, consumer=v, size=float(rng.uniform(lo, hi)))
         for i, (u, v) in enumerate(sorted(edges))
     ]
-    return TaskGraph([Subtask(t) for t in range(num_tasks)], items)
+    return TaskGraph(num_tasks, items)
 
 
 def chain_dag(num_tasks: int, size: float = 1.0) -> TaskGraph:
@@ -180,7 +180,7 @@ def chain_dag(num_tasks: int, size: float = 1.0) -> TaskGraph:
         DataItem(i, producer=i, consumer=i + 1, size=size)
         for i in range(num_tasks - 1)
     ]
-    return TaskGraph([Subtask(t) for t in range(num_tasks)], items)
+    return TaskGraph(num_tasks, items)
 
 
 def fork_join_dag(num_branches: int, size: float = 1.0) -> TaskGraph:
@@ -197,4 +197,4 @@ def fork_join_dag(num_branches: int, size: float = 1.0) -> TaskGraph:
     for b in range(1, num_branches + 1):
         items.append(DataItem(idx, producer=b, consumer=sink, size=size))
         idx += 1
-    return TaskGraph([Subtask(t) for t in range(k)], items)
+    return TaskGraph(k, items)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.model.system import HCSystem
 from repro.model.workload import Workload, WorkloadClass
 from repro.utils.rng import RandomSource, spawn_rngs
 from repro.workloads.ccr import transfer_matrix
@@ -108,14 +107,12 @@ def build_workload(spec: WorkloadSpec) -> Workload:
         seed=rng_exec,
     )
     tr = transfer_matrix(graph, e, spec.ccr, seed=rng_tr)
-    system = HCSystem.of_size(spec.num_machines)
     name = spec.name or (
         f"k{spec.num_tasks}-l{spec.num_machines}-{spec.connectivity}conn-"
         f"{spec.heterogeneity}het-ccr{spec.ccr:g}"
     )
     return Workload(
         graph,
-        system,
         e,
         tr,
         classification=WorkloadClass(

@@ -76,18 +76,6 @@ class WorkloadSuite:
         return tuple(self._cells)
 
 
-def paper_comparison_suite(
-    seed: RandomSource = None, replicates: int = 1
-) -> WorkloadSuite:
-    """The §5.3 grid: 100 tasks x 20 machines over all three axes."""
-    return WorkloadSuite(
-        num_tasks=100,
-        num_machines=20,
-        replicates=replicates,
-        seed=seed,
-    )
-
-
 def smoke_suite(seed: RandomSource = None) -> WorkloadSuite:
     """A tiny 2x2x2 grid of small workloads for tests and quick checks."""
     return WorkloadSuite(

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.analysis.convergence import (
-    iterations_to_within,
-    normalized_auc,
-    speedup_to_reach,
-    stagnation,
-    time_to_target,
-)
+from repro.analysis.convergence import normalized_auc, stagnation
 from repro.analysis.trace import ConvergenceTrace, IterationRecord
 
 
@@ -24,38 +18,6 @@ def trace_from(bests, elapsed=None):
             )
         )
     return t
-
-
-class TestTimeToTarget:
-    def test_reached(self):
-        t = trace_from([100, 90, 80], elapsed=[1.0, 2.0, 3.0])
-        assert time_to_target(t, 90) == 2.0
-
-    def test_first_record_qualifies(self):
-        t = trace_from([50], elapsed=[1.5])
-        assert time_to_target(t, 60) == 1.5
-
-    def test_never_reached(self):
-        t = trace_from([100, 90])
-        assert time_to_target(t, 10) is None
-
-
-class TestIterationsToWithin:
-    def test_within_fraction(self):
-        t = trace_from([120, 105, 100])
-        # 5% of final best 100 = 105 -> iteration 2
-        assert iterations_to_within(t, 0.05) == 2
-
-    def test_zero_fraction_is_final(self):
-        t = trace_from([120, 105, 100])
-        assert iterations_to_within(t, 0.0) == 3
-
-    def test_empty_trace(self):
-        assert iterations_to_within(ConvergenceTrace(), 0.1) is None
-
-    def test_negative_fraction_rejected(self):
-        with pytest.raises(ValueError, match="fraction"):
-            iterations_to_within(trace_from([1.0]), -0.1)
 
 
 class TestNormalizedAuc:
@@ -97,18 +59,6 @@ class TestStagnation:
         assert s.improvements == 2
 
 
-class TestSpeedupToReach:
-    def test_basic_ratio(self):
-        fast = trace_from([100, 50], elapsed=[1.0, 2.0])
-        slow = trace_from([100, 50], elapsed=[1.0, 8.0])
-        assert speedup_to_reach(fast, slow, 50) == pytest.approx(4.0)
-
-    def test_none_when_unreached(self):
-        fast = trace_from([100], elapsed=[1.0])
-        slow = trace_from([100, 50], elapsed=[1.0, 8.0])
-        assert speedup_to_reach(fast, slow, 50) is None
-
-
 class TestOnRealRuns:
     def test_se_run_analytics(self, tiny_workload):
         from repro.core import SEConfig, run_se
@@ -119,5 +69,3 @@ class TestOnRealRuns:
         stats = stagnation(res.trace)
         assert stats.improvements >= 1
         assert stats.total_iterations == 40
-        within = iterations_to_within(res.trace, 0.10)
-        assert 1 <= within <= 40

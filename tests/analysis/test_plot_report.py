@@ -3,11 +3,7 @@
 import pytest
 
 from repro.analysis.ascii_plot import Series, line_plot, sparkline
-from repro.analysis.report import (
-    ExperimentRecord,
-    markdown_table,
-    render_report,
-)
+from repro.analysis.report import markdown_table
 
 
 class TestSeries:
@@ -97,35 +93,3 @@ class TestMarkdownTable:
     def test_empty_headers_rejected(self):
         with pytest.raises(ValueError, match="header"):
             markdown_table([], [])
-
-
-class TestExperimentRecord:
-    def test_verdict(self):
-        ok = ExperimentRecord("X", "d", "p", "m", matches=True)
-        bad = ExperimentRecord("X", "d", "p", "m", matches=False)
-        assert ok.verdict() == "matches"
-        assert bad.verdict() == "DEVIATES"
-
-    def test_markdown_contains_fields(self):
-        r = ExperimentRecord(
-            "FIG3A",
-            "selected decay",
-            "decays",
-            "decayed 49 -> 2",
-            matches=True,
-            details={"seed": 1},
-        )
-        md = r.to_markdown()
-        assert "FIG3A" in md
-        assert "decays" in md
-        assert "seed=1" in md
-
-    def test_render_report(self):
-        recs = [
-            ExperimentRecord("A", "first", "p", "m", True),
-            ExperimentRecord("B", "second", "p", "m", False),
-        ]
-        rep = render_report("Title", recs)
-        assert rep.startswith("# Title")
-        assert "DEVIATES" in rep
-        assert "| A | first | matches |" in rep

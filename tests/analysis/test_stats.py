@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.stats import (
     WinLossRecord,
     geometric_mean,
-    makespan_ratio,
     summarize,
     win_loss,
 )
@@ -68,17 +67,6 @@ class TestGeometricMean:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="nothing"):
             geometric_mean([])
-
-
-class TestMakespanRatio:
-    def test_candidate_better_gives_gt_one(self):
-        assert makespan_ratio(100.0, 50.0) == 2.0
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            makespan_ratio(0.0, 5.0)
-        with pytest.raises(ValueError):
-            makespan_ratio(5.0, 0.0)
 
 
 class TestWinLoss:

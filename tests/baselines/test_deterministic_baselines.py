@@ -18,7 +18,6 @@ from repro.baselines.base import IncrementalScheduleBuilder
 from repro.baselines.listsched import downward_ranks, mean_transfer_times
 from repro.model import (
     ExecutionTimeMatrix,
-    HCSystem,
     TaskGraph,
     TransferTimeMatrix,
     Workload,
@@ -128,7 +127,7 @@ class TestHeftSpecifics:
         graph = TaskGraph.from_edges(3, [(0, 1), (1, 2)])
         e = ExecutionTimeMatrix([[1.0, 1.0, 1.0], [10.0, 10.0, 10.0]])
         tr = TransferTimeMatrix([[100.0, 100.0]], 2)
-        w = Workload(graph, HCSystem.of_size(2), e, tr)
+        w = Workload(graph, e, tr)
         res = heft(w)
         assert set(res.string.machines) == {0}
         assert res.makespan == pytest.approx(3.0)
@@ -171,7 +170,7 @@ class TestOLB:
         graph = TaskGraph.from_edges(2, [])
         e = ExecutionTimeMatrix([[100.0, 100.0], [1.0, 1.0]])
         tr = TransferTimeMatrix(np.zeros((1, 0)), 2)
-        w = Workload(graph, HCSystem.of_size(2), e, tr)
+        w = Workload(graph, e, tr)
         res = olb(w)
         # first task goes to m0 (lowest id among equally-available)
         assert res.string.machine_of(res.string.order[0]) == 0

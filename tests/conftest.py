@@ -7,7 +7,6 @@ import pytest
 
 from repro.model import (
     ExecutionTimeMatrix,
-    HCSystem,
     TaskGraph,
     TransferTimeMatrix,
     Workload,
@@ -56,7 +55,7 @@ def diamond_workload() -> Workload:
         ]
     )
     tr = TransferTimeMatrix([[5.0, 5.0, 5.0, 5.0]], num_machines=2)
-    return Workload(graph, HCSystem.of_size(2), e, tr, name="diamond")
+    return Workload(graph, e, tr, name="diamond")
 
 
 @pytest.fixture
@@ -81,4 +80,4 @@ def single_machine_workload() -> Workload:
     graph = TaskGraph.from_edges(5, [(0, 2), (1, 2), (2, 3), (2, 4)])
     e = ExecutionTimeMatrix([[3.0, 4.0, 5.0, 6.0, 7.0]])
     tr = TransferTimeMatrix(np.zeros((0, 4)), num_machines=1)
-    return Workload(graph, HCSystem.of_size(1), e, tr, name="uni")
+    return Workload(graph, e, tr, name="uni")

@@ -10,7 +10,6 @@ from repro.core.goodness import (
 )
 from repro.model import (
     ExecutionTimeMatrix,
-    HCSystem,
     TaskGraph,
     TransferTimeMatrix,
     Workload,
@@ -33,7 +32,7 @@ class TestOptimalFinishTimes:
         graph = TaskGraph.from_edges(2, [(0, 1)])
         e = ExecutionTimeMatrix([[2.0, 3.0], [9.0, 9.0]])
         tr = TransferTimeMatrix([[100.0]], 2)
-        w = Workload(graph, HCSystem.of_size(2), e, tr)
+        w = Workload(graph, e, tr)
         o = optimal_finish_times(w)
         assert o[1] == pytest.approx(5.0)
 
@@ -41,7 +40,7 @@ class TestOptimalFinishTimes:
         graph = TaskGraph.from_edges(2, [(0, 1)])
         e = ExecutionTimeMatrix([[2.0, 9.0], [9.0, 3.0]])
         tr = TransferTimeMatrix([[4.0]], 2)
-        w = Workload(graph, HCSystem.of_size(2), e, tr)
+        w = Workload(graph, e, tr)
         o = optimal_finish_times(w)
         assert o[1] == pytest.approx(2.0 + 4.0 + 3.0)
 
@@ -49,7 +48,7 @@ class TestOptimalFinishTimes:
         graph = TaskGraph.from_edges(3, [(0, 2), (1, 2)])
         e = ExecutionTimeMatrix([[1.0, 10.0, 2.0]])
         tr = TransferTimeMatrix(np.zeros((0, 2)), 1)
-        w = Workload(graph, HCSystem.of_size(1), e, tr)
+        w = Workload(graph, e, tr)
         o = optimal_finish_times(w)
         assert o[2] == pytest.approx(12.0)
 
@@ -96,7 +95,7 @@ class TestGoodnessValues:
         graph = TaskGraph.from_edges(1, [])
         e = ExecutionTimeMatrix([[5.0]])
         tr = TransferTimeMatrix(np.zeros((0, 0)), 1)
-        w = Workload(graph, HCSystem.of_size(1), e, tr)
+        w = Workload(graph, e, tr)
         o = optimal_finish_times(w)
         g = goodness_values(o, [5.0])
         assert g[0] == pytest.approx(1.0)
@@ -105,7 +104,7 @@ class TestGoodnessValues:
         graph = TaskGraph.from_edges(1, [])
         e = ExecutionTimeMatrix([[5.0], [50.0]])
         tr = TransferTimeMatrix(np.zeros((1, 0)), 2)
-        w = Workload(graph, HCSystem.of_size(2), e, tr)
+        w = Workload(graph, e, tr)
         o = optimal_finish_times(w)
         g = goodness_values(o, [50.0])  # task placed on the slow machine
         assert g[0] == pytest.approx(0.1)

@@ -10,7 +10,6 @@ from repro.extensions.contention import (
 )
 from repro.model import (
     ExecutionTimeMatrix,
-    HCSystem,
     TaskGraph,
     TransferTimeMatrix,
     Workload,
@@ -24,7 +23,7 @@ def fan_out_workload(comm: float) -> Workload:
     graph = TaskGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     e = ExecutionTimeMatrix(np.full((4, 4), 10.0))
     tr = TransferTimeMatrix(np.full((6, 3), comm), 4)
-    return Workload(graph, HCSystem.of_size(4), e, tr)
+    return Workload(graph, e, tr)
 
 
 class TestAgainstContentionFree:
@@ -40,7 +39,7 @@ class TestAgainstContentionFree:
         graph = TaskGraph.from_edges(2, [(0, 1)])
         e = ExecutionTimeMatrix([[5.0, 5.0], [5.0, 5.0]])
         tr = TransferTimeMatrix([[7.0]], 2)
-        w = Workload(graph, HCSystem.of_size(2), e, tr)
+        w = Workload(graph, e, tr)
         s = ScheduleString([0, 1], [0, 1], 2)
         assert ContentionSimulator(w).string_makespan(s) == pytest.approx(
             Simulator(w).string_makespan(s)

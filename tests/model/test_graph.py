@@ -1,10 +1,11 @@
 """Unit tests for the task graph."""
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.model.graph import TaskGraph
-from repro.model.task import DataItem, Subtask
+from repro.model.task import DataItem
 
 
 @pytest.fixture
@@ -19,14 +20,28 @@ class TestConstruction:
         assert diamond.num_data_items == 4
 
     def test_single_task_no_edges(self):
-        g = TaskGraph([Subtask(0)])
+        g = TaskGraph(1)
         assert g.num_tasks == 1
         assert g.num_data_items == 0
         assert g.topological_order() == (0,)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            TaskGraph([])
+            TaskGraph(0)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            TaskGraph(-3)
+
+    @pytest.mark.parametrize(
+        "count", [2.0, True, "2", [0, 1]], ids=["float", "bool", "str", "list"]
+    )
+    def test_count_must_be_an_int(self, count):
+        with pytest.raises(TypeError, match="num_tasks must be an int"):
+            TaskGraph(count)
+
+    def test_numpy_int_count_accepted(self):
+        assert TaskGraph(np.int64(3)).num_tasks == 3
 
     def test_cycle_rejected(self):
         with pytest.raises(ValueError, match="cycle"):
@@ -36,21 +51,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="self-edge"):
             DataItem(0, producer=1, consumer=1)
 
-    def test_missing_subtask_index_rejected(self):
-        with pytest.raises(ValueError, match="dense"):
-            TaskGraph([Subtask(0), Subtask(2)])
-
     def test_duplicate_item_index_rejected(self):
         items = [
             DataItem(0, producer=0, consumer=1),
             DataItem(0, producer=0, consumer=1),
         ]
         with pytest.raises(ValueError, match="dense"):
-            TaskGraph([Subtask(0), Subtask(1)], items)
+            TaskGraph(2, items)
 
     def test_item_referencing_missing_task_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            TaskGraph([Subtask(0)], [DataItem(0, producer=0, consumer=5)])
+            TaskGraph(1, [DataItem(0, producer=0, consumer=5)])
 
     def test_sizes_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="sizes"):

@@ -7,7 +7,6 @@ from repro.model import (
     FIGURE2_PAIRS,
     PAPER_O4,
     paper_sample_graph,
-    paper_sample_system,
     paper_sample_workload,
 )
 from repro.schedule import ScheduleString, Simulator, is_valid_for, verify_schedule
@@ -20,7 +19,7 @@ class TestSampleStructure:
         assert g.num_data_items == 6
 
     def test_two_machines(self):
-        assert paper_sample_system().num_machines == 2
+        assert paper_sample_workload().num_machines == 2
 
     def test_s4_has_predecessors_s0_s1(self):
         """§4.3: the O4 example assigns s0 and s1 (s4's predecessors)."""

@@ -1,46 +1,22 @@
-"""Unit tests for HCSystem, Workload and WorkloadClass."""
+"""Unit tests for Workload and WorkloadClass."""
 
 import numpy as np
 import pytest
 
 from repro.model import (
     ExecutionTimeMatrix,
-    HCSystem,
     TaskGraph,
     TransferTimeMatrix,
     Workload,
     WorkloadClass,
 )
-from repro.model.machine import Machine, MachineSet
-
-
-class TestHCSystem:
-    def test_of_size(self):
-        sys_ = HCSystem.of_size(5)
-        assert sys_.num_machines == 5
-        assert sys_.machine(2).index == 2
-
-    def test_accepts_machine_iterable(self):
-        sys_ = HCSystem([Machine(0), Machine(1)])
-        assert sys_.num_machines == 2
-
-    def test_topology_default(self):
-        assert HCSystem.of_size(2).topology == "fully-connected"
-
-    def test_unsupported_topology_rejected(self):
-        with pytest.raises(ValueError, match="topology"):
-            HCSystem(MachineSet.of_size(2), topology="mesh")
-
-    def test_equality(self):
-        assert HCSystem.of_size(3) == HCSystem.of_size(3)
-        assert HCSystem.of_size(3) != HCSystem.of_size(4)
 
 
 def _make_parts(k=3, l=2, p=2):
     graph = TaskGraph.from_edges(k, [(0, 1), (1, 2)][:p])
     e = ExecutionTimeMatrix(np.full((l, k), 2.0))
     tr = TransferTimeMatrix(np.full((l * (l - 1) // 2, p), 1.0), l)
-    return graph, HCSystem.of_size(l), e, tr
+    return graph, e, tr
 
 
 class TestWorkloadValidation:
@@ -51,27 +27,37 @@ class TestWorkloadValidation:
         assert w.num_data_items == 2
 
     def test_machine_count_mismatch(self):
-        graph, _, e, tr = _make_parts()
-        with pytest.raises(ValueError, match="machines"):
-            Workload(graph, HCSystem.of_size(3), e, tr)
+        """``l`` is E's row count; a Tr sized for any other ``l`` (here
+        fewer machines than E has rows) is rejected."""
+        graph, _, tr = _make_parts()
+        e3 = ExecutionTimeMatrix(np.full((3, 3), 2.0))
+        with pytest.raises(ValueError, match="Tr is sized for 2 machines"):
+            Workload(graph, e3, tr)
+
+    def test_single_machine_with_empty_transfer_matrix(self):
+        graph, _, _ = _make_parts()
+        e1 = ExecutionTimeMatrix(np.full((1, 3), 2.0))
+        w = Workload(graph, e1, TransferTimeMatrix(np.zeros((0, 2)), 1))
+        assert w.num_machines == 1
+        assert w.comm_time(0, 0, 1) == 0.0
 
     def test_task_count_mismatch(self):
-        graph, system, _, tr = _make_parts()
+        graph, _, tr = _make_parts()
         bad_e = ExecutionTimeMatrix(np.full((2, 5), 2.0))
         with pytest.raises(ValueError, match="task columns"):
-            Workload(graph, system, bad_e, tr)
+            Workload(graph, bad_e, tr)
 
     def test_item_count_mismatch(self):
-        graph, system, e, _ = _make_parts()
+        graph, e, _ = _make_parts()
         bad_tr = TransferTimeMatrix(np.full((1, 9), 1.0), 2)
         with pytest.raises(ValueError, match="item columns"):
-            Workload(graph, system, e, bad_tr)
+            Workload(graph, e, bad_tr)
 
     def test_transfer_machine_mismatch(self):
-        graph, system, e, _ = _make_parts()
+        graph, e, _ = _make_parts()
         bad_tr = TransferTimeMatrix(np.full((3, 2), 1.0), 3)
         with pytest.raises(ValueError, match="sized for"):
-            Workload(graph, system, e, bad_tr)
+            Workload(graph, e, bad_tr)
 
     def test_default_name(self):
         w = Workload(*_make_parts())

@@ -1,39 +1,11 @@
-"""Unit tests for subtasks and data items."""
+"""Unit tests for data items."""
 
 import pytest
 
-from repro.model.task import DataItem, Subtask
-
-
-class TestSubtask:
-    def test_default_name_follows_paper_convention(self):
-        assert Subtask(3).name == "s3"
-
-    def test_explicit_name_is_kept(self):
-        assert Subtask(0, name="fft").name == "fft"
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError, match="index"):
-            Subtask(-1)
-
-    def test_ordering_by_index(self):
-        assert Subtask(1) < Subtask(2)
-
-    def test_equality_ignores_name(self):
-        assert Subtask(4, name="a") == Subtask(4, name="b")
-
-    def test_str_is_name(self):
-        assert str(Subtask(5)) == "s5"
-
-    def test_frozen(self):
-        with pytest.raises(AttributeError):
-            Subtask(0).index = 1  # type: ignore[misc]
+from repro.model.task import DataItem
 
 
 class TestDataItem:
-    def test_default_name(self):
-        assert DataItem(2, producer=0, consumer=1).name == "d2"
-
     def test_edge_property(self):
         assert DataItem(0, producer=3, consumer=7).edge == (3, 7)
 

@@ -5,12 +5,14 @@ string and the machine state it was last scored against, and rebuilds
 ``schedule`` / ``evaluated`` on first read.  These tests pin that the
 rebuilt schedules are ``==`` to the run's own last commitment of every
 job, on both networks, with and without re-optimisation windows that
-re-commit jobs, on both walker tiers; and that a kept result holds no
-schedule and no workload until a view is read.
+re-commit jobs, on both walker tiers; that a kept result holds no
+schedule and no workload until a view is read; and that the run itself
+lets go of a job's workload once the job has finished.
 """
 
 import gc
 import types
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -127,3 +129,46 @@ def test_a_job_without_an_integer_seed_keeps_its_workload(monkeypatch):
         schedule, evaluated = commits[index][-1]
         assert view.schedule == schedule
         assert view.evaluated.transfers == evaluated.transfers
+
+
+class _Tracked(Workload):
+    """A workload a weak reference can follow."""
+
+    __slots__ = ("__weakref__",)
+
+
+def test_a_finished_seeded_job_lets_go_of_its_workload(monkeypatch):
+    """A job whose ``job_done`` has fired can never be rolled back, so
+    the run drops its workload then: at the last arrival of a long
+    stream, no workload of a job finished by then is still alive."""
+    jobs = poisson_stream(
+        rate_for_utilisation(TEMPLATE, 0.7), 40, TEMPLATE, seed=11
+    )
+    refs = []
+    alive_at_last_arrival = set()
+    inner = online_simulator.build_workload
+
+    def tracked(spec):
+        if len(refs) == len(jobs) - 1:
+            gc.collect()
+            alive_at_last_arrival.update(
+                i for i, ref in enumerate(refs) if ref() is not None
+            )
+        w = inner(spec)
+        w = _Tracked(
+            w.graph, w.exec_times, w.transfer_times, w.classification, w.name
+        )
+        refs.append(weakref.ref(w))
+        return w
+
+    monkeypatch.setattr(online_simulator, "build_workload", tracked)
+    result = DynamicSimulator(
+        jobs, network="nic", policy="heft", reopt=REOPT, seed=3
+    ).run()
+    assert len(refs) == len(jobs)  # one build per arrival, none by views
+    t_last = jobs[len(jobs) - 1].t_arrival
+    done = {r.job_id: r.t_completed for r in result.records}
+    # job_done runs before an arrival at the same instant
+    finished = {i for i, a in enumerate(jobs) if done[a.job_id] <= t_last}
+    assert len(finished) >= len(jobs) // 2  # or the case shows nothing
+    assert not finished & alive_at_last_arrival

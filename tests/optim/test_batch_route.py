@@ -14,7 +14,6 @@ import pytest
 
 from repro.model import (
     ExecutionTimeMatrix,
-    HCSystem,
     TaskGraph,
     TransferTimeMatrix,
     Workload,
@@ -36,14 +35,14 @@ def diamond_workload(transfer: float = 4.0, num_machines: int = 3):
         np.full((num_machines, 4), 2.0) + np.arange(num_machines)[:, None]
     )
     tr = TransferTimeMatrix.uniform(num_machines, 4, transfer)
-    return Workload(graph, HCSystem.of_size(num_machines), e, tr)
+    return Workload(graph, e, tr)
 
 
 def single_task_workload():
     graph = TaskGraph.from_edges(1, [])
     e = ExecutionTimeMatrix([[3.0], [5.0]])
     tr = TransferTimeMatrix.zeros(2, 0)
-    return Workload(graph, HCSystem.of_size(2), e, tr)
+    return Workload(graph, e, tr)
 
 
 def fan_out_workload(num_machines: int = 3):
@@ -55,7 +54,7 @@ def fan_out_workload(num_machines: int = 3):
     graph = TaskGraph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     e = ExecutionTimeMatrix(np.full((num_machines, 5), 2.0))
     tr = TransferTimeMatrix.uniform(num_machines, 4, 5.0)
-    return Workload(graph, HCSystem.of_size(num_machines), e, tr)
+    return Workload(graph, e, tr)
 
 
 #: ``(orders, machines, exception, message)`` of every rejected batch.

@@ -40,7 +40,7 @@ def _zero_transfers(w: Workload) -> Workload:
         np.zeros((num_pairs(w.num_machines), w.num_data_items)),
         num_machines=w.num_machines,
     )
-    return Workload(w.graph, w.system, w.exec_times, tr)
+    return Workload(w.graph, w.exec_times, tr)
 
 
 class TestIncrementalParity:

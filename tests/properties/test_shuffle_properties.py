@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.initial import initial_solution
 from repro.extensions.contention import ContentionSimulator
-from repro.model import ExecutionTimeMatrix, HCSystem, TransferTimeMatrix
+from repro.model import ExecutionTimeMatrix, TransferTimeMatrix
 from repro.model import Workload, num_pairs
 from repro.optim import EvaluationService
 from repro.optim.objective import ObjectiveBackend
@@ -103,7 +103,6 @@ def _chain_workload(k: int) -> Workload:
     rng = np.random.default_rng(k)
     return Workload(
         graph,
-        HCSystem.of_size(3),
         ExecutionTimeMatrix(rng.uniform(1.0, 5.0, size=(3, k))),
         TransferTimeMatrix(
             rng.uniform(0.0, 2.0, size=(num_pairs(3), graph.num_data_items)),

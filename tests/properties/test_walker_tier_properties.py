@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.extensions.contention import ContentionSimulator
 from repro.model import (
     ExecutionTimeMatrix,
-    HCSystem,
     TaskGraph,
     TransferTimeMatrix,
     Workload,
@@ -234,7 +233,6 @@ def test_place_by_probes_rejects_a_string_that_breaks_its_graph(cls, tier):
     def chain(edges):
         return Workload(
             TaskGraph.from_edges(3, edges),
-            HCSystem.of_size(2),
             ExecutionTimeMatrix(rng.uniform(1.0, 9.0, size=(2, 3))),
             TransferTimeMatrix(rng.uniform(0.0, 5.0, size=(1, 2)), 2),
         )

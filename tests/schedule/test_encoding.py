@@ -5,11 +5,7 @@ import copy
 import pytest
 
 from repro.model.graph import TaskGraph
-from repro.schedule.encoding import (
-    ScheduleString,
-    is_valid_for,
-    topological_string,
-)
+from repro.schedule.encoding import ScheduleString, is_valid_for
 
 
 @pytest.fixture
@@ -182,9 +178,3 @@ class TestValidity:
         graph = TaskGraph.from_edges(3, [])
         s = ScheduleString([0, 1], [0, 0], 1)
         assert not is_valid_for(s, graph)
-
-    def test_topological_string(self):
-        graph = TaskGraph.from_edges(4, [(0, 1), (0, 2), (2, 3)])
-        s = topological_string(graph, [0, 1, 0, 1], 2)
-        assert is_valid_for(s, graph)
-        assert s.machine_of(1) == 1

@@ -5,17 +5,12 @@ import pytest
 
 from repro.model import (
     ExecutionTimeMatrix,
-    HCSystem,
     TaskGraph,
     TransferTimeMatrix,
     Workload,
 )
 from repro.schedule.encoding import ScheduleString
-from repro.schedule.simulator import (
-    InvalidScheduleError,
-    Simulator,
-    evaluate_schedule,
-)
+from repro.schedule.simulator import InvalidScheduleError, Simulator
 
 
 def make_workload(edges, e_rows, tr_rows, k=None, l=None):
@@ -24,7 +19,7 @@ def make_workload(edges, e_rows, tr_rows, k=None, l=None):
     graph = TaskGraph.from_edges(k, edges)
     e = ExecutionTimeMatrix(e_rows)
     tr = TransferTimeMatrix(tr_rows, l)
-    return Workload(graph, HCSystem.of_size(l), e, tr)
+    return Workload(graph, e, tr)
 
 
 class TestHandComputedSchedules:
@@ -105,7 +100,7 @@ class TestParallelDataItems:
         graph = TaskGraph.from_edges(2, [(0, 1), (0, 1)])
         e = ExecutionTimeMatrix([[1.0, 1.0], [1.0, 1.0]])
         tr = TransferTimeMatrix([[3.0, 8.0]], 2)
-        w = Workload(graph, HCSystem.of_size(2), e, tr)
+        w = Workload(graph, e, tr)
         s = ScheduleString([0, 1], [0, 1], 2)
         sched = Simulator(w).evaluate(s)
         # slower item dominates: 1 + 8 = 9
@@ -142,15 +137,6 @@ class TestAPIs:
         fts = sim.finish_times(s)
         assert len(fts) == 7
         assert max(fts) == sim.evaluate(s).makespan
-
-    def test_evaluate_schedule_one_shot(self, sample_workload):
-        from repro.model import FIGURE2_PAIRS
-
-        s = ScheduleString.from_pairs(FIGURE2_PAIRS, 2)
-        assert (
-            evaluate_schedule(sample_workload, s).makespan
-            == Simulator(sample_workload).evaluate(s).makespan
-        )
 
     def test_schedule_machine_sequence(self, diamond_workload):
         s = ScheduleString([0, 1, 2, 3], [0, 1, 0, 1], 2)

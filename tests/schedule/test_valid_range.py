@@ -5,9 +5,7 @@ import pytest
 from repro.model.graph import TaskGraph
 from repro.schedule.encoding import ScheduleString
 from repro.schedule.valid_range import (
-    assert_in_valid_range,
     machine_slot_indices,
-    range_width,
     valid_insertion_range,
 )
 
@@ -66,20 +64,6 @@ class TestValidInsertionRange:
                 probe.move(t, idx)
                 valid = diamond.is_valid_order(probe.order)
                 assert valid == (lo <= idx <= hi), (t, idx)
-
-    def test_range_width(self, diamond):
-        s = ScheduleString([0, 1, 2, 3], [0] * 4, 1)
-        assert range_width(s, diamond, 1) == 2
-        assert range_width(s, diamond, 0) == 1
-
-    def test_assert_in_valid_range_raises(self, chain):
-        s = ScheduleString([0, 1, 2, 3], [0] * 4, 1)
-        with pytest.raises(ValueError, match="outside"):
-            assert_in_valid_range(s, chain, 0, 2)
-
-    def test_assert_in_valid_range_passes(self, chain):
-        s = ScheduleString([0, 1, 2, 3], [0] * 4, 1)
-        assert_in_valid_range(s, chain, 2, 2)
 
 
 class TestMachineSlotIndices:

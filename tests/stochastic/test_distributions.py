@@ -162,7 +162,6 @@ def test_workload_views_share_structure_and_scale_values():
     scen = sample_scenarios(w, "lognormal:0.3", scenarios=3, seed=2)
     view = scen.workload_for(1)
     assert view.graph is w.graph
-    assert view.system is w.system
     assert view.classification is w.classification
     expected = w.exec_times.values * scen.exec_factors[1][None, :]
     np.testing.assert_allclose(view.exec_times.values, expected)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.model import (
     ExecutionTimeMatrix,
-    HCSystem,
     TaskGraph,
     TransferTimeMatrix,
     Workload,
@@ -60,7 +59,7 @@ def workloads(
         rng.uniform(0.0, 20.0, size=(num_pairs(l), graph.num_data_items)),
         num_machines=l,
     )
-    return Workload(graph, HCSystem.of_size(l), e, tr)
+    return Workload(graph, e, tr)
 
 
 @st.composite

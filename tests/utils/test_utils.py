@@ -1,24 +1,12 @@
-"""Unit tests for RNG handling, timers, and validation helpers."""
+"""Unit tests for RNG handling and the stopwatch."""
 
 import time
 
 import numpy as np
 import pytest
 
-from repro.utils.rng import (
-    as_rng,
-    random_permutation,
-    spawn_rngs,
-    weighted_choice,
-)
-from repro.utils.timers import Stopwatch, TimeBudget
-from repro.utils.validation import (
-    check_fraction_range,
-    check_index,
-    check_nonnegative,
-    check_positive,
-    check_probability,
-)
+from repro.utils.rng import as_rng, spawn_rngs
+from repro.utils.timers import Stopwatch
 
 
 class TestAsRng:
@@ -66,30 +54,6 @@ class TestSpawnRngs:
         assert spawn_rngs(1, 0) == []
 
 
-class TestRandomHelpers:
-    def test_random_permutation_is_permutation(self):
-        rng = np.random.default_rng(0)
-        items = list("abcdef")
-        perm = random_permutation(rng, items)
-        assert sorted(perm) == sorted(items)
-
-    def test_weighted_choice_respects_weights(self):
-        rng = np.random.default_rng(0)
-        picks = [
-            weighted_choice(rng, ["a", "b"], [0.0, 1.0]) for _ in range(20)
-        ]
-        assert set(picks) == {"b"}
-
-    def test_weighted_choice_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="length"):
-            weighted_choice(rng, ["a"], [1.0, 2.0])
-        with pytest.raises(ValueError, match="non-negative"):
-            weighted_choice(rng, ["a"], [-1.0])
-        with pytest.raises(ValueError, match="positive"):
-            weighted_choice(rng, ["a", "b"], [0.0, 0.0])
-
-
 class TestStopwatch:
     def test_elapsed_monotone(self):
         sw = Stopwatch()
@@ -102,65 +66,3 @@ class TestStopwatch:
         time.sleep(0.01)
         sw.restart()
         assert sw.elapsed() < 0.01
-
-
-class TestTimeBudget:
-    def test_iteration_cap(self):
-        b = TimeBudget.iterations(5)
-        assert not b.expired(4)
-        assert b.expired(5)
-
-    def test_wall_clock(self):
-        b = TimeBudget.wall_clock(0.02).start()
-        assert not b.expired(0)
-        time.sleep(0.03)
-        assert b.expired(0)
-
-    def test_unbounded_never_expires(self):
-        b = TimeBudget()
-        assert not b.expired(10**9)
-
-    def test_negative_seconds_rejected(self):
-        with pytest.raises(ValueError, match="seconds"):
-            TimeBudget(seconds=-1.0)
-
-    def test_negative_iterations_rejected(self):
-        with pytest.raises(ValueError, match="max_iterations"):
-            TimeBudget(max_iterations=-1)
-
-    def test_elapsed_resets_on_start(self):
-        b = TimeBudget(seconds=10.0)
-        time.sleep(0.01)
-        b.start()
-        assert b.elapsed() < 0.01
-
-
-class TestValidation:
-    def test_check_positive(self):
-        assert check_positive("x", 1.0) == 1.0
-        with pytest.raises(ValueError, match="x"):
-            check_positive("x", 0.0)
-
-    def test_check_nonnegative(self):
-        assert check_nonnegative("x", 0.0) == 0.0
-        with pytest.raises(ValueError, match="x"):
-            check_nonnegative("x", -1.0)
-
-    def test_check_probability(self):
-        assert check_probability("p", 0.5) == 0.5
-        with pytest.raises(ValueError, match="p"):
-            check_probability("p", 1.01)
-
-    def test_check_index(self):
-        assert check_index("i", 2, 3) == 2
-        with pytest.raises(IndexError, match="i"):
-            check_index("i", 3, 3)
-        with pytest.raises(TypeError, match="int"):
-            check_index("i", True, 3)
-
-    def test_check_fraction_range(self):
-        check_fraction_range("lo", 0.0, 1.0)
-        with pytest.raises(ValueError):
-            check_fraction_range("lo", 2.0, 1.0)
-        with pytest.raises(ValueError):
-            check_fraction_range("lo", -1.0, 1.0)

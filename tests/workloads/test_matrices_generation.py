@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workloads.ccr import CCR_CLASSES, ccr_class, transfer_matrix
+from repro.workloads.ccr import CCR_CLASSES, transfer_matrix
 from repro.workloads.generator import layered_dag
 from repro.workloads.heterogeneity import (
     HETEROGENEITY_FACTOR,
@@ -126,15 +126,6 @@ class TestTransferMatrix:
 
 
 class TestCcrClass:
-    def test_exact_values(self):
-        assert ccr_class(0.1) == "low"
-        assert ccr_class(0.5) == "medium"
-        assert ccr_class(1.0) == "high"
-
-    def test_nearest(self):
-        assert ccr_class(0.05) == "low"
-        assert ccr_class(2.0) == "high"
-
     def test_classes_cover_paper_values(self):
         assert CCR_CLASSES["low"] == 0.1
         assert CCR_CLASSES["high"] == 1.0

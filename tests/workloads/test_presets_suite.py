@@ -13,11 +13,7 @@ from repro.workloads.presets import (
     figure7_workload,
     small_workload,
 )
-from repro.workloads.suite import (
-    WorkloadSuite,
-    paper_comparison_suite,
-    smoke_suite,
-)
+from repro.workloads.suite import WorkloadSuite, smoke_suite
 
 
 class TestWorkloadSpec:
@@ -150,7 +146,7 @@ class TestSuites:
             WorkloadSuite(replicates=0)
 
     def test_paper_suite_covers_all_classes(self):
-        s = paper_comparison_suite(seed=1)
+        s = WorkloadSuite(seed=1)
         conns = {c.spec.connectivity for c in s}
         hets = {c.spec.heterogeneity for c in s}
         ccrs = {c.spec.ccr for c in s}
