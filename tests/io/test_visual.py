@@ -38,6 +38,24 @@ class TestScheduleToSvg:
         svg = schedule_to_svg(workload, schedule)
         assert ">m0<" in svg and ">m1<" in svg
 
+    @pytest.mark.parametrize("l", [1, 3, 4])
+    def test_one_label_per_machine_lane(self, l):
+        from repro.workloads.presets import WorkloadSpec, build_workload
+
+        w = build_workload(WorkloadSpec(num_tasks=8, num_machines=l, seed=3))
+        s = ScheduleString(
+            list(w.graph.topological_order()),
+            [t % l for t in w.graph.topological_order()],
+            l,
+        )
+        root = ET.fromstring(schedule_to_svg(w, Simulator(w).evaluate(s)))
+        labels = [
+            t.text
+            for t in root.iter(f"{SVG_NS}text")
+            if t.text and t.text.startswith("m") and t.text[1:].isdigit()
+        ]
+        assert labels == [f"m{m}" for m in range(l)]
+
     def test_title_includes_makespan(self, workload, schedule):
         svg = schedule_to_svg(workload, schedule)
         assert f"{schedule.makespan:.1f}" in svg

@@ -63,6 +63,42 @@ class TestWorkloadValidation:
         w = Workload(*_make_parts())
         assert w.name == "workload-k3-l2"
 
+    @pytest.mark.parametrize("l", [1, 2, 3, 6])
+    def test_l_is_the_row_count_of_e(self, l):
+        graph, e, tr = _make_parts(l=l)
+        w = Workload(graph, e, tr)
+        assert w.num_machines == l
+        assert w.name == f"workload-k3-l{l}"
+
+    @pytest.mark.parametrize(
+        "e_rows, tr_machines", [(1, 2), (2, 3), (4, 2), (5, 6)]
+    )
+    def test_tr_sized_for_another_l_rejected(self, e_rows, tr_machines):
+        graph, _, _ = _make_parts()
+        e = ExecutionTimeMatrix(np.full((e_rows, 3), 2.0))
+        pairs = tr_machines * (tr_machines - 1) // 2
+        tr = TransferTimeMatrix(np.full((pairs, 2), 1.0), tr_machines)
+        with pytest.raises(
+            ValueError,
+            match=f"Tr is sized for {tr_machines} machines but E has "
+            f"{e_rows} machine rows",
+        ):
+            Workload(graph, e, tr)
+
+    def test_parts_are_kept_as_given(self):
+        graph, e, tr = _make_parts()
+        w = Workload(graph, e, tr)
+        assert w.graph is graph
+        assert w.exec_times is e
+        assert w.transfer_times is tr
+
+    def test_explicit_name_and_class_kept(self):
+        wc = WorkloadClass(connectivity="low", ccr=0.1)
+        w = Workload(*_make_parts(), classification=wc, name="job-7")
+        assert w.name == "job-7"
+        assert w.classification is wc
+        assert w.classification.describe().startswith("size=unspecified")
+
 
 class TestWorkloadQueries:
     def test_exec_time(self):
