@@ -77,6 +77,7 @@ skipped via a per-job epoch counter.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
@@ -102,6 +103,104 @@ _PRIO_TASK_DONE = 0
 _PRIO_JOB_DONE = 1
 _PRIO_ARRIVAL = 2
 _PRIO_REOPT = 3
+
+#: Event types, indexed by their code in an :class:`EventLog`.
+_TASK_DONE, _JOB_DONE, _ARRIVAL, _DISPATCH, _REOPT = range(5)
+_EVENT_TYPES = ("task_done", "job_done", "arrival", "dispatch", "reopt")
+
+
+class EventLog:
+    """One run's event log, kept column-wise.
+
+    Each event is a row of three columns: its time ``t``
+    (``array('d')``), its type code and its job's stream index (``-1``
+    for a ``reopt`` tick).  Its own values follow in two shared
+    columns, in event order: the ints (a ``task_done``'s ``task``, a
+    ``dispatch``'s ``tasks``, a ``reopt``'s ``window``, ``rolled_back``
+    and ``improved``) and the floats (a ``dispatch``'s ``finish``).  So
+    an event costs a few dozen bytes, not a dict's ~200.
+
+    :meth:`dicts` rebuilds the events as the dicts the service logs,
+    keys in the same order; a job is named by its ``job_id`` and a
+    dispatch by the run's policy.
+    """
+
+    __slots__ = ("_job_ids", "_policy", "_t", "_type", "_job", "_ints",
+                 "_floats")
+
+    def __init__(self, job_ids: Tuple[str, ...], policy: str) -> None:
+        self._job_ids = job_ids
+        self._policy = policy
+        self._t = array("d")
+        self._type = array("b")
+        self._job = array("i")
+        self._ints = array("q")
+        self._floats = array("d")
+
+    def __len__(self) -> int:
+        return len(self._t)
+
+    def _row(self, t: float, code: int, job: int) -> None:
+        self._t.append(t)
+        self._type.append(code)
+        self._job.append(job)
+
+    def task_done(self, t: float, job: int, task: int) -> None:
+        self._row(t, _TASK_DONE, job)
+        self._ints.append(task)
+
+    def job_done(self, t: float, job: int) -> None:
+        self._row(t, _JOB_DONE, job)
+
+    def arrival(self, t: float, job: int) -> None:
+        self._row(t, _ARRIVAL, job)
+
+    def dispatch(self, t: float, job: int, tasks: int, finish: float) -> None:
+        self._row(t, _DISPATCH, job)
+        self._ints.append(tasks)
+        self._floats.append(finish)
+
+    def reopt(
+        self, t: float, window: int, rolled_back: int, improved: int
+    ) -> None:
+        self._row(t, _REOPT, -1)
+        self._ints.extend((window, rolled_back, improved))
+
+    def dicts(self) -> Tuple[dict, ...]:
+        """The events as dicts, in log order."""
+        ids, ints, floats = self._job_ids, iter(self._ints), iter(self._floats)
+        out = []
+        for t, code, job in zip(self._t, self._type, self._job):
+            event: dict = {"t": t, "type": _EVENT_TYPES[code]}
+            if code != _REOPT:
+                event["job"] = ids[job]
+            if code == _TASK_DONE:
+                event["task"] = next(ints)
+            elif code == _DISPATCH:
+                event["policy"] = self._policy
+                event["tasks"] = next(ints)
+                event["finish"] = next(floats)
+            elif code == _REOPT:
+                event["window"] = next(ints)
+                event["rolled_back"] = next(ints)
+                event["improved"] = next(ints)
+            out.append(event)
+        return tuple(out)
+
+
+class _Events:
+    """:attr:`OnlineResult.events`: stored as given, an
+    :class:`EventLog` or a tuple of dicts, and read as a tuple of
+    dicts."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError("events")  # a required field
+        stored = obj.__dict__["_events"]
+        return stored.dicts() if isinstance(stored, EventLog) else stored
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__["_events"] = value
 
 
 class _CommittedJob:
@@ -196,13 +295,17 @@ class CommittedJobView:
 
 @dataclass(frozen=True)
 class OnlineResult:
-    """Outcome of one :meth:`DynamicSimulator.run`."""
+    """Outcome of one :meth:`DynamicSimulator.run`.
+
+    ``events`` reads as a tuple of dicts, one per logged event; a run
+    keeps them as an :class:`EventLog`, so each read rebuilds them.
+    """
 
     network: str
     policy: str
     num_machines: int
     records: Tuple[JobRecord, ...]
-    events: Tuple[dict, ...]
+    events: Tuple[dict, ...] = _Events()
     jobs: Tuple[CommittedJobView, ...]
     final_avail: Tuple[float, ...]
     metrics: OnlineMetrics
@@ -348,9 +451,12 @@ class DynamicSimulator:
             )
             seq += 1
 
+        # jobs commit in stream order (the stream is sorted by arrival,
+        # and the sequence number breaks ties), so a job's index in
+        # `committed` is its stream index, which the log names it by
         committed: List[_CommittedJob] = []
         records: List[JobRecord] = []
-        events: List[dict] = []
+        events = EventLog(tuple(a.job_id for a in stream), self._policy)
 
         while heap:
             now, _prio, _seq, payload = heappop(heap)
@@ -362,14 +468,7 @@ class DynamicSimulator:
                 if epoch != job.epoch:
                     continue  # superseded by a re-optimisation window
                 job.fired += 1
-                events.append(
-                    {
-                        "t": now,
-                        "type": "task_done",
-                        "job": job.arrival.job_id,
-                        "task": task,
-                    }
-                )
+                events.task_done(now, jidx, task)
 
             elif kind == "job_done":
                 _, jidx, epoch = payload
@@ -386,13 +485,7 @@ class DynamicSimulator:
                         num_tasks=job.workload.num_tasks,
                     )
                 )
-                events.append(
-                    {
-                        "t": now,
-                        "type": "job_done",
-                        "job": job.arrival.job_id,
-                    }
-                )
+                events.job_done(now, jidx)
                 # a finished job is never rolled back: keep only what
                 # its view reads (a seedless spec's view needs the run's
                 # workload, as building it again would draw another DAG)
@@ -404,12 +497,10 @@ class DynamicSimulator:
             elif kind == "arrival":
                 arr = stream[payload[1]]
                 pending_arrivals -= 1
-                events.append(
-                    {"t": now, "type": "arrival", "job": arr.job_id}
-                )
                 job = _CommittedJob(
                     len(committed), arr, build_workload(arr.spec)
                 )
+                events.arrival(now, job.index)
                 job.avail_before = avail.copy()
                 job.nic_before = nic_free.copy()
                 job.t_dispatch = now
@@ -427,15 +518,9 @@ class DynamicSimulator:
                 self._apply_state(job, avail, nic_free)
                 committed.append(job)
                 seq = self._push_completions(heap, seq, job)
-                events.append(
-                    {
-                        "t": now,
-                        "type": "dispatch",
-                        "job": arr.job_id,
-                        "policy": self._policy,
-                        "tasks": job.workload.num_tasks,
-                        "finish": job.schedule.makespan,
-                    }
+                events.dispatch(
+                    now, job.index, job.workload.num_tasks,
+                    job.schedule.makespan,
                 )
 
             elif kind == "reopt":
@@ -479,7 +564,7 @@ class DynamicSimulator:
             policy=self._policy,
             num_machines=l,
             records=tuple(records),
-            events=tuple(events),
+            events=events,
             jobs=views,
             final_avail=tuple(avail),
             metrics=summarize(records),
@@ -494,7 +579,7 @@ class DynamicSimulator:
         seq: int,
         avail: List[float],
         nic_free: List[float],
-        events: List[dict],
+        events: EventLog,
     ) -> int:
         """One re-optimisation tick at time *now*; returns updated seq."""
         # maximal suffix of commitments entirely in the future
@@ -537,13 +622,5 @@ class DynamicSimulator:
                 self._apply_state(job, avail, nic_free)
                 seq = self._push_completions(heap, seq, job)
                 improved_jobs += int(improved)
-        events.append(
-            {
-                "t": now,
-                "type": "reopt",
-                "window": window,
-                "rolled_back": len(residual),
-                "improved": improved_jobs,
-            }
-        )
+        events.reopt(now, window, len(residual), improved_jobs)
         return seq

@@ -1,12 +1,15 @@
 """Simulated annealing over the pairwise-move neighborhood.
 
 A classic single-solution metaheuristic riding the shared optim core:
-each iteration proposes one uniformly random valid move
-(:func:`~repro.schedule.neighborhood.random_move`), scores it through the
-:class:`~repro.optim.evaluation.EvaluationService`'s incremental
-``evaluate_delta`` tier (only the string suffix from the move's first
-changed position re-evaluates, and the walk may stop once it is past
-the move's changed region and has rejoined the incumbent's state), and
+each iteration proposes one uniformly random valid move, drawn by the
+:class:`~repro.optim.evaluation.EvaluationService`'s uncounted
+``draw_moves`` (one compiled walker call on the compiled tier, with the
+draws of :func:`~repro.schedule.neighborhood.random_move`, so the random
+stream is the same on both walker tiers), scores it through the
+service's incremental ``evaluate_delta`` tier (only the string suffix
+from the move's first changed position re-evaluates, and the walk may
+stop once it is past the move's changed region and has rejoined the
+incumbent's state), and
 accepts it if it does not worsen the schedule — or, when it does, with
 the Metropolis probability ``exp(-delta / T)``.  The temperature
 follows a **geometric cooling schedule**: it starts at ``initial_temp``
@@ -49,7 +52,6 @@ from repro.schedule.neighborhood import (
     apply_move,
     changed_region,
     inverse_move,
-    random_move,
 )
 from repro.schedule.operations import random_valid_string
 from repro.utils.rng import RandomSource, as_rng
@@ -214,7 +216,9 @@ class SimulatedAnnealing:
             level = (iteration - 1) // cfg.steps_per_temp
             temp = max(t_floor, t0 * cfg.cooling**level)
 
-            move = random_move(string, graph, rng, cfg.reassign_prob)
+            (move,) = service.draw_moves(
+                string.order, string.machines, rng, 1, cfg.reassign_prob
+            )
             first, last = changed_region(string, move)
             undo = inverse_move(string, move)
             apply_move(string, move)

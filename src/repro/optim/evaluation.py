@@ -389,6 +389,22 @@ class EvaluationService:
         of a candidate :meth:`score_moves` already counted."""
         return self._raw.prepare(order, machine_of)
 
+    def draw_moves(
+        self,
+        order: Sequence[int],
+        machine_of: Sequence[int],
+        rng: Any,
+        count: int,
+        reassign_prob: float = 0.5,
+        avoid_noop: bool = False,
+    ) -> list[Any]:
+        """The raw backend's ``draw_moves`` — **not** counted: *count*
+        random moves against *order* / *machine_of*, which read only the
+        graph (tabu's neighborhood, an SA proposal)."""
+        return self._raw.draw_moves(
+            order, machine_of, rng, count, reassign_prob, avoid_noop
+        )
+
     # ------------------------------------------------------------------
     # batch tier
     # ------------------------------------------------------------------

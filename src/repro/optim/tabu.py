@@ -20,8 +20,11 @@ what lets tabu search climb out of local optima):
   overall best candidate is committed regardless (the search must not
   deadlock).
 
-The moves are drawn in Python, so the random stream is fixed; the
-whole neighborhood is then scored and selected in one
+The neighborhood is drawn in one uncounted
+:meth:`~repro.optim.evaluation.EvaluationService.draw_moves` call,
+which the compiled walker runs in C with the draws of
+:func:`~repro.schedule.neighborhood.random_move`, so the random stream
+is the same on both walker tiers; it is then scored and selected in one
 :meth:`~repro.optim.evaluation.EvaluationService.score_moves` call
 against a snapshot of the incumbent, counting one evaluation per
 candidate.  The backend decides how:
@@ -59,7 +62,7 @@ from repro.optim.observers import Observer
 from repro.optim.result import SearchResult
 from repro.optim.stop import IterationLimits
 from repro.schedule.encoding import ScheduleString
-from repro.schedule.neighborhood import applied_copy, random_move
+from repro.schedule.neighborhood import applied_copy
 from repro.schedule.operations import random_valid_string
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.timers import Stopwatch
@@ -198,12 +201,14 @@ class TabuSearch:
             # no-op candidates would cost exactly the incumbent and
             # outrank every worsening move at a local optimum, so the
             # neighborhood samples identity-free moves only
-            moves = [
-                random_move(
-                    string, graph, rng, cfg.reassign_prob, avoid_noop=True
-                )
-                for _ in range(cfg.neighborhood_size)
-            ]
+            moves = service.draw_moves(
+                string.order,
+                string.machines,
+                rng,
+                cfg.neighborhood_size,
+                cfg.reassign_prob,
+                avoid_noop=True,
+            )
             tabu = [tabu_until.get(mv.task, -1) >= iteration for mv in moves]
             cost, i, admissible = service.score_moves(
                 state,

@@ -2,18 +2,20 @@
  * Compiled scalar walkers: the hot methods of the two scalar backends.
  *
  * `Walker` runs `makespan`, `prepare`, `evaluate_delta`, `allocate`,
- * `optimal_finish`, `score_moves` and `shuffle` for one workload under
- * the contention-free network (repro.schedule.simulator.Simulator) or
- * the one-NIC-per-machine network (repro.extensions.contention.
- * ContentionSimulator).  The Python methods of those classes, repro.
- * schedule.valid_range.allocate_by_places for `allocate` (with
+ * `optimal_finish`, `score_moves`, `shuffle` and `draw_moves` for one
+ * workload under the contention-free network (repro.schedule.simulator.
+ * Simulator) or the one-NIC-per-machine network (repro.extensions.
+ * contention.ContentionSimulator).  The Python methods of those classes,
+ * repro.schedule.valid_range.allocate_by_places for `allocate` (with
  * place_by_probes for each selected subtask), repro.core.goodness.
  * optimal_finish_times for `optimal_finish`, repro.schedule.neighborhood.
- * score_by_deltas for `score_moves` and repro.schedule.operations.
- * shuffle_string for `shuffle`, are the
+ * score_by_deltas for `score_moves`, repro.schedule.operations.
+ * shuffle_string for `shuffle` and repro.schedule.neighborhood.random_move
+ * for each of `draw_moves`' moves, are the
  * specification: every loop below performs the same float operations in
- * the same order, so results are bit-identical (`==`), and `shuffle`
- * makes the same random draws from the same numpy bit generator.
+ * the same order, so results are bit-identical (`==`), and `shuffle` and
+ * `draw_moves` make the same random draws from the same numpy bit
+ * generator.
  * Built with -O2 -ffp-contract=off and without fast-math, so no
  * operation is fused or reordered.
  *
@@ -31,8 +33,8 @@
  * walker cannot interleave in its scratch space.
  *
  * Loaded and built by repro.schedule.walker; `bind` must be called once
- * with the Schedule class, InvalidScheduleError and the state-restore
- * function used for pickling.
+ * with the Schedule class, InvalidScheduleError, the state-restore
+ * function used for pickling and the Move class.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -44,6 +46,9 @@
 static PyObject *schedule_cls = NULL;
 static PyObject *invalid_error = NULL;
 static PyObject *restore_fn = NULL;
+static PyObject *move_cls = NULL;
+/* The Move kinds, indexed by MOVE_REORDER / MOVE_REASSIGN (module init). */
+static PyObject *move_kinds[2] = {NULL, NULL};
 
 /* InvalidScheduleError once bound, ValueError before. */
 #define INVALID_ERROR (invalid_error != NULL ? invalid_error : PyExc_ValueError)
@@ -1273,15 +1278,14 @@ nic_delta(Walker *w, const int *order, const int *mach, Py_ssize_t f,
 
 /* ---- placement (the SE allocation step) ---------------------------- */
 
-/* Inclusive insertion-index window of `task` in the string whose
- * positions are pos_of[]: one past its last producer, up to its first
- * consumer, both counted in the string without `task` (repro.schedule.
- * valid_range.valid_insertion_range).  An empty window (only possible
- * for a string that breaks a dependency) raises InvalidScheduleError, so
- * every slot lies in [0, k). */
-static int
-place_window(const Walker *w, const int *pos_of, int task,
-             Py_ssize_t *lo_out, Py_ssize_t *hi_out)
+/* Inclusive insertion-index window [*lo_out, *hi_out] of `task` in the
+ * string whose positions are pos_of[]: one past its last producer, up to
+ * its first consumer, both counted in the string without `task` (repro.
+ * schedule.valid_range.valid_insertion_range).  Empty (lo > hi) only for
+ * a string that breaks a dependency. */
+static void
+insertion_window(const Walker *w, const int *pos_of, int task,
+                 Py_ssize_t *lo_out, Py_ssize_t *hi_out)
 {
     const int own = pos_of[task];
     Py_ssize_t lo = 0, hi = w->k - 1;
@@ -1304,13 +1308,22 @@ place_window(const Walker *w, const int *pos_of, int task,
             hi = pos;
         }
     }
-    if (lo > hi) {
+    *lo_out = lo;
+    *hi_out = hi;
+}
+
+/* insertion_window, where an empty window raises InvalidScheduleError,
+ * so every slot lies in [0, k). */
+static int
+place_window(const Walker *w, const int *pos_of, int task,
+             Py_ssize_t *lo_out, Py_ssize_t *hi_out)
+{
+    insertion_window(w, pos_of, task, lo_out, hi_out);
+    if (*lo_out > *hi_out) {
         PyErr_Format(INVALID_ERROR, "subtask %d has no valid insertion "
                      "index in the string", task);
         return -1;
     }
-    *lo_out = lo;
-    *hi_out = hi;
     return 0;
 }
 
@@ -2151,6 +2164,172 @@ done:
     return out;
 }
 
+/* ---- tabu's and SA's moves (section 4.2) ---------------------------- */
+
+/* A Move(kind, task, target) instance: a tuple of the bound Move class,
+ * built by tuple's own constructor. */
+static PyObject *
+new_move(int kind, int task, Py_ssize_t target)
+{
+    PyObject *items = PyTuple_New(3), *args, *move;
+    PyObject *task_obj, *target_obj;
+    if (items == NULL) {
+        return NULL;
+    }
+    task_obj = PyLong_FromLong(task);
+    target_obj = PyLong_FromSsize_t(target);
+    if (task_obj == NULL || target_obj == NULL) {
+        Py_XDECREF(task_obj);
+        Py_XDECREF(target_obj);
+        Py_DECREF(items);
+        return NULL;
+    }
+    Py_INCREF(move_kinds[kind]);
+    PyTuple_SET_ITEM(items, 0, move_kinds[kind]);
+    PyTuple_SET_ITEM(items, 1, task_obj);
+    PyTuple_SET_ITEM(items, 2, target_obj);
+    args = PyTuple_Pack(1, items);
+    Py_DECREF(items);
+    if (args == NULL) {
+        return NULL;
+    }
+    move = PyTuple_Type.tp_new((PyTypeObject *)move_cls, args, NULL);
+    Py_DECREF(args);
+    return move;
+}
+
+/* draw_moves(order, machine_of, rng, count, reassign_prob, avoid_noop)
+ *   -> list[Move]
+ *
+ * `count` random moves against one string, as repro.schedule.
+ * neighborhood.random_move specifies each: a subtask, then one
+ * next_double against reassign_prob for the kind, then the target --
+ * a machine, or an insertion index in the subtask's valid window.  With
+ * avoid_noop the target is drawn from all but the current one (one draw
+ * over one value fewer, shifted past it), and a kind with no other
+ * target falls back as the specification does.  Every integer draw is
+ * the one Generator.integers makes, so the moves and rng's state
+ * afterwards are the specification's.  The string is not changed
+ * between draws.  The caller holds rng.bit_generator.lock. */
+static PyObject *
+walker_draw_moves(Walker *w, PyObject *const *args, Py_ssize_t nargs)
+{
+    Inputs in;
+    PyObject *owner, *out = NULL;
+    bitgen_t *bg;
+    Py_ssize_t count, n, p;
+    double reassign_prob;
+    int avoid_noop, pos_stack[STACK_TASKS];
+    int *order, *mach, *pos_of = pos_stack;
+    const Py_ssize_t k = w->k, l = w->l;
+    if (nargs != 6) {
+        PyErr_SetString(PyExc_TypeError,
+                        "draw_moves(order, machine_of, rng, count, "
+                        "reassign_prob, avoid_noop) takes 6 arguments");
+        return NULL;
+    }
+    if (!walker_ready(w)) {
+        return NULL;
+    }
+    if (move_cls == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "walker module is not bound");
+        return NULL;
+    }
+    count = PyNumber_AsSsize_t(args[3], NULL);  /* clamps huge values */
+    if (count == -1 && PyErr_Occurred()) {
+        return NULL;
+    }
+    reassign_prob = PyFloat_AsDouble(args[4]);
+    if (reassign_prob == -1.0 && PyErr_Occurred()) {
+        return NULL;
+    }
+    if ((avoid_noop = PyObject_IsTrue(args[5])) < 0) {
+        return NULL;
+    }
+    if ((bg = read_bitgen(args[2], &owner)) == NULL) {
+        return NULL;
+    }
+    if (read_inputs(&in, args[0], args[1], k, l) < 0) {
+        Py_DECREF(owner);
+        return NULL;
+    }
+    if (count < 0) {
+        PyErr_Format(PyExc_ValueError, "count must be >= 0, got %zd",
+                     count);
+        goto done;
+    }
+    if (count > 0 && k == 0) {
+        PyErr_SetString(PyExc_ValueError, "no subtask to move");
+        goto done;
+    }
+    if (k > STACK_TASKS && (pos_of = zalloc(k, sizeof(int))) == NULL) {
+        goto done;
+    }
+    if ((out = PyList_New(count)) == NULL) {
+        goto done;
+    }
+    order = in.order;
+    mach = in.mach;
+    for (p = 0; p < k; p++) {
+        pos_of[order[p]] = (int)p;
+    }
+    for (n = 0; n < count; n++) {
+        const int task = (int)draw_index(bg, 0, (uint32_t)(k - 1));
+        const int want_reassign = bg->next_double(bg->state) < reassign_prob;
+        int kind = MOVE_REASSIGN;
+        Py_ssize_t lo, hi, target = 0;
+        PyObject *move;
+        if (!avoid_noop) {
+            if (want_reassign) {
+                target = draw_index(bg, 0, (uint32_t)(l - 1));
+            }
+            else {
+                if (place_window(w, pos_of, task, &lo, &hi) < 0) {
+                    Py_CLEAR(out);
+                    goto done;
+                }
+                kind = MOVE_REORDER;
+                target = draw_index(bg, lo, (uint32_t)(hi - lo));
+            }
+        }
+        else {
+            kind = -1;
+            if (!want_reassign || l == 1) {
+                insertion_window(w, pos_of, task, &lo, &hi);
+                if (hi > lo) {
+                    /* uniform over [lo, hi] minus the current position */
+                    const Py_ssize_t idx = draw_index(
+                        bg, lo, (uint32_t)(hi - lo - 1));
+                    kind = MOVE_REORDER;
+                    target = idx >= pos_of[task] ? idx + 1 : idx;
+                }
+                else if (l == 1) {
+                    kind = MOVE_REORDER;
+                    target = pos_of[task];
+                }
+            }
+            if (kind < 0) {
+                /* uniform over the l-1 other machines */
+                const Py_ssize_t m = draw_index(bg, 0, (uint32_t)(l - 2));
+                kind = MOVE_REASSIGN;
+                target = m >= mach[task] ? m + 1 : m;
+            }
+        }
+        if ((move = new_move(kind, task, target)) == NULL) {
+            Py_CLEAR(out);
+            goto done;
+        }
+        PyList_SET_ITEM(out, n, move);
+    }
+done:
+    if (pos_of != pos_stack) {
+        PyMem_Free(pos_of);
+    }
+    free_inputs(&in);
+    Py_DECREF(owner);
+    return out;
+}
+
 static PyObject *
 walker_get_nic(Walker *w, void *closure)
 {
@@ -2187,6 +2366,10 @@ static PyMethodDef walker_methods[] = {
     {"shuffle", (PyCFunction)(void (*)(void))walker_shuffle, METH_FASTCALL,
      "shuffle(order, rng, num_moves) -> the order after num_moves random "
      "valid moves drawn from rng"},
+    {"draw_moves", (PyCFunction)(void (*)(void))walker_draw_moves,
+     METH_FASTCALL,
+     "draw_moves(order, machine_of, rng, count, reassign_prob, avoid_noop) "
+     "-> count random valid moves drawn from rng"},
     {NULL}
 };
 
@@ -2194,8 +2377,8 @@ static PyTypeObject WalkerType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.schedule._walk.Walker",
     .tp_doc = "Compiled makespan / prepare / evaluate_delta / allocate / "
-              "optimal_finish / score_moves / shuffle for one workload and "
-              "network.",
+              "optimal_finish / score_moves / shuffle / draw_moves for one "
+              "workload and network.",
     .tp_basicsize = sizeof(Walker),
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_new = PyType_GenericNew,
@@ -2212,10 +2395,17 @@ static PyTypeObject WalkerType = {
 static PyObject *
 walk_bind(PyObject *module, PyObject *args)
 {
-    PyObject *sched, *err, *restore;
-    if (!PyArg_ParseTuple(args, "OOO", &sched, &err, &restore)) {
+    PyObject *sched, *err, *restore, *move;
+    if (!PyArg_ParseTuple(args, "OOOO", &sched, &err, &restore, &move)) {
         return NULL;
     }
+    if (!PyType_Check(move)
+        || !PyType_IsSubtype((PyTypeObject *)move, &PyTuple_Type)) {
+        PyErr_SetString(PyExc_TypeError, "Move must be a tuple subclass");
+        return NULL;
+    }
+    Py_INCREF(move);
+    Py_XSETREF(move_cls, move);
     Py_INCREF(sched);
     Py_XSETREF(schedule_cls, sched);
     Py_INCREF(err);
@@ -2227,8 +2417,8 @@ walk_bind(PyObject *module, PyObject *args)
 
 static PyMethodDef walk_functions[] = {
     {"bind", walk_bind, METH_VARARGS,
-     "bind(Schedule, InvalidScheduleError, restore): set the Python types "
-     "the walkers build and raise, and the state-restore function"},
+     "bind(Schedule, InvalidScheduleError, restore, Move): set the Python "
+     "types the walkers build and raise, and the state-restore function"},
     {"restore", walk_restore, METH_VARARGS,
      "restore(nic, k, l, p, makespan, ints, dbl) -> State (unpickling)"},
     {NULL}
@@ -2248,6 +2438,13 @@ PyInit__walk(void)
     PyObject *m;
     if (PyType_Ready(&WalkerType) < 0 || PyType_Ready(&StateType) < 0) {
         return NULL;
+    }
+    if (move_kinds[0] == NULL) {
+        move_kinds[0] = PyUnicode_InternFromString("reorder");
+        move_kinds[1] = PyUnicode_InternFromString("reassign");
+        if (move_kinds[0] == NULL || move_kinds[1] == NULL) {
+            return NULL;
+        }
     }
     m = PyModule_Create(&walk_module);
     if (m == NULL) {

@@ -105,6 +105,10 @@ class SimulatorBackend(Protocol):
       §4.2): the loop of :func:`~repro.schedule.operations.
       shuffle_string`, with the same draws (one compiled walker call on
       the scalar backends, ``==``);
+    * ``draw_moves`` — tabu's neighborhood or an SA proposal: random
+      valid moves against one string, each drawn as :func:`~repro.
+      schedule.neighborhood.random_move` draws it (one compiled walker
+      call on the scalar backends, ``==``);
     * ``finish_times`` — per-subtask finish times (SE's ``Ci`` input).
 
     The delta state is backend-specific; callers treat it as opaque
@@ -157,6 +161,16 @@ class SimulatorBackend(Protocol):
     def shuffle(
         self, order: Sequence[int], rng: Any, num_moves: int
     ) -> list[int]: ...
+
+    def draw_moves(
+        self,
+        order: Sequence[int],
+        machine_of: Sequence[int],
+        rng: Any,
+        count: int,
+        reassign_prob: float = 0.5,
+        avoid_noop: bool = False,
+    ) -> list[Any]: ...
 
     def finish_times(self, string: ScheduleString) -> list[float]: ...
 

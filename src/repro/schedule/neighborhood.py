@@ -11,6 +11,11 @@ move without committing it — and knows the span of string positions
 each move rewrites (:func:`changed_region`), which is what routes
 proposals through the backends' incremental ``evaluate_delta`` tier.
 
+:func:`random_move` is the specification of the backends'
+``draw_moves``, which tabu's step and SA's proposal call: the
+compiled walker draws a whole neighborhood in one call, with the same
+draws from the generator's bit generator.
+
 Tabu's selection rule over one neighborhood (:func:`select_move`) and
 its delta loop (:func:`score_by_deltas`) live here too, next to SE's
 :func:`~repro.schedule.valid_range.place_by_probes`: they specify the

@@ -6,15 +6,16 @@ of times per experiment, so it is written for speed per the profiling
 guidance in the HPC coding guides:
 
 * ``makespan``, ``prepare``, ``evaluate_delta``, ``allocate``,
-  ``optimal_finish``, ``score_moves`` and ``shuffle`` run in the
-  compiled walker of :mod:`repro.schedule.walker` when it loads (a C
-  extension built on first use; a fig5 ``makespan`` costs ~3 µs
-  there); the Python bodies below,
+  ``optimal_finish``, ``score_moves``, ``shuffle`` and ``draw_moves``
+  run in the compiled walker of :mod:`repro.schedule.walker` when it
+  loads (a C extension built on first use; a fig5 ``makespan`` costs
+  ~3 µs there); the Python bodies below,
   :func:`~repro.schedule.valid_range.allocate_by_places` for
   ``allocate``, :func:`~repro.schedule.neighborhood.score_by_deltas`
-  for ``score_moves`` and :func:`~repro.schedule.operations.
-  shuffle_string` for ``shuffle``, are its specification and the
-  fallback, ``==`` on every result;
+  for ``score_moves``, :func:`~repro.schedule.operations.
+  shuffle_string` for ``shuffle`` and :func:`~repro.schedule.
+  neighborhood.random_move` for each move of ``draw_moves``, are its
+  specification and the fallback, ``==`` on every result;
 * the Python tier converts the matrix data to nested lists (scalar
   indexing into small numpy arrays costs ~10x a list index), built only
   when that tier serves, and binds every attribute to a local;
@@ -70,7 +71,7 @@ import numpy as np
 from repro.model.workload import Workload
 from repro.schedule import walker
 from repro.schedule.encoding import ScheduleString
-from repro.schedule.neighborhood import score_by_deltas
+from repro.schedule.neighborhood import Move, random_move, score_by_deltas
 from repro.schedule.operations import shuffle_string
 from repro.schedule.scoring import CostModel, ScheduleScore
 from repro.schedule.valid_range import allocate_by_places
@@ -419,6 +420,57 @@ class _ScalarBackend:
         shuffle_string(string, self._workload.graph, rng, num_moves)
         return string.order
 
+    def draw_moves(
+        self,
+        order: Sequence[int],
+        machine_of: Sequence[int],
+        rng: np.random.Generator,
+        count: int,
+        reassign_prob: float = 0.5,
+        avoid_noop: bool = False,
+    ) -> list[Move]:
+        """*count* random valid moves against the string *order* /
+        *machine_of*, drawn from *rng*: tabu's neighborhood, or one SA
+        proposal.
+
+        Specified by :func:`~repro.schedule.neighborhood.random_move`,
+        called *count* times against the unchanged string, which is the
+        Python tier's body; on the compiled tier the whole loop is one
+        walker call that makes the same draws from *rng*'s bit
+        generator, so the moves and *rng*'s state afterwards are the
+        same on both tiers.
+
+        Raises
+        ------
+        TypeError
+            If *rng* is not a :class:`numpy.random.Generator`.
+        ValueError
+            If *count* is negative, the string has the wrong length or a
+            machine out of range, or a drawn relocation has no valid
+            insertion index (*order* breaks a dependency).
+        InvalidScheduleError
+            If *order* is not a permutation.
+        """
+        if not isinstance(rng, np.random.Generator):
+            raise TypeError(
+                "rng must be a numpy.random.Generator, got "
+                f"{type(rng).__name__}"
+            )
+        if self._c is not None:
+            with rng.bit_generator.lock:
+                return self._c.draw_moves(
+                    order, machine_of, rng, count, reassign_prob, avoid_noop
+                )
+        self._check_string(order, machine_of)
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        string = ScheduleString(order, machine_of, self._l)
+        graph = self._workload.graph
+        return [
+            random_move(string, graph, rng, reassign_prob, avoid_noop)
+            for _ in range(count)
+        ]
+
     def _check_base(
         self, state, order: Sequence[int], machine_of: Sequence[int]
     ) -> None:
@@ -436,8 +488,9 @@ class _ScalarBackend:
     def walker_tier(self) -> str:
         """``"compiled"`` when the C walker serves ``makespan`` /
         ``prepare`` / ``evaluate_delta`` / ``allocate`` /
-        ``optimal_finish`` / ``score_moves`` / ``shuffle``, ``"python"``
-        otherwise (see :mod:`repro.schedule.walker`)."""
+        ``optimal_finish`` / ``score_moves`` / ``shuffle`` /
+        ``draw_moves``, ``"python"`` otherwise (see
+        :mod:`repro.schedule.walker`)."""
         return "python" if self._c is None else "compiled"
 
     @property

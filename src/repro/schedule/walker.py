@@ -11,7 +11,9 @@ when it loads:
   move;
 * ``optimal_finish``, SE's optimistic finish times ``O``;
 * ``score_moves``, tabu's selection over one neighborhood;
-* ``shuffle``, the SE initial string's random moves.
+* ``shuffle``, the SE initial string's random moves;
+* ``draw_moves``, tabu's neighborhoods and SA's proposals: random
+  moves against one string.
 
 The Python bodies stay as the specification and the fallback:
 :func:`~repro.schedule.valid_range.allocate_by_places` for
@@ -19,11 +21,12 @@ The Python bodies stay as the specification and the fallback:
 for each selected subtask), a loop over the same tables for ``optimal_finish``
 (specified by :func:`~repro.core.goodness.optimal_finish_times`),
 :func:`~repro.schedule.neighborhood.score_by_deltas` for
-``score_moves`` and :func:`~repro.schedule.operations.shuffle_string`
-for ``shuffle``.  The two
-tiers are ``==`` on every result (property-tested); ``shuffle`` draws
-from the numpy generator's bit generator exactly as
-``Generator.integers`` does, so the generator's state afterwards is the
+``score_moves``, :func:`~repro.schedule.operations.shuffle_string`
+for ``shuffle`` and :func:`~repro.schedule.neighborhood.random_move`
+for each move of ``draw_moves``.  The two tiers are ``==`` on every
+result (property-tested); ``shuffle`` and ``draw_moves`` draw from the
+numpy generator's bit generator exactly as ``Generator.integers`` and
+``Generator.random`` do, so the generator's state afterwards is the
 same on both tiers too.
 
 The extension is compiled on first use with the local C compiler
@@ -215,9 +218,10 @@ def _load() -> tuple[Optional[ModuleType], Optional[str]]:
         except (OSError, ImportError) as e:
             error = f"build failed in {cache}: {e}"
             continue
+        from repro.schedule.neighborhood import Move
         from repro.schedule.simulator import InvalidScheduleError, Schedule
 
-        module.bind(Schedule, InvalidScheduleError, restore_state)
+        module.bind(Schedule, InvalidScheduleError, restore_state, Move)
         return module, None
     return None, error
 

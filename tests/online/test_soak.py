@@ -8,7 +8,8 @@ windows firing throughout, in bounded memory and sane wall time.
 
 "Bounded memory" is pinned as a per-job cap on the bytes the finished
 result keeps (tracemalloc over the run): its job views keep each job's
-string and scored-against state, not its schedule or workload.
+string and scored-against state, not its schedule or workload, and
+its event log is kept column-wise, not as a dict per event.
 """
 
 import gc
@@ -29,9 +30,10 @@ pytestmark = pytest.mark.slow
 TEMPLATE = WorkloadSpec(num_tasks=6, num_machines=4)
 NUM_JOBS = 1000
 #: Bytes a finished 1000-job result may keep per job.  The result keeps
-#: ~2,870 B per job (events, records, views); when the views kept every
-#: evaluated schedule it kept ~3,920 B (Python 3.11).
-KEPT_BYTES_PER_JOB = 3_400
+#: ~1,200 B per job (events, records, views); when the event log kept a
+#: dict per event it kept ~2,870 B, and when the views also kept every
+#: evaluated schedule ~3,920 B (Python 3.11).
+KEPT_BYTES_PER_JOB = 1_730
 
 
 def _run(stream):

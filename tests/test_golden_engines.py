@@ -25,8 +25,18 @@ Two later additions ride on the same goldens:
   scoring counts one evaluation per chromosome — the accounting of the
   contention-free cells too, and of the GA's only route today.
 
+* the **SA** cells (``"sa"``) were recorded when SA's proposals moved
+  from a Python draw per move to the backends' ``draw_moves``, on the
+  tree before that change: a fast-cooling schedule
+  (:data:`SA_PARAMS`), so each cell both accepts and rejects moves.
+
 ``TestGoldenPythonWalker`` reruns every cell on the Python walker, so
 the goldens pin both walker tiers.
+
+Record the SA cells (only when a change is meant to move them; the
+other cells are left as they are)::
+
+    PYTHONPATH=src:. python -m tests.test_golden_engines
 """
 
 import json
@@ -37,7 +47,7 @@ import pytest
 from repro.analysis.trace import ConvergenceTrace
 from repro.baselines import GAConfig, GeneticAlgorithm, random_search
 from repro.core import SEConfig, SimulatedEvolution
-from repro.optim import TabuConfig, TabuSearch
+from repro.optim import SAConfig, SimulatedAnnealing, TabuConfig, TabuSearch
 from repro.workloads import WorkloadSpec, build_workload, small_workload
 from tests.routes import walker
 
@@ -49,6 +59,10 @@ WORKLOADS = {
         WorkloadSpec(num_tasks=12, num_machines=3, seed=5, name="g1")
     ),
 }
+
+
+#: The SA cells' settings: 40 proposals, cooling by half every 5.
+SA_PARAMS = dict(max_iterations=40, steps_per_temp=5, cooling=0.5)
 
 
 def golden_cells():
@@ -66,6 +80,24 @@ def strip_time(rows):
 def parse_key(key):
     wname, network, s = key.split("|")
     return WORKLOADS[wname](), network, int(s[1:])
+
+
+def sa_record(key):
+    """The SA cell of *key*, as it is stored."""
+    w, network, seed = parse_key(key)
+    res = SimulatedAnnealing(
+        SAConfig(seed=seed, network=network, **SA_PARAMS)
+    ).run(w)
+    return {
+        "best_makespan": res.best_makespan,
+        "best_string": {
+            "machines": list(res.best_string.machines),
+            "order": list(res.best_string.order),
+        },
+        "evaluations": res.evaluations,
+        "iterations": res.iterations,
+        "trace": res.trace.to_rows(),
+    }
 
 
 @pytest.mark.parametrize("key,expected", golden_cells())
@@ -128,6 +160,15 @@ class TestGoldenBitIdentity:
         assert res.evaluations == g["evaluations"]
         assert strip_time(res.trace.to_rows()) == strip_time(g["trace"])
 
+    def test_sa(self, key, expected):
+        got, g = sa_record(key), expected["sa"]
+        assert {k: v for k, v in got.items() if k != "trace"} == {
+            k: v for k, v in g.items() if k != "trace"
+        }
+        assert strip_time(got["trace"]) == strip_time(g["trace"])
+        accepted = {row["num_selected"] for row in g["trace"]}
+        assert accepted == {0, 1}  # the cell accepts and rejects moves
+
 
 class TestGoldenPythonWalker(TestGoldenBitIdentity):
     """The same goldens hold when the Python walker scores every call,
@@ -158,3 +199,10 @@ class TestGoldenChunking:
         assert list(res.string.order) == g["string"]["order"]
         assert list(res.string.machines) == g["string"]["machines"]
         assert res.evaluations == g["evaluations"]
+
+
+if __name__ == "__main__":
+    doc = json.loads(GOLDEN_PATH.read_text())
+    for key in doc:
+        doc[key]["sa"] = sa_record(key)
+    GOLDEN_PATH.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

@@ -219,6 +219,7 @@ PER_STEP_METHODS = frozenset(
         "allocate",
         "score_moves",
         "shuffle",
+        "draw_moves",
         "makespans",
         "string_makespans",
         "score_applied",
