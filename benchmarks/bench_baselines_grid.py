@@ -50,7 +50,7 @@ def run_baseline_grid():
     names = list(ALGORITHMS)
     by_workload = defaultdict(dict)
     for cell in grid.cells:
-        by_workload[cell.workload_name][cell.algorithm] = cell
+        by_workload[cell.workload][cell.algorithm] = cell
     rows = []
     slr = defaultdict(list)
     for wname in sorted(by_workload):

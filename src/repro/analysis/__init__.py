@@ -13,7 +13,6 @@ __getattr__, __dir__, __all__ = exports(
         ),
         "repro.analysis.ascii_plot": ("Series", "line_plot", "sparkline"),
         "repro.analysis.grid": (
-            "GridCellResult",
             "GridResult",
             "grid_from_experiment",
             "run_grid",

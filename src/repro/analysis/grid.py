@@ -24,39 +24,18 @@ from typing import Mapping, Optional, Sequence
 from repro.analysis.report import markdown_table
 from repro.analysis.stats import WinLossRecord, geometric_mean, win_loss
 from repro.runner.pool import ProgressFn, run_experiment
-from repro.runner.results import ExperimentResult
+from repro.runner.results import CellResult, ExperimentResult
 from repro.runner.spec import AlgorithmSpec, ExperimentSpec
-from repro.schedule.backend import DEFAULT_NETWORK, DEFAULT_PLATFORM
 from repro.workloads.suite import WorkloadSuite
-
-@dataclass(frozen=True)
-class GridCellResult:
-    """One (workload, algorithm) measurement.
-
-    ``network`` records which simulator backend produced the makespan
-    (``"contention-free"`` | ``"nic"``), so mixed-scenario grids stay
-    disaggregable.  ``platform`` / ``cost`` carry the
-    machine-catalog scenario and the winning schedule's dollar cost
-    (0.0 on the free default ``"uniform"`` platform).
-    """
-
-    workload_name: str
-    connectivity: str
-    heterogeneity: str
-    ccr: float
-    algorithm: str
-    makespan: float
-    normalized: float
-    network: str = DEFAULT_NETWORK
-    platform: str = DEFAULT_PLATFORM
-    cost: float = 0.0
 
 
 @dataclass
 class GridResult:
-    """All measurements of one grid run, with aggregation helpers."""
+    """All measurements of one grid run, with aggregation helpers: one
+    :class:`~repro.runner.results.CellResult` per (workload, algorithm,
+    seed) cell."""
 
-    cells: list[GridCellResult] = field(default_factory=list)
+    cells: list[CellResult] = field(default_factory=list)
 
     @property
     def algorithms(self) -> list[str]:
@@ -74,11 +53,11 @@ class GridResult:
         # the two algorithms have different replicate counts (e.g. a
         # partially merged shard) cannot be paired reliably and are
         # skipped, matching the old incomplete-workload behaviour.
-        by_workload: dict[str, dict[str, list[GridCellResult]]] = (
+        by_workload: dict[str, dict[str, list[CellResult]]] = (
             defaultdict(lambda: defaultdict(list))
         )
         for c in self.cells:
-            by_workload[c.workload_name][c.algorithm].append(c)
+            by_workload[c.workload][c.algorithm].append(c)
         a_vals, b_vals = [], []
         for cells in by_workload.values():
             if algo_a not in cells or algo_b not in cells:
@@ -112,7 +91,7 @@ class GridResult:
         different cost models are not comparable head-to-head).
         """
 
-        def predicate(cell: GridCellResult) -> bool:
+        def predicate(cell: CellResult) -> bool:
             if connectivity is not None and cell.connectivity != connectivity:
                 return False
             if heterogeneity is not None and cell.heterogeneity != heterogeneity:
@@ -168,23 +147,7 @@ class GridResult:
 
 def grid_from_experiment(result: ExperimentResult) -> GridResult:
     """Project an :class:`ExperimentResult` onto the grid view."""
-    grid = GridResult()
-    for c in result:
-        grid.cells.append(
-            GridCellResult(
-                workload_name=c.workload,
-                connectivity=c.connectivity,
-                heterogeneity=c.heterogeneity,
-                ccr=c.ccr,
-                algorithm=c.algorithm,
-                makespan=c.makespan,
-                normalized=c.normalized,
-                network=c.network,
-                platform=c.platform,
-                cost=c.cost,
-            )
-        )
-    return grid
+    return GridResult(cells=list(result))
 
 
 def run_grid(

@@ -33,11 +33,15 @@ snapshots, per string position, the machine-availability vector, the
 NIC-free-time vector and the running span, plus the final item-arrival
 table; :meth:`ContentionSimulator.evaluate_delta` then re-scores a
 perturbed string suffix-only with branch-and-bound cutoff, bit-identical
-to a full evaluation.  Everything else (scoring, pickling, ``evaluate``'s
-schedule, ``finish_times``) is the shared scalar-backend base of
-:mod:`repro.schedule.simulator`; :meth:`ContentionSimulator.evaluate`
-adds the transfer records by replaying the pushes from the prepared
-finish times, with no second walk.
+to a full evaluation.  On the Python tier ``makespan``, ``prepare``
+and ``evaluate_delta`` call one walk, ``ContentionSimulator._walk``;
+``prepare`` reads its rows off the walk's times with no float
+arithmetic.  Everything else (scoring, pickling,
+``evaluate``'s schedule, ``finish_times``) is the shared scalar-backend
+base of :mod:`repro.schedule.simulator`;
+:meth:`ContentionSimulator.evaluate` adds the transfer records by
+replaying the pushes from the prepared finish times, with no second
+walk.
 
 One contention-specific subtlety: pushes happen *eagerly* when the
 producer runs, and a push's duration (and whether it happens at all)
@@ -141,21 +145,16 @@ class ContentionDeltaState(_PreparedState):
     plus the per-task ``start`` / ``finish`` arrays, the final per-item
     ``arrival`` table (valid for every item produced before any suffix
     restart point — see :meth:`ContentionSimulator.evaluate_delta`), the
-    base ``order`` / ``machine_of`` copies, ``pos_of`` and, per task, the
-    earliest base position among its producers (``producer_floor``, ``k``
-    for entry tasks; built from the simulator's *in_edges*) used to bound
-    machine-reassignment effects.
+    base ``order`` / ``machine_of`` copies and ``pos_of``, whose entries
+    for the producers of reassigned tasks bound where a delta restarts.
 
-    Memory is ``O(k*l + p)``; building it costs one full evaluation.
+    Memory is ``O(k*l + p)``; building it costs one
+    :meth:`ContentionSimulator._walk` and a pass that copies the tables
+    off its finish and arrival times (``nic_rows[q][m]`` is the arrival
+    of the last cross-machine item ``m`` pushed before ``q``).
     """
 
-    __slots__ = (
-        "arrival",
-        "avail_rows",
-        "nic_rows",
-        "span_prefix",
-        "producer_floor",
-    )
+    __slots__ = ("arrival", "nic_rows")
 
     def __init__(
         self,
@@ -163,27 +162,14 @@ class ContentionDeltaState(_PreparedState):
         machine_of: list[int],
         start: list[float],
         finish: list[float],
-        arrival: list[float],
-        avail_rows: list[list[float]],
-        nic_rows: list[list[float]],
-        span_prefix: list[float],
-        in_edges: list[tuple[tuple[int, int], ...]],
         makespan: float,
+        avail0: list[float],
+        arrival: list[float],
+        nic_rows: list[list[float]],
     ):
-        super().__init__(order, machine_of, start, finish, makespan)
+        super().__init__(order, machine_of, start, finish, makespan, avail0)
         self.arrival = arrival
-        self.avail_rows = avail_rows
         self.nic_rows = nic_rows
-        self.span_prefix = span_prefix
-        k = len(order)
-        pos_of = self.pos_of
-        producer_floor = [k] * k
-        for t in range(k):
-            for prod, _item in in_edges[t]:
-                q = pos_of[prod]
-                if q < producer_floor[t]:
-                    producer_floor[t] = q
-        self.producer_floor = producer_floor
 
 
 class ContentionSimulator(_ScalarBackend):
@@ -265,6 +251,62 @@ class ContentionSimulator(_ScalarBackend):
             nic_free[m] = nf
         return ContentionSchedule(schedule, tuple(transfers))
 
+    def _walk(
+        self,
+        order: Sequence[int],
+        machine_of: Sequence[int],
+        f: int,
+        start: list[float],
+        finish: list[float],
+        arrival: list[float],
+        avail: list[float],
+        nic_free: list[float],
+        span: float,
+        cutoff: float,
+    ) -> float:
+        """Walk positions ``f..k-1`` from the state before *f*, updating
+        *start* / *finish* (``-1.0`` until walked: reading one raises
+        :class:`InvalidScheduleError`), *arrival*, *avail* and *nic_free*
+        in place; returns the makespan, or ``inf`` once it reaches
+        *cutoff*."""
+        E = self._E
+        pair = self._pair
+        in_edges = self._in_edges
+        out_edges = self._out_edges
+
+        for q in range(f, self._k):
+            task = order[q]
+            m = machine_of[task]
+            ready = avail[m]
+            for prod, item in in_edges[task]:
+                pf = finish[prod]
+                if pf < 0.0:
+                    raise InvalidScheduleError(
+                        f"subtask {task} scheduled before its producer {prod}"
+                    )
+                t_arr = pf if machine_of[prod] == m else arrival[item]
+                if t_arr > ready:
+                    ready = t_arr
+            start[task] = ready
+            fin = ready + E[m][task]
+            finish[task] = fin
+            avail[m] = fin
+            if fin > span:
+                span = fin
+                if span >= cutoff:
+                    return float("inf")
+            nf = nic_free[m]
+            from_m = pair[m]
+            for item, consumer in out_edges[task]:
+                dst = machine_of[consumer]
+                if dst == m:
+                    continue
+                t_start = fin if fin > nf else nf
+                nf = t_start + from_m[dst][item]
+                arrival[item] = nf
+            nic_free[m] = nf
+        return span
+
     def makespan(
         self, order: Sequence[int], machine_of: Sequence[int]
     ) -> float:
@@ -278,44 +320,11 @@ class ContentionSimulator(_ScalarBackend):
         if self._c is not None:
             return self._c.makespan(order, machine_of)
         self._check_string(order, machine_of)
-        E = self._E
-        pair = self._pair
-        in_edges = self._in_edges
-        out_edges = self._out_edges
-        finish = [-1.0] * self._k
-        machine_avail = self._avail0[:]
-        nic_free = self._nic0[:]
-        arrival = [0.0] * self._p
-        span = 0.0
-
-        for task in order:
-            m = machine_of[task]
-            ready = machine_avail[m]
-            for prod, item in in_edges[task]:
-                pf = finish[prod]
-                if pf < 0.0:
-                    raise InvalidScheduleError(
-                        f"subtask {task} scheduled before its producer {prod}"
-                    )
-                t_arr = pf if machine_of[prod] == m else arrival[item]
-                if t_arr > ready:
-                    ready = t_arr
-            fin = ready + E[m][task]
-            finish[task] = fin
-            machine_avail[m] = fin
-            if fin > span:
-                span = fin
-            nf = nic_free[m]
-            from_m = pair[m]
-            for item, consumer in out_edges[task]:
-                dst = machine_of[consumer]
-                if dst == m:
-                    continue
-                t_start = fin if fin > nf else nf
-                nf = t_start + from_m[dst][item]
-                arrival[item] = nf
-            nic_free[m] = nf
-        return span
+        k = self._k
+        return self._walk(
+            order, machine_of, 0, [0.0] * k, [-1.0] * k, [0.0] * self._p,
+            self._avail0[:], self._nic0[:], 0.0, float("inf"),
+        )
 
     # ------------------------------------------------------------------
     # incremental (suffix-only) evaluation
@@ -334,65 +343,28 @@ class ContentionSimulator(_ScalarBackend):
         if self._c is not None:
             return self._c.prepare(order, machine_of)
         self._check_string(order, machine_of)
-        E = self._E
-        pair = self._pair
         k = self._k
-        in_edges = self._in_edges
-        out_edges = self._out_edges
-
         start = [0.0] * k
         finish = [-1.0] * k
-        machine_avail = self._avail0[:]
-        nic_free = self._nic0[:]
         arrival = [0.0] * self._p
-        avail_rows: list[list[float]] = [machine_avail.copy()]
-        nic_rows: list[list[float]] = [nic_free.copy()]
-        span_prefix = [0.0]
-        span = 0.0
-
+        span = self._walk(
+            order, machine_of, 0, start, finish, arrival,
+            self._avail0[:], self._nic0[:], 0.0, float("inf"),
+        )
+        # A NIC row's entry for a machine is the arrival of the last
+        # cross-machine item that machine pushed.
+        out_edges = self._out_edges
+        nic = self._nic0[:]
+        nic_rows = [nic[:]]
         for task in order:
             m = machine_of[task]
-            ready = machine_avail[m]
-            for prod, item in in_edges[task]:
-                pf = finish[prod]
-                if pf < 0.0:
-                    raise InvalidScheduleError(
-                        f"subtask {task} scheduled before its producer {prod}"
-                    )
-                t_arr = pf if machine_of[prod] == m else arrival[item]
-                if t_arr > ready:
-                    ready = t_arr
-            fin = ready + E[m][task]
-            start[task] = ready
-            finish[task] = fin
-            machine_avail[m] = fin
-            if fin > span:
-                span = fin
-            nf = nic_free[m]
-            from_m = pair[m]
             for item, consumer in out_edges[task]:
-                dst = machine_of[consumer]
-                if dst == m:
-                    continue
-                t_start = fin if fin > nf else nf
-                nf = t_start + from_m[dst][item]
-                arrival[item] = nf
-            nic_free[m] = nf
-            avail_rows.append(machine_avail.copy())
-            nic_rows.append(nic_free.copy())
-            span_prefix.append(span)
-
+                if machine_of[consumer] != m:
+                    nic[m] = arrival[item]
+            nic_rows.append(nic[:])
         return ContentionDeltaState(
-            order=list(order),
-            machine_of=list(machine_of),
-            start=start,
-            finish=finish,
-            arrival=arrival,
-            avail_rows=avail_rows,
-            nic_rows=nic_rows,
-            span_prefix=span_prefix,
-            in_edges=in_edges,
-            makespan=span,
+            list(order), list(machine_of), start, finish, span,
+            self._avail0, arrival, nic_rows,
         )
 
     def evaluate_delta(
@@ -424,11 +396,11 @@ class ContentionSimulator(_ScalarBackend):
         to a new machine changes which of its inputs cross machines and
         how long each transfer occupies the **producer's** NIC — and the
         producer may sit in the untouched prefix.  The walk therefore
-        restarts at ``min(first_changed, producer_floor[t])`` over every
-        task ``t`` whose machine differs from the base assignment; every
-        position before that point is provably identical to the base run
-        (its tasks' pushes involve no reassigned consumer), so the
-        snapshots stay valid.
+        restarts at the smallest of ``first_changed`` and the base
+        positions of every producer of a task whose machine differs
+        from the base assignment; every position before that point is
+        provably identical to the base run (its tasks' pushes involve
+        no reassigned consumer), so the snapshots stay valid.
 
         ``cutoff`` enables branch-and-bound pruning exactly as in
         :meth:`repro.schedule.simulator.Simulator.evaluate_delta`: the
@@ -450,61 +422,27 @@ class ContentionSimulator(_ScalarBackend):
         if f < 0:
             f = 0
         self._check_window(order, machine_of, state.order, f, k)
-        base_machines = state.machine_of
-        if f < k:
-            # Machine reassignments can dirty prefix producers' NICs;
-            # restart early enough to replay every affected push.
-            floor = state.producer_floor
-            eff = f
-            for t in range(k):
-                if machine_of[t] != base_machines[t]:
-                    fl = floor[t]
-                    if fl < eff:
-                        eff = fl
-            f = eff
-        else:
+        if f >= k:
             return state.makespan if state.makespan < cutoff else float("inf")
-
-        E = self._E
-        pair = self._pair
+        # Machine reassignments can dirty prefix producers' NICs;
+        # restart early enough to replay every affected push.
+        base_machines = state.machine_of
+        pos_of = state.pos_of
         in_edges = self._in_edges
-        out_edges = self._out_edges
-        finish = state.finish[:]
-        arrival = state.arrival[:]
-        machine_avail = state.avail_rows[f][:]
-        nic_free = state.nic_rows[f][:]
+        for t in range(k):
+            if machine_of[t] != base_machines[t]:
+                for prod, _item in in_edges[t]:
+                    q = pos_of[prod]
+                    if q < f:
+                        f = q
         span = state.span_prefix[f]
         if span >= cutoff:
             return float("inf")
-
-        for q in range(f, k):
-            task = order[q]
-            m = machine_of[task]
-            ready = machine_avail[m]
-            for prod, item in in_edges[task]:
-                t_arr = (
-                    finish[prod] if machine_of[prod] == m else arrival[item]
-                )
-                if t_arr > ready:
-                    ready = t_arr
-            fin = ready + E[m][task]
-            finish[task] = fin
-            machine_avail[m] = fin
-            if fin > span:
-                span = fin
-                if span >= cutoff:
-                    return float("inf")
-            nf = nic_free[m]
-            from_m = pair[m]
-            for item, consumer in out_edges[task]:
-                dst = machine_of[consumer]
-                if dst == m:
-                    continue
-                t_start = fin if fin > nf else nf
-                nf = t_start + from_m[dst][item]
-                arrival[item] = nf
-            nic_free[m] = nf
-        return span
+        return self._walk(
+            order, machine_of, f, [0.0] * k, state.finish[:],
+            state.arrival[:], state.avail_rows[f][:], state.nic_rows[f][:],
+            span, cutoff,
+        )
 
 
 def contention_penalty(workload: Workload, string: ScheduleString) -> float:

@@ -28,10 +28,12 @@ guidance in the HPC coding guides:
 
 Both network models (this module's :class:`Simulator` and
 :class:`~repro.extensions.contention.ContentionSimulator`) derive from
-one scalar-backend base that owns everything but their three walks: the
+one scalar-backend base that owns everything but their walks: the
 in-edge table, the initial machine state, the walker tier, the cost
 model, pickling, ``score``, ``evaluate`` (``prepare(...).as_schedule()``)
-and ``finish_times`` (the prepared ``finish``).
+and ``finish_times`` (the prepared ``finish``).  On the Python tier each
+model has one walk, ``_walk``, which ``makespan`` and ``prepare`` call
+(the NIC delta too); only the plain delta keeps its own suffix walk.
 
 Semantics (paper §2 + §4.1, matching Wang et al.'s model):
 
@@ -116,7 +118,8 @@ class _ScalarBackend:
     them to :meth:`_build_walker`, names its Python delta state
     ``_state_type``, and defines ``makespan`` / ``prepare`` /
     ``evaluate_delta`` (the compiled walker's calls, then the Python
-    walks).  *initial* names each machine-state vector the constructor
+    bodies, which share the class's one ``_walk``).  *initial* names
+    each machine-state vector the constructor
     takes, in its argument order, so pickling can rebuild the backend.
     """
 
@@ -520,9 +523,7 @@ class _ScalarBackend:
         """
         cm = self._cost_model
         if cm is None:
-            cm = self._cost_model = CostModel.zero(
-                self._workload.exec_times.values
-            )
+            cm = CostModel.zero(self._workload.exec_times.values)
         return cm.score(machine_of, self.makespan(order, machine_of))
 
     def string_score(self, string: ScheduleString) -> ScheduleScore:
@@ -585,7 +586,9 @@ class Schedule:
 class _PreparedState:
     """What both Python delta states share: the base string, its
     per-task ``start`` / ``finish`` and ``makespan``, ``pos_of`` (base
-    position per task) and :meth:`as_schedule`."""
+    position per task), :meth:`as_schedule`, and ``avail_rows`` /
+    ``span_prefix``, read off the walk's *finish* times from its initial
+    availability *avail0* with no float arithmetic."""
 
     __slots__ = (
         "order",
@@ -594,6 +597,8 @@ class _PreparedState:
         "start",
         "finish",
         "makespan",
+        "avail_rows",
+        "span_prefix",
     )
 
     def __init__(
@@ -603,6 +608,7 @@ class _PreparedState:
         start: list[float],
         finish: list[float],
         makespan: float,
+        avail0: list[float],
     ):
         self.order = order
         self.machine_of = machine_of
@@ -610,9 +616,21 @@ class _PreparedState:
         self.finish = finish
         self.makespan = makespan
         pos_of = [0] * len(order)
+        row = avail0[:]
+        avail_rows = [row[:]]
+        span = 0.0
+        span_prefix = [span]
         for p, task in enumerate(order):
             pos_of[task] = p
+            fin = finish[task]
+            row[machine_of[task]] = fin
+            avail_rows.append(row[:])
+            if fin > span:
+                span = fin
+            span_prefix.append(span)
         self.pos_of = pos_of
+        self.avail_rows = avail_rows
+        self.span_prefix = span_prefix
 
     def as_schedule(self) -> Schedule:
         """The fully evaluated base schedule (no re-walk needed)."""
@@ -644,12 +662,11 @@ class DeltaState(_PreparedState):
     * ``last_consumer_pos[t]`` — last base position holding a consumer of
       ``t``'s data (``-1`` if none).
 
-    Memory is ``O(k*l)``; building it costs one full evaluation.
+    Memory is ``O(k*l)``; building it costs one :meth:`Simulator._walk`
+    and a pass that copies the tables off its finish times.
     """
 
     __slots__ = (
-        "avail_rows",
-        "span_prefix",
         "suffix_max",
         "last_consumer_pos",
         "avail_at",
@@ -663,27 +680,32 @@ class DeltaState(_PreparedState):
         machine_of: list[int],
         start: list[float],
         finish: list[float],
-        avail_rows: list[list[float]],
-        span_prefix: list[float],
-        suffix_max: list[float],
-        last_consumer_pos: list[int],
         makespan: float,
+        avail0: list[float],
+        last_consumer_pos: list[int],
     ):
-        super().__init__(order, machine_of, start, finish, makespan)
-        self.avail_rows = avail_rows
-        self.span_prefix = span_prefix
+        super().__init__(order, machine_of, start, finish, makespan, avail0)
+        k = len(order)
+        suffix_max = [0.0] * (k + 1)
+        running = 0.0
+        for p in range(k - 1, -1, -1):
+            fv = finish[order[p]]
+            if fv > running:
+                running = fv
+            suffix_max[p] = running
         self.suffix_max = suffix_max
         self.last_consumer_pos = last_consumer_pos
         pos_of = self.pos_of
+        avail_rows = self.avail_rows
         # avail_at[t]: availability of t's machine just before t's base
         # position — the machine-side input of t's ready-time computation.
         self.avail_at = [
-            avail_rows[pos_of[t]][machine_of[t]] for t in range(len(order))
+            avail_rows[pos_of[t]][machine_of[t]] for t in range(k)
         ]
         # Scratch for evaluate_delta's dirty tracking: a task is "dirty"
         # in a probe iff dirty_epoch[task] == epoch of that probe, so
         # flags reset in O(1) by bumping the epoch.
-        self.dirty_epoch = [0] * len(order)
+        self.dirty_epoch = [0] * k
         self.epoch = 0
 
 
@@ -721,23 +743,20 @@ class Simulator(_ScalarBackend):
         (self._avail0,) = self._state0
         self._build_walker(self._in_edges, self._avail0)
 
-    def makespan(
-        self, order: Sequence[int], machine_of: Sequence[int]
+    def _walk(
+        self,
+        order: Sequence[int],
+        machine_of: Sequence[int],
+        start: list[float],
+        finish: list[float],
     ) -> float:
-        """Makespan of the schedule encoded by *order* / *machine_of*.
-
-        Raises
-        ------
-        InvalidScheduleError
-            If *order* places a consumer before one of its producers.
-        """
-        if self._c is not None:
-            return self._c.makespan(order, machine_of)
-        self._check_string(order, machine_of)
+        """The paper's walk of the whole string (§2, §4.1): fills each
+        subtask's *start* / *finish* (all ``-1.0`` on entry, so a
+        consumer placed before a producer raises
+        :class:`InvalidScheduleError`) and returns the makespan."""
         E = self._E
         pair = self._pair
         in_edges = self._in_edges
-        finish = [-1.0] * self._k
         machine_avail = self._avail0[:]
         span = 0.0
 
@@ -754,12 +773,29 @@ class Simulator(_ScalarBackend):
                 pf += to_m[machine_of[prod]][item]
                 if pf > ready:
                     ready = pf
+            start[task] = ready
             fin = ready + E[m][task]
             finish[task] = fin
             machine_avail[m] = fin
             if fin > span:
                 span = fin
         return span
+
+    def makespan(
+        self, order: Sequence[int], machine_of: Sequence[int]
+    ) -> float:
+        """Makespan of the schedule encoded by *order* / *machine_of*.
+
+        Raises
+        ------
+        InvalidScheduleError
+            If *order* places a consumer before one of its producers.
+        """
+        if self._c is not None:
+            return self._c.makespan(order, machine_of)
+        self._check_string(order, machine_of)
+        k = self._k
+        return self._walk(order, machine_of, [0.0] * k, [-1.0] * k)
 
     # ------------------------------------------------------------------
     # incremental (suffix-only) evaluation
@@ -786,62 +822,17 @@ class Simulator(_ScalarBackend):
         if self._c is not None:
             return self._c.prepare(order, machine_of)
         self._check_string(order, machine_of)
-        E = self._E
-        pair = self._pair
-        in_edges = self._in_edges
         k = self._k
         start = [0.0] * k
         finish = [-1.0] * k
-        machine_avail = self._avail0[:]
-        avail_rows: list[list[float]] = [machine_avail.copy()]
-        span_prefix = [0.0]
-        span = 0.0
-
-        for task in order:
-            m = machine_of[task]
-            ready = machine_avail[m]
-            to_m = pair[m]
-            for prod, item in in_edges[task]:
-                pf = finish[prod]
-                if pf < 0.0:
-                    raise InvalidScheduleError(
-                        f"subtask {task} scheduled before its producer {prod}"
-                    )
-                pf += to_m[machine_of[prod]][item]
-                if pf > ready:
-                    ready = pf
-            start[task] = ready
-            fin = ready + E[m][task]
-            finish[task] = fin
-            machine_avail[m] = fin
-            if fin > span:
-                span = fin
-            avail_rows.append(machine_avail.copy())
-            span_prefix.append(span)
-
-        suffix_max = [0.0] * (k + 1)
-        running = 0.0
-        for p in range(k - 1, -1, -1):
-            fv = finish[order[p]]
-            if fv > running:
-                running = fv
-            suffix_max[p] = running
+        span = self._walk(order, machine_of, start, finish)
         last_consumer_pos = [-1] * k
         for p, task in enumerate(order):
-            for prod, _item in in_edges[task]:
-                if p > last_consumer_pos[prod]:
-                    last_consumer_pos[prod] = p
-
+            for prod, _item in self._in_edges[task]:
+                last_consumer_pos[prod] = p
         return DeltaState(
-            order=list(order),
-            machine_of=list(machine_of),
-            start=start,
-            finish=finish,
-            avail_rows=avail_rows,
-            span_prefix=span_prefix,
-            suffix_max=suffix_max,
-            last_consumer_pos=last_consumer_pos,
-            makespan=span,
+            list(order), list(machine_of), start, finish, span,
+            self._avail0, last_consumer_pos,
         )
 
     def evaluate_delta(

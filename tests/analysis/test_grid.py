@@ -2,12 +2,30 @@
 
 import pytest
 
-from repro.analysis.grid import GridCellResult, GridResult, run_grid
-from repro.runner import AlgorithmSpec
+from repro.analysis.grid import GridResult, grid_from_experiment, run_grid
+from repro.runner import AlgorithmSpec, ExperimentSpec, run_experiment
+from repro.runner.results import CellResult
 from repro.workloads import WorkloadSuite
 
 HEFT = AlgorithmSpec.make("heft")
 OLB = AlgorithmSpec.make("olb")
+
+
+def _cell(algorithm: str, makespan: float) -> CellResult:
+    """One measurement of *algorithm* on a low/low/0.1 workload "w0"."""
+    return CellResult(
+        cell_id=f"{algorithm}__w0__s0",
+        algorithm=algorithm,
+        workload="w0",
+        connectivity="low",
+        heterogeneity="low",
+        ccr=0.1,
+        num_tasks=12,
+        num_machines=3,
+        seed=0,
+        makespan=makespan,
+        normalized=1.0,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -98,9 +116,23 @@ class TestTieHandling:
     def test_near_ties_within_tolerance(self):
         grid = GridResult(
             cells=[
-                GridCellResult("w0", "low", "low", 0.1, "A", 100.0, 1.0),
-                GridCellResult("w0", "low", "low", 0.1, "B", 100.05, 1.0),
+                _cell("A", 100.0),
+                _cell("B", 100.05),
             ]
         )
         assert grid.win_loss("A", "B", rel_tol=1e-3).ties == 1
         assert grid.win_loss("A", "B", rel_tol=1e-6).wins == 1
+
+
+class TestCells:
+    def test_cells_are_the_experiment_cells(self, small_suite):
+        experiment = run_experiment(
+            ExperimentSpec(
+                name="g",
+                algorithms={"HEFT": HEFT},
+                workloads=[cell.spec for cell in small_suite],
+                seeds=(0,),
+            )
+        )
+        grid = grid_from_experiment(experiment)
+        assert grid.cells == experiment.cells

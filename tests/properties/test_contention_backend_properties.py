@@ -6,7 +6,7 @@ Two contracts pin the backend:
   bit-identical (``==``, no tolerance) to a full contention evaluation
   of the same string, including probes that reassign machines (which,
   under eager pushes, can dirty the NIC timeline of *prefix* producers —
-  the subtle case the backend's producer-floor clamp exists for).
+  the subtle case the backend's restart floor exists for).
 * **Degradation** — with all transfer times zero the contention model
   collapses exactly to the paper's contention-free model: identical
   start/finish arrays and makespan, not merely approximately equal.
@@ -73,7 +73,7 @@ class TestIncrementalParity:
         """The allocator's probe pattern: many relocate/score/revert
         cycles against one prepared state.  Machine reassignments are
         drawn freely, so probes routinely consume prefix-produced items
-        on new machines — exercising the producer-floor restart."""
+        on new machines — exercising the restart floor."""
         w, s = data
         sim = ContentionSimulator(w)
         rng = np.random.default_rng(move_seed)

@@ -25,13 +25,17 @@ from tests.routes import walker
 from tests.strategies import workload_strings
 
 
-def reference_walk(workload, order, machine_of, avail0, nic0=None):
-    """``(start, finish, makespan)`` of a string.
+def reference_steps(workload, order, machine_of, avail0, nic0=None):
+    """Walk a string position by position, yielding the walk's state
+    before each position ``0..k``: ``(start, finish, machine_free,
+    nic_free, arrival)``, copies.
 
-    ``nic0 is None`` walks the paper's contention-free network; otherwise
-    each machine's outgoing link starts free at ``nic0`` and sends its
-    cross-machine outputs in ascending item order after the producer
-    finishes.
+    ``start`` / ``finish`` map each walked subtask to its times and
+    ``arrival`` each pushed item to its arrival.  ``nic0 is None`` walks
+    the paper's contention-free network (``nic_free`` is then ``None``);
+    otherwise each machine's outgoing link starts free at ``nic0`` and
+    sends its cross-machine outputs in ascending item order after the
+    producer finishes.
     """
     graph = workload.graph
     E = workload.exec_times
@@ -43,6 +47,12 @@ def reference_walk(workload, order, machine_of, avail0, nic0=None):
     nic_free = None if nic0 is None else list(nic0)
     arrival = {}
     start, finish = {}, {}
+
+    def state():
+        nic = None if nic_free is None else list(nic_free)
+        return dict(start), dict(finish), list(machine_free), nic, dict(arrival)
+
+    yield state()
     for task in order:
         m = machine_of[task]
         ready = machine_free[m]
@@ -65,6 +75,15 @@ def reference_walk(workload, order, machine_of, avail0, nic0=None):
                     sent = max(finish[task], nic_free[m])
                     nic_free[m] = sent + Tr.time(m, dst, d.index)
                     arrival[d.index] = nic_free[m]
+        yield state()
+
+
+def reference_walk(workload, order, machine_of, avail0, nic0=None):
+    """``(start, finish, makespan)`` of a string: the last state of
+    :func:`reference_steps`."""
+    *_, (start, finish, _free, _nic, _arrival) = reference_steps(
+        workload, order, machine_of, avail0, nic0
+    )
     span = max([0.0, *finish.values()])
     k = len(order)
     return [start[t] for t in range(k)], [finish[t] for t in range(k)], span

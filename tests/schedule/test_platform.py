@@ -7,6 +7,8 @@ and batch tier — because every golden result in this repo is pinned
 against that path.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,17 @@ class TestUniformBitIdentity:
         score = sim.string_score(s)
         assert score.cost == 0.0
         assert score.makespan == sim.string_makespan(s)
+
+    @pytest.mark.parametrize("network", ["contention-free", "nic"])
+    def test_score_leaves_the_backend_unchanged(self, workload, network):
+        """A score query bills against a zero model of its own: the
+        backend keeps no cost model and pickles as before the query."""
+        s = self._string(workload)
+        sim = make_simulator(workload, network)
+        before = pickle.dumps(sim)
+        assert sim.string_score(s).cost == 0.0
+        assert sim.cost_model is None
+        assert pickle.dumps(sim) == before
 
 
 class TestPricedBackend:
